@@ -6,7 +6,7 @@ LOAD_ADDR ?= 127.0.0.1:8091
 LOAD_N ?= 200
 LOAD_C ?= 8
 
-.PHONY: all build test race fuzz-short bench bench-json profile fmt vet lint check serve loadtest
+.PHONY: all build test race fuzz-short bench bench-json bench-e2e profile fmt vet lint check serve loadtest
 
 all: check
 
@@ -37,6 +37,13 @@ bench-json:
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=$(BENCHTIME) . > $(BENCHOUT)
 	$(GO) run ./cmd/benchjson -baseline BENCH_PR8_BASELINE.txt < $(BENCHOUT) > BENCH_PR8.json
 	@echo "wrote BENCH_PR8.json"
+
+# The repository's one end-to-end benchmark (BENCHMARK.json is its contract,
+# bench/README.md its manual): every workload, tracing off, ~140 s. It checks
+# payload digests against bench/golden.json, so it also fails on any change
+# to a simulated bit.
+bench-e2e:
+	$(GO) run ./bench
 
 # CPU + heap profile of one big saturated point (a 32x32 mesh), the workload
 # the intra-fabric worker pool targets. Inspect with:

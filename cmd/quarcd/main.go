@@ -55,6 +55,28 @@ import (
 	"quarc/internal/service"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to deliver a request
+// header and a keep-alive connection may sit idle for idleTimeout; without
+// them a peer that opens a socket and trickles (or never sends) a request
+// line pins a goroutine and a descriptor for as long as it likes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the daemon's listener-side server. WriteTimeout stays
+// zero on purpose: ?wait=1 responses and /events streams are long-lived by
+// design, bounded by the job (deadline_ms, the watchdog, cancellation) and
+// not by the socket.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
@@ -96,7 +118,7 @@ func main() {
 		logger.Fatalf("init: %v", err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	httpSrv := newHTTPServer(*addr, svc.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	durable := "in-memory only"

@@ -282,16 +282,27 @@ func objectives(o PointOutcome) Objectives {
 	return Objectives{Latency: lat, Throughput: o.Result.Throughput, Cost: c}
 }
 
+// prediction is the closed-form model's verdict on one lattice point; ok is
+// false where the model does not cover the network.
+type prediction struct {
+	analytic.Prediction
+	ok bool
+}
+
 // evalOrder returns the point indices sorted most-promising-first: ascending
 // analytic mean-latency prediction (unknown and saturated predictions last),
 // ties broken by lattice order. Cancelling an exploration mid-flight
-// therefore still leaves the likely front members evaluated.
-func evalOrder(points []Point) []int {
+// therefore still leaves the likely front members evaluated. The per-point
+// predictions it ranked by come back too, in lattice order: the model is an
+// O(N²) path enumeration, and Run annotates every outcome with the same one.
+func evalOrder(points []Point) ([]int, []prediction) {
+	preds := make([]prediction, len(points))
 	rank := make([]float64, len(points))
 	for i, p := range points {
 		rank[i] = math.Inf(1)
-		if pred, ok := analytic.ForModel(p.Model, p.N, p.Cfg.MsgLen, p.Rate); ok {
-			rank[i] = pred.MeanLatency
+		preds[i].Prediction, preds[i].ok = analytic.ForModel(p.Model, p.N, p.Cfg.MsgLen, p.Rate)
+		if preds[i].ok {
+			rank[i] = preds[i].MeanLatency
 		}
 	}
 	order := make([]int, len(points))
@@ -306,7 +317,7 @@ func evalOrder(points []Point) []int {
 		}
 		return order[a] < order[b]
 	})
-	return order
+	return order, preds
 }
 
 // Run expands the spec and evaluates every point through eval, fanning the
@@ -323,7 +334,7 @@ func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, 
 	out := Outcome{Skipped: exp.Skipped, Deduped: exp.Deduped}
 	out.Points = make([]PointOutcome, len(exp.Points))
 
-	order := evalOrder(exp.Points)
+	order, preds := evalOrder(exp.Points)
 	if workers < 1 {
 		workers = 1
 	}
@@ -371,7 +382,7 @@ func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, 
 	for i := range out.Points {
 		o := &out.Points[i]
 		o.CostSlices, o.CostKnown = cost.NetworkSlices(o.Model, o.N, width)
-		if pred, ok := analytic.ForModel(o.Model, o.N, o.Cfg.MsgLen, o.Rate); ok {
+		if pred := preds[i]; pred.ok {
 			o.AnalyticOK = true
 			o.AnalyticLatency = pred.MeanLatency
 			if !math.IsInf(pred.MeanLatency, 1) && o.pureUnicast() && o.Result.UnicastCount > 0 && o.Result.UnicastMean > 0 {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"quarc/internal/analytic"
 	"quarc/internal/experiments"
 	"quarc/internal/traffic"
 )
@@ -123,7 +124,7 @@ func TestEvalOrderPrefersPredictedFastPoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Expand: %v", err)
 	}
-	order := evalOrder(exp.Points)
+	order, _ := evalOrder(exp.Points)
 	if len(order) != len(exp.Points) {
 		t.Fatalf("order has %d entries for %d points", len(order), len(exp.Points))
 	}
@@ -137,6 +138,46 @@ func TestEvalOrderPrefersPredictedFastPoints(t *testing.T) {
 		if exp.Points[oi].Model == "ring" && i < 2 {
 			t.Errorf("cost-unknown ring point evaluated at position %d, before the predicted points", i)
 		}
+	}
+}
+
+// The predictions evalOrder hands back for Run to annotate outcomes with must
+// be exactly what a fresh model call per point gives — covered points,
+// saturated ones (infinite latency) and models the closed form does not cover
+// alike — or analytic_latency / analytic_err_pc would move.
+func TestEvalOrderPredictionsMatchFreshCalls(t *testing.T) {
+	spec := Spec{
+		Models: []string{"quarc", "spidergon", "ring"},
+		Ns:     []int{16, 32},
+		Rates:  []float64{0.002, 0.01, 0.5}, // 0.5 is far past saturation
+		MsgLen: 16,
+	}
+	exp, err := spec.Expand(testOpts())
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	_, preds := evalOrder(exp.Points)
+	if len(preds) != len(exp.Points) {
+		t.Fatalf("%d predictions for %d points", len(preds), len(exp.Points))
+	}
+	var covered, uncovered, saturated int
+	for i, p := range exp.Points {
+		want, ok := analytic.ForModel(p.Model, p.N, p.Cfg.MsgLen, p.Rate)
+		if preds[i].ok != ok || preds[i].Prediction != want {
+			t.Errorf("point %d (%s N=%d rate=%g): reused prediction %+v ok=%v, fresh %+v ok=%v",
+				i, p.Model, p.N, p.Rate, preds[i].Prediction, preds[i].ok, want, ok)
+		}
+		switch {
+		case !ok:
+			uncovered++
+		case math.IsInf(want.MeanLatency, 1):
+			saturated++
+		default:
+			covered++
+		}
+	}
+	if covered == 0 || uncovered == 0 || saturated == 0 {
+		t.Fatalf("lattice is not mixed: %d covered, %d uncovered, %d saturated", covered, uncovered, saturated)
 	}
 }
 

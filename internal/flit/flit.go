@@ -66,20 +66,20 @@ func (t Traffic) String() string {
 // (MsgID, timestamps, chain bookkeeping) are simulator-side metadata the
 // hardware would keep in per-packet state or derive from the payload.
 type Flit struct {
-	Kind    Kind
-	Traffic Traffic // valid on header flits
-	Src     int     // source node (header)
-	Dst     int     // destination node: for broadcast/multicast branches this
+	Kind     Kind
+	Traffic  Traffic // valid on header flits
+	ChainCCW bool    // BcastChain: chain travels counter-clockwise
+	Payload  uint32  // data word (body/tail)
+	Src      int     // source node (header)
+	Dst      int     // destination node: for broadcast/multicast branches this
 	// is the *last* node of the branch per BRCP routing (§2.5.2)
-	Seq      int    // flit index within the packet; 0 is the header
-	PktLen   int    // total flits in the packet (header carries it)
-	PktID    uint64 // unique per packet (per broadcast branch)
-	MsgID    uint64 // unique per message (shared by branches of a broadcast)
-	Bits     uint64 // multicast bitstring: bit i = node at hop distance i+1 is a target
-	Payload  uint32 // data word (body/tail)
-	Remain   int    // BcastChain: how many nodes are still to be served after this one
-	ChainCCW bool   // BcastChain: chain travels counter-clockwise
-	Gen      int64  // cycle the message was generated (for latency stats)
+	Seq    int    // flit index within the packet; 0 is the header
+	PktLen int    // total flits in the packet (header carries it)
+	Remain int    // BcastChain: how many nodes are still to be served after this one
+	PktID  uint64 // unique per packet (per broadcast branch)
+	MsgID  uint64 // unique per message (shared by branches of a broadcast)
+	Bits   uint64 // multicast bitstring: bit i = node at hop distance i+1 is a target
+	Gen    int64  // cycle the message was generated (for latency stats)
 }
 
 // IsLast reports whether this flit terminates its packet.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPacketStructure(t *testing.T) {
@@ -270,5 +271,16 @@ func BenchmarkPacketAssembly(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = Packet(h, 16)
+	}
+}
+
+// TestFlitSize pins the in-simulator flit at 80 bytes. Every hop copies a
+// Flit twice and every lane slot holds one, so the size is the datapath's
+// unit cost: the fields are ordered small-to-large to leave a single byte of
+// padding, and growing the struct should be a reviewed decision, not a side
+// effect of adding a field.
+func TestFlitSize(t *testing.T) {
+	if got := unsafe.Sizeof(Flit{}); got != 80 {
+		t.Fatalf("unsafe.Sizeof(Flit{}) = %d, want 80", got)
 	}
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -19,11 +20,24 @@ import (
 //   - append that grows a slice other than the one being assigned back
 //     (`x = append(x, ...)` reuses x's backing array in steady state;
 //     `y = append(x, ...)` silently copies and grows without bound).
+//
+// It also keeps the flit datapath copy-free: a parameter, a result, or an
+// assignment (`=`, `:=`, a range value) that copies a struct larger than
+// maxHotCopy bytes is a finding. A flit is copied twice per hop by design —
+// the grant and the downstream push — and every further by-value hand-off
+// is a memcpy per flit per hop that a pointer avoids.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "//quarc:hotpath functions must avoid fmt, closures, escaping composite literals, interface conversions, defers and unbounded appends",
+	Doc:  "//quarc:hotpath functions must avoid fmt, closures, escaping composite literals, interface conversions, defers, unbounded appends and by-value copies of large structs",
 	Run:  runHotPath,
 }
+
+// maxHotCopy is the largest struct a hot-path function may pass, return or
+// assign by value: one cache line, measured with the gc compiler's amd64
+// layout whatever the host.
+const maxHotCopy = 64
+
+var hotSizes = types.SizesFor("gc", "amd64")
 
 func runHotPath(p *Pass) {
 	for _, f := range p.Files {
@@ -38,6 +52,8 @@ func runHotPath(p *Pass) {
 }
 
 func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
+	checkHotFields(p, fd.Type.Params, "parameter")
+	checkHotFields(p, fd.Type.Results, "result")
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -63,6 +79,11 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 					checkHotAppend(p, rhs, n.Lhs[i])
 				}
 			}
+			checkHotAssign(p, n)
+		case *ast.RangeStmt:
+			if n.Value != nil && !isBlank(n.Value) {
+				reportHotCopy(p, n.Value.Pos(), p.Info.TypeOf(n.Value), "range value")
+			}
 		case *ast.DeferStmt:
 			p.Reportf(n.Pos(), "defer in hot path adds per-call scheduling overhead")
 		case *ast.GoStmt:
@@ -70,6 +91,58 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// checkHotFields flags by-value large structs in a parameter or result list.
+func checkHotFields(p *Pass, fields *ast.FieldList, what string) {
+	if fields == nil {
+		return
+	}
+	for _, f := range fields.List {
+		reportHotCopy(p, f.Pos(), p.Info.TypeOf(f.Type), what)
+	}
+}
+
+// checkHotAssign flags assignments whose right-hand side lands a large
+// struct in a variable by value. A composite literal builds its value in
+// place and a blank target discards it, so neither counts.
+func checkHotAssign(p *Pass, n *ast.AssignStmt) {
+	if len(n.Lhs) == len(n.Rhs) {
+		for i, rhs := range n.Rhs {
+			if _, lit := rhs.(*ast.CompositeLit); !lit && !isBlank(n.Lhs[i]) {
+				reportHotCopy(p, rhs.Pos(), p.Info.TypeOf(rhs), "assignment")
+			}
+		}
+		return
+	}
+	// a, b := f(): the operands are the call's results.
+	if tuple, ok := p.Info.TypeOf(n.Rhs[0]).(*types.Tuple); ok && tuple.Len() == len(n.Lhs) {
+		for i, lhs := range n.Lhs {
+			if !isBlank(lhs) {
+				reportHotCopy(p, lhs.Pos(), tuple.At(i).Type(), "assignment")
+			}
+		}
+	}
+}
+
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
+}
+
+// reportHotCopy flags a by-value hand-off of type t when t is a struct over
+// the copy limit.
+func reportHotCopy(p *Pass, pos token.Pos, t types.Type, what string) {
+	if t == nil {
+		return
+	}
+	if _, ok := t.Underlying().(*types.Struct); !ok {
+		return
+	}
+	if size := hotSizes.Sizeof(t); size > maxHotCopy {
+		p.Reportf(pos, "%s copies a %d-byte %s by value in hot path (limit %d); use a pointer",
+			what, size, types.TypeString(t, types.RelativeTo(p.Pkg)), maxHotCopy)
+	}
 }
 
 func checkHotCall(p *Pass, call *ast.CallExpr) {

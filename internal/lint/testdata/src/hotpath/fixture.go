@@ -32,6 +32,44 @@ func good(buf []int, n int, v point) []int {
 	return buf
 }
 
+// wide is 72 bytes under the gc/amd64 layout: one word over the copy limit.
+type wide struct{ w [9]int64 }
+
+// line is exactly the 64-byte limit and may travel by value.
+type line struct{ w [8]int64 }
+
+func pop() (wide, bool) { return wide{}, true }
+
+//quarc:hotpath
+func copies(in wide, q []wide, p *wide) wide { // want "parameter copies a 72-byte wide by value" "result copies a 72-byte wide by value"
+	a := q[0]      // want "assignment copies a 72-byte wide by value"
+	a = *p         // want "assignment copies a 72-byte wide by value"
+	v, ok := pop() // want "assignment copies a 72-byte wide by value"
+	_, _ = v, ok
+	for _, e := range q { // want "range value copies a 72-byte wide by value"
+		_ = e.w[0]
+	}
+	return a
+}
+
+//quarc:hotpath
+func copyFree(in *wide, q []wide, l line) *wide {
+	m := l                 // a struct within the limit copies freely
+	fresh := wide{w: in.w} // a literal is built in place, not copied
+	_, ok := pop()         // a discarded result lands nowhere
+	_, _, _ = m, fresh, ok
+	for i := range q { // indexing reads the element where it lies
+		_ = q[i].w[0]
+	}
+	return &q[0]
+}
+
+//quarc:hotpath
+func allowedCopy(dst, src *wide) {
+	//quarc:allow hotpath: the one copy this path is designed around
+	*dst = *src
+}
+
 // Unannotated functions may do anything.
 func cold() {
 	fmt.Println("cold path")

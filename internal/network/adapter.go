@@ -38,6 +38,7 @@ const MaxFreePackets = 16
 // owned by the caller until it is pushed back into a queue.
 //
 //quarc:hotpath
+//quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
 func (q *PacketQueue) NewPacket(h flit.Flit, length int) []flit.Flit {
 	if n := len(q.free); n > 0 {
 		buf := q.free[n-1]
@@ -85,14 +86,15 @@ func (q *PacketQueue) PushFront(p []flit.Flit) {
 	q.pkts[at] = p
 }
 
-// NextFlit peeks at the next flit to inject.
+// NextFlit returns the next flit to inject, in place in its packet, or nil
+// when the queue is empty. The pointer is valid until the next Advance.
 //
 //quarc:hotpath
-func (q *PacketQueue) NextFlit() (flit.Flit, bool) {
+func (q *PacketQueue) NextFlit() *flit.Flit {
 	if q.head == len(q.pkts) {
-		return flit.Flit{}, false
+		return nil
 	}
-	return q.pkts[q.head][q.pos], true
+	return &q.pkts[q.head][q.pos]
 }
 
 // Advance consumes the peeked flit.
@@ -157,6 +159,7 @@ type partialPkt struct {
 // (i.e. it was the tail and all earlier flits had arrived).
 //
 //quarc:hotpath
+//quarc:allow hotpath: runs once per delivered flit, not per hop; a pointer here did not move the fabric step
 func (a *Assembler) Add(f flit.Flit) bool {
 	at := -1
 	got := 0
@@ -240,6 +243,7 @@ func (b *BaseAdapter) Wake() {
 // node.
 //
 //quarc:hotpath
+//quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
 func (b *BaseAdapter) Enqueue(qi int, h flit.Flit, length int) {
 	q := &b.Queues[qi]
 	q.PushBack(q.NewPacket(h, length))
@@ -250,6 +254,7 @@ func (b *BaseAdapter) Enqueue(qi int, h flit.Flit, length int) {
 // packets (chain retransmissions) bypass waiting PE traffic.
 //
 //quarc:hotpath
+//quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
 func (b *BaseAdapter) EnqueueFront(qi int, h flit.Flit, length int) {
 	q := &b.Queues[qi]
 	q.PushFront(q.NewPacket(h, length))
@@ -262,8 +267,8 @@ func (b *BaseAdapter) EnqueueFront(qi int, h flit.Flit, length int) {
 func (b *BaseAdapter) Feed(now int64) {
 	for qi := range b.Queues {
 		q := &b.Queues[qi]
-		f, ok := q.NextFlit()
-		if !ok {
+		f := q.NextFlit()
+		if f == nil {
 			continue
 		}
 		if b.R.Push(b.InjPorts[qi], 0, f) {
@@ -281,7 +286,7 @@ func (b *BaseAdapter) Feed(now int64) {
 func (b *BaseAdapter) FeedBlocked() bool {
 	for qi := range b.Queues {
 		q := &b.Queues[qi]
-		if _, ok := q.NextFlit(); !ok {
+		if q.NextFlit() == nil {
 			continue
 		}
 		if b.R.LaneFree(b.InjPorts[qi], 0) > 0 {
@@ -294,6 +299,7 @@ func (b *BaseAdapter) FeedBlocked() bool {
 // Receive reassembles delivered flits and fires OnTail on completion.
 //
 //quarc:hotpath
+//quarc:allow hotpath: runs once per delivered flit, not per hop; a pointer here did not move the fabric step
 func (b *BaseAdapter) Receive(f flit.Flit, now int64) {
 	if b.asm.Add(f) {
 		b.OnTail(f, now)

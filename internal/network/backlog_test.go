@@ -35,7 +35,7 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 				q.PushBack(p)
 			}
 		default:
-			if _, ok := q.NextFlit(); ok {
+			if q.NextFlit() != nil {
 				q.Advance()
 			}
 		}
@@ -45,7 +45,7 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 	}
 	// Drain completely; the counter must land exactly on zero.
 	for {
-		if _, ok := q.NextFlit(); !ok {
+		if q.NextFlit() == nil {
 			break
 		}
 		q.Advance()

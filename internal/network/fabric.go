@@ -532,21 +532,22 @@ func (f *Fabric) applyMoves(list []int) {
 			if w.Sink {
 				continue // shared ejection port: consumed by the PE
 			}
-			g := m.Flit
 			if m.In < f.injStart[node] {
 				// Multicast bitstrings are hop-indexed: forwarding from a
 				// network input moves the stream one hop, so the hardware
 				// shifts the bitstring (bit 0 always means "the node this
-				// flit is arriving at").
-				g.Bits >>= 1
+				// flit is arriving at"). The move's copy is the flit in
+				// flight — the local delivery above has already read it — so
+				// it is shifted where it lies.
+				m.Flit.Bits >>= 1
 			}
 			f.forwarded++
 			if f.Trace != nil {
 				f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Forward,
 					Node: node, Out: m.Out, VC: m.OutVC,
-					PktID: g.PktID, MsgID: g.MsgID, Seq: g.Seq})
+					PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: m.Flit.Seq})
 			}
-			if !f.Routers[w.Dst.Node].Push(w.Dst.Port, m.OutVC, g) {
+			if !f.Routers[w.Dst.Node].Push(w.Dst.Port, m.OutVC, &m.Flit) {
 				//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 				panic(fmt.Sprintf("network: credit violation pushing into %d.%d vc %d",
 					w.Dst.Node, w.Dst.Port, m.OutVC))

@@ -120,8 +120,8 @@ func TestLaneStreamValidatorCatchesCorruption(t *testing.T) {
 	b := h
 	b.Kind = flit.Body
 	b.Seq = 2 // skipped 1
-	fab.Routers[2].Push(0, 0, h)
-	fab.Routers[2].Push(0, 0, b)
+	fab.Routers[2].Push(0, 0, &h)
+	fab.Routers[2].Push(0, 0, &b)
 	if err := chk.Check(); err == nil {
 		t.Fatal("checker accepted an out-of-order lane stream")
 	}

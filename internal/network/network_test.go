@@ -20,8 +20,8 @@ func TestPacketQueueFIFO(t *testing.T) {
 	}
 	var ids []uint64
 	for {
-		f, ok := q.NextFlit()
-		if !ok {
+		f := q.NextFlit()
+		if f == nil {
 			break
 		}
 		ids = append(ids, f.PktID)
@@ -42,7 +42,7 @@ func TestPacketQueuePushFrontIdle(t *testing.T) {
 	var q PacketQueue
 	q.PushBack(pkt(1, 2))
 	q.PushFront(pkt(9, 2))
-	f, _ := q.NextFlit()
+	f := q.NextFlit()
 	if f.PktID != 9 {
 		t.Fatalf("front flit from pkt %d, want 9", f.PktID)
 	}
@@ -57,8 +57,8 @@ func TestPacketQueuePushFrontMidStream(t *testing.T) {
 	// Order must be: rest of pkt 1, then pkt 9, then pkt 2.
 	var ids []uint64
 	for {
-		f, ok := q.NextFlit()
-		if !ok {
+		f := q.NextFlit()
+		if f == nil {
 			break
 		}
 		ids = append(ids, f.PktID)

@@ -73,11 +73,13 @@ func (p *PacketPortQueue) pushFront(pkt []flit.Flit, port int) {
 	p.pending += len(pkt)
 }
 
-func (p *PacketPortQueue) next() (flit.Flit, int, bool) {
+// next returns the next flit to inject, in place in its packet, and its
+// injection port; nil when the queue is empty.
+func (p *PacketPortQueue) next() (*flit.Flit, int) {
 	if len(p.items) == 0 {
-		return flit.Flit{}, 0, false
+		return nil, 0
 	}
-	return p.items[0].pkt[p.pos], p.items[0].port, true
+	return &p.items[0].pkt[p.pos], p.items[0].port
 }
 
 func (p *PacketPortQueue) advance() {
@@ -119,8 +121,8 @@ func (t *Transceiver) Feed(now int64) {
 		t.BaseAdapter.Feed(now)
 		return
 	}
-	f, port, ok := t.single.next()
-	if !ok {
+	f, port := t.single.next()
+	if f == nil {
 		return
 	}
 	if t.R.Push(port, 0, f) {
@@ -135,8 +137,8 @@ func (t *Transceiver) FeedBlocked() bool {
 	if !t.cfg.SingleQueue {
 		return t.BaseAdapter.FeedBlocked()
 	}
-	_, port, ok := t.single.next()
-	if !ok {
+	f, port := t.single.next()
+	if f == nil {
 		return true
 	}
 	return t.R.LaneFree(port, 0) == 0

@@ -23,10 +23,15 @@
 // against a start-of-cycle occupancy snapshot, then Commit applies them, so
 // the global simulation is order-independent and a flit advances at most one
 // hop per cycle.
+//
+// Flit ownership: a buffered flit lives in exactly one lane slot. Bids refer
+// to it there, a grant copies it once into the Move, and the downstream push
+// copies it once into the next lane slot — two copies per hop, none zeroed.
 package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"quarc/internal/buffer"
 	"quarc/internal/flit"
@@ -71,8 +76,8 @@ type Config struct {
 }
 
 type lane struct {
-	q      *buffer.FIFO
-	active bool // between header grant and tail departure
+	q      buffer.FIFO // storage is a window of the router's flit slab
+	active bool        // between header grant and tail departure
 	dec    Decision
 	outVC  int
 	// Cached routing verdict for the packet whose header waits at this
@@ -89,15 +94,15 @@ type lane struct {
 }
 
 type inputPort struct {
-	lanes []lane
-	rr    int // VC arbiter pointer
-	snap  []int
+	lanes []lane // window of Router.lanes
+	rr    int    // VC arbiter pointer
+	snap  []int  // window of Router.snap
 }
 
 const noOwner = -1
 
 type outputPort struct {
-	owner []int // per downstream VC: packed (in*16+lane) of the holder, or noOwner
+	owner []int // per downstream VC: packed (in*16+lane) of the holder, or noOwner; window of one per-router slab
 	rr    int   // OPC master FSM round-robin pointer over inputs
 	reach []int // allowed input ports (nil = all)
 	sent  uint64
@@ -118,20 +123,23 @@ type Router struct {
 	cfg      Config
 	in       []inputPort
 	out      []outputPort
-	bids     []bid  // reused each cycle
-	granted  []bool // reused each cycle: per input, action taken
-	buffered int    // flits across all input lanes (O(1) quiescence report)
+	lanes    []lane   // every input lane, port-major
+	snap     []int    // start-of-cycle free space per lane, parallel to lanes
+	bids     []bid    // reused each cycle
+	req      []uint64 // reused each cycle: per output, bit i set = input i bids for it; all zero between cycles
+	buffered int      // flits across all input lanes (O(1) quiescence report)
 	// frozenOcc is the buffered-flit count recorded by FrozenBlocked, the
 	// per-cycle occupancy integrand replayed for blocked-slept cycles.
 	frozenOcc uint64
 	stats     Stats
 }
 
+// bid is one input port's candidate for the cycle. head points at the flit
+// in its lane slot; nil means the port presents nothing.
 type bid struct {
 	in, lane int
 	dec      Decision
-	head     flit.Flit
-	valid    bool
+	head     *flit.Flit
 }
 
 // New constructs a switch from its configuration.
@@ -146,32 +154,46 @@ func New(cfg Config) *Router {
 	if len(cfg.InLanes) == 0 || cfg.NOut < 1 {
 		panic("router: switch needs inputs and outputs")
 	}
-	r := &Router{cfg: cfg}
-	r.in = make([]inputPort, len(cfg.InLanes))
-	for i, nl := range cfg.InLanes {
+	if len(cfg.InLanes) > 64 {
+		panic("router: more than 64 input ports")
+	}
+	total := 0
+	for _, nl := range cfg.InLanes {
 		if nl < 1 {
 			panic("router: input port with no lanes")
 		}
-		p := &r.in[i]
-		p.lanes = make([]lane, nl)
-		p.snap = make([]int, nl)
-		for l := range p.lanes {
-			p.lanes[l].q = buffer.New(cfg.Depth)
-			p.lanes[l].outVC = -1
-		}
+		total += nl
+	}
+	r := &Router{cfg: cfg}
+	// One slab per kind for the whole switch: lanes, their flit slots and
+	// their credit snapshots sit contiguously, each port a window.
+	r.lanes = make([]lane, total)
+	r.snap = make([]int, total)
+	slots := make([]flit.Flit, total*cfg.Depth)
+	for k := range r.lanes {
+		r.lanes[k].q.Init(slots[k*cfg.Depth : (k+1)*cfg.Depth : (k+1)*cfg.Depth])
+		r.lanes[k].outVC = -1
+	}
+	r.in = make([]inputPort, len(cfg.InLanes))
+	at := 0
+	for i, nl := range cfg.InLanes {
+		r.in[i].lanes = r.lanes[at : at+nl : at+nl]
+		r.in[i].snap = r.snap[at : at+nl : at+nl]
+		at += nl
 	}
 	r.out = make([]outputPort, cfg.NOut)
+	owners := make([]int, cfg.NOut*cfg.VCs)
+	for v := range owners {
+		owners[v] = noOwner
+	}
 	for o := range r.out {
-		r.out[o].owner = make([]int, cfg.VCs)
-		for v := range r.out[o].owner {
-			r.out[o].owner[v] = noOwner
-		}
+		r.out[o].owner = owners[o*cfg.VCs : (o+1)*cfg.VCs : (o+1)*cfg.VCs]
 		if cfg.Reach != nil {
 			r.out[o].reach = cfg.Reach[o]
 		}
 	}
 	r.bids = make([]bid, len(cfg.InLanes))
-	r.granted = make([]bool, len(cfg.InLanes))
+	r.req = make([]uint64, cfg.NOut)
 	return r
 }
 
@@ -188,14 +210,14 @@ func (r *Router) LaneFree(in, ln int) int { return r.in[in].lanes[ln].q.Free() }
 // LaneLen returns the occupancy of the given input lane.
 func (r *Router) LaneLen(in, ln int) int { return r.in[in].lanes[ln].q.Len() }
 
-// Push inserts a flit into an input lane (used by the upstream link and by
-// the network adapter for injection ports). It reports false when the lane
-// is full; callers must respect the credit/handshake and treat false as a
+// Push copies *f into an input lane (used by the upstream link and by the
+// network adapter for injection ports). It reports false when the lane is
+// full; callers must respect the credit/handshake and treat false as a
 // protocol violation.
 //
 //quarc:hotpath
-func (r *Router) Push(in, ln int, f flit.Flit) bool {
-	if !r.in[in].lanes[ln].q.Push(f) {
+func (r *Router) Push(in, ln int, f *flit.Flit) bool {
+	if !r.in[in].lanes[ln].q.PushFrom(f) {
 		return false
 	}
 	r.buffered++
@@ -217,11 +239,8 @@ func (r *Router) Quiescent() bool { return r.buffered == 0 }
 // router's snapshot as their credit view, so it must reflect the drained
 // state rather than whatever the last stepped cycle latched.
 func (r *Router) RefreshSnapshot() {
-	for i := range r.in {
-		p := &r.in[i]
-		for l := range p.lanes {
-			p.snap[l] = p.lanes[l].q.Free()
-		}
+	for k := range r.lanes {
+		r.snap[k] = r.lanes[k].q.Free()
 	}
 }
 
@@ -252,17 +271,17 @@ func (r *Router) FrozenBlocked(live []Downstream) bool {
 		p := &r.in[i]
 		for l := range p.lanes {
 			ln := &p.lanes[l]
-			head, ok := ln.q.Peek()
-			if !ok {
+			head := ln.q.Head()
+			if head == nil {
 				ln.frozen = false
 				continue
 			}
-			dec := r.laneDecision(i, l, head)
+			dec := r.laneDecision(ln, i, l, head)
 			if dec.Out == NoOutput {
 				// Dedicated ejection always succeeds: not blocked.
 				return false
 			}
-			b := bid{in: i, lane: l, dec: dec, head: head, valid: true}
+			b := bid{in: i, lane: l, dec: dec, head: head}
 			ok, _, cause := r.trySend(dec.Out, &b, live[dec.Out])
 			if ok {
 				return false
@@ -343,17 +362,10 @@ func (r *Router) Sent(out int) uint64 { return r.out[out].sent }
 //
 //quarc:hotpath
 func (r *Router) Snapshot() {
-	occ := 0
-	for i := range r.in {
-		p := &r.in[i]
-		for l := range p.lanes {
-			q := p.lanes[l].q
-			n := q.Len()
-			p.snap[l] = q.Cap() - n
-			occ += n
-		}
+	for k := range r.lanes {
+		r.snap[k] = r.lanes[k].q.Free()
 	}
-	r.stats.OccupancySum += uint64(occ)
+	r.stats.OccupancySum += uint64(r.buffered)
 	r.stats.Cycles++
 }
 
@@ -375,36 +387,34 @@ func (r *Router) reachable(o, in int) bool {
 }
 
 // bidFor runs the VC arbiter of one input port: select the lane presented to
-// the crossbar this cycle, filling b in place. An invalid bid leaves the
-// other fields stale — every reader gates on b.valid, and writing only the
-// flag keeps the empty-port case (the common one at low load) free of the
-// struct zeroing a by-value return would pay.
+// the crossbar this cycle, filling b in place. An empty port writes only
+// b.head = nil and leaves the other fields stale — every reader gates on the
+// head — which keeps the common low-load case to a single store.
 //
 //quarc:hotpath
 func (r *Router) bidFor(i int, b *bid) {
 	p := &r.in[i]
-	n := len(p.lanes)
-	for k := 0; k < n; k++ {
-		l := (p.rr + k) % n
+	l := p.rr
+	for range p.lanes {
 		ln := &p.lanes[l]
-		head, ok := ln.q.Peek()
-		if !ok {
-			continue
+		if head := ln.q.Head(); head != nil {
+			b.in, b.lane, b.head = i, l, head
+			b.dec = r.laneDecision(ln, i, l, head)
+			return
 		}
-		b.in, b.lane, b.head, b.valid = i, l, head, true
-		b.dec = r.laneDecision(i, l, head)
-		return
+		if l++; l == len(p.lanes) {
+			l = 0
+		}
 	}
-	b.valid = false
+	b.head = nil
 }
 
-// laneDecision returns the routing decision governing the flit at the head of
-// lane (i, l): the FCU's latched decision for an active packet, or the cached
-// (validated) route of the waiting header.
+// laneDecision returns the routing decision governing head, the flit at the
+// head of lane ln = (i, l): the FCU's latched decision for an active packet,
+// or the cached (validated) route of the waiting header.
 //
 //quarc:hotpath
-func (r *Router) laneDecision(i, l int, head flit.Flit) Decision {
-	ln := &r.in[i].lanes[l]
+func (r *Router) laneDecision(ln *lane, i, l int, head *flit.Flit) Decision {
 	if ln.active {
 		return ln.dec
 	}
@@ -414,11 +424,11 @@ func (r *Router) laneDecision(i, l int, head flit.Flit) Decision {
 			r.cfg.Node, i, l, head.Kind))
 	}
 	if !ln.pendOK || ln.pendPkt != head.PktID {
-		dec := r.cfg.Route(r.cfg.Node, i, head)
+		dec := r.cfg.Route(r.cfg.Node, i, *head)
 		if dec.Out == NoOutput && !dec.Eject {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d in %d: decision with no action for %+v",
-				r.cfg.Node, i, head))
+				r.cfg.Node, i, *head))
 		}
 		if dec.Out == NoOutput && r.cfg.EjectPort != NoOutput {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
@@ -445,86 +455,97 @@ type Downstream interface {
 
 // Arbitrate computes this router's moves for the cycle. downstream maps each
 // output port to its credit view; nil entries mean "always has space" (used
-// for the shared ejection port, where the PE absorbs at link rate). The
-// returned moves reference flits still in their source lanes; the network
-// must call Commit exactly once with the same slice.
+// for the shared ejection port, where the PE absorbs at link rate). Each
+// returned move carries the one grant-time copy of its flit, which stays at
+// the head of its source lane; the network must call Commit exactly once
+// with the same slice.
 //
 //quarc:hotpath
 func (r *Router) Arbitrate(downstream []Downstream, moves []Move) []Move {
-	// VC arbitration: one candidate lane per input port.
-	nbids := 0
+	// VC arbitration: one candidate lane per input port. Decisions with no
+	// forwarding component (Quarc all-port absorb; laneDecision admits them
+	// only on dedicated-ejection switches) need no OPC and always succeed, so
+	// they are granted here, in input order; the rest are bucketed by the
+	// output they request.
+	forwarding := false
 	for i := range r.in {
-		r.bidFor(i, &r.bids[i])
-		if r.bids[i].valid {
-			nbids++
-		}
-	}
-	if nbids == 0 {
-		return moves // idle switch: nothing to arbitrate this cycle
-	}
-
-	granted := r.granted // per input: action taken this cycle
-	for i := range granted {
-		granted[i] = false
-	}
-
-	// Dedicated ejection (Quarc all-port absorb): decisions with no
-	// forwarding component need no OPC and always succeed.
-	if r.cfg.EjectPort == NoOutput {
-		for i := range r.bids {
-			b := &r.bids[i]
-			if b.valid && b.dec.Out == NoOutput && b.dec.Eject {
-				moves = append(moves, Move{In: b.in, Lane: b.lane, Out: NoOutput,
-					Deliver: true, Flit: b.head})
-				granted[b.in] = true
-				r.stats.Grants++
-			}
-		}
-	}
-
-	// OPC arbitration per output port.
-	for o := range r.out {
-		op := &r.out[o]
-		nIn := len(r.in)
-		for k := 0; k < nIn; k++ {
-			i := (op.rr + k) % nIn
-			b := &r.bids[i]
-			if !b.valid || granted[i] || b.dec.Out != o {
-				continue
-			}
-			ok, outVC, _ := r.trySend(o, b, downstream[o])
-			if !ok {
-				continue
-			}
-			moves = append(moves, Move{In: b.in, Lane: b.lane, Out: o, OutVC: outVC,
-				Deliver: b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject), Flit: b.head})
-			granted[i] = true
-			r.stats.Grants++
-			op.rr = (i + 1) % nIn // master FSM moves on after serving a request
-			break
-		}
-	}
-
-	// VC arbiter pointers: a lane that bid and failed yields to its sibling
-	// (the paper's times_up timeout). Failed bids are classified for the
-	// contention statistics: a bid that would have been sendable lost
-	// output arbitration; otherwise trySend names the blocking resource.
-	for i := range r.bids {
 		b := &r.bids[i]
-		if !b.valid || granted[i] {
+		r.bidFor(i, b)
+		if b.head == nil {
 			continue
 		}
-		if b.dec.Out != NoOutput {
-			if ok, _, cause := r.trySend(b.dec.Out, b, downstream[b.dec.Out]); ok {
-				r.stats.Stalls[StallArbLost]++
-			} else {
+		if b.dec.Out == NoOutput {
+			moves = r.grant(moves, b, NoOutput, 0, true)
+			continue
+		}
+		r.req[b.dec.Out] |= 1 << uint(i)
+		forwarding = true
+	}
+	if !forwarding {
+		return moves
+	}
+
+	// OPC arbitration per output port, visiting only the inputs that bid for
+	// it, in round-robin order from the master FSM's pointer. The first
+	// sendable bid is granted; every other one stalls — classified for the
+	// contention statistics as lost arbitration when it was sendable, else by
+	// the blocking resource trySend names — and its VC arbiter yields to the
+	// sibling lane (the paper's times_up timeout).
+	for o := range r.out {
+		want := r.req[o]
+		if want == 0 {
+			continue
+		}
+		r.req[o] = 0
+		op := &r.out[o]
+		served := false
+		ahead := want >> uint(op.rr) << uint(op.rr) // inputs at or after the pointer go first
+		for _, set := range [2]uint64{ahead, want &^ ahead} {
+			for ; set != 0; set &= set - 1 {
+				i := bits.TrailingZeros64(set)
+				b := &r.bids[i]
+				ok, outVC, cause := r.trySend(o, b, downstream[o])
+				if ok && !served {
+					moves = r.grant(moves, b, o, outVC, b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject))
+					served = true
+					// The master FSM moves on after serving a request.
+					if op.rr = i + 1; op.rr == len(r.in) {
+						op.rr = 0
+					}
+					continue
+				}
+				if ok {
+					cause = StallArbLost
+				}
 				r.stats.Stalls[cause]++
+				if p := &r.in[i]; len(p.lanes) > 1 {
+					if p.rr = b.lane + 1; p.rr == len(p.lanes) {
+						p.rr = 0
+					}
+				}
 			}
 		}
-		if len(r.in[i].lanes) > 1 {
-			r.in[i].rr = (b.lane + 1) % len(r.in[i].lanes)
-		}
 	}
+	return moves
+}
+
+// grant appends the move for a winning bid. This is the flit's one copy out
+// of its lane slot; every field of the appended Move is written, so a reused
+// backing array needs no clearing first.
+//
+//quarc:hotpath
+func (r *Router) grant(moves []Move, b *bid, out, outVC int, deliver bool) []Move {
+	n := len(moves)
+	if n < cap(moves) {
+		moves = moves[:n+1]
+	} else {
+		moves = append(moves, Move{})
+	}
+	m := &moves[n]
+	m.In, m.Lane, m.Out, m.OutVC, m.Deliver = b.in, b.lane, out, outVC, deliver
+	//quarc:allow hotpath: the grant-time copy, one of the two a hop is allowed
+	m.Flit = *b.head
+	r.stats.Grants++
 	return moves
 }
 
@@ -568,7 +589,7 @@ func (r *Router) trySend(o int, b *bid, down Downstream) (bool, int, StallCause)
 		// (the network pushes forwarded flits into lane[outVC]); injection
 		// ports have a single lane 0, matching the VC-0 start of the
 		// dateline discipline.
-		vc = r.cfg.VCNext(r.cfg.Node, o, b.in, b.lane, b.head)
+		vc = r.cfg.VCNext(r.cfg.Node, o, b.in, b.lane, *b.head)
 		if vc < 0 || vc >= r.cfg.VCs {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
@@ -583,48 +604,50 @@ func (r *Router) trySend(o int, b *bid, down Downstream) (bool, int, StallCause)
 	return true, vc, 0
 }
 
-// Commit applies previously computed moves: pops flits from their lanes,
-// updates FCU/OPC state, and returns the flits to forward. The network is
-// responsible for pushing forwarded flits into the downstream input lanes
-// and for delivering ejected copies.
+// Commit applies previously computed moves: drops each moved flit from the
+// head of its lane and updates FCU/OPC state. The network is responsible for
+// pushing forwarded flits into the downstream input lanes and for delivering
+// ejected copies, both from the moves' own copies.
 //
 //quarc:hotpath
 func (r *Router) Commit(moves []Move) {
 	for mi := range moves {
 		m := &moves[mi]
 		ln := &r.in[m.In].lanes[m.Lane]
-		f, ok := ln.q.Pop()
-		if !ok || f.PktID != m.Flit.PktID || f.Seq != m.Flit.Seq {
+		head := ln.q.Head()
+		if head == nil || head.PktID != m.Flit.PktID || head.Seq != m.Flit.Seq {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d: commit desync at in %d lane %d", r.cfg.Node, m.In, m.Lane))
 		}
-		r.buffered--
+		kind := head.Kind
 		// FCU bookkeeping: the lane remembers its packet's decision from
 		// header to tail, whether the packet is being forwarded or absorbed
 		// locally.
-		if f.Kind == flit.Header {
+		if kind == flit.Header {
 			ln.active = true
-			if ln.pendOK && ln.pendPkt == f.PktID {
+			if ln.pendOK && ln.pendPkt == head.PktID {
 				ln.dec = ln.pendDec
 			} else {
-				ln.dec = r.cfg.Route(r.cfg.Node, m.In, f)
+				ln.dec = r.cfg.Route(r.cfg.Node, m.In, *head)
 			}
 			ln.pendOK = false
 			ln.outVC = m.OutVC
 		}
-		if f.Kind == flit.Tail {
+		if kind == flit.Tail {
 			ln.active = false
 			ln.outVC = -1
 		}
+		ln.q.Drop()
+		r.buffered--
 		// OPC bookkeeping only applies to granted outputs.
 		if m.Out != NoOutput {
 			op := &r.out[m.Out]
 			op.sent++
 			packed := m.In*16 + m.Lane
-			if f.Kind == flit.Header {
+			if kind == flit.Header {
 				op.owner[m.OutVC] = packed
 			}
-			if f.Kind == flit.Tail {
+			if kind == flit.Tail {
 				if op.owner[m.OutVC] != packed {
 					//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 					panic(fmt.Sprintf("router %d: tail releasing foreign VC", r.cfg.Node))

@@ -46,7 +46,7 @@ func step(a, b *Router) []flit.Flit {
 	var delivered []flit.Flit
 	for _, m := range am {
 		if m.Out == 0 {
-			if !b.Push(0, m.OutVC, m.Flit) {
+			if !b.Push(0, m.OutVC, &m.Flit) {
 				panic("push failed")
 			}
 		}
@@ -67,7 +67,7 @@ func TestSingleHopPipeline(t *testing.T) {
 	a, b := twoNodeLine(4)
 	p := pkt(1, 4, 1)
 	for _, f := range p {
-		if !a.Push(0, 0, f) {
+		if !a.Push(0, 0, &f) {
 			t.Fatal("push rejected")
 		}
 	}
@@ -101,12 +101,12 @@ func TestBackPressureLimitsOccupancy(t *testing.T) {
 	// cannot move (its head is a header that routes to eject — but we never
 	// step B, so it just sits there).
 	blocker := pkt(9, 2, 1)
-	b.Push(0, 0, blocker[0])
-	b.Push(0, 0, blocker[1])
+	b.Push(0, 0, &blocker[0])
+	b.Push(0, 0, &blocker[1])
 
 	p := pkt(1, 3, 1)
 	for _, f := range p {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	a.Snapshot()
 	b.Snapshot()
@@ -122,7 +122,7 @@ func TestHeaderAllocatesVCBodyFollowsTailReleases(t *testing.T) {
 	a, b := twoNodeLine(4)
 	p := pkt(1, 3, 1)
 	for _, f := range p {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	// Cycle 1: header moves, VC 0 owned by input 0 lane 0.
 	step(a, b)
@@ -145,10 +145,10 @@ func TestTwoPacketsInterleaveAcrossVCs(t *testing.T) {
 	a, b := twoNodeLine(8)
 	p0, p1 := pkt(1, 4, 1), pkt(2, 4, 1)
 	for _, f := range p0 {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	for _, f := range p1 {
-		a.Push(0, 1, f)
+		a.Push(0, 1, &f)
 	}
 	var got []uint64
 	for cyc := 0; cyc < 40 && len(got) < 8; cyc++ {
@@ -182,15 +182,15 @@ func TestVCArbiterSwitchesOnBlock(t *testing.T) {
 	a, b := mk(0), mk(1)
 	// Fill B lane 0 so VC 0 has no credit.
 	blocker := pkt(9, 2, 1)
-	b.Push(0, 0, blocker[0])
-	b.Push(0, 0, blocker[1])
+	b.Push(0, 0, &blocker[0])
+	b.Push(0, 0, &blocker[1])
 
 	p0, p1 := pkt(1, 3, 1), pkt(2, 3, 1)
 	for _, f := range p0 {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	for _, f := range p1 {
-		a.Push(0, 1, f)
+		a.Push(0, 1, &f)
 	}
 	moved := false
 	for cyc := 0; cyc < 6; cyc++ {
@@ -204,7 +204,7 @@ func TestVCArbiterSwitchesOnBlock(t *testing.T) {
 					t.Fatal("blocked packet moved")
 				}
 				moved = true
-				b.Push(0, m.OutVC, m.Flit)
+				b.Push(0, m.OutVC, &m.Flit)
 			}
 		}
 	}
@@ -226,10 +226,10 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 		Route:     func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput, Eject: true} },
 		VCNext:    vcf})
 	for _, f := range pkt(1, 6, 9) {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	for _, f := range pkt(2, 6, 9) {
-		a.Push(1, 0, f)
+		a.Push(1, 0, &f)
 	}
 	var order []uint64
 	for cyc := 0; cyc < 30 && len(order) < 12; cyc++ {
@@ -240,7 +240,7 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 		for _, m := range am {
 			if m.Out == 0 {
 				order = append(order, m.Flit.PktID)
-				sink.Push(0, m.OutVC, m.Flit)
+				sink.Push(0, m.OutVC, &m.Flit)
 			}
 		}
 		sm := sink.Arbitrate([]Downstream{nil}, nil)
@@ -267,7 +267,7 @@ func TestReachabilityViolationPanics(t *testing.T) {
 		EjectPort: NoOutput, Route: route, VCNext: vcf,
 		Reach: [][]int{{}}, // output 0 reachable from nothing
 	})
-	r.Push(0, 0, pkt(1, 2, 5)[0])
+	r.Push(0, 0, &pkt(1, 2, 5)[0])
 	r.Snapshot()
 	defer func() {
 		if recover() == nil {
@@ -312,7 +312,7 @@ func TestCloneDeliversAndForwards(t *testing.T) {
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
 	p := pkt(1, 3, 9)
 	for _, f := range p {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	deliveredAtA := 0
 	arrivedAtB := 0
@@ -327,7 +327,7 @@ func TestCloneDeliversAndForwards(t *testing.T) {
 			}
 			if m.Out == 0 {
 				arrivedAtB++
-				b.Push(0, m.OutVC, m.Flit)
+				b.Push(0, m.OutVC, &m.Flit)
 			}
 		}
 	}
@@ -343,10 +343,68 @@ func BenchmarkTwoNodeForwarding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p[0].PktID = uint64(i + 1)
 		p[1].PktID = uint64(i + 1)
-		a.Push(0, 0, p[0])
-		a.Push(0, 0, p[1])
+		a.Push(0, 0, &p[0])
+		a.Push(0, 0, &p[1])
 		for a.LaneLen(0, 0) > 0 || bb.LaneLen(0, 0) > 0 {
 			step(a, bb)
 		}
 	}
+}
+
+func TestCommitDesyncPanics(t *testing.T) {
+	for name, corrupt := range map[string]func(*Move){
+		"pkt":   func(m *Move) { m.Flit.PktID++ },
+		"seq":   func(m *Move) { m.Flit.Seq++ },
+		"empty": func(m *Move) { m.Lane = 1 }, // sibling lane holds nothing
+	} {
+		a, b := twoNodeLine(4)
+		a.Push(0, 0, &pkt(1, 2, 1)[0])
+		a.Snapshot()
+		b.Snapshot()
+		moves := a.Arbitrate([]Downstream{creditOf{b, 0}}, nil)
+		if len(moves) != 1 {
+			t.Fatalf("%s: %d moves, want 1", name, len(moves))
+		}
+		corrupt(&moves[0])
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: commit of a move that does not match the lane head did not panic", name)
+				}
+			}()
+			a.Commit(moves)
+		}()
+	}
+}
+
+func TestPushReportsFullLane(t *testing.T) {
+	a, _ := twoNodeLine(2)
+	p := pkt(1, 3, 1)
+	if !a.Push(0, 0, &p[0]) || !a.Push(0, 0, &p[1]) {
+		t.Fatal("push into a lane with space rejected")
+	}
+	if a.Push(0, 0, &p[2]) {
+		t.Fatal("push into a full lane accepted")
+	}
+	if a.LaneLen(0, 0) != 2 || a.LaneFree(0, 0) != 0 || a.Quiescent() {
+		t.Fatalf("rejected push disturbed the lane: len %d free %d", a.LaneLen(0, 0), a.LaneFree(0, 0))
+	}
+	if !a.Push(0, 1, &p[2]) {
+		t.Fatal("full lane blocked its sibling")
+	}
+}
+
+func TestNoActionRoutePanics(t *testing.T) {
+	route := func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput} }
+	vcf := func(node, out, in, cur int, f flit.Flit) int { return 0 }
+	r := New(Config{Node: 0, VCs: 2, Depth: 2, InLanes: []int{1}, NOut: 1,
+		EjectPort: NoOutput, Route: route, VCNext: vcf})
+	r.Push(0, 0, &pkt(1, 2, 5)[0])
+	r.Snapshot()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("route with no action did not panic")
+		}
+	}()
+	r.Arbitrate([]Downstream{nil}, nil)
 }

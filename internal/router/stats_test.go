@@ -10,7 +10,7 @@ func TestGrantAndOccupancyCounters(t *testing.T) {
 	a, b := twoNodeLine(4)
 	p := pkt(1, 4, 1)
 	for _, f := range p {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	for cyc := 0; cyc < 12; cyc++ {
 		step(a, b)
@@ -34,10 +34,10 @@ func TestNoCreditStallCounted(t *testing.T) {
 	a, b := twoNodeLine(2)
 	// Fill B's lane 0 so A has no credit.
 	blocker := pkt(9, 2, 1)
-	b.Push(0, 0, blocker[0])
-	b.Push(0, 0, blocker[1])
+	b.Push(0, 0, &blocker[0])
+	b.Push(0, 0, &blocker[1])
 	for _, f := range pkt(1, 3, 1) {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	a.Snapshot()
 	b.Snapshot()
@@ -59,10 +59,10 @@ func TestArbLostStallCounted(t *testing.T) {
 		Route:     func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput, Eject: true} },
 		VCNext:    vcf})
 	for _, f := range pkt(1, 4, 9) {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	for _, f := range pkt(2, 4, 9) {
-		a.Push(1, 0, f)
+		a.Push(1, 0, &f)
 	}
 	a.Snapshot()
 	sink.Snapshot()
@@ -94,9 +94,9 @@ func TestVCBusyStallCounted(t *testing.T) {
 	// Only the header of packet 1: it allocates VC 0 and then its lane runs
 	// dry (upstream starvation), so the arbiter switches to lane 1, whose
 	// header finds VC 0 held by the unfinished packet.
-	a.Push(0, 0, pkt(1, 6, 1)[0])
+	a.Push(0, 0, &pkt(1, 6, 1)[0])
 	for _, f := range pkt(2, 6, 1) {
-		a.Push(0, 1, f)
+		a.Push(0, 1, &f)
 	}
 	sawVCBusy := false
 	for cyc := 0; cyc < 20; cyc++ {
@@ -106,7 +106,7 @@ func TestVCBusyStallCounted(t *testing.T) {
 		a.Commit(am)
 		for _, m := range am {
 			if m.Out == 0 {
-				b.Push(0, m.OutVC, m.Flit)
+				b.Push(0, m.OutVC, &m.Flit)
 			}
 		}
 		bm := b.Arbitrate([]Downstream{nil}, nil)

@@ -137,11 +137,11 @@ func TestCacheLRU(t *testing.T) {
 func TestStoreEvictsTerminalJobs(t *testing.T) {
 	var evicted []string
 	s := NewStore(2, func(j *Job) { evicted = append(evicted, j.ID) })
-	a := s.Add("run", "k1", nil, jobWork{}, ClassInteractive, nil, nil)
+	a := s.Add("run", "k1", nil, jobWork{}, nil, nil)
 	a.setState(StateDone, "")
-	b := s.Add("run", "k2", nil, jobWork{}, ClassInteractive, nil, nil)
+	b := s.Add("run", "k2", nil, jobWork{}, nil, nil)
 	_ = b // still queued (live)
-	s.Add("run", "k3", nil, jobWork{}, ClassInteractive, nil, nil)
+	s.Add("run", "k3", nil, jobWork{}, nil, nil)
 	if _, ok := s.Get(a.ID); ok {
 		t.Fatal("terminal job should have been evicted")
 	}

@@ -94,7 +94,9 @@ type Job struct {
 	Key     string          `json:"key"`  // canonical cache key
 	Request json.RawMessage `json:"-"`
 
-	work  jobWork
+	work jobWork
+	// class is assigned by Server.enqueue, just before the scheduler reads
+	// it; a job answered without queueing never has one.
 	class Class
 	// onTerminal, set at creation, observes the single transition into a
 	// terminal state (for the server's job-outcome counters).
@@ -136,10 +138,10 @@ type Job struct {
 	journaled bool
 }
 
-func newJob(id, kind, key string, req json.RawMessage, work jobWork, class Class, onTerminal func(State), sink func(*Job, Event)) *Job {
+func newJob(id, kind, key string, req json.RawMessage, work jobWork, onTerminal func(State), sink func(*Job, Event)) *Job {
 	j := &Job{
 		ID: id, Kind: kind, Key: key, Request: req,
-		work: work, class: class, onTerminal: onTerminal, sink: sink,
+		work: work, onTerminal: onTerminal, sink: sink,
 		changed: make(chan struct{}),
 		state:   StateQueued, created: time.Now(),
 	}
@@ -156,13 +158,13 @@ func newJob(id, kind, key string, req json.RawMessage, work jobWork, class Class
 // re-enqueues it.
 func restoreJob(id, kind, key string, req json.RawMessage, events []Event, st State,
 	cached, degraded bool, errMsg string, done, total int, created time.Time,
-	class Class, onTerminal func(State), sink func(*Job, Event)) *Job {
+	onTerminal func(State), sink func(*Job, Event)) *Job {
 	if created.IsZero() {
 		created = time.Now()
 	}
 	return &Job{
 		ID: id, Kind: kind, Key: key, Request: req,
-		class: class, onTerminal: onTerminal, sink: sink,
+		onTerminal: onTerminal, sink: sink,
 		changed: make(chan struct{}),
 		state:   st, cached: cached, degraded: degraded, errMsg: errMsg,
 		events: events, done: done, total: total,
@@ -511,12 +513,12 @@ func NewStore(capacity int, onEvict func(*Job)) *Store {
 // Add registers a new job under a fresh ID. onTerminal, if non-nil, fires
 // once when the job reaches a terminal state; sink, if non-nil, receives
 // every event the job appends (the journal hook).
-func (s *Store) Add(kind, key string, req json.RawMessage, work jobWork, class Class,
+func (s *Store) Add(kind, key string, req json.RawMessage, work jobWork,
 	onTerminal func(State), sink func(*Job, Event)) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	j := newJob(fmt.Sprintf("j%06d", s.seq), kind, key, req, work, class, onTerminal, sink)
+	j := newJob(fmt.Sprintf("j%06d", s.seq), kind, key, req, work, onTerminal, sink)
 	s.registerLocked(j)
 	return j
 }

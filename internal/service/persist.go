@@ -113,7 +113,7 @@ func (s *Server) recoverJobs() {
 
 		if st.terminal() {
 			j := restoreJob(id, hdr.Kind, hdr.Key, hdr.Request, events, st,
-				cached, degraded, errMsg, done, total, created, ClassBatch, nil, s.journalEvent)
+				cached, degraded, errMsg, done, total, created, nil, s.journalEvent)
 			// Degraded payloads are analytic estimates that were deliberately
 			// kept out of the store, so only exact results re-attach here; a
 			// recovered degraded job keeps its flag but serves no payload.
@@ -131,7 +131,7 @@ func (s *Server) recoverJobs() {
 		// execution is deterministic and the result only becomes visible via
 		// the atomic cache/store write, so at-least-once here is exactly-once
 		// to clients.
-		work, class, werr := workFor(hdr.Kind, hdr.Request)
+		work, werr := workFor(hdr.Kind, hdr.Request)
 		if werr != nil {
 			s.log.Printf("recovery: job %s unparseable, dropping: %v", id, werr)
 			s.journal.Remove(id)
@@ -144,47 +144,47 @@ func (s *Server) recoverJobs() {
 		// the job, and a correct late answer beats a degraded punctual one
 		// for work the client already waited a restart for.
 		j := restoreJob(id, hdr.Kind, hdr.Key, hdr.Request, events, StateQueued,
-			false, false, "", 0, 0, created, class, s.countOutcome, s.journalEvent)
+			false, false, "", 0, 0, created, s.countOutcome, s.journalEvent)
 		j.work = work
 		s.store.addRecovered(j)
 		j.mu.Lock()
 		j.appendEventLocked(Event{Type: "state", State: StateQueued})
 		j.mu.Unlock()
 		s.metrics.jobsRecovered.Add(1)
-		if err := s.sched.Enqueue(j); err != nil {
+		if err := s.enqueue(j); err != nil {
 			j.setState(StateFailed, err.Error())
 			continue
 		}
-		s.log.Printf("recovery: job %s %s re-enqueued (%s)", id, hdr.Kind, class)
+		s.log.Printf("recovery: job %s %s re-enqueued (%s)", id, hdr.Kind, j.class)
 	}
 }
 
 // workFor re-validates a journaled request body into executable work — the
 // same construction path the HTTP handlers use, so recovered jobs behave
 // exactly like fresh submissions.
-func workFor(kind string, raw json.RawMessage) (jobWork, Class, error) {
+func workFor(kind string, raw json.RawMessage) (jobWork, error) {
 	switch kind {
 	case "run":
 		var req RunRequest
 		if err := json.Unmarshal(raw, &req); err != nil {
-			return jobWork{}, ClassBatch, err
+			return jobWork{}, err
 		}
-		_, work, class, err := buildRun(req)
-		return work, class, err
+		_, work, err := buildRun(req)
+		return work, err
 	case "panel":
 		var req PanelRequest
 		if err := json.Unmarshal(raw, &req); err != nil {
-			return jobWork{}, ClassBatch, err
+			return jobWork{}, err
 		}
-		_, work, class, err := buildPanel(req)
-		return work, class, err
+		_, work, err := buildPanel(req)
+		return work, err
 	default: // "explore"
 		var req ExploreRequest
 		if err := json.Unmarshal(raw, &req); err != nil {
-			return jobWork{}, ClassBatch, err
+			return jobWork{}, err
 		}
-		_, work, class, err := buildExplore(req)
-		return work, class, err
+		_, work, err := buildExplore(req)
+		return work, err
 	}
 }
 
@@ -196,49 +196,47 @@ func deadlineFor(ms int64) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// buildRun validates a run request into its canonical key, executable work
-// and scheduling class (interactive unless the analytic cost estimate says
-// the run is batch-sized). The deadline rides on the work, never the key:
-// identical configurations share cache entries whatever their deadlines.
-func buildRun(req RunRequest) (string, jobWork, Class, error) {
+// buildRun validates a run request into its canonical key and executable
+// work. The deadline rides on the work, never the key: identical
+// configurations share cache entries whatever their deadlines. The
+// scheduling class is not decided here — see Server.enqueue.
+func buildRun(req RunRequest) (string, jobWork, error) {
 	cfg, err := req.Config()
 	if err != nil {
-		return "", jobWork{}, ClassBatch, err
+		return "", jobWork{}, err
 	}
 	deadline, err := deadlineFor(req.DeadlineMs)
 	if err != nil {
-		return "", jobWork{}, ClassBatch, err
+		return "", jobWork{}, err
 	}
 	work := jobWork{run: &runWork{cfg: cfg, replicates: req.replicates(), workers: req.Workers}, deadline: deadline}
-	return RunKey(cfg, req.replicates()), work, classifyRun(cfg, req.replicates()), nil
+	return RunKey(cfg, req.replicates()), work, nil
 }
 
-// buildPanel validates a panel request; panels sweep many points by
-// construction, so they are always batch class.
-func buildPanel(req PanelRequest) (string, jobWork, Class, error) {
+// buildPanel validates a panel request.
+func buildPanel(req PanelRequest) (string, jobWork, error) {
 	spec, opts, err := req.SpecOpts()
 	if err != nil {
-		return "", jobWork{}, ClassBatch, err
+		return "", jobWork{}, err
 	}
 	deadline, err := deadlineFor(req.DeadlineMs)
 	if err != nil {
-		return "", jobWork{}, ClassBatch, err
+		return "", jobWork{}, err
 	}
 	work := jobWork{panel: &panelWork{spec: spec, opts: opts}, deadline: deadline}
-	return PanelKey(spec, opts), work, ClassBatch, nil
+	return PanelKey(spec, opts), work, nil
 }
 
-// buildExplore validates an explore request; explores are always batch
-// class.
-func buildExplore(req ExploreRequest) (string, jobWork, Class, error) {
+// buildExplore validates an explore request.
+func buildExplore(req ExploreRequest) (string, jobWork, error) {
 	spec, opts, exp, err := req.SpecOpts()
 	if err != nil {
-		return "", jobWork{}, ClassBatch, err
+		return "", jobWork{}, err
 	}
 	deadline, err := deadlineFor(req.DeadlineMs)
 	if err != nil {
-		return "", jobWork{}, ClassBatch, err
+		return "", jobWork{}, err
 	}
 	work := jobWork{explore: &exploreWork{spec: spec, opts: opts, points: len(exp.Points), deduped: exp.Deduped}, deadline: deadline}
-	return ExploreKey(spec, opts), work, ClassBatch, nil
+	return ExploreKey(spec, opts), work, nil
 }

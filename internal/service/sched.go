@@ -223,12 +223,20 @@ func analyzableWorkload(cfg experiments.Config) bool {
 }
 
 // classifyRun assigns a run job its scheduling class from the analytic cost
-// estimate. Panels and explores are always batch (they sweep many points by
-// construction); single runs are interactive unless their estimated work is
-// batch-sized.
+// estimate: interactive unless the estimated work is batch-sized.
 func classifyRun(cfg experiments.Config, replicates int) Class {
 	if runCost(cfg, replicates) <= interactiveMaxCost {
 		return ClassInteractive
+	}
+	return ClassBatch
+}
+
+// class is the scheduling class of a unit of work. Panels and explores are
+// always batch (they sweep many points by construction); single runs go by
+// classifyRun.
+func (w jobWork) class() Class {
+	if w.run != nil {
+		return classifyRun(w.run.cfg, w.run.replicates)
 	}
 	return ClassBatch
 }

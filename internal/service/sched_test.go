@@ -12,7 +12,9 @@ import (
 
 // schedJob builds a bare job for scheduler unit tests (no work, no sinks).
 func schedJob(id string, class Class) *Job {
-	return newJob(id, "run", "k-"+id, nil, jobWork{}, class, nil, nil)
+	j := newJob(id, "run", "k-"+id, nil, jobWork{}, nil, nil)
+	j.class = class
+	return j
 }
 
 // waitRunning polls until the scheduler reports n executing jobs.

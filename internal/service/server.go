@@ -521,8 +521,8 @@ func (s *Server) countOutcome(st State) {
 
 // submit registers and schedules (or answers from cache / an identical
 // in-flight job) one parsed request.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string, raw json.RawMessage, work jobWork, class Class) {
-	j := s.store.Add(kind, key, raw, work, class, s.countOutcome, s.journalEvent)
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string, raw json.RawMessage, work jobWork) {
+	j := s.store.Add(kind, key, raw, work, s.countOutcome, s.journalEvent)
 	s.metrics.jobsAccepted.Add(1)
 	if cached, ok := s.cacheGet(key); ok {
 		j.finish(cached, true)
@@ -545,7 +545,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string
 	}
 	s.inflight[key] = &coalesceEntry{primary: j}
 	s.coMu.Unlock()
-	if err := s.sched.Enqueue(j); err != nil {
+	if err := s.enqueue(j); err != nil {
 		// Shed with an answer where we can: an analyzable run turned away by
 		// a full queue gets an instant degraded analytic estimate — 200 with
 		// an honest error band beats a 503 for a client on a deadline.
@@ -562,6 +562,16 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string
 		return
 	}
 	s.respondSubmitted(w, r, j)
+}
+
+// enqueue classifies a job and hands it to the scheduler. The class is
+// decided here, where it is consumed, and not when the request is parsed:
+// classifying a run evaluates the closed-form model (an O(N²) path
+// enumeration, milliseconds at N 64), and a request answered from the cache
+// or coalesced onto an in-flight twin never queues, so it must not pay that.
+func (s *Server) enqueue(j *Job) error {
+	j.class = j.work.class()
+	return s.sched.Enqueue(j)
 }
 
 // shedDegrade answers a load-shed run job (and any followers that coalesced
@@ -671,7 +681,7 @@ func (s *Server) settleCoalesced(j *Job) {
 	e.followers = live[1:]
 	s.coMu.Unlock()
 	s.log.Printf("job %s promoted to primary after %s ended without a result", next.ID, j.ID)
-	if err := s.sched.Enqueue(next); err != nil {
+	if err := s.enqueue(next); err != nil {
 		s.failCoalesceChain(next, err)
 	}
 }
@@ -705,12 +715,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key, work, class, err := buildRun(req)
+	key, work, err := buildRun(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.submit(w, r, "run", key, raw, work, class)
+	s.submit(w, r, "run", key, raw, work)
 }
 
 // handlePanels accepts POST /v1/panels.
@@ -723,12 +733,12 @@ func (s *Server) handlePanels(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key, work, class, err := buildPanel(req)
+	key, work, err := buildPanel(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.submit(w, r, "panel", key, raw, work, class)
+	s.submit(w, r, "panel", key, raw, work)
 }
 
 // handleExplore accepts POST /v1/explore: a design-space exploration over a
@@ -742,12 +752,12 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key, work, class, err := buildExplore(req)
+	key, work, err := buildExplore(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.submit(w, r, "explore", key, raw, work, class)
+	s.submit(w, r, "explore", key, raw, work)
 }
 
 // handleModels serves GET /v1/models: the registered network models, their
