@@ -1,12 +1,11 @@
 GO ?= go
 FUZZTIME ?= 10s
-BENCHTIME ?= 2s
 SERVE_ADDR ?= :8080
 LOAD_ADDR ?= 127.0.0.1:8091
 LOAD_N ?= 200
 LOAD_C ?= 8
 
-.PHONY: all build test race fuzz-short bench bench-json bench-e2e profile fmt vet lint check serve loadtest
+.PHONY: all build test race fuzz-short bench bench-e2e profile fmt vet lint loc check serve loadtest
 
 all: check
 
@@ -26,17 +25,6 @@ fuzz-short:
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
-
-# Benchmarks as data: run the tier-1 benchmarks with real bench time and
-# write ns/op, allocs/op, simulated cycles/sec and per-benchmark speedups
-# against the committed pre-parallel-stepping baseline to BENCH_PR8.json.
-# The bench run goes to a file first so a failing run aborts the target
-# instead of being masked by the pipe.
-BENCHOUT ?= /tmp/quarc-bench.txt
-bench-json:
-	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=$(BENCHTIME) . > $(BENCHOUT)
-	$(GO) run ./cmd/benchjson -baseline BENCH_PR8_BASELINE.txt < $(BENCHOUT) > BENCH_PR8.json
-	@echo "wrote BENCH_PR8.json"
 
 # The repository's one end-to-end benchmark (BENCHMARK.json is its contract,
 # bench/README.md its manual): every workload, tracing off, ~140 s. It checks
@@ -91,5 +79,14 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else echo "govulncheck not installed; skipping (CI runs it)"; fi
+
+# Non-test Go lines per package (bench/ and the lint fixtures excluded): the
+# number ROADMAP's "least code" aim is judged by. CI prints it on every run.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/lint/testdata/*' \
+		| xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
+		| sort -k2
 
 check: fmt vet lint build test

@@ -34,9 +34,9 @@ func benchPoint(b *testing.B, n, msgLen int, beta float64) {
 	b.Helper()
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		for _, topo := range []quarc.Topology{quarc.TopoQuarc, quarc.TopoSpidergon} {
+		for _, topo := range []string{"quarc", "spidergon"} {
 			res, err := quarc.Run(quarc.Config{
-				Topo: topo, N: n, MsgLen: msgLen, Beta: beta, Rate: 0.004,
+				Model: topo, N: n, MsgLen: msgLen, Beta: beta, Rate: 0.004,
 				Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
 				Depth: opts.Depth, Seed: opts.Seed,
 			})
@@ -91,7 +91,7 @@ func BenchmarkVerification_Analytic(b *testing.B) {
 	// §3.2-style cross-check).
 	for i := 0; i < b.N; i++ {
 		res, err := quarc.Run(quarc.Config{
-			Topo: quarc.TopoSpidergon, N: 16, MsgLen: 8, Rate: 0.003,
+			Model: "spidergon", N: 16, MsgLen: 8, Rate: 0.003,
 			Warmup: 200, Measure: 800, Drain: 4000, Seed: 2,
 		})
 		if err != nil {
@@ -104,14 +104,11 @@ func BenchmarkVerification_Analytic(b *testing.B) {
 }
 
 func BenchmarkAblation_Modifications(b *testing.B) {
-	variants := []quarc.Topology{
-		quarc.TopoQuarc, quarc.TopoQuarcChainBcast,
-		quarc.TopoQuarcSingleQueue, quarc.TopoSpidergon,
-	}
+	variants := []string{"quarc", "quarc-chainbcast", "quarc-1queue", "spidergon"}
 	for i := 0; i < b.N; i++ {
 		for _, topo := range variants {
 			if _, err := quarc.Run(quarc.Config{
-				Topo: topo, N: 16, MsgLen: 8, Beta: 0.05, Rate: 0.004,
+				Model: topo, N: 16, MsgLen: 8, Beta: 0.05, Rate: 0.004,
 				Warmup: 200, Measure: 800, Drain: 6000, Seed: 3,
 			}); err != nil {
 				b.Fatal(err)
@@ -121,11 +118,11 @@ func BenchmarkAblation_Modifications(b *testing.B) {
 }
 
 func BenchmarkExtension_MeshComparison(b *testing.B) {
-	topos := []quarc.Topology{quarc.TopoQuarc, quarc.TopoMesh, quarc.TopoTorus}
+	topos := []string{"quarc", "mesh", "torus"}
 	for i := 0; i < b.N; i++ {
 		for _, topo := range topos {
 			if _, err := quarc.Run(quarc.Config{
-				Topo: topo, N: 16, MsgLen: 8, Beta: 0.05, Rate: 0.004,
+				Model: topo, N: 16, MsgLen: 8, Beta: 0.05, Rate: 0.004,
 				Warmup: 200, Measure: 800, Drain: 6000, Seed: 4,
 			}); err != nil {
 				b.Fatal(err)
@@ -138,11 +135,11 @@ func BenchmarkExtension_MeshComparison(b *testing.B) {
 // windows: the regime most points of every Fig 9-11 curve sit in, where
 // almost all routers are empty almost every cycle. This is the benchmark the
 // activity-driven scheduler (active-router sets + idle-cycle skipping) is
-// aimed at; BENCH_PR4_BASELINE.txt holds the dense-stepping cost.
+// aimed at (dense stepping cost 233 ms/op here before PR 4).
 func BenchmarkSweepLowLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := quarc.Run(quarc.Config{
-			Topo: quarc.TopoQuarc, N: 64, MsgLen: 16, Beta: 0.05, Rate: 0.0005,
+			Model: "quarc", N: 64, MsgLen: 16, Beta: 0.05, Rate: 0.0005,
 			Warmup: 2000, Measure: 10000, Drain: 20000, Depth: 4, Seed: 11,
 		})
 		if err != nil {
@@ -160,7 +157,7 @@ func BenchmarkSweepLowLoad(b *testing.B) {
 func BenchmarkSweepSaturated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := quarc.Run(quarc.Config{
-			Topo: quarc.TopoQuarc, N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.1,
+			Model: "quarc", N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.1,
 			Warmup: 200, Measure: 1000, Drain: 2000, Depth: 4, Seed: 12,
 		})
 		if err != nil {
@@ -325,7 +322,7 @@ func BenchmarkPointN1024Saturated(b *testing.B) {
 func BenchmarkContention_StallBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := quarc.Run(quarc.Config{
-			Topo: quarc.TopoSpidergon, N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.012,
+			Model: "spidergon", N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.012,
 			Warmup: 200, Measure: 800, Drain: 6000, Seed: 5,
 		})
 		if err != nil {
@@ -340,7 +337,7 @@ func BenchmarkAblation_BufferDepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, depth := range []int{2, 8} {
 			if _, err := quarc.Run(quarc.Config{
-				Topo: quarc.TopoQuarc, N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.008,
+				Model: "quarc", N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.008,
 				Depth: depth, Warmup: 200, Measure: 800, Drain: 6000, Seed: 6,
 			}); err != nil {
 				b.Fatal(err)

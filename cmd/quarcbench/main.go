@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -129,7 +130,7 @@ func main() {
 		switch *which {
 		case "fig9", "fig10", "fig11", "all":
 		default:
-			fmt.Fprintf(os.Stderr, "quarcbench: note: -replicates and -workers apply to the "+
+			fmt.Fprintf(os.Stderr, "quarcbench: note: -replicates applies to the "+
 				"fig9/fig10/fig11 panel sweeps; %q runs unreplicated\n", *which)
 		}
 	}
@@ -183,6 +184,7 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	did := false
 	panelExperiments := map[string]bool{"fig9": true, "fig10": true, "fig11": true}
 	want := func(names ...string) bool {
@@ -210,72 +212,48 @@ func main() {
 	if want("table1", "fig12", "cost") {
 		fmt.Println(experiments.RenderCost())
 	}
-	if want("verify") {
-		rows, err := experiments.Verify(opts)
+	// report prints one text experiment's output, or dies naming it.
+	report := func(name, out string, err error) {
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quarcbench: verify: %v\n", err)
+			fmt.Fprintf(os.Stderr, "quarcbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Println(experiments.RenderVerify(rows))
+		fmt.Println(out)
+	}
+	if want("verify") {
+		rows, err := experiments.Verify(ctx, opts)
+		report("verify", experiments.RenderVerify(rows), err)
 	}
 	if want("ablation") {
 		n, m, beta, rate := 16, 16, 0.05, 0.008
-		rows, err := experiments.Ablation(n, m, beta, rate, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quarcbench: ablation: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.RenderAblation(rows, n, m, beta, rate))
+		rows, err := experiments.Ablation(ctx, n, m, beta, rate, opts)
+		report("ablation", experiments.RenderAblation(rows, n, m, beta, rate), err)
 	}
 	if want("mesh") {
-		out, err := experiments.MeshComparison(16, 16, 0.05, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quarcbench: mesh: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
+		out, err := experiments.MeshComparison(ctx, 16, 16, 0.05, opts)
+		report("mesh", out, err)
 	}
 	if want("linkload") {
 		out, err := experiments.LinkLoadBalance(16, 2, 0.01, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quarcbench: linkload: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
+		report("linkload", out, err)
 	}
 	if want("contention") {
-		out, err := experiments.Contention(16, 16, 0.05, 0.012, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quarcbench: contention: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
+		out, err := experiments.Contention(ctx, 16, 16, 0.05, 0.012, opts)
+		report("contention", out, err)
 	}
 	if want("depth") {
-		for _, topo := range []experiments.Topology{experiments.TopoQuarc, experiments.TopoSpidergon} {
-			rows, err := experiments.DepthSweep(topo, 16, 16, 0.05, 0.012, opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "quarcbench: depth: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(experiments.RenderDepthSweep(topo, rows))
+		for _, model := range []string{"quarc", "spidergon"} {
+			rows, err := experiments.DepthSweep(ctx, model, 16, 16, 0.05, 0.012, opts)
+			report("depth", experiments.RenderDepthSweep(model, rows), err)
 		}
 	}
 	if want("bursty") {
-		out, err := experiments.Bursty(16, 16, 0.05, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quarcbench: bursty: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
+		out, err := experiments.Bursty(ctx, 16, 16, 0.05, opts)
+		report("bursty", out, err)
 	}
 	if want("hotspot") {
-		out, err := experiments.HotspotComparison(16, 16, 0.3, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quarcbench: hotspot: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
+		out, err := experiments.HotspotComparison(ctx, 16, 16, 0.3, opts)
+		report("hotspot", out, err)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "quarcbench: %v\n", err)

@@ -152,7 +152,7 @@ func TestActivityDrivenBitIdenticalToDense(t *testing.T) {
 // router-steps — bounded here, so a regression that silently falls back to
 // dense stepping fails loudly rather than just slowing down.
 func TestActivitySchedulerSkipsIdleCycles(t *testing.T) {
-	cfg := Config{Topo: TopoQuarc, N: 16, MsgLen: 4, Rate: 0.0005,
+	cfg := Config{Model: "quarc", N: 16, MsgLen: 4, Rate: 0.0005,
 		Depth: 4, Warmup: 500, Measure: 4000, Drain: 8000, Seed: 3}
 	_, ap := probeRun(t, cfg)
 	dense := cfg

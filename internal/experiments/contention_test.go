@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,7 +11,7 @@ import (
 )
 
 func TestContentionReport(t *testing.T) {
-	out, err := Contention(16, 8, 0.05, 0.01, tinyOpts())
+	out, err := Contention(context.Background(), 16, 8, 0.05, 0.01, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +23,7 @@ func TestContentionReport(t *testing.T) {
 }
 
 func TestDepthSweepMonotoneAtLowDepth(t *testing.T) {
-	rows, err := DepthSweep(TopoQuarc, 16, 8, 0.05, 0.008, tinyOpts())
+	rows, err := DepthSweep(context.Background(), "quarc", 16, 8, 0.05, 0.008, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +41,13 @@ func TestDepthSweepMonotoneAtLowDepth(t *testing.T) {
 			t.Errorf("depth %d: no unicast samples", r.Depth)
 		}
 	}
-	if s := RenderDepthSweep(TopoQuarc, rows); !strings.Contains(s, "buffer depth") {
+	if s := RenderDepthSweep("quarc", rows); !strings.Contains(s, "buffer depth") {
 		t.Error("render broken")
 	}
 }
 
 func TestBurstyComparison(t *testing.T) {
-	out, err := Bursty(16, 8, 0.05, tinyOpts())
+	out, err := Bursty(context.Background(), 16, 8, 0.05, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +60,9 @@ func TestStallRatioQuarcBelowSpidergon(t *testing.T) {
 	// The structural claim behind the curves: under the same moderate load
 	// the Spidergon stalls more per granted flit (shared cross link, shared
 	// ejection, one-port injection).
-	measure := func(topo Topology) float64 {
-		cfg := Config{Topo: topo, N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.015,
-			Warmup: 300, Measure: 2500, Drain: 20000, Seed: 3}.withDefaults()
+	measure := func(topo string) float64 {
+		cfg := Config{Model: topo, N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.015,
+			Warmup: 300, Measure: 2500, Drain: 20000, Seed: 3}.WithDefaults()
 		fab, nodes, err := build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -90,8 +93,8 @@ func TestStallRatioQuarcBelowSpidergon(t *testing.T) {
 		}
 		return float64(st.TotalStalls()) / float64(st.Grants)
 	}
-	q := measure(TopoQuarc)
-	s := measure(TopoSpidergon)
+	q := measure("quarc")
+	s := measure("spidergon")
 	if q >= s {
 		t.Errorf("quarc stall ratio %.3f not below spidergon %.3f", q, s)
 	}
@@ -125,7 +128,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestHotspotComparison(t *testing.T) {
-	out, err := HotspotComparison(16, 8, 0.3, tinyOpts())
+	out, err := HotspotComparison(context.Background(), 16, 8, 0.3, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestHotspotComparison(t *testing.T) {
 }
 
 func TestPercentilesReported(t *testing.T) {
-	res, err := Run(Config{Topo: TopoQuarc, N: 16, MsgLen: 8, Beta: 0.1, Rate: 0.008,
+	res, err := Run(Config{Model: "quarc", N: 16, MsgLen: 8, Beta: 0.1, Rate: 0.008,
 		Warmup: 300, Measure: 2000, Drain: 10000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -148,5 +151,46 @@ func TestPercentilesReported(t *testing.T) {
 	}
 	if res.BcastP95 < res.BcastMean*0.5 {
 		t.Errorf("bcast p95 %.1f implausible vs mean %.1f", res.BcastP95, res.BcastMean)
+	}
+}
+
+// TestSecondaryExperimentsWorkerInvariant: the six secondary experiments run
+// their points through the sweep engine, so — like a panel — their output
+// must not depend on the worker count, and a cancelled context aborts them.
+func TestSecondaryExperimentsWorkerInvariant(t *testing.T) {
+	experiments := map[string]func(context.Context, RunOpts) (any, error){
+		"verify":   func(ctx context.Context, o RunOpts) (any, error) { return Verify(ctx, o) },
+		"ablation": func(ctx context.Context, o RunOpts) (any, error) { return Ablation(ctx, 16, 8, 0.05, 0.008, o) },
+		"mesh":     func(ctx context.Context, o RunOpts) (any, error) { return MeshComparison(ctx, 16, 8, 0.05, o) },
+		"depth": func(ctx context.Context, o RunOpts) (any, error) {
+			return DepthSweep(ctx, "spidergon", 16, 8, 0.05, 0.008, o)
+		},
+		"bursty":  func(ctx context.Context, o RunOpts) (any, error) { return Bursty(ctx, 16, 8, 0.05, o) },
+		"hotspot": func(ctx context.Context, o RunOpts) (any, error) { return HotspotComparison(ctx, 16, 8, 0.3, o) },
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range experiments {
+		name, run := name, run
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			opts := RunOpts{Warmup: 100, Measure: 600, Drain: 6000, Depth: 4, Seed: 11}
+			opts.Workers = 1
+			one, err := run(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Workers = 4
+			four, err := run(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(one, four) {
+				t.Errorf("workers 1 and 4 disagree:\n%v\nvs\n%v", one, four)
+			}
+			if _, err := run(cancelled, opts); !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled context: err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func ctxTestConfig() Config {
 	return Config{
-		Topo: TopoQuarc, N: 8, MsgLen: 4, Beta: 0.05, Rate: 0.004,
+		Model: "quarc", N: 8, MsgLen: 4, Beta: 0.05, Rate: 0.004,
 		Warmup: 200, Measure: 1000, Drain: 5000, Seed: 99,
 	}
 }

@@ -25,72 +25,11 @@ import (
 	"quarc/internal/traffic"
 )
 
-// Topology is a compatibility shim over the model registry: the original
-// harness selected models through this enum, and the public API, the wire
-// format and the canonical cache keys still speak it for the six original
-// models. New models have no enum member — select them with Config.Model.
-type Topology int
-
-const (
-	TopoQuarc Topology = iota
-	TopoSpidergon
-	// Ablations of the paper's modifications (§2.2 i-iii), built on the
-	// Quarc topology:
-	TopoQuarcChainBcast  // true broadcast disabled (modification iii off)
-	TopoQuarcSingleQueue // all-port source queues disabled (modification ii off)
-	// Future-work comparisons (paper §4):
-	TopoMesh
-	TopoTorus
-)
-
-// String returns the registry (and wire) name of the enum member.
-func (t Topology) String() string {
-	switch t {
-	case TopoQuarc:
-		return "quarc"
-	case TopoSpidergon:
-		return "spidergon"
-	case TopoQuarcChainBcast:
-		return "quarc-chainbcast"
-	case TopoQuarcSingleQueue:
-		return "quarc-1queue"
-	case TopoMesh:
-		return "mesh"
-	case TopoTorus:
-		return "torus"
-	}
-	return fmt.Sprintf("Topology(%d)", int(t))
-}
-
-// legacyTopologies maps the six original model names to their enum members
-// (the inverse of Topology.String). Configs selecting one of these by name
-// canonicalise to the enum so their cache keys match pre-registry requests.
-var legacyTopologies = map[string]Topology{
-	"quarc":            TopoQuarc,
-	"spidergon":        TopoSpidergon,
-	"quarc-chainbcast": TopoQuarcChainBcast,
-	"quarc-1queue":     TopoQuarcSingleQueue,
-	"mesh":             TopoMesh,
-	"torus":            TopoTorus,
-}
-
-// TopologyByName resolves one of the six original model names to its enum
-// member. Models registered later have no Topology value; use Config.Model.
-func TopologyByName(name string) (Topology, bool) {
-	t, ok := legacyTopologies[strings.ToLower(name)]
-	return t, ok
-}
-
 // Config is a single simulation run.
 type Config struct {
-	// Topo selects one of the six original models. Ignored when Model is
-	// set.
-	Topo Topology
-	// Model selects the network model by registry name; it is how models
-	// without a Topology enum member are requested. WithDefaults
-	// canonicalises legacy names back onto Topo, so the field stays empty
-	// (and the canonical encoding unchanged) for the original six.
-	Model   string  `json:",omitempty"`
+	// Model selects the network model by registry name (case-insensitive;
+	// empty means "quarc"). It is the only model selector.
+	Model   string
 	N       int     // nodes (square number for mesh/torus)
 	MsgLen  int     // M, flits per message
 	Beta    float64 // broadcast fraction
@@ -110,24 +49,23 @@ type Config struct {
 	// Rate keeps its meaning as the long-run mean offered load; the ON-state
 	// rate is Rate*(MeanOn+MeanOff)/MeanOn. Bursty runs use the Uniform
 	// pattern only.
-	BurstMeanOn  float64 `json:",omitempty"`
-	BurstMeanOff float64 `json:",omitempty"`
+	BurstMeanOn  float64
+	BurstMeanOff float64
 	// McastFrac sends that fraction of the non-broadcast messages as
 	// McastSize-target multicasts (distinct uniform targets). The Quarc
 	// routes them natively along BRCP branches; the other models emulate
 	// them by unicast fan-out — the paper's core comparison as a sweep
 	// axis. Both knobs must be set together; both sources honour them.
-	// omitempty keeps the canonical cache keys of multicast-free requests
-	// exactly what they were before the knobs existed.
-	McastFrac float64 `json:",omitempty"`
-	McastSize int     `json:",omitempty"`
+	McastFrac float64
+	McastSize int
 
 	// StepWorkers sizes the intra-point worker pool that shards each fabric
 	// cycle across goroutines: 0 auto-sizes (GOMAXPROCS clamped to N/16, so
 	// small fabrics stay serial), 1 forces serial stepping, higher values
 	// pin the count. Results are byte-identical at any value, so — exactly
 	// like the sweep engine's Workers knob — the field is excluded from the
-	// wire payload and the canonical cache keys (json:"-").
+	// wire payload and the canonical cache keys (service.RunKey hashes an
+	// explicit struct that has no such field).
 	StepWorkers int `json:"-"`
 
 	// denseStep forces the reference dense behaviour: every router stepped
@@ -154,13 +92,13 @@ func withFabricObserver(ctx context.Context, fn func(*network.Fabric)) context.C
 	return context.WithValue(ctx, fabricObserverKey{}, fn)
 }
 
-// ModelName returns the registry name of the model this configuration
-// selects.
+// ModelName returns the canonical registry name of the model this
+// configuration selects: Model lower-cased, "quarc" when empty.
 func (c Config) ModelName() string {
-	if c.Model != "" {
-		return strings.ToLower(c.Model)
+	if c.Model == "" {
+		return "quarc"
 	}
-	return c.Topo.String()
+	return strings.ToLower(c.Model)
 }
 
 // Bursty reports whether the configuration requests the MMBP source. Any
@@ -204,17 +142,12 @@ func (c Config) burstOnRate() float64 {
 	return c.Rate * (c.BurstMeanOn + c.BurstMeanOff) / c.BurstMeanOn
 }
 
-// withDefaults fills unset fields and canonicalises the model selector:
-// a Model naming one of the six original topologies collapses onto the Topo
-// enum, keeping the canonical encoding (and therefore the service cache
-// keys) of those models exactly what it was before the registry existed.
-func (c Config) withDefaults() Config {
-	if c.Model != "" {
-		c.Model = strings.ToLower(c.Model)
-		if t, ok := TopologyByName(c.Model); ok {
-			c.Topo, c.Model = t, ""
-		}
-	}
+// WithDefaults returns the configuration with unset fields replaced by their
+// defaults and the model name canonicalised — exactly what Run simulates. The
+// service layer canonicalises requests through it so equivalent
+// configurations share one cache key.
+func (c Config) WithDefaults() Config {
+	c.Model = c.ModelName()
 	if c.Depth == 0 {
 		c.Depth = 4
 	}
@@ -262,13 +195,10 @@ type Result struct {
 	Cycles     int64 // fabric cycles actually stepped (warmup+measure+drain used)
 }
 
-// node is the adapter surface the harness needs.
-type node = model.Node
-
 // build assembles the requested network by registry lookup. The harness
 // carries no topology-specific knowledge: every model (including the Quarc
 // ablation presets) is a registration.
-func build(cfg Config) (*network.Fabric, []node, error) {
+func build(cfg Config) (*network.Fabric, []model.Node, error) {
 	name := cfg.ModelName()
 	m, ok := model.Lookup(name)
 	if !ok {
@@ -277,11 +207,6 @@ func build(cfg Config) (*network.Fabric, []node, error) {
 	}
 	return m.Build(model.BuildConfig{N: cfg.N, Depth: cfg.Depth})
 }
-
-// WithDefaults returns the configuration with unset fields replaced by their
-// defaults — exactly what Run simulates. The service layer canonicalises
-// requests through it so equivalent configurations share one cache key.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // ctxCheckPeriod is how often (in cycles) a cancellable run polls its
 // context: rarely enough to stay off the hot path, often enough that
@@ -302,7 +227,7 @@ func Run(cfg Config) (Result, error) { return RunContext(context.Background(), c
 // result is bit-identical to Run — the context poller observes the kernel
 // without perturbing it.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.ValidateWorkload(); err != nil {
 		return Result{}, err
 	}

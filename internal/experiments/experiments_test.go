@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,11 +13,9 @@ func tinyOpts() RunOpts {
 }
 
 func TestRunAllTopologies(t *testing.T) {
-	for _, topo := range []Topology{
-		TopoQuarc, TopoSpidergon, TopoQuarcChainBcast, TopoQuarcSingleQueue, TopoMesh, TopoTorus,
-	} {
+	for _, topo := range originalModels {
 		res, err := Run(Config{
-			Topo: topo, N: 16, MsgLen: 8, Beta: 0.05, Rate: 0.004,
+			Model: topo, N: 16, MsgLen: 8, Beta: 0.05, Rate: 0.004,
 			Warmup: 200, Measure: 1000, Drain: 8000, Seed: 1,
 		})
 		if err != nil {
@@ -44,13 +43,13 @@ func TestRunAllTopologies(t *testing.T) {
 }
 
 func TestRunRejectsBadConfigs(t *testing.T) {
-	if _, err := Run(Config{Topo: TopoMesh, N: 15, MsgLen: 8, Rate: 0.01}); err == nil {
+	if _, err := Run(Config{Model: "mesh", N: 15, MsgLen: 8, Rate: 0.01}); err == nil {
 		t.Error("non-square mesh accepted")
 	}
-	if _, err := Run(Config{Topo: Topology(99), N: 16, MsgLen: 8, Rate: 0.01}); err == nil {
+	if _, err := Run(Config{Model: "nosuch", N: 16, MsgLen: 8, Rate: 0.01}); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if _, err := Run(Config{Topo: TopoQuarc, N: 13, MsgLen: 8, Rate: 0.01}); err == nil {
+	if _, err := Run(Config{Model: "quarc", N: 13, MsgLen: 8, Rate: 0.01}); err == nil {
 		t.Error("bad ring size accepted")
 	}
 }
@@ -62,12 +61,12 @@ func TestPaperHeadlineShape(t *testing.T) {
 	//  (3) identical workload, so the comparison is paired.
 	opts := tinyOpts()
 	load := 0.010
-	q, err := Run(Config{Topo: TopoQuarc, N: 16, MsgLen: 16, Beta: 0.05, Rate: load,
+	q, err := Run(Config{Model: "quarc", N: 16, MsgLen: 16, Beta: 0.05, Rate: load,
 		Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain, Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Run(Config{Topo: TopoSpidergon, N: 16, MsgLen: 16, Beta: 0.05, Rate: load,
+	s, err := Run(Config{Model: "spidergon", N: 16, MsgLen: 16, Beta: 0.05, Rate: load,
 		Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain, Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +142,7 @@ func TestVerifyAgainstAnalyticModels(t *testing.T) {
 	// The §3.2 methodology: at low load the simulator must agree with the
 	// analytical models. Tolerance is generous at the 40% point where the
 	// M/D/1 approximation starts drifting.
-	rows, err := Verify(RunOpts{Warmup: 500, Measure: 4000, Drain: 15000, Depth: 4, Seed: 7})
+	rows, err := Verify(context.Background(), RunOpts{Warmup: 500, Measure: 4000, Drain: 15000, Depth: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestVerifyAgainstAnalyticModels(t *testing.T) {
 		}
 		if math.Abs(r.ErrorPc) > 25 {
 			t.Errorf("%v N=%d M=%d rate=%.4f: model error %.1f%% too large (sim %.1f vs model %.1f)",
-				r.Topo, r.N, r.MsgLen, r.Rate, r.ErrorPc, r.Simulated, r.Predicted)
+				r.Model, r.N, r.MsgLen, r.Rate, r.ErrorPc, r.Simulated, r.Predicted)
 		}
 	}
 	if s := RenderVerify(rows); !strings.Contains(s, "model") {
@@ -165,31 +164,31 @@ func TestVerifyAgainstAnalyticModels(t *testing.T) {
 }
 
 func TestAblationLadder(t *testing.T) {
-	rows, err := Ablation(16, 16, 0.05, 0.008, tinyOpts())
+	rows, err := Ablation(context.Background(), 16, 16, 0.05, 0.008, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("%d ablation rows", len(rows))
 	}
-	byTopo := map[Topology]AblationRow{}
+	byTopo := map[string]AblationRow{}
 	for _, r := range rows {
 		byTopo[r.Variant] = r
 	}
 	// True broadcast is the dominant factor: disabling it (chain variant)
 	// must blow up broadcast latency toward the Spidergon level.
-	if byTopo[TopoQuarc].BcastMean*2 >= byTopo[TopoQuarcChainBcast].BcastMean {
+	if byTopo["quarc"].BcastMean*2 >= byTopo["quarc-chainbcast"].BcastMean {
 		t.Errorf("chain ablation did not degrade broadcast: %v vs %v",
-			byTopo[TopoQuarc].BcastMean, byTopo[TopoQuarcChainBcast].BcastMean)
+			byTopo["quarc"].BcastMean, byTopo["quarc-chainbcast"].BcastMean)
 	}
 	// The full Quarc must be the best broadcast performer of the ladder.
 	for topo, r := range byTopo {
-		if topo == TopoQuarc {
+		if topo == "quarc" {
 			continue
 		}
-		if byTopo[TopoQuarc].BcastMean > r.BcastMean {
+		if byTopo["quarc"].BcastMean > r.BcastMean {
 			t.Errorf("full quarc broadcast %v worse than %v's %v",
-				byTopo[TopoQuarc].BcastMean, topo, r.BcastMean)
+				byTopo["quarc"].BcastMean, topo, r.BcastMean)
 		}
 	}
 	if s := RenderAblation(rows, 16, 16, 0.05, 0.008); !strings.Contains(s, "variant") {
@@ -198,7 +197,7 @@ func TestAblationLadder(t *testing.T) {
 }
 
 func TestMeshComparisonRuns(t *testing.T) {
-	out, err := MeshComparison(16, 8, 0.05, tinyOpts())
+	out, err := MeshComparison(context.Background(), 16, 8, 0.05, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,7 @@ func TestMeshComparisonRuns(t *testing.T) {
 			t.Errorf("mesh comparison lacks %q", want)
 		}
 	}
-	if _, err := MeshComparison(24, 8, 0.05, tinyOpts()); err == nil {
+	if _, err := MeshComparison(context.Background(), 24, 8, 0.05, tinyOpts()); err == nil {
 		t.Error("non-square comparison accepted")
 	}
 }
@@ -231,24 +230,15 @@ func TestLinkLoadBalanceReport(t *testing.T) {
 	}
 }
 
-func TestTopologyString(t *testing.T) {
-	for _, topo := range []Topology{TopoQuarc, TopoSpidergon, TopoQuarcChainBcast,
-		TopoQuarcSingleQueue, TopoMesh, TopoTorus, Topology(42)} {
-		if topo.String() == "" {
-			t.Errorf("empty string for %d", int(topo))
-		}
-	}
-}
-
 func TestDefaultsApplied(t *testing.T) {
-	c := Config{Topo: TopoQuarc, N: 16, Rate: 0.001}.withDefaults()
+	c := Config{Model: "quarc", N: 16, Rate: 0.001}.WithDefaults()
 	if c.Depth != 4 || c.MsgLen != 16 || c.Warmup == 0 || c.Measure == 0 || c.Drain == 0 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }
 
 func TestRunIsBitExactlyReproducible(t *testing.T) {
-	cfg := Config{Topo: TopoQuarc, N: 16, MsgLen: 8, Beta: 0.1, Rate: 0.01,
+	cfg := Config{Model: "quarc", N: 16, MsgLen: 8, Beta: 0.1, Rate: 0.01,
 		Warmup: 300, Measure: 1500, Drain: 8000, Seed: 77}
 	a, err := Run(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -13,7 +14,7 @@ import (
 // VerifyRow compares the simulator with the analytical model at one
 // configuration (the §3.2 verification methodology).
 type VerifyRow struct {
-	Topo      Topology
+	Model     string
 	N         int
 	MsgLen    int
 	Rate      float64
@@ -24,60 +25,40 @@ type VerifyRow struct {
 
 // Verify runs low-load unicast sweeps on the Spidergon, mesh and Quarc and
 // compares mean latency against the analytical predictions.
-func Verify(opts RunOpts) ([]VerifyRow, error) {
-	var rows []VerifyRow
-	type vc struct {
-		topo   Topology
-		n, m   int
-		points []float64
-	}
-	cases := []vc{
-		{TopoSpidergon, 16, 8, nil},
-		{TopoSpidergon, 32, 16, nil},
-		{TopoMesh, 16, 8, nil},
-		{TopoQuarc, 16, 8, nil},
-		{TopoQuarc, 32, 16, nil},
-	}
-	for _, c := range cases {
-		var satRate float64
-		switch c.topo {
-		case TopoSpidergon:
-			satRate = analytic.SpidergonUniform(c.n, c.m, 0).SaturationRate
-		case TopoMesh:
-			side := int(math.Sqrt(float64(c.n)))
-			satRate = analytic.MeshUniform(side, side, c.m, 0, false).SaturationRate
-		default:
-			satRate = analytic.QuarcUniform(c.n, c.m, 0).SaturationRate
-		}
+func Verify(ctx context.Context, opts RunOpts) ([]VerifyRow, error) {
+	opts = opts.normalized()
+	var cfgs []Config
+	for _, c := range []struct {
+		model string
+		n, m  int
+	}{
+		{"spidergon", 16, 8},
+		{"spidergon", 32, 16},
+		{"mesh", 16, 8},
+		{"quarc", 16, 8},
+		{"quarc", 32, 16},
+	} {
+		sat, _ := analytic.ForModel(c.model, c.n, c.m, 0)
 		// Analytical wormhole models are accurate well below saturation;
 		// wormhole blocking chains (which no M/D/1 channel model captures)
 		// dominate beyond ~30% of raw channel capacity, so verification
 		// stays below that, exactly as low-load model validations do.
 		for _, frac := range []float64{0.08, 0.15, 0.25} {
-			rate := satRate * frac
-			res, err := Run(Config{
-				Topo: c.topo, N: c.n, MsgLen: c.m, Rate: rate,
-				Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
-				Depth: opts.Depth, Seed: opts.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			var pred float64
-			switch c.topo {
-			case TopoSpidergon:
-				pred = analytic.SpidergonUniform(c.n, c.m, rate).MeanLatency
-			case TopoMesh:
-				side := int(math.Sqrt(float64(c.n)))
-				pred = analytic.MeshUniform(side, side, c.m, rate, false).MeanLatency
-			default:
-				pred = analytic.QuarcUniform(c.n, c.m, rate).MeanLatency
-			}
-			rows = append(rows, VerifyRow{
-				Topo: c.topo, N: c.n, MsgLen: c.m, Rate: rate,
-				Simulated: res.UnicastMean, Predicted: pred,
-				ErrorPc: 100 * (res.UnicastMean - pred) / pred,
-			})
+			cfgs = append(cfgs, opts.point(c.model, c.n, c.m, 0, sat.SaturationRate*frac))
+		}
+	}
+	results, err := runPoints(ctx, cfgs, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]VerifyRow, len(results))
+	for i, res := range results {
+		c := cfgs[i]
+		pred, _ := analytic.ForModel(c.Model, c.N, c.MsgLen, c.Rate)
+		rows[i] = VerifyRow{
+			Model: c.Model, N: c.N, MsgLen: c.MsgLen, Rate: c.Rate,
+			Simulated: res.UnicastMean, Predicted: pred.MeanLatency,
+			ErrorPc: 100 * (res.UnicastMean - pred.MeanLatency) / pred.MeanLatency,
 		}
 	}
 	return rows, nil
@@ -89,7 +70,7 @@ func RenderVerify(rows []VerifyRow) string {
 	var tr [][]string
 	for _, r := range rows {
 		tr = append(tr, []string{
-			r.Topo.String(), fmt.Sprint(r.N), fmt.Sprint(r.MsgLen),
+			r.Model, fmt.Sprint(r.N), fmt.Sprint(r.MsgLen),
 			fmt.Sprintf("%.5f", r.Rate),
 			fmt.Sprintf("%.2f", r.Simulated),
 			fmt.Sprintf("%.2f", r.Predicted),
@@ -102,7 +83,7 @@ func RenderVerify(rows []VerifyRow) string {
 
 // AblationRow isolates the contribution of each Quarc modification.
 type AblationRow struct {
-	Variant   Topology
+	Variant   string // registry name of the model variant
 	BcastMean float64
 	UniMean   float64
 	Saturated bool
@@ -111,21 +92,22 @@ type AblationRow struct {
 // Ablation runs the modification ladder at a fixed moderate load:
 // full Quarc, Quarc minus true broadcast (chain), Quarc minus all-port
 // queues (single queue), and the Spidergon baseline.
-func Ablation(n, msgLen int, beta, rate float64, opts RunOpts) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, topo := range []Topology{TopoQuarc, TopoQuarcChainBcast, TopoQuarcSingleQueue, TopoSpidergon} {
-		res, err := Run(Config{
-			Topo: topo, N: n, MsgLen: msgLen, Beta: beta, Rate: rate,
-			Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
-			Depth: opts.Depth, Seed: opts.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Variant: topo, BcastMean: res.BcastMean, UniMean: res.UnicastMean,
+func Ablation(ctx context.Context, n, msgLen int, beta, rate float64, opts RunOpts) ([]AblationRow, error) {
+	opts = opts.normalized()
+	var cfgs []Config
+	for _, model := range []string{"quarc", "quarc-chainbcast", "quarc-1queue", "spidergon"} {
+		cfgs = append(cfgs, opts.point(model, n, msgLen, beta, rate))
+	}
+	results, err := runPoints(ctx, cfgs, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationRow, len(results))
+	for i, res := range results {
+		rows[i] = AblationRow{
+			Variant: cfgs[i].Model, BcastMean: res.BcastMean, UniMean: res.UnicastMean,
 			Saturated: res.Saturated,
-		})
+		}
 	}
 	return rows, nil
 }
@@ -136,7 +118,7 @@ func RenderAblation(rows []AblationRow, n, msgLen int, beta, rate float64) strin
 	var tr [][]string
 	for _, r := range rows {
 		tr = append(tr, []string{
-			r.Variant.String(),
+			r.Variant,
 			fmt.Sprintf("%.1f", r.BcastMean),
 			fmt.Sprintf("%.1f", r.UniMean),
 			fmt.Sprint(r.Saturated),
@@ -148,36 +130,36 @@ func RenderAblation(rows []AblationRow, n, msgLen int, beta, rate float64) strin
 
 // MeshComparison runs the future-work comparison (paper §4): Quarc versus
 // mesh and torus at equal node count under uniform traffic with broadcasts.
-func MeshComparison(n, msgLen int, beta float64, opts RunOpts) (string, error) {
+func MeshComparison(ctx context.Context, n, msgLen int, beta float64, opts RunOpts) (string, error) {
 	side := int(math.Round(math.Sqrt(float64(n))))
 	if side*side != n {
 		return "", fmt.Errorf("experiments: %d is not square", n)
 	}
+	opts = opts.normalized()
 	base := analytic.QuarcUniform(n, msgLen, 0).SaturationRate
 	derate := 1 + beta*float64(n)/4
-	rates := []float64{0.15 * base / derate, 0.35 * base / derate, 0.55 * base / derate}
+	var cfgs []Config
+	for _, model := range []string{"quarc", "mesh", "torus"} {
+		for _, frac := range []float64{0.15, 0.35, 0.55} {
+			cfgs = append(cfgs, opts.point(model, n, msgLen, beta, frac*base/derate))
+		}
+	}
+	results, err := runPoints(ctx, cfgs, opts.Workers)
+	if err != nil {
+		return "", err
+	}
 	header := []string{"topology", "rate", "unicast", "bcast", "throughput", "saturated"}
 	var rows [][]string
-	for _, topo := range []Topology{TopoQuarc, TopoMesh, TopoTorus} {
-		for _, rate := range rates {
-			res, err := Run(Config{
-				Topo: topo, N: n, MsgLen: msgLen, Beta: beta, Rate: rate,
-				Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
-				Depth: opts.Depth, Seed: opts.Seed,
-			})
-			if err != nil {
-				return "", err
-			}
-			bc := "-"
-			if res.BcastCount > 0 {
-				bc = fmt.Sprintf("%.1f", res.BcastMean)
-			}
-			rows = append(rows, []string{
-				topo.String(), fmt.Sprintf("%.5f", rate),
-				fmt.Sprintf("%.1f", res.UnicastMean), bc,
-				fmt.Sprintf("%.3f", res.Throughput), fmt.Sprint(res.Saturated),
-			})
+	for i, res := range results {
+		bc := "-"
+		if res.BcastCount > 0 {
+			bc = fmt.Sprintf("%.1f", res.BcastMean)
 		}
+		rows = append(rows, []string{
+			cfgs[i].Model, fmt.Sprintf("%.5f", cfgs[i].Rate),
+			fmt.Sprintf("%.1f", res.UnicastMean), bc,
+			fmt.Sprintf("%.3f", res.Throughput), fmt.Sprint(res.Saturated),
+		})
 	}
 	return fmt.Sprintf("== quarc vs mesh/torus (N=%d M=%d beta=%.0f%%) ==\n", n, msgLen, beta*100) +
 		plot.Table(header, rows), nil
@@ -224,11 +206,8 @@ func RenderCost() string {
 func LinkLoadBalance(n, msgLen int, rate float64, opts RunOpts) (string, error) {
 	var b strings.Builder
 	b.WriteString("== link load balance under uniform traffic ==\n")
-	for _, topo := range []Topology{TopoQuarc, TopoSpidergon} {
-		cfg := Config{Topo: topo, N: n, MsgLen: msgLen, Rate: rate,
-			Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
-			Depth: opts.Depth, Seed: opts.Seed}.withDefaults()
-		fab, nodes, err := build(cfg)
+	for _, model := range []string{"quarc", "spidergon"} {
+		fab, nodes, err := build(opts.point(model, n, msgLen, 0, rate).WithDefaults())
 		if err != nil {
 			return "", err
 		}
@@ -244,28 +223,19 @@ func LinkLoadBalance(n, msgLen int, rate float64, opts RunOpts) (string, error) 
 			fab.Step()
 		}
 		loads := fab.LinkLoad()
-		classes := map[string][]float64{}
-		var names []string
-		for out := range loads[0] {
-			name := fmt.Sprintf("out%d", out)
-			names = append(names, name)
-			for node := 0; node < n; node++ {
-				classes[name] = append(classes[name], float64(loads[node][out]))
-			}
-		}
-		fmt.Fprintf(&b, "-- %s (all-pairs, M=%d) --\n", topo, msgLen)
+		fmt.Fprintf(&b, "-- %s (all-pairs, M=%d) --\n", model, msgLen)
 		hdr := []string{"link class", "mean flits", "min", "max"}
 		var rows [][]string
-		for _, name := range names {
-			vals := classes[name]
+		for out := range loads[0] {
 			mean, min, max := 0.0, math.Inf(1), math.Inf(-1)
-			for _, v := range vals {
+			for node := 0; node < n; node++ {
+				v := float64(loads[node][out])
 				mean += v
 				min = math.Min(min, v)
 				max = math.Max(max, v)
 			}
-			mean /= float64(len(vals))
-			rows = append(rows, []string{name,
+			mean /= float64(n)
+			rows = append(rows, []string{fmt.Sprintf("out%d", out),
 				fmt.Sprintf("%.1f", mean), fmt.Sprintf("%.0f", min), fmt.Sprintf("%.0f", max)})
 		}
 		b.WriteString(plot.Table(hdr, rows))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"quarc/internal/rng"
 	"reflect"
 	"testing"
 
@@ -91,25 +92,37 @@ func TestPanelLegacyPairMatchesExplicitPair(t *testing.T) {
 	}
 }
 
-// TestPointSeedNamedDistinct: the name-keyed derivation must not collide
-// with the enum derivation of the original six (or itself across names).
-func TestPointSeedNamedDistinct(t *testing.T) {
+// TestPointSeedDistinctAcrossModels: the name-keyed derivation must not collide
+// with the frozen-index derivation of the original six (or itself across
+// names), and both derivations stay pinned at the values sweeps have always
+// simulated under.
+func TestPointSeedDistinctAcrossModels(t *testing.T) {
 	seen := map[uint64]string{}
-	for _, topo := range []Topology{TopoQuarc, TopoSpidergon, TopoMesh, TopoTorus} {
-		seen[PointSeed(7, topo, 0, 0)] = topo.String()
-	}
-	for _, name := range []string{"ring", "ring2", "hypercube"} {
-		s := PointSeedNamed(7, name, 0, 0)
+	for _, name := range []string{"quarc", "spidergon", "mesh", "torus", "ring", "ring2", "hypercube"} {
+		s := PointSeed(7, name, 0, 0)
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("seed collision between %q and %q", prev, name)
 		}
 		seen[s] = name
 	}
-	if pointSeedFor(7, "spidergon", 2, 1) != PointSeed(7, TopoSpidergon, 2, 1) {
-		t.Fatal("legacy name lost its enum-based seed derivation")
+	for i, name := range []string{"quarc", "spidergon", "quarc-chainbcast", "quarc-1queue", "mesh", "torus"} {
+		if got, ok := OriginalModelIndex(name); !ok || got != i {
+			t.Fatalf("OriginalModelIndex(%q) = %d, %v; want %d (the table is frozen)", name, got, ok, i)
+		}
+		if PointSeed(7, name, 2, 1) != rng.Derive(7, uint64(i), 2, 1) {
+			t.Fatalf("%s lost its index-based seed derivation", name)
+		}
 	}
-	if pointSeedFor(7, "ring", 2, 1) != PointSeedNamed(7, "ring", 2, 1) {
-		t.Fatal("registry-only name not routed to the name-keyed derivation")
+	if _, ok := OriginalModelIndex("ring"); ok {
+		t.Fatal("ring is not one of the original six")
+	}
+	// Recorded at the last commit that kept an enum-keyed and a name-keyed
+	// derivation apart.
+	if got := PointSeed(20090523, "mesh", 2, 1); got != 7802628737776969361 {
+		t.Fatalf("mesh point seed drifted: %d", got)
+	}
+	if got := PointSeed(20090523, "ring", 2, 1); got != 254933590885505737 {
+		t.Fatalf("ring point seed drifted: %d", got)
 	}
 }
 

@@ -66,14 +66,16 @@ func TestRegistryModelsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRegistryModelSelection checks the compat contract between the enum
-// shim and the registry: a Config naming a legacy model canonicalises onto
-// its Topology member (so cache keys are unchanged), while new models keep
-// the name.
+// TestRegistryModelSelection: the registry name is the only model selector.
+// WithDefaults canonicalises it (lower-case, "quarc" when empty) for original
+// and later models alike.
 func TestRegistryModelSelection(t *testing.T) {
 	c := Config{Model: "Spidergon", N: 8}.WithDefaults()
-	if c.Model != "" || c.Topo != TopoSpidergon {
-		t.Fatalf("legacy name did not collapse onto the enum: %+v", c)
+	if c.Model != "spidergon" {
+		t.Fatalf("model name not canonicalised: %+v", c)
+	}
+	if c = (Config{N: 8}).WithDefaults(); c.Model != "quarc" {
+		t.Fatalf("empty model did not default to quarc: %+v", c)
 	}
 	c = Config{Model: "ring", N: 8}.WithDefaults()
 	if c.Model != "ring" {
@@ -82,7 +84,7 @@ func TestRegistryModelSelection(t *testing.T) {
 	if got := c.ModelName(); got != "ring" {
 		t.Fatalf("ModelName() = %q, want ring", got)
 	}
-	if got := (Config{Topo: TopoTorus}).ModelName(); got != "torus" {
+	if got := (Config{Model: "torus"}).ModelName(); got != "torus" {
 		t.Fatalf("ModelName() = %q, want torus", got)
 	}
 	if _, _, err := build(Config{Model: "no-such-model", N: 16, Depth: 4}); err == nil {
@@ -94,7 +96,7 @@ func TestRegistryModelSelection(t *testing.T) {
 // completes, is deterministic, and differs from the smooth run at the same
 // mean load; invalid combinations are rejected.
 func TestBurstyConfigRuns(t *testing.T) {
-	base := Config{Topo: TopoQuarc, N: 16, MsgLen: 8, Rate: 0.01,
+	base := Config{Model: "quarc", N: 16, MsgLen: 8, Rate: 0.01,
 		Depth: 4, Warmup: 200, Measure: 2000, Drain: 20000, Seed: 5}
 	smooth, err := Run(base)
 	if err != nil {

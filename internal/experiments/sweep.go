@@ -27,11 +27,9 @@ import (
 // to RunOpts.OnPointDone as each point finishes, so long sweeps can stream
 // progress (the quarcd daemon turns these into NDJSON events).
 type PointDone struct {
-	Index int // position in the sweep's deterministic point order
-	Total int // total points in the sweep
-	// Model is the canonical registry name of the simulated model — for
-	// every model, not just the six with a legacy Topology member.
-	Model     string
+	Index     int    // position in the sweep's deterministic point order
+	Total     int    // total points in the sweep
+	Model     string // canonical registry name of the simulated model
 	RateIndex int
 	Replicate int
 	Rate      float64
@@ -50,32 +48,42 @@ type sweepPoint struct {
 	Replicate int
 }
 
-// PointSeed derives the deterministic seed of a design point from the
-// experiment-level base seed. Distinct (topology, rate index, replicate)
-// triples get statistically independent seeds, and the value depends only on
-// the triple — never on worker scheduling — so parallel and serial sweeps
-// simulate exactly the same systems.
-func PointSeed(base uint64, topo Topology, rateIndex, replicate int) uint64 {
-	return rng.Derive(base, uint64(topo), uint64(rateIndex), uint64(replicate))
+// originalModels freezes the six models that predate the registry at the
+// index they held in the enum the harness once selected models through.
+// PointSeed and the service layer's canonical run key fold that index in for
+// these names, so their seeds and cache keys are what they have always been.
+// Never reorder or extend it: a new model is keyed by name.
+var originalModels = [...]string{
+	"quarc", "spidergon", "quarc-chainbcast", "quarc-1queue", "mesh", "torus",
 }
 
-// PointSeedNamed is PointSeed for registry-only models: the model's registry
-// name is folded in by FNV-1a instead of the enum value. The six original
-// models keep the enum derivation, so legacy sweeps simulate bit-identical
-// systems; pointSeedFor routes between the two.
-func PointSeedNamed(base uint64, model string, rateIndex, replicate int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(model))
-	return rng.Derive(base, h.Sum64(), uint64(rateIndex), uint64(replicate))
-}
-
-// pointSeedFor derives the seed of a design point from its canonical model
-// name: enum-based for the original six, name-keyed for registry-only models.
-func pointSeedFor(base uint64, model string, rateIndex, replicate int) uint64 {
-	if t, ok := TopologyByName(model); ok {
-		return PointSeed(base, t, rateIndex, replicate)
+// OriginalModelIndex returns the frozen index of one of the six original
+// models (canonical lower-case name); ok is false for every other model.
+func OriginalModelIndex(model string) (int, bool) {
+	for i, name := range originalModels {
+		if name == model {
+			return i, true
+		}
 	}
-	return PointSeedNamed(base, model, rateIndex, replicate)
+	return 0, false
+}
+
+// PointSeed derives the deterministic seed of a design point from the
+// experiment-level base seed. Distinct (model, rate index, replicate) triples
+// get statistically independent seeds, and the value depends only on the
+// triple — never on worker scheduling — so parallel and serial sweeps
+// simulate exactly the same systems. The six original models fold in their
+// frozen index, every other model the FNV-1a hash of its canonical name.
+func PointSeed(base uint64, model string, rateIndex, replicate int) uint64 {
+	var id uint64
+	if i, ok := OriginalModelIndex(model); ok {
+		id = uint64(i)
+	} else {
+		h := fnv.New64a()
+		h.Write([]byte(model))
+		id = h.Sum64()
+	}
+	return rng.Derive(base, id, uint64(rateIndex), uint64(replicate))
 }
 
 // normalized fills the sweep-level defaults.
@@ -104,6 +112,29 @@ func (o RunOpts) pointStepWorkers() int {
 		return 1
 	}
 	return 0
+}
+
+// point is the design point these options give one (model, size, workload,
+// load) combination: the sweep's cycle budgets, buffer depth and base seed,
+// stepped with the intra-point parallelism pointStepWorkers picks (which
+// reads Workers, so sweeps call this after normalized()).
+func (o RunOpts) point(model string, n, msgLen int, beta, rate float64) Config {
+	return Config{
+		Model: model, N: n, MsgLen: msgLen, Beta: beta, Rate: rate,
+		Warmup: o.Warmup, Measure: o.Measure, Drain: o.Drain,
+		Depth: o.Depth, Seed: o.Seed, StepWorkers: o.pointStepWorkers(),
+	}
+}
+
+// runPoints executes independent design points that belong to no panel (the
+// secondary experiments' ladders and grids) through the sweep engine and
+// returns their results in input order.
+func runPoints(ctx context.Context, cfgs []Config, workers int) ([]Result, error) {
+	points := make([]sweepPoint, len(cfgs))
+	for i, cfg := range cfgs {
+		points[i].Cfg = cfg
+	}
+	return sweepRun(ctx, points, workers, nil)
 }
 
 // sweepRun executes every point on a pool of workers goroutines. Results are
@@ -191,26 +222,12 @@ func panelPoints(spec PanelSpec, opts RunOpts) ([]sweepPoint, []float64) {
 	models := spec.SweptModels()
 	points := make([]sweepPoint, 0, len(models)*len(rates)*opts.Replicates)
 	for _, name := range models {
-		base := Config{
-			N: spec.N, MsgLen: spec.MsgLen, Beta: spec.Beta,
-			Pattern: spec.Pattern, HotspotBias: spec.HotspotBias,
-			McastFrac: spec.McastFrac, McastSize: spec.McastSize,
-			Depth:  opts.Depth,
-			Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
-			StepWorkers: opts.pointStepWorkers(),
-		}
-		// Legacy models select through the enum (keeping their pre-registry
-		// configs, seeds and cache keys); registry-only models by name.
-		if t, ok := TopologyByName(name); ok {
-			base.Topo = t
-		} else {
-			base.Model = name
-		}
 		for ri, rate := range rates {
 			for rep := 0; rep < opts.Replicates; rep++ {
-				cfg := base
-				cfg.Rate = rate
-				cfg.Seed = pointSeedFor(opts.Seed, name, ri, rep)
+				cfg := opts.point(name, spec.N, spec.MsgLen, spec.Beta, rate)
+				cfg.Pattern, cfg.HotspotBias = spec.Pattern, spec.HotspotBias
+				cfg.McastFrac, cfg.McastSize = spec.McastFrac, spec.McastSize
+				cfg.Seed = PointSeed(opts.Seed, name, ri, rep)
 				points = append(points, sweepPoint{
 					Model: name, RateIndex: ri, Replicate: rep, Cfg: cfg,
 				})
@@ -375,9 +392,6 @@ func RunReplicatedContext(ctx context.Context, cfg Config, replicates, workers i
 	if replicates < 1 {
 		replicates = 1
 	}
-	// The canonical model name labels every progress event: deriving it from
-	// cfg.Topo alone would report registry-only models (zero-value enum) as
-	// "quarc".
 	name := cfg.ModelName()
 	if replicates == 1 {
 		res, err := runPointGuarded(ctx, cfg)
@@ -398,7 +412,7 @@ func RunReplicatedContext(ctx context.Context, cfg Config, replicates, workers i
 	points := make([]sweepPoint, replicates)
 	for rep := range points {
 		c := cfg
-		c.Seed = pointSeedFor(cfg.Seed, name, 0, rep)
+		c.Seed = PointSeed(cfg.Seed, name, 0, rep)
 		points[rep] = sweepPoint{Cfg: c, Model: name, Replicate: rep}
 	}
 	results, err := sweepRun(ctx, points, workers, pointNotifier(onDone, points))
@@ -408,10 +422,4 @@ func RunReplicatedContext(ctx context.Context, cfg Config, replicates, workers i
 	agg := aggregateReplicates(results)
 	agg.Cfg.Seed = cfg.Seed // echo the requested seed, not replicate 0's derived one
 	return agg, results, nil
-}
-
-// String renders a sweep point compactly for diagnostics.
-func (p sweepPoint) String() string {
-	return fmt.Sprintf("%s rate[%d]=%.5f rep=%d seed=%#x",
-		p.Model, p.RateIndex, p.Cfg.Rate, p.Replicate, p.Cfg.Seed)
 }

@@ -58,7 +58,7 @@ func TestRunPanelWorkerCountInvariant(t *testing.T) {
 // TestRunSameSeedIsDeterministic: two Run calls with the same Config must
 // produce identical Results.
 func TestRunSameSeedIsDeterministic(t *testing.T) {
-	cfg := Config{Topo: TopoQuarc, N: 8, MsgLen: 4, Beta: 0.1, Rate: 0.01,
+	cfg := Config{Model: "quarc", N: 8, MsgLen: 4, Beta: 0.1, Rate: 0.01,
 		Warmup: 300, Measure: 1500, Drain: 8000, Seed: 99}
 	a, err := Run(cfg)
 	if err != nil {
@@ -77,22 +77,21 @@ func TestRunSameSeedIsDeterministic(t *testing.T) {
 // seeds, and the derivation must not depend on anything but the triple.
 func TestPointSeedIndependence(t *testing.T) {
 	seen := map[uint64]string{}
-	for _, topo := range []Topology{TopoQuarc, TopoSpidergon, TopoMesh} {
+	for _, topo := range []string{"quarc", "spidergon", "mesh", "ring"} {
 		for ri := 0; ri < 10; ri++ {
 			for rep := 0; rep < 5; rep++ {
 				s := PointSeed(7, topo, ri, rep)
 				if s != PointSeed(7, topo, ri, rep) {
 					t.Fatal("PointSeed is not a pure function")
 				}
-				key := topo.String()
 				if prev, dup := seen[s]; dup {
-					t.Fatalf("seed collision between %s and %s/%d/%d", prev, key, ri, rep)
+					t.Fatalf("seed collision between %s and %s/%d/%d", prev, topo, ri, rep)
 				}
-				seen[s] = key
+				seen[s] = topo
 			}
 		}
 	}
-	if PointSeed(7, TopoQuarc, 0, 0) == PointSeed(8, TopoQuarc, 0, 0) {
+	if PointSeed(7, "quarc", 0, 0) == PointSeed(8, "quarc", 0, 0) {
 		t.Fatal("base seed does not propagate into point seeds")
 	}
 }
@@ -206,7 +205,7 @@ func TestRunPanelReplicatesShape(t *testing.T) {
 
 // TestRunReplicated covers the single-config replication used by quarcsim.
 func TestRunReplicated(t *testing.T) {
-	cfg := Config{Topo: TopoQuarc, N: 8, MsgLen: 4, Beta: 0.1, Rate: 0.01,
+	cfg := Config{Model: "quarc", N: 8, MsgLen: 4, Beta: 0.1, Rate: 0.01,
 		Warmup: 300, Measure: 1500, Drain: 8000, Seed: 7}
 
 	// One replicate is exactly Run.

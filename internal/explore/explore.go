@@ -172,7 +172,7 @@ func (s Spec) Expand(opts experiments.RunOpts) (Expansion, error) {
 							Rate: rate, Pattern: s.Pattern, HotspotBias: s.HotspotBias,
 							McastFrac: k.Frac, McastSize: k.Size, Depth: depth,
 							Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
-							Seed: opts.Seed,
+							Seed: opts.Seed, StepWorkers: opts.StepWorkers,
 						}.WithDefaults()
 						if err := cfg.ValidateWorkload(); err != nil {
 							skip(m, n, err.Error())

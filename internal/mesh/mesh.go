@@ -188,67 +188,12 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 	fab := network.New(routers, wires, injStart)
 	as := make([]*Adapter, n)
 	for node := 0; node < n; node++ {
-		as[node] = newAdapter(fab, routers[node], node, n)
+		as[node] = network.NewOnePortAdapter(fab, routers[node], node, n, Inj)
 		fab.SetAdapter(node, as[node])
 	}
 	return fab, as, nil
 }
 
-// Adapter is the one-port mesh network interface.
-type Adapter struct {
-	network.BaseAdapter
-	n   int
-	fab *network.Fabric
-}
-
-func newAdapter(fab *network.Fabric, r *router.Router, node, n int) *Adapter {
-	a := &Adapter{n: n, fab: fab}
-	a.Node = node
-	a.R = r
-	a.Queues = make([]network.PacketQueue, 1)
-	a.InjPorts = []int{Inj}
-	a.OnTail = func(f flit.Flit, now int64) {
-		a.fab.Tracker.Delivered(f.MsgID, a.Node, now)
-	}
-	return a
-}
-
-// SendUnicast queues a unicast message of msgLen flits for dst.
-func (a *Adapter) SendUnicast(dst, msgLen int, now int64) uint64 {
-	if dst == a.Node {
-		panic("mesh: unicast to self")
-	}
-	msgID := a.fab.NextMsgID()
-	h := flit.Flit{
-		Traffic: flit.Unicast, Src: a.Node, Dst: dst,
-		PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
-	}
-	a.fab.Tracker.Register(msgID, network.ClassUnicast, a.Node, now, 1)
-	a.Enqueue(0, h, msgLen)
-	return msgID
-}
-
-// SendBroadcast emits n-1 unicasts (no hardware collectives on a mesh).
-func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
-	msgID := a.fab.NextMsgID()
-	a.fab.Tracker.Register(msgID, network.ClassBroadcast, a.Node, now, a.n-1)
-	for d := 0; d < a.n; d++ {
-		if d == a.Node {
-			continue
-		}
-		h := flit.Flit{
-			Traffic: flit.Unicast, Src: a.Node, Dst: d,
-			PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
-		}
-		a.Enqueue(0, h, msgLen)
-	}
-	return msgID
-}
-
-// SendMulticast emits one unicast per distinct remote target (software
-// multicast, like the broadcast).
-func (a *Adapter) SendMulticast(targets []int, msgLen int, now int64) uint64 {
-	return a.SendMulticastFanout(a.fab, 0, targets, msgLen, now)
-}
-
-var _ network.Adapter = (*Adapter)(nil)
+// Adapter is the one-port mesh network interface: meshes have no hardware
+// collective support, so broadcast and multicast are unicast fan-outs.
+type Adapter = network.OnePortAdapter

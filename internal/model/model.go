@@ -30,6 +30,16 @@ type Node interface {
 	Backlog() int
 }
 
+// Nodes converts a model package's concrete adapter slice into the Node
+// slice a registered Build returns.
+func Nodes[T Node](adapters []T) []Node {
+	nodes := make([]Node, len(adapters))
+	for i, a := range adapters {
+		nodes[i] = a
+	}
+	return nodes
+}
+
 // BuildConfig carries the topology-independent build parameters. Everything
 // else (routing discipline, port counts, ablation switches) is baked into
 // the registered builder.

@@ -317,82 +317,39 @@ func (b *BaseAdapter) Backlog() int {
 	return total
 }
 
+// distinctRemote reports whether targets[i] is a remote target (not self)
+// that does not already occur in targets[:i]. Nodes below 64 deduplicate
+// through the caller's seen bitmask; higher ids (large meshes) fall back to a
+// linear rescan of the prefix, which stays cheap at realistic multicast
+// widths and allocates nothing.
+func distinctRemote(targets []int, i, self int, seen *uint64) bool {
+	d := targets[i]
+	if d == self {
+		return false
+	}
+	if uint(d) < 64 {
+		bit := uint64(1) << uint(d)
+		dup := *seen&bit != 0
+		*seen |= bit
+		return !dup
+	}
+	for _, e := range targets[:i] {
+		if e == d {
+			return false
+		}
+	}
+	return true
+}
+
 // CountRemoteTargets returns the number of distinct targets excluding self —
-// the expected delivery count of a multicast. Nodes below 64 deduplicate
-// through a bitmask; higher ids (large meshes) fall back to a linear rescan
-// of the prefix, which stays cheap at realistic multicast widths and
-// allocates nothing.
+// the expected delivery count of a multicast.
 func CountRemoteTargets(targets []int, self int) int {
 	var seen uint64
 	count := 0
-	for i, d := range targets {
-		if d == self {
-			continue
-		}
-		if uint(d) < 64 {
-			bit := uint64(1) << uint(d)
-			if seen&bit != 0 {
-				continue
-			}
-			seen |= bit
-			count++
-			continue
-		}
-		dup := false
-		for _, e := range targets[:i] {
-			if e == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	for i := range targets {
+		if distinctRemote(targets, i, self, &seen) {
 			count++
 		}
 	}
 	return count
-}
-
-// SendMulticastFanout is the software multicast emulation shared by adapters
-// without hardware collective support: the message registers as
-// ClassMulticast with one expected delivery per distinct remote target, and
-// one independent unicast packet per target is enqueued on source queue qi.
-// Duplicate targets and self are ignored, mirroring the Quarc transceiver's
-// semantics.
-func (b *BaseAdapter) SendMulticastFanout(fab *Fabric, qi int, targets []int, msgLen int, now int64) uint64 {
-	expected := CountRemoteTargets(targets, b.Node)
-	if expected == 0 {
-		panic("network: multicast with no remote targets")
-	}
-	msgID := fab.NextMsgID()
-	fab.Tracker.Register(msgID, ClassMulticast, b.Node, now, expected)
-	var seen uint64
-	for i, d := range targets {
-		if d == b.Node {
-			continue
-		}
-		if uint(d) < 64 {
-			bit := uint64(1) << uint(d)
-			if seen&bit != 0 {
-				continue
-			}
-			seen |= bit
-		} else {
-			dup := false
-			for _, e := range targets[:i] {
-				if e == d {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-		}
-		h := flit.Flit{
-			Traffic: flit.Unicast, Src: b.Node, Dst: d,
-			PktID: fab.NextPktID(), MsgID: msgID, Gen: now,
-		}
-		b.Enqueue(qi, h, msgLen)
-	}
-	return msgID
 }

@@ -8,8 +8,8 @@ import (
 
 // The Quarc registers itself and its two ablation presets (paper §2.2
 // modifications ii and iii switched off) with the model registry; the
-// presets are ordinary registry entries, not enum members, so the harness
-// and service treat them exactly like any other model.
+// presets are ordinary registry entries, so the harness and service treat
+// them exactly like any other model.
 func init() {
 	register := func(name, desc string, preset Config) {
 		model.Register(model.Model{
@@ -24,11 +24,7 @@ func init() {
 				if err != nil {
 					return nil, nil, err
 				}
-				nodes := make([]model.Node, len(ts))
-				for i, t := range ts {
-					nodes[i] = t
-				}
-				return fab, nodes, nil
+				return fab, model.Nodes(ts), nil
 			},
 		})
 	}

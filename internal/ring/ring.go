@@ -191,7 +191,7 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 	fab := network.New(routers, wires, injStart)
 	as := make([]*Adapter, n)
 	for node := 0; node < n; node++ {
-		as[node] = newAdapter(fab, routers[node], node, n)
+		as[node] = network.NewOnePortAdapter(fab, routers[node], node, n, Inj)
 		fab.SetAdapter(node, as[node])
 	}
 	return fab, as, nil
@@ -199,63 +199,7 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 
 // Adapter is the one-port ring network interface. The ring has no hardware
 // collective support, so a broadcast is n-1 independent unicasts.
-type Adapter struct {
-	network.BaseAdapter
-	n   int
-	fab *network.Fabric
-}
-
-func newAdapter(fab *network.Fabric, r *router.Router, node, n int) *Adapter {
-	a := &Adapter{n: n, fab: fab}
-	a.Node = node
-	a.R = r
-	a.Queues = make([]network.PacketQueue, 1)
-	a.InjPorts = []int{Inj}
-	a.OnTail = func(f flit.Flit, now int64) {
-		a.fab.Tracker.Delivered(f.MsgID, a.Node, now)
-	}
-	return a
-}
-
-// SendUnicast queues a unicast message of msgLen flits for dst.
-func (a *Adapter) SendUnicast(dst, msgLen int, now int64) uint64 {
-	if dst == a.Node {
-		panic("ring: unicast to self")
-	}
-	msgID := a.fab.NextMsgID()
-	h := flit.Flit{
-		Traffic: flit.Unicast, Src: a.Node, Dst: dst,
-		PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
-	}
-	a.fab.Tracker.Register(msgID, network.ClassUnicast, a.Node, now, 1)
-	a.Enqueue(0, h, msgLen)
-	return msgID
-}
-
-// SendBroadcast emits n-1 unicasts (software broadcast).
-func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
-	msgID := a.fab.NextMsgID()
-	a.fab.Tracker.Register(msgID, network.ClassBroadcast, a.Node, now, a.n-1)
-	for d := 0; d < a.n; d++ {
-		if d == a.Node {
-			continue
-		}
-		h := flit.Flit{
-			Traffic: flit.Unicast, Src: a.Node, Dst: d,
-			PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
-		}
-		a.Enqueue(0, h, msgLen)
-	}
-	return msgID
-}
-
-// SendMulticast emits one unicast per distinct remote target (software
-// multicast, like the broadcast).
-func (a *Adapter) SendMulticast(targets []int, msgLen int, now int64) uint64 {
-	return a.SendMulticastFanout(a.fab, 0, targets, msgLen, now)
-}
-
-var _ network.Adapter = (*Adapter)(nil)
+type Adapter = network.OnePortAdapter
 
 func init() {
 	model.Register(model.Model{
@@ -268,11 +212,7 @@ func init() {
 			if err != nil {
 				return nil, nil, err
 			}
-			nodes := make([]model.Node, len(as))
-			for i, a := range as {
-				nodes[i] = a
-			}
-			return fab, nodes, nil
+			return fab, model.Nodes(as), nil
 		},
 	})
 }

@@ -56,21 +56,6 @@ func ParseModel(name string) (string, error) {
 	return name, nil
 }
 
-// ParseTopology is the legacy-enum shim over ParseModel: it resolves the
-// six original wire names to their Topology members. Callers that should
-// accept any registered model use ParseModel instead.
-func ParseTopology(name string) (experiments.Topology, error) {
-	canonical, err := ParseModel(name)
-	if err != nil {
-		return 0, err
-	}
-	t, ok := experiments.TopologyByName(canonical)
-	if !ok {
-		return 0, fmt.Errorf("model %q has no legacy topology enum; use the model name directly", canonical)
-	}
-	return t, nil
-}
-
 // ModelJSON is one entry of GET /v1/models (and quarcsim -list-models).
 type ModelJSON struct {
 	Name        string `json:"name"`
@@ -273,6 +258,56 @@ type SweepOpts struct {
 	StepWorkers int `json:"step_workers,omitempty"`
 }
 
+// RunOpts validates the options against the request guardrails and converts
+// them to the sweep engine's form. Zero fields take DefaultOpts values. It is
+// the one conversion behind both /v1/panels and /v1/explore, so a knob is
+// range-checked and carried identically on either endpoint.
+func (o SweepOpts) RunOpts() (experiments.RunOpts, error) {
+	def := experiments.DefaultOpts()
+	opts := experiments.RunOpts{
+		Warmup: o.Warmup, Measure: o.Measure, Drain: o.Drain,
+		Depth: o.Depth, Seed: o.Seed, Points: o.Points,
+		Replicates: o.Replicates, Workers: o.Workers,
+		StepWorkers: o.StepWorkers,
+	}
+	if opts.Warmup == 0 {
+		opts.Warmup = def.Warmup
+	}
+	if opts.Measure == 0 {
+		opts.Measure = def.Measure
+	}
+	if opts.Drain == 0 {
+		opts.Drain = def.Drain
+	}
+	if opts.Depth == 0 {
+		opts.Depth = def.Depth
+	}
+	if opts.Seed == 0 {
+		opts.Seed = def.Seed
+	}
+	if opts.Points == 0 {
+		opts.Points = def.Points
+	}
+	if opts.Replicates < 1 {
+		opts.Replicates = 1
+	}
+	switch {
+	case opts.Warmup < 0 || opts.Measure < 0 || opts.Drain < 0:
+		return experiments.RunOpts{}, fmt.Errorf("cycle budgets must be non-negative")
+	case opts.Warmup+opts.Measure+opts.Drain > MaxTotalCycles:
+		return experiments.RunOpts{}, fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles)
+	case opts.Points < 0 || opts.Points > MaxRatePoints:
+		return experiments.RunOpts{}, fmt.Errorf("points %d outside [0,%d]", opts.Points, MaxRatePoints)
+	case opts.Replicates > MaxReplicates:
+		return experiments.RunOpts{}, fmt.Errorf("replicates %d exceeds the limit %d", opts.Replicates, MaxReplicates)
+	case opts.Workers < 0 || opts.Workers > MaxWorkers:
+		return experiments.RunOpts{}, fmt.Errorf("workers %d outside [0,%d]", opts.Workers, MaxWorkers)
+	case opts.StepWorkers < 0 || opts.StepWorkers > MaxWorkers:
+		return experiments.RunOpts{}, fmt.Errorf("step_workers %d outside [0,%d]", opts.StepWorkers, MaxWorkers)
+	}
+	return opts, nil
+}
+
 // MaxPanelModels bounds the architectures one panel request may sweep.
 const MaxPanelModels = 16
 
@@ -362,48 +397,9 @@ func (p PanelRequest) SpecOpts() (experiments.PanelSpec, experiments.RunOpts, er
 	case spec.McastFrac > 0 && (spec.McastSize < 2 || spec.McastSize > spec.N-1):
 		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("mcast_size %d outside [2,%d]", spec.McastSize, spec.N-1)
 	}
-	def := experiments.DefaultOpts()
-	o := p.Opts
-	opts := experiments.RunOpts{
-		Warmup: o.Warmup, Measure: o.Measure, Drain: o.Drain,
-		Depth: o.Depth, Seed: o.Seed, Points: o.Points,
-		Replicates: o.Replicates, Workers: o.Workers,
-		StepWorkers: o.StepWorkers,
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = def.Warmup
-	}
-	if opts.Measure == 0 {
-		opts.Measure = def.Measure
-	}
-	if opts.Drain == 0 {
-		opts.Drain = def.Drain
-	}
-	if opts.Depth == 0 {
-		opts.Depth = def.Depth
-	}
-	if opts.Seed == 0 {
-		opts.Seed = def.Seed
-	}
-	if opts.Points == 0 {
-		opts.Points = def.Points
-	}
-	if opts.Replicates < 1 {
-		opts.Replicates = 1
-	}
-	switch {
-	case opts.Warmup < 0 || opts.Measure < 0 || opts.Drain < 0:
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("cycle budgets must be non-negative")
-	case opts.Warmup+opts.Measure+opts.Drain > MaxTotalCycles:
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles)
-	case opts.Points < 0 || opts.Points > MaxRatePoints:
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("points %d outside [0,%d]", opts.Points, MaxRatePoints)
-	case opts.Replicates > MaxReplicates:
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("replicates %d exceeds the limit %d", opts.Replicates, MaxReplicates)
-	case opts.Workers < 0 || opts.Workers > MaxWorkers:
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("workers %d outside [0,%d]", opts.Workers, MaxWorkers)
-	case opts.StepWorkers < 0 || opts.StepWorkers > MaxWorkers:
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("step_workers %d outside [0,%d]", opts.StepWorkers, MaxWorkers)
+	opts, err := p.Opts.RunOpts()
+	if err != nil {
+		return experiments.PanelSpec{}, experiments.RunOpts{}, err
 	}
 	rates := len(spec.Rates)
 	if rates == 0 {

@@ -17,16 +17,50 @@ import (
 // share cached bytes). Deliberately excluded: worker counts and progress
 // callbacks, which never change a single output bit.
 
+// runKeyCfg is the canonical encoding of one simulator configuration. The
+// field names, order and omitempty set are the deployed key format — they are
+// what experiments.Config happened to marshal to when keys hashed that struct
+// wholesale — and are frozen here so the simulator's struct can change
+// without orphaning every cached result. Topo is the frozen index of the six
+// original models (experiments.OriginalModelIndex); every later model
+// encodes as index 0 plus its name in Model. A new Config field that changes
+// results must be added here, at the end and with omitempty.
+type runKeyCfg struct {
+	Topo                      int
+	Model                     string `json:",omitempty"`
+	N, MsgLen                 int
+	Beta, Rate                float64
+	Pattern                   int
+	HotspotBias               float64
+	Depth                     int
+	Warmup, Measure, Drain    int64
+	Seed                      uint64
+	BurstMeanOn, BurstMeanOff float64 `json:",omitempty"`
+	McastFrac                 float64 `json:",omitempty"`
+	McastSize                 int     `json:",omitempty"`
+}
+
 // RunKey returns the cache key of a replicated single-configuration run.
 func RunKey(cfg experiments.Config, replicates int) string {
 	if replicates < 1 {
 		replicates = 1
 	}
+	cfg = cfg.WithDefaults()
+	key := runKeyCfg{
+		Model: cfg.Model, N: cfg.N, MsgLen: cfg.MsgLen, Beta: cfg.Beta, Rate: cfg.Rate,
+		Pattern: int(cfg.Pattern), HotspotBias: cfg.HotspotBias, Depth: cfg.Depth,
+		Warmup: cfg.Warmup, Measure: cfg.Measure, Drain: cfg.Drain, Seed: cfg.Seed,
+		BurstMeanOn: cfg.BurstMeanOn, BurstMeanOff: cfg.BurstMeanOff,
+		McastFrac: cfg.McastFrac, McastSize: cfg.McastSize,
+	}
+	if i, ok := experiments.OriginalModelIndex(cfg.Model); ok {
+		key.Topo, key.Model = i, ""
+	}
 	return hashKey(struct {
 		Kind       string
-		Cfg        experiments.Config
+		Cfg        runKeyCfg
 		Replicates int
-	}{"run", cfg.WithDefaults(), replicates})
+	}{"run", key, replicates})
 }
 
 // PanelKey returns the cache key of a panel sweep.

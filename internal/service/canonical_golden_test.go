@@ -20,26 +20,34 @@ func TestCanonicalKeysUnchangedAcrossRegistryRefactor(t *testing.T) {
 		reps int
 		want string
 	}{
-		{experiments.Config{Topo: experiments.TopoQuarc, N: 16, Rate: 0.01}, 3,
+		{experiments.Config{Model: "quarc", N: 16, Rate: 0.01}, 3,
 			"8f0c3c8f63cffa079b76e69a1b1c5cf80e79e545e78659a98260b9e1473803bd"},
-		{experiments.Config{Topo: experiments.TopoSpidergon, N: 64, MsgLen: 32, Beta: 0.1, Rate: 0.004, Seed: 7}, 3,
+		{experiments.Config{Model: "spidergon", N: 64, MsgLen: 32, Beta: 0.1, Rate: 0.004, Seed: 7}, 3,
 			"ba2bc4d5c21407846e348bcde0a9c1c6c832938c7a259c7c5eede59a150c687a"},
-		{experiments.Config{Topo: experiments.TopoTorus, N: 16, Rate: 0.02, Pattern: traffic.Hotspot, HotspotBias: 0.3, Depth: 8}, 3,
+		{experiments.Config{Model: "torus", N: 16, Rate: 0.02, Pattern: traffic.Hotspot, HotspotBias: 0.3, Depth: 8}, 3,
 			"86fb86974e50d78359f25c4e81f5b7b90b5edb152fc1754d3e1f1de85cefb4c7"},
-		{experiments.Config{Topo: experiments.TopoQuarcSingleQueue, N: 8, Rate: 0.005, Warmup: 100, Measure: 200, Drain: 300}, 3,
+		{experiments.Config{Model: "quarc-1queue", N: 8, Rate: 0.005, Warmup: 100, Measure: 200, Drain: 300}, 3,
 			"9cffdf53a37e7120205198ea7c5c2b2fa4c6418dbbc28b1ce4c1c39b468b36a5"},
+		// A registry-only model, recorded at the last commit whose RunKey
+		// hashed experiments.Config wholesale.
+		{experiments.Config{Model: "ring", N: 16, Rate: 0.01}, 3,
+			"5dea085b05351a950c7bc28913058fe9722073d3d0b6bcf61b35f058a30f0e80"},
+		// The omitempty tail (bursty and multicast knobs), same provenance.
+		{experiments.Config{Model: "mesh", N: 16, Rate: 0.01, BurstMeanOn: 40, BurstMeanOff: 120, McastFrac: 0.1, McastSize: 3}, 2,
+			"e37fea166c653ed027d59a541b3be427715cb6802797ba73125f588218f7db2b"},
 	}
 	for i, c := range runCases {
 		if got := RunKey(c.cfg, c.reps); got != c.want {
-			t.Errorf("run case %d (%v): key drifted\n got %s\nwant %s", i, c.cfg.Topo, got, c.want)
+			t.Errorf("run case %d (%s): key drifted\n got %s\nwant %s", i, c.cfg.Model, got, c.want)
 		}
 	}
 
-	// A request selecting a legacy model by wire name must share the key of
-	// the enum-selected request: names canonicalise onto the enum.
-	byName := experiments.Config{Model: "quarc", N: 16, Rate: 0.01}
-	if got, want := RunKey(byName, 3), runCases[0].want; got != want {
-		t.Errorf("name-selected quarc key %s != enum-selected key %s", got, want)
+	// Model names are case-insensitive and default to quarc: every spelling
+	// of the same model shares one key.
+	for _, name := range []string{"", "Quarc"} {
+		if got, want := RunKey(experiments.Config{Model: name, N: 16, Rate: 0.01}, 3), runCases[0].want; got != want {
+			t.Errorf("model %q: key %s != canonical quarc key %s", name, got, want)
+		}
 	}
 
 	spec := experiments.PanelSpec{Figure: "fig9", Name: "N=16 beta=5% M=16",

@@ -1,14 +1,14 @@
 package service
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"quarc/internal/experiments"
 )
 
 func TestRunKeyNormalisesDefaults(t *testing.T) {
-	sparse := experiments.Config{Topo: experiments.TopoQuarc, N: 16, Rate: 0.01, Seed: 1}
+	sparse := experiments.Config{Model: "quarc", N: 16, Rate: 0.01, Seed: 1}
 	explicit := sparse
 	explicit.MsgLen, explicit.Depth = 16, 4
 	explicit.Warmup, explicit.Measure, explicit.Drain = 2000, 10000, 20000
@@ -25,7 +25,7 @@ func TestRunKeyNormalisesDefaults(t *testing.T) {
 }
 
 func TestRunKeySeparatesInputs(t *testing.T) {
-	base := experiments.Config{Topo: experiments.TopoQuarc, N: 16, Rate: 0.01, Seed: 1}
+	base := experiments.Config{Model: "quarc", N: 16, Rate: 0.01, Seed: 1}
 	keys := map[string]string{"base": RunKey(base, 1)}
 	add := func(name string, cfg experiments.Config, reps int) {
 		k := RunKey(cfg, reps)
@@ -43,7 +43,7 @@ func TestRunKeySeparatesInputs(t *testing.T) {
 	rate.Rate = 0.02
 	add("rate", rate, 1)
 	topo := base
-	topo.Topo = experiments.TopoSpidergon
+	topo.Model = "spidergon"
 	add("topo", topo, 1)
 	add("replicates", base, 3)
 	if RunKey(base, 0) != RunKey(base, 1) {
@@ -157,17 +157,20 @@ func TestStoreEvictsTerminalJobs(t *testing.T) {
 }
 
 func TestParseRoundTrips(t *testing.T) {
-	// The six legacy names must keep resolving through the enum shim and
-	// round-tripping via Topology.String.
+	// The six original wire names must keep resolving, in any case, and ""
+	// means quarc.
 	for _, name := range []string{"quarc", "spidergon", "quarc-chainbcast",
 		"quarc-1queue", "mesh", "torus"} {
-		topo, err := ParseTopology(name)
+		got, err := ParseModel(strings.ToUpper(name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if topo.String() != name {
-			t.Fatalf("topology %q round-trips to %q", name, topo.String())
+		if got != name {
+			t.Fatalf("model %q round-trips to %q", name, got)
 		}
+	}
+	if got, err := ParseModel(""); err != nil || got != "quarc" {
+		t.Fatalf("empty model name resolves to %q, %v; want quarc", got, err)
 	}
 	// Every registered model resolves through ParseModel and is listed.
 	listed := map[string]bool{}
@@ -196,11 +199,7 @@ func TestParseRoundTrips(t *testing.T) {
 			t.Fatalf("pattern %q round-trips to %q", name, PatternName(got))
 		}
 	}
-	if _, err := ParseTopology("bogus"); err == nil {
-		t.Fatal("bogus topology accepted")
-	}
 	if _, err := ParsePattern("bogus"); err == nil {
 		t.Fatal("bogus pattern accepted")
 	}
-	var _ fmt.Stringer = experiments.TopoQuarc // round-trip relies on Stringer
 }

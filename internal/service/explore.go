@@ -108,43 +108,12 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 		return fail(fmt.Errorf("beta %v outside [0,1]", spec.Beta))
 	}
 
-	def := experiments.DefaultOpts()
-	o := e.Opts
-	opts := experiments.RunOpts{
-		Warmup: o.Warmup, Measure: o.Measure, Drain: o.Drain,
-		Depth: o.Depth, Seed: o.Seed,
-		Replicates: o.Replicates, Workers: o.Workers,
-	}
-	if o.Points != 0 {
+	if e.Opts.Points != 0 {
 		return fail(fmt.Errorf("opts.points does not apply to explore: rates are an explicit axis"))
 	}
-	if opts.Warmup == 0 {
-		opts.Warmup = def.Warmup
-	}
-	if opts.Measure == 0 {
-		opts.Measure = def.Measure
-	}
-	if opts.Drain == 0 {
-		opts.Drain = def.Drain
-	}
-	if opts.Depth == 0 {
-		opts.Depth = def.Depth
-	}
-	if opts.Seed == 0 {
-		opts.Seed = def.Seed
-	}
-	if opts.Replicates < 1 {
-		opts.Replicates = 1
-	}
-	switch {
-	case opts.Warmup < 0 || opts.Measure < 0 || opts.Drain < 0:
-		return fail(fmt.Errorf("cycle budgets must be non-negative"))
-	case opts.Warmup+opts.Measure+opts.Drain > MaxTotalCycles:
-		return fail(fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles))
-	case opts.Replicates > MaxReplicates:
-		return fail(fmt.Errorf("replicates %d exceeds the limit %d", opts.Replicates, MaxReplicates))
-	case opts.Workers < 0 || opts.Workers > MaxWorkers:
-		return fail(fmt.Errorf("workers %d outside [0,%d]", opts.Workers, MaxWorkers))
+	opts, err := e.Opts.RunOpts()
+	if err != nil {
+		return fail(err)
 	}
 
 	raw := spec.RawPoints()

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -295,4 +296,57 @@ func postJSONGet(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
+}
+
+// TestSweepOptsSharedByPanelsAndExplore: both endpoints nest the same
+// SweepOpts and run it through one conversion, so every option is
+// range-checked identically on either (explore used to accept, then drop,
+// opts.step_workers without looking at it) and explore carries the
+// step-worker count to its points without moving a cache key.
+func TestSweepOptsSharedByPanelsAndExplore(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	bodies := map[string]string{
+		"/v1/panels":  `{"n":16,"rates":[0.01],"opts":%s}`,
+		"/v1/explore": `{"models":["quarc"],"ns":[16],"rates":[0.01],"opts":%s}`,
+	}
+	for _, opts := range []string{
+		`{"step_workers":-5}`,
+		fmt.Sprintf(`{"step_workers":%d}`, MaxWorkers+1),
+		`{"workers":-1}`,
+		fmt.Sprintf(`{"replicates":%d}`, MaxReplicates+1),
+		`{"warmup":-1}`,
+		fmt.Sprintf(`{"measure":%d}`, MaxTotalCycles),
+	} {
+		for path, body := range bodies {
+			resp, data := postJSON(t, ts.URL+path, json.RawMessage(fmt.Sprintf(body, opts)))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s opts %s: status %s, want 400 (%s)", path, opts, resp.Status, data)
+			}
+		}
+	}
+
+	req := ExploreRequest{Models: []string{"quarc", "ring"}, Ns: []int{16}, Rates: []float64{0.01}}
+	spec, plainOpts, plain, err := req.SpecOpts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Opts.StepWorkers = 3
+	_, steppedOpts, stepped, err := req.SpecOpts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steppedOpts.StepWorkers != 3 {
+		t.Fatalf("explore run options dropped step_workers: %+v", steppedOpts)
+	}
+	if ExploreKey(spec, plainOpts) != ExploreKey(spec, steppedOpts) {
+		t.Error("step_workers moved the explore key")
+	}
+	for i, p := range stepped.Points {
+		if p.Cfg.StepWorkers != 3 {
+			t.Errorf("point %d does not carry step_workers: %+v", i, p.Cfg)
+		}
+		if RunKey(p.Cfg, 1) != RunKey(plain.Points[i].Cfg, 1) {
+			t.Errorf("point %d: step_workers moved the per-point run key", i)
+		}
+	}
 }

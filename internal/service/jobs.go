@@ -30,10 +30,9 @@ func (s State) terminal() bool {
 // Event is one NDJSON progress line of GET /v1/jobs/{id}/events. Type is
 // "state" for lifecycle transitions and "point" for sweep-point completions
 // (rep is omitted for replicate 0). Topo carries the canonical registry
-// name of the point's model — including registry-only models with no legacy
-// enum member. The same encoding is appended line-by-line to the job's
-// on-disk journal, so a replay after a daemon restart is byte-compatible
-// with the live stream.
+// name of the point's model. The same encoding is appended line-by-line to
+// the job's on-disk journal, so a replay after a daemon restart is
+// byte-compatible with the live stream.
 type Event struct {
 	Type        string  `json:"type"`
 	State       State   `json:"state,omitempty"`

@@ -125,7 +125,7 @@ func TestSchedulerQueueFullAndClosed(t *testing.T) {
 // batch, where they cannot block dashboard queries.
 func TestClassifyRun(t *testing.T) {
 	quick := experiments.Config{
-		Topo: experiments.TopoQuarc, N: 16, MsgLen: 16, Depth: 4, Rate: 0.01,
+		Model: "quarc", N: 16, MsgLen: 16, Depth: 4, Rate: 0.01,
 		Warmup: 2000, Measure: 10000, Drain: 20000, Seed: 1,
 	}
 	if got := classifyRun(quick, 1); got != ClassInteractive {

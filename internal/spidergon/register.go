@@ -17,11 +17,7 @@ func init() {
 			if err != nil {
 				return nil, nil, err
 			}
-			nodes := make([]model.Node, len(as))
-			for i, a := range as {
-				nodes[i] = a
-			}
-			return fab, nodes, nil
+			return fab, model.Nodes(as), nil
 		},
 	})
 }

@@ -159,40 +159,20 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 	return fab, as, nil
 }
 
-// Adapter is the one-port Spidergon network interface: a single source
-// queue feeding the single injection channel, and the packet-creation logic
-// for broadcast-by-unicast chains (§2.2: "The NoC switches must contain the
-// logic to create the required packets on receipt of a broadcast-by-unicast
-// packet").
+// Adapter is the one-port Spidergon network interface: the shared one-port
+// adapter (single source queue, single injection channel, software
+// multicast) plus the packet-creation logic for broadcast-by-unicast chains
+// (§2.2: "The NoC switches must contain the logic to create the required
+// packets on receipt of a broadcast-by-unicast packet").
 type Adapter struct {
-	network.BaseAdapter
-	n   int
-	fab *network.Fabric
+	network.OnePortAdapter
 }
 
 func newAdapter(fab *network.Fabric, r *router.Router, node, n int) *Adapter {
-	a := &Adapter{n: n, fab: fab}
-	a.Node = node
-	a.R = r
-	a.Queues = make([]network.PacketQueue, 1)
-	a.InjPorts = []int{Inj}
-	a.OnTail = func(f flit.Flit, now int64) { a.onTail(f, now) }
+	a := new(Adapter)
+	a.Init(fab, r, node, n, Inj)
+	a.OnTail = a.onTail
 	return a
-}
-
-// SendUnicast queues a unicast message of msgLen flits for dst.
-func (a *Adapter) SendUnicast(dst, msgLen int, now int64) uint64 {
-	if dst == a.Node {
-		panic("spidergon: unicast to self")
-	}
-	msgID := a.fab.NextMsgID()
-	h := flit.Flit{
-		Traffic: flit.Unicast, Src: a.Node, Dst: dst,
-		PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
-	}
-	a.fab.Tracker.Register(msgID, network.ClassUnicast, a.Node, now, 1)
-	a.Enqueue(0, h, msgLen)
-	return msgID
 }
 
 // SendBroadcast queues the two broadcast-by-unicast chains. Each receiving
@@ -200,40 +180,32 @@ func (a *Adapter) SendUnicast(dst, msgLen int, now int64) uint64 {
 // next node and retransmits after the tail arrives (store-and-forward),
 // which is what costs the Spidergon its broadcast performance.
 func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
-	msgID := a.fab.NextMsgID()
-	a.fab.Tracker.Register(msgID, network.ClassBroadcast, a.Node, now, a.n-1)
-	for _, c := range topology.SpidergonBroadcastChains(a.n, a.Node) {
+	msgID := a.Fab.NextMsgID()
+	a.Fab.Tracker.Register(msgID, network.ClassBroadcast, a.Node, now, a.N-1)
+	for _, c := range topology.SpidergonBroadcastChains(a.N, a.Node) {
 		h := flit.Flit{
 			Traffic: flit.BcastChain, Src: a.Node, Dst: c.Nodes[0],
 			Remain: len(c.Nodes) - 1, ChainCCW: c.Dir == topology.CCW,
-			PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
+			PktID: a.Fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
 		a.Enqueue(0, h, msgLen)
 	}
 	return msgID
 }
 
-// SendMulticast emulates the collective in software — one independent
-// unicast per distinct remote target through the single injection queue (the
-// Spidergon has no absorb-and-forward hardware, so a multicast costs it k
-// full unicasts where the Quarc pays per quadrant).
-func (a *Adapter) SendMulticast(targets []int, msgLen int, now int64) uint64 {
-	return a.SendMulticastFanout(a.fab, 0, targets, msgLen, now)
-}
-
 func (a *Adapter) onTail(f flit.Flit, now int64) {
-	a.fab.Tracker.Delivered(f.MsgID, a.Node, now)
+	a.Fab.Tracker.Delivered(f.MsgID, a.Node, now)
 	if f.Traffic == flit.BcastChain && f.Remain > 0 {
 		var next int
 		if f.ChainCCW {
-			next = topology.NextCCW(a.n, a.Node)
+			next = topology.NextCCW(a.N, a.Node)
 		} else {
-			next = topology.NextCW(a.n, a.Node)
+			next = topology.NextCW(a.N, a.Node)
 		}
 		h := flit.Flit{
 			Traffic: flit.BcastChain, Src: a.Node, Dst: next,
 			Remain: f.Remain - 1, ChainCCW: f.ChainCCW,
-			PktID: a.fab.NextPktID(), MsgID: f.MsgID, Gen: f.Gen,
+			PktID: a.Fab.NextPktID(), MsgID: f.MsgID, Gen: f.Gen,
 		}
 		// The switch-created packet takes precedence over PE traffic on the
 		// single injection channel.

@@ -220,16 +220,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestUnicastToSelfPanics(t *testing.T) {
-	_, as := build(t, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unicast to self accepted")
-		}
-	}()
-	as[0].SendUnicast(0, 4, 0)
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
 		n, m := 16, 4

@@ -13,7 +13,7 @@
 // Quick start:
 //
 //	res, err := quarc.Run(quarc.Config{
-//	    Topo: quarc.TopoQuarc, N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.01,
+//	    Model: "quarc", N: 16, MsgLen: 16, Beta: 0.05, Rate: 0.01,
 //	})
 //	fmt.Println(res.UnicastMean, res.BcastMean)
 //
@@ -41,23 +41,10 @@ import (
 	"quarc/internal/traffic"
 )
 
-// Topology is the legacy enum selecting one of the six original models; any
-// registered model — including ones with no enum member, such as "ring" —
-// can be selected by name through Config.Model.
-type Topology = experiments.Topology
-
-// Topology values.
-const (
-	TopoQuarc            = experiments.TopoQuarc
-	TopoSpidergon        = experiments.TopoSpidergon
-	TopoQuarcChainBcast  = experiments.TopoQuarcChainBcast
-	TopoQuarcSingleQueue = experiments.TopoQuarcSingleQueue
-	TopoMesh             = experiments.TopoMesh
-	TopoTorus            = experiments.TopoTorus
-)
-
 // Config parameterises a measured simulation run; Result carries its
-// measurements. See internal/experiments for field documentation.
+// measurements. Config.Model selects the network by registry name ("quarc",
+// "spidergon", "mesh", "ring", ...; RegisteredModels lists them). See
+// internal/experiments for field documentation.
 type (
 	Config = experiments.Config
 	Result = experiments.Result
@@ -135,10 +122,10 @@ func RunReplicatedContext(ctx context.Context, cfg Config, replicates, workers i
 	return experiments.RunReplicatedContext(ctx, cfg, replicates, workers, onDone)
 }
 
-// PointSeed derives the deterministic seed of a sweep design point from an
-// experiment-level base seed.
-func PointSeed(base uint64, topo Topology, rateIndex, replicate int) uint64 {
-	return experiments.PointSeed(base, topo, rateIndex, replicate)
+// PointSeed derives the deterministic seed of a sweep design point (model
+// registry name, rate index, replicate) from an experiment-level base seed.
+func PointSeed(base uint64, model string, rateIndex, replicate int) uint64 {
+	return experiments.PointSeed(base, model, rateIndex, replicate)
 }
 
 // Direct fabric access. Fabric is the assembled network; Step advances one

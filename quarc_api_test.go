@@ -8,7 +8,7 @@ import (
 
 func TestPublicRunAPI(t *testing.T) {
 	res, err := quarc.Run(quarc.Config{
-		Topo: quarc.TopoQuarc, N: 16, MsgLen: 8, Beta: 0.1, Rate: 0.005,
+		Model: "quarc", N: 16, MsgLen: 8, Beta: 0.1, Rate: 0.005,
 		Warmup: 200, Measure: 1000, Drain: 6000, Seed: 1,
 	})
 	if err != nil {
