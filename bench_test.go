@@ -19,8 +19,6 @@ import (
 	"testing"
 
 	"quarc"
-	"quarc/internal/flit"
-	"quarc/internal/router"
 )
 
 // benchOpts keeps a single benchmark iteration around a few milliseconds.
@@ -193,53 +191,6 @@ func BenchmarkFabricStep(b *testing.B) {
 				nd.SendUnicast((j+9)%64, 16, fab.Now())
 			}
 			b.StartTimer()
-		}
-	}
-}
-
-// snapCredit is the registered credit view of one downstream input port.
-type snapCredit struct {
-	r    *router.Router
-	port int
-}
-
-func (c snapCredit) CreditFree(vc int) int { return c.r.SnapFree(c.port, vc) }
-
-// BenchmarkRouterHop measures the switch datapath alone, one flit per
-// iteration: push into switch a, arbitrate, commit, push the granted copy
-// into switch b — then b's own cycle ejects it, which keeps b's lane drained.
-// It is the per-hop cost every simulated flit pays, with no fabric, adapter
-// or tracker around it, and it must not allocate.
-func BenchmarkRouterHop(b *testing.B) {
-	route := func(node, in int, f flit.Flit) router.Decision {
-		if node == 1 {
-			return router.Decision{Out: router.NoOutput, Eject: true}
-		}
-		return router.Decision{Out: 0}
-	}
-	vc := func(node, out, in, cur int, f flit.Flit) int { return cur }
-	mk := func(id int) *router.Router {
-		return router.New(router.Config{Node: id, VCs: 2, Depth: 4, InLanes: []int{2}, NOut: 1,
-			EjectPort: router.NoOutput, Route: route, VCNext: vc})
-	}
-	up, down := mk(0), mk(1)
-	toDown, toPE := []router.Downstream{snapCredit{down, 0}}, []router.Downstream{nil}
-	pkt := flit.Packet(flit.Flit{Dst: 1, PktID: 1, MsgID: 1}, 2)
-	var upMoves, downMoves []router.Move
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !up.Push(0, 0, &pkt[i&1]) { // header, tail, header, ...
-			b.Fatal("push rejected")
-		}
-		up.Snapshot()
-		down.Snapshot()
-		upMoves = up.Arbitrate(toDown, upMoves[:0])
-		downMoves = down.Arbitrate(toPE, downMoves[:0])
-		up.Commit(upMoves)
-		down.Commit(downMoves)
-		if len(upMoves) != 1 || !down.Push(0, upMoves[0].OutVC, &upMoves[0].Flit) {
-			b.Fatal("flit did not cross the link")
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Command quarcload is a closed-loop load generator for quarcd: a pool of
 // concurrent clients submits single-run jobs with ?wait=1, mixing requests
 // that share a small pool of hot seeds (cache hits after first touch) with
-// unique-seed requests (forced simulations), then reports throughput,
+// unique-seed requests (forced simulations; cold seeds count up from the
+// start time, so a second burst is cold again), then reports throughput,
 // latency percentiles, cache-hit, degraded-answer and success rates.
 // Transient 503s are retried with jittered exponential backoff honouring
 // Retry-After. It exits non-zero unless every request succeeded (and, with
@@ -92,6 +93,7 @@ func main() {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()
+	coldBase := coldSeedBase(start)
 	for w := 0; w < *conc; w++ {
 		wg.Add(1)
 		go func() {
@@ -106,17 +108,7 @@ func main() {
 					Warmup: 200, Measure: *measure, Drain: 5000,
 					DeadlineMs: *deadlineMs,
 				}
-				// Deterministic, evenly interleaved hot/cold split: request i
-				// is hot when the running count of hot requests should grow
-				// (Bresenham-style), so any -n yields round(n*frac) hot
-				// requests spread across the run rather than front-loaded.
-				// Hot requests cycle through the seed pool by hot ordinal.
-				hotOrdinal := int(float64(i) * (*cached))
-				if int(float64(i+1)*(*cached)) > hotOrdinal {
-					req.Seed = 1000 + uint64(hotOrdinal%*hotSeeds)
-				} else {
-					req.Seed = 0xC01D_0000 + uint64(i)
-				}
+				req.Seed = seedFor(i, *cached, *hotSeeds, coldBase)
 				t0 := time.Now()
 				hit, deg, err := post(client, *addr, req)
 				samples[i] = sample{latency: time.Since(t0), cached: hit, degraded: deg, err: err}
@@ -147,7 +139,8 @@ func main() {
 	}
 	sort.Float64s(lats)
 
-	fmt.Printf("requests        %d (%d clients, closed loop, model %s)\n", *total, *conc, *modelName)
+	fmt.Printf("requests        %d (%d clients, closed loop, model %s, cold seeds from %d)\n",
+		*total, *conc, *modelName, coldBase)
 	fmt.Printf("elapsed         %.2fs\n", elapsed.Seconds())
 	// Throughput counts completed requests only: failed requests did no
 	// useful work, and counting them would inflate the figure exactly when
@@ -172,6 +165,24 @@ func main() {
 			degraded, *minDegraded)
 		os.Exit(1)
 	}
+}
+
+// coldSeedBase is where a generator started at start begins numbering its
+// cold (never-cached) seeds: nanoseconds since the epoch, so two bursts draw
+// disjoint cold seeds unless they start within nanoseconds of each other.
+func coldSeedBase(start time.Time) uint64 { return uint64(start.UnixNano()) }
+
+// seedFor picks request i's seed. The hot/cold split is deterministic and
+// evenly interleaved: request i is hot when the running count of hot requests
+// should grow (Bresenham-style), so any -n yields round(n*frac) hot requests
+// spread across the run. Hot requests cycle through the fixed pool 1000+k
+// (shared by every generator); cold request i gets coldBase+i.
+func seedFor(i int, cached float64, hotSeeds int, coldBase uint64) uint64 {
+	hotOrdinal := int(float64(i) * cached)
+	if int(float64(i+1)*cached) > hotOrdinal {
+		return 1000 + uint64(hotOrdinal%hotSeeds)
+	}
+	return coldBase + uint64(i)
 }
 
 func pct(part, whole int) float64 {

@@ -13,7 +13,10 @@ import (
 // live traffic and checks conservation at the tracker: every injected
 // message is either delivered (completed) or still in flight, at every
 // sampled cycle, and after the drain nothing is in flight, nothing is lost
-// and nothing is delivered twice. The model list comes from the registry,
+// and nothing is delivered twice — with the fabric's InvariantChecker armed
+// on every cycle, so each model's wiring also holds the wormhole invariants
+// and credit conservation (I5: sender credit + flits buffered downstream ==
+// lane depth on every link). The model list comes from the registry,
 // so a newly registered model inherits the property with no edits here; the
 // subtests run in parallel, so under -race this also shakes out cross-run
 // sharing bugs in the models.
@@ -61,8 +64,11 @@ func TestMessageConservationAcrossModels(t *testing.T) {
 						fab.Tracker.Completed(), fab.Tracker.InFlight())
 				}
 			}
+			chk := network.NewInvariantChecker(fab)
 			k.Ticker(0, 1, sim.PriFabric, func(now sim.Time) bool {
-				fab.Step()
+				if err := chk.StepChecked(); err != nil {
+					t.Fatalf("cycle %d: %v", now, err)
+				}
 				if now%50 == 0 {
 					check(now)
 				}
@@ -71,7 +77,9 @@ func TestMessageConservationAcrossModels(t *testing.T) {
 			k.Run(horizon)
 
 			for i := int64(0); i < cfg.Drain && fab.Tracker.InFlight() > 0; i++ {
-				fab.Step()
+				if err := chk.StepChecked(); err != nil {
+					t.Fatalf("drain: %v", err)
+				}
 			}
 			check(horizon + cfg.Drain)
 			if left := fab.Tracker.InFlight(); left != 0 {

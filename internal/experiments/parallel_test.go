@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"context"
-	"runtime"
+	"fmt"
 	"testing"
 
 	"quarc/internal/model"
@@ -16,6 +16,12 @@ import (
 // axis, must produce the same Result, tracker counters and per-router
 // statistics at any worker count as the serial path. The suite runs under
 // -race in CI, so it doubles as the data-race proof for the phase protocol.
+//
+// Shards are whole 64-node words, so the pool only exists from 128 nodes up:
+// the square models run at 144 nodes (two full words and a 16-node tail),
+// while the ring family — capped at 64 nodes by the paper's header format —
+// can only show that an explicit worker count is clamped to the serial path
+// and harmless. TestCrossShardLinksBitIdentical is the wider pooled matrix.
 
 // parallelWorkloads is the workload axis of the invariance matrix.
 func parallelWorkloads(rate float64) map[string]Config {
@@ -37,14 +43,50 @@ func parallelWorkloads(rate float64) map[string]Config {
 	}
 }
 
-// stepWorkerCounts is the worker axis: an even split, a count that leaves a
-// remainder shard, and whatever the machine really has.
-func stepWorkerCounts() []int {
-	counts := []int{2, 7}
-	if p := runtime.GOMAXPROCS(0); p > 1 && p != 2 && p != 7 {
-		counts = append(counts, p)
+// stepWorkerCounts is the worker axis for an n-node fabric. At 144 nodes
+// every count from 2 up is the same two-worker pool (one worker per full
+// word), so one count covers it; below 128 nodes every count is clamped to
+// serial stepping, and two of them show the clamp holds.
+func stepWorkerCounts(n int) []int {
+	if n >= 128 {
+		return []int{2}
 	}
-	return counts
+	return []int{2, 7}
+}
+
+// pooledN is the smallest size at which m can be stepped by a pool with a
+// partial trailing word, or its example size when it cannot reach 128 nodes.
+func pooledN(m model.Model) int {
+	if m.CheckN == nil || m.CheckN(144) == nil {
+		return 144
+	}
+	return m.ExampleN
+}
+
+// expectSameRun fails the test unless a pooled run matches its serial
+// reference in everything observable: the full Result, the fabric and tracker
+// counters, and every router's statistics.
+func expectSameRun(t *testing.T, what string, pRes Result, pp fabricProbe, sRes Result, sp fabricProbe) {
+	t.Helper()
+	if pRes != sRes {
+		t.Errorf("%s changed the Result:\nparallel %+v\nserial   %+v", what, pRes, sRes)
+	}
+	if pp.cycle != sp.cycle || pp.delivered != sp.delivered ||
+		pp.forwarded != sp.forwarded || pp.stepped != sp.stepped {
+		t.Errorf("%s changed fabric counters: parallel {cyc %d del %d fwd %d step %d} serial {cyc %d del %d fwd %d step %d}",
+			what, pp.cycle, pp.delivered, pp.forwarded, pp.stepped,
+			sp.cycle, sp.delivered, sp.forwarded, sp.stepped)
+	}
+	if pp.completed != sp.completed || pp.duplicates != sp.duplicates || pp.inflight != sp.inflight {
+		t.Errorf("%s changed tracker counters: parallel {done %d dup %d inflight %d} serial {done %d dup %d inflight %d}",
+			what, pp.completed, pp.duplicates, pp.inflight, sp.completed, sp.duplicates, sp.inflight)
+	}
+	for node := range sp.routers {
+		if pp.routers[node] != sp.routers[node] {
+			t.Errorf("%s changed router %d stats:\nparallel %+v\nserial   %+v",
+				what, node, pp.routers[node], sp.routers[node])
+		}
+	}
 }
 
 func TestStepWorkerInvariance(t *testing.T) {
@@ -60,49 +102,71 @@ func TestStepWorkerInvariance(t *testing.T) {
 			for rateName, rate := range rates {
 				for wlName, cfg := range parallelWorkloads(rate) {
 					cfg.Model = name
-					cfg.N = m.ExampleN
+					cfg.N = pooledN(m)
 					// The pool only engages once the active set reaches the
-					// dispatch grain; at registry example sizes that would
-					// leave every phase on the serial path, so drop the grain
-					// to exercise the pool on every stepped cycle.
+					// dispatch grain; drop the grain to exercise the pool on
+					// every stepped cycle, however few nodes are awake.
 					cfg.stepGrain = 1
 
 					serial := cfg
 					serial.StepWorkers = 1
 					sRes, sProbe := probeRun(t, serial)
 
-					for _, w := range stepWorkerCounts() {
+					for _, w := range stepWorkerCounts(cfg.N) {
 						par := cfg
 						par.StepWorkers = w
 						pRes, pProbe := probeRun(t, par)
 
-						if pRes != sRes {
-							t.Errorf("%s/%s: %d workers changed the Result:\nparallel %+v\nserial   %+v",
-								rateName, wlName, w, pRes, sRes)
-						}
-						sp, pp := sProbe, pProbe
-						if pp.cycle != sp.cycle || pp.delivered != sp.delivered ||
-							pp.forwarded != sp.forwarded || pp.stepped != sp.stepped {
-							t.Errorf("%s/%s: %d workers changed fabric counters: parallel {cyc %d del %d fwd %d step %d} serial {cyc %d del %d fwd %d step %d}",
-								rateName, wlName, w,
-								pp.cycle, pp.delivered, pp.forwarded, pp.stepped,
-								sp.cycle, sp.delivered, sp.forwarded, sp.stepped)
-						}
-						if pp.completed != sp.completed || pp.duplicates != sp.duplicates ||
-							pp.inflight != sp.inflight {
-							t.Errorf("%s/%s: %d workers changed tracker counters: parallel {done %d dup %d inflight %d} serial {done %d dup %d inflight %d}",
-								rateName, wlName, w,
-								pp.completed, pp.duplicates, pp.inflight,
-								sp.completed, sp.duplicates, sp.inflight)
-						}
-						for node := range sp.routers {
-							if pp.routers[node] != sp.routers[node] {
-								t.Errorf("%s/%s: %d workers changed router %d stats:\nparallel %+v\nserial   %+v",
-									rateName, wlName, w, node, pp.routers[node], sp.routers[node])
-							}
-						}
+						expectSameRun(t, fmt.Sprintf("%s/%s: %d workers", rateName, wlName, w),
+							pRes, pProbe, sRes, sProbe)
 						if t.Failed() {
 							return
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCrossShardLinksBitIdentical aims the same contract at the mailboxes:
+// 256-node fabrics split into 2, 3 and 4 shards (so the same link is once
+// inside a shard and once across a boundary), the torus adding wrap-around
+// links that join the first shard to the last in both directions. Unicast,
+// software-broadcast and multicast traffic, at low load (few nodes awake, the
+// pool forced by stepGrain 1) and saturated (every boundary link busy every
+// cycle, blocked sleepers woken by credits from another shard), stepped
+// activity-driven and dense, must match the serial run bit for bit. Only the
+// square models can: the ring family stops at 64 nodes, one mask word.
+func TestCrossShardLinksBitIdentical(t *testing.T) {
+	base := Config{N: 256, MsgLen: 6, Depth: 4, Warmup: 40, Measure: 160, Drain: 500, Seed: 31}
+	bcast, mcast := base, base
+	bcast.Beta = 0.02
+	mcast.McastFrac, mcast.McastSize = 0.3, 4
+	workloads := map[string]Config{"unicast": base, "broadcast": bcast, "multicast": mcast}
+	for _, name := range []string{"mesh", "torus"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for wlName, cfg := range workloads {
+				for rateName, rate := range map[string]float64{"lowload": 0.001, "saturated": 0.12} {
+					for _, dense := range []bool{false, true} {
+						cfg.Model, cfg.Rate, cfg.denseStep, cfg.stepGrain = name, rate, dense, 1
+						serial := cfg
+						serial.StepWorkers = 1
+						sRes, sProbe := probeRun(t, serial)
+						if sProbe.forwarded == 0 {
+							t.Fatalf("%s/%s: reference run moved no flit", wlName, rateName)
+						}
+						for _, w := range []int{2, 3, 4} {
+							par := cfg
+							par.StepWorkers = w
+							pRes, pProbe := probeRun(t, par)
+							expectSameRun(t, fmt.Sprintf("%s/%s/dense=%v: %d workers", wlName, rateName, dense, w),
+								pRes, pProbe, sRes, sProbe)
+							if t.Failed() {
+								return
+							}
 						}
 					}
 				}
@@ -138,8 +202,9 @@ func TestBlockedSleepEngagesWhenSaturated(t *testing.T) {
 // the network completely and deliver exactly the same flits.
 func TestDrainConservation(t *testing.T) {
 	// A load high enough to queue real backlog but below saturation, so the
-	// drain budget suffices and "fully drained" is the correct expectation.
-	base := Config{Model: "quarc", N: 16, MsgLen: 8, Rate: 0.03, Beta: 0.3,
+	// drain budget suffices and "fully drained" is the correct expectation;
+	// a fabric big enough for the four workers to be real.
+	base := Config{Model: "torus", N: 256, MsgLen: 8, Rate: 0.02, Beta: 0.01,
 		Depth: 4, Warmup: 150, Measure: 600, Drain: 5000, Seed: 7}
 
 	dense := base

@@ -8,10 +8,14 @@
 // destination lanes can accept a frame, CH_TO_STORE selects the lane a
 // transferred word belongs to.
 //
-// The cycle-accurate fabric (internal/network) uses an equivalent
-// credit/occupancy fast path for speed; the tests in this package show the
-// signal-level model and the fast path deliver identical flit streams, so
-// the simulator's shortcut is sound.
+// The cycle-accurate fabric does not drive these signals: internal/router
+// keeps one credit counter per downstream lane on the sending side, the
+// sender-side image of CH_STATUS_N. This package is the differential oracle
+// for those counters: internal/router's TestCreditCountersMatchChannelStatus
+// runs one link through a router pair and through Receiver side by side and
+// requires, every cycle, that a status line is asserted exactly when the
+// sender holds a credit for that lane, and that both hand over identical flit
+// streams — so the simulator's shortcut is sound. Only tests import it.
 package link
 
 import (

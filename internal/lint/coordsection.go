@@ -21,8 +21,12 @@ import (
 //     `f.cycle++`): shared by every worker, so they need the guard. Writes
 //     through an index expression (`f.moves[node] = ...`) are exempt — the
 //     pool shards node-indexed state so each worker owns its range;
-//   - calls to //quarc:coordinator functions (applyMoves, applyWoken,
-//     applySleep, latch, ...), wherever in the package they are declared.
+//   - per-worker records: a field of an indexed element (`p.scratch[i].n++`)
+//     is the worker's own only when the index is the worker-id parameter,
+//     as is a local alias of one (`sc := &p.scratch[w]`; `sc.n++`). Indexed
+//     by anything else it is another worker's scratch, and flagged;
+//   - calls to //quarc:coordinator functions (deliver, fold, latch, ...),
+//     wherever in the package they are declared.
 var CoordSection = &Analyzer{
 	Name: "coordsection",
 	Doc:  "in parallel.go, fabric-shared state is only written inside worker-0 coordinator sections or //quarc:coordinator functions",
@@ -72,6 +76,13 @@ func checkWorkerFunc(p *Pass, fd *ast.FuncDecl, coordinators map[types.Object]bo
 			}
 		}
 	}
+	isParam := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && params[p.Info.Uses[id]]
+	}
+	// own collects the locals that alias the worker's own record
+	// (`sc := &p.scratch[w]`, w a parameter) as the walk reaches them.
+	own := map[types.Object]bool{}
 	var walk func(n ast.Node, guarded bool)
 	inspect := func(n ast.Node, guarded bool) bool {
 		switch n := n.(type) {
@@ -80,20 +91,23 @@ func checkWorkerFunc(p *Pass, fd *ast.FuncDecl, coordinators map[types.Object]bo
 				walk(n.Init, guarded)
 			}
 			walk(n.Cond, guarded)
-			walk(n.Body, guarded || isWorkerZeroCond(p, n.Cond, params))
+			walk(n.Body, guarded || isWorkerZeroCond(n.Cond, isParam))
 			if n.Else != nil {
 				walk(n.Else, guarded)
 			}
 			return false
 		case *ast.AssignStmt:
-			if !guarded {
-				for _, lhs := range n.Lhs {
-					reportSharedWrite(p, lhs)
+			for i, lhs := range n.Lhs {
+				if n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) && isOwnRecord(n.Rhs[i], isParam) {
+					own[p.Info.Defs[lhs.(*ast.Ident)]] = true
+				}
+				if !guarded {
+					reportSharedWrite(p, lhs, isParam, own)
 				}
 			}
 		case *ast.IncDecStmt:
 			if !guarded {
-				reportSharedWrite(p, n.X)
+				reportSharedWrite(p, n.X, isParam, own)
 			}
 		case *ast.CallExpr:
 			if guarded {
@@ -128,9 +142,19 @@ func checkWorkerFunc(p *Pass, fd *ast.FuncDecl, coordinators map[types.Object]bo
 	walk(fd.Body, false)
 }
 
+// isOwnRecord matches `&X[w]` with w a parameter: the worker's own record.
+func isOwnRecord(e ast.Expr, isParam func(ast.Expr) bool) bool {
+	addr, ok := e.(*ast.UnaryExpr)
+	if !ok || addr.Op != token.AND {
+		return false
+	}
+	ix, ok := addr.X.(*ast.IndexExpr)
+	return ok && isParam(ix.Index)
+}
+
 // isWorkerZeroCond matches `w == 0` / `0 == w` where w is a parameter of
 // the enclosing function — the pool's worker-id convention.
-func isWorkerZeroCond(p *Pass, cond ast.Expr, params map[types.Object]bool) bool {
+func isWorkerZeroCond(cond ast.Expr, isParam func(ast.Expr) bool) bool {
 	be, ok := cond.(*ast.BinaryExpr)
 	if !ok || be.Op != token.EQL {
 		return false
@@ -139,31 +163,35 @@ func isWorkerZeroCond(p *Pass, cond ast.Expr, params map[types.Object]bool) bool
 		bl, ok := e.(*ast.BasicLit)
 		return ok && bl.Value == "0"
 	}
-	isParam := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && params[p.Info.Uses[id]]
-	}
 	return (isZero(be.X) && isParam(be.Y)) || (isZero(be.Y) && isParam(be.X))
 }
 
-// reportSharedWrite flags a write whose target is a pure pointer field
-// chain (x.a.b where x has pointer type). Index expressions anywhere in the
-// chain exempt the write: node-indexed state is sharded per worker.
-func reportSharedWrite(p *Pass, lhs ast.Expr) {
-	sel, ok := lhs.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	root := sel.X
+// reportSharedWrite flags a write whose target is shared between workers.
+// Walking the target from the written field down to its root: a field of an
+// indexed element is a per-worker record, legal only under the worker-id
+// index; any other index expression exempts the write (node-indexed state is
+// sharded per worker); a pure pointer field chain (x.a.b where x has pointer
+// type) is shared unless x aliases the worker's own record.
+func reportSharedWrite(p *Pass, lhs ast.Expr, isParam func(ast.Expr) bool, own map[types.Object]bool) {
+	indexed, field := false, false
+	root := lhs
 	for {
-		if inner, ok := root.(*ast.SelectorExpr); ok {
-			root = inner.X
+		switch e := root.(type) {
+		case *ast.SelectorExpr:
+			root, field = e.X, true
+			continue
+		case *ast.IndexExpr:
+			if field && !isParam(e.Index) {
+				p.Reportf(lhs.Pos(), "write to another worker's scratch %s: a per-worker record may only be written under the worker's own index", types.ExprString(lhs))
+				return
+			}
+			root, indexed, field = e.X, true, false
 			continue
 		}
 		break
 	}
 	id, ok := root.(*ast.Ident)
-	if !ok {
+	if !ok || indexed || lhs == root || own[p.Info.Uses[id]] {
 		return
 	}
 	if t := p.Info.TypeOf(id); t != nil {

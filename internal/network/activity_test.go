@@ -110,32 +110,27 @@ func TestSetDenseKeepsEveryNodeActive(t *testing.T) {
 	fab.SetDense(false)
 }
 
-// TestSleepRefreshesCreditView reproduces the subtle staleness hazard: a
-// router's credit snapshot is latched at the start of its last stepped
-// cycle, so without the refresh-on-sleep an upstream router would see the
-// pre-drain occupancy for as long as the downstream node sleeps.
-func TestSleepRefreshesCreditView(t *testing.T) {
+// TestSleepNeedsNoCreditRefresh pins what sender-side counters buy the
+// scheduler: credits move only when a flit or a pop crosses a link, so a
+// router that drains and sleeps leaves every upstream counter exact with no
+// refresh on the way out (the occupancy snapshots these counters replaced went
+// stale the moment their owner stopped stepping).
+func TestSleepNeedsNoCreditRefresh(t *testing.T) {
 	fab, ts := buildQuarc(t, 8)
+	chk := network.NewInvariantChecker(fab)
 	// Stream a packet from 0 to its clockwise neighbour 1 and drain fully.
 	ts[0].SendUnicast(1, 4, 0)
 	for i := 0; i < 100 && !fab.Idle(); i++ {
-		fab.Step()
+		if err := chk.StepChecked(); err != nil { // I5 at every cycle boundary
+			t.Fatal(err)
+		}
 	}
 	if !fab.Idle() {
 		t.Fatal("did not drain")
 	}
-	// Every lane of every router must now advertise full credit.
-	for node, r := range fab.Routers {
-		for in := 0; in < r.NumInputs(); in++ {
-			for ln := 0; ; ln++ {
-				if _, ok := r.LaneContents(in, ln); !ok {
-					break
-				}
-				if free := r.SnapFree(in, ln); free != r.LaneFree(in, ln) {
-					t.Fatalf("node %d in %d lane %d: snapshot says %d free, lane has %d",
-						node, in, ln, free, r.LaneFree(in, ln))
-				}
-			}
-		}
+	// Every lane is empty and every router asleep, so I5 (credit + buffered
+	// == depth on every link) now says every counter is back at full depth.
+	if err := chk.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,27 +1,33 @@
 // Package network assembles switches into a simulated NoC: it owns the
 // wiring between output ports and downstream input ports, runs the global
-// two-phase (compute/commit) cycle, feeds network adapters, delivers ejected
-// flits and tracks message lifecycles for the statistics layer.
+// cycle, feeds network adapters, delivers ejected flits and tracks message
+// lifecycles for the statistics layer.
 //
 // The fabric is topology-agnostic: internal/quarc, internal/spidergon and
 // internal/mesh provide router configurations, wiring tables and adapters.
 //
-// Stepping is activity-driven: the fabric keeps a set of active nodes (any
-// buffered flit or pending source-queue backlog) and each cycle snapshots,
-// arbitrates, commits and feeds only those. Routers are woken by flits
-// pushed into them and by adapter enqueues, and go to sleep when fully
-// drained — or, under saturation, when provably blocked (buffered flits but
-// no possible move until a downstream credit returns; see sleepScan); slept
-// cycles are credited to their statistics in bulk, so the observable
-// simulation — every flit movement, every counter — is bit-identical to
-// stepping all N routers every cycle (SetDense selects that reference
-// behaviour, and the experiment layer's equivalence suite proves the
-// identity for every registered model).
+// A cycle is two node-local passes around one apply step. Pass 1 visits each
+// active node once — credit its slept cycles, arbitrate, commit — and touches
+// only that node's switch: flow control is internal/router's sender-side
+// credit counters, so no switch reads a neighbour. Apply carries every move's
+// effects, split per move into an ordered half (deliver: the PE copy,
+// reassembly, tracker, packet ids — ascending node order) and a commutative
+// half (link: credit returned upstream, multicast bit shift, downstream push,
+// wakes — integer adds and single-writer pushes, the same state in any
+// order). Pass 2 feeds each node's adapter and decides whether it may sleep.
+// SetStepWorkers shards all but the ordered half across a worker pool with
+// byte-identical results (see parallel.go).
 //
-// Within one cycle the phases are data-parallel per router: SetStepWorkers
-// shards the active set across a persistent worker pool with all shared
-// state mutated in single-threaded sections in ascending node order, so
-// results are byte-identical at any worker count (see parallel.go).
+// Stepping is activity-driven: the fabric keeps a set of active nodes (any
+// buffered flit or pending source-queue backlog) and each cycle visits only
+// those. Routers are woken by flits pushed into them and by adapter enqueues,
+// and go to sleep when fully drained — or, under saturation, when provably
+// blocked (buffered flits but no possible move until a downstream credit
+// returns; see sleepScan); slept cycles are credited to their statistics in
+// bulk, so the observable simulation — every flit movement, every counter —
+// is bit-identical to stepping all N routers every cycle (SetDense selects
+// that reference behaviour, and the experiment layer's equivalence suite
+// proves the identity for every registered model).
 package network
 
 import (
@@ -89,25 +95,44 @@ const (
 // transient contention never reaches the probe.
 const blockedSleepAfter = 4
 
-// satBatchStreak is how many consecutive >90%-active cycles engage
-// multi-cycle batching in StepBatch: one pool dispatch then covers a run of
-// cycles instead of one, amortising per-dispatch overhead exactly when the
-// active set is stable.
-const satBatchStreak = 8
-
 // defaultStepGrain is the minimum active-set size before the worker pool is
 // worth its barriers; below it the serial path is faster.
 const defaultStepGrain = 48
 
-// stepScratch is per-worker per-cycle scratch: wake accounting and sleep
-// candidates, merged by the coordinator in single-threaded sections. The
-// trailing pad keeps adjacent workers' scratches off shared cache lines.
+// stepScratch is one worker's view of a cycle: the node range it owns, its
+// counters and sleep candidates (folded into the fabric by the coordinator)
+// and its outgoing mailboxes; the serial path is one scratch owning every
+// node. The pad keeps workers' scratches off shared cache lines.
 type stepScratch struct {
-	woken        int   // nodes reconciled out of sleep this cycle
-	wokenBlocked int   // subset that slept blocked
-	sleptIdle    []int // drained nodes leaving the step set
-	sleptBlocked []int // frozen nodes leaving the step set
+	lo, hi       int         // owned node range [lo, hi): whole activeMask words
+	woken        int         // nodes reconciled out of sleep this cycle
+	wokenBlocked int         // subset that slept blocked
+	forwarded    uint64      // flits moved across links this cycle
+	delivering   []int       // stepped nodes with a PE delivery among their moves, ascending
+	sleptIdle    []int       // drained nodes leaving the step set
+	sleptBlocked []int       // frozen nodes leaving the step set
+	outbox       [][]linkRec // per destination shard: link effects parked for its owner (pool only)
+	shardOf      []uint8     // activeMask word -> owning shard, shared by the pool's scratches
 	_            [64]byte
+}
+
+// newStepScratch returns the scratch of the worker owning nodes [lo, hi).
+func newStepScratch(lo, hi int) stepScratch {
+	return stepScratch{lo: lo, hi: hi,
+		delivering:   make([]int, 0, hi-lo),
+		sleptIdle:    make([]int, 0, hi-lo),
+		sleptBlocked: make([]int, 0, hi-lo)}
+}
+
+// feederRef names the one output wired to an input port (node -1: injection).
+type feederRef struct{ node, out int32 }
+
+// linkRec is one link effect aimed at a node: the push of *f into input lane
+// (port, vc) when f is non-nil, else one credit for output counter (port, vc).
+type linkRec struct {
+	node     int32
+	port, vc int16
+	f        *flit.Flit
 }
 
 // Fabric is the assembled network.
@@ -119,10 +144,9 @@ type Fabric struct {
 	// Trace, when non-nil, records flit-level forward/deliver events.
 	Trace *trace.Buffer
 
-	wires    [][]OutputWire        // [node][out]
-	views    [][]router.Downstream // [node][out] snapshot credit views
-	injStart []int                 // first injection port index per node
-	moves    [][]router.Move       // scratch, reused
+	wires    [][]OutputWire  // [node][out]
+	injStart []int           // first injection port index per node
+	moves    [][]router.Move // scratch, reused
 	cycle    int64
 	pktSeq   uint64
 	msgSeq   uint64
@@ -135,45 +159,25 @@ type Fabric struct {
 	sleeping   int      // nodes currently asleep (either kind)
 	dense      bool     // reference mode: step every router every cycle
 
+	// The wiring inverted: where a pop's credit goes, and whom it may wake.
+	feeder [][]feederRef // [node][in]
+
 	// Blocked-sleep state (the dependency wake graph).
-	liveViews       [][]router.Downstream // [node][out] live credit views for frozen probes
-	feeder          [][]int32             // [node][in] upstream node feeding the port, or -1
-	sleepKind       []uint8               // per node: sleepNone/sleepIdle/sleepBlocked
-	noGrant         []uint8               // consecutive grantless busy cycles
-	feedBlk         []feedBlocked         // adapters' FeedBlocked hooks, nil when unsupported
-	noBlockedSleep  bool                  // wiring defeats per-port wake attribution
-	blockedSleeping int                   // nodes currently in blocked sleep
-	blockedSleeps   uint64                // cumulative blocked-sleep entries (diagnostic)
+	sleepKind       []uint8       // per node: sleepNone/sleepIdle/sleepBlocked
+	noGrant         []uint8       // consecutive grantless busy cycles
+	feedBlk         []feedBlocked // adapters' FeedBlocked hooks, nil when unsupported
+	blockedSleeping int           // nodes currently in blocked sleep
+	blockedSleeps   uint64        // cumulative blocked-sleep entries (diagnostic)
 
 	// Intra-cycle parallelism.
 	scr       stepScratch // serial-path scratch
 	stepGrain int         // min active nodes before the pool engages
-	satStreak uint8       // consecutive >90%-active cycles
 	pool      *stepPool   // nil: serial stepping
 
 	delivered uint64 // flits delivered to PEs
 	forwarded uint64 // flits crossing links
 	stepped   uint64 // router-steps executed (activity diagnostic)
 }
-
-// creditView is the registered (one-cycle lagged) credit semantics used by
-// arbitration: free space as snapshotted at the start of the cycle.
-type creditView struct {
-	r    *router.Router
-	port int
-}
-
-func (c creditView) CreditFree(vc int) int { return c.r.SnapFree(c.port, vc) }
-
-// liveCreditView reads the downstream occupancy as it is right now; the
-// frozen-state probe uses it because a blocked router's credit view cannot
-// change between the lagged and live values.
-type liveCreditView struct {
-	r    *router.Router
-	port int
-}
-
-func (c liveCreditView) CreditFree(vc int) int { return c.r.LaneFree(c.port, vc) }
 
 // New assembles a fabric. wires[node][out] must describe every output port
 // of every router; injStart[node] is the index of the first injection input
@@ -201,44 +205,38 @@ func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric
 		feedBlk:    make([]feedBlocked, n),
 		stepGrain:  defaultStepGrain,
 	}
-	f.scr.sleptIdle = make([]int, 0, n)
-	f.scr.sleptBlocked = make([]int, 0, n)
+	f.scr = newStepScratch(0, n)
 	// Every node starts awake (matching a dense cycle 0); empty routers go
 	// quiescent after their first step.
 	for node := 0; node < n; node++ {
 		f.activeMask[node>>6] |= 1 << uint(node&63)
 		f.idleSince[node] = -1
 	}
-	f.views = make([][]router.Downstream, n)
-	f.liveViews = make([][]router.Downstream, n)
-	f.feeder = make([][]int32, n)
+	f.feeder = make([][]feederRef, n)
 	for node, r := range routers {
-		fd := make([]int32, r.NumInputs())
-		for i := range fd {
-			fd[i] = -1
+		f.feeder[node] = make([]feederRef, r.NumInputs())
+		for i := range f.feeder[node] {
+			f.feeder[node][i].node = -1
 		}
-		f.feeder[node] = fd
 	}
 	for node, ws := range wires {
-		f.views[node] = make([]router.Downstream, len(ws))
-		f.liveViews[node] = make([]router.Downstream, len(ws))
 		for o, w := range ws {
 			if w.Sink {
-				continue // nil views: the PE absorbs at link rate
+				continue // never connected: the PE absorbs at link rate
 			}
 			if w.Dst.Node < 0 || w.Dst.Node >= n {
 				panic(fmt.Sprintf("network: wire %d.%d to bad node %d", node, o, w.Dst.Node))
 			}
-			f.views[node][o] = creditView{r: routers[w.Dst.Node], port: w.Dst.Port}
-			f.liveViews[node][o] = liveCreditView{r: routers[w.Dst.Node], port: w.Dst.Port}
-			// The dependency wake graph inverts the wiring: a pop at input
-			// port (dst, port) returns a credit to exactly this node. If two
-			// outputs ever fed one input port that attribution would break,
-			// so blocked sleep shuts off rather than risk a lost wake.
-			if prev := f.feeder[w.Dst.Node][w.Dst.Port]; prev >= 0 && prev != int32(node) {
-				f.noBlockedSleep = true
+			// A pop at input port (dst, port) returns its credit to exactly
+			// one sender, so the port must have exactly one feeder.
+			fd := &f.feeder[w.Dst.Node][w.Dst.Port]
+			if fd.node >= 0 {
+				panic(fmt.Sprintf("network: outputs %d.%d and %d.%d both feed input %d.%d",
+					fd.node, fd.out, node, o, w.Dst.Node, w.Dst.Port))
 			}
-			f.feeder[w.Dst.Node][w.Dst.Port] = int32(node)
+			*fd = feederRef{int32(node), int32(o)}
+			down := routers[w.Dst.Node]
+			routers[node].ConnectOutput(o, down.Lanes(w.Dst.Port), down.Depth())
 		}
 	}
 	return f
@@ -272,42 +270,31 @@ func (f *Fabric) SetDense(dense bool) {
 }
 
 // DefaultStepWorkers returns the worker count used when a configuration does
-// not pin one: GOMAXPROCS clamped to n/16, so small fabrics (whose phases
-// cannot amortise barrier latency) stay serial and large ones use the
-// machine.
-func DefaultStepWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if limit := n / 16; w > limit {
-		w = limit
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// not pin one: GOMAXPROCS, clamped like any other count.
+func DefaultStepWorkers(n int) int { return clampStepWorkers(runtime.GOMAXPROCS(0), n) }
+
+// clampStepWorkers bounds a worker count for an n-node fabric: a shard is a
+// run of whole 64-node activeMask words (so every wake bit has one owner) and
+// must hold at least one full word. Fabrics under 128 nodes step serially.
+func clampStepWorkers(w, n int) int {
+	return max(1, min(w, n/64, 255)) // shard ids are bytes
 }
 
-// SetStepWorkers sizes the fabric's intra-cycle worker pool: w <= 1 steps
-// serially, larger values shard each phase of each cycle across w goroutines
-// (the caller counts as one). Results are byte-identical at any value. The
-// pool is persistent; callers owning a fabric with w > 1 should Close it
-// when done. Calling SetStepWorkers again replaces the pool.
+// SetStepWorkers sizes the fabric's intra-cycle worker pool: a count that
+// clamps to 1 steps serially, larger values give each of w goroutines (the
+// caller counts as one) a fixed shard of the nodes. Results are byte-identical
+// at any value. The pool is persistent: Close the fabric when done. Calling
+// SetStepWorkers again replaces the pool.
 func (f *Fabric) SetStepWorkers(w int) {
-	if f.pool != nil {
-		f.pool.close()
-		f.pool = nil
+	f.Close()
+	if w = clampStepWorkers(w, f.N); w > 1 {
+		f.pool = newStepPool(f, w)
 	}
-	if w > f.N {
-		w = f.N
-	}
-	if w <= 1 {
-		return
-	}
-	f.pool = newStepPool(f, w)
 }
 
 // SetStepGrain overrides the minimum active-set size at which the worker
-// pool engages (default 48). Test hook: small fabrics can force the parallel
-// path to prove invariance.
+// pool engages (default 48). Test hook: a nearly idle fabric can force the
+// parallel path to prove invariance.
 func (f *Fabric) SetStepGrain(minActive int) {
 	if minActive < 1 {
 		minActive = 1
@@ -434,8 +421,7 @@ func (f *Fabric) LinkLoad() [][]uint64 {
 
 // latch freezes the step set for the next cycle: wakes during a cycle
 // (commit pushes, adapter enqueues) take effect the following cycle, exactly
-// when a dense step would first observe the new flit. It also maintains the
-// saturation streak that arms multi-cycle batching.
+// when a dense step would first observe the new flit.
 //
 //quarc:hotpath
 //quarc:coordinator
@@ -457,102 +443,137 @@ func (f *Fabric) latch() {
 	}
 	f.stepList = list
 	f.stepped += uint64(len(list))
-	if len(list)*10 > f.N*9 {
-		if f.satStreak < satBatchStreak {
-			f.satStreak++
-		}
-	} else {
-		f.satStreak = 0
-	}
 }
 
-// reconcile credits a newly woken router with its slept cycles, then latches
-// its occupancy snapshot for this cycle (registered credits). Phase 0 of the
-// cycle; per-node, safe to run in parallel over disjoint nodes.
+// reconcile credits a newly woken router with the cycles it slept. Touches
+// only the node's own state.
 //
 //quarc:hotpath
 func (f *Fabric) reconcile(node int, sc *stepScratch) {
-	if f.idleSince[node] >= 0 {
-		k := uint64(f.cycle - f.idleSince[node])
-		if f.sleepKind[node] == sleepBlocked {
-			f.Routers[node].ReplayBlockedCycles(k)
-			sc.wokenBlocked++
-		} else {
-			f.Routers[node].AddIdleCycles(k)
-		}
-		f.sleepKind[node] = sleepNone
-		f.idleSince[node] = -1
-		sc.woken++
+	if f.idleSince[node] < 0 {
+		return
 	}
-	f.Routers[node].Snapshot()
+	k := uint64(f.cycle - f.idleSince[node])
+	if f.sleepKind[node] == sleepBlocked {
+		f.Routers[node].ReplayBlockedCycles(k)
+		sc.wokenBlocked++
+	} else {
+		f.Routers[node].AddIdleCycles(k)
+	}
+	f.sleepKind[node] = sleepNone
+	f.idleSince[node] = -1
+	sc.woken++
 }
 
-// applyWoken folds one scratch's wake counts into the fabric totals.
+// pass1 is the first node-local pass over a shard of the step list: each
+// node is credited its slept cycles, arbitrates and commits in one visit.
+// Nodes whose moves include a PE delivery are recorded for the ordered half.
 //
 //quarc:hotpath
-//quarc:coordinator
-func (f *Fabric) applyWoken(sc *stepScratch) {
-	f.sleeping -= sc.woken
-	f.blockedSleeping -= sc.wokenBlocked
-	sc.woken, sc.wokenBlocked = 0, 0
-}
-
-// applyMoves is the shared-state half of commit: deliver ejected copies,
-// move flits across links, fire credit-return wakes. Must run
-// single-threaded in ascending node order — it mutates the tracker, the
-// trace, the global counters and downstream lanes, and its order defines the
-// deterministic event order the parallel path reproduces.
-//
-//quarc:hotpath
-//quarc:coordinator
-func (f *Fabric) applyMoves(list []int) {
+func (f *Fabric) pass1(list []int, sc *stepScratch) {
+	sc.delivering = sc.delivering[:0]
 	for _, node := range list {
-		moves := f.moves[node]
-		for i := range moves {
-			m := &moves[i]
-			// The committed pop freed a slot in lane (node, m.In): if the
-			// upstream switch feeding that port sleeps blocked, the returned
-			// credit is exactly the event it waits for.
-			if fd := f.feeder[node][m.In]; fd >= 0 && f.sleepKind[fd] == sleepBlocked {
-				f.wake(int(fd))
-			}
-			if m.Deliver {
-				f.delivered++
-				if f.Trace != nil {
-					f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Deliver,
-						Node: node, Out: -1, VC: -1,
-						PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: m.Flit.Seq})
-				}
-				f.Adapters[node].Receive(m.Flit, f.cycle)
-			}
-			if m.Out == router.NoOutput {
-				continue
-			}
-			w := f.wires[node][m.Out]
-			if w.Sink {
-				continue // shared ejection port: consumed by the PE
-			}
-			if m.In < f.injStart[node] {
-				// Multicast bitstrings are hop-indexed: forwarding from a
-				// network input moves the stream one hop, so the hardware
-				// shifts the bitstring (bit 0 always means "the node this
-				// flit is arriving at"). The move's copy is the flit in
-				// flight — the local delivery above has already read it — so
-				// it is shifted where it lies.
-				m.Flit.Bits >>= 1
-			}
-			f.forwarded++
-			if f.Trace != nil {
-				f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Forward,
-					Node: node, Out: m.Out, VC: m.OutVC,
-					PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: m.Flit.Seq})
-			}
-			if !f.Routers[w.Dst.Node].Push(w.Dst.Port, m.OutVC, &m.Flit) {
-				//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
-				panic(fmt.Sprintf("network: credit violation pushing into %d.%d vc %d",
-					w.Dst.Node, w.Dst.Port, m.OutVC))
-			}
-			f.wake(w.Dst.Node)
+		f.reconcile(node, sc)
+		r := f.Routers[node]
+		f.moves[node] = r.Arbitrate(f.moves[node][:0])
+		if r.Commit(f.moves[node]) {
+			sc.delivering = append(sc.delivering, node)
+		}
+	}
+}
+
+// deliver is the ordered half of applying move m of node: the PE copy goes
+// through reassembly to the tracker, and a completed packet may allocate
+// packet ids and queue a retransmission. Single-threaded, ascending node
+// order: this is the simulation's event order.
+//
+//quarc:hotpath
+//quarc:coordinator
+func (f *Fabric) deliver(node int, m *router.Move) {
+	f.delivered++
+	if f.Trace != nil {
+		f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Deliver,
+			Node: node, Out: -1, VC: -1,
+			PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: m.Flit.Seq})
+	}
+	f.Adapters[node].Receive(m.Flit, f.cycle)
+}
+
+// link is the commutative half of applying move m of node: the pop's credit
+// goes back to the lane's feeder, and a forwarded flit is shifted and pushed
+// downstream. Effects on the calling worker's own nodes apply at once, the
+// rest are posted to their owner.
+//
+//quarc:hotpath
+func (f *Fabric) link(node int, m *router.Move, sc *stepScratch) {
+	if fd := f.feeder[node][m.In]; fd.node >= 0 {
+		f.send(sc, linkRec{node: fd.node, port: int16(fd.out), vc: int16(m.Lane)})
+	}
+	if m.Out == router.NoOutput {
+		return
+	}
+	w := f.wires[node][m.Out]
+	if w.Sink {
+		return // shared ejection port: consumed by the PE
+	}
+	if m.In < f.injStart[node] {
+		// Multicast bitstrings are hop-indexed: forwarding from a network
+		// input moves the stream one hop, so the hardware shifts the
+		// bitstring (bit 0 always means "the node this flit is arriving
+		// at"). The move's copy is the flit in flight — any local delivery
+		// has already read it — so it is shifted where it lies.
+		m.Flit.Bits >>= 1
+	}
+	sc.forwarded++
+	if f.Trace != nil {
+		f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Forward,
+			Node: node, Out: m.Out, VC: m.OutVC,
+			PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: m.Flit.Seq})
+	}
+	f.send(sc, linkRec{node: int32(w.Dst.Node), port: int16(w.Dst.Port), vc: int16(m.OutVC), f: &m.Flit})
+}
+
+// send applies r if its node belongs to the calling worker, else posts it.
+//
+//quarc:hotpath
+func (f *Fabric) send(sc *stepScratch, r linkRec) {
+	if node := int(r.node); node < sc.lo || node >= sc.hi {
+		sc.post(r)
+		return
+	}
+	f.applyLink(r)
+}
+
+// applyLink lands one link effect on its node. Only the node's owner calls
+// it: the lane, the counter and the wake bit it touches are the owner's.
+//
+//quarc:hotpath
+func (f *Fabric) applyLink(r linkRec) {
+	node := int(r.node)
+	if r.f == nil {
+		// A returned credit is exactly the event a blocked sleeper waits for.
+		f.Routers[node].ReturnCredit(int(r.port), int(r.vc))
+		if f.sleepKind[node] == sleepBlocked {
+			f.wake(node)
+		}
+		return
+	}
+	if !f.Routers[node].Push(int(r.port), int(r.vc), r.f) {
+		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
+		panic(fmt.Sprintf("network: credit violation pushing into %d.%d vc %d", node, r.port, r.vc))
+	}
+	f.wake(node)
+}
+
+// pass2 is the second node-local pass: the adapter refills its injection
+// lanes, then sleepScan decides whether the node leaves the step set.
+//
+//quarc:hotpath
+func (f *Fabric) pass2(list []int, sc *stepScratch) {
+	for _, node := range list {
+		f.Adapters[node].Feed(f.cycle)
+		if !f.dense {
+			f.sleepScan(node, sc)
 		}
 	}
 }
@@ -561,9 +582,9 @@ func (f *Fabric) applyMoves(list []int) {
 // drained nodes sleep idle; nodes that stay grantless for blockedSleepAfter
 // cycles and then prove frozen (no head flit can move until a credit
 // returns, and the adapter cannot inject) sleep blocked. Candidates are
-// recorded in scratch; applySleep commits them. Per-node: reads other
-// routers only through live occupancy (stable during this phase), so it is
-// safe to run in parallel over disjoint nodes.
+// recorded in scratch; fold commits them. It reads only the node's own
+// switch and adapter, and a sleeping switch needs nothing refreshed: nobody
+// reads it.
 //
 //quarc:hotpath
 func (f *Fabric) sleepScan(node int, sc *stepScratch) {
@@ -575,14 +596,10 @@ func (f *Fabric) sleepScan(node int, sc *stepScratch) {
 		f.noGrant[node] = 0
 		if f.Adapters[node].Backlog() == 0 {
 			sc.sleptIdle = append(sc.sleptIdle, node)
-			// Refreshing the credit snapshot on the way out keeps upstream
-			// credit views identical to dense stepping, where the next cycle
-			// would re-latch the same state.
-			r.RefreshSnapshot()
 		}
 		return
 	}
-	if f.noBlockedSleep || len(f.moves[node]) != 0 {
+	if len(f.moves[node]) != 0 {
 		f.noGrant[node] = 0
 		return
 	}
@@ -597,23 +614,26 @@ func (f *Fabric) sleepScan(node int, sc *stepScratch) {
 			return
 		}
 	}
-	if !r.FrozenBlocked(f.liveViews[node]) {
+	if !r.FrozenBlocked() {
 		// Some head is sendable (it keeps losing arbitration): re-arm the
 		// counter so the relatively expensive probe stays off the hot path.
 		f.noGrant[node] = 0
 		return
 	}
 	sc.sleptBlocked = append(sc.sleptBlocked, node)
-	r.RefreshSnapshot()
 }
 
-// applySleep removes one scratch's sleep candidates from the step set.
-// Single-threaded; the per-node sets are disjoint across workers and every
-// mutation commutes, so merge order does not matter.
+// fold closes the cycle for one scratch: its counters join the fabric totals
+// and its sleep candidates leave the step set. Single-threaded; scratches are
+// disjoint and every mutation commutes, so fold order does not matter.
 //
 //quarc:hotpath
 //quarc:coordinator
-func (f *Fabric) applySleep(sc *stepScratch) {
+func (f *Fabric) fold(sc *stepScratch) {
+	f.sleeping -= sc.woken
+	f.blockedSleeping -= sc.wokenBlocked
+	f.forwarded += sc.forwarded
+	sc.woken, sc.wokenBlocked, sc.forwarded = 0, 0, 0
 	for _, node := range sc.sleptIdle {
 		f.activeMask[node>>6] &^= 1 << uint(node&63)
 		f.idleSince[node] = f.cycle + 1
@@ -632,39 +652,25 @@ func (f *Fabric) applySleep(sc *stepScratch) {
 	sc.sleptBlocked = sc.sleptBlocked[:0]
 }
 
-// stepSerial runs one latched cycle on the calling goroutine.
+// stepSerial runs one latched cycle on the calling goroutine: the pool's
+// phases over one shard that owns every node, both halves of a move applied
+// together (the order Trace records).
 //
 //quarc:hotpath
 func (f *Fabric) stepSerial(list []int) {
 	sc := &f.scr
-	// Phase 0: latch occupancy snapshots (registered credits), crediting
-	// newly woken routers with their slept cycles first.
+	f.pass1(list, sc)
 	for _, node := range list {
-		f.reconcile(node, sc)
-	}
-	// Phase 1: active routers arbitrate against the snapshots.
-	for _, node := range list {
-		f.moves[node] = f.Routers[node].Arbitrate(f.views[node], f.moves[node][:0])
-	}
-	// Phase 2: commit switch state, then apply the shared-state half
-	// (deliveries, link transfers, wakes) in node order.
-	for _, node := range list {
-		f.Routers[node].Commit(f.moves[node])
-	}
-	f.applyWoken(sc)
-	f.applyMoves(list)
-	// Phase 3: adapters refill injection lanes.
-	for _, node := range list {
-		f.Adapters[node].Feed(f.cycle)
-	}
-	// Drained or frozen nodes leave the step set until a push, an enqueue
-	// or a returned credit wakes them.
-	if !f.dense {
-		for _, node := range list {
-			f.sleepScan(node, sc)
+		moves := f.moves[node]
+		for i := range moves {
+			if moves[i].Deliver {
+				f.deliver(node, &moves[i])
+			}
+			f.link(node, &moves[i], sc)
 		}
-		f.applySleep(sc)
 	}
+	f.pass2(list, sc)
+	f.fold(sc)
 }
 
 // Step advances the network by one cycle, visiting only active routers.
@@ -677,12 +683,12 @@ func (f *Fabric) Step() {
 // StepBatch advances the network by up to n cycles, returning how many ran.
 // stop, when non-nil, is evaluated before each cycle (between cycles, never
 // mid-cycle); a true return halts the batch. Cycles run on the worker pool
-// when one is installed and the active set is large enough, and — once the
-// fabric has been saturated for satBatchStreak cycles — whole runs of cycles
-// execute in a single pool dispatch. External events (traffic enqueues) must
-// not occur between batched cycles; drive the fabric cycle by cycle with
-// Step while sources are live, and batch only event-free spans (drains,
-// fixed-workload runs).
+// when one is installed and the active set is large enough, one dispatch
+// covering the run for as long as it stays that large (waking the helpers
+// costs more than a cycle). A traced fabric always steps serially: the trace
+// records the serial event order. External events (traffic enqueues) must not
+// occur between batched cycles; drive the fabric cycle by cycle with Step
+// while sources are live, and batch only event-free spans (drains).
 //
 //quarc:hotpath
 func (f *Fabric) StepBatch(n int64, stop func() bool) int64 {
@@ -696,12 +702,8 @@ func (f *Fabric) StepBatch(n int64, stop func() bool) int64 {
 			f.latch()
 		}
 		latched = false
-		if f.pool != nil && len(f.stepList) >= f.stepGrain {
-			max := int64(1)
-			if f.satStreak >= satBatchStreak {
-				max = n - done
-			}
-			ran, latchedNext, stopped := f.pool.run(max, stop)
+		if f.pool != nil && f.Trace == nil && len(f.stepList) >= f.stepGrain {
+			ran, latchedNext, stopped := f.pool.run(n-done, stop)
 			done += ran
 			latched = latchedNext
 			if stopped {
@@ -739,11 +741,4 @@ func (f *Fabric) AdvanceIdle(cycles int64) {
 		panic(fmt.Sprintf("network: AdvanceIdle with %d routers blocked", f.blockedSleeping))
 	}
 	f.cycle += cycles
-}
-
-// Run advances the fabric by the given number of cycles. Saturated spans
-// batch multiple cycles per pool dispatch; callers needing per-cycle events
-// must call Step in their own loop.
-func (f *Fabric) Run(cycles int64) {
-	f.StepBatch(cycles, nil)
 }

@@ -23,6 +23,9 @@ import (
 //	    every Horizon cycles (deadlock/livelock detector; the dateline VC
 //	    discipline makes genuine deadlock impossible, so a stall of Horizon
 //	    cycles is a bug).
+//	I5  Credit conservation: at every cycle boundary, for every wired
+//	    (node, out, vc), the sender's credit counter plus the flits buffered
+//	    in the downstream lane equals the lane depth.
 type InvariantChecker struct {
 	fab     *Fabric
 	Horizon int64 // progress window (default 4096)
@@ -46,13 +49,29 @@ func (c *InvariantChecker) Check() error {
 	if c.err != nil {
 		return c.err
 	}
-	if err := c.checkLanes(); err != nil {
-		c.err = err
-		return err
+	for _, check := range []func() error{c.checkLanes, c.checkCredits, c.checkProgress} {
+		if c.err = check(); c.err != nil {
+			break
+		}
 	}
-	if err := c.checkProgress(); err != nil {
-		c.err = err
-		return err
+	return c.err
+}
+
+func (c *InvariantChecker) checkCredits() error {
+	for node, ws := range c.fab.wires {
+		for o, w := range ws {
+			if w.Sink {
+				continue
+			}
+			down := c.fab.Routers[w.Dst.Node]
+			for vc := 0; vc < down.Lanes(w.Dst.Port); vc++ {
+				credit, held := c.fab.Routers[node].Credit(o, vc), down.LaneLen(w.Dst.Port, vc)
+				if credit+held != down.Depth() {
+					return fmt.Errorf("node %d out %d vc %d: credit %d + %d flits buffered at %d.%d != depth %d",
+						node, o, vc, credit, held, w.Dst.Node, w.Dst.Port, down.Depth())
+				}
+			}
+		}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ package network_test
 // attributable single-cycle failures.
 
 import (
+	"strings"
 	"testing"
 
 	"quarc/internal/flit"
@@ -124,6 +125,25 @@ func TestLaneStreamValidatorCatchesCorruption(t *testing.T) {
 	fab.Routers[2].Push(0, 0, &b)
 	if err := chk.Check(); err == nil {
 		t.Fatal("checker accepted an out-of-order lane stream")
+	}
+}
+
+func TestCreditConservationCatchesStrayFlit(t *testing.T) {
+	// A well-formed flit that reaches a network lane without its sender
+	// spending a credit (pushed here behind the link layer's back) leaves the
+	// link with credit + buffered == depth + 1: I5 must name it.
+	fab, _, err := quarc.Build(quarc.Config{N: 8, Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := network.NewInvariantChecker(fab)
+	if err := chk.Check(); err != nil {
+		t.Fatalf("fresh fabric: %v", err)
+	}
+	h := flit.Flit{Kind: flit.Header, Traffic: flit.Unicast, Src: 1, Dst: 3, PktID: 9, PktLen: 4}
+	fab.Routers[2].Push(0, 0, &h)
+	if err := chk.Check(); err == nil || !strings.Contains(err.Error(), "credit") {
+		t.Fatalf("stray flit not reported as a credit violation: %v", err)
 	}
 }
 

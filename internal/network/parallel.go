@@ -1,25 +1,36 @@
-// Intra-cycle parallel stepping: a persistent worker pool shards each phase
-// of a fabric cycle across goroutines.
+// Intra-cycle parallel stepping: a persistent worker pool gives each worker a
+// fixed shard of the fabric — a contiguous node range made of whole 64-node
+// activeMask words, so every router, lane, credit counter, wake bit and
+// adapter has exactly one owning worker — and runs a cycle in five barriers:
 //
-// Determinism contract: within a phase the per-node work touches only that
-// node's router/adapter plus read-only views of other routers' state that is
-// stable for the whole phase (occupancy snapshots during arbitration, live
-// occupancy during the sleep scan), so shard boundaries cannot change any
-// outcome. Everything order-sensitive — delivery/trace/counter updates,
-// cross-link pushes, wake bits, sleep-set edits, the cycle counter — runs in
-// single-threaded coordinator sections in ascending node order, exactly the
-// serial order. Results are therefore byte-identical at any worker count,
-// including 1 (the pool-free serial path).
+//	pass 1 (own nodes: reconcile, arbitrate, commit)        ‖ barrier
+//	worker 0: deliver, the ordered half of apply             ‖ barrier
+//	link, the commutative half: effects on own nodes at
+//	  once, the rest posted to their owner's mailbox         ‖ barrier
+//	drain own inbox, then pass 2 (feed, sleep scan)          ‖ barrier
+//	worker 0: fold scratches, advance the clock, latch       ‖ barrier
 //
-// quarcvet enforces the discipline: this file is the blessed pool
-// implementation (//quarc:poolfile), and its shared-state writes must sit
-// inside worker-0 sections or //quarc:coordinator functions.
+// Determinism contract. The passes touch only the visited node's own switch
+// and adapter. Everything order-sensitive — PE delivery, reassembly, tracker
+// and packet-id updates — is the ordered half, which worker 0 runs alone in
+// ascending node order, exactly the serial order. The link phase is
+// order-free: a credit return is an integer add, a lane has one feeder that
+// sends at most one flit a cycle, a wake is an idempotent bit set; applied by
+// the producer or drained from a mailbox, in any order, the state after the
+// phase is the same. Results are therefore byte-identical at any worker
+// count, including 1: the serial path is these same phase functions over one
+// shard that owns every node.
 //
-//quarc:poolfile intra-cycle stepping pool; determinism proven by TestStepWorkerInvariance
+// quarcvet enforces the discipline: in this file (//quarc:poolfile), outside
+// worker-0 sections and //quarc:coordinator functions, shared state may be
+// written only through the worker's own scratch.
+//
+//quarc:poolfile intra-cycle stepping pool; determinism proven by TestStepWorkerInvariance and TestCrossShardLinksBitIdentical
 package network
 
 import (
 	"runtime"
+	"sort"
 	"sync/atomic"
 )
 
@@ -57,19 +68,20 @@ func (b *spinBarrier) wait() {
 
 // stepPool runs fabric cycles with `workers` goroutines (the dispatching
 // caller counts as worker 0; workers-1 helpers park on a channel between
-// dispatches). One dispatch covers maxCycles cycles — 1 in normal operation,
-// a whole batch once the fabric saturates — with the coordinator latching
-// the next step set and checking the stop hook between cycles.
+// dispatches). One dispatch covers up to maxCycles cycles (1 for Step), the
+// coordinator latching and checking the stop hook between cycles.
 type stepPool struct {
 	f       *Fabric
 	workers int
 	bar     spinBarrier
 	work    chan struct{} // one token per helper per dispatch; closed to exit
-	shards  [][2]int      // per worker: [lo, hi) into f.stepList
+	cuts    []int         // worker w steps f.stepList[cuts[w]:cuts[w+1]]
 	scratch []stepScratch
 
 	// Dispatch state: written by worker 0 in single-threaded sections,
-	// published to helpers by the barrier.
+	// published to helpers by the barrier. halt is set by every closing
+	// section and never reset between dispatches, so a helper slow to read
+	// the last cycle's verdict still reads the truth.
 	maxCycles   int64
 	ran         int64
 	stop        func() bool
@@ -78,8 +90,8 @@ type stepPool struct {
 	stopped     bool
 }
 
-// newStepPool builds the pool before any helper exists; single-threaded by
-// construction.
+// newStepPool builds the pool before any helper exists. Shards are runs of
+// whole activeMask words, the last taking the partial word if there is one.
 //
 //quarc:coordinator
 func newStepPool(f *Fabric, workers int) *stepPool {
@@ -87,16 +99,23 @@ func newStepPool(f *Fabric, workers int) *stepPool {
 		f:       f,
 		workers: workers,
 		work:    make(chan struct{}),
-		shards:  make([][2]int, workers),
+		cuts:    make([]int, workers+1),
 		scratch: make([]stepScratch, workers),
 	}
 	p.bar.n = int32(workers)
 	if runtime.GOMAXPROCS(0) >= workers {
 		p.bar.spinLimit = 512
 	}
+	words := len(f.activeMask)
+	shardOf := make([]uint8, words)
 	for w := range p.scratch {
-		p.scratch[w].sleptIdle = make([]int, 0, f.N)
-		p.scratch[w].sleptBlocked = make([]int, 0, f.N)
+		lo, hi := w*words/workers, (w+1)*words/workers
+		for i := lo; i < hi; i++ {
+			shardOf[i] = uint8(w)
+		}
+		p.scratch[w] = newStepScratch(lo<<6, min(hi<<6, f.N))
+		p.scratch[w].shardOf = shardOf
+		p.scratch[w].outbox = make([][]linkRec, workers) // each grows to its pair's traffic
 	}
 	for w := 1; w < workers; w++ {
 		go func(id int) {
@@ -116,38 +135,27 @@ func (p *stepPool) close() {
 	close(p.work)
 }
 
-// computeShards splits the latched step list into contiguous, balanced
-// per-worker ranges. Contiguity keeps each worker on an ascending node range
-// (cache-friendly, and shard-count independent results fall out of phase
-// independence, not shard layout).
+// cutShards locates each worker's fixed node range in the latched step list.
 //
 //quarc:coordinator
-func (p *stepPool) computeShards() {
-	n := len(p.f.stepList)
-	q, r := n/p.workers, n%p.workers
-	lo := 0
-	for w := 0; w < p.workers; w++ {
-		sz := q
-		if w < r {
-			sz++
-		}
-		p.shards[w][0], p.shards[w][1] = lo, lo+sz
-		lo += sz
+func (p *stepPool) cutShards() {
+	for w := range p.scratch {
+		p.cuts[w] = sort.SearchInts(p.f.stepList, p.scratch[w].lo)
 	}
+	p.cuts[p.workers] = len(p.f.stepList)
 }
 
 // run executes up to maxCycles cycles on the pool against the already
 // latched step list. It returns the cycles run, whether the next cycle's
 // step set was latched but left unrun (it fell below the pool grain), and
-// whether the stop hook fired. The dispatching caller is single-threaded:
-// helpers only wake at the work-channel sends below, after the dispatch
-// state is fully written.
+// whether the stop hook fired. Helpers only wake at the work-channel sends
+// below, after the dispatch state is fully written.
 //
 //quarc:coordinator
 func (p *stepPool) run(maxCycles int64, stop func() bool) (ran int64, latchedNext, stopped bool) {
 	p.maxCycles, p.stop = maxCycles, stop
-	p.ran, p.halt, p.latchedNext, p.stopped = 0, false, false, false
-	p.computeShards()
+	p.ran, p.latchedNext, p.stopped = 0, false, false
+	p.cutShards()
 	for w := 1; w < p.workers; w++ {
 		p.work <- struct{}{}
 	}
@@ -156,79 +164,98 @@ func (p *stepPool) run(maxCycles int64, stop func() bool) (ran int64, latchedNex
 	return p.ran, p.latchedNext, p.stopped
 }
 
-// cycles is the per-worker cycle loop: five parallel phases over the
-// worker's shard, interleaved with coordinator sections on worker 0. All
-// workers observe the same halt decision through the final barrier, so they
-// enter and leave together.
+// post parks a link effect in the mailbox of the shard that owns its node.
+//
+//quarc:hotpath
+func (sc *stepScratch) post(r linkRec) {
+	d := sc.shardOf[r.node>>6]
+	sc.outbox[d] = append(sc.outbox[d], r)
+}
+
+// deliverRecorded runs the ordered half of apply: the shards' delivering
+// lists, concatenated in worker order, are ascending.
+//
+//quarc:hotpath
+//quarc:coordinator
+func (p *stepPool) deliverRecorded() {
+	f := p.f
+	for w := range p.scratch {
+		for _, node := range p.scratch[w].delivering {
+			moves := f.moves[node]
+			for i := range moves {
+				if moves[i].Deliver {
+					f.deliver(node, &moves[i])
+				}
+			}
+		}
+	}
+}
+
+// endCycle closes the cycle and decides whether the dispatch continues.
+//
+//quarc:hotpath
+//quarc:coordinator
+func (p *stepPool) endCycle() {
+	f := p.f
+	for w := range p.scratch {
+		f.fold(&p.scratch[w])
+	}
+	f.cycle++
+	p.ran++
+	p.halt = true
+	if p.ran == p.maxCycles {
+		return
+	}
+	if p.stop != nil && p.stop() {
+		p.stopped = true
+		return
+	}
+	f.latch()
+	if len(f.stepList) < f.stepGrain {
+		p.latchedNext = true
+		return
+	}
+	p.cutShards()
+	p.halt = false
+}
+
+// cycles is the per-worker cycle loop. All workers observe the same halt
+// decision through the final barrier, so they enter and leave together.
 //
 //quarc:hotpath
 func (p *stepPool) cycles(w int) {
 	f := p.f
 	sc := &p.scratch[w]
 	for {
-		shard := f.stepList[p.shards[w][0]:p.shards[w][1]]
-		for _, node := range shard {
-			f.reconcile(node, sc)
-		}
-		p.bar.wait()
-		for _, node := range shard {
-			f.moves[node] = f.Routers[node].Arbitrate(f.views[node], f.moves[node][:0])
-		}
-		p.bar.wait()
-		for _, node := range shard {
-			f.Routers[node].Commit(f.moves[node])
-		}
+		shard := f.stepList[p.cuts[w]:p.cuts[w+1]]
+		f.pass1(shard, sc)
 		p.bar.wait()
 		if w == 0 {
-			for i := range p.scratch {
-				f.applyWoken(&p.scratch[i])
-			}
-			f.applyMoves(f.stepList)
+			p.deliverRecorded()
 		}
 		p.bar.wait()
+		for d := range sc.outbox {
+			sc.outbox[d] = sc.outbox[d][:0]
+		}
 		for _, node := range shard {
-			f.Adapters[node].Feed(f.cycle)
-		}
-		p.bar.wait()
-		if !f.dense {
-			for _, node := range shard {
-				f.sleepScan(node, sc)
+			moves := f.moves[node]
+			for i := range moves {
+				f.link(node, &moves[i], sc)
 			}
 		}
+		p.bar.wait()
+		for src := range p.scratch {
+			for _, r := range p.scratch[src].outbox[w] {
+				f.applyLink(r)
+			}
+		}
+		f.pass2(shard, sc)
 		p.bar.wait()
 		if w == 0 {
-			if !f.dense {
-				for i := range p.scratch {
-					f.applySleep(&p.scratch[i])
-				}
-			}
-			f.cycle++
-			p.ran++
-			p.halt = true
-			if p.ran < p.maxCycles {
-				switch {
-				case p.stop != nil && p.stop():
-					p.stopped = true
-				default:
-					f.latch()
-					if len(f.stepList) >= f.stepGrain {
-						p.computeShards()
-						p.halt = false
-					} else {
-						p.latchedNext = true
-					}
-				}
-			}
+			p.endCycle()
 		}
 		p.bar.wait()
 		if p.halt {
-			// Exit barrier: the moment worker 0 returns, the next run() call
-			// resets the dispatch state (halt included), so no worker may
-			// leave until every worker has read this dispatch's halt
-			// decision. Without it a descheduled helper could read the
-			// reset halt=false, re-enter the cycle loop and spin on a
-			// barrier no other worker will ever join.
-			p.bar.wait()
 			return
 		}
 	}

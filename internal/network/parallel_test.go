@@ -7,10 +7,24 @@ package network_test
 // experiment layer's registry-driven suite.
 
 import (
+	"reflect"
 	"testing"
 
+	"quarc/internal/mesh"
 	"quarc/internal/network"
+	"quarc/internal/trace"
 )
+
+// buildMesh returns a w x h mesh: the pool needs a full 64-node activeMask
+// word per worker, so its tests run on fabrics of 128 nodes and up.
+func buildMesh(t *testing.T, w, h int) (*network.Fabric, []*mesh.Adapter) {
+	t.Helper()
+	fab, as, err := mesh.Build(mesh.Config{W: w, H: h, Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fab, as
+}
 
 // referenceCycles runs the caller's own stop-checked loop: test before every
 // cycle, step while work remains.
@@ -24,8 +38,11 @@ func referenceCycles(fab *network.Fabric) int64 {
 }
 
 func TestStepBatchStopMatchesPerStepLoop(t *testing.T) {
-	ref, refTs := buildQuarc(t, 8)
-	refTs[0].SendUnicast(3, 12, 0)
+	// A packet from the first shard's corner to the second shard's: it
+	// crosses the shard boundary on the way.
+	const w, h, dst = 16, 8, 16*8 - 1
+	ref, refAs := buildMesh(t, w, h)
+	refAs[0].SendUnicast(dst, 12, 0)
 	want := referenceCycles(ref)
 	if want == 0 {
 		t.Fatal("reference run did no work")
@@ -41,19 +58,18 @@ func TestStepBatchStopMatchesPerStepLoop(t *testing.T) {
 			f.SetStepGrain(1)
 		}},
 		{"pool-batched", func(f *network.Fabric) {
-			// Dense mode keeps every node in the step set, so the
-			// saturation streak arms immediately and the dispatch covers
-			// many cycles — the stop hook must still fire between them.
+			// Dense mode keeps every node in the step set: the one dispatch
+			// covers the whole run, and the stop hook must still fire
+			// between its cycles.
 			f.SetDense(true)
 			f.SetStepWorkers(2)
-			f.SetStepGrain(1)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fab, ts := buildQuarc(t, 8)
+			fab, as := buildMesh(t, w, h)
 			tc.setup(fab)
 			defer fab.Close()
-			ts[0].SendUnicast(3, 12, 0)
+			as[0].SendUnicast(dst, 12, 0)
 			got := fab.StepBatch(1_000, func() bool { return fab.Tracker.InFlight() == 0 })
 			if got != want {
 				t.Fatalf("StepBatch ran %d cycles, per-Step loop ran %d", got, want)
@@ -81,5 +97,37 @@ func TestStepBatchHonoursBudget(t *testing.T) {
 	// A stop that is already true runs nothing.
 	if got := fab.StepBatch(10, func() bool { return true }); got != 0 {
 		t.Fatalf("StepBatch with an immediately-true stop ran %d cycles", got)
+	}
+}
+
+// TestTracedFabricStepsSerially: the trace records the serial event order
+// (per move: deliver, then forward), which the pool's deliver-then-link
+// phases would reorder — so a fabric with Trace set keeps to the serial path
+// whatever pool it was given, and records exactly what a serial fabric does.
+func TestTracedFabricStepsSerially(t *testing.T) {
+	run := func(pooled bool) []trace.Event {
+		fab, as := buildMesh(t, 16, 16)
+		defer fab.Close()
+		fab.Trace = trace.NewBuffer(1 << 16)
+		if pooled {
+			fab.SetStepWorkers(4)
+			fab.SetStepGrain(1)
+		}
+		for i, a := range as {
+			a.SendUnicast((i+137)%len(as), 6, 0) // every shard boundary is crossed
+		}
+		fab.StepBatch(2_000, func() bool { return fab.Tracker.InFlight() == 0 })
+		if fab.Tracker.InFlight() != 0 {
+			t.Fatal("did not drain")
+		}
+		return fab.Trace.Events()
+	}
+	serial, pooled := run(false), run(true)
+	if len(serial) == 0 {
+		t.Fatal("serial run traced nothing")
+	}
+	if !reflect.DeepEqual(serial, pooled) {
+		t.Fatalf("traced fabric with a pool recorded %d events, serial fabric %d, or in another order",
+			len(pooled), len(serial))
 	}
 }

@@ -19,10 +19,14 @@
 //     holds it until the tail passes (the VC allocation table of §2.3.3).
 //     There are no output buffers, exactly as in the paper.
 //
-// The switch is driven by a two-phase network step: Bid/Grant compute moves
-// against a start-of-cycle occupancy snapshot, then Commit applies them, so
-// the global simulation is order-independent and a flit advances at most one
-// hop per cycle.
+// Flow control is sender-side credit counting, the model of the paper's
+// channel-status lines (CH_STATUS_N, §2.3.1/§2.7): each output port holds one
+// counter per downstream lane, armed at the lane depth by ConnectOutput,
+// decremented when Commit sends a flit and incremented when the network hands
+// back the credit of a downstream pop (ReturnCredit). A switch never reads
+// its neighbour's buffers, and because credits only change when the network
+// applies a cycle's moves, Arbitrate sees the start-of-cycle free space: the
+// simulation is order-independent and a flit advances one hop per cycle.
 //
 // Flit ownership: a buffered flit lives in exactly one lane slot. Bids refer
 // to it there, a grant copies it once into the Move, and the downstream push
@@ -96,17 +100,22 @@ type lane struct {
 type inputPort struct {
 	lanes []lane // window of Router.lanes
 	rr    int    // VC arbiter pointer
-	snap  []int  // window of Router.snap
 }
 
 const noOwner = -1
 
 type outputPort struct {
-	owner []int // per downstream VC: packed (in*16+lane) of the holder, or noOwner; window of one per-router slab
-	rr    int   // OPC master FSM round-robin pointer over inputs
-	reach []int // allowed input ports (nil = all)
-	sent  uint64
+	// Inline and first: the one line ReturnCredit touches from outside.
+	credit [maxVCs]int32 // per downstream lane: flits it can still take
+	depth  int32         // downstream lane depth, the ceiling of every counter; 0 = sink (the PE absorbs at link rate)
+	owner  []int         // per downstream VC: packed (in*16+lane) of the holder, or noOwner; window of one per-router slab
+	rr     int           // OPC master FSM round-robin pointer over inputs
+	reach  []int         // allowed input ports (nil = all)
+	sent   uint64
 }
+
+// maxVCs bounds the lanes of an input port and the VCs of an output.
+const maxVCs = 8
 
 // Move is a committed flit transfer, reported to the network for delivery
 // and link accounting.
@@ -118,16 +127,16 @@ type Move struct {
 	Flit     flit.Flit
 }
 
-// Router is one switch instance.
+// Router is one switch instance. Push and ReturnCredit, called for
+// neighbours' moves, reach through the first three fields.
 type Router struct {
-	cfg      Config
 	in       []inputPort
 	out      []outputPort
+	buffered int // flits across all input lanes (O(1) quiescence report)
+	cfg      Config
 	lanes    []lane   // every input lane, port-major
-	snap     []int    // start-of-cycle free space per lane, parallel to lanes
 	bids     []bid    // reused each cycle
 	req      []uint64 // reused each cycle: per output, bit i set = input i bids for it; all zero between cycles
-	buffered int      // flits across all input lanes (O(1) quiescence report)
 	// frozenOcc is the buffered-flit count recorded by FrozenBlocked, the
 	// per-cycle occupancy integrand replayed for blocked-slept cycles.
 	frozenOcc uint64
@@ -144,7 +153,7 @@ type bid struct {
 
 // New constructs a switch from its configuration.
 func New(cfg Config) *Router {
-	if cfg.VCs < 1 || cfg.VCs > 8 {
+	if cfg.VCs < 1 || cfg.VCs > maxVCs {
 		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 		panic(fmt.Sprintf("router: unsupported VC count %d", cfg.VCs))
 	}
@@ -165,10 +174,9 @@ func New(cfg Config) *Router {
 		total += nl
 	}
 	r := &Router{cfg: cfg}
-	// One slab per kind for the whole switch: lanes, their flit slots and
-	// their credit snapshots sit contiguously, each port a window.
+	// One slab per kind for the whole switch: lanes and their flit slots sit
+	// contiguously, each port a window.
 	r.lanes = make([]lane, total)
-	r.snap = make([]int, total)
 	slots := make([]flit.Flit, total*cfg.Depth)
 	for k := range r.lanes {
 		r.lanes[k].q.Init(slots[k*cfg.Depth : (k+1)*cfg.Depth : (k+1)*cfg.Depth])
@@ -178,7 +186,6 @@ func New(cfg Config) *Router {
 	at := 0
 	for i, nl := range cfg.InLanes {
 		r.in[i].lanes = r.lanes[at : at+nl : at+nl]
-		r.in[i].snap = r.snap[at : at+nl : at+nl]
 		at += nl
 	}
 	r.out = make([]outputPort, cfg.NOut)
@@ -203,8 +210,14 @@ func (r *Router) Node() int { return r.cfg.Node }
 // NumInputs returns the number of input ports (network + injection).
 func (r *Router) NumInputs() int { return len(r.in) }
 
-// LaneFree returns the free space of the given input lane; the network uses
-// it as the upstream credit count.
+// Lanes returns the number of lanes of input port in.
+func (r *Router) Lanes(in int) int { return len(r.in[in].lanes) }
+
+// Depth returns the flit capacity of every input lane.
+func (r *Router) Depth() int { return r.cfg.Depth }
+
+// LaneFree returns the free space of the given input lane (the adapter's
+// view of its own injection lanes).
 func (r *Router) LaneFree(in, ln int) int { return r.in[in].lanes[ln].q.Free() }
 
 // LaneLen returns the occupancy of the given input lane.
@@ -226,23 +239,12 @@ func (r *Router) Push(in, ln int, f *flit.Flit) bool {
 
 // Quiescent reports whether the switch holds no flits at all. A quiescent
 // router's cycle is a no-op apart from statistics accounting: it produces no
-// bids, commits no moves and its credit view cannot change until a flit is
-// pushed in, so the network may skip stepping it entirely. Held output VCs
+// bids and commits no moves until a flit is pushed in, so the network may
+// skip stepping it entirely. Held output VCs
 // (a lane mid-packet whose buffered flits all departed) do not block
 // quiescence: they only matter once the next flit arrives, which wakes the
 // router.
 func (r *Router) Quiescent() bool { return r.buffered == 0 }
-
-// RefreshSnapshot re-latches the per-lane credit snapshots from the live
-// lane occupancy without accounting a cycle. The network calls it when it
-// puts a drained router to sleep: upstream routers keep reading the sleeping
-// router's snapshot as their credit view, so it must reflect the drained
-// state rather than whatever the last stepped cycle latched.
-func (r *Router) RefreshSnapshot() {
-	for k := range r.lanes {
-		r.snap[k] = r.lanes[k].q.Free()
-	}
-}
 
 // AddIdleCycles accounts n cycles the network skipped stepping this router
 // in bulk: the occupancy integral gains nothing (a skipped router holds no
@@ -256,16 +258,14 @@ func (r *Router) AddIdleCycles(n uint64) {
 // but no head flit of any lane can move this cycle or any later one until
 // external state changes — every candidate move is stopped by a downstream
 // credit that only a downstream pop can free, or by a local output-VC
-// ownership that only a move of this switch itself could release. The check
-// is evaluated against the live downstream occupancy (not the one-cycle
-// snapshot): a frozen switch's credit view cannot change between the lagged
-// and live values, and the live view is what stays valid for the whole sleep.
+// ownership that only a move of this switch itself could release. The probe
+// reads only this switch's own lanes and credit counters.
 //
 // On success it records, per nonempty lane, the stall cause the dense arbiter
 // would charge every blocked cycle, plus the occupancy integrand;
 // ReplayBlockedCycles consumes the recording when the switch wakes. A false
 // return leaves the recording undefined.
-func (r *Router) FrozenBlocked(live []Downstream) bool {
+func (r *Router) FrozenBlocked() bool {
 	r.frozenOcc = uint64(r.buffered)
 	for i := range r.in {
 		p := &r.in[i]
@@ -282,7 +282,7 @@ func (r *Router) FrozenBlocked(live []Downstream) bool {
 				return false
 			}
 			b := bid{in: i, lane: l, dec: dec, head: head}
-			ok, _, cause := r.trySend(dec.Out, &b, live[dec.Out])
+			ok, _, cause := r.trySend(dec.Out, &b)
 			if ok {
 				return false
 			}
@@ -356,23 +356,6 @@ func (r *Router) ReplayBlockedCycles(k uint64) {
 // (link-load accounting for the edge-symmetry analysis).
 func (r *Router) Sent(out int) uint64 { return r.out[out].sent }
 
-// Snapshot latches per-lane occupancy at the start of the cycle. Grant
-// decisions observe only the snapshot, giving registered (one-cycle lagged)
-// credit semantics.
-//
-//quarc:hotpath
-func (r *Router) Snapshot() {
-	for k := range r.lanes {
-		r.snap[k] = r.lanes[k].q.Free()
-	}
-	r.stats.OccupancySum += uint64(r.buffered)
-	r.stats.Cycles++
-}
-
-// SnapFree returns the snapshotted free space of an input lane, used by the
-// upstream router's OPC as its credit view.
-func (r *Router) SnapFree(in, ln int) int { return r.in[in].snap[ln] }
-
 func (r *Router) reachable(o, in int) bool {
 	reach := r.out[o].reach
 	if reach == nil {
@@ -445,23 +428,46 @@ func (r *Router) laneDecision(ln *lane, i, l int, head *flit.Flit) Decision {
 	return ln.pendDec
 }
 
-// Downstream abstracts the credit view of whatever an output port feeds; the
-// network wires each output to the downstream router's input port (or to a
-// local sink with infinite acceptance for shared ejection ports).
-type Downstream interface {
-	// CreditFree returns the snapshotted free space of downstream lane vc.
-	CreditFree(vc int) int
+// ConnectOutput wires output o to a downstream input port of the given lane
+// count and depth, arming one credit counter per lane at full depth. An output
+// never connected is a sink with unlimited acceptance (shared ejection).
+func (r *Router) ConnectOutput(o, lanes, depth int) {
+	if lanes < 1 || lanes > r.cfg.VCs || depth < 1 {
+		panic(fmt.Sprintf("router %d out %d: cannot connect %d lanes of depth %d", r.cfg.Node, o, lanes, depth))
+	}
+	op := &r.out[o]
+	op.depth = int32(depth)
+	for vc := 0; vc < lanes; vc++ {
+		op.credit[vc] = op.depth
+	}
 }
 
-// Arbitrate computes this router's moves for the cycle. downstream maps each
-// output port to its credit view; nil entries mean "always has space" (used
-// for the shared ejection port, where the PE absorbs at link rate). Each
+// Credit returns output o's counter for downstream lane vc (o connected).
+func (r *Router) Credit(o, vc int) int { return int(r.out[o].credit[vc]) }
+
+// ReturnCredit hands output o the credit of one flit popped from downstream
+// lane vc. The network calls it when it applies the downstream switch's move.
+//
+//quarc:hotpath
+func (r *Router) ReturnCredit(o, vc int) {
+	op := &r.out[o]
+	if op.credit[vc] >= op.depth {
+		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
+		panic(fmt.Sprintf("router %d out %d: credit overflow on VC %d", r.cfg.Node, o, vc))
+	}
+	op.credit[vc]++
+}
+
+// Arbitrate accounts one stepped cycle in the statistics and computes this
+// router's moves for it, against its own lanes and credit counters only. Each
 // returned move carries the one grant-time copy of its flit, which stays at
 // the head of its source lane; the network must call Commit exactly once
 // with the same slice.
 //
 //quarc:hotpath
-func (r *Router) Arbitrate(downstream []Downstream, moves []Move) []Move {
+func (r *Router) Arbitrate(moves []Move) []Move {
+	r.stats.OccupancySum += uint64(r.buffered)
+	r.stats.Cycles++
 	// VC arbitration: one candidate lane per input port. Decisions with no
 	// forwarding component (Quarc all-port absorb; laneDecision admits them
 	// only on dedicated-ejection switches) need no OPC and always succeed, so
@@ -504,7 +510,7 @@ func (r *Router) Arbitrate(downstream []Downstream, moves []Move) []Move {
 			for ; set != 0; set &= set - 1 {
 				i := bits.TrailingZeros64(set)
 				b := &r.bids[i]
-				ok, outVC, cause := r.trySend(o, b, downstream[o])
+				ok, outVC, cause := r.trySend(o, b)
 				if ok && !served {
 					moves = r.grant(moves, b, o, outVC, b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject))
 					served = true
@@ -553,7 +559,7 @@ func (r *Router) grant(moves []Move, b *bid, out, outVC int, deliver bool) []Mov
 // failure it reports the blocking resource.
 //
 //quarc:hotpath
-func (r *Router) trySend(o int, b *bid, down Downstream) (bool, int, StallCause) {
+func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
 	op := &r.out[o]
 	packed := b.in*16 + b.lane
 	ln := &r.in[b.in].lanes[b.lane]
@@ -565,7 +571,7 @@ func (r *Router) trySend(o int, b *bid, down Downstream) (bool, int, StallCause)
 			panic(fmt.Sprintf("router %d out %d: lane %d.%d lost VC %d ownership",
 				r.cfg.Node, o, b.in, b.lane, vc))
 		}
-		if down != nil && down.CreditFree(vc) < 1 {
+		if op.depth != 0 && op.credit[vc] < 1 {
 			return false, 0, StallNoCredit
 		}
 		return true, vc, 0
@@ -598,21 +604,23 @@ func (r *Router) trySend(o int, b *bid, down Downstream) (bool, int, StallCause)
 			return false, 0, StallVCBusy
 		}
 	}
-	if down != nil && down.CreditFree(vc) < 1 {
+	if op.depth != 0 && op.credit[vc] < 1 {
 		return false, 0, StallNoCredit
 	}
 	return true, vc, 0
 }
 
 // Commit applies previously computed moves: drops each moved flit from the
-// head of its lane and updates FCU/OPC state. The network is responsible for
-// pushing forwarded flits into the downstream input lanes and for delivering
-// ejected copies, both from the moves' own copies.
+// head of its lane, spends the credit of each forwarded one and updates
+// FCU/OPC state. The network pushes forwarded flits into the downstream input
+// lanes and delivers ejected copies (both from the moves' own copies) and
+// returns each pop's credit upstream. Reports whether any move delivers.
 //
 //quarc:hotpath
-func (r *Router) Commit(moves []Move) {
+func (r *Router) Commit(moves []Move) (delivers bool) {
 	for mi := range moves {
 		m := &moves[mi]
+		delivers = delivers || m.Deliver
 		ln := &r.in[m.In].lanes[m.Lane]
 		head := ln.q.Head()
 		if head == nil || head.PktID != m.Flit.PktID || head.Seq != m.Flit.Seq {
@@ -643,6 +651,13 @@ func (r *Router) Commit(moves []Move) {
 		if m.Out != NoOutput {
 			op := &r.out[m.Out]
 			op.sent++
+			if op.depth != 0 {
+				if op.credit[m.OutVC] < 1 {
+					//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
+					panic(fmt.Sprintf("router %d out %d: send without credit on VC %d", r.cfg.Node, m.Out, m.OutVC))
+				}
+				op.credit[m.OutVC]--
+			}
 			packed := m.In*16 + m.Lane
 			if kind == flit.Header {
 				op.owner[m.OutVC] = packed
@@ -656,6 +671,7 @@ func (r *Router) Commit(moves []Move) {
 			}
 		}
 	}
+	return delivers
 }
 
 // LaneContents returns a copy of the flits buffered in the given input lane

@@ -6,10 +6,52 @@ import (
 	"quarc/internal/flit"
 )
 
+// linkPair is the smallest network a switch can be exercised in: A's output 0
+// wired to B's input 0, with the credit of every flit B pops from that port
+// returned to A — what internal/network does for a whole wiring table. The
+// datapath and statistics tests, BenchmarkRouterHop and the signal-level
+// oracle (oracle_test.go) all drive this one harness.
+type linkPair struct {
+	A, B   *Router
+	am, bm []Move
+}
+
+// newLinkPair connects a's output 0 to b's input 0.
+func newLinkPair(a, b *Router) *linkPair {
+	a.ConnectOutput(0, b.Lanes(0), b.Depth())
+	return &linkPair{A: a, B: b}
+}
+
+// Step runs one cycle: both switches arbitrate and commit against the
+// start-of-cycle state, then A's forwarded flits cross the link and B's pops
+// return their credits. With drain false B sits the cycle out (a consumer
+// that has stalled), which is how tests build back-pressure. The returned
+// moves are valid until the next Step.
+func (p *linkPair) Step(drain bool) (am, bm []Move) {
+	p.am = p.A.Arbitrate(p.am[:0])
+	p.bm = p.bm[:0]
+	if drain {
+		p.bm = p.B.Arbitrate(p.bm)
+	}
+	p.A.Commit(p.am)
+	p.B.Commit(p.bm)
+	for i := range p.am {
+		if m := &p.am[i]; m.Out == 0 && !p.B.Push(0, m.OutVC, &m.Flit) {
+			panic("linkPair: push into a full lane")
+		}
+	}
+	for i := range p.bm {
+		if m := &p.bm[i]; m.In == 0 {
+			p.A.ReturnCredit(0, m.Lane)
+		}
+	}
+	return p.am, p.bm
+}
+
 // twoNodeLine builds two routers A -> B connected by one link: A input 0 is
 // fed by the test, A output 0 leads to B input 0, B output 0 is unused, and
 // the route function ejects at B (node 1) via dedicated ejection.
-func twoNodeLine(depth int) (*Router, *Router) {
+func twoNodeLine(depth int) *linkPair {
 	route := func(node, in int, f flit.Flit) Decision {
 		if node == 1 {
 			return Decision{Out: NoOutput, Eject: true}
@@ -24,33 +66,13 @@ func twoNodeLine(depth int) (*Router, *Router) {
 			Route: route, VCNext: vc,
 		})
 	}
-	return mk(0), mk(1)
+	return newLinkPair(mk(0), mk(1))
 }
 
-type creditOf struct {
-	r    *Router
-	port int
-}
-
-func (c creditOf) CreditFree(vc int) int { return c.r.SnapFree(c.port, vc) }
-
-// step runs one two-phase cycle over the two-node line and returns B's
-// delivered flits.
-func step(a, b *Router) []flit.Flit {
-	a.Snapshot()
-	b.Snapshot()
-	am := a.Arbitrate([]Downstream{creditOf{b, 0}}, nil)
-	bm := b.Arbitrate([]Downstream{nil}, nil)
-	a.Commit(am)
-	b.Commit(bm)
+// step runs one cycle over the pair and returns B's delivered flits.
+func step(p *linkPair) []flit.Flit {
+	_, bm := p.Step(true)
 	var delivered []flit.Flit
-	for _, m := range am {
-		if m.Out == 0 {
-			if !b.Push(0, m.OutVC, &m.Flit) {
-				panic("push failed")
-			}
-		}
-	}
 	for _, m := range bm {
 		if m.Deliver {
 			delivered = append(delivered, m.Flit)
@@ -63,8 +85,26 @@ func pkt(id uint64, n, dst int) []flit.Flit {
 	return flit.Packet(flit.Flit{Src: 0, Dst: dst, PktID: id, MsgID: id}, n)
 }
 
+// block fills B's lane vc through the link with a packet B never drains, so
+// A is left without credit on that VC (and with the VC released: the
+// blocker's tail has crossed).
+func block(t *testing.T, p *linkPair, vc int) {
+	t.Helper()
+	depth := p.B.Depth()
+	for _, f := range pkt(9, depth, 1) {
+		p.A.Push(0, vc, &f)
+	}
+	for i := 0; i < depth; i++ {
+		p.Step(false)
+	}
+	if p.A.Credit(0, vc) != 0 || p.B.LaneFree(0, vc) != 0 {
+		t.Fatalf("blocker left credit %d, lane free %d", p.A.Credit(0, vc), p.B.LaneFree(0, vc))
+	}
+}
+
 func TestSingleHopPipeline(t *testing.T) {
-	a, b := twoNodeLine(4)
+	p0 := twoNodeLine(4)
+	a := p0.A
 	p := pkt(1, 4, 1)
 	for _, f := range p {
 		if !a.Push(0, 0, &f) {
@@ -73,7 +113,7 @@ func TestSingleHopPipeline(t *testing.T) {
 	}
 	var got []flit.Flit
 	for cyc := 0; cyc < 20 && len(got) < 4; cyc++ {
-		got = append(got, step(a, b)...)
+		got = append(got, step(p0)...)
 	}
 	if len(got) != 4 {
 		t.Fatalf("delivered %d flits, want 4", len(got))
@@ -86,54 +126,37 @@ func TestSingleHopPipeline(t *testing.T) {
 }
 
 func TestBackPressureLimitsOccupancy(t *testing.T) {
-	// With depth 2 at B and nothing draining B (eject happens though...),
-	// use a route that never ejects to create a hard block.
-	blockRoute := func(node, in int, f flit.Flit) Decision {
-		if node == 1 {
-			return Decision{Out: 0} // forward into the void: B out 0 has no credit view -> nil means infinite, so use a full lane instead
-		}
-		return Decision{Out: 0}
+	// B's lane 0 is full of a packet B never drains: A, out of credit on
+	// VC 0, must not send into it.
+	lp := twoNodeLine(2)
+	block(t, lp, 0)
+	for _, f := range pkt(1, 3, 1)[:2] {
+		lp.A.Push(0, 0, &f)
 	}
-	_ = blockRoute
-	// Simpler: fill B's lane manually and check A cannot send.
-	a, b := twoNodeLine(2)
-	// Occupy B's input lane 0 completely with an unrelated packet that
-	// cannot move (its head is a header that routes to eject — but we never
-	// step B, so it just sits there).
-	blocker := pkt(9, 2, 1)
-	b.Push(0, 0, &blocker[0])
-	b.Push(0, 0, &blocker[1])
-
-	p := pkt(1, 3, 1)
-	for _, f := range p {
-		a.Push(0, 0, &f)
-	}
-	a.Snapshot()
-	b.Snapshot()
-	moves := a.Arbitrate([]Downstream{creditOf{b, 0}}, nil)
-	for _, m := range moves {
-		if m.Out == 0 && m.OutVC == 0 {
+	for cyc := 0; cyc < 4; cyc++ {
+		if am, _ := lp.Step(false); len(am) != 0 {
 			t.Fatal("A sent into a full downstream lane")
 		}
 	}
 }
 
 func TestHeaderAllocatesVCBodyFollowsTailReleases(t *testing.T) {
-	a, b := twoNodeLine(4)
+	lp := twoNodeLine(4)
+	a := lp.A
 	p := pkt(1, 3, 1)
 	for _, f := range p {
 		a.Push(0, 0, &f)
 	}
 	// Cycle 1: header moves, VC 0 owned by input 0 lane 0.
-	step(a, b)
+	step(lp)
 	if _, _, held := a.VCOwner(0, 0); !held {
 		t.Fatal("header did not allocate the downstream VC")
 	}
-	step(a, b) // body
+	step(lp) // body
 	if _, _, held := a.VCOwner(0, 0); !held {
 		t.Fatal("VC released before tail")
 	}
-	step(a, b) // tail
+	step(lp) // tail
 	if _, _, held := a.VCOwner(0, 0); held {
 		t.Fatal("tail did not release the VC")
 	}
@@ -142,7 +165,8 @@ func TestHeaderAllocatesVCBodyFollowsTailReleases(t *testing.T) {
 func TestTwoPacketsInterleaveAcrossVCs(t *testing.T) {
 	// Packets in different lanes of the same input share the physical link
 	// by alternating (VC arbiter), each on its own downstream VC.
-	a, b := twoNodeLine(8)
+	lp := twoNodeLine(8)
+	a := lp.A
 	p0, p1 := pkt(1, 4, 1), pkt(2, 4, 1)
 	for _, f := range p0 {
 		a.Push(0, 0, &f)
@@ -152,7 +176,7 @@ func TestTwoPacketsInterleaveAcrossVCs(t *testing.T) {
 	}
 	var got []uint64
 	for cyc := 0; cyc < 40 && len(got) < 8; cyc++ {
-		for _, f := range step(a, b) {
+		for _, f := range step(lp) {
 			if f.Kind == flit.Tail {
 				got = append(got, f.PktID)
 			}
@@ -165,47 +189,25 @@ func TestTwoPacketsInterleaveAcrossVCs(t *testing.T) {
 
 func TestVCArbiterSwitchesOnBlock(t *testing.T) {
 	// Lane 0 holds a packet that cannot advance (downstream VC 0 lane full);
-	// lane 1 holds a packet for the free VC 1. The arbiter must let lane 1
-	// proceed rather than spinning on lane 0.
-	route := func(node, in int, f flit.Flit) Decision {
-		if node == 1 {
-			return Decision{Out: NoOutput, Eject: true}
-		}
-		return Decision{Out: 0}
+	// lane 1 holds a packet for the free VC 1 (twoNodeLine keeps lane l on
+	// VC l). The arbiter must let lane 1 proceed rather than spinning on
+	// lane 0.
+	lp := twoNodeLine(2)
+	block(t, lp, 0)
+	for _, f := range pkt(1, 3, 1)[:2] {
+		lp.A.Push(0, 0, &f)
 	}
-	// Force lane-indexed VCs downstream so lane 0 -> VC 0, lane 1 -> VC 1.
-	vcf := func(node, out, in, cur int, f flit.Flit) int { return cur }
-	mk := func(id int) *Router {
-		return New(Config{Node: id, VCs: 2, Depth: 2, InLanes: []int{2}, NOut: 1,
-			EjectPort: NoOutput, Route: route, VCNext: vcf})
-	}
-	a, b := mk(0), mk(1)
-	// Fill B lane 0 so VC 0 has no credit.
-	blocker := pkt(9, 2, 1)
-	b.Push(0, 0, &blocker[0])
-	b.Push(0, 0, &blocker[1])
-
-	p0, p1 := pkt(1, 3, 1), pkt(2, 3, 1)
-	for _, f := range p0 {
-		a.Push(0, 0, &f)
-	}
-	for _, f := range p1 {
-		a.Push(0, 1, &f)
+	for _, f := range pkt(2, 3, 1)[:2] {
+		lp.A.Push(0, 1, &f)
 	}
 	moved := false
 	for cyc := 0; cyc < 6; cyc++ {
-		a.Snapshot()
-		b.Snapshot()
-		am := a.Arbitrate([]Downstream{creditOf{b, 0}}, nil)
-		a.Commit(am)
+		am, _ := lp.Step(false)
 		for _, m := range am {
-			if m.Out == 0 {
-				if m.Flit.PktID == 1 {
-					t.Fatal("blocked packet moved")
-				}
-				moved = true
-				b.Push(0, m.OutVC, &m.Flit)
+			if m.Flit.PktID == 1 {
+				t.Fatal("blocked packet moved")
 			}
+			moved = true
 		}
 	}
 	if !moved {
@@ -231,20 +233,13 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 	for _, f := range pkt(2, 6, 9) {
 		a.Push(1, 0, &f)
 	}
+	lp := newLinkPair(a, sink)
 	var order []uint64
 	for cyc := 0; cyc < 30 && len(order) < 12; cyc++ {
-		a.Snapshot()
-		sink.Snapshot()
-		am := a.Arbitrate([]Downstream{creditOf{sink, 0}}, nil)
-		a.Commit(am)
+		am, _ := lp.Step(true)
 		for _, m := range am {
-			if m.Out == 0 {
-				order = append(order, m.Flit.PktID)
-				sink.Push(0, m.OutVC, &m.Flit)
-			}
+			order = append(order, m.Flit.PktID)
 		}
-		sm := sink.Arbitrate([]Downstream{nil}, nil)
-		sink.Commit(sm)
 	}
 	if len(order) != 12 {
 		t.Fatalf("forwarded %d flits, want 12", len(order))
@@ -268,13 +263,12 @@ func TestReachabilityViolationPanics(t *testing.T) {
 		Reach: [][]int{{}}, // output 0 reachable from nothing
 	})
 	r.Push(0, 0, &pkt(1, 2, 5)[0])
-	r.Snapshot()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unreachable route did not panic")
 		}
 	}()
-	r.Arbitrate([]Downstream{nil}, nil)
+	r.Arbitrate(nil)
 }
 
 func TestConfigValidationPanics(t *testing.T) {
@@ -314,22 +308,22 @@ func TestCloneDeliversAndForwards(t *testing.T) {
 	for _, f := range p {
 		a.Push(0, 0, &f)
 	}
+	lp := newLinkPair(a, b)
 	deliveredAtA := 0
 	arrivedAtB := 0
 	for cyc := 0; cyc < 10; cyc++ {
-		a.Snapshot()
-		b.Snapshot()
-		am := a.Arbitrate([]Downstream{creditOf{b, 0}}, nil)
-		a.Commit(am)
+		am, _ := lp.Step(false)
 		for _, m := range am {
 			if m.Deliver {
 				deliveredAtA++
 			}
 			if m.Out == 0 {
 				arrivedAtB++
-				b.Push(0, m.OutVC, &m.Flit)
 			}
 		}
+	}
+	if b.LaneLen(0, 0) != 3 {
+		t.Fatalf("B holds %d flits, want 3", b.LaneLen(0, 0))
 	}
 	if deliveredAtA != 3 || arrivedAtB != 3 {
 		t.Fatalf("clone delivered %d / forwarded %d, want 3/3", deliveredAtA, arrivedAtB)
@@ -337,7 +331,8 @@ func TestCloneDeliversAndForwards(t *testing.T) {
 }
 
 func BenchmarkTwoNodeForwarding(b *testing.B) {
-	a, bb := twoNodeLine(8)
+	lp := twoNodeLine(8)
+	a, bb := lp.A, lp.B
 	p := pkt(1, 2, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -346,9 +341,41 @@ func BenchmarkTwoNodeForwarding(b *testing.B) {
 		a.Push(0, 0, &p[0])
 		a.Push(0, 0, &p[1])
 		for a.LaneLen(0, 0) > 0 || bb.LaneLen(0, 0) > 0 {
-			step(a, bb)
+			lp.Step(true)
 		}
 	}
+}
+
+// BenchmarkRouterHop measures the switch datapath alone, one flit per
+// iteration: push into switch A, then one linkPair cycle — both switches
+// arbitrate and commit, A's granted copy is pushed into B, and B ejects the
+// previous flit and returns its credit, which keeps B's lane drained. It is
+// the per-hop cost every simulated flit pays, with no fabric, adapter or
+// tracker around it, and it must not allocate (CI guards it).
+func BenchmarkRouterHop(b *testing.B) {
+	lp := twoNodeLine(4)
+	p := pkt(1, 2, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !lp.A.Push(0, 0, &p[i&1]) { // header, tail, header, ...
+			b.Fatal("push rejected")
+		}
+		if up, _ := lp.Step(true); len(up) != 1 {
+			b.Fatal("flit did not cross the link")
+		}
+	}
+}
+
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
 }
 
 func TestCommitDesyncPanics(t *testing.T) {
@@ -357,28 +384,41 @@ func TestCommitDesyncPanics(t *testing.T) {
 		"seq":   func(m *Move) { m.Flit.Seq++ },
 		"empty": func(m *Move) { m.Lane = 1 }, // sibling lane holds nothing
 	} {
-		a, b := twoNodeLine(4)
+		a := twoNodeLine(4).A
 		a.Push(0, 0, &pkt(1, 2, 1)[0])
-		a.Snapshot()
-		b.Snapshot()
-		moves := a.Arbitrate([]Downstream{creditOf{b, 0}}, nil)
+		moves := a.Arbitrate(nil)
 		if len(moves) != 1 {
 			t.Fatalf("%s: %d moves, want 1", name, len(moves))
 		}
 		corrupt(&moves[0])
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: commit of a move that does not match the lane head did not panic", name)
-				}
-			}()
-			a.Commit(moves)
-		}()
+		mustPanic(t, name+": commit of a move that does not match the lane head", func() { a.Commit(moves) })
 	}
 }
 
+func TestCreditCounterViolationsPanic(t *testing.T) {
+	// Overflow: a credit returned to a counter already at the lane depth.
+	mustPanic(t, "credit return above depth", func() { twoNodeLine(2).A.ReturnCredit(0, 0) })
+
+	// Underflow: a forged move commits a send the counter cannot cover. The
+	// header takes the link's only credit; B never drains, so the body that
+	// follows it has none.
+	a := twoNodeLine(1).A
+	p := pkt(1, 2, 1)
+	a.Push(0, 0, &p[0])
+	a.Commit(a.Arbitrate(nil))
+	if a.Credit(0, 0) != 0 {
+		t.Fatalf("credit %d after the header, want 0", a.Credit(0, 0))
+	}
+	a.Push(0, 0, &p[1])
+	if moves := a.Arbitrate(nil); len(moves) != 0 {
+		t.Fatal("arbiter granted a send without credit")
+	}
+	forged := []Move{{In: 0, Lane: 0, Out: 0, OutVC: 0, Flit: p[1]}}
+	mustPanic(t, "commit of a send without credit", func() { a.Commit(forged) })
+}
+
 func TestPushReportsFullLane(t *testing.T) {
-	a, _ := twoNodeLine(2)
+	a := twoNodeLine(2).A
 	p := pkt(1, 3, 1)
 	if !a.Push(0, 0, &p[0]) || !a.Push(0, 0, &p[1]) {
 		t.Fatal("push into a lane with space rejected")
@@ -400,11 +440,10 @@ func TestNoActionRoutePanics(t *testing.T) {
 	r := New(Config{Node: 0, VCs: 2, Depth: 2, InLanes: []int{1}, NOut: 1,
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
 	r.Push(0, 0, &pkt(1, 2, 5)[0])
-	r.Snapshot()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("route with no action did not panic")
 		}
 	}()
-	r.Arbitrate([]Downstream{nil}, nil)
+	r.Arbitrate(nil)
 }

@@ -33,7 +33,7 @@ type Stats struct {
 	Grants       uint64                 // flits moved through the crossbar or ejected
 	Stalls       [numStallCauses]uint64 // failed bids by cause
 	OccupancySum uint64                 // sum over cycles of buffered flits (integral)
-	Cycles       uint64                 // snapshots taken
+	Cycles       uint64                 // cycles accounted (stepped or slept)
 }
 
 // MeanOccupancy returns the time-averaged number of buffered flits.
@@ -54,6 +54,6 @@ func (s Stats) TotalStalls() uint64 {
 }
 
 // Stats returns a copy of the router's counters. The occupancy integral
-// (OccupancySum/Cycles) is accumulated inside Snapshot, which runs exactly
+// (OccupancySum/Cycles) is accumulated inside Arbitrate, which runs exactly
 // once per cycle.
 func (r *Router) Stats() Stats { return r.stats }

@@ -7,15 +7,15 @@ import (
 )
 
 func TestGrantAndOccupancyCounters(t *testing.T) {
-	a, b := twoNodeLine(4)
+	lp := twoNodeLine(4)
 	p := pkt(1, 4, 1)
 	for _, f := range p {
-		a.Push(0, 0, &f)
+		lp.A.Push(0, 0, &f)
 	}
 	for cyc := 0; cyc < 12; cyc++ {
-		step(a, b)
+		step(lp)
 	}
-	as, bs := a.Stats(), b.Stats()
+	as, bs := lp.A.Stats(), lp.B.Stats()
 	if as.Grants != 4 {
 		t.Fatalf("A granted %d flits, want 4", as.Grants)
 	}
@@ -31,18 +31,16 @@ func TestGrantAndOccupancyCounters(t *testing.T) {
 }
 
 func TestNoCreditStallCounted(t *testing.T) {
-	a, b := twoNodeLine(2)
-	// Fill B's lane 0 so A has no credit.
-	blocker := pkt(9, 2, 1)
-	b.Push(0, 0, &blocker[0])
-	b.Push(0, 0, &blocker[1])
-	for _, f := range pkt(1, 3, 1) {
-		a.Push(0, 0, &f)
+	lp := twoNodeLine(2)
+	block(t, lp, 0) // B's lane 0 is full, so A has no credit
+	if st := lp.A.Stats(); st.Stalls[StallNoCredit] != 0 {
+		t.Fatalf("blocker itself stalled: %+v", st.Stalls)
 	}
-	a.Snapshot()
-	b.Snapshot()
-	a.Commit(a.Arbitrate([]Downstream{creditOf{b, 0}}, nil))
-	st := a.Stats()
+	for _, f := range pkt(1, 3, 1)[:2] {
+		lp.A.Push(0, 0, &f)
+	}
+	lp.Step(false)
+	st := lp.A.Stats()
 	if st.Stalls[StallNoCredit] == 0 {
 		t.Fatalf("no-credit stall not recorded: %+v", st.Stalls)
 	}
@@ -64,10 +62,7 @@ func TestArbLostStallCounted(t *testing.T) {
 	for _, f := range pkt(2, 4, 9) {
 		a.Push(1, 0, &f)
 	}
-	a.Snapshot()
-	sink.Snapshot()
-	moves := a.Arbitrate([]Downstream{creditOf{sink, 0}}, nil)
-	a.Commit(moves)
+	moves, _ := newLinkPair(a, sink).Step(false)
 	if len(moves) != 1 {
 		t.Fatalf("granted %d moves, want 1 (single output)", len(moves))
 	}
@@ -98,19 +93,10 @@ func TestVCBusyStallCounted(t *testing.T) {
 	for _, f := range pkt(2, 6, 1) {
 		a.Push(0, 1, &f)
 	}
+	lp := newLinkPair(a, b)
 	sawVCBusy := false
 	for cyc := 0; cyc < 20; cyc++ {
-		a.Snapshot()
-		b.Snapshot()
-		am := a.Arbitrate([]Downstream{creditOf{b, 0}}, nil)
-		a.Commit(am)
-		for _, m := range am {
-			if m.Out == 0 {
-				b.Push(0, m.OutVC, &m.Flit)
-			}
-		}
-		bm := b.Arbitrate([]Downstream{nil}, nil)
-		b.Commit(bm)
+		lp.Step(true)
 		if a.Stats().Stalls[StallVCBusy] > 0 {
 			sawVCBusy = true
 		}
