@@ -9,7 +9,8 @@ import (
 // TestFabricStepSteadyStateAllocs is the allocation-regression guard behind
 // the BenchmarkFabricStep allocs/op number: after warmup, stepping a loaded
 // fabric must not allocate at all — the arbitration scratch, move buffers,
-// packet storage and tracker states are all recycled. CI runs it by name.
+// source-queue descriptors and tracker states are all recycled. CI runs it by
+// name.
 func TestFabricStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs without -race")

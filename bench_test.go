@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"quarc"
+	"quarc/internal/analytic"
 )
 
 // benchOpts keeps a single benchmark iteration around a few milliseconds.
@@ -191,6 +192,44 @@ func BenchmarkFabricStep(b *testing.B) {
 				nd.SendUnicast((j+9)%64, 16, fab.Now())
 			}
 			b.StartTimer()
+		}
+	}
+}
+
+// BenchmarkEnqueueInject measures one message's trip through a source queue:
+// a 16-flit unicast is enqueued as a descriptor, formed into flits by Feed as
+// it injects, and delivered one hop away. Once the descriptor slice has
+// grown the whole trip must not allocate (CI holds it to 0 allocs/op).
+func BenchmarkEnqueueInject(b *testing.B) {
+	fab, nodes, err := quarc.NewQuarc(quarc.QuarcConfig{N: 8, Depth: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	send := func() {
+		nodes[0].SendUnicast(1, 16, fab.Now())
+		for fab.Tracker.InFlight() > 0 {
+			fab.Step()
+		}
+	}
+	send()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+}
+
+// BenchmarkForModelWarm measures one analytic prediction off a memoised
+// route table — what an explore pays per distinct (model, N, M, rate) and a
+// degraded answer pays per request: the per-channel waits (its one
+// allocation, which CI holds it to) and one replay of the 4032 kept routes.
+func BenchmarkForModelWarm(b *testing.B) {
+	analytic.ForModel("quarc", 64, 16, 0.004)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p, ok := analytic.ForModel("quarc", 64, 16, 0.004); !ok || p.MeanLatency <= 16 {
+			b.Fatal("implausible prediction")
 		}
 	}
 }

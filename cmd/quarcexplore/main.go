@@ -22,6 +22,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"quarc/internal/experiments"
 	"quarc/internal/explore"
@@ -39,7 +40,7 @@ func main() {
 	beta := flag.Float64("beta", 0, "broadcast fraction of generated messages")
 	width := flag.Int("width", 32, "payload width (bits) for the silicon-cost axis")
 	replicates := flag.Int("replicates", 1, "independent replicates per point")
-	workers := flag.Int("workers", 0, "parallel point evaluations (0: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallel point evaluations (0: GOMAXPROCS, as for sweeps; more than one steps each point's fabric serially)")
 	seed := flag.Uint64("seed", 0, "base RNG seed (0: default)")
 	fast := flag.Bool("fast", false, "reduced cycle budgets")
 	csvPath := flag.String("csv", "", "write every lattice point as CSV to this file (- for stdout)")
@@ -80,14 +81,15 @@ func main() {
 		die("bad -mcast: %v", err)
 	}
 
+	// p.Cfg arrives with explore.Run's StepWorkers pin already applied, so
+	// this evaluator steps its points exactly as the daemon's does.
 	eval := func(ctx context.Context, p explore.Point) (experiments.Result, bool, error) {
 		agg, _, err := experiments.RunReplicatedContext(ctx, p.Cfg, opts.Replicates, 1, nil)
 		return agg, false, err
 	}
-	done := 0
+	var done atomic.Int64 // onPoint runs on the evaluation workers
 	onPoint := func(i int, p explore.Point, res experiments.Result, cached bool) {
-		done++
-		fmt.Fprintf(os.Stderr, "point %d done: %s n=%d rate=%g\n", done, p.Model, p.N, p.Rate)
+		fmt.Fprintf(os.Stderr, "point %d done: %s n=%d rate=%g\n", done.Add(1), p.Model, p.N, p.Rate)
 	}
 	oc, err := explore.Run(context.Background(), spec, opts, *workers, eval, onPoint)
 	if err != nil {

@@ -38,13 +38,13 @@ func Verify(ctx context.Context, opts RunOpts) ([]VerifyRow, error) {
 		{"quarc", 16, 8},
 		{"quarc", 32, 16},
 	} {
-		sat, _ := analytic.ForModel(c.model, c.n, c.m, 0)
+		sat, _ := analytic.SaturationRate(c.model, c.n, c.m)
 		// Analytical wormhole models are accurate well below saturation;
 		// wormhole blocking chains (which no M/D/1 channel model captures)
 		// dominate beyond ~30% of raw channel capacity, so verification
 		// stays below that, exactly as low-load model validations do.
 		for _, frac := range []float64{0.08, 0.15, 0.25} {
-			cfgs = append(cfgs, opts.point(c.model, c.n, c.m, 0, sat.SaturationRate*frac))
+			cfgs = append(cfgs, opts.point(c.model, c.n, c.m, 0, sat*frac))
 		}
 	}
 	results, err := runPoints(ctx, cfgs, opts.Workers)

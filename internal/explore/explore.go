@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -293,16 +294,29 @@ type prediction struct {
 // analytic mean-latency prediction (unknown and saturated predictions last),
 // ties broken by lattice order. Cancelling an exploration mid-flight
 // therefore still leaves the likely front members evaluated. The per-point
-// predictions it ranked by come back too, in lattice order: the model is an
-// O(N²) path enumeration, and Run annotates every outcome with the same one.
+// predictions it ranked by come back too, in lattice order, for Run to
+// annotate outcomes with; the model sees only (model, N, message length,
+// rate), so the points along the depth and multicast axes share one call.
 func evalOrder(points []Point) ([]int, []prediction) {
+	type workload struct {
+		model     string
+		n, msgLen int
+		rate      float64
+	}
+	distinct := make(map[workload]prediction)
 	preds := make([]prediction, len(points))
 	rank := make([]float64, len(points))
 	for i, p := range points {
+		w := workload{p.Model, p.N, p.Cfg.MsgLen, p.Rate}
+		pred, seen := distinct[w]
+		if !seen {
+			pred.Prediction, pred.ok = analytic.ForModel(w.model, w.n, w.msgLen, w.rate)
+			distinct[w] = pred
+		}
+		preds[i] = pred
 		rank[i] = math.Inf(1)
-		preds[i].Prediction, preds[i].ok = analytic.ForModel(p.Model, p.N, p.Cfg.MsgLen, p.Rate)
-		if preds[i].ok {
-			rank[i] = preds[i].MeanLatency
+		if pred.ok {
+			rank[i] = pred.MeanLatency
 		}
 	}
 	order := make([]int, len(points))
@@ -321,11 +335,17 @@ func evalOrder(points []Point) ([]int, []prediction) {
 }
 
 // Run expands the spec and evaluates every point through eval, fanning the
-// evaluations across workers goroutines (min 1) in analytic-promise order,
-// then assembles the Pareto front. A cancelled ctx stops scheduling new
-// points and returns ctx.Err(); the deterministic Outcome is only returned
-// on full completion, so cached payloads are always pure functions of the
-// spec.
+// evaluations across workers goroutines in analytic-promise order, then
+// assembles the Pareto front. workers < 1 means runtime.GOMAXPROCS(0), as
+// RunOpts.Workers does for sweeps; the Outcome does not depend on it. When
+// the points do fan out (more than one worker), a point that leaves its
+// intra-fabric parallelism to the simulator (Cfg.StepWorkers 0) reaches eval
+// pinned to serial stepping — the sweep engine's rule: the outer pool already
+// fills the machine. The pin is execution-only: it is outside the run key,
+// and the Outcome and onPoint carry the point as expanded. A cancelled ctx
+// stops scheduling new points and returns ctx.Err(); the deterministic
+// Outcome is only returned on full completion, so cached payloads are always
+// pure functions of the spec.
 func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, eval Evaluator, onPoint OnPoint) (Outcome, error) {
 	exp, err := spec.Expand(opts)
 	if err != nil {
@@ -336,7 +356,7 @@ func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, 
 
 	order, preds := evalOrder(exp.Points)
 	if workers < 1 {
-		workers = 1
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(order) {
 		workers = len(order)
@@ -355,7 +375,11 @@ func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, 
 				}
 				i := order[oi]
 				p := exp.Points[i]
-				res, cached, err := eval(ctx, p)
+				pinned := p
+				if workers > 1 && pinned.Cfg.StepWorkers == 0 {
+					pinned.Cfg.StepWorkers = 1
+				}
+				res, cached, err := eval(ctx, pinned)
 				if err != nil {
 					errs[i] = err
 					continue

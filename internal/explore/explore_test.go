@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"quarc/internal/analytic"
@@ -144,12 +146,16 @@ func TestEvalOrderPrefersPredictedFastPoints(t *testing.T) {
 // The predictions evalOrder hands back for Run to annotate outcomes with must
 // be exactly what a fresh model call per point gives — covered points,
 // saturated ones (infinite latency) and models the closed form does not cover
-// alike — or analytic_latency / analytic_err_pc would move.
+// alike — or analytic_latency / analytic_err_pc would move. The depth and
+// multicast axes share one model call per (model, N, rate); every point along
+// them must still carry it.
 func TestEvalOrderPredictionsMatchFreshCalls(t *testing.T) {
 	spec := Spec{
 		Models: []string{"quarc", "spidergon", "ring"},
 		Ns:     []int{16, 32},
 		Rates:  []float64{0.002, 0.01, 0.5}, // 0.5 is far past saturation
+		Depths: []int{2, 4},
+		Mcast:  []McastKnob{{}, {Frac: 0.1, Size: 4}},
 		MsgLen: 16,
 	}
 	exp, err := spec.Expand(testOpts())
@@ -315,5 +321,97 @@ func TestRunMulticastAxis(t *testing.T) {
 	}
 	if exp.Points[0].Cfg.Pattern != traffic.Uniform {
 		t.Errorf("default pattern %v, want uniform", exp.Points[0].Cfg.Pattern)
+	}
+}
+
+// TestRunWorkerInvariance simulates one mixed lattice (ring and square
+// models, two depths, a saturated rate) at every worker setting and requires
+// deep-equal Outcomes: the fan-out and the StepWorkers pin that rides on it
+// are execution details. 0 is GOMAXPROCS, the sweep engine's meaning.
+func TestRunWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a 24-point lattice four times")
+	}
+	spec := Spec{
+		Models: []string{"quarc", "spidergon", "mesh"},
+		Ns:     []int{16},
+		Rates:  []float64{0.004, 0.02, 0.3},
+		Depths: []int{2, 4},
+		MsgLen: 8, Beta: 0.05,
+	}
+	opts := experiments.RunOpts{Warmup: 50, Measure: 300, Drain: 1500, Seed: 11}
+	simulate := func(ctx context.Context, p Point) (experiments.Result, bool, error) {
+		res, err := experiments.RunContext(ctx, p.Cfg)
+		return res, false, err
+	}
+	var want Outcome
+	for i, workers := range []int{1, 0, 2, 4} {
+		var reported atomic.Int64
+		oc, err := Run(context.Background(), spec, opts, workers, simulate, func(int, Point, experiments.Result, bool) {
+			reported.Add(1)
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if int(reported.Load()) != len(oc.Points) || len(oc.Points) != 18 {
+			t.Fatalf("workers %d: %d points reported of %d, want 18", workers, reported.Load(), len(oc.Points))
+		}
+		if i == 0 {
+			want = oc
+			continue
+		}
+		if !reflect.DeepEqual(oc, want) {
+			t.Errorf("workers %d: Outcome differs from the one-worker Outcome", workers)
+		}
+	}
+}
+
+// TestRunPinsStepWorkersWhenFannedOut: a 144-node mesh would size itself a
+// step pool (network.DefaultStepWorkers) — fine for a lone point, an
+// oversubscribed machine when the lattice already runs one point per core.
+// Fanned out, Run hands the evaluator StepWorkers 1; on one worker, or when
+// the request names a pool size, the point arrives as expanded. Outcome and
+// onPoint never see the pin.
+func TestRunPinsStepWorkersWhenFannedOut(t *testing.T) {
+	spec := Spec{Models: []string{"mesh", "quarc"}, Ns: []int{144, 16}, Rates: []float64{0.001, 0.002}, MsgLen: 8}
+	for _, c := range []struct {
+		workers, requested, want int
+	}{
+		{workers: 2, requested: 0, want: 1},
+		{workers: 1, requested: 0, want: 0},
+		{workers: 2, requested: 3, want: 3},
+	} {
+		opts := testOpts()
+		opts.StepWorkers = c.requested
+		var mu sync.Mutex
+		meshes := 0
+		eval := func(ctx context.Context, p Point) (experiments.Result, bool, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if p.Cfg.StepWorkers != c.want {
+				t.Errorf("workers %d, requested %d: %s n=%d evaluated with StepWorkers %d, want %d",
+					c.workers, c.requested, p.Model, p.N, p.Cfg.StepWorkers, c.want)
+			}
+			if p.Model == "mesh" && p.N == 144 {
+				meshes++
+			}
+			return experiments.Result{UnicastCount: 1, UnicastMean: 10}, false, nil
+		}
+		oc, err := Run(context.Background(), spec, opts, c.workers, eval, func(i int, p Point, _ experiments.Result, _ bool) {
+			if p.Cfg.StepWorkers != c.requested {
+				t.Errorf("onPoint saw StepWorkers %d, want the expanded %d", p.Cfg.StepWorkers, c.requested)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meshes != 2 {
+			t.Fatalf("lattice evaluated %d 144-node mesh points, want 2", meshes)
+		}
+		for _, p := range oc.Points {
+			if p.Cfg.StepWorkers != c.requested {
+				t.Errorf("Outcome carries StepWorkers %d, want the expanded %d", p.Cfg.StepWorkers, c.requested)
+			}
+		}
 	}
 }

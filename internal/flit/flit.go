@@ -94,9 +94,10 @@ func Packet(h Flit, length int) []Flit {
 
 // AppendPacket assembles a packet into dst (which must be empty but may
 // carry reusable capacity) and returns the extended slice. Every element is
-// fully overwritten, so recycled storage never leaks state between packets;
-// the source-queue free lists in internal/network use it to keep message
-// injection allocation-free in steady state.
+// fully overwritten, so recycled storage never leaks state between packets.
+// It is the definition of a packet's flits: the source queues in
+// internal/network form the same flits one at a time as they inject, and
+// are tested flit for flit against this expansion.
 func AppendPacket(dst []Flit, h Flit, length int) []Flit {
 	if length < 2 {
 		panic("flit: packet length must be at least 2 (header + tail)")

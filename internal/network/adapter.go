@@ -12,52 +12,53 @@ import (
 // model of the paper's evaluation queues messages here while the injection
 // channel is busy; the queue population is the saturation signal.
 //
-// The queue recycles finished packet storage: dequeueing advances a head
-// index instead of reslicing, the backing array is compacted when it drains,
-// and fully injected packets return to a bounded free list that NewPacket
-// reuses — so a steady-state simulation injects messages without allocating.
-// A running flit counter makes FlitBacklog O(1): the saturation sampler
-// polls it for every node, and the activity scheduler polls it for every
-// stepped node every cycle.
+// A queued packet is one descriptor, not its flits: the paper's transceiver
+// forms flits as it injects them (§2.4), so a waiting M-flit message costs
+// 88 bytes whatever M is. The front descriptor's flit is the packet's current
+// flit, rewritten in place by Advance into, field for field, the flit
+// flit.AppendPacket would have stored. Dequeueing advances a head index and
+// the backing array is compacted as it drains, so a steady-state simulation
+// injects messages without allocating. A running flit counter makes
+// FlitBacklog O(1): the saturation sampler polls it for every node, and the
+// activity scheduler for every stepped node every cycle.
 type PacketQueue struct {
-	pkts    [][]flit.Flit
-	head    int           // index of the front packet in pkts
-	pos     int           // next flit of the front packet
-	backlog int           // flits still to inject, maintained incrementally
-	free    [][]flit.Flit // recycled packet storage for NewPacket
+	pkts    []queuedPacket
+	head    int // index of the front packet in pkts
+	backlog int // flits still to inject, maintained incrementally
 }
 
-// MaxFreePackets bounds a per-queue recycled-packet list; beyond it,
-// finished packets are released to the garbage collector. Exported so
-// adapter-side queues with the same recycling discipline (the quarc
-// single-queue ablation) share the bound.
-const MaxFreePackets = 16
-
-// NewPacket assembles a packet of length flits headed by h, reusing a
-// previously injected packet's storage when available. The returned slice is
-// owned by the caller until it is pushed back into a queue.
-//
-//quarc:hotpath
-//quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
-func (q *PacketQueue) NewPacket(h flit.Flit, length int) []flit.Flit {
-	if n := len(q.free); n > 0 {
-		buf := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		return flit.AppendPacket(buf[:0], h, length)
-	}
-	return flit.Packet(h, length)
+// queuedPacket describes one queued packet: the next flit it will inject
+// (its header until it starts streaming; PktLen is the packet length on every
+// flit) and the router input port it injects through.
+type queuedPacket struct {
+	f    flit.Flit
+	port int
 }
 
-// PushBack appends a packet.
+// set fills the descriptor with a packet of length flits headed by *h,
+// normalising the header as flit.AppendPacket does.
 //
 //quarc:hotpath
-func (q *PacketQueue) PushBack(p []flit.Flit) {
-	if len(p) < 2 {
+func (p *queuedPacket) set(h *flit.Flit, length, port int) {
+	//quarc:allow hotpath: once per packet, not per flit or hop
+	p.f = *h
+	p.f.Kind = flit.Header
+	p.f.Seq = 0
+	p.f.PktLen = length
+	p.port = port
+}
+
+// PushBack appends a packet of length flits headed by *h, to be injected
+// through router input port.
+//
+//quarc:hotpath
+func (q *PacketQueue) PushBack(h *flit.Flit, length, port int) {
+	if length < 2 {
 		panic("network: packet too short")
 	}
-	q.pkts = append(q.pkts, p)
-	q.backlog += len(p)
+	q.pkts = append(q.pkts, queuedPacket{})
+	q.pkts[len(q.pkts)-1].set(h, length, port)
+	q.backlog += length
 }
 
 // PushFront inserts a packet to be sent next. If the front packet has
@@ -65,69 +66,70 @@ func (q *PacketQueue) PushBack(p []flit.Flit) {
 // (a switch cannot recall flits already committed to the channel).
 //
 //quarc:hotpath
-func (q *PacketQueue) PushFront(p []flit.Flit) {
-	if len(p) < 2 {
+func (q *PacketQueue) PushFront(h *flit.Flit, length, port int) {
+	if length < 2 {
 		panic("network: packet too short")
 	}
-	q.backlog += len(p)
-	if q.pos == 0 && q.head > 0 {
+	q.backlog += length
+	streaming := q.head < len(q.pkts) && q.pkts[q.head].f.Seq > 0
+	if !streaming && q.head > 0 {
 		// The drained prefix has a free slot just before the front packet:
 		// insert in O(1) instead of shifting the live region.
 		q.head--
-		q.pkts[q.head] = p
+		q.pkts[q.head].set(h, length, port)
 		return
 	}
 	at := q.head
-	if q.pos > 0 && q.head < len(q.pkts) {
-		at = q.head + 1
+	if streaming {
+		at++
 	}
-	q.pkts = append(q.pkts, nil)
+	q.pkts = append(q.pkts, queuedPacket{})
 	copy(q.pkts[at+1:], q.pkts[at:])
-	q.pkts[at] = p
+	q.pkts[at].set(h, length, port)
 }
 
-// NextFlit returns the next flit to inject, in place in its packet, or nil
-// when the queue is empty. The pointer is valid until the next Advance.
+// NextFlit returns the next flit to inject and the router input port it
+// goes through, or nil when the queue is empty. The flit is materialised in
+// place in the queue: the pointer is valid until the queue is next modified.
 //
 //quarc:hotpath
-func (q *PacketQueue) NextFlit() *flit.Flit {
+func (q *PacketQueue) NextFlit() (*flit.Flit, int) {
 	if q.head == len(q.pkts) {
-		return nil
+		return nil, 0
 	}
-	return &q.pkts[q.head][q.pos]
+	p := &q.pkts[q.head]
+	return &p.f, p.port
 }
 
-// Advance consumes the peeked flit.
+// Advance consumes the peeked flit: the front packet's descriptor becomes its
+// next flit, or leaves the queue after its tail.
 //
 //quarc:hotpath
 func (q *PacketQueue) Advance() {
 	if q.head == len(q.pkts) {
 		panic("network: Advance on empty queue")
 	}
-	q.pos++
 	q.backlog--
-	if q.pos == len(q.pkts[q.head]) {
-		done := q.pkts[q.head]
-		q.pkts[q.head] = nil
-		q.head++
-		q.pos = 0
-		if len(q.free) < MaxFreePackets {
-			q.free = append(q.free, done)
+	f := &q.pkts[q.head].f
+	if seq := f.Seq + 1; seq < f.PktLen {
+		f.Kind = flit.Body
+		if seq == f.PktLen-1 {
+			f.Kind = flit.Tail
 		}
-		switch {
-		case q.head == len(q.pkts):
-			q.pkts = q.pkts[:0]
-			q.head = 0
-		case q.head > 32 && q.head*2 >= len(q.pkts):
-			// Compact the drained prefix so a saturated queue's backing
-			// array stays proportional to its live population.
-			n := copy(q.pkts, q.pkts[q.head:])
-			for i := n; i < len(q.pkts); i++ {
-				q.pkts[i] = nil
-			}
-			q.pkts = q.pkts[:n]
-			q.head = 0
-		}
+		f.Seq = seq
+		f.Payload = uint32(seq)
+		return
+	}
+	q.head++
+	switch {
+	case q.head == len(q.pkts):
+		q.pkts = q.pkts[:0]
+		q.head = 0
+	case q.head > 32 && q.head*2 >= len(q.pkts):
+		// Compact the drained prefix so a saturated queue's backing
+		// array stays proportional to its live population.
+		q.pkts = q.pkts[:copy(q.pkts, q.pkts[q.head:])]
+		q.head = 0
 	}
 }
 
@@ -200,15 +202,17 @@ func (a *Assembler) Add(f flit.Flit) bool {
 func (a *Assembler) Pending() int { return len(a.partial) }
 
 // BaseAdapter implements the mechanics shared by every network adapter:
-// per-injection-port source queues, one-flit-per-cycle feeding, and receive
-// reassembly. Topology-specific adapters embed it and set OnTail to handle
-// completed deliveries (statistics, chain retransmission).
+// source queues whose packets each name the injection port they use,
+// one-flit-per-cycle feeding, and receive reassembly. Topology-specific
+// adapters embed it and set OnTail to handle completed deliveries
+// (statistics, chain retransmission). One queue per injection port is the
+// all-port interface; several ports behind one queue is head-of-line
+// blocking (the Quarc single-queue ablation).
 type BaseAdapter struct {
-	Node     int
-	R        *router.Router
-	Queues   []PacketQueue
-	InjPorts []int // router input port per queue
-	asm      Assembler
+	Node   int
+	R      *router.Router
+	Queues []PacketQueue
+	asm    Assembler
 
 	// OnTail is invoked when a packet completes reassembly at this node.
 	OnTail func(f flit.Flit, now int64)
@@ -238,15 +242,13 @@ func (b *BaseAdapter) Wake() {
 	}
 }
 
-// Enqueue assembles a packet of length flits headed by h, appends it to
-// source queue qi (reusing that queue's recycled storage) and wakes the
-// node.
+// Enqueue appends a packet of length flits headed by h to source queue qi,
+// to be injected through router input port, and wakes the node.
 //
 //quarc:hotpath
 //quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
-func (b *BaseAdapter) Enqueue(qi int, h flit.Flit, length int) {
-	q := &b.Queues[qi]
-	q.PushBack(q.NewPacket(h, length))
+func (b *BaseAdapter) Enqueue(qi, port int, h flit.Flit, length int) {
+	b.Queues[qi].PushBack(&h, length, port)
 	b.Wake()
 }
 
@@ -255,23 +257,22 @@ func (b *BaseAdapter) Enqueue(qi int, h flit.Flit, length int) {
 //
 //quarc:hotpath
 //quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
-func (b *BaseAdapter) EnqueueFront(qi int, h flit.Flit, length int) {
-	q := &b.Queues[qi]
-	q.PushFront(q.NewPacket(h, length))
+func (b *BaseAdapter) EnqueueFront(qi, port int, h flit.Flit, length int) {
+	b.Queues[qi].PushFront(&h, length, port)
 	b.Wake()
 }
 
-// Feed pushes at most one flit per injection port into the router.
+// Feed pushes at most one flit per source queue into the router.
 //
 //quarc:hotpath
 func (b *BaseAdapter) Feed(now int64) {
 	for qi := range b.Queues {
 		q := &b.Queues[qi]
-		f := q.NextFlit()
+		f, port := q.NextFlit()
 		if f == nil {
 			continue
 		}
-		if b.R.Push(b.InjPorts[qi], 0, f) {
+		if b.R.Push(port, 0, f) {
 			q.Advance()
 		}
 	}
@@ -285,11 +286,11 @@ func (b *BaseAdapter) Feed(now int64) {
 // must override this to match.
 func (b *BaseAdapter) FeedBlocked() bool {
 	for qi := range b.Queues {
-		q := &b.Queues[qi]
-		if q.NextFlit() == nil {
+		f, port := b.Queues[qi].NextFlit()
+		if f == nil {
 			continue
 		}
-		if b.R.LaneFree(b.InjPorts[qi], 0) > 0 {
+		if b.R.LaneFree(port, 0) > 0 {
 			return false
 		}
 	}

@@ -11,10 +11,10 @@ import (
 // before the running counter: the property test's reference.
 func sumBacklog(q *PacketQueue) int {
 	total := 0
-	for i := q.head; i < len(q.pkts); i++ {
-		total += len(q.pkts[i])
+	for _, p := range q.pkts[q.head:] {
+		total += p.f.PktLen - p.f.Seq
 	}
-	return total - q.pos
+	return total
 }
 
 // TestPacketQueueBacklogCounter drives a queue through a random interleaving
@@ -28,14 +28,14 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 		switch {
 		case q.Packets() == 0 || r.Intn(3) == 0:
 			length := 2 + r.Intn(6)
-			p := q.NewPacket(flit.Flit{PktID: uint64(op) + 1}, length)
+			h := flit.Flit{PktID: uint64(op) + 1}
 			if r.Intn(4) == 0 {
-				q.PushFront(p)
+				q.PushFront(&h, length, 0)
 			} else {
-				q.PushBack(p)
+				q.PushBack(&h, length, 0)
 			}
 		default:
-			if q.NextFlit() != nil {
+			if f, _ := q.NextFlit(); f != nil {
 				q.Advance()
 			}
 		}
@@ -45,13 +45,125 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 	}
 	// Drain completely; the counter must land exactly on zero.
 	for {
-		if q.NextFlit() == nil {
+		if f, _ := q.NextFlit(); f == nil {
 			break
 		}
 		q.Advance()
 	}
 	if q.FlitBacklog() != 0 {
 		t.Fatalf("drained queue reports backlog %d", q.FlitBacklog())
+	}
+}
+
+// expandedQueue is the source queue as it was before descriptors: every
+// packet stored as the flits flit.AppendPacket expands it to. It is the
+// oracle TestPacketQueueMatchesAppendPacket holds the descriptor queue to.
+type expandedQueue struct {
+	pkts  [][]flit.Flit
+	ports []int
+	pos   int // next flit of the front packet
+}
+
+func (e *expandedQueue) insert(at int, h flit.Flit, length, port int) {
+	e.pkts = append(e.pkts, nil)
+	copy(e.pkts[at+1:], e.pkts[at:])
+	e.pkts[at] = flit.AppendPacket(nil, h, length)
+	e.ports = append(e.ports, 0)
+	copy(e.ports[at+1:], e.ports[at:])
+	e.ports[at] = port
+}
+
+func (e *expandedQueue) pushFront(h flit.Flit, length, port int) {
+	at := 0
+	if e.pos > 0 {
+		at = 1 // never ahead of a packet that is already streaming
+	}
+	e.insert(at, h, length, port)
+}
+
+func (e *expandedQueue) advance() {
+	if e.pos++; e.pos == len(e.pkts[0]) {
+		e.pkts, e.ports, e.pos = e.pkts[1:], e.ports[1:], 0
+	}
+}
+
+func (e *expandedQueue) backlog() int {
+	total := -e.pos
+	for _, p := range e.pkts {
+		total += len(p)
+	}
+	return total
+}
+
+// randomHeader draws a header template with every field set, including the
+// ones the queue must normalise (Kind, Seq, PktLen) and the header payload
+// it must keep.
+func randomHeader(r *rng.Stream, id uint64) flit.Flit {
+	return flit.Flit{
+		Kind: flit.Kind(r.Intn(3)), Traffic: flit.Traffic(r.Intn(4)), ChainCCW: r.Intn(2) == 0,
+		Payload: uint32(r.Intn(1 << 30)), Src: r.Intn(64), Dst: r.Intn(64),
+		Seq: r.Intn(9), PktLen: r.Intn(9), Remain: r.Intn(32),
+		PktID: id, MsgID: id / 3, Bits: uint64(r.Intn(1 << 30)), Gen: int64(r.Intn(1 << 20)),
+	}
+}
+
+// TestPacketQueueMatchesAppendPacket is the descriptor queue's differential
+// oracle: under random interleavings of PushBack, PushFront and Advance —
+// the queue idle, mid-packet, deep enough to compact, and drained to empty —
+// every flit it offers must equal, on every field, the flit the
+// pre-expanded queue would have offered, through the same port, with the
+// same FlitBacklog and Packets after every operation.
+func TestPacketQueueMatchesAppendPacket(t *testing.T) {
+	r := rng.New(7, 0)
+	var q PacketQueue
+	var ref expandedQueue
+	compacted, filling := false, true
+	for op := 0; op < 60000; op++ {
+		// Alternate filling and draining so the queue grows past the
+		// compaction threshold, compacts, empties and restarts.
+		switch {
+		case filling && q.Packets() > 120:
+			filling = false
+		case !filling && q.Packets() == 0:
+			filling = true
+		}
+		pushOdds := 16
+		if filling {
+			pushOdds = 2
+		}
+		if r.Intn(pushOdds) == 0 {
+			h := randomHeader(r, uint64(op)+1)
+			length, port := 2+r.Intn(7), r.Intn(4)
+			if r.Intn(4) == 0 {
+				q.PushFront(&h, length, port)
+				ref.pushFront(h, length, port)
+			} else {
+				q.PushBack(&h, length, port)
+				ref.insert(len(ref.pkts), h, length, port)
+			}
+		} else if len(ref.pkts) > 0 {
+			headBefore := q.head
+			q.Advance()
+			ref.advance()
+			compacted = compacted || (headBefore > 32 && q.head == 0 && q.Packets() > 0)
+		}
+		if q.FlitBacklog() != ref.backlog() || q.Packets() != len(ref.pkts) {
+			t.Fatalf("op %d: backlog/packets = %d/%d, oracle %d/%d",
+				op, q.FlitBacklog(), q.Packets(), ref.backlog(), len(ref.pkts))
+		}
+		f, port := q.NextFlit()
+		if len(ref.pkts) == 0 {
+			if f != nil {
+				t.Fatalf("op %d: flit offered by a queue the oracle has empty", op)
+			}
+			continue
+		}
+		if f == nil || *f != ref.pkts[0][ref.pos] || port != ref.ports[0] {
+			t.Fatalf("op %d: next flit %+v port %d\noracle %+v port %d", op, f, port, ref.pkts[0][ref.pos], ref.ports[0])
+		}
+	}
+	if !compacted {
+		t.Fatal("the drive never compacted a non-empty queue")
 	}
 }
 

@@ -7,20 +7,27 @@ import (
 	"quarc/internal/router"
 )
 
-func pkt(id uint64, n int) []flit.Flit {
-	return flit.Packet(flit.Flit{Src: 0, Dst: 1, PktID: id, MsgID: id}, n)
+func hdr(id uint64) *flit.Flit {
+	return &flit.Flit{Src: 0, Dst: 1, PktID: id, MsgID: id}
 }
+
+func pkt(id uint64, n int) []flit.Flit { return flit.Packet(*hdr(id), n) }
+
+// push and pushFront queue the packet pkt(id, n) expands, for injection
+// port 0.
+func push(q *PacketQueue, id uint64, n int)      { q.PushBack(hdr(id), n, 0) }
+func pushFront(q *PacketQueue, id uint64, n int) { q.PushFront(hdr(id), n, 0) }
 
 func TestPacketQueueFIFO(t *testing.T) {
 	var q PacketQueue
-	q.PushBack(pkt(1, 2))
-	q.PushBack(pkt(2, 3))
+	push(&q, 1, 2)
+	push(&q, 2, 3)
 	if q.Packets() != 2 || q.FlitBacklog() != 5 {
 		t.Fatalf("packets/backlog = %d/%d", q.Packets(), q.FlitBacklog())
 	}
 	var ids []uint64
 	for {
-		f := q.NextFlit()
+		f, _ := q.NextFlit()
 		if f == nil {
 			break
 		}
@@ -40,9 +47,9 @@ func TestPacketQueueFIFO(t *testing.T) {
 
 func TestPacketQueuePushFrontIdle(t *testing.T) {
 	var q PacketQueue
-	q.PushBack(pkt(1, 2))
-	q.PushFront(pkt(9, 2))
-	f := q.NextFlit()
+	push(&q, 1, 2)
+	pushFront(&q, 9, 2)
+	f, _ := q.NextFlit()
 	if f.PktID != 9 {
 		t.Fatalf("front flit from pkt %d, want 9", f.PktID)
 	}
@@ -50,14 +57,14 @@ func TestPacketQueuePushFrontIdle(t *testing.T) {
 
 func TestPacketQueuePushFrontMidStream(t *testing.T) {
 	var q PacketQueue
-	q.PushBack(pkt(1, 3))
-	q.PushBack(pkt(2, 2))
+	push(&q, 1, 3)
+	push(&q, 2, 2)
 	q.Advance() // pkt 1 started streaming
-	q.PushFront(pkt(9, 2))
+	pushFront(&q, 9, 2)
 	// Order must be: rest of pkt 1, then pkt 9, then pkt 2.
 	var ids []uint64
 	for {
-		f := q.NextFlit()
+		f, _ := q.NextFlit()
 		if f == nil {
 			break
 		}
@@ -74,7 +81,7 @@ func TestPacketQueuePushFrontMidStream(t *testing.T) {
 
 func TestPacketQueueBacklogAccounting(t *testing.T) {
 	var q PacketQueue
-	q.PushBack(pkt(1, 4))
+	push(&q, 1, 4)
 	q.Advance()
 	if q.FlitBacklog() != 3 {
 		t.Fatalf("backlog = %d, want 3", q.FlitBacklog())
@@ -88,7 +95,7 @@ func TestPacketQueueRejectsShortPacket(t *testing.T) {
 			t.Fatal("short packet accepted")
 		}
 	}()
-	q.PushBack([]flit.Flit{{}})
+	q.PushBack(&flit.Flit{}, 1, 0)
 }
 
 func TestAssemblerCompletesOnTail(t *testing.T) {
@@ -210,9 +217,9 @@ func TestBaseAdapterFeedPacing(t *testing.T) {
 		},
 		VCNext: func(node, out, in, cur int, f flit.Flit) int { return 0 },
 	})
-	a := &BaseAdapter{Node: 0, R: r, Queues: make([]PacketQueue, 1), InjPorts: []int{1}}
+	a := &BaseAdapter{Node: 0, R: r, Queues: make([]PacketQueue, 1)}
 	a.OnTail = func(f flit.Flit, now int64) {}
-	a.Queues[0].PushBack(pkt(1, 6))
+	a.Queues[0].PushBack(hdr(1), 6, 1)
 	for cyc := int64(0); cyc < 3; cyc++ {
 		a.Feed(cyc)
 		if got := r.LaneLen(1, 0); got != int(cyc)+1 {
@@ -230,9 +237,9 @@ func TestBaseAdapterFeedStopsWhenLaneFull(t *testing.T) {
 		},
 		VCNext: func(node, out, in, cur int, f flit.Flit) int { return 0 },
 	})
-	a := &BaseAdapter{Node: 0, R: r, Queues: make([]PacketQueue, 1), InjPorts: []int{0}}
+	a := &BaseAdapter{Node: 0, R: r, Queues: make([]PacketQueue, 1)}
 	a.OnTail = func(f flit.Flit, now int64) {}
-	a.Queues[0].PushBack(pkt(1, 5))
+	push(&a.Queues[0], 1, 5)
 	for cyc := int64(0); cyc < 6; cyc++ {
 		a.Feed(cyc)
 	}

@@ -13,8 +13,9 @@ import (
 // use it as is and the Spidergon embeds it, overriding only its broadcast.
 type OnePortAdapter struct {
 	BaseAdapter
-	N   int // network size in nodes
-	Fab *Fabric
+	N       int // network size in nodes
+	Fab     *Fabric
+	InjPort int // the router input port every packet injects through
 }
 
 // NewOnePortAdapter builds node's adapter for an n-node fabric, injecting
@@ -32,15 +33,14 @@ func NewOnePortAdapter(fab *Fabric, r *router.Router, node, n, injPort int) *One
 // Init is NewOnePortAdapter in place, for an adapter that embeds this one; it
 // leaves OnTail for the embedder to set.
 func (a *OnePortAdapter) Init(fab *Fabric, r *router.Router, node, n, injPort int) {
-	a.N, a.Fab = n, fab
+	a.N, a.Fab, a.InjPort = n, fab, injPort
 	a.Node, a.R = node, r
 	a.Queues = make([]PacketQueue, 1)
-	a.InjPorts = []int{injPort}
 }
 
 // unicastTo enqueues one unicast packet of message msgID for dst.
 func (a *OnePortAdapter) unicastTo(dst int, msgID uint64, msgLen int, now int64) {
-	a.Enqueue(0, flit.Flit{
+	a.Enqueue(0, a.InjPort, flit.Flit{
 		Traffic: flit.Unicast, Src: a.Node, Dst: dst,
 		PktID: a.Fab.NextPktID(), MsgID: msgID, Gen: now,
 	}, msgLen)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"quarc/internal/flit"
 	"quarc/internal/network"
 	"quarc/internal/rng"
 	"quarc/internal/topology"
@@ -318,6 +319,75 @@ func TestSingleQueueAblationStillCorrect(t *testing.T) {
 	}
 	if fab.Tracker.Duplicates() != 0 {
 		t.Fatal("duplicates under single-queue ablation")
+	}
+}
+
+// TestSingleQueueStreamsAppendPacketFlits holds the single-queue ablation —
+// one port-tagged source queue instead of four — to the flits
+// flit.AppendPacket expands: under random interleavings of PE enqueues,
+// switch-priority front enqueues and injections, the one queue must offer
+// every packet's flits field for field, through its own quadrant's port,
+// front enqueues never ahead of a packet already streaming, with an exact
+// backlog.
+func TestSingleQueueStreamsAppendPacketFlits(t *testing.T) {
+	_, ts, err := Build(Config{N: 16, Depth: 4, SingleQueue: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ts[0]
+	if len(tr.Queues) != 1 {
+		t.Fatalf("single-queue transceiver has %d source queues", len(tr.Queues))
+	}
+	type expanded struct {
+		flits []flit.Flit
+		port  int
+	}
+	var want []expanded // the queue as pre-expanded packets, front first
+	pos := 0            // next flit of want[0]
+	r := rng.New(11, 0)
+	for op := 0; op < 20000; op++ {
+		if len(want) == 0 || r.Intn(3) == 0 {
+			q := topology.Quadrant(r.Intn(topology.NumQuadrants))
+			h := flit.Flit{
+				Traffic: flit.Traffic(r.Intn(4)), Src: 0, Dst: 1 + r.Intn(15), Remain: r.Intn(8),
+				PktID: uint64(op) + 1, MsgID: uint64(op), Bits: uint64(r.Intn(1 << 16)), Gen: int64(op),
+			}
+			length := 2 + r.Intn(7)
+			e := expanded{flit.Packet(h, length), injPortFor(q)}
+			if r.Intn(4) == 0 {
+				tr.EnqueueFront(tr.queueFor(q), injPortFor(q), h, length)
+				at := 0
+				if pos > 0 {
+					at = 1
+				}
+				want = append(want[:at], append([]expanded{e}, want[at:]...)...)
+			} else {
+				tr.enqueue(h, length, q)
+				want = append(want, e)
+			}
+		} else {
+			tr.Queues[0].Advance()
+			if pos++; pos == len(want[0].flits) {
+				want, pos = want[1:], 0
+			}
+		}
+		backlog := -pos
+		for _, e := range want {
+			backlog += len(e.flits)
+		}
+		if tr.Backlog() != backlog {
+			t.Fatalf("op %d: backlog %d, want %d", op, tr.Backlog(), backlog)
+		}
+		f, port := tr.Queues[0].NextFlit()
+		if len(want) == 0 {
+			if f != nil {
+				t.Fatalf("op %d: flit offered by a queue that should be empty", op)
+			}
+			continue
+		}
+		if f == nil || *f != want[0].flits[pos] || port != want[0].port {
+			t.Fatalf("op %d: next flit %+v port %d\nwant %+v port %d", op, f, port, want[0].flits[pos], want[0].port)
+		}
 	}
 }
 

@@ -21,92 +21,15 @@ type Transceiver struct {
 	n   int
 	fab *network.Fabric
 	cfg Config
-
-	// Single-queue ablation state: one queue, the front packet streams to
-	// the injection port of its quadrant.
-	single PacketPortQueue
 }
-
-// PacketPortQueue is a single source queue whose packets each carry the
-// injection port they must use; it reintroduces head-of-line blocking for
-// the one-port ablation. Like network.PacketQueue it keeps a running flit
-// counter so the backlog probe is O(1).
-type PacketPortQueue struct {
-	items   []portPkt
-	pos     int // next flit of the front packet
-	pending int // flits still to inject
-	free    [][]flit.Flit
-}
-
-type portPkt struct {
-	pkt  []flit.Flit
-	port int
-}
-
-// newPacket assembles a packet, reusing storage from a previously streamed
-// one when available (same recycling discipline as network.PacketQueue).
-func (p *PacketPortQueue) newPacket(h flit.Flit, length int) []flit.Flit {
-	if n := len(p.free); n > 0 {
-		buf := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return flit.AppendPacket(buf[:0], h, length)
-	}
-	return flit.Packet(h, length)
-}
-
-func (p *PacketPortQueue) push(pkt []flit.Flit, port int) {
-	p.items = append(p.items, portPkt{pkt, port})
-	p.pending += len(pkt)
-}
-
-// pushFront inserts a packet to be sent next, without disturbing a front
-// packet that has already started streaming.
-func (p *PacketPortQueue) pushFront(pkt []flit.Flit, port int) {
-	at := 0
-	if p.pos > 0 && len(p.items) > 0 {
-		at = 1
-	}
-	p.items = append(p.items, portPkt{})
-	copy(p.items[at+1:], p.items[at:])
-	p.items[at] = portPkt{pkt, port}
-	p.pending += len(pkt)
-}
-
-// next returns the next flit to inject, in place in its packet, and its
-// injection port; nil when the queue is empty.
-func (p *PacketPortQueue) next() (*flit.Flit, int) {
-	if len(p.items) == 0 {
-		return nil, 0
-	}
-	return &p.items[0].pkt[p.pos], p.items[0].port
-}
-
-func (p *PacketPortQueue) advance() {
-	p.pos++
-	p.pending--
-	if p.pos == len(p.items[0].pkt) {
-		if len(p.free) < network.MaxFreePackets {
-			p.free = append(p.free, p.items[0].pkt)
-		}
-		p.items[0] = portPkt{}
-		p.items = p.items[1:]
-		p.pos = 0
-	}
-}
-
-func (p *PacketPortQueue) backlog() int { return p.pending }
 
 func newTransceiver(fab *network.Fabric, r *router.Router, node int, cfg Config) *Transceiver {
 	t := &Transceiver{n: cfg.N, fab: fab, cfg: cfg}
 	t.Node = node
 	t.R = r
 	t.Queues = make([]network.PacketQueue, topology.NumQuadrants)
-	t.InjPorts = []int{
-		topology.QRight:    InjRight,
-		topology.QLeft:     InjLeft,
-		topology.QCrossCW:  InjCrossCW,
-		topology.QCrossCCW: InjCrossCCW,
+	if cfg.SingleQueue {
+		t.Queues = t.Queues[:1]
 	}
 	t.OnTail = func(f flit.Flit, now int64) {
 		t.onTail(f, now)
@@ -114,65 +37,22 @@ func newTransceiver(fab *network.Fabric, r *router.Router, node int, cfg Config)
 	return t
 }
 
-// Feed honours the single-queue ablation; otherwise the embedded
-// four-queue feeding applies.
-func (t *Transceiver) Feed(now int64) {
-	if !t.cfg.SingleQueue {
-		t.BaseAdapter.Feed(now)
-		return
-	}
-	f, port := t.single.next()
-	if f == nil {
-		return
-	}
-	if t.R.Push(port, 0, f) {
-		t.single.advance()
-	}
-}
-
-// FeedBlocked mirrors Feed's single-queue discipline: in the ablation the
-// front packet's injection lane being full blocks the whole queue
-// (head-of-line), so one probe decides.
-func (t *Transceiver) FeedBlocked() bool {
-	if !t.cfg.SingleQueue {
-		return t.BaseAdapter.FeedBlocked()
-	}
-	f, port := t.single.next()
-	if f == nil {
-		return true
-	}
-	return t.R.LaneFree(port, 0) == 0
-}
-
-// Backlog includes the ablation queue.
-func (t *Transceiver) Backlog() int {
+// queueFor is the source queue holding traffic for quadrant q: one per
+// quadrant, each feeding its own all-port router ingress — or, in the
+// single-queue ablation, one queue for all four, whose front packet blocks
+// the others behind it whatever their injection port (head-of-line).
+func (t *Transceiver) queueFor(q topology.Quadrant) int {
 	if t.cfg.SingleQueue {
-		return t.single.backlog()
+		return 0
 	}
-	return t.BaseAdapter.Backlog()
+	return int(q)
 }
 
-// enqueue assembles a packet of length flits headed by h in the quadrant's
-// source queue, reusing that queue's recycled storage. Every enqueue wakes
-// the node: a quiescent router must re-enter the fabric's step set to feed
-// the new packet.
+// enqueue queues a packet of length flits headed by h for quadrant q. Every
+// enqueue wakes the node: a quiescent router must re-enter the fabric's step
+// set to feed the new packet.
 func (t *Transceiver) enqueue(h flit.Flit, length int, q topology.Quadrant) {
-	if t.cfg.SingleQueue {
-		t.single.push(t.single.newPacket(h, length), injPortFor(q))
-		t.Wake()
-		return
-	}
-	t.Enqueue(int(q), h, length)
-}
-
-func (t *Transceiver) enqueueFront(h flit.Flit, length int, q topology.Quadrant) {
-	if t.cfg.SingleQueue {
-		// Chain retransmissions bypass PE traffic even in the ablation.
-		t.single.pushFront(t.single.newPacket(h, length), injPortFor(q))
-		t.Wake()
-		return
-	}
-	t.EnqueueFront(int(q), h, length)
+	t.Enqueue(t.queueFor(q), injPortFor(q), h, length)
 }
 
 // SendUnicast queues a unicast message of msgLen flits for dst.
@@ -263,7 +143,8 @@ func (t *Transceiver) onTail(f flit.Flit, now int64) {
 			Remain: f.Remain - 1, ChainCCW: f.ChainCCW,
 			PktID: t.fab.NextPktID(), MsgID: f.MsgID, Gen: f.Gen,
 		}
-		t.enqueueFront(h, f.PktLen, topology.QuadrantOf(t.n, t.Node, next))
+		q := topology.QuadrantOf(t.n, t.Node, next)
+		t.EnqueueFront(t.queueFor(q), injPortFor(q), h, f.PktLen)
 	}
 }
 

@@ -252,6 +252,9 @@ type SweepOpts struct {
 	//quarc:allow cachekeypurity: explore rejects opts.points before any work runs, so it cannot reach that key
 	Points     int `json:"points,omitempty"`
 	Replicates int `json:"replicates,omitempty"`
+	// Workers sizes the pool a panel's or an explore's points fan across; 0
+	// means GOMAXPROCS for both. Wall-clock only, never the result.
+	//
 	//quarc:execonly
 	Workers int `json:"workers,omitempty"`
 	//quarc:execonly

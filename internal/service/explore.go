@@ -320,6 +320,9 @@ func decodeRunResult(b []byte, cfg experiments.Config) (experiments.Result, bool
 		return experiments.Result{}, false
 	}
 	j := rr.Result
+	// As a simulated Result does, echo the workload without the execution
+	// knob explore.Run may have pinned on the way in.
+	cfg.StepWorkers = 0
 	return experiments.Result{
 		Cfg:         cfg,
 		UnicastMean: j.UnicastMean, UnicastCI: j.UnicastCI,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +117,34 @@ func TestExploreRepeatServedFromCacheWithZeroSimulation(t *testing.T) {
 	}
 }
 
+// pointEvents reads a finished job's NDJSON progress stream and counts its
+// point events, and how many of them were answered from the per-point cache.
+func pointEvents(t *testing.T, ts *httptest.Server, id string) (points, cached int) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", line, err)
+		}
+		if ev.Type == "point" {
+			points++
+			if ev.Cached {
+				cached++
+			}
+		}
+	}
+	return points, cached
+}
+
 // TestExploreOverlapHitsPerPointCache submits a second lattice overlapping
 // the first on one rate: the shared points must be answered from the
 // per-point cache (counted, and flagged in the progress events) while only
@@ -141,30 +170,65 @@ func TestExploreOverlapHitsPerPointCache(t *testing.T) {
 	}
 
 	// The cached points are flagged in the NDJSON progress stream.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	cached, points := 0, 0
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad event line %q: %v", line, err)
-		}
-		if ev.Type == "point" {
-			points++
-			if ev.Cached {
-				cached++
-			}
-		}
-	}
+	points, cached := pointEvents(t, ts, job.ID)
 	if points != 4 || cached != 2 {
 		t.Errorf("event stream has %d point events (%d cached), want 4 and 2", points, cached)
+	}
+}
+
+// TestExploreWorkerCountChangesNothingObservable posts the benchmark-shaped
+// lattice (4 models x 2 sizes x 4 rates x 2 depths = 64 points) and its
+// shifted twin to fresh servers at opts.workers 0 (every core, the default),
+// 1 and 3. The worker count is execution-only: payload bytes, the points
+// simulated, the per-point cache hits and the progress events must all be
+// what one worker gives.
+func TestExploreWorkerCountChangesNothingObservable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 80 small points three times")
+	}
+	lattice := func(workers, shift int) ExploreRequest {
+		rates := make([]float64, 4)
+		for i := range rates {
+			rates[i] = 0.002 * float64(i+1+shift)
+		}
+		return ExploreRequest{
+			Models: []string{"quarc", "spidergon", "ring", "mesh"},
+			Ns:     []int{16, 36},
+			Rates:  rates,
+			Depths: []int{2, 4},
+			MsgLen: 8, Beta: 0.05,
+			Opts: SweepOpts{Warmup: 50, Measure: 250, Drain: 1500, Seed: 7, Workers: workers},
+		}
+	}
+	var want [2][]byte
+	for _, workers := range []int{1, 0, 3} {
+		svc, ts := newTestServer(t, Config{Workers: 2})
+		for shift := 0; shift < 2; shift++ {
+			before := svc.Snapshot()
+			job := submitWait(t, ts, "/v1/explore", lattice(workers, shift))
+			if out := decodeExplore(t, job); out.LatticePoints != 64 {
+				t.Fatalf("lattice has %d points, want 64", out.LatticePoints)
+			}
+			if want[shift] == nil {
+				want[shift] = job.Result
+			} else if !bytes.Equal(job.Result, want[shift]) {
+				t.Errorf("workers %d, shift %d: payload differs from the one-worker payload", workers, shift)
+			}
+			after := svc.Snapshot()
+			wantSim, wantHits := uint64(64), uint64(0)
+			if shift == 1 {
+				wantSim, wantHits = 16, 48 // three of four rates are shared
+			}
+			if got := after.PointsSimulated - before.PointsSimulated; got != wantSim {
+				t.Errorf("workers %d, shift %d: %d points simulated, want %d", workers, shift, got, wantSim)
+			}
+			if got := after.ExplorePointsCacheHit - before.ExplorePointsCacheHit; got != wantHits {
+				t.Errorf("workers %d, shift %d: %d per-point cache hits, want %d", workers, shift, got, wantHits)
+			}
+			if points, cached := pointEvents(t, ts, job.ID); points != 64 || uint64(cached) != wantHits {
+				t.Errorf("workers %d, shift %d: %d point events (%d cached), want 64 (%d)", workers, shift, points, cached, wantHits)
+			}
+		}
 	}
 }
 

@@ -197,8 +197,8 @@ func runCost(cfg experiments.Config, replicates int) float64 {
 	cycles := float64(cfg.Warmup + cfg.Measure + cfg.Drain)
 	activity := 1.0
 	if analyzableWorkload(cfg) {
-		if pred, ok := analytic.ForModel(cfg.ModelName(), cfg.N, cfg.MsgLen, cfg.Rate); ok && pred.SaturationRate > 0 {
-			u := cfg.Rate / pred.SaturationRate
+		if sat, ok := analytic.SaturationRate(cfg.ModelName(), cfg.N, cfg.MsgLen); ok && sat > 0 {
+			u := cfg.Rate / sat
 			switch {
 			case u < 0.05:
 				u = 0.05 // warmup/drain keep a floor of activity

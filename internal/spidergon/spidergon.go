@@ -188,7 +188,7 @@ func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
 			Remain: len(c.Nodes) - 1, ChainCCW: c.Dir == topology.CCW,
 			PktID: a.Fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
-		a.Enqueue(0, h, msgLen)
+		a.Enqueue(0, a.InjPort, h, msgLen)
 	}
 	return msgID
 }
@@ -209,7 +209,7 @@ func (a *Adapter) onTail(f flit.Flit, now int64) {
 		}
 		// The switch-created packet takes precedence over PE traffic on the
 		// single injection channel.
-		a.EnqueueFront(0, h, f.PktLen)
+		a.EnqueueFront(0, a.InjPort, h, f.PktLen)
 	}
 }
 
