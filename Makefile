@@ -22,6 +22,8 @@ race:
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeDecodeWire -fuzztime=$(FUZZTIME) ./internal/flit/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePacket -fuzztime=$(FUZZTIME) ./internal/flit/
+	$(GO) test -run=^$$ -fuzz=FuzzFront -fuzztime=$(FUZZTIME) ./internal/explore/
+	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/service/
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...

@@ -16,10 +16,14 @@
 package quarc_test
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"quarc"
 	"quarc/internal/analytic"
+	"quarc/internal/service"
 )
 
 // benchOpts keeps a single benchmark iteration around a few milliseconds.
@@ -231,6 +235,39 @@ func BenchmarkForModelWarm(b *testing.B) {
 		if p, ok := analytic.ForModel("quarc", 64, 16, 0.004); !ok || p.MeanLatency <= 16 {
 			b.Fatal("implausible prediction")
 		}
+	}
+}
+
+// BenchmarkHandlerHot measures a cached POST /v1/runs?wait=1 through
+// Server.Handler() with the job store at capacity — more than StoreEntries
+// jobs have been submitted, so every request evicts the oldest record, the
+// steady state of any daemon that has served a few thousand requests. Decode,
+// validate, canonical hash, job record, memory-cache hit and encode are the
+// whole cost; CI holds the bytes per request under 32 KiB (eviction once
+// copied the whole id slice: 166 KB/op).
+func BenchmarkHandlerHot(b *testing.B) {
+	const entries = 4096 // the default StoreEntries
+	svc, err := service.New(service.Config{Workers: 1, StoreEntries: entries})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	body := []byte(`{"n":8,"msglen":4,"rate":0.002,"warmup":100,"measure":300,"drain":3000,"seed":7}`)
+	post := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	for i := 0; i < entries+104; i++ {
+		post()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }
 

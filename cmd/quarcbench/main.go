@@ -73,10 +73,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "quarcbench: %v\n", err)
 		os.Exit(2)
 	}
-	if *hotspotBias < 0 || *hotspotBias > 1 {
-		fmt.Fprintf(os.Stderr, "quarcbench: -hotspot-bias %v outside [0,1]\n", *hotspotBias)
-		os.Exit(2)
-	}
 	var panelModels []string
 	if *modelsFlag != "" {
 		for _, m := range strings.Split(*modelsFlag, ",") {
@@ -94,10 +90,6 @@ func main() {
 			}
 			panelModels = append(panelModels, name)
 		}
-	}
-	if *mcastFrac < 0 || *mcastFrac > 1 {
-		fmt.Fprintf(os.Stderr, "quarcbench: -mcast-frac %v outside [0,1]\n", *mcastFrac)
-		os.Exit(2)
 	}
 	if *jsonOut {
 		switch *which {

@@ -69,10 +69,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "quarcsim: %v\n", err)
 		os.Exit(2)
 	}
-	if *hotspotBias < 0 || *hotspotBias > 1 {
-		fmt.Fprintf(os.Stderr, "quarcsim: -hotspot-bias %v outside [0,1]\n", *hotspotBias)
-		os.Exit(2)
-	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {

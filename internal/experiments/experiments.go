@@ -107,39 +107,58 @@ func (c Config) ModelName() string {
 // source under a distinct cache key.
 func (c Config) Bursty() bool { return c.BurstMeanOn != 0 || c.BurstMeanOff != 0 }
 
-// ValidateWorkload checks the cross-field workload constraints that the
-// build step cannot (it sees only N and Depth).
-func (c Config) ValidateWorkload() error {
-	if c.Bursty() {
-		if c.BurstMeanOn < 1 || c.BurstMeanOff < 1 {
-			return fmt.Errorf("experiments: burst mean on/off must both be >= 1 cycle")
-		}
-		if c.Pattern != traffic.Uniform {
-			return fmt.Errorf("experiments: bursty traffic supports the uniform pattern only")
-		}
-		if on := c.burstOnRate(); on > 1 {
-			return fmt.Errorf("experiments: bursty on-rate %.4f exceeds 1 msg/node/cycle "+
-				"(rate too high for this on/off duty cycle)", on)
-		}
-	}
-	if c.StepWorkers < 0 {
-		return fmt.Errorf("experiments: negative step workers %d", c.StepWorkers)
+// Validate is the one rule for "is this design point simulable": the model is
+// registered and accepts N, depth and budgets are sane, and the traffic source
+// RunContext would install — the very value sources builds — accepts its own
+// parameters. Every layer that refuses a bad point (the wire requests,
+// PanelSpec.Validate, explore's lattice skips, RunContext itself) refuses it
+// through this rule, with this message. The configuration is judged as it
+// would run, defaults applied.
+func (c Config) Validate() error {
+	c = c.WithDefaults()
+	if err := model.CheckSize(c.Model, c.N); err != nil {
+		return err
 	}
 	switch {
-	case c.McastFrac < 0 || c.McastFrac > 1:
-		return fmt.Errorf("experiments: multicast fraction %v outside [0,1]", c.McastFrac)
-	case c.McastFrac == 0 && c.McastSize != 0:
-		return fmt.Errorf("experiments: multicast size %d without a multicast fraction", c.McastSize)
-	case c.McastFrac > 0 && (c.McastSize < 2 || c.McastSize > c.N-1):
-		return fmt.Errorf("experiments: multicast size %d outside [2,%d]", c.McastSize, c.N-1)
+	case c.Depth < 1:
+		return fmt.Errorf("experiments: buffer depth %d (need >= 1)", c.Depth)
+	case c.Warmup < 0 || c.Measure < 0 || c.Drain < 0:
+		return fmt.Errorf("experiments: cycle budgets must be non-negative")
+	case c.StepWorkers < 0:
+		return fmt.Errorf("experiments: negative step workers %d", c.StepWorkers)
 	}
-	return nil
+	bern, burst, bursty := c.sources()
+	if !bursty {
+		return bern.Validate()
+	}
+	if c.Pattern != traffic.Uniform {
+		return fmt.Errorf("experiments: bursty traffic supports the uniform pattern only")
+	}
+	return burst.Validate()
 }
 
-// burstOnRate is the ON-state arrival rate that yields mean offered load
-// Rate under the configured duty cycle.
-func (c Config) burstOnRate() float64 {
-	return c.Rate * (c.BurstMeanOn + c.BurstMeanOff) / c.BurstMeanOn
+// sources builds the traffic-source configuration of a run: the Bernoulli
+// source, or the bursty MMBP source when the burst knobs are set (bursty says
+// which). Validate and RunContext both take it from here, so the value that
+// was checked is the value that gets installed.
+func (c Config) sources() (bern traffic.Config, burst traffic.BurstyConfig, bursty bool) {
+	if c.Bursty() {
+		return bern, traffic.BurstyConfig{
+			// The ON-state rate that yields mean offered load Rate under the
+			// configured duty cycle.
+			N: c.N, OnRate: c.Rate * (c.BurstMeanOn + c.BurstMeanOff) / c.BurstMeanOn,
+			MeanOn: c.BurstMeanOn, MeanOff: c.BurstMeanOff,
+			Beta: c.Beta, MsgLen: c.MsgLen,
+			McastFrac: c.McastFrac, McastSize: c.McastSize,
+			Seed: c.Seed, Until: c.Warmup + c.Measure,
+		}, true
+	}
+	return traffic.Config{
+		N: c.N, Rate: c.Rate, Beta: c.Beta, MsgLen: c.MsgLen,
+		Pattern: c.Pattern, HotspotBias: c.HotspotBias,
+		McastFrac: c.McastFrac, McastSize: c.McastSize,
+		Seed: c.Seed, Until: c.Warmup + c.Measure,
+	}, burst, false
 }
 
 // WithDefaults returns the configuration with unset fields replaced by their
@@ -228,7 +247,7 @@ func Run(cfg Config) (Result, error) { return RunContext(context.Background(), c
 // without perturbing it.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	cfg = cfg.WithDefaults()
-	if err := cfg.ValidateWorkload(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	fab, nodes, err := build(cfg)
@@ -281,21 +300,10 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	for i, nd := range nodes {
 		senders[i] = nd
 	}
-	if cfg.Bursty() {
-		_, err = traffic.InstallBursty(&k, traffic.BurstyConfig{
-			N: cfg.N, OnRate: cfg.burstOnRate(),
-			MeanOn: cfg.BurstMeanOn, MeanOff: cfg.BurstMeanOff,
-			Beta: cfg.Beta, MsgLen: cfg.MsgLen,
-			McastFrac: cfg.McastFrac, McastSize: cfg.McastSize,
-			Seed: cfg.Seed, Until: measureEnd,
-		}, senders)
+	if bern, burst, bursty := cfg.sources(); bursty {
+		_, err = traffic.InstallBursty(&k, burst, senders)
 	} else {
-		_, err = traffic.Install(&k, traffic.Config{
-			N: cfg.N, Rate: cfg.Rate, Beta: cfg.Beta, MsgLen: cfg.MsgLen,
-			Pattern: cfg.Pattern, HotspotBias: cfg.HotspotBias,
-			McastFrac: cfg.McastFrac, McastSize: cfg.McastSize,
-			Seed: cfg.Seed, Until: measureEnd,
-		}, senders)
+		_, err = traffic.Install(&k, bern, senders)
 	}
 	if err != nil {
 		return Result{}, err

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"quarc/internal/model"
 	"quarc/internal/rng"
 	"quarc/internal/stats"
 )
@@ -137,19 +138,15 @@ func runPoints(ctx context.Context, cfgs []Config, workers int) ([]Result, error
 	return sweepRun(ctx, points, workers, nil)
 }
 
-// sweepRun executes every point on a pool of workers goroutines. Results are
-// written into a slot per point, so the returned order is the input order
-// regardless of which worker finished when. A cancelled context stops the
-// workers from picking up further points and aborts the points in flight;
-// otherwise the first error (in point order) is returned after all workers
-// stop. onDone, if non-nil, is called with (point index, result) as each
-// point completes — concurrently, from the worker goroutines.
-func sweepRun(ctx context.Context, points []sweepPoint, workers int, onDone func(int, Result)) ([]Result, error) {
-	results := make([]Result, len(points))
-	errs := make([]error, len(points))
-	if workers > len(points) {
-		workers = len(points)
-	}
+// Fan is the repository's one fan-out: it calls fn(i) for every i in [0, n)
+// on workers goroutines (clamped to [1, n]) drawing indices off one atomic
+// cursor, so a caller that writes its result into slot i gets input order back
+// whatever the schedule. A cancelled ctx stops the workers from drawing
+// further indices and wins over any error from fn; otherwise the first error
+// in index order is returned, once every worker has stopped.
+func Fan(ctx context.Context, n, workers int, fn func(i int) error) error {
+	workers = max(1, min(workers, n))
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -158,26 +155,38 @@ func sweepRun(ctx context.Context, points []sweepPoint, workers int, onDone func
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= len(points) {
+				if i >= n {
 					return
 				}
-				results[i], errs[i] = runPointGuarded(ctx, points[i].Cfg)
-				if errs[i] == nil && onDone != nil {
-					onDone(i, results[i])
-				}
+				errs[i] = fn(i)
 			}
 		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return results, err
+		return err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return results, err
+			return err
 		}
 	}
-	return results, nil
+	return nil
+}
+
+// sweepRun executes every point through Fan, each result in its point's slot.
+// onDone, if non-nil, is called with (point index, result) as each point
+// completes — concurrently, from the worker goroutines.
+func sweepRun(ctx context.Context, points []sweepPoint, workers int, onDone func(int, Result)) ([]Result, error) {
+	results := make([]Result, len(points))
+	err := Fan(ctx, len(points), workers, func(i int) (err error) {
+		results[i], err = runPointGuarded(ctx, points[i].Cfg)
+		if err == nil && onDone != nil {
+			onDone(i, results[i])
+		}
+		return err
+	})
+	return results, err
 }
 
 // runPointGuarded isolates one design point: a panic anywhere in the
@@ -212,6 +221,40 @@ func pointNotifier(onDone func(PointDone), points []sweepPoint) func(int, Result
 	}
 }
 
+// point is the design point a panel sweeps for one (model, rate) pair, before
+// its per-replicate seed is derived.
+func (spec PanelSpec) point(opts RunOpts, name string, rate float64) Config {
+	cfg := opts.point(name, spec.N, spec.MsgLen, spec.Beta, rate)
+	cfg.Pattern, cfg.HotspotBias = spec.Pattern, spec.HotspotBias
+	cfg.McastFrac, cfg.McastSize = spec.McastFrac, spec.McastSize
+	return cfg
+}
+
+// Validate applies Config.Validate to one point per swept model and explicit
+// rate — the legacy pair included — through the constructor panelPoints uses.
+// It runs before any rate grid is derived, so a panel without explicit rates
+// is checked at rate 0 and must have a size the Quarc accepts: the derivation
+// scales the Quarc's analytic capacity bound, whatever models are swept.
+func (spec PanelSpec) Validate(opts RunOpts) error {
+	rates := spec.Rates
+	if len(rates) == 0 {
+		rates = []float64{0}
+	}
+	for _, name := range spec.SweptModels() {
+		for _, rate := range rates {
+			if err := spec.point(opts, name, rate).Validate(); err != nil {
+				return err
+			}
+		}
+	}
+	if len(spec.Rates) == 0 {
+		if err := model.CheckSize("quarc", spec.N); err != nil {
+			return fmt.Errorf("experiments: a rate grid can only be derived for a Quarc size: %w", err)
+		}
+	}
+	return nil
+}
+
 // panelPoints expands a panel spec into its design points, ordered model-
 // major, then rate, then replicate. assemblePanel relies on this layout.
 func panelPoints(spec PanelSpec, opts RunOpts) ([]sweepPoint, []float64) {
@@ -224,9 +267,7 @@ func panelPoints(spec PanelSpec, opts RunOpts) ([]sweepPoint, []float64) {
 	for _, name := range models {
 		for ri, rate := range rates {
 			for rep := 0; rep < opts.Replicates; rep++ {
-				cfg := opts.point(name, spec.N, spec.MsgLen, spec.Beta, rate)
-				cfg.Pattern, cfg.HotspotBias = spec.Pattern, spec.HotspotBias
-				cfg.McastFrac, cfg.McastSize = spec.McastFrac, spec.McastSize
+				cfg := spec.point(opts, name, rate)
 				cfg.Seed = PointSeed(opts.Seed, name, ri, rep)
 				points = append(points, sweepPoint{
 					Model: name, RateIndex: ri, Replicate: rep, Cfg: cfg,
@@ -340,6 +381,9 @@ func RunPanel(spec PanelSpec, opts RunOpts) (PanelResult, error) {
 // changes the results.
 func RunPanelContext(ctx context.Context, spec PanelSpec, opts RunOpts) (PanelResult, error) {
 	opts = opts.normalized()
+	if err := spec.Validate(opts); err != nil {
+		return PanelResult{Spec: spec}, err
+	}
 	points, rates := panelPoints(spec, opts)
 	results, err := sweepRun(ctx, points, opts.Workers, pointNotifier(opts.OnPointDone, points))
 	if err != nil {
@@ -362,6 +406,9 @@ func PanelPointCount(spec PanelSpec, opts RunOpts) int {
 // execution. RunOpts.OnPointDone fires here too, in point order.
 func RunPanelSerial(spec PanelSpec, opts RunOpts) (PanelResult, error) {
 	opts = opts.normalized()
+	if err := spec.Validate(opts); err != nil {
+		return PanelResult{Spec: spec}, err
+	}
 	points, rates := panelPoints(spec, opts)
 	notify := pointNotifier(opts.OnPointDone, points)
 	results := make([]Result, len(points))

@@ -1,4 +1,3 @@
-//quarc:poolfile bounded explore worker pool; deterministic slot-indexed results regardless of schedule
 package explore
 
 import (
@@ -7,8 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"quarc/internal/analytic"
 	"quarc/internal/cost"
@@ -161,10 +158,6 @@ func (s Spec) Expand(opts experiments.RunOpts) (Expansion, error) {
 	}
 	for _, m := range s.Models {
 		for _, n := range s.Ns {
-			if err := model.CheckSize(m, n); err != nil {
-				skip(m, n, err.Error())
-				continue
-			}
 			for _, rate := range s.Rates {
 				for _, depth := range depths {
 					for _, k := range mcast {
@@ -175,7 +168,7 @@ func (s Spec) Expand(opts experiments.RunOpts) (Expansion, error) {
 							Warmup: opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
 							Seed: opts.Seed, StepWorkers: opts.StepWorkers,
 						}.WithDefaults()
-						if err := cfg.ValidateWorkload(); err != nil {
+						if err := cfg.Validate(); err != nil {
 							skip(m, n, err.Error())
 							continue
 						}
@@ -194,7 +187,8 @@ func (s Spec) Expand(opts experiments.RunOpts) (Expansion, error) {
 		}
 	}
 	if len(exp.Points) == 0 {
-		return Expansion{}, fmt.Errorf("explore: empty lattice (0 valid points after %d skips)", len(exp.Skipped))
+		return Expansion{}, fmt.Errorf("explore: empty lattice (0 valid points after %d skips; first: %s)",
+			len(exp.Skipped), exp.Skipped[0].Reason)
 	}
 	return exp, nil
 }
@@ -335,7 +329,7 @@ func evalOrder(points []Point) ([]int, []prediction) {
 }
 
 // Run expands the spec and evaluates every point through eval, fanning the
-// evaluations across workers goroutines in analytic-promise order, then
+// evaluations across workers (experiments.Fan) in analytic-promise order, then
 // assembles the Pareto front. workers < 1 means runtime.GOMAXPROCS(0), as
 // RunOpts.Workers does for sweeps; the Outcome does not depend on it. When
 // the points do fan out (more than one worker), a point that leaves its
@@ -343,9 +337,10 @@ func evalOrder(points []Point) ([]int, []prediction) {
 // pinned to serial stepping — the sweep engine's rule: the outer pool already
 // fills the machine. The pin is execution-only: it is outside the run key,
 // and the Outcome and onPoint carry the point as expanded. A cancelled ctx
-// stops scheduling new points and returns ctx.Err(); the deterministic
-// Outcome is only returned on full completion, so cached payloads are always
-// pure functions of the spec.
+// stops scheduling new points and returns ctx.Err(), and of several failing
+// points the first in evaluation order is reported; the deterministic Outcome
+// is only returned on full completion, so cached payloads are always pure
+// functions of the spec.
 func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, eval Evaluator, onPoint OnPoint) (Outcome, error) {
 	exp, err := spec.Expand(opts)
 	if err != nil {
@@ -358,47 +353,26 @@ func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, 
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-	errs := make([]error, len(exp.Points))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				oi := int(next.Add(1)) - 1
-				if oi >= len(order) {
-					return
-				}
-				i := order[oi]
-				p := exp.Points[i]
-				pinned := p
-				if workers > 1 && pinned.Cfg.StepWorkers == 0 {
-					pinned.Cfg.StepWorkers = 1
-				}
-				res, cached, err := eval(ctx, pinned)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				out.Points[i] = PointOutcome{Point: p, Result: res, Cached: cached}
-				if onPoint != nil {
-					onPoint(i, p, res, cached)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return Outcome{}, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return Outcome{}, e
+	workers = min(workers, len(order))
+	err = experiments.Fan(ctx, len(order), workers, func(oi int) error {
+		i := order[oi]
+		p := exp.Points[i]
+		pinned := p
+		if workers > 1 && pinned.Cfg.StepWorkers == 0 {
+			pinned.Cfg.StepWorkers = 1
 		}
+		res, cached, err := eval(ctx, pinned)
+		if err != nil {
+			return err
+		}
+		out.Points[i] = PointOutcome{Point: p, Result: res, Cached: cached}
+		if onPoint != nil {
+			onPoint(i, p, res, cached)
+		}
+		return nil
+	})
+	if err != nil {
+		return Outcome{}, err
 	}
 
 	width := spec.costWidth()

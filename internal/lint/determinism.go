@@ -18,7 +18,7 @@ var determinismScope = map[string][]string{
 	"internal/sim":         nil,
 	"internal/traffic":     nil,
 	"internal/explore":     nil,
-	"internal/service":     {"api.go", "canonical.go", "explore.go"},
+	"internal/service":     {"api.go", "canonical.go", "explore.go", "kinds.go"},
 }
 
 // wallClockFuncs are the time package's clock reads. time.Duration values

@@ -172,8 +172,9 @@ type RunRequest struct {
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 
-// Config validates the request and converts it to a normalised simulator
-// configuration.
+// Config converts the request to a normalised simulator configuration. Whether
+// the design point is simulable is experiments.Config.Validate's call alone;
+// this layer only parses names and enforces the guardrail caps.
 func (r RunRequest) Config() (experiments.Config, error) {
 	name, err := ParseModel(r.Topo)
 	if err != nil {
@@ -183,12 +184,6 @@ func (r RunRequest) Config() (experiments.Config, error) {
 	if err != nil {
 		return experiments.Config{}, err
 	}
-	if r.N <= 0 {
-		return experiments.Config{}, fmt.Errorf("n must be positive")
-	}
-	if r.HotspotBias < 0 || r.HotspotBias > 1 {
-		return experiments.Config{}, fmt.Errorf("hotspot_bias %v outside [0,1]", r.HotspotBias)
-	}
 	cfg := experiments.Config{
 		Model: name, N: r.N, MsgLen: r.MsgLen, Beta: r.Beta, Rate: r.Rate,
 		Pattern: pat, HotspotBias: r.HotspotBias,
@@ -197,10 +192,7 @@ func (r RunRequest) Config() (experiments.Config, error) {
 		Warmup: r.Warmup, Measure: r.Measure, Drain: r.Drain, Seed: r.Seed,
 		StepWorkers: r.StepWorkers,
 	}.WithDefaults()
-	if err := model.CheckSize(name, cfg.N); err != nil {
-		return experiments.Config{}, err
-	}
-	if err := cfg.ValidateWorkload(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return experiments.Config{}, err
 	}
 	switch {
@@ -208,8 +200,6 @@ func (r RunRequest) Config() (experiments.Config, error) {
 		return experiments.Config{}, fmt.Errorf("n %d exceeds the limit %d", cfg.N, MaxNodes)
 	case cfg.MsgLen > MaxMsgLen:
 		return experiments.Config{}, fmt.Errorf("msglen %d exceeds the limit %d", cfg.MsgLen, MaxMsgLen)
-	case cfg.Warmup < 0 || cfg.Measure < 0 || cfg.Drain < 0:
-		return experiments.Config{}, fmt.Errorf("cycle budgets must be non-negative")
 	case cfg.Warmup+cfg.Measure+cfg.Drain > MaxTotalCycles:
 		return experiments.Config{}, fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles)
 	case r.Replicates < 0 || r.Replicates > MaxReplicates:
@@ -261,10 +251,11 @@ type SweepOpts struct {
 	StepWorkers int `json:"step_workers,omitempty"`
 }
 
-// RunOpts validates the options against the request guardrails and converts
+// RunOpts checks the options against the request guardrail caps and converts
 // them to the sweep engine's form. Zero fields take DefaultOpts values. It is
 // the one conversion behind both /v1/panels and /v1/explore, so a knob is
-// range-checked and carried identically on either endpoint.
+// capped and carried identically on either endpoint; whether the budgets make
+// a simulable point is decided with the points (experiments.Config.Validate).
 func (o SweepOpts) RunOpts() (experiments.RunOpts, error) {
 	def := experiments.DefaultOpts()
 	opts := experiments.RunOpts{
@@ -295,8 +286,6 @@ func (o SweepOpts) RunOpts() (experiments.RunOpts, error) {
 		opts.Replicates = 1
 	}
 	switch {
-	case opts.Warmup < 0 || opts.Measure < 0 || opts.Drain < 0:
-		return experiments.RunOpts{}, fmt.Errorf("cycle budgets must be non-negative")
 	case opts.Warmup+opts.Measure+opts.Drain > MaxTotalCycles:
 		return experiments.RunOpts{}, fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles)
 	case opts.Points < 0 || opts.Points > MaxRatePoints:
@@ -341,46 +330,30 @@ type PanelRequest struct {
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 
-// SpecOpts validates the request and converts it to the sweep engine's
-// (PanelSpec, RunOpts) pair. Zero option fields take DefaultOpts values.
+// SpecOpts converts the request to the sweep engine's (PanelSpec, RunOpts)
+// pair: names parsed, caps enforced, and the points judged by the engine's own
+// PanelSpec.Validate. Zero option fields take DefaultOpts values.
 func (p PanelRequest) SpecOpts() (experiments.PanelSpec, experiments.RunOpts, error) {
-	if p.N <= 0 {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("n must be positive")
+	fail := func(err error) (experiments.PanelSpec, experiments.RunOpts, error) {
+		return experiments.PanelSpec{}, experiments.RunOpts{}, err
 	}
 	pat, err := ParsePattern(p.Pattern)
 	if err != nil {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, err
+		return fail(err)
 	}
-	if p.HotspotBias < 0 || p.HotspotBias > 1 {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("hotspot_bias %v outside [0,1]", p.HotspotBias)
+	switch {
+	case p.N > MaxNodes:
+		return fail(fmt.Errorf("n %d exceeds the limit %d", p.N, MaxNodes))
+	case p.MsgLen > MaxMsgLen:
+		return fail(fmt.Errorf("msglen %d exceeds the limit %d", p.MsgLen, MaxMsgLen))
+	case len(p.Rates) > MaxRatePoints:
+		return fail(fmt.Errorf("%d rates exceed the limit %d", len(p.Rates), MaxRatePoints))
+	case len(p.Models) > MaxPanelModels:
+		return fail(fmt.Errorf("%d models exceed the limit %d", len(p.Models), MaxPanelModels))
 	}
-	if p.N > MaxNodes {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("n %d exceeds the limit %d", p.N, MaxNodes)
-	}
-	if p.MsgLen > MaxMsgLen {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("msglen %d exceeds the limit %d", p.MsgLen, MaxMsgLen)
-	}
-	if len(p.Rates) > MaxRatePoints {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("%d rates exceed the limit %d", len(p.Rates), MaxRatePoints)
-	}
-	if len(p.Models) > MaxPanelModels {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("%d models exceed the limit %d", len(p.Models), MaxPanelModels)
-	}
-	var models []string
-	seen := map[string]bool{}
-	for _, m := range p.Models {
-		name, err := ParseModel(m)
-		if err != nil {
-			return experiments.PanelSpec{}, experiments.RunOpts{}, err
-		}
-		if seen[name] {
-			return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("duplicate model %q", name)
-		}
-		seen[name] = true
-		if err := model.CheckSize(name, p.N); err != nil {
-			return experiments.PanelSpec{}, experiments.RunOpts{}, err
-		}
-		models = append(models, name)
+	models, err := parseModels(p.Models)
+	if err != nil {
+		return fail(err)
 	}
 	spec := experiments.PanelSpec{
 		Figure: p.Figure, Name: p.Name,
@@ -392,26 +365,40 @@ func (p PanelRequest) SpecOpts() (experiments.PanelSpec, experiments.RunOpts, er
 	if spec.MsgLen == 0 {
 		spec.MsgLen = 16
 	}
-	switch {
-	case spec.McastFrac < 0 || spec.McastFrac > 1:
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("mcast_frac %v outside [0,1]", spec.McastFrac)
-	case spec.McastFrac == 0 && spec.McastSize != 0:
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("mcast_size %d without mcast_frac", spec.McastSize)
-	case spec.McastFrac > 0 && (spec.McastSize < 2 || spec.McastSize > spec.N-1):
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("mcast_size %d outside [2,%d]", spec.McastSize, spec.N-1)
-	}
 	opts, err := p.Opts.RunOpts()
 	if err != nil {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, err
+		return fail(err)
+	}
+	if err := spec.Validate(opts); err != nil {
+		return fail(err)
 	}
 	rates := len(spec.Rates)
 	if rates == 0 {
 		rates = opts.Points
 	}
 	if points := int64(len(spec.SweptModels())) * int64(rates) * int64(opts.Replicates); points*(opts.Warmup+opts.Measure+opts.Drain) > MaxJobCycles {
-		return experiments.PanelSpec{}, experiments.RunOpts{}, fmt.Errorf("points x replicates x cycles exceeds the job limit %d", int64(MaxJobCycles))
+		return fail(fmt.Errorf("points x replicates x cycles exceeds the job limit %d", int64(MaxJobCycles)))
 	}
 	return spec, opts, nil
+}
+
+// parseModels resolves a request's model list to canonical registry names,
+// refusing duplicates; nil for an empty list.
+func parseModels(names []string) ([]string, error) {
+	var models []string
+	seen := map[string]bool{}
+	for _, m := range names {
+		name, err := ParseModel(m)
+		if err != nil {
+			return nil, err
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("duplicate model %q", name)
+		}
+		seen[name] = true
+		models = append(models, name)
+	}
+	return models, nil
 }
 
 // ResultJSON is the wire form of one simulation result. Field values are

@@ -136,12 +136,12 @@ func TestCacheLRU(t *testing.T) {
 
 func TestStoreEvictsTerminalJobs(t *testing.T) {
 	var evicted []string
-	s := NewStore(2, func(j *Job) { evicted = append(evicted, j.ID) })
-	a := s.Add("run", "k1", nil, jobWork{}, nil, nil)
+	s := NewStore(2, func(j *Job) { evicted = append(evicted, j.ID) }, nil, nil)
+	a := s.Add("run", "k1", nil, nil, 0)
 	a.setState(StateDone, "")
-	b := s.Add("run", "k2", nil, jobWork{}, nil, nil)
+	b := s.Add("run", "k2", nil, nil, 0)
 	_ = b // still queued (live)
-	s.Add("run", "k3", nil, jobWork{}, nil, nil)
+	s.Add("run", "k3", nil, nil, 0)
 	if _, ok := s.Get(a.ID); ok {
 		t.Fatal("terminal job should have been evicted")
 	}

@@ -52,10 +52,10 @@ type ExploreRequest struct {
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 
-// SpecOpts validates the request, normalises it into the exploration
-// engine's spec and run options, and pre-expands the lattice (the expansion
-// is deterministic; execution repeats it). Every returned error is a client
-// error.
+// SpecOpts normalises the request into the exploration engine's spec and run
+// options — names parsed, caps enforced — and pre-expands the lattice (the
+// expansion is deterministic; execution repeats it), which is where points
+// are judged. Every returned error is a client error.
 func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.Expansion, error) {
 	fail := func(err error) (explore.Spec, experiments.RunOpts, explore.Expansion, error) {
 		return explore.Spec{}, experiments.RunOpts{}, explore.Expansion{}, err
@@ -64,27 +64,15 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 	if err != nil {
 		return fail(err)
 	}
-	if e.HotspotBias < 0 || e.HotspotBias > 1 {
-		return fail(fmt.Errorf("hotspot_bias %v outside [0,1]", e.HotspotBias))
-	}
 	if e.MsgLen > MaxMsgLen {
 		return fail(fmt.Errorf("msglen %d exceeds the limit %d", e.MsgLen, MaxMsgLen))
 	}
 	if e.CostWidth < 0 {
 		return fail(fmt.Errorf("cost_width %d must be non-negative", e.CostWidth))
 	}
-	models := make([]string, 0, len(e.Models))
-	seen := map[string]bool{}
-	for _, m := range e.Models {
-		name, err := ParseModel(m)
-		if err != nil {
-			return fail(err)
-		}
-		if seen[name] {
-			return fail(fmt.Errorf("duplicate model %q", name))
-		}
-		seen[name] = true
-		models = append(models, name)
+	models, err := parseModels(e.Models)
+	if err != nil {
+		return fail(err)
 	}
 	for _, n := range e.Ns {
 		if n > MaxNodes {
@@ -103,9 +91,6 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 	}
 	for _, k := range e.Mcast {
 		spec.Mcast = append(spec.Mcast, explore.McastKnob{Frac: k.Frac, Size: k.Size})
-	}
-	if spec.Beta < 0 || spec.Beta > 1 {
-		return fail(fmt.Errorf("beta %v outside [0,1]", spec.Beta))
 	}
 
 	if e.Opts.Points != 0 {

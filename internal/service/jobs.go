@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"quarc/internal/experiments"
-	"quarc/internal/explore"
 )
 
 // State is a job's lifecycle position.
@@ -49,61 +49,26 @@ type Event struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// jobWork is the parsed, validated request a job executes — exactly one of
-// the fields is set.
-type jobWork struct {
-	run     *runWork
-	panel   *panelWork
-	explore *exploreWork
-	// deadline is the request's deadline_ms budget, measured from submission
-	// (queueing time counts — the client asked for an answer within the
-	// budget, not a simulation started within it). 0 means none. It never
-	// enters the canonical cache key: identical configurations share results
-	// whatever their deadlines.
-	deadline time.Duration
-}
-
-type runWork struct {
-	cfg        experiments.Config
-	replicates int
-	workers    int
-}
-
-type panelWork struct {
-	spec experiments.PanelSpec
-	opts experiments.RunOpts
-}
-
-type exploreWork struct {
-	spec explore.Spec
-	opts experiments.RunOpts
-	// points and deduped are the validation-time expansion's lattice size and
-	// duplicate count (the expansion is deterministic, so execution re-derives
-	// the identical lattice).
-	points  int
-	deduped int
-}
-
 // Job is one submitted request and its lifecycle. All mutable fields are
 // guarded by mu; changed is closed and replaced on every mutation so
 // streaming subscribers can wait without polling.
 type Job struct {
 	ID      string          `json:"id"`
-	Kind    string          `json:"kind"` // "run" | "panel" | "explore"
+	Kind    string          `json:"kind"` // a name from the kinds table
 	Key     string          `json:"key"`  // canonical cache key
 	Request json.RawMessage `json:"-"`
 
-	work jobWork
-	// class is assigned by Server.enqueue, just before the scheduler reads
-	// it; a job answered without queueing never has one.
+	work work
+	// class is assigned by Server.admit, just before the scheduler reads it;
+	// a job answered without queueing never has one.
 	class Class
-	// onTerminal, set at creation, observes the single transition into a
-	// terminal state (for the server's job-outcome counters).
+	// onTerminal and sink are the owning Store's hooks: onTerminal observes
+	// the single transition into a terminal state (the server's job-outcome
+	// counters); sink receives every event appended to the in-memory list
+	// (the server's journal hook), called with mu held, so events reach the
+	// journal in exactly the order subscribers observe them. Either may be nil.
 	onTerminal func(State)
-	// sink, when set, receives every event appended to the in-memory list
-	// (the server's journal hook). It is called with mu held, so events
-	// reach the journal in exactly the order subscribers observe them.
-	sink func(*Job, Event)
+	sink       func(*Job, Event)
 
 	mu        sync.Mutex
 	cancel    context.CancelFunc
@@ -120,10 +85,12 @@ type Job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
-	// deadlineAt is the absolute deadline derived from work.deadline at
-	// submission (zero = none). Recovered jobs never carry one: their budget
-	// expired with the daemon that accepted them, and failing them for it
-	// after a restart would punish the client for our crash.
+	// deadlineAt is the absolute deadline: the request's deadline_ms budget
+	// measured from submission (zero = none) — queueing time counts, the
+	// client asked for an answer within the budget, not a simulation started
+	// within it. Recovered jobs never carry one: their budget expired with the
+	// daemon that accepted them, and failing them for it after a restart would
+	// punish the client for our crash.
 	deadlineAt time.Time
 	// progress is the watchdog's heartbeat: the last time the job entered
 	// running or completed a sweep point.
@@ -137,38 +104,47 @@ type Job struct {
 	journaled bool
 }
 
-func newJob(id, kind, key string, req json.RawMessage, work jobWork, onTerminal func(State), sink func(*Job, Event)) *Job {
+func newJob(id, kind, key string, req json.RawMessage, w work, deadline time.Duration,
+	onTerminal func(State), sink func(*Job, Event)) *Job {
 	j := &Job{
 		ID: id, Kind: kind, Key: key, Request: req,
-		work: work, onTerminal: onTerminal, sink: sink,
+		work: w, onTerminal: onTerminal, sink: sink,
 		changed: make(chan struct{}),
 		state:   StateQueued, created: time.Now(),
 	}
-	if work.deadline > 0 {
-		j.deadlineAt = j.created.Add(work.deadline)
+	if deadline > 0 {
+		j.deadlineAt = j.created.Add(deadline)
 	}
 	j.appendEventLocked(Event{Type: "state", State: StateQueued})
 	return j
 }
 
-// restoreJob rebuilds a job recovered from its journal: the replayed event
-// prefix, the last journaled state, and progress counters. The caller
-// registers it with Store.addRecovered and, for non-terminal states,
-// re-enqueues it.
-func restoreJob(id, kind, key string, req json.RawMessage, events []Event, st State,
-	cached, degraded bool, errMsg string, done, total int, created time.Time,
-	onTerminal func(State), sink func(*Job, Event)) *Job {
-	if created.IsZero() {
-		created = time.Now()
+// restoreJob rebuilds a job from its journal: the header plus the replayed
+// event lines, folded up to the first unparseable one into the last journaled
+// state and progress counters. The caller registers it with
+// Store.addRecovered, which attaches the store's hooks.
+func restoreJob(hdr journalHeader, lines [][]byte) *Job {
+	j := &Job{
+		ID: hdr.ID, Kind: hdr.Kind, Key: hdr.Key, Request: hdr.Request,
+		changed: make(chan struct{}), state: StateQueued, journaled: true,
 	}
-	return &Job{
-		ID: id, Kind: kind, Key: key, Request: req,
-		onTerminal: onTerminal, sink: sink,
-		changed: make(chan struct{}),
-		state:   st, cached: cached, degraded: degraded, errMsg: errMsg,
-		events: events, done: done, total: total,
-		created: created, journaled: true,
+	if j.created, _ = time.Parse(time.RFC3339Nano, hdr.Created); j.created.IsZero() {
+		j.created = time.Now()
 	}
+	for _, line := range lines {
+		var e Event
+		if json.Unmarshal(line, &e) != nil {
+			break
+		}
+		j.events = append(j.events, e)
+		switch e.Type {
+		case "state":
+			j.state, j.cached, j.degraded, j.errMsg = e.State, e.Cached, e.Degraded, e.Error
+		case "point", "truncated":
+			j.done, j.total = e.Done, e.Total
+		}
+	}
+	return j
 }
 
 // appendEventLocked records an event in the in-memory list and forwards it
@@ -264,32 +240,18 @@ func (j *Job) pointDone(pd experiments.PointDone, cached bool) {
 	j.notifyLocked()
 }
 
-// finish marks the job done with its canonical result payload, reporting
-// whether the transition took effect (false if the job was already
-// terminal, e.g. cancelled).
-func (j *Job) finish(result []byte, cached bool) bool {
+// finish marks the job done with its result payload, reporting whether the
+// transition took effect (false if the job was already terminal, e.g.
+// cancelled). cached marks an answer that cost no simulation; degraded marks
+// an analytic stand-in, which is never routed to the result cache — a later
+// identical request deserves the exact answer.
+func (j *Job) finish(result []byte, cached, degraded bool) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
 		return false
 	}
-	j.result = result
-	j.cached = cached
-	j.mu.Unlock()
-	return j.setState(StateDone, "")
-}
-
-// finishDegraded marks the job done with an analytic degraded payload,
-// reporting whether the transition took effect. The payload is never routed
-// to the result cache — a later identical request deserves the exact answer.
-func (j *Job) finishDegraded(result []byte) bool {
-	j.mu.Lock()
-	if j.state.terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.result = result
-	j.degraded = true
+	j.result, j.cached, j.degraded = result, cached, degraded
 	j.mu.Unlock()
 	return j.setState(StateDone, "")
 }
@@ -304,14 +266,6 @@ func (j *Job) resultPayload() (payload []byte, degraded, ok bool) {
 		return nil, false, false
 	}
 	return j.result, j.degraded, true
-}
-
-// IsDegraded reports whether the job finished with a degraded analytic
-// answer.
-func (j *Job) IsDegraded() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.degraded
 }
 
 // deadlineTime returns the job's absolute deadline, if it has one.
@@ -488,36 +442,40 @@ func (j *Job) Snapshot(withResult bool) JobJSON {
 	return out
 }
 
-// Store holds jobs by ID, bounded by evicting the oldest terminal jobs.
+// Store holds jobs by ID, bounded by evicting the oldest terminal jobs. Jobs
+// sit in one list in creation order with an id index into it, so a lookup, an
+// eviction and an insertion are each O(1) at any capacity.
 type Store struct {
 	mu    sync.Mutex
 	cap   int
 	seq   int
-	jobs  map[string]*Job
-	order []string // creation order
+	jobs  map[string]*list.Element
+	order *list.List // of *Job, creation order
 	// onEvict, when set, observes each eviction (the server uses it to
-	// delete the evicted job's journal so journal files track job records).
-	onEvict func(*Job)
+	// delete the evicted job's journal so journal files track job records);
+	// onTerminal and sink are handed to every job (see Job).
+	onEvict    func(*Job)
+	onTerminal func(State)
+	sink       func(*Job, Event)
 }
 
-// NewStore builds a store retaining at most capacity jobs; onEvict (may be
-// nil) fires for each evicted job.
-func NewStore(capacity int, onEvict func(*Job)) *Store {
+// NewStore builds a store retaining at most capacity jobs. The hooks may each
+// be nil: onEvict fires for each evicted job, onTerminal once per job as it
+// reaches a terminal state, sink for every event a job appends.
+func NewStore(capacity int, onEvict func(*Job), onTerminal func(State), sink func(*Job, Event)) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Store{cap: capacity, jobs: make(map[string]*Job), onEvict: onEvict}
+	return &Store{cap: capacity, jobs: make(map[string]*list.Element), order: list.New(),
+		onEvict: onEvict, onTerminal: onTerminal, sink: sink}
 }
 
-// Add registers a new job under a fresh ID. onTerminal, if non-nil, fires
-// once when the job reaches a terminal state; sink, if non-nil, receives
-// every event the job appends (the journal hook).
-func (s *Store) Add(kind, key string, req json.RawMessage, work jobWork,
-	onTerminal func(State), sink func(*Job, Event)) *Job {
+// Add registers a new job under a fresh ID.
+func (s *Store) Add(kind, key string, req json.RawMessage, w work, deadline time.Duration) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	j := newJob(fmt.Sprintf("j%06d", s.seq), kind, key, req, work, onTerminal, sink)
+	j := newJob(fmt.Sprintf("j%06d", s.seq), kind, key, req, w, deadline, s.onTerminal, s.sink)
 	s.registerLocked(j)
 	return j
 }
@@ -531,31 +489,25 @@ func (s *Store) addRecovered(j *Job) {
 	if _, err := fmt.Sscanf(j.ID, "j%d", &n); err == nil && n > s.seq {
 		s.seq = n
 	}
+	j.onTerminal, j.sink = s.onTerminal, s.sink
 	s.registerLocked(j)
 }
 
-// registerLocked inserts the job and evicts oldest terminal jobs beyond
-// capacity; live jobs are never dropped, so the store can transiently
-// exceed cap under heavy load. Callers hold mu.
+// registerLocked inserts the job and evicts the oldest terminal jobs beyond
+// capacity; live jobs are never dropped, so the store can transiently exceed
+// cap under heavy load. Callers hold mu.
 func (s *Store) registerLocked(j *Job) {
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	for len(s.jobs) > s.cap {
-		evicted := false
-		for i, id := range s.order {
-			if old, ok := s.jobs[id]; ok && old.State().terminal() {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i:i], s.order[i+1:]...)
-				if s.onEvict != nil {
-					s.onEvict(old)
-				}
-				evicted = true
-				break
+	s.jobs[j.ID] = s.order.PushBack(j)
+	for el := s.order.Front(); el != nil && len(s.jobs) > s.cap; {
+		old, next := el.Value.(*Job), el.Next()
+		if old.State().terminal() {
+			s.order.Remove(el)
+			delete(s.jobs, old.ID)
+			if s.onEvict != nil {
+				s.onEvict(old)
 			}
 		}
-		if !evicted {
-			break
-		}
+		el = next
 	}
 }
 
@@ -563,8 +515,11 @@ func (s *Store) registerLocked(j *Job) {
 func (s *Store) Get(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	el, ok := s.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*Job), true
 }
 
 // List returns the retained jobs in creation order.
@@ -572,10 +527,8 @@ func (s *Store) List() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*Job, 0, len(s.jobs))
-	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
-			out = append(out, j)
-		}
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*Job))
 	}
 	return out
 }

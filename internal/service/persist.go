@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"time"
 )
 
@@ -91,34 +90,15 @@ func (s *Server) recoverJobs() {
 			s.journal.Remove(id)
 			continue
 		}
-		var events []Event
-		st := StateQueued
-		var cached, degraded bool
-		var errMsg string
-		var done, total int
-		for _, line := range lines[1:] {
-			var e Event
-			if json.Unmarshal(line, &e) != nil {
-				break
-			}
-			events = append(events, e)
-			switch e.Type {
-			case "state":
-				st, cached, degraded, errMsg = e.State, e.Cached, e.Degraded, e.Error
-			case "point", "truncated":
-				done, total = e.Done, e.Total
-			}
-		}
-		created, _ := time.Parse(time.RFC3339Nano, hdr.Created)
-
-		if st.terminal() {
-			j := restoreJob(id, hdr.Kind, hdr.Key, hdr.Request, events, st,
-				cached, degraded, errMsg, done, total, created, nil, s.journalEvent)
+		j := restoreJob(hdr, lines[1:])
+		if j.state.terminal() {
 			// Degraded payloads are analytic estimates that were deliberately
 			// kept out of the store, so only exact results re-attach here; a
-			// recovered degraded job keeps its flag but serves no payload.
-			if st == StateDone && !degraded {
-				if b, ok := s.disk.Get(hdr.Key); ok {
+			// recovered degraded job keeps its flag but serves no payload. The
+			// read is bookkeeping, not a request: it bypasses the tier's
+			// counters and breaker.
+			if j.state == StateDone && !j.degraded {
+				if b, ok := s.tier.disk.Get(hdr.Key); ok {
 					j.result = b
 				}
 			}
@@ -130,10 +110,13 @@ func (s *Server) recoverJobs() {
 		// The daemon died with this job queued or running. A re-run is safe:
 		// execution is deterministic and the result only becomes visible via
 		// the atomic cache/store write, so at-least-once here is exactly-once
-		// to clients.
-		work, werr := workFor(hdr.Kind, hdr.Request)
-		if werr != nil {
-			s.log.Printf("recovery: job %s unparseable, dropping: %v", id, werr)
+		// to clients. The recorded body goes through the parser a fresh
+		// submission would, so a body this build cannot parse — an unknown
+		// kind or field included — is dropped rather than run under a key it
+		// does not match.
+		_, w, _, err := parseKind(hdr.Kind, hdr.Request)
+		if err != nil {
+			s.log.Printf("recovery: job %s unparseable, dropping: %v", id, err)
 			s.journal.Remove(id)
 			continue
 		}
@@ -143,100 +126,14 @@ func (s *Server) recoverJobs() {
 		// deadlineAt zero): the budget expired with the daemon that accepted
 		// the job, and a correct late answer beats a degraded punctual one
 		// for work the client already waited a restart for.
-		j := restoreJob(id, hdr.Kind, hdr.Key, hdr.Request, events, StateQueued,
-			false, false, "", 0, 0, created, s.countOutcome, s.journalEvent)
-		j.work = work
+		j.work, j.state, j.done, j.total = w, StateQueued, 0, 0
 		s.store.addRecovered(j)
 		j.mu.Lock()
 		j.appendEventLocked(Event{Type: "state", State: StateQueued})
 		j.mu.Unlock()
 		s.metrics.jobsRecovered.Add(1)
-		if err := s.enqueue(j); err != nil {
-			j.setState(StateFailed, err.Error())
-			continue
+		if s.admit(j) == nil {
+			s.log.Printf("recovery: job %s %s re-enqueued (%s)", id, hdr.Kind, j.class)
 		}
-		s.log.Printf("recovery: job %s %s re-enqueued (%s)", id, hdr.Kind, j.class)
 	}
-}
-
-// workFor re-validates a journaled request body into executable work — the
-// same construction path the HTTP handlers use, so recovered jobs behave
-// exactly like fresh submissions.
-func workFor(kind string, raw json.RawMessage) (jobWork, error) {
-	switch kind {
-	case "run":
-		var req RunRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return jobWork{}, err
-		}
-		_, work, err := buildRun(req)
-		return work, err
-	case "panel":
-		var req PanelRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return jobWork{}, err
-		}
-		_, work, err := buildPanel(req)
-		return work, err
-	default: // "explore"
-		var req ExploreRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return jobWork{}, err
-		}
-		_, work, err := buildExplore(req)
-		return work, err
-	}
-}
-
-// deadlineFor validates a deadline_ms field into the work deadline duration.
-func deadlineFor(ms int64) (time.Duration, error) {
-	if ms < 0 {
-		return 0, fmt.Errorf("deadline_ms %d must be non-negative", ms)
-	}
-	return time.Duration(ms) * time.Millisecond, nil
-}
-
-// buildRun validates a run request into its canonical key and executable
-// work. The deadline rides on the work, never the key: identical
-// configurations share cache entries whatever their deadlines. The
-// scheduling class is not decided here — see Server.enqueue.
-func buildRun(req RunRequest) (string, jobWork, error) {
-	cfg, err := req.Config()
-	if err != nil {
-		return "", jobWork{}, err
-	}
-	deadline, err := deadlineFor(req.DeadlineMs)
-	if err != nil {
-		return "", jobWork{}, err
-	}
-	work := jobWork{run: &runWork{cfg: cfg, replicates: req.replicates(), workers: req.Workers}, deadline: deadline}
-	return RunKey(cfg, req.replicates()), work, nil
-}
-
-// buildPanel validates a panel request.
-func buildPanel(req PanelRequest) (string, jobWork, error) {
-	spec, opts, err := req.SpecOpts()
-	if err != nil {
-		return "", jobWork{}, err
-	}
-	deadline, err := deadlineFor(req.DeadlineMs)
-	if err != nil {
-		return "", jobWork{}, err
-	}
-	work := jobWork{panel: &panelWork{spec: spec, opts: opts}, deadline: deadline}
-	return PanelKey(spec, opts), work, nil
-}
-
-// buildExplore validates an explore request.
-func buildExplore(req ExploreRequest) (string, jobWork, error) {
-	spec, opts, exp, err := req.SpecOpts()
-	if err != nil {
-		return "", jobWork{}, err
-	}
-	deadline, err := deadlineFor(req.DeadlineMs)
-	if err != nil {
-		return "", jobWork{}, err
-	}
-	work := jobWork{explore: &exploreWork{spec: spec, opts: opts, points: len(exp.Points), deduped: exp.Deduped}, deadline: deadline}
-	return ExploreKey(spec, opts), work, nil
 }

@@ -1,0 +1,529 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"log"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"quarc/internal/faultinject"
+	dstore "quarc/internal/store"
+)
+
+// outOfDomain is the probe list of ISSUE 19: bodies that decode cleanly but
+// ask for a design point (or a sweep of them) the simulator cannot run. The
+// parent answered all of them 200/202 and failed — or panicked — on the
+// executor. FuzzParse seeds from the same list.
+var outOfDomain = []struct{ route, body string }{
+	{"/v1/runs", `{"n":16,"rate":0.01,"beta":2}`},
+	{"/v1/runs", `{"n":16,"rate":0.01,"beta":-0.5}`},
+	{"/v1/runs", `{"n":16,"rate":-1}`},
+	{"/v1/runs", `{"n":16,"rate":5}`},
+	{"/v1/runs", `{"n":16,"rate":0.01,"msglen":1}`},
+	{"/v1/runs", `{"n":16,"rate":0.01,"depth":-3}`},
+	{"/v1/runs", `{"n":0}`},
+	{"/v1/runs", `{"n":16,"rate":0.01,"warmup":-5}`},
+	{"/v1/panels", `{"n":16,"beta":2,"rates":[0.01]}`},
+	{"/v1/panels", `{"n":16,"msglen":1,"rates":[0.01]}`},
+	{"/v1/panels", `{"n":16,"rates":[-0.01]}`},
+	{"/v1/panels", `{"n":10,"rates":[0.01]}`},
+	{"/v1/panels", `{"n":16,"rates":[0.01],"opts":{"warmup":-5}}`},
+	// Default panels (no rates): the legacy pair skipped the size check and
+	// the grid derivation panicked on the executor.
+	{"/v1/panels", `{"n":10}`},
+	{"/v1/panels", `{"n":16,"msglen":1}`},
+	{"/v1/panels", `{"n":9,"models":["mesh"]}`},
+	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"msglen":1}`},
+	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[5]}`},
+	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"beta":2}`},
+}
+
+// A request for something the simulator cannot run is refused at the door
+// with the validator's message: no job id, no queue slot, no counter, no
+// recovered panic.
+func TestOutOfDomainRequestsRejected(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	for _, c := range outOfDomain {
+		resp, err := http.Post(ts.URL+c.route+"?wait=1", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400 (%s)", c.route, c.body, resp.StatusCode, data)
+			continue
+		}
+		var e struct{ Error string }
+		if json.Unmarshal(data, &e) != nil || e.Error == "" {
+			t.Errorf("%s %s: 400 without a message: %s", c.route, c.body, data)
+		}
+	}
+	snap := svc.Snapshot()
+	if snap.JobsAccepted != 0 || snap.PanicsRecovered != 0 {
+		t.Fatalf("bad requests left traces: accepted=%d panics=%d", snap.JobsAccepted, snap.PanicsRecovered)
+	}
+	if jobs := svc.store.List(); len(jobs) != 0 {
+		t.Fatalf("bad requests registered %d jobs", len(jobs))
+	}
+}
+
+// A body over maxBodyBytes is 413 on every submit route, whether the client
+// declared its length or streamed it chunked.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	big := append([]byte(`{"n":16,"name":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)
+	big = append(big, `"}`...)
+	for _, k := range kinds {
+		for _, chunked := range []bool{false, true} {
+			var body io.Reader = bytes.NewReader(big)
+			if chunked {
+				body = struct{ io.Reader }{body} // hides the length: net/http streams it chunked
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+k.route, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chunked != (req.ContentLength <= 0) {
+				t.Fatalf("chunked=%v but ContentLength=%d", chunked, req.ContentLength)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s chunked=%v: status %d, want 413", k.route, chunked, resp.StatusCode)
+			}
+		}
+	}
+	if n := svc.Snapshot().JobsAccepted; n != 0 {
+		t.Fatalf("oversized bodies registered %d jobs", n)
+	}
+}
+
+func TestCoalescerJoinRelease(t *testing.T) {
+	c := newCoalescer()
+	job := func(id string) *Job { return newJob(id, "run", "k", nil, nil, 0, nil, nil) }
+	p, f1, f2, f3 := job("p"), job("f1"), job("f2"), job("f3")
+	if got := c.join(p); got != nil {
+		t.Fatalf("first join returned primary %v, want nil", got.ID)
+	}
+	for _, f := range []*Job{f1, f2, f3} {
+		if got := c.join(f); got != p {
+			t.Fatalf("follower %s joined %v, want the primary", f.ID, got)
+		}
+	}
+	// A follower is not the primary: its release changes nothing.
+	if fs, next := c.release(f2, true); fs != nil || next != nil || len(c.inflight["k"].followers) != 3 {
+		t.Fatalf("non-primary release: followers=%v next=%v", fs, next)
+	}
+	// Without a result the first live follower is promoted; terminal ones
+	// are dropped from the chain.
+	f1.setState(StateCancelled, "")
+	fs, next := c.release(p, false)
+	if fs != nil || next != f2 {
+		t.Fatalf("release without result: followers=%v next=%v, want promotion of f2", fs, next)
+	}
+	if ch := c.inflight["k"]; ch.primary != f2 || len(ch.followers) != 1 || ch.followers[0] != f3 {
+		t.Fatalf("chain after promotion: %+v", ch)
+	}
+	// With a result the followers come back in join order and the key is free.
+	fs, next = c.release(f2, true)
+	if len(fs) != 1 || fs[0] != f3 || next != nil {
+		t.Fatalf("release with result: followers=%v next=%v", fs, next)
+	}
+	if len(c.inflight) != 0 {
+		t.Fatal("key still in flight after its primary released with a result")
+	}
+	// No live follower left: the key is freed without a promotion.
+	q, g := job("q"), job("g")
+	c.join(q)
+	c.join(g)
+	g.setState(StateCancelled, "")
+	if fs, next := c.release(q, false); fs != nil || next != nil || len(c.inflight) != 0 {
+		t.Fatalf("release with only terminal followers: followers=%v next=%v inflight=%d", fs, next, len(c.inflight))
+	}
+}
+
+// fullQueueServer returns a server whose single executor is busy and whose
+// single queue slot is taken, so the next admit is turned away.
+func fullQueueServer(t *testing.T) *Server {
+	t.Helper()
+	svc, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
+	long := RunRequest{N: 8, MsgLen: 4, Rate: 0.002, Warmup: 100, Measure: 400_000_000, Seed: 50}
+	_, d := postJSON(t, ts.URL+"/v1/runs", long)
+	var running JobJSON
+	if err := json.Unmarshal(d, &running); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ts, running.ID, StateRunning, 10*time.Second)
+	long.Seed = 51
+	if resp, body := postJSON(t, ts.URL+"/v1/runs", long); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queue-filling submission: %s: %s", resp.Status, body)
+	}
+	return svc
+}
+
+// chainOf registers a primary and two followers of one request, as
+// submissions racing into the enqueue window would leave them.
+func chainOf(t *testing.T, svc *Server, kindName string, req any) []*Job {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		key, w, deadline, err := parseKind(kindName, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := svc.store.Add(kindName, key, body, w, deadline)
+		if primary := svc.co.join(j); (primary == nil) != (i == 0) {
+			t.Fatalf("job %d joined as primary=%v", i, primary == nil)
+		}
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
+// A full queue sheds an analyzable run degraded, and the followers that
+// attached in the enqueue window settle degraded with it: one
+// degraded_answers per job, no rejection.
+func TestQueueFullSettlesRunChainDegraded(t *testing.T) {
+	svc := fullQueueServer(t)
+	req := RunRequest{N: 8, MsgLen: 4, Rate: 0.002, Warmup: 100, Measure: 400_000_000, Seed: 52}
+	jobs := chainOf(t, svc, "run", req)
+	if err := svc.admit(jobs[0]); err == nil {
+		t.Fatal("admit into a full queue succeeded")
+	}
+	for _, j := range jobs {
+		snap := j.Snapshot(true)
+		if snap.State != StateDone || !snap.Degraded || len(snap.Result) == 0 {
+			t.Fatalf("job %s: state=%s degraded=%v, want done degraded with a payload", j.ID, snap.State, snap.Degraded)
+		}
+	}
+	snap := svc.Snapshot()
+	if snap.DegradedAnswers != 3 || snap.JobsRejected != 0 || snap.CachedResponses != 0 {
+		t.Fatalf("degraded=%d rejected=%d cached=%d, want 3/0/0", snap.DegradedAnswers, snap.JobsRejected, snap.CachedResponses)
+	}
+	if _, ok := svc.co.inflight[jobs[0].Key]; ok {
+		t.Fatal("shed chain still in flight")
+	}
+}
+
+// A panel has no stand-in: the full queue rejects the primary, and each
+// follower it hands the key to is rejected in turn — one jobs_rejected per job.
+func TestQueueFullRejectsPanelChain(t *testing.T) {
+	svc := fullQueueServer(t)
+	jobs := chainOf(t, svc, "panel", tinyPanel())
+	if err := svc.admit(jobs[0]); err == nil {
+		t.Fatal("admit into a full queue succeeded")
+	}
+	for _, j := range jobs {
+		if snap := j.Snapshot(false); snap.State != StateFailed || !strings.Contains(snap.Error, "queue full") {
+			t.Fatalf("job %s: state=%s error=%q, want failed on the full queue", j.ID, snap.State, snap.Error)
+		}
+	}
+	snap := svc.Snapshot()
+	if snap.JobsRejected != 3 || snap.DegradedAnswers != 0 {
+		t.Fatalf("rejected=%d degraded=%d, want 3/0", snap.JobsRejected, snap.DegradedAnswers)
+	}
+	if _, ok := svc.co.inflight[jobs[0].Key]; ok {
+		t.Fatal("rejected chain still in flight")
+	}
+}
+
+// flakyFS is the plain filesystem with a switch that fails every file read,
+// counting the reads and opens that reach it.
+type flakyFS struct {
+	faultinject.OS
+	failReads bool
+	ops       int
+}
+
+func (f *flakyFS) ReadFile(path string) ([]byte, error) {
+	f.ops++
+	if f.failReads {
+		return nil, faultinject.ErrInjected
+	}
+	return f.OS.ReadFile(path)
+}
+
+func (f *flakyFS) OpenFile(path string, flag int, perm os.FileMode) (faultinject.File, error) {
+	f.ops++
+	return f.OS.OpenFile(path, flag, perm)
+}
+
+func TestResultTier(t *testing.T) {
+	fs := &flakyFS{}
+	disk, err := dstore.OpenFS(t.TempDir(), 1<<20, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newTier := func() *resultTier {
+		return &resultTier{mem: NewCache(1 << 20), disk: disk, breaker: NewBreaker(2, time.Hour, time.Hour),
+			metrics: NewMetrics(), log: log.New(io.Discard, "", 0)}
+	}
+	key, val := strings.Repeat("ab", 32), []byte(`{"v":1}`)
+	tier := newTier()
+	tier.put(key, val)
+
+	// A fresh memory tier over the same disk: the disk hit counts, reports
+	// Success and refills memory, so the second lookup never reaches the disk.
+	tier = newTier()
+	tier.breaker.Failure()
+	if b, ok := tier.get(key); !ok || !bytes.Equal(b, val) {
+		t.Fatalf("disk hit: %q %v", b, ok)
+	}
+	if tier.metrics.storeHits.Load() != 1 || tier.breaker.failures != 0 {
+		t.Fatalf("disk hit: store_hits=%d failures=%d, want 1 and a reset count", tier.metrics.storeHits.Load(), tier.breaker.failures)
+	}
+	before := fs.ops
+	if _, ok := tier.probe(key); !ok || fs.ops != before || tier.metrics.storeHits.Load() != 1 {
+		t.Fatal("second lookup was not served from the refilled memory tier")
+	}
+
+	// An index miss is Neutral: the failure count stays. get counts the
+	// memory miss, probe never does.
+	tier = newTier()
+	tier.breaker.Failure()
+	if _, ok := tier.get("absent"); ok {
+		t.Fatal("absent key hit")
+	}
+	if _, ok := tier.probe("absent"); ok {
+		t.Fatal("absent key hit")
+	}
+	if _, misses := tier.mem.Stats(); misses != 1 {
+		t.Fatalf("cache misses = %d, want 1 (get counts, probe does not)", misses)
+	}
+	if tier.breaker.failures != 1 || tier.metrics.storeFaults.Load() != 0 {
+		t.Fatalf("index miss: failures=%d faults=%d, want 1/0", tier.breaker.failures, tier.metrics.storeFaults.Load())
+	}
+
+	// An I/O error on a resident entry is a Failure and a store fault — and a
+	// miss, never an error, to the caller. Being the second failure in a row
+	// it opens the breaker, after which the disk is not touched at all.
+	fs.failReads = true
+	if _, ok := tier.get(key); ok {
+		t.Fatal("failing read served a hit")
+	}
+	if tier.metrics.storeFaults.Load() != 1 || tier.breaker.State() != BreakerOpen {
+		t.Fatalf("I/O error: faults=%d breaker=%s, want 1 and open", tier.metrics.storeFaults.Load(), tier.breaker.State())
+	}
+	before = fs.ops
+	tier.get(key)
+	tier.put(strings.Repeat("cd", 32), val)
+	if fs.ops != before {
+		t.Fatalf("open breaker let %d operations through to the disk", fs.ops-before)
+	}
+	if _, ok := tier.mem.Probe(strings.Repeat("cd", 32)); !ok {
+		t.Fatal("put under an open breaker skipped the memory tier")
+	}
+}
+
+// journalDir seeds a data directory with one job journal.
+func journalDir(t *testing.T, id, content string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "journal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal", id+".ndjson"), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// A journaled body carrying a field this build does not know is dropped at
+// boot, not executed under a key it does not match (the old recovery decoded
+// leniently and ran it); so is a journal of an unknown kind.
+func TestRecoveryDropsUnparseableJournal(t *testing.T) {
+	for _, hdr := range []string{
+		`{"journal":"quarc-job-v1","id":"j000007","kind":"run","key":"k","created":"2026-01-01T00:00:00Z","request":{"n":8,"msglen":4,"rate":0.002,"warmup":100,"measure":300,"drain":3000,"flux":1}}`,
+		`{"journal":"quarc-job-v1","id":"j000007","kind":"trace","key":"k","created":"2026-01-01T00:00:00Z","request":{"n":8}}`,
+	} {
+		dir := journalDir(t, "j000007", hdr+"\n"+`{"type":"state","state":"queued"}`+"\n")
+		svc, _ := newTestServer(t, Config{Workers: 1, DataDir: dir})
+		if _, ok := svc.store.Get("j000007"); ok {
+			t.Errorf("unparseable journal was recovered as a job: %s", hdr)
+		}
+		snap := svc.Snapshot()
+		if snap.JobsRecovered != 0 || snap.PointsSimulated != 0 {
+			t.Errorf("recovered=%d points=%d, want 0/0", snap.JobsRecovered, snap.PointsSimulated)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "journal", "j000007.ndjson")); !os.IsNotExist(err) {
+			t.Errorf("dropped journal still on disk (%v)", err)
+		}
+	}
+}
+
+// testdata/parent-data-dir is a -data-dir written by the build before the
+// request pipeline was rewritten (commit e6777c3, quarcd -workers 1): a done
+// run (j000001, result on disk), a run cancelled while running (j000002) and
+// a panel still queued behind a long run when the daemon was SIGKILLed
+// (j000004; the long run's own journal, j000003, was deleted so the test
+// stays short). expect/ holds what that same build served after restarting
+// over the directory. This build must recover it to the same bytes.
+func TestRecoversParentDataDir(t *testing.T) {
+	src := filepath.Join("testdata", "parent-data-dir")
+	dir := t.TempDir()
+	for _, sub := range []string{"journal", "results"} {
+		entries, err := os.ReadDir(filepath.Join(src, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(src, sub, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, sub, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	svc, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if n := svc.Snapshot().JobsRecovered; n != 3 {
+		t.Fatalf("recovered %d jobs, want 3", n)
+	}
+	for id, want := range map[string]State{"j000001": StateDone, "j000002": StateCancelled, "j000004": StateDone} {
+		job := waitState(t, ts, id, want, 30*time.Second)
+		wantResult, err := os.ReadFile(filepath.Join(src, "expect", id+".result.json"))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(job.Result, wantResult) {
+			t.Errorf("%s result differs from the parent build's:\n got %s\nwant %s", id, job.Result, wantResult)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		wantEvents, err := os.ReadFile(filepath.Join(src, "expect", id+".events.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(events, wantEvents) {
+			t.Errorf("%s events differ from the parent build's:\n got %s\nwant %s", id, events, wantEvents)
+		}
+	}
+	snap := svc.Snapshot()
+	if snap.StoreHits != 0 || snap.PointsSimulated != 4 {
+		t.Fatalf("store_hits=%d points=%d, want 0 (the boot re-attach is uncounted) and 4 (the re-run panel)",
+			snap.StoreHits, snap.PointsSimulated)
+	}
+}
+
+// Job-record eviction is O(1) at any capacity: Add on a full store allocates
+// the job and its list node, not a copy of every retained id.
+func TestStoreAddAtCapacityAllocatesLittle(t *testing.T) {
+	perAdd := func(capacity int) float64 {
+		s := NewStore(capacity, nil, nil, nil)
+		add := func() { s.Add("run", "k", nil, nil, 0).setState(StateDone, "") }
+		for i := 0; i < capacity; i++ {
+			add()
+		}
+		const n = 2000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			add()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	small, full := perAdd(64), perAdd(4096)
+	if full >= 4096 || full > 2*small {
+		t.Fatalf("Add at capacity 4096 allocates %.0f B/op (64-entry store: %.0f B/op), want < 4096 and within 2x", full, small)
+	}
+}
+
+// Eviction takes the oldest terminal jobs in creation order and steps over
+// live ones wherever they sit.
+func TestStoreEvictionOrderSkipsLiveJobs(t *testing.T) {
+	var evicted []string
+	s := NewStore(3, func(j *Job) { evicted = append(evicted, j.ID) }, nil, nil)
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		jobs = append(jobs, s.Add("run", "k", nil, nil, 0))
+	}
+	jobs[1].setState(StateDone, "") // live, done, live
+	jobs = append(jobs, s.Add("run", "k", nil, nil, 0))
+	jobs[0].setState(StateDone, "")
+	jobs[3].setState(StateDone, "") // done, (evicted), live, done
+	jobs = append(jobs, s.Add("run", "k", nil, nil, 0), s.Add("run", "k", nil, nil, 0))
+	want := []string{jobs[1].ID, jobs[0].ID, jobs[3].ID}
+	if strings.Join(evicted, ",") != strings.Join(want, ",") {
+		t.Fatalf("eviction order %v, want %v", evicted, want)
+	}
+	var left []string
+	for _, j := range s.List() {
+		left = append(left, j.ID)
+	}
+	if want := []string{jobs[2].ID, jobs[4].ID, jobs[5].ID}; strings.Join(left, ",") != strings.Join(want, ",") {
+		t.Fatalf("retained %v, want %v in creation order", left, want)
+	}
+	if _, ok := s.Get(jobs[2].ID); !ok {
+		t.Fatal("live job evicted")
+	}
+}
+
+// FuzzParse drives the one entry point every request body crosses. Accepted
+// bodies must come out fully planned and re-parse to the same key; rejected
+// ones must come back as an error, never a panic.
+func FuzzParse(f *testing.F) {
+	seeds := []struct{ route, body string }{
+		{"/v1/runs", `{"n":16,"msglen":16,"rate":0.01,"seed":1}`},
+		{"/v1/runs", `{"topo":"mesh","n":16,"rate":0.01,"pattern":"hotspot","hotspot_bias":0.5,"replicates":3,"deadline_ms":300}`},
+		{"/v1/runs", `{"n":16,"rate":0.01,"burst_mean_on":40,"burst_mean_off":120,"mcast_frac":0.2,"mcast_size":3}`},
+		{"/v1/panels", `{"n":8,"beta":0.05,"rates":[0.002],"opts":{"warmup":100,"measure":400,"drain":4000}}`},
+		{"/v1/panels", `{"n":16,"models":["quarc","spidergon","ring"],"mcast_frac":0.1,"mcast_size":4}`},
+		{"/v1/explore", `{"models":["quarc","spidergon"],"ns":[16],"rates":[0.005,0.01],"opts":{"warmup":200,"measure":1000,"drain":8000,"seed":7}}`},
+		{"/v1/explore", `{"models":["quarc","mesh"],"ns":[9,16],"rates":[0.01],"depths":[2,4],"mcast":[{"frac":0.2,"size":3}]}`},
+		{"/v1/runs", `{"n":16}{"n":8}`},
+		{"/v1/runs", `{"n":16,"bogus":1}`},
+	}
+	seeds = append(seeds, outOfDomain...)
+	for _, s := range seeds {
+		for i, k := range kinds {
+			if k.route == s.route {
+				f.Add(uint8(i), []byte(s.body))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		k := kinds[int(which)%len(kinds)]
+		key, w, deadline, err := k.parse(body)
+		if err != nil {
+			if key != "" || w != nil {
+				t.Fatalf("rejected body still returned key %q work %v", key, w)
+			}
+			return
+		}
+		if len(key) != 64 || strings.Trim(key, "0123456789abcdef") != "" {
+			t.Fatalf("key %q is not 64 hex digits", key)
+		}
+		if w == nil || deadline < 0 {
+			t.Fatalf("accepted body planned work=%v deadline=%v", w, deadline)
+		}
+		if again, _, _, err := k.parse(body); err != nil || again != key {
+			t.Fatalf("re-parse: key %q err %v, want %q", again, err, key)
+		}
+		w.class()
+		w.degraded("fuzz")
+	})
+}

@@ -230,13 +230,3 @@ func classifyRun(cfg experiments.Config, replicates int) Class {
 	}
 	return ClassBatch
 }
-
-// class is the scheduling class of a unit of work. Panels and explores are
-// always batch (they sweep many points by construction); single runs go by
-// classifyRun.
-func (w jobWork) class() Class {
-	if w.run != nil {
-		return classifyRun(w.run.cfg, w.run.replicates)
-	}
-	return ClassBatch
-}

@@ -12,7 +12,7 @@ import (
 
 // schedJob builds a bare job for scheduler unit tests (no work, no sinks).
 func schedJob(id string, class Class) *Job {
-	j := newJob(id, "run", "k-"+id, nil, jobWork{}, nil, nil)
+	j := newJob(id, "run", "k-"+id, nil, nil, 0, nil, nil)
 	j.class = class
 	return j
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,11 +12,8 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"quarc/internal/experiments"
-	"quarc/internal/explore"
 	"quarc/internal/faultinject"
 	dstore "quarc/internal/store"
 )
@@ -71,39 +67,26 @@ const (
 )
 
 // Server is the simulation service: an http.Handler plus the scheduler,
-// store, cache, durability layer and metrics behind it.
+// store, cache, durability layer and metrics behind it. A submission crosses
+// it in one line: parse (kinds) → register (store) → tier.get → co.join →
+// admit → execute [tier.probe → work.run → tier.put → answer] → settle.
 type Server struct {
-	cfg     Config
 	log     *log.Logger
 	store   *Store
-	cache   *Cache
 	metrics *Metrics
 	sched   *Scheduler
 	mux     *http.ServeMux
 
-	// disk and journal are the durability tier (nil without a DataDir): the
-	// cache reads through to disk on memory misses and writes through on
-	// fills, and every job event is mirrored to its journal. breaker guards
-	// the result store: consecutive failures trip it and quarcd degrades to
-	// memory-cache-only until a half-open probe succeeds.
-	disk    *dstore.Store
+	// tier is the result cache (memory over the breaker-guarded disk store);
+	// co merges identical in-flight submissions onto one simulation.
+	tier *resultTier
+	co   *coalescer
+	// journal (nil without a DataDir) mirrors every job event to disk, so a
+	// restarted daemon rebuilds its job records and re-enqueues live work.
 	journal *dstore.Journal
-	breaker *Breaker
-
-	// inflight coalesces identical uncached submissions: the first live job
-	// per canonical key is the primary (the one that simulates); later
-	// identical submissions attach as followers and are settled from the
-	// primary's outcome instead of simulating twice.
-	coMu     sync.Mutex
-	inflight map[string]*coalesceEntry
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-}
-
-type coalesceEntry struct {
-	primary   *Job
-	followers []*Job
 }
 
 // New assembles a server, recovers any journaled jobs from cfg.DataDir, and
@@ -133,13 +116,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg: cfg, log: lg,
-		cache:    NewCache(cfg.CacheBytes),
-		metrics:  NewMetrics(),
-		mux:      http.NewServeMux(),
-		inflight: make(map[string]*coalesceEntry),
-		breaker:  NewBreaker(cfg.BreakerThreshold, breakerBaseBackoff, breakerMaxBackoff),
-		baseCtx:  ctx, baseCancel: cancel,
+		log:     lg,
+		metrics: NewMetrics(),
+		mux:     http.NewServeMux(),
+		co:      newCoalescer(),
+		baseCtx: ctx, baseCancel: cancel,
+	}
+	s.tier = &resultTier{
+		mem:     NewCache(cfg.CacheBytes),
+		breaker: NewBreaker(cfg.BreakerThreshold, breakerBaseBackoff, breakerMaxBackoff),
+		metrics: s.metrics, log: lg,
 	}
 	if cfg.DataDir != "" {
 		fs := faultinject.FS(faultinject.OS{})
@@ -148,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 			lg.Printf("CHAOS ENABLED: injecting store faults (%s)", cfg.Chaos.Spec())
 		}
 		var err error
-		s.disk, err = dstore.OpenFS(filepath.Join(cfg.DataDir, "results"), cfg.StoreBytes, fs)
+		s.tier.disk, err = dstore.OpenFS(filepath.Join(cfg.DataDir, "results"), cfg.StoreBytes, fs)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -165,15 +151,15 @@ func New(cfg Config) (*Server, error) {
 		if s.journal != nil {
 			s.journal.Remove(j.ID)
 		}
-	})
+	}, s.countOutcome, s.journalEvent)
 	s.sched = NewScheduler(cfg.Workers, cfg.QueueCap, s.execute)
 	s.recoverJobs()
 	if cfg.WatchdogStall > 0 {
 		go s.watchdog(cfg.WatchdogStall)
 	}
-	s.mux.HandleFunc("/v1/runs", s.handleRuns)
-	s.mux.HandleFunc("/v1/panels", s.handlePanels)
-	s.mux.HandleFunc("/v1/explore", s.handleExplore)
+	for _, k := range kinds {
+		s.mux.HandleFunc(k.route, s.handleSubmit(k))
+	}
 	s.mux.HandleFunc("/v1/models", s.handleModels)
 	s.mux.HandleFunc("/v1/jobs", s.handleJobList)
 	s.mux.HandleFunc("/v1/jobs/", s.handleJob)
@@ -185,74 +171,9 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP surface of the server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// cacheGet is the client-visible two-tier lookup: memory first, then the
-// disk store (read-through — a disk hit refills the memory tier). Disk hits
-// are what make a restarted daemon answer with zero points re-simulated.
-func (s *Server) cacheGet(key string) ([]byte, bool) {
-	if b, ok := s.cache.Get(key); ok {
-		return b, true
-	}
-	return s.diskGet(key)
-}
-
-// cacheProbe is cacheGet for internal re-checks: a memory absence is not
-// counted as a miss.
-func (s *Server) cacheProbe(key string) ([]byte, bool) {
-	if b, ok := s.cache.Probe(key); ok {
-		return b, true
-	}
-	return s.diskGet(key)
-}
-
-// diskGet reads through the circuit breaker: while the breaker is open the
-// disk is not consulted at all (quarcd serves memory-cache-only), and an I/O
-// failure on a resident entry — as opposed to a plain miss — counts toward
-// opening it. Store failures never surface to clients as errors, only as
-// misses.
-func (s *Server) diskGet(key string) ([]byte, bool) {
-	if s.disk == nil || !s.breaker.Allow() {
-		return nil, false
-	}
-	b, err := s.disk.GetE(key)
-	switch {
-	case err == nil:
-		s.breaker.Success()
-		s.metrics.storeHits.Add(1)
-		s.cache.Put(key, b)
-		return b, true
-	case errors.Is(err, dstore.ErrNotFound):
-		// Absence is not a fault — but an index miss performs no I/O either,
-		// so it is no evidence of health: leave the failure count alone.
-		s.breaker.Neutral()
-		return nil, false
-	default:
-		s.breaker.Failure()
-		s.metrics.storeFaults.Add(1)
-		s.log.Printf("store: %v (breaker %s)", err, s.breaker.State())
-		return nil, false
-	}
-}
-
-// cachePut writes a finished result through both tiers. A disk write
-// failure costs durability, not the response; while the breaker is open the
-// disk tier is skipped entirely.
-func (s *Server) cachePut(key string, val []byte) {
-	s.cache.Put(key, val)
-	if s.disk == nil || !s.breaker.Allow() {
-		return
-	}
-	if err := s.disk.Put(key, val); err != nil {
-		s.breaker.Failure()
-		s.metrics.storeFaults.Add(1)
-		s.log.Printf("store: %v (breaker %s)", err, s.breaker.State())
-		return
-	}
-	s.breaker.Success()
-}
-
 // Snapshot returns the current operational counters.
 func (s *Server) Snapshot() MetricsSnapshot {
-	hits, misses := s.cache.Stats()
+	hits, misses := s.tier.mem.Stats()
 	m := MetricsSnapshot{
 		UptimeSeconds:         time.Since(s.metrics.start).Seconds(),
 		JobsAccepted:          s.metrics.jobsAccepted.Load(),
@@ -270,8 +191,8 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		ExplorePointsCacheHit: s.metrics.explorePointsCacheHit.Load(),
 		CacheHits:             hits,
 		CacheMisses:           misses,
-		CacheEntries:          s.cache.Len(),
-		CacheBytes:            s.cache.Bytes(),
+		CacheEntries:          s.tier.mem.Len(),
+		CacheBytes:            s.tier.mem.Bytes(),
 		StoreHits:             s.metrics.storeHits.Load(),
 		QueueDepth:            s.sched.Depth(),
 		QueueInteractive:      s.sched.DepthClass(ClassInteractive),
@@ -281,14 +202,13 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		WatchdogCancels:       s.metrics.watchdogCancels.Load(),
 		PanicsRecovered:       s.metrics.panicsRecovered.Load(),
 		StoreFaults:           s.metrics.storeFaults.Load(),
-		BreakerState:          s.breaker.State(),
-		BreakerOpens:          s.breaker.Opens(),
+		BreakerState:          s.tier.breaker.State(),
+		BreakerOpens:          s.tier.breaker.Opens(),
 	}
-	if s.disk != nil {
-		_, _, ev := s.disk.Stats()
-		m.StoreEntries = s.disk.Len()
-		m.StoreBytes = s.disk.Bytes()
-		m.StoreEvictions = ev
+	if d := s.tier.disk; d != nil {
+		_, _, m.StoreEvictions = d.Stats()
+		m.StoreEntries = d.Len()
+		m.StoreBytes = d.Bytes()
 	}
 	return m
 }
@@ -337,7 +257,7 @@ func (s *Server) Close() {
 func (s *Server) execute(j *Job) {
 	// Whatever way this job ends, settle any identical submissions that
 	// coalesced onto it.
-	defer s.settleCoalesced(j)
+	defer s.settle(j)
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	j.setCancel(cancel)
@@ -349,15 +269,13 @@ func (s *Server) execute(j *Job) {
 	// Re-check the cache at dequeue time: an identical job may have finished
 	// while this one sat in the queue (the back-to-back duplicate pattern a
 	// burst of identical clients produces).
-	if cached, ok := s.cacheProbe(j.Key); ok {
-		if j.finish(cached, true) {
-			s.metrics.cachedResponse.Add(1)
+	if cached, ok := s.tier.probe(j.Key); ok {
+		if s.answer(j, cached, true, false) {
 			s.log.Printf("job %s %s served from cache at dequeue", j.ID, j.Kind)
 		}
 		return
 	}
-	deadline, hasDeadline := j.deadlineTime()
-	if hasDeadline {
+	if deadline, ok := j.deadlineTime(); ok {
 		// The budget ran down while the job sat in the queue: answer now
 		// without simulating a single cycle.
 		if !time.Now().Before(deadline) {
@@ -373,136 +291,84 @@ func (s *Server) execute(j *Job) {
 	}
 	s.log.Printf("job %s %s key=%.12s running", j.ID, j.Kind, j.Key)
 
-	onPoint := func(pd experiments.PointDone) {
-		j.pointDone(pd, false)
-		s.metrics.pointsSim.Add(1)
-		s.metrics.cyclesSim.Add(uint64(pd.Result.Cycles))
-	}
-
-	var payload any
-	var err error
-	// Panic isolation: a crash anywhere in the simulation stack fails this
-	// job with a diagnosis instead of tearing down the daemon and every
-	// other job with it.
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.metrics.panicsRecovered.Add(1)
-				s.log.Printf("job %s panicked: %v\n%s", j.ID, r, debug.Stack())
-				err = fmt.Errorf("job panicked: %v", r)
-			}
-		}()
-		switch {
-		case j.work.run != nil:
-			w := j.work.run
-			j.setTotal(w.replicates)
-			var agg experiments.Result
-			var reps []experiments.Result
-			agg, reps, err = experiments.RunReplicatedContext(ctx, w.cfg, w.replicates, w.workers, onPoint)
-			if err == nil {
-				payload = EncodeRun(agg, reps)
-			}
-		case j.work.panel != nil:
-			w := j.work.panel
-			opts := w.opts
-			j.setTotal(experiments.PanelPointCount(w.spec, opts))
-			opts.OnPointDone = onPoint
-			var pr experiments.PanelResult
-			pr, err = experiments.RunPanelContext(ctx, w.spec, opts)
-			if err == nil {
-				payload = EncodePanel(pr)
-			}
-		case j.work.explore != nil:
-			w := j.work.explore
-			j.setTotal(w.points)
-			s.metrics.explorePointsExpanded.Add(uint64(w.points))
-			s.metrics.explorePointsDeduped.Add(uint64(w.deduped))
-			var oc explore.Outcome
-			oc, err = explore.Run(ctx, w.spec, w.opts, w.opts.Workers, s.exploreEvaluator(w), func(i int, p explore.Point, res experiments.Result, cached bool) {
-				j.pointDone(experiments.PointDone{Index: i, Total: w.points, Model: p.Model, Rate: p.Rate, Result: res}, cached)
-			})
-			if err == nil {
-				payload = EncodeExplore(w.spec, w.opts, oc)
-			}
-		default:
-			err = fmt.Errorf("job has no work")
-		}
-	}()
-
+	payload, err := s.runGuarded(ctx, j)
 	switch {
 	case err == nil:
-		b, merr := json.Marshal(payload)
-		if merr != nil {
-			j.setState(StateFailed, merr.Error())
-			return
-		}
-		s.cachePut(j.Key, b)
-		j.finish(b, false)
+		s.tier.put(j.Key, payload)
+		s.answer(j, payload, false, false)
 		s.log.Printf("job %s done", j.ID)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.degradeOrFail(j, "deadline exceeded")
+	case errors.Is(err, context.Canceled) && j.killReason() == "":
+		j.setState(StateCancelled, "")
+		s.log.Printf("job %s cancelled", j.ID)
 	case errors.Is(err, context.Canceled):
-		if msg := j.killReason(); msg != "" {
-			j.setState(StateFailed, msg)
-			s.log.Printf("job %s failed: %s", j.ID, msg)
-		} else {
-			j.setState(StateCancelled, "")
-			s.log.Printf("job %s cancelled", j.ID)
-		}
+		s.fail(j, j.killReason()) // the watchdog's diagnosis
 	default:
-		j.setState(StateFailed, err.Error())
-		s.log.Printf("job %s failed: %v", j.ID, err)
+		s.fail(j, err.Error())
 	}
 }
 
-// degradeOrFail settles a job whose exact answer can no longer be produced
-// in time. Analyzable run jobs get an instant closed-form analytic estimate
-// marked `degraded: true` — a useful answer in microseconds instead of an
-// error — which is deliberately never cached; panels, explores and workloads
-// outside the analytic models' validated domain fail with reason.
+// runGuarded runs j's work with panic isolation: a crash anywhere in the
+// simulation stack fails this job with a diagnosis instead of tearing down
+// the daemon and every other job with it.
+func (s *Server) runGuarded(ctx context.Context, j *Job) (payload []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.panicsRecovered.Add(1)
+			s.log.Printf("job %s panicked: %v\n%s", j.ID, r, debug.Stack())
+			err = fmt.Errorf("job panicked: %v", r)
+		}
+	}()
+	return j.work.run(ctx, s, j)
+}
+
+// answer finishes j with a result payload and counts the kind of answer it
+// was, reporting whether the transition took effect.
+func (s *Server) answer(j *Job, payload []byte, cached, degraded bool) bool {
+	if !j.finish(payload, cached, degraded) {
+		return false
+	}
+	switch {
+	case degraded:
+		s.metrics.degradedAnswers.Add(1)
+	case cached:
+		s.metrics.cachedResponse.Add(1)
+	}
+	return true
+}
+
+// fail ends j as failed with a diagnosis.
+func (s *Server) fail(j *Job, msg string) {
+	j.setState(StateFailed, msg)
+	s.log.Printf("job %s failed: %s", j.ID, msg)
+}
+
+// degrade answers a job whose exact result cannot be produced in time — its
+// deadline ran out, queued or running, or the queue turned it away — with the
+// work's instant analytic stand-in marked `degraded: true`: a useful answer
+// in microseconds instead of an error, deliberately never cached. It reports
+// whether the work has one; panels, explores and workloads outside the
+// analytic models' validated domain do not.
+func (s *Server) degrade(j *Job, reason string) bool {
+	out, ok := j.work.degraded(reason)
+	if !ok {
+		return false
+	}
+	b, err := json.Marshal(out)
+	if err != nil {
+		return false
+	}
+	if s.answer(j, b, false, true) {
+		s.log.Printf("job %s answered degraded: %s", j.ID, reason)
+	}
+	return true
+}
+
+// degradeOrFail settles a job that ran out of deadline.
 func (s *Server) degradeOrFail(j *Job, reason string) {
-	if j.work.run != nil {
-		if out, ok := EncodeDegradedRun(j.work.run.cfg, reason); ok {
-			if b, err := json.Marshal(out); err == nil {
-				if j.finishDegraded(b) {
-					s.metrics.degradedAnswers.Add(1)
-					s.log.Printf("job %s answered degraded: %s", j.ID, reason)
-				}
-				return
-			}
-		}
-	}
-	j.setState(StateFailed, reason)
-	s.log.Printf("job %s failed: %s", j.ID, reason)
-}
-
-// exploreEvaluator builds the cache-through evaluator an explore job fans
-// its lattice points through: each point is content-addressed under the
-// exact run key POST /v1/runs would use for the same configuration, so
-// explore points, single runs and overlapping explores all share cache
-// entries — including durable ones from before a restart. A probe hit
-// re-attaches the point's configuration to the cached bytes; a miss
-// simulates and stores the run payload for the next request of either kind.
-func (s *Server) exploreEvaluator(w *exploreWork) explore.Evaluator {
-	return func(ctx context.Context, p explore.Point) (experiments.Result, bool, error) {
-		key := RunKey(p.Cfg, w.opts.Replicates)
-		if b, ok := s.cacheProbe(key); ok {
-			if res, ok := decodeRunResult(b, p.Cfg); ok {
-				s.metrics.explorePointsCacheHit.Add(1)
-				return res, true, nil
-			}
-		}
-		agg, reps, err := experiments.RunReplicatedContext(ctx, p.Cfg, w.opts.Replicates, 1, func(pd experiments.PointDone) {
-			s.metrics.pointsSim.Add(1)
-			s.metrics.cyclesSim.Add(uint64(pd.Result.Cycles))
-		})
-		if err != nil {
-			return experiments.Result{}, false, err
-		}
-		if b, merr := json.Marshal(EncodeRun(agg, reps)); merr == nil {
-			s.cachePut(key, b)
-		}
-		return agg, false, nil
+	if !s.degrade(j, reason) {
+		s.fail(j, reason)
 	}
 }
 
@@ -519,95 +385,41 @@ func (s *Server) countOutcome(st State) {
 	}
 }
 
-// submit registers and schedules (or answers from cache / an identical
-// in-flight job) one parsed request.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string, raw json.RawMessage, work jobWork) {
-	j := s.store.Add(kind, key, raw, work, s.countOutcome, s.journalEvent)
-	s.metrics.jobsAccepted.Add(1)
-	if cached, ok := s.cacheGet(key); ok {
-		j.finish(cached, true)
-		s.metrics.cachedResponse.Add(1)
-		writeJSON(w, http.StatusOK, j.Snapshot(true))
-		return
-	}
-	// Coalesce with an identical uncached job that is already queued or
-	// running: this job subscribes to that one's outcome instead of
-	// simulating the same points twice.
-	s.coMu.Lock()
-	if e, ok := s.inflight[key]; ok {
-		e.followers = append(e.followers, j)
-		primaryID := e.primary.ID
-		s.coMu.Unlock()
-		s.metrics.jobsCoalesced.Add(1)
-		s.log.Printf("job %s %s coalesced onto in-flight %s", j.ID, kind, primaryID)
-		s.respondSubmitted(w, r, j)
-		return
-	}
-	s.inflight[key] = &coalesceEntry{primary: j}
-	s.coMu.Unlock()
-	if err := s.enqueue(j); err != nil {
-		// Shed with an answer where we can: an analyzable run turned away by
-		// a full queue gets an instant degraded analytic estimate — 200 with
-		// an honest error band beats a 503 for a client on a deadline.
-		if errors.Is(err, ErrQueueFull) && s.shedDegrade(w, j) {
-			return
-		}
-		s.failCoalesceChain(j, err)
-		if errors.Is(err, ErrQueueFull) {
-			// Backpressure is transient: tell well-behaved clients when to
-			// come back instead of letting them hammer the queue.
-			w.Header().Set("Retry-After", "1")
-		}
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	s.respondSubmitted(w, r, j)
-}
-
-// enqueue classifies a job and hands it to the scheduler. The class is
-// decided here, where it is consumed, and not when the request is parsed:
-// classifying a run evaluates the closed-form model (an O(N²) path
-// enumeration, milliseconds at N 64), and a request answered from the cache
-// or coalesced onto an in-flight twin never queues, so it must not pay that.
-func (s *Server) enqueue(j *Job) error {
+// admit classifies a primary and hands it to the scheduler. A job the
+// scheduler turns away ends here and now — answered degraded if a full queue
+// shed it and its work has an analytic stand-in, failed and counted as a
+// backpressure rejection otherwise — and is settled like any other finished
+// primary; the scheduler's error is returned either way.
+func (s *Server) admit(j *Job) error {
 	j.class = j.work.class()
-	return s.sched.Enqueue(j)
+	err := s.sched.Enqueue(j)
+	if err != nil {
+		if !errors.Is(err, ErrQueueFull) || !s.degrade(j, "shed: queue full") {
+			j.setState(StateFailed, err.Error())
+			s.metrics.jobsRejected.Add(1)
+		}
+		s.settle(j)
+	}
+	return err
 }
 
-// shedDegrade answers a load-shed run job (and any followers that coalesced
-// onto it in the enqueue window) with a degraded analytic estimate,
-// reporting whether it could. Only analyzable runs qualify; everything else
-// falls through to the 503 path.
-func (s *Server) shedDegrade(w http.ResponseWriter, j *Job) bool {
-	if j.work.run == nil {
-		return false
-	}
-	out, ok := EncodeDegradedRun(j.work.run.cfg, "shed: queue full")
-	if !ok {
-		return false
-	}
-	b, err := json.Marshal(out)
-	if err != nil {
-		return false
-	}
-	s.coMu.Lock()
-	var followers []*Job
-	if e, ok := s.inflight[j.Key]; ok && e.primary == j {
-		followers = e.followers
-		delete(s.inflight, j.Key)
-	}
-	s.coMu.Unlock()
-	if j.finishDegraded(b) {
-		s.metrics.degradedAnswers.Add(1)
-		s.log.Printf("job %s shed with a degraded answer (queue full)", j.ID)
-	}
+// settle resolves whatever coalesced onto the terminal job j. A result
+// settles every follower without simulating — from j's own payload, not a
+// cache probe: the bounded LRU may already have evicted the entry under
+// churn, and a done primary must never trigger a duplicate simulation; a
+// degraded primary settles its followers degraded too (the payload says so,
+// the flag must agree). A primary that ended without a result hands the key
+// to its first still-live follower, which is admitted in its place.
+func (s *Server) settle(j *Job) {
+	payload, degraded, ok := j.resultPayload()
+	followers, next := s.co.release(j, ok)
 	for _, f := range followers {
-		if f.finishDegraded(b) {
-			s.metrics.degradedAnswers.Add(1)
-		}
+		s.answer(f, payload, !degraded, degraded)
 	}
-	writeJSON(w, http.StatusOK, j.Snapshot(true))
-	return true
+	if next != nil {
+		s.log.Printf("job %s promoted to primary after %s ended without a result", next.ID, j.ID)
+		s.admit(next)
+	}
 }
 
 // respondSubmitted answers a successfully registered submission, honouring
@@ -620,144 +432,73 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job
 		j.WaitTerminal(r.Context())
 		if j.State().terminal() {
 			writeJSON(w, http.StatusOK, j.Snapshot(true))
-		} else {
-			writeJSON(w, http.StatusAccepted, j.Snapshot(false))
+			return
 		}
-		return
 	}
 	writeJSON(w, http.StatusAccepted, j.Snapshot(false))
 }
 
-// settleCoalesced resolves the followers of a finished primary: a cached
-// result settles them all without simulating; otherwise (the primary failed
-// or was cancelled) the first still-live follower is promoted to primary
-// and scheduled, so one client's cancellation never cancels another
-// client's identical request.
-func (s *Server) settleCoalesced(j *Job) {
-	s.coMu.Lock()
-	e, ok := s.inflight[j.Key]
-	if !ok || e.primary != j {
-		s.coMu.Unlock()
-		return
-	}
-	if len(e.followers) == 0 {
-		delete(s.inflight, j.Key)
-		s.coMu.Unlock()
-		return
-	}
-	// Settle from the primary's own payload, not a cache probe: the bounded
-	// LRU may already have evicted the entry under churn, and a done primary
-	// must never trigger a duplicate simulation. A degraded primary settles
-	// its followers degraded too — the payload says so, the flag must agree.
-	if payload, degraded, ok := j.resultPayload(); ok {
-		delete(s.inflight, j.Key)
-		followers := e.followers
-		s.coMu.Unlock()
-		for _, f := range followers {
-			switch {
-			case degraded:
-				if f.finishDegraded(payload) {
-					s.metrics.degradedAnswers.Add(1)
-				}
-			case f.finish(payload, true):
-				s.metrics.cachedResponse.Add(1)
+// maxBodyBytes bounds request bodies.
+const maxBodyBytes = 1 << 20
+
+// handleSubmit is the POST handler of one job kind, the front of the
+// pipeline: read the bounded body, parse it through the kind's table row,
+// register the job, then answer it from the cache, attach it to an identical
+// in-flight job, or admit it. A body the parser refuses is a 400 and leaves
+// no trace — no job id, queue slot, counter or journal file.
+func (s *Server) handleSubmit(k kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			httpError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
 			}
+			httpError(w, status, "read body: "+err.Error())
+			return
 		}
-		return
-	}
-	var live []*Job
-	for _, f := range e.followers {
-		if !f.State().terminal() {
-			live = append(live, f)
+		key, wk, deadline, err := k.parse(raw)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		j := s.store.Add(k.name, key, raw, wk, deadline)
+		s.metrics.jobsAccepted.Add(1)
+		if cached, ok := s.tier.get(key); ok {
+			s.answer(j, cached, true, false)
+			writeJSON(w, http.StatusOK, j.Snapshot(true))
+			return
+		}
+		// Coalesce with an identical uncached job that is already queued or
+		// running: this job subscribes to that one's outcome instead of
+		// simulating the same points twice.
+		if primary := s.co.join(j); primary != nil {
+			s.metrics.jobsCoalesced.Add(1)
+			s.log.Printf("job %s %s coalesced onto in-flight %s", j.ID, k.name, primary.ID)
+			s.respondSubmitted(w, r, j)
+			return
+		}
+		switch err := s.admit(j); {
+		case err == nil:
+			s.respondSubmitted(w, r, j)
+		case j.State() == StateDone:
+			// Shed with an answer: 200 with an honest error band beats a 503
+			// for a client on a deadline.
+			writeJSON(w, http.StatusOK, j.Snapshot(true))
+		default:
+			if errors.Is(err, ErrQueueFull) {
+				// Backpressure is transient: tell well-behaved clients when to
+				// come back instead of letting them hammer the queue.
+				w.Header().Set("Retry-After", "1")
+			}
+			httpError(w, http.StatusServiceUnavailable, err.Error())
 		}
 	}
-	if len(live) == 0 {
-		delete(s.inflight, j.Key)
-		s.coMu.Unlock()
-		return
-	}
-	next := live[0]
-	e.primary = next
-	e.followers = live[1:]
-	s.coMu.Unlock()
-	s.log.Printf("job %s promoted to primary after %s ended without a result", next.ID, j.ID)
-	if err := s.enqueue(next); err != nil {
-		s.failCoalesceChain(next, err)
-	}
-}
-
-// failCoalesceChain fails a primary that queue backpressure rejected,
-// together with any followers attached to it, clears the in-flight entry,
-// and counts every job in the chain as a backpressure rejection.
-func (s *Server) failCoalesceChain(j *Job, cause error) {
-	s.coMu.Lock()
-	var followers []*Job
-	if e, ok := s.inflight[j.Key]; ok && e.primary == j {
-		followers = e.followers
-		delete(s.inflight, j.Key)
-	}
-	s.coMu.Unlock()
-	j.setState(StateFailed, cause.Error())
-	s.metrics.jobsRejected.Add(1)
-	for _, f := range followers {
-		f.setState(StateFailed, cause.Error())
-		s.metrics.jobsRejected.Add(1)
-	}
-}
-
-// handleRuns accepts POST /v1/runs.
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	raw, req, ok := decodeBody[RunRequest](w, r)
-	if !ok {
-		return
-	}
-	key, work, err := buildRun(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.submit(w, r, "run", key, raw, work)
-}
-
-// handlePanels accepts POST /v1/panels.
-func (s *Server) handlePanels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	raw, req, ok := decodeBody[PanelRequest](w, r)
-	if !ok {
-		return
-	}
-	key, work, err := buildPanel(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.submit(w, r, "panel", key, raw, work)
-}
-
-// handleExplore accepts POST /v1/explore: a design-space exploration over a
-// parameter lattice, answered with the latency/throughput/cost Pareto front.
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	raw, req, ok := decodeBody[ExploreRequest](w, r)
-	if !ok {
-		return
-	}
-	key, work, err := buildExplore(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.submit(w, r, "explore", key, raw, work)
 }
 
 // handleModels serves GET /v1/models: the registered network models, their
@@ -876,30 +617,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func wantWait(r *http.Request) bool {
 	v := r.URL.Query().Get("wait")
 	return v == "1" || v == "true"
-}
-
-// maxBodyBytes bounds request bodies.
-const maxBodyBytes = 1 << 20
-
-// decodeBody reads and decodes a JSON body, reporting HTTP errors itself.
-func decodeBody[T any](w http.ResponseWriter, r *http.Request) (json.RawMessage, T, bool) {
-	var req T
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: "+err.Error())
-		return nil, req, false
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode body: "+err.Error())
-		return nil, req, false
-	}
-	if dec.More() {
-		httpError(w, http.StatusBadRequest, "decode body: trailing data after the request object")
-		return nil, req, false
-	}
-	return raw, req, true
 }
 
 // writeJSON writes a JSON response body.

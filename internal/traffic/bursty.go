@@ -34,14 +34,14 @@ func (c BurstyConfig) Validate() error {
 	switch {
 	case c.N < 2:
 		return fmt.Errorf("traffic: %d nodes", c.N)
-	case c.OnRate <= 0 || c.OnRate > 1:
-		return fmt.Errorf("traffic: on-rate %v", c.OnRate)
 	case c.MeanOn < 1 || c.MeanOff < 1:
-		return fmt.Errorf("traffic: burst/gap means must be >= 1 cycle")
+		return fmt.Errorf("traffic: burst/gap means must both be >= 1 cycle")
+	case c.OnRate <= 0 || c.OnRate > 1:
+		return fmt.Errorf("traffic: bursty on-rate %v outside (0,1] msg/node/cycle", c.OnRate)
 	case c.Beta < 0 || c.Beta > 1:
-		return fmt.Errorf("traffic: beta %v", c.Beta)
+		return fmt.Errorf("traffic: beta %v outside [0,1]", c.Beta)
 	case c.MsgLen < 2:
-		return fmt.Errorf("traffic: message length %d", c.MsgLen)
+		return fmt.Errorf("traffic: message length %d (need >= 2 flits)", c.MsgLen)
 	}
 	return validateMulticast(c.McastFrac, c.McastSize, c.N)
 }

@@ -83,7 +83,7 @@ func (c Config) Validate() error {
 	case c.MsgLen < 2:
 		return fmt.Errorf("traffic: message length %d (need >= 2 flits)", c.MsgLen)
 	case c.HotspotBias < 0 || c.HotspotBias > 1:
-		return fmt.Errorf("traffic: hotspot bias %v", c.HotspotBias)
+		return fmt.Errorf("traffic: hotspot bias %v outside [0,1]", c.HotspotBias)
 	}
 	return validateMulticast(c.McastFrac, c.McastSize, c.N)
 }
