@@ -24,6 +24,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePacket -fuzztime=$(FUZZTIME) ./internal/flit/
 	$(GO) test -run=^$$ -fuzz=FuzzFront -fuzztime=$(FUZZTIME) ./internal/explore/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/service/
+	$(GO) test -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store/
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
@@ -68,9 +69,9 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis. quarcvet (internal/lint) always runs — it is part of the
-# module and enforces the repo-specific invariants (determinism, cache-key
-# purity, hot-path allocation discipline, coordinator sections, metric
-# registration). staticcheck and govulncheck run when installed: CI installs
+# module and enforces the two repo-specific invariants no test can state
+# (determinism on every path, hot-path copy and allocation discipline) and
+# its own //quarc: vocabulary. staticcheck and govulncheck run when installed: CI installs
 # and caches them; a machine without them still gets the full quarcvet suite,
 # but if they are present their findings fail the target.
 lint:

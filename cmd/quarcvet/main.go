@@ -1,8 +1,8 @@
 // quarcvet runs the repo-specific static-analysis suite (internal/lint)
-// over the given packages: determinism, cache-key purity, hot-path
-// allocation discipline, coordinator-section race discipline and metric
-// registration. Exit status 0 means no unsuppressed diagnostics; 1 means
-// findings were printed; 2 means the load itself failed.
+// over the given packages: determinism and hot-path discipline, plus the
+// `//quarc:` vocabulary itself (unjustified allows, unknown verbs). Exit
+// status 0 means no unsuppressed diagnostics; 1 means findings were printed;
+// 2 means the load itself failed.
 //
 // Usage:
 //

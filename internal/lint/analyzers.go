@@ -4,9 +4,6 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		CacheKeyPurity,
 		HotPath,
-		CoordSection,
-		MetricsOnce,
 	}
 }

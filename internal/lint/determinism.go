@@ -52,7 +52,7 @@ func runDeterminism(p *Pass) {
 		if scoped != nil && !contains(scoped, base) {
 			continue
 		}
-		poolFile := fileHasDirective(f, "poolfile")
+		poolFile := hasDirective("poolfile", f.Comments...)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ImportSpec:
@@ -74,7 +74,7 @@ func runDeterminism(p *Pass) {
 				}
 			case *ast.GoStmt:
 				if !poolFile {
-					p.Reportf(n.Pos(), "goroutine spawned outside a blessed pool file; concurrency in simulation code lives in //quarc:poolfile worker pools with coordinator-section discipline")
+					p.Reportf(n.Pos(), "goroutine spawned outside a blessed pool file; concurrency in simulation code lives in //quarc:poolfile worker pools whose determinism a named test proves")
 				}
 			}
 			return true

@@ -1,8 +1,12 @@
-// Package lint is quarcvet: a repo-specific static-analysis suite that
-// enforces the invariants the compiler cannot see but the paper's results
-// depend on — bit-identical simulation output at any worker count, canonical
-// cache keys that exclude execution-only knobs, an allocation-free fabric
-// hot path, and the parallel stepper's coordinator-section race discipline.
+// Package lint is quarcvet: a repo-specific static-analysis suite for the
+// invariants no runtime test can state — simulation code that is a pure
+// function of (configuration, seed) on every path, including the ones the
+// tests never run, and a fabric hot path free of copies and defers that cost
+// time without allocating. Properties the running program shows directly are
+// tested instead: a wire field's cache-key fate by TestWireFieldsDecideKeyFate
+// and the /metrics names by TestMetricsExposition (both internal/service),
+// the step pool's shared writes by CI's -race run of the step-pool invariance
+// suites.
 //
 // The suite is built directly on go/ast + go/types (the module is
 // stdlib-only by policy, so golang.org/x/tools/go/analysis is off the
@@ -12,7 +16,8 @@
 //
 // # Annotation vocabulary
 //
-// Analyzers are directed by `//quarc:` comments in the source they check:
+// Analyzers are directed by `//quarc:` comments in the source they check.
+// Any other verb is itself a finding, so a typo cannot silently exempt code:
 //
 //	//quarc:hotpath
 //	    (func doc) The function is on the fabric hot path and must stay
@@ -20,30 +25,9 @@
 //	    escaping composite literals, interface conversions, defers, or
 //	    appends that grow a slice other than the one appended to.
 //
-//	//quarc:coordinator
-//	    (func doc) The function mutates fabric-shared state and may only
-//	    run single-threaded. Inside parallel.go, calls to coordinator
-//	    functions and writes to shared fields are legal only inside a
-//	    `if w == 0` worker-0 section or another coordinator function.
-//
 //	//quarc:poolfile <reason>
 //	    (file comment) The file is a blessed worker-pool implementation;
 //	    `go` statements in it are exempt from the determinism analyzer.
-//
-//	//quarc:wirekey <KeyFunc>
-//	    (struct doc) The struct is a wire request schema whose canonical
-//	    cache key is computed by <KeyFunc> in the same package; every
-//	    exported field must appear in the key struct or be marked
-//	    execution-only.
-//
-//	//quarc:execonly
-//	    (field doc or line comment) The wire field is an execution-only
-//	    knob (changes wall-clock, never output) and must NOT appear in
-//	    the canonical key.
-//
-//	//quarc:keyfield <Name>
-//	    (field doc or line comment) The wire field appears in the key
-//	    struct under a different field name.
 //
 //	//quarc:allow <analyzer>: <reason>
 //	    (same line as the diagnostic, or the line directly above)
@@ -100,19 +84,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// FileOf returns the *ast.File containing pos.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // directive is one parsed //quarc:<verb> <arg> comment.
 type directive struct {
-	verb string // "hotpath", "coordinator", "allow", ...
+	verb string // "hotpath", "poolfile" or "allow"
 	arg  string // remainder after the verb, trimmed
 	pos  token.Pos
 }
@@ -146,27 +120,6 @@ func hasDirective(verb string, groups ...*ast.CommentGroup) bool {
 	return false
 }
 
-// directiveArg returns the argument of the first matching directive.
-func directiveArg(verb string, groups ...*ast.CommentGroup) (string, bool) {
-	for _, d := range parseDirectives(groups...) {
-		if d.verb == verb {
-			return d.arg, true
-		}
-	}
-	return "", false
-}
-
-// fileHasDirective reports whether any comment anywhere in the file carries
-// the verb (used for file-scoped pragmas like //quarc:poolfile).
-func fileHasDirective(f *ast.File, verb string) bool {
-	for _, g := range f.Comments {
-		if hasDirective(verb, g) {
-			return true
-		}
-	}
-	return false
-}
-
 // allowSite is one //quarc:allow comment.
 type allowSite struct {
 	analyzer string
@@ -179,26 +132,24 @@ type allowSite struct {
 func allowsByLine(fset *token.FileSet, files []*ast.File) map[string]map[int][]allowSite {
 	out := map[string]map[int][]allowSite{}
 	for _, f := range files {
-		for _, g := range f.Comments {
-			for _, d := range parseDirectives(g) {
-				if d.verb != "allow" {
-					continue
-				}
-				name, reason, _ := strings.Cut(d.arg, ":")
-				site := allowSite{
-					analyzer: strings.TrimSpace(name),
-					reason:   strings.TrimSpace(reason),
-					pos:      d.pos,
-				}
-				p := fset.Position(d.pos)
-				m := out[p.Filename]
-				if m == nil {
-					m = map[int][]allowSite{}
-					out[p.Filename] = m
-				}
-				m[p.Line] = append(m[p.Line], site)
-				m[p.Line+1] = append(m[p.Line+1], site)
+		for _, d := range parseDirectives(f.Comments...) {
+			if d.verb != "allow" {
+				continue
 			}
+			name, reason, _ := strings.Cut(d.arg, ":")
+			site := allowSite{
+				analyzer: strings.TrimSpace(name),
+				reason:   strings.TrimSpace(reason),
+				pos:      d.pos,
+			}
+			p := fset.Position(d.pos)
+			m := out[p.Filename]
+			if m == nil {
+				m = map[int][]allowSite{}
+				out[p.Filename] = m
+			}
+			m[p.Line] = append(m[p.Line], site)
+			m[p.Line+1] = append(m[p.Line+1], site)
 		}
 	}
 	return out
@@ -207,7 +158,8 @@ func allowsByLine(fset *token.FileSet, files []*ast.File) map[string]map[int][]a
 // RunAnalyzers runs the analyzers over one loaded package and returns the
 // surviving diagnostics: `//quarc:allow <analyzer>: <reason>` comments on
 // the diagnostic's line (or the line above) suppress it, and every allow
-// missing its justification is reported as a diagnostic of its own.
+// missing its justification and every unknown `//quarc:` verb is reported as
+// a diagnostic of its own.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic
 	for _, a := range analyzers {
@@ -251,6 +203,19 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 					Analyzer: "allow",
 					Pos:      pkg.Fset.Position(site.pos),
 					Message:  "//quarc:allow needs a justification: `//quarc:allow <analyzer>: <reason>`",
+				})
+			}
+		}
+	}
+	// So are unknown verbs: a typo such as //quarc:hotpth would otherwise
+	// silently exempt the function it was meant to opt in.
+	for _, f := range pkg.Files {
+		for _, d := range parseDirectives(f.Comments...) {
+			if d.verb != "hotpath" && d.verb != "poolfile" && d.verb != "allow" {
+				out = append(out, Diagnostic{
+					Analyzer: "directive",
+					Pos:      pkg.Fset.Position(d.pos),
+					Message:  fmt.Sprintf("unknown directive //quarc:%s: the vocabulary is hotpath, poolfile and allow", d.verb),
 				})
 			}
 		}

@@ -42,20 +42,31 @@ func TestDeterminismOutOfScope(t *testing.T) {
 	}
 }
 
-func TestCacheKeyPurityFixture(t *testing.T) {
-	checkFixture(t, "cachekey", "quarc/fixture/cachekey", CacheKeyPurity)
+// In a package checked file by file, an unlisted file stays silent while a
+// listed one reports.
+func TestDeterminismFileScope(t *testing.T) {
+	checkFixture(t, "servicescope", "quarc/internal/service", Determinism)
 }
 
 func TestHotPathFixture(t *testing.T) {
 	checkFixture(t, "hotpath", "quarc/fixture/hotpath", HotPath)
 }
 
-func TestCoordSectionFixture(t *testing.T) {
-	checkFixture(t, "coordsection", "quarc/fixture/coordsection", CoordSection)
-}
-
-func TestMetricsOnceFixture(t *testing.T) {
-	checkFixture(t, "metricsonce", "quarc/fixture/metricsonce", MetricsOnce)
+// An unknown //quarc: verb is a finding, whether it is a typo of a live verb
+// or a retired one.
+func TestUnknownDirective(t *testing.T) {
+	pkg := fixture(t, "directive", "quarc/fixture/directive")
+	var got []string
+	for _, d := range RunAnalyzers(pkg, All()) {
+		if d.Analyzer != "directive" {
+			t.Errorf("unexpected diagnostic: %s", d)
+			continue
+		}
+		got = append(got, d.Message)
+	}
+	if len(got) != 2 || !strings.Contains(got[0], "//quarc:hotpth") || !strings.Contains(got[1], "//quarc:coordinator") {
+		t.Fatalf("got %q, want the hotpth typo and the retired coordinator verb", got)
+	}
 }
 
 func TestAllowSuppression(t *testing.T) {
@@ -97,9 +108,9 @@ func TestAllowSuppression(t *testing.T) {
 
 // TestQuarcvetCleanTree is the dogfooding gate: the real repository, loaded
 // exactly as cmd/quarcvet loads it, must produce zero unsuppressed
-// diagnostics. A regression anywhere in internal/ (a stray clock read, a
-// wire field with no cache-key fate, a shared write outside a coordinator
-// section) fails this test before it fails CI's quarcvet run.
+// diagnostics. A regression anywhere in internal/ (a stray clock read, an
+// allocation on the hot path, an unknown //quarc: verb) fails this test
+// before it fails CI's quarcvet run.
 func TestQuarcvetCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

@@ -21,7 +21,6 @@ import (
 // properties, and test files are free to use time, maps and goroutines.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -98,7 +97,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		for i, f := range t.GoFiles {
 			files[i] = filepath.Join(t.Dir, f)
 		}
-		pkg, err := check(fset, imp, t.ImportPath, t.Dir, files)
+		pkg, err := check(fset, imp, t.ImportPath, files)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +159,7 @@ func LoadFixture(modDir, fixtureDir, importPath string) (*Package, error) {
 			}
 		}
 	}
-	return checkParsed(fset, exportImporter(fset, exports), importPath, fixtureDir, parsed)
+	return checkParsed(fset, exportImporter(fset, exports), importPath, parsed)
 }
 
 func importString(spec *ast.ImportSpec) string {
@@ -179,7 +178,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
-func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, filenames []string) (*Package, error) {
+func check(fset *token.FileSet, imp types.Importer, pkgPath string, filenames []string) (*Package, error) {
 	var parsed []*ast.File
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
@@ -188,10 +187,10 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, filenam
 		}
 		parsed = append(parsed, f)
 	}
-	return checkParsed(fset, imp, pkgPath, dir, parsed)
+	return checkParsed(fset, imp, pkgPath, parsed)
 }
 
-func checkParsed(fset *token.FileSet, imp types.Importer, pkgPath, dir string, parsed []*ast.File) (*Package, error) {
+func checkParsed(fset *token.FileSet, imp types.Importer, pkgPath string, parsed []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -207,7 +206,6 @@ func checkParsed(fset *token.FileSet, imp types.Importer, pkgPath, dir string, p
 	}
 	return &Package{
 		PkgPath: pkgPath,
-		Dir:     dir,
 		Fset:    fset,
 		Files:   parsed,
 		Types:   tpkg,

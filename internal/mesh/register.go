@@ -6,22 +6,25 @@ import (
 
 	"quarc/internal/model"
 	"quarc/internal/network"
+	"quarc/internal/topology"
 )
 
 // checkSquare validates a node count for the square mesh/torus builds the
 // registry exposes (the package itself also supports rectangles via Config).
 // Unlike the ring models — pinned at 64 nodes by the paper's single-flit
 // header format — the mesh scales with the tracker's multi-word delivery
-// mask; the cap only bounds memory per simulated point.
+// mask; the size cap is topology.NewMesh's 1,024 nodes, applied here so a
+// request the build would refuse is refused at validation. The cap stays at
+// 1,024 because the analytic model enumerates all N² routes of a mesh, and a
+// first request at 4,096 nodes would spend tens of seconds in that
+// enumeration.
 func checkSquare(n int) error {
 	side := int(math.Round(math.Sqrt(float64(n))))
 	if n < 4 || side*side != n {
 		return fmt.Errorf("mesh: size %d is not a square of at least 4 nodes", n)
 	}
-	if n > 4096 {
-		return fmt.Errorf("mesh: size %d exceeds the 4096-node cap", n)
-	}
-	return nil
+	_, err := topology.NewMesh(side, side, false)
+	return err
 }
 
 func init() {

@@ -421,10 +421,10 @@ func (f *Fabric) LinkLoad() [][]uint64 {
 
 // latch freezes the step set for the next cycle: wakes during a cycle
 // (commit pushes, adapter enqueues) take effect the following cycle, exactly
-// when a dense step would first observe the new flit.
+// when a dense step would first observe the new flit. Single-threaded,
+// between cycles.
 //
 //quarc:hotpath
-//quarc:coordinator
 func (f *Fabric) latch() {
 	list := f.stepList[:0]
 	if f.dense {
@@ -488,7 +488,6 @@ func (f *Fabric) pass1(list []int, sc *stepScratch) {
 // order: this is the simulation's event order.
 //
 //quarc:hotpath
-//quarc:coordinator
 func (f *Fabric) deliver(node int, m *router.Move) {
 	f.delivered++
 	if f.Trace != nil {
@@ -628,7 +627,6 @@ func (f *Fabric) sleepScan(node int, sc *stepScratch) {
 // disjoint and every mutation commutes, so fold order does not matter.
 //
 //quarc:hotpath
-//quarc:coordinator
 func (f *Fabric) fold(sc *stepScratch) {
 	f.sleeping -= sc.woken
 	f.blockedSleeping -= sc.wokenBlocked

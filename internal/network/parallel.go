@@ -21,9 +21,12 @@
 // count, including 1: the serial path is these same phase functions over one
 // shard that owns every node.
 //
-// quarcvet enforces the discipline: in this file (//quarc:poolfile), outside
-// worker-0 sections and //quarc:coordinator functions, shared state may be
-// written only through the worker's own scratch.
+// The discipline: outside worker-0 (`if w == 0`) sections and the functions
+// documented as single-threaded, shared state is written only through the
+// worker's own scratch. Its guard is CI's -race run of the step-pool
+// invariance suites (TestStepWorkerInvariance, TestCrossShardLinksBitIdentical
+// and the network pool tests): a shared write outside a worker-0 section, or
+// a write to another worker's scratch, is a DATA RACE there.
 //
 //quarc:poolfile intra-cycle stepping pool; determinism proven by TestStepWorkerInvariance and TestCrossShardLinksBitIdentical
 package network
@@ -90,10 +93,9 @@ type stepPool struct {
 	stopped     bool
 }
 
-// newStepPool builds the pool before any helper exists. Shards are runs of
-// whole activeMask words, the last taking the partial word if there is one.
-//
-//quarc:coordinator
+// newStepPool builds the pool single-threaded, before any helper exists.
+// Shards are runs of whole activeMask words, the last taking the partial word
+// if there is one.
 func newStepPool(f *Fabric, workers int) *stepPool {
 	p := &stepPool{
 		f:       f,
@@ -129,15 +131,12 @@ func newStepPool(f *Fabric, workers int) *stepPool {
 
 // close shuts the helper goroutines down. Must not be called while a
 // dispatch is in flight.
-//
-//quarc:coordinator
 func (p *stepPool) close() {
 	close(p.work)
 }
 
 // cutShards locates each worker's fixed node range in the latched step list.
-//
-//quarc:coordinator
+// Single-threaded: the dispatcher or worker 0, between cycles.
 func (p *stepPool) cutShards() {
 	for w := range p.scratch {
 		p.cuts[w] = sort.SearchInts(p.f.stepList, p.scratch[w].lo)
@@ -148,10 +147,9 @@ func (p *stepPool) cutShards() {
 // run executes up to maxCycles cycles on the pool against the already
 // latched step list. It returns the cycles run, whether the next cycle's
 // step set was latched but left unrun (it fell below the pool grain), and
-// whether the stop hook fired. Helpers only wake at the work-channel sends
-// below, after the dispatch state is fully written.
-//
-//quarc:coordinator
+// whether the stop hook fired. It is single-threaded up to the work-channel
+// sends below: helpers only wake there, after the dispatch state is fully
+// written.
 func (p *stepPool) run(maxCycles int64, stop func() bool) (ran int64, latchedNext, stopped bool) {
 	p.maxCycles, p.stop = maxCycles, stop
 	p.ran, p.latchedNext, p.stopped = 0, false, false
@@ -173,10 +171,10 @@ func (sc *stepScratch) post(r linkRec) {
 }
 
 // deliverRecorded runs the ordered half of apply: the shards' delivering
-// lists, concatenated in worker order, are ascending.
+// lists, concatenated in worker order, are ascending. Worker 0 runs it alone,
+// single-threaded between two barriers.
 //
 //quarc:hotpath
-//quarc:coordinator
 func (p *stepPool) deliverRecorded() {
 	f := p.f
 	for w := range p.scratch {
@@ -192,9 +190,9 @@ func (p *stepPool) deliverRecorded() {
 }
 
 // endCycle closes the cycle and decides whether the dispatch continues.
+// Worker 0 runs it alone, single-threaded between two barriers.
 //
 //quarc:hotpath
-//quarc:coordinator
 func (p *stepPool) endCycle() {
 	f := p.f
 	for w := range p.scratch {

@@ -122,11 +122,10 @@ func PatternName(p traffic.Pattern) string {
 // RunRequest is the body of POST /v1/runs: one simulation configuration,
 // optionally replicated. Zero fields take the simulator's defaults.
 //
-// quarcvet's cachekeypurity analyzer cross-checks every field here against
-// the canonical key: add a field and the build fails until you either hash
-// it (RunKey) or mark it `//quarc:execonly`.
-//
-//quarc:wirekey RunKey
+// Every field here, in PanelRequest and in ExploreRequest has a cache-key
+// fate in TestWireFieldsDecideKeyFate: changing it changes the key its kind
+// parses to, leaves the key alone (an execution-only knob), or is refused.
+// Add a field and that test fails until you decide which.
 type RunRequest struct {
 	// Topo is the model's wire name: any name registered with
 	// internal/model is accepted (GET /v1/models enumerates them).
@@ -153,22 +152,16 @@ type RunRequest struct {
 	Seed       uint64  `json:"seed,omitempty"`
 	Replicates int     `json:"replicates,omitempty"`
 	// Workers sizes the replicate pool; wall-clock only, never the result.
-	//
-	//quarc:execonly
 	Workers int `json:"workers,omitempty"`
 	// StepWorkers sizes the intra-point fabric worker pool (0 = automatic;
 	// 1 = serial). Like workers it only changes wall-clock time, never the
 	// result, and stays out of the canonical cache key.
-	//
-	//quarc:execonly
 	StepWorkers int `json:"step_workers,omitempty"`
 	// DeadlineMs bounds the whole request, queueing included, in
 	// milliseconds (0 = none). On expiry an analyzable run is answered
 	// instantly from the closed-form analytic model with `degraded: true`
 	// and the validation suite's error band instead of an error. Like
 	// workers it stays out of the canonical cache key.
-	//
-	//quarc:execonly
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -200,7 +193,7 @@ func (r RunRequest) Config() (experiments.Config, error) {
 		return experiments.Config{}, fmt.Errorf("n %d exceeds the limit %d", cfg.N, MaxNodes)
 	case cfg.MsgLen > MaxMsgLen:
 		return experiments.Config{}, fmt.Errorf("msglen %d exceeds the limit %d", cfg.MsgLen, MaxMsgLen)
-	case cfg.Warmup+cfg.Measure+cfg.Drain > MaxTotalCycles:
+	case cyclesOver(cfg.Warmup, cfg.Measure, cfg.Drain):
 		return experiments.Config{}, fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles)
 	case r.Replicates < 0 || r.Replicates > MaxReplicates:
 		return experiments.Config{}, fmt.Errorf("replicates %d outside [0,%d]", r.Replicates, MaxReplicates)
@@ -214,6 +207,13 @@ func (r RunRequest) Config() (experiments.Config, error) {
 	return cfg, nil
 }
 
+// cyclesOver reports whether three cycle budgets exceed MaxTotalCycles. Each
+// is capped before they are summed: three budgets near 2⁶³ would otherwise
+// wrap the sum negative and pass.
+func cyclesOver(warmup, measure, drain int64) bool {
+	return max(warmup, measure, drain) > MaxTotalCycles || warmup+measure+drain > MaxTotalCycles
+}
+
 // replicates returns the effective replicate count.
 func (r RunRequest) replicates() int {
 	if r.Replicates < 1 {
@@ -224,30 +224,25 @@ func (r RunRequest) replicates() int {
 
 // SweepOpts is the wire form of experiments.RunOpts (minus the worker count's
 // effect on results: workers only changes wall-clock time). It nests inside
-// both PanelRequest and ExploreRequest, so its field directives must satisfy
-// the cachekeypurity check against PanelKey and ExploreKey alike.
+// both PanelRequest and ExploreRequest, so each field's cache-key fate must
+// hold for PanelKey and ExploreKey alike.
 type SweepOpts struct {
 	Warmup  int64 `json:"warmup,omitempty"`
 	Measure int64 `json:"measure,omitempty"`
 	Drain   int64 `json:"drain,omitempty"`
 	// Depth is hashed under its own name by PanelKey and folded into the
 	// normalised Depths axis by ExploreKey.
-	//
-	//quarc:keyfield Depths
 	Depth int    `json:"depth,omitempty"`
 	Seed  uint64 `json:"seed,omitempty"`
 	// Points sizes the implicit rate grid of a panel sweep; explore rejects
 	// it at the wire boundary (rates are an explicit axis there), so it is
 	// rightly absent from ExploreKey.
-	//quarc:allow cachekeypurity: explore rejects opts.points before any work runs, so it cannot reach that key
 	Points     int `json:"points,omitempty"`
 	Replicates int `json:"replicates,omitempty"`
 	// Workers sizes the pool a panel's or an explore's points fan across; 0
-	// means GOMAXPROCS for both. Wall-clock only, never the result.
-	//
-	//quarc:execonly
-	Workers int `json:"workers,omitempty"`
-	//quarc:execonly
+	// means GOMAXPROCS for both. Like StepWorkers, wall-clock only, never
+	// the result.
+	Workers     int `json:"workers,omitempty"`
 	StepWorkers int `json:"step_workers,omitempty"`
 }
 
@@ -286,7 +281,7 @@ func (o SweepOpts) RunOpts() (experiments.RunOpts, error) {
 		opts.Replicates = 1
 	}
 	switch {
-	case opts.Warmup+opts.Measure+opts.Drain > MaxTotalCycles:
+	case cyclesOver(opts.Warmup, opts.Measure, opts.Drain):
 		return experiments.RunOpts{}, fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles)
 	case opts.Points < 0 || opts.Points > MaxRatePoints:
 		return experiments.RunOpts{}, fmt.Errorf("points %d outside [0,%d]", opts.Points, MaxRatePoints)
@@ -307,8 +302,6 @@ const MaxPanelModels = 16
 // sweep over a set of architectures), as in the paper's Figs 9-11. An empty
 // Models list sweeps the paper's fixed quarc/spidergon pair under its
 // pre-existing cache keys.
-//
-//quarc:wirekey PanelKey
 type PanelRequest struct {
 	Figure      string    `json:"figure,omitempty"`
 	Name        string    `json:"name,omitempty"`
@@ -325,8 +318,6 @@ type PanelRequest struct {
 	// DeadlineMs bounds the whole request in milliseconds (0 = none). Panels
 	// have no analytic fallback, so expiry fails the job with "deadline
 	// exceeded" rather than degrading.
-	//
-	//quarc:execonly
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 

@@ -26,8 +26,6 @@ type McastJSON struct {
 // over the cross product of the axis lists, swept under shared workload
 // knobs. The response is the latency/throughput/cost Pareto front over
 // every expanded point, with dominated-point provenance.
-//
-//quarc:wirekey ExploreKey
 type ExploreRequest struct {
 	Models []string    `json:"models"`
 	Ns     []int       `json:"ns"`
@@ -47,8 +45,6 @@ type ExploreRequest struct {
 	// DeadlineMs bounds the whole request in milliseconds (0 = none).
 	// Explores have no analytic fallback, so expiry fails the job with
 	// "deadline exceeded" rather than degrading.
-	//
-	//quarc:execonly
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 

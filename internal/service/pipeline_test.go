@@ -17,10 +17,10 @@ import (
 	dstore "quarc/internal/store"
 )
 
-// outOfDomain is the probe list of ISSUE 19: bodies that decode cleanly but
-// ask for a design point (or a sweep of them) the simulator cannot run. The
-// parent answered all of them 200/202 and failed — or panicked — on the
-// executor. FuzzParse seeds from the same list.
+// outOfDomain is the probe list of ISSUES 19 and 25: bodies that decode
+// cleanly but ask for a design point (or a sweep of them) the simulator
+// cannot run. Earlier builds answered all of them 200/202 and failed,
+// panicked or hung on the executor. FuzzParse seeds from the same list.
 var outOfDomain = []struct{ route, body string }{
 	{"/v1/runs", `{"n":16,"rate":0.01,"beta":2}`},
 	{"/v1/runs", `{"n":16,"rate":0.01,"beta":-0.5}`},
@@ -43,6 +43,14 @@ var outOfDomain = []struct{ route, body string }{
 	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"msglen":1}`},
 	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[5]}`},
 	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"beta":2}`},
+	// A mesh the topology refuses to build (over 1,024 nodes): the model's
+	// size check used to allow 4,096.
+	{"/v1/runs", `{"topo":"mesh","n":2025,"rate":0.01}`},
+	{"/v1/explore", `{"models":["mesh"],"ns":[2025],"rates":[0.01]}`},
+	// Three cycle budgets whose sum wraps int64 negative past MaxTotalCycles.
+	{"/v1/runs", `{"n":16,"rate":0.01,"warmup":3100000000000000000,"measure":3100000000000000000,"drain":3100000000000000000}`},
+	{"/v1/panels", `{"n":16,"rates":[0.01],"opts":{"warmup":3100000000000000000,"measure":3100000000000000000,"drain":3100000000000000000}}`},
+	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"opts":{"warmup":3100000000000000000,"measure":3100000000000000000,"drain":3100000000000000000}}`},
 }
 
 // A request for something the simulator cannot run is refused at the door

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -123,6 +124,41 @@ func TestJournalTruncationReplaysLongestValidPrefix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzJournalReplay feeds Replay arbitrary file contents. A readable file
+// never panics or errors, and what comes back is a prefix of the file: valid
+// JSON lines without newlines which, each followed by '\n', spell out the
+// file's first bytes.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte("{\"a\":1}\n{\"b\":2}\ngarbage-not-json\n{\"c\":3}\n"))
+	f.Add([]byte("{\"journal\":\"quarc-job-v1\",\"id\":\"j000001\"}\n{\"type\":\"state\",\"state\":\"queued\"}\n{\"type\""))
+	f.Add([]byte("\n\n[]\n\"x\"\n 1 \r\n"))
+	dir := f.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(dir, "j000001"+journalSuffix)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lines, err := j.Replay("j000001")
+		if err != nil {
+			t.Fatalf("readable journal: %v", err)
+		}
+		var prefix []byte
+		for i, line := range lines {
+			if !json.Valid(line) || bytes.IndexByte(line, '\n') >= 0 {
+				t.Fatalf("line %d %q is not one JSON document", i, line)
+			}
+			prefix = append(append(prefix, line...), '\n')
+		}
+		if !bytes.HasPrefix(data, prefix) {
+			t.Fatalf("replayed lines %q are not a prefix of %q", lines, data)
+		}
+	})
 }
 
 // A corrupt line mid-journal ends the replayable prefix; nothing after it
