@@ -1,8 +1,9 @@
 // Command quarcbench regenerates the paper's evaluation artefacts: the
-// latency-versus-load panels of Figs 9-11, the cost tables (Table 1 and
-// Fig 12), the §3.2 simulator-versus-analytical-model verification, the
-// modification ablation, the link-load balance analysis, and the
-// future-work mesh/torus comparison.
+// latency-versus-load panels of Figs 9-11, then every study of
+// experiments.Studies() — Table 1 and Fig 12, the §3.2 model verification,
+// the modification ablation, the mesh/torus comparison, and the link-load,
+// contention, buffer-depth, bursty and hotspot studies. -experiment selects
+// from that one catalogue by name.
 //
 // Examples:
 //
@@ -16,10 +17,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,50 +32,112 @@ import (
 	"quarc/internal/service"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// experiment is one entry of the catalogue: a figure's panels, or a study.
+type experiment struct {
+	experiments.Study
+	panels []experiments.PanelSpec
+}
+
+// names lists the -experiment names that select e.
+func (e experiment) names() []string { return append(slices.Clone(e.Aliases), e.Name) }
+
+// catalogue is every experiment in report order: the Figs 9-11 panels, then
+// the study table.
+func catalogue() []experiment {
+	cat := []experiment{
+		{Study: experiments.Study{Name: "fig9"}, panels: experiments.Fig9Panels()},
+		{Study: experiments.Study{Name: "fig10"}, panels: experiments.Fig10Panels()},
+		{Study: experiments.Study{Name: "fig11"}, panels: experiments.Fig11Panels()},
+	}
+	for _, s := range experiments.Studies() {
+		cat = append(cat, experiment{Study: s})
+	}
+	return cat
+}
+
+// run is quarcbench with its arguments and output streams; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	cat := catalogue()
+	var names, panelNames []string
+	for _, e := range cat {
+		names = append(names, e.names()...)
+		if e.panels != nil {
+			panelNames = append(panelNames, e.Name)
+		}
+	}
+	panelList := strings.Join(panelNames, "/")
+
+	fs := flag.NewFlagSet("quarcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		which = flag.String("experiment", "all",
-			"one of: fig9, fig10, fig11, table1, fig12, cost, verify, ablation, mesh, linkload, contention, depth, bursty, hotspot, all")
-		fast       = flag.Bool("fast", false, "reduced simulation length (quick look)")
-		csvDir     = flag.String("csv", "", "also write per-panel CSV files into this directory")
-		replicates = flag.Int("replicates", 1,
+		which = fs.String("experiment", "all",
+			"one of: "+strings.Join(names, ", ")+", all")
+		fast       = fs.Bool("fast", false, "reduced simulation length (quick look)")
+		csvDir     = fs.String("csv", "", "also write per-panel CSV files into this directory")
+		replicates = fs.Int("replicates", 1,
 			"independent replicates per sweep point (mean ± 95% CI aggregation)")
-		workers = flag.Int("workers", 0,
+		workers = fs.Int("workers", 0,
 			"sweep goroutines (0 = GOMAXPROCS); never changes the results")
-		stepWorkers = flag.Int("step-workers", 0,
+		stepWorkers = fs.Int("step-workers", 0,
 			"intra-fabric stepping goroutines per design point (0 = automatic, "+
 				"1 = serial); never changes the results")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
-		serial     = flag.Bool("serial", false, "run panel sweeps on a single goroutine")
-		jsonOut    = flag.Bool("json", false,
-			"emit fig9/fig10/fig11 panels as NDJSON in the quarcd wire schema instead of tables")
-		pattern = flag.String("pattern", "uniform",
-			"unicast pattern for the fig9/fig10/fig11 panel sweeps: uniform, hotspot, antipodal, neighbor, bitreverse")
-		hotspotBias = flag.Float64("hotspot-bias", 0,
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
+		serial     = fs.Bool("serial", false, "run panel sweeps on a single goroutine")
+		jsonOut    = fs.Bool("json", false,
+			"emit "+panelList+" panels as NDJSON in the quarcd wire schema instead of tables")
+		pattern = fs.String("pattern", "uniform",
+			"unicast pattern for the "+panelList+" panel sweeps: uniform, hotspot, antipodal, neighbor, bitreverse")
+		hotspotBias = fs.Float64("hotspot-bias", 0,
 			"probability a hotspot-pattern unicast targets node 0")
-		modelsFlag = flag.String("models", "",
-			"comma-separated registry model names the fig9/fig10/fig11 panels sweep "+
+		modelsFlag = fs.String("models", "",
+			"comma-separated registry model names the "+panelList+" panels sweep "+
 				"(default: the paper's quarc,spidergon pair; see -list-models)")
-		mcastFrac = flag.Float64("mcast-frac", 0,
+		mcastFrac = fs.Float64("mcast-frac", 0,
 			"fraction of non-broadcast messages sent as k-target multicasts in the panel sweeps")
-		mcastSize = flag.Int("mcast-size", 0,
+		mcastSize = fs.Int("mcast-size", 0,
 			"targets per multicast, 2..N-1 (required with -mcast-frac)")
-		listModels = flag.Bool("list-models", false, "list the registered network models and exit")
+		listModels = fs.Bool("list-models", false, "list the registered network models and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	warn := func(format string, a ...any) { fmt.Fprintf(stderr, "quarcbench: "+format+"\n", a...) }
+	fail := func(code int, format string, a ...any) int {
+		warn(format, a...)
+		return code
+	}
 
 	if *listModels {
 		for _, m := range service.Models() {
-			fmt.Printf("%-18s (e.g. N=%d)  %s\n", m.Name, m.ExampleN, m.Description)
+			fmt.Fprintf(stdout, "%-18s (e.g. N=%d)  %s\n", m.Name, m.ExampleN, m.Description)
 		}
-		return
+		return 0
 	}
+	all := *which == "all"
+	var selected []experiment
+	for _, e := range cat {
+		if all && *jsonOut && e.panels == nil {
+			continue // -json keeps stdout pure NDJSON
+		}
+		if all || slices.Contains(e.names(), *which) {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		return fail(2, "unknown experiment %q", *which)
+	}
+	textOnly := !all && selected[0].panels == nil
 
 	pat, err := service.ParsePattern(*pattern)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "quarcbench: %v\n", err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
 	var panelModels []string
 	if *modelsFlag != "" {
@@ -80,58 +146,41 @@ func main() {
 			if m == "" {
 				// ParseModel maps "" to the default model; a stray comma must
 				// not silently add a quarc curve the user never asked for.
-				fmt.Fprintf(os.Stderr, "quarcbench: -models: empty model name in %q\n", *modelsFlag)
-				os.Exit(2)
+				return fail(2, "-models: empty model name in %q", *modelsFlag)
 			}
 			name, err := service.ParseModel(m)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "quarcbench: -models: %v\n", err)
-				os.Exit(2)
+				return fail(2, "-models: %v", err)
 			}
 			panelModels = append(panelModels, name)
 		}
 	}
-	if *jsonOut {
-		switch *which {
-		case "fig9", "fig10", "fig11":
-		case "all":
-			// Keep stdout pure NDJSON: under -json, "all" means the three
-			// panel sweeps; the text-only experiments are skipped.
-			fmt.Fprintln(os.Stderr, "quarcbench: -json: running the fig9/fig10/fig11 "+
-				"panel sweeps only (the other experiments have no JSON form)")
-		default:
-			fmt.Fprintf(os.Stderr, "quarcbench: note: -json applies to the fig9/fig10/fig11 "+
-				"panel sweeps; %q keeps its text output\n", *which)
-		}
+	switch {
+	case *jsonOut && all:
+		warn("-json: running the %s panel sweeps only (the other experiments have no JSON form)", panelList)
+	case *jsonOut && textOnly:
+		warn("note: -json applies to the %s panel sweeps; %q keeps its text output", panelList, *which)
 	}
 
 	opts := experiments.DefaultOpts()
 	if *fast {
 		opts = experiments.FastOpts()
 	}
-	opts.Replicates = *replicates
-	opts.Workers = *workers
-	opts.StepWorkers = *stepWorkers
+	opts.Replicates, opts.Workers, opts.StepWorkers = *replicates, *workers, *stepWorkers
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "quarcbench: %v\n", err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
-	if *replicates > 1 {
-		switch *which {
-		case "fig9", "fig10", "fig11", "all":
-		default:
-			fmt.Fprintf(os.Stderr, "quarcbench: note: -replicates applies to the "+
-				"fig9/fig10/fig11 panel sweeps; %q runs unreplicated\n", *which)
-		}
+	if *replicates > 1 && textOnly {
+		warn("note: -replicates applies to the %s panel sweeps; %q runs unreplicated", panelList, *which)
 	}
 
 	runPanel := experiments.RunPanel
 	if *serial {
 		runPanel = experiments.RunPanelSerial
 	}
-	runPanels := func(name string, panels []experiments.PanelSpec) {
+	runPanels := func(name string, panels []experiments.PanelSpec) error {
 		for pi, spec := range panels {
 			spec.Pattern, spec.HotspotBias = pat, *hotspotBias
 			spec.Models = panelModels
@@ -139,120 +188,65 @@ func main() {
 			start := time.Now()
 			pr, err := runPanel(spec, opts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "quarcbench: %s: %v\n", name, err)
-				os.Exit(1)
+				return err
 			}
 			if *jsonOut {
-				if err := json.NewEncoder(os.Stdout).Encode(service.EncodePanel(pr)); err != nil {
-					fmt.Fprintf(os.Stderr, "quarcbench: %s: %v\n", name, err)
-					os.Exit(1)
+				if err := json.NewEncoder(stdout).Encode(service.EncodePanel(pr)); err != nil {
+					return err
 				}
 			} else {
-				fmt.Println(pr.Render())
-				fmt.Printf("(panel swept in %.1fs)\n\n", time.Since(start).Seconds())
+				fmt.Fprintln(stdout, pr.Render())
+				fmt.Fprintf(stdout, "(panel swept in %.1fs)\n\n", time.Since(start).Seconds())
 			}
-			if *csvDir != "" {
-				if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-					fmt.Fprintf(os.Stderr, "quarcbench: %v\n", err)
-					os.Exit(1)
-				}
-				path := filepath.Join(*csvDir, fmt.Sprintf("%s_panel%d.csv", name, pi+1))
-				f, err := os.Create(path)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "quarcbench: %v\n", err)
-					os.Exit(1)
-				}
-				if err := pr.WriteCSV(f); err != nil {
-					fmt.Fprintf(os.Stderr, "quarcbench: csv: %v\n", err)
-					os.Exit(1)
-				}
-				f.Close()
-				if *jsonOut {
-					fmt.Fprintf(os.Stderr, "(csv written to %s)\n", path)
-				} else {
-					fmt.Printf("(csv written to %s)\n\n", path)
-				}
+			if *csvDir == "" {
+				continue
+			}
+			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+				return err
+			}
+			path := filepath.Join(*csvDir, fmt.Sprintf("%s_panel%d.csv", name, pi+1))
+			if err := writeCSV(path, pr); err != nil {
+				return fmt.Errorf("csv: %w", err)
+			}
+			if *jsonOut {
+				fmt.Fprintf(stderr, "(csv written to %s)\n", path)
+			} else {
+				fmt.Fprintf(stdout, "(csv written to %s)\n\n", path)
 			}
 		}
+		return nil
 	}
 
 	ctx := context.Background()
-	did := false
-	panelExperiments := map[string]bool{"fig9": true, "fig10": true, "fig11": true}
-	want := func(names ...string) bool {
-		for _, n := range names {
-			if *which == n || *which == "all" {
-				if *jsonOut && *which == "all" && !panelExperiments[n] {
-					return false // -json keeps stdout pure NDJSON
-				}
-				did = true
-				return true
+	for _, e := range selected {
+		if e.panels != nil {
+			if err := runPanels(e.Name, e.panels); err != nil {
+				return fail(1, "%s: %v", e.Name, err)
 			}
+			continue
 		}
-		return false
-	}
-
-	if want("fig9") {
-		runPanels("fig9", experiments.Fig9Panels())
-	}
-	if want("fig10") {
-		runPanels("fig10", experiments.Fig10Panels())
-	}
-	if want("fig11") {
-		runPanels("fig11", experiments.Fig11Panels())
-	}
-	if want("table1", "fig12", "cost") {
-		fmt.Println(experiments.RenderCost())
-	}
-	// report prints one text experiment's output, or dies naming it.
-	report := func(name, out string, err error) {
+		out, _, err := e.Run(ctx, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quarcbench: %s: %v\n", name, err)
-			os.Exit(1)
+			return fail(1, "%s: %v", e.Name, err)
 		}
-		fmt.Println(out)
-	}
-	if want("verify") {
-		rows, err := experiments.Verify(ctx, opts)
-		report("verify", experiments.RenderVerify(rows), err)
-	}
-	if want("ablation") {
-		n, m, beta, rate := 16, 16, 0.05, 0.008
-		rows, err := experiments.Ablation(ctx, n, m, beta, rate, opts)
-		report("ablation", experiments.RenderAblation(rows, n, m, beta, rate), err)
-	}
-	if want("mesh") {
-		out, err := experiments.MeshComparison(ctx, 16, 16, 0.05, opts)
-		report("mesh", out, err)
-	}
-	if want("linkload") {
-		out, err := experiments.LinkLoadBalance(16, 2, 0.01, opts)
-		report("linkload", out, err)
-	}
-	if want("contention") {
-		out, err := experiments.Contention(ctx, 16, 16, 0.05, 0.012, opts)
-		report("contention", out, err)
-	}
-	if want("depth") {
-		for _, model := range []string{"quarc", "spidergon"} {
-			rows, err := experiments.DepthSweep(ctx, model, 16, 16, 0.05, 0.012, opts)
-			report("depth", experiments.RenderDepthSweep(model, rows), err)
-		}
-	}
-	if want("bursty") {
-		out, err := experiments.Bursty(ctx, 16, 16, 0.05, opts)
-		report("bursty", out, err)
-	}
-	if want("hotspot") {
-		out, err := experiments.HotspotComparison(ctx, 16, 16, 0.3, opts)
-		report("hotspot", out, err)
+		fmt.Fprintln(stdout, out)
 	}
 	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "quarcbench: %v\n", err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
-	if !did {
-		fmt.Fprintf(os.Stderr, "quarcbench: unknown experiment %q\n", *which)
-		os.Exit(2)
+	return 0
+}
+
+// writeCSV writes one panel's CSV file; an error closing it (a failed flush)
+// is reported like a failed write, never taken for a complete file.
+func writeCSV(path string, pr experiments.PanelResult) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := pr.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

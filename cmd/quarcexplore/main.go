@@ -158,15 +158,20 @@ func mcastLabel(frac float64, size int) string {
 	return fmt.Sprintf("%g:%d", frac, size)
 }
 
-// writeCSV emits every lattice point; the README documents the schema.
-func writeCSV(path string, oc explore.Outcome) error {
+// writeCSV emits every lattice point; the README documents the schema. An
+// error closing the file (a failed flush) is reported like a failed write.
+func writeCSV(path string, oc explore.Outcome) (err error) {
 	out := os.Stdout
 	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
+		f, cerr := os.Create(path)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		out = f
 	}
 	w := csv.NewWriter(out)

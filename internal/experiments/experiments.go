@@ -82,10 +82,10 @@ type Config struct {
 }
 
 // fabricObserverKey carries a func(*network.Fabric) in a context: RunContext
-// invokes it on the finished fabric (post-drain, pre-Result). The
-// activity-equivalence suite uses it to compare tracker counters and
-// per-router statistics across stepping modes; a plain value lookup, so an
-// un-instrumented run is unperturbed.
+// invokes it on the finished fabric (post-drain, pre-Result). Study outcomes
+// take their router statistics through it, and the activity-equivalence suite
+// compares tracker counters and per-router statistics across stepping modes;
+// a plain value lookup, so an un-instrumented run is unperturbed.
 type fabricObserverKey struct{}
 
 func withFabricObserver(ctx context.Context, fn func(*network.Fabric)) context.Context {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"math"
 	"strings"
 	"testing"
 )
@@ -138,95 +136,47 @@ func TestRunPanelProducesSeries(t *testing.T) {
 	}
 }
 
-func TestVerifyAgainstAnalyticModels(t *testing.T) {
-	// The §3.2 methodology: at low load the simulator must agree with the
-	// analytical models. Tolerance is generous at the 40% point where the
-	// M/D/1 approximation starts drifting.
-	rows, err := Verify(context.Background(), RunOpts{Warmup: 500, Measure: 4000, Drain: 15000, Depth: 4, Seed: 7})
+func TestWriteCSV(t *testing.T) {
+	spec := PanelSpec{Figure: "fig9", Name: "csv", N: 8, MsgLen: 4, Beta: 0.1,
+		Rates: []float64{0.004, 0.01}}
+	pr, err := RunPanel(spec, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
-		t.Fatal("no verification rows")
-	}
-	for _, r := range rows {
-		if r.Simulated <= 0 || r.Predicted <= 0 {
-			t.Errorf("%+v: non-positive latency", r)
-		}
-		if math.Abs(r.ErrorPc) > 25 {
-			t.Errorf("%v N=%d M=%d rate=%.4f: model error %.1f%% too large (sim %.1f vs model %.1f)",
-				r.Model, r.N, r.MsgLen, r.Rate, r.ErrorPc, r.Simulated, r.Predicted)
-		}
-	}
-	if s := RenderVerify(rows); !strings.Contains(s, "model") {
-		t.Error("verification render broken")
-	}
-}
-
-func TestAblationLadder(t *testing.T) {
-	rows, err := Ablation(context.Background(), 16, 16, 0.05, 0.008, tinyOpts())
-	if err != nil {
+	var buf strings.Builder
+	if err := pr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("%d ablation rows", len(rows))
+	out := buf.String()
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	// header + 2 rates x 2 topologies
+	if len(lines) != 5 {
+		t.Fatalf("CSV has %d lines:\n%s", len(lines), out)
 	}
-	byTopo := map[string]AblationRow{}
-	for _, r := range rows {
-		byTopo[r.Variant] = r
+	if !strings.HasPrefix(lines[0], "figure,panel,n,msglen,beta,topology,rate") {
+		t.Fatalf("header = %q", lines[0])
 	}
-	// True broadcast is the dominant factor: disabling it (chain variant)
-	// must blow up broadcast latency toward the Spidergon level.
-	if byTopo["quarc"].BcastMean*2 >= byTopo["quarc-chainbcast"].BcastMean {
-		t.Errorf("chain ablation did not degrade broadcast: %v vs %v",
-			byTopo["quarc"].BcastMean, byTopo["quarc-chainbcast"].BcastMean)
-	}
-	// The full Quarc must be the best broadcast performer of the ladder.
-	for topo, r := range byTopo {
-		if topo == "quarc" {
-			continue
-		}
-		if byTopo["quarc"].BcastMean > r.BcastMean {
-			t.Errorf("full quarc broadcast %v worse than %v's %v",
-				byTopo["quarc"].BcastMean, topo, r.BcastMean)
-		}
-	}
-	if s := RenderAblation(rows, 16, 16, 0.05, 0.008); !strings.Contains(s, "variant") {
-		t.Error("ablation render broken")
-	}
-}
-
-func TestMeshComparisonRuns(t *testing.T) {
-	out, err := MeshComparison(context.Background(), 16, 8, 0.05, tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"quarc", "mesh", "torus"} {
+	for _, want := range []string{"quarc", "spidergon", "fig9"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("mesh comparison lacks %q", want)
-		}
-	}
-	if _, err := MeshComparison(context.Background(), 24, 8, 0.05, tinyOpts()); err == nil {
-		t.Error("non-square comparison accepted")
-	}
-}
-
-func TestRenderCostMatchesPaper(t *testing.T) {
-	out := RenderCost()
-	for _, want := range []string{"1453", "1700", "Input Buffers", "735", "Fig 12"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cost render lacks %q", want)
+			t.Errorf("CSV lacks %q", want)
 		}
 	}
 }
 
-func TestLinkLoadBalanceReport(t *testing.T) {
-	out, err := LinkLoadBalance(16, 2, 0.01, tinyOpts())
+func TestPercentilesReported(t *testing.T) {
+	res, err := Run(Config{Model: "quarc", N: 16, MsgLen: 8, Beta: 0.1, Rate: 0.008,
+		Warmup: 300, Measure: 2000, Drain: 10000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "quarc") || !strings.Contains(out, "spidergon") {
-		t.Error("link load report incomplete")
+	if res.UnicastP95 < res.UnicastMean {
+		t.Errorf("p95 %.1f below mean %.1f", res.UnicastP95, res.UnicastMean)
+	}
+	if res.UnicastP99 < res.UnicastP95 {
+		t.Errorf("p99 %.1f below p95 %.1f", res.UnicastP99, res.UnicastP95)
+	}
+	if res.BcastP95 < res.BcastMean*0.5 {
+		t.Errorf("bcast p95 %.1f implausible vs mean %.1f", res.BcastP95, res.BcastMean)
 	}
 }
 

@@ -127,17 +127,6 @@ func (o RunOpts) point(model string, n, msgLen int, beta, rate float64) Config {
 	}
 }
 
-// runPoints executes independent design points that belong to no panel (the
-// secondary experiments' ladders and grids) through the sweep engine and
-// returns their results in input order.
-func runPoints(ctx context.Context, cfgs []Config, workers int) ([]Result, error) {
-	points := make([]sweepPoint, len(cfgs))
-	for i, cfg := range cfgs {
-		points[i].Cfg = cfg
-	}
-	return sweepRun(ctx, points, workers, nil)
-}
-
 // Fan is the repository's one fan-out: it calls fn(i) for every i in [0, n)
 // on workers goroutines (clamped to [1, n]) drawing indices off one atomic
 // cursor, so a caller that writes its result into slot i gets input order back

@@ -2,13 +2,17 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"quarc/internal/experiments"
 )
 
 // tinyExplore is an exploration small enough for unit tests: a 2-model
@@ -411,6 +415,45 @@ func TestSweepOptsSharedByPanelsAndExplore(t *testing.T) {
 		}
 		if RunKey(p.Cfg, 1) != RunKey(plain.Points[i].Cfg, 1) {
 			t.Errorf("point %d: step_workers moved the per-point run key", i)
+		}
+	}
+}
+
+// The paper's ablation and the Quarc's buffer-depth study are explore
+// lattices: POSTed as these bodies (the ones README documents), every point
+// of the payload embeds exactly the result the study in experiments' table
+// measures at DefaultOpts. No panel: a panel derives a seed per point and
+// would change the studies' numbers.
+func TestExploreServesThePaperStudies(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, c := range []struct{ study, model, body string }{
+		{"ablation", "", `{"models":["quarc","quarc-chainbcast","quarc-1queue","spidergon"],"ns":[16],"rates":[0.008],"msglen":16,"beta":0.05}`},
+		{"depth", "quarc", `{"models":["quarc"],"ns":[16],"rates":[0.012],"msglen":16,"beta":0.05,"depths":[1,2,4,8,16]}`},
+	} {
+		var study experiments.Study
+		for _, s := range experiments.Studies() {
+			if s.Name == c.study {
+				study = s
+			}
+		}
+		_, outs, err := study.Run(context.Background(), experiments.DefaultOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]ResultJSON{} // by model and depth
+		for _, o := range outs {
+			if c.model == "" || o.Cfg.Model == c.model {
+				want[fmt.Sprint(o.Cfg.Model, o.Cfg.Depth)] = EncodeResult(o.Result)
+			}
+		}
+		out := decodeExplore(t, submitWait(t, ts, "/v1/explore", json.RawMessage(c.body)))
+		if len(out.Points) != len(want) {
+			t.Fatalf("%s: %d explore points for a %d-point study", c.study, len(out.Points), len(want))
+		}
+		for _, p := range out.Points {
+			if w, ok := want[fmt.Sprint(p.Model, p.Depth)]; !ok || !reflect.DeepEqual(p.Result, w) {
+				t.Errorf("%s: %s depth %d served\n%+v\nthe study measures\n%+v", c.study, p.Model, p.Depth, p.Result, w)
+			}
 		}
 	}
 }

@@ -62,12 +62,14 @@ type Job struct {
 	// class is assigned by Server.admit, just before the scheduler reads it;
 	// a job answered without queueing never has one.
 	class Class
-	// onTerminal and sink are the owning Store's hooks: onTerminal observes
-	// the single transition into a terminal state (the server's job-outcome
-	// counters); sink receives every event appended to the in-memory list
-	// (the server's journal hook), called with mu held, so events reach the
-	// journal in exactly the order subscribers observe them. Either may be nil.
-	onTerminal func(State)
+	// onTerminal and sink are the owning Store's hooks, both called with mu
+	// held: onTerminal observes the single transition into a terminal state
+	// (the server's job-outcome counters) before any waiter wakes, so whoever
+	// sees the terminal state also sees it counted; sink receives every event
+	// appended to the in-memory list (the server's journal hook), so events
+	// reach the journal in exactly the order subscribers observe them. Either
+	// may be nil.
+	onTerminal func(*Job)
 	sink       func(*Job, Event)
 
 	mu        sync.Mutex
@@ -77,6 +79,7 @@ type Job struct {
 	state     State
 	cached    bool
 	degraded  bool
+	rejected  bool // the scheduler turned the job away (see reject)
 	errMsg    string
 	result    []byte
 	events    []Event
@@ -105,7 +108,7 @@ type Job struct {
 }
 
 func newJob(id, kind, key string, req json.RawMessage, w work, deadline time.Duration,
-	onTerminal func(State), sink func(*Job, Event)) *Job {
+	onTerminal func(*Job), sink func(*Job, Event)) *Job {
 	j := &Job{
 		ID: id, Kind: kind, Key: key, Request: req,
 		work: w, onTerminal: onTerminal, sink: sink,
@@ -175,8 +178,14 @@ func (j *Job) State() State {
 // queued).
 func (j *Job) setState(s State, errMsg string) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.setStateLocked(s, errMsg)
+}
+
+// setStateLocked is setState for callers holding mu. A terminal transition is
+// counted (onTerminal) before the waiters are woken.
+func (j *Job) setStateLocked(s State, errMsg string) bool {
 	if j.state.terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = s
@@ -189,13 +198,10 @@ func (j *Job) setState(s State, errMsg string) bool {
 	}
 	j.errMsg = errMsg
 	j.appendEventLocked(Event{Type: "state", State: s, Cached: j.cached, Degraded: j.degraded, Error: errMsg})
-	j.notifyLocked()
-	terminal := s.terminal()
-	hook := j.onTerminal
-	j.mu.Unlock()
-	if terminal && hook != nil {
-		hook(s)
+	if s.terminal() && j.onTerminal != nil {
+		j.onTerminal(j)
 	}
+	j.notifyLocked()
 	return true
 }
 
@@ -247,13 +253,24 @@ func (j *Job) pointDone(pd experiments.PointDone, cached bool) {
 // identical request deserves the exact answer.
 func (j *Job) finish(result []byte, cached, degraded bool) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.result, j.cached, j.degraded = result, cached, degraded
-	j.mu.Unlock()
-	return j.setState(StateDone, "")
+	return j.setStateLocked(StateDone, "")
+}
+
+// reject fails a job the scheduler turned away, reporting whether the
+// transition took effect.
+func (j *Job) reject(errMsg string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.terminal() {
+		return false
+	}
+	j.rejected = true
+	return j.setStateLocked(StateFailed, errMsg)
 }
 
 // resultPayload returns the result bytes of a finished job and whether they
@@ -455,14 +472,14 @@ type Store struct {
 	// delete the evicted job's journal so journal files track job records);
 	// onTerminal and sink are handed to every job (see Job).
 	onEvict    func(*Job)
-	onTerminal func(State)
+	onTerminal func(*Job)
 	sink       func(*Job, Event)
 }
 
 // NewStore builds a store retaining at most capacity jobs. The hooks may each
 // be nil: onEvict fires for each evicted job, onTerminal once per job as it
 // reaches a terminal state, sink for every event a job appends.
-func NewStore(capacity int, onEvict func(*Job), onTerminal func(State), sink func(*Job, Event)) *Store {
+func NewStore(capacity int, onEvict func(*Job), onTerminal func(*Job), sink func(*Job, Event)) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}

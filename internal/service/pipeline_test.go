@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -163,7 +165,7 @@ func TestCoalescerJoinRelease(t *testing.T) {
 
 // fullQueueServer returns a server whose single executor is busy and whose
 // single queue slot is taken, so the next admit is turned away.
-func fullQueueServer(t *testing.T) *Server {
+func fullQueueServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	svc, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
 	long := RunRequest{N: 8, MsgLen: 4, Rate: 0.002, Warmup: 100, Measure: 400_000_000, Seed: 50}
@@ -177,7 +179,7 @@ func fullQueueServer(t *testing.T) *Server {
 	if resp, body := postJSON(t, ts.URL+"/v1/runs", long); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queue-filling submission: %s: %s", resp.Status, body)
 	}
-	return svc
+	return svc, ts
 }
 
 // chainOf registers a primary and two followers of one request, as
@@ -207,7 +209,7 @@ func chainOf(t *testing.T, svc *Server, kindName string, req any) []*Job {
 // attached in the enqueue window settle degraded with it: one
 // degraded_answers per job, no rejection.
 func TestQueueFullSettlesRunChainDegraded(t *testing.T) {
-	svc := fullQueueServer(t)
+	svc, _ := fullQueueServer(t)
 	req := RunRequest{N: 8, MsgLen: 4, Rate: 0.002, Warmup: 100, Measure: 400_000_000, Seed: 52}
 	jobs := chainOf(t, svc, "run", req)
 	if err := svc.admit(jobs[0]); err == nil {
@@ -231,7 +233,7 @@ func TestQueueFullSettlesRunChainDegraded(t *testing.T) {
 // A panel has no stand-in: the full queue rejects the primary, and each
 // follower it hands the key to is rejected in turn — one jobs_rejected per job.
 func TestQueueFullRejectsPanelChain(t *testing.T) {
-	svc := fullQueueServer(t)
+	svc, _ := fullQueueServer(t)
 	jobs := chainOf(t, svc, "panel", tinyPanel())
 	if err := svc.admit(jobs[0]); err == nil {
 		t.Fatal("admit into a full queue succeeded")
@@ -247,6 +249,97 @@ func TestQueueFullRejectsPanelChain(t *testing.T) {
 	}
 	if _, ok := svc.co.inflight[jobs[0].Key]; ok {
 		t.Fatal("rejected chain still in flight")
+	}
+}
+
+// outcomeCounts are the counters a job's terminal transition moves.
+type outcomeCounts struct{ done, failed, cancelled, rejected, cached, degraded uint64 }
+
+func countsOf(m MetricsSnapshot) outcomeCounts {
+	return outcomeCounts{m.JobsDone, m.JobsFailed, m.JobsCancelled, m.JobsRejected, m.CachedResponses, m.DegradedAnswers}
+}
+
+// newestJob posts body to path without waiting and returns the job the server
+// registered for it: the newest one, so a refused submission is found too.
+func newestJob(t *testing.T, svc *Server, ts *httptest.Server, path string, body any) *Job {
+	t.Helper()
+	postJSON(t, ts.URL+path, body)
+	jobs := svc.store.List()
+	return jobs[len(jobs)-1]
+}
+
+// Every way a job can end is counted before anyone can see it end: the
+// moment WaitTerminal returns, /metrics already carries the job's exact
+// counter deltas. (A client that saw "done" and then scraped /metrics used to
+// be able to miss its own degraded or cached answer.)
+func TestTerminalTransitionCountedBeforeWake(t *testing.T) {
+	deadlineRun := slowRun()
+	deadlineRun.Measure, deadlineRun.DeadlineMs = 400_000_000, 300
+	longRun := RunRequest{N: 8, MsgLen: 4, Rate: 0.002, Warmup: 100, Measure: 400_000_000, Seed: 3}
+	panicRun := RunRequest{Topo: "panictest", N: 8, MsgLen: 4, Rate: 0.002,
+		Warmup: 100, Measure: 300, Drain: 3000, Seed: 1}
+	shedRun := RunRequest{N: 8, MsgLen: 4, Rate: 0.002, Warmup: 100, Measure: 400_000_000, Seed: 52}
+
+	cases := []struct {
+		name      string
+		fullQueue bool
+		warm      bool // simulate the request once before the baseline
+		// start launches the job after the baseline snapshot and returns it.
+		start func(t *testing.T, svc *Server, ts *httptest.Server) *Job
+		want  outcomeCounts
+	}{
+		{"simulated", false, false, func(t *testing.T, svc *Server, ts *httptest.Server) *Job {
+			return newestJob(t, svc, ts, "/v1/runs", quickRun())
+		}, outcomeCounts{done: 1}},
+		{"cached", false, true, func(t *testing.T, svc *Server, ts *httptest.Server) *Job {
+			return newestJob(t, svc, ts, "/v1/runs", quickRun())
+		}, outcomeCounts{done: 1, cached: 1}},
+		{"degraded by deadline", false, false, func(t *testing.T, svc *Server, ts *httptest.Server) *Job {
+			return newestJob(t, svc, ts, "/v1/runs", deadlineRun)
+		}, outcomeCounts{done: 1, degraded: 1}},
+		{"degraded by shed", true, false, func(t *testing.T, svc *Server, ts *httptest.Server) *Job {
+			return newestJob(t, svc, ts, "/v1/runs", shedRun)
+		}, outcomeCounts{done: 1, degraded: 1}},
+		{"failed", false, false, func(t *testing.T, svc *Server, ts *httptest.Server) *Job {
+			return newestJob(t, svc, ts, "/v1/runs", panicRun)
+		}, outcomeCounts{failed: 1}},
+		{"rejected", true, false, func(t *testing.T, svc *Server, ts *httptest.Server) *Job {
+			return newestJob(t, svc, ts, "/v1/panels", tinyPanel())
+		}, outcomeCounts{failed: 1, rejected: 1}},
+		{"cancelled", false, false, func(t *testing.T, svc *Server, ts *httptest.Server) *Job {
+			j := newestJob(t, svc, ts, "/v1/runs", longRun)
+			waitState(t, ts, j.ID, StateRunning, 10*time.Second)
+			j.Cancel() // a running job: its executor makes the transition
+			return j
+		}, outcomeCounts{cancelled: 1}},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			var svc *Server
+			var ts *httptest.Server
+			if c.fullQueue {
+				svc, ts = fullQueueServer(t)
+			} else {
+				svc, ts = newTestServer(t, Config{Workers: 1})
+			}
+			if c.warm {
+				submitWait(t, ts, "/v1/runs", quickRun())
+			}
+			before := countsOf(svc.Snapshot())
+			j := c.start(t, svc, ts)
+			j.WaitTerminal(context.Background())
+			after := countsOf(svc.Snapshot())
+			got := outcomeCounts{
+				after.done - before.done, after.failed - before.failed,
+				after.cancelled - before.cancelled, after.rejected - before.rejected,
+				after.cached - before.cached, after.degraded - before.degraded,
+			}
+			if got != c.want {
+				t.Fatalf("job %s ended %s: counter deltas %+v, want %+v", j.ID, j.State(), got, c.want)
+			}
+		})
 	}
 }
 

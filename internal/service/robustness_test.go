@@ -54,17 +54,7 @@ func TestDeadlineExpiredRunAnswersDegraded(t *testing.T) {
 	if rr.Result.Topo != "quarc" || rr.Result.N != req.N {
 		t.Fatalf("degraded payload misdescribes the request: %+v", rr.Result)
 	}
-	// A job's answer is published a moment before it is counted, so a client
-	// can see it first; give the counter that moment.
-	degradedAnswers := func(want uint64) uint64 {
-		for end := time.Now().Add(2 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
-			if n := svc.Snapshot().DegradedAnswers; n == want {
-				return n
-			}
-		}
-		return svc.Snapshot().DegradedAnswers
-	}
-	if n := degradedAnswers(1); n != 1 {
+	if n := svc.Snapshot().DegradedAnswers; n != 1 {
 		t.Fatalf("degraded answers = %d, want 1", n)
 	}
 
@@ -75,7 +65,7 @@ func TestDeadlineExpiredRunAnswersDegraded(t *testing.T) {
 	if !again.Degraded || again.Cached {
 		t.Fatalf("resubmission degraded=%v cached=%v, want degraded uncached", again.Degraded, again.Cached)
 	}
-	if n := degradedAnswers(2); n != 2 {
+	if n := svc.Snapshot().DegradedAnswers; n != 2 {
 		t.Fatalf("degraded answers after resubmit = %d, want 2", n)
 	}
 

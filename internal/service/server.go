@@ -69,7 +69,7 @@ const (
 // Server is the simulation service: an http.Handler plus the scheduler,
 // store, cache, durability layer and metrics behind it. A submission crosses
 // it in one line: parse (kinds) → register (store) → tier.get → co.join →
-// admit → execute [tier.probe → work.run → tier.put → answer] → settle.
+// admit → execute [tier.probe → work.run → tier.put → Job.finish] → settle.
 type Server struct {
 	log     *log.Logger
 	store   *Store
@@ -270,7 +270,7 @@ func (s *Server) execute(j *Job) {
 	// while this one sat in the queue (the back-to-back duplicate pattern a
 	// burst of identical clients produces).
 	if cached, ok := s.tier.probe(j.Key); ok {
-		if s.answer(j, cached, true, false) {
+		if j.finish(cached, true, false) {
 			s.log.Printf("job %s %s served from cache at dequeue", j.ID, j.Kind)
 		}
 		return
@@ -295,7 +295,7 @@ func (s *Server) execute(j *Job) {
 	switch {
 	case err == nil:
 		s.tier.put(j.Key, payload)
-		s.answer(j, payload, false, false)
+		j.finish(payload, false, false)
 		s.log.Printf("job %s done", j.ID)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.degradeOrFail(j, "deadline exceeded")
@@ -323,21 +323,6 @@ func (s *Server) runGuarded(ctx context.Context, j *Job) (payload []byte, err er
 	return j.work.run(ctx, s, j)
 }
 
-// answer finishes j with a result payload and counts the kind of answer it
-// was, reporting whether the transition took effect.
-func (s *Server) answer(j *Job, payload []byte, cached, degraded bool) bool {
-	if !j.finish(payload, cached, degraded) {
-		return false
-	}
-	switch {
-	case degraded:
-		s.metrics.degradedAnswers.Add(1)
-	case cached:
-		s.metrics.cachedResponse.Add(1)
-	}
-	return true
-}
-
 // fail ends j as failed with a diagnosis.
 func (s *Server) fail(j *Job, msg string) {
 	j.setState(StateFailed, msg)
@@ -359,7 +344,7 @@ func (s *Server) degrade(j *Job, reason string) bool {
 	if err != nil {
 		return false
 	}
-	if s.answer(j, b, false, true) {
+	if j.finish(b, false, true) {
 		s.log.Printf("job %s answered degraded: %s", j.ID, reason)
 	}
 	return true
@@ -372,14 +357,26 @@ func (s *Server) degradeOrFail(j *Job, reason string) {
 	}
 }
 
-// countOutcome tallies each job's single terminal transition, keeping the
-// invariant accepted == done + failed + cancelled once all jobs settle.
-func (s *Server) countOutcome(st State) {
-	switch st {
+// countOutcome is the one site that counts a job's end: it tallies each job's
+// single terminal transition — the outcome and, for an answer, whether it was
+// cached or degraded, for a failure whether the queue rejected it — keeping
+// the invariant accepted == done + failed + cancelled once all jobs settle.
+// The job calls it with its lock held, before anyone waiting on it wakes.
+func (s *Server) countOutcome(j *Job) {
+	switch j.state {
 	case StateDone:
 		s.metrics.jobsDone.Add(1)
+		switch {
+		case j.degraded:
+			s.metrics.degradedAnswers.Add(1)
+		case j.cached:
+			s.metrics.cachedResponse.Add(1)
+		}
 	case StateFailed:
 		s.metrics.jobsFailed.Add(1)
+		if j.rejected {
+			s.metrics.jobsRejected.Add(1)
+		}
 	case StateCancelled:
 		s.metrics.jobsCancelled.Add(1)
 	}
@@ -395,8 +392,7 @@ func (s *Server) admit(j *Job) error {
 	err := s.sched.Enqueue(j)
 	if err != nil {
 		if !errors.Is(err, ErrQueueFull) || !s.degrade(j, "shed: queue full") {
-			j.setState(StateFailed, err.Error())
-			s.metrics.jobsRejected.Add(1)
+			j.reject(err.Error())
 		}
 		s.settle(j)
 	}
@@ -414,7 +410,7 @@ func (s *Server) settle(j *Job) {
 	payload, degraded, ok := j.resultPayload()
 	followers, next := s.co.release(j, ok)
 	for _, f := range followers {
-		s.answer(f, payload, !degraded, degraded)
+		f.finish(payload, !degraded, degraded)
 	}
 	if next != nil {
 		s.log.Printf("job %s promoted to primary after %s ended without a result", next.ID, j.ID)
@@ -470,7 +466,7 @@ func (s *Server) handleSubmit(k kind) http.HandlerFunc {
 		j := s.store.Add(k.name, key, raw, wk, deadline)
 		s.metrics.jobsAccepted.Add(1)
 		if cached, ok := s.tier.get(key); ok {
-			s.answer(j, cached, true, false)
+			j.finish(cached, true, false)
 			writeJSON(w, http.StatusOK, j.Snapshot(true))
 			return
 		}
