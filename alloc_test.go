@@ -15,7 +15,7 @@ func TestFabricStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs without -race")
 	}
-	fab, nodes, err := quarc.NewQuarc(quarc.QuarcConfig{N: 64, Depth: 4})
+	fab, nodes, err := quarc.Build("quarc", 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestActivityCycleSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs without -race")
 	}
-	fab, nodes, err := quarc.NewQuarc(quarc.QuarcConfig{N: 64, Depth: 4})
+	fab, nodes, err := quarc.Build("quarc", 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func BenchmarkSweepSaturated(b *testing.B) {
 // BenchmarkFabricStep measures the core simulator step cost at a moderate
 // load on the largest evaluated network.
 func BenchmarkFabricStep(b *testing.B) {
-	fab, nodes, err := quarc.NewQuarc(quarc.QuarcConfig{N: 64, Depth: 4})
+	fab, nodes, err := quarc.Build("quarc", 64, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func BenchmarkFabricStep(b *testing.B) {
 // it injects, and delivered one hop away. Once the descriptor slice has
 // grown the whole trip must not allocate (CI holds it to 0 allocs/op).
 func BenchmarkEnqueueInject(b *testing.B) {
-	fab, nodes, err := quarc.NewQuarc(quarc.QuarcConfig{N: 8, Depth: 4})
+	fab, nodes, err := quarc.Build("quarc", 8, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func BenchmarkFabricStepParallel(b *testing.B) {
 		{"auto", quarc.DefaultStepWorkers(n)},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			fab, nodes, err := quarc.NewMesh(quarc.MeshConfig{W: 32, H: 32, Depth: 4})
+			fab, nodes, err := quarc.Build("mesh", n, 4)
 			if err != nil {
 				b.Fatal(err)
 			}

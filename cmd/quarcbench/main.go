@@ -141,18 +141,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var panelModels []string
 	if *modelsFlag != "" {
-		for _, m := range strings.Split(*modelsFlag, ",") {
-			m = strings.TrimSpace(m)
-			if m == "" {
-				// ParseModel maps "" to the default model; a stray comma must
-				// not silently add a quarc curve the user never asked for.
-				return fail(2, "-models: empty model name in %q", *modelsFlag)
-			}
-			name, err := service.ParseModel(m)
-			if err != nil {
-				return fail(2, "-models: %v", err)
-			}
-			panelModels = append(panelModels, name)
+		if panelModels, err = service.ParseModels(strings.Split(strings.ReplaceAll(*modelsFlag, " ", ""), ",")); err != nil {
+			return fail(2, "-models: %v", err)
 		}
 	}
 	switch {

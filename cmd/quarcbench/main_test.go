@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"quarc/internal/service"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fast-all.golden from this build's output")
@@ -95,5 +100,51 @@ func TestUnknownExperimentExits2(t *testing.T) {
 	}
 	if stdout.Len() != 0 || !strings.Contains(stderr.String(), `unknown experiment "nosuch"`) {
 		t.Fatalf("stdout %q, stderr %q", stdout.String(), stderr.String())
+	}
+}
+
+// TestNWayMulticastPanels: fig9 swept over three models with multicast traffic
+// prints three NDJSON panels, each carrying every model's curve over every
+// rate with multicasts measured at every point. A stray comma in -models is
+// refused, not read as the default model.
+func TestNWayMulticastPanels(t *testing.T) {
+	out := quarcbench(t, "-experiment", "fig9", "-fast", "-json",
+		"-models", "quarc,spidergon,ring", "-mcast-frac", "0.1", "-mcast-size", "4")
+	var panels []service.PanelResultJSON
+	for dec := json.NewDecoder(strings.NewReader(out)); ; {
+		var p service.PanelResultJSON
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		panels = append(panels, p)
+	}
+	if len(panels) != 3 {
+		t.Fatalf("%d panels, want 3", len(panels))
+	}
+	for _, p := range panels {
+		if want := []string{"quarc", "spidergon", "ring"}; !slices.Equal(p.Models, want) {
+			t.Fatalf("models %v, want %v", p.Models, want)
+		}
+		for _, m := range p.Models {
+			curve := p.Curves[m]
+			if len(curve) != len(p.Rates) {
+				t.Errorf("%s: %d points over %d rates", m, len(curve), len(p.Rates))
+			}
+			for _, pt := range curve {
+				if pt.McastCount == 0 {
+					t.Errorf("%s at rate %g: no multicasts", m, pt.Rate)
+				}
+			}
+		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "fig9", "-fast", "-models", "quarc,,spidergon"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-models quarc,,spidergon: exit %d, want 2 (stderr %q)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "empty model name") {
+		t.Fatalf("stderr %q", stderr.String())
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"quarc/internal/explore"
 	"quarc/internal/model"
 	"quarc/internal/plot"
+	"quarc/internal/service"
 )
 
 func main() {
@@ -63,11 +64,11 @@ func main() {
 		opts.Seed = *seed
 	}
 
-	spec := explore.Spec{
-		Models: splitList(*models),
-		MsgLen: *msgLen, Beta: *beta, CostWidth: *width,
-	}
+	spec := explore.Spec{MsgLen: *msgLen, Beta: *beta, CostWidth: *width}
 	var err error
+	if spec.Models, err = service.ParseModels(strings.Split(strings.ReplaceAll(*models, " ", ""), ",")); err != nil {
+		die("bad -models: %v", err)
+	}
 	if spec.Ns, err = splitInts(*ns); err != nil {
 		die("bad -ns: %v", err)
 	}

@@ -38,32 +38,11 @@ const (
 // barrierRound runs `rounds` consecutive barriers and returns the mean
 // cycles per round.
 func barrierRound(topoName string) (float64, error) {
-	var (
-		fab  *quarc.Fabric
-		uni  func(src, dst int) uint64
-		bc   func(src int) uint64
-		root = 0
-	)
-	switch topoName {
-	case "quarc":
-		f, ts, err := quarc.NewQuarc(quarc.QuarcConfig{N: nodes, Depth: 4})
-		if err != nil {
-			return 0, err
-		}
-		fab = f
-		uni = func(s, d int) uint64 { return ts[s].SendUnicast(d, tokenLen, fab.Now()) }
-		bc = func(s int) uint64 { return ts[s].SendBroadcast(relLen, fab.Now()) }
-	case "spidergon":
-		f, as, err := quarc.NewSpidergon(quarc.SpidergonConfig{N: nodes, Depth: 4})
-		if err != nil {
-			return 0, err
-		}
-		fab = f
-		uni = func(s, d int) uint64 { return as[s].SendUnicast(d, tokenLen, fab.Now()) }
-		bc = func(s int) uint64 { return as[s].SendBroadcast(relLen, fab.Now()) }
-	default:
-		return 0, fmt.Errorf("unknown topology %q", topoName)
+	fab, cores, err := quarc.Build(topoName, nodes, 4)
+	if err != nil {
+		return 0, err
 	}
+	const root = 0
 
 	// Track message completions by id.
 	done := map[uint64]bool{}
@@ -76,7 +55,7 @@ func barrierRound(topoName string) (float64, error) {
 		tokens := make([]uint64, 0, nodes-1)
 		for c := 0; c < nodes; c++ {
 			if c != root {
-				tokens = append(tokens, uni(c, root))
+				tokens = append(tokens, cores[c].SendUnicast(root, tokenLen, fab.Now()))
 			}
 		}
 		for !allDone(done, tokens) {
@@ -84,7 +63,7 @@ func barrierRound(topoName string) (float64, error) {
 		}
 		// Phase 2: release broadcast; the barrier opens when the LAST core
 		// hears it (completion latency).
-		rel := bc(root)
+		rel := cores[root].SendBroadcast(relLen, fab.Now())
 		for !done[rel] {
 			fab.Step()
 		}

@@ -25,11 +25,9 @@ import (
 	"fmt"
 	"log"
 
+	"quarc"
 	"quarc/internal/coherence"
 	"quarc/internal/plot"
-	"quarc/internal/quarc"
-	"quarc/internal/spidergon"
-	"quarc/internal/traffic"
 )
 
 const (
@@ -48,31 +46,11 @@ type outcome struct {
 }
 
 func runProtocol(topology string, writeFrac, issueProb float64) (outcome, error) {
-	var (
-		noc *coherence.FabricNoC
-		err error
-	)
-	senders := make([]traffic.Sender, cores)
-	switch topology {
-	case "quarc":
-		fab, ts, berr := quarc.Build(quarc.Config{N: cores, Depth: 4})
-		if berr != nil {
-			return outcome{}, berr
-		}
-		for i, t := range ts {
-			senders[i] = t
-		}
-		noc, err = coherence.NewFabricNoC(fab, senders)
-	case "spidergon":
-		fab, as, berr := spidergon.Build(spidergon.Config{N: cores, Depth: 4})
-		if berr != nil {
-			return outcome{}, berr
-		}
-		for i, a := range as {
-			senders[i] = a
-		}
-		noc, err = coherence.NewFabricNoC(fab, senders)
+	fab, nodes, err := quarc.Build(topology, cores, 4)
+	if err != nil {
+		return outcome{}, err
 	}
+	noc, err := coherence.NewFabricNoC(fab, nodes)
 	if err != nil {
 		return outcome{}, err
 	}

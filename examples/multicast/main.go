@@ -23,7 +23,7 @@ import (
 
 func main() {
 	const n = 16
-	fab, nodes, err := quarc.NewQuarc(quarc.QuarcConfig{N: n, Depth: 4})
+	fab, nodes, err := quarc.Build("quarc", n, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	// An 8-node Quarc with 4-flit virtual-channel buffers.
-	fab, nodes, err := quarc.NewQuarc(quarc.QuarcConfig{N: 8, Depth: 4})
+	fab, nodes, err := quarc.Build("quarc", 8, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

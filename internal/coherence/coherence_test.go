@@ -3,45 +3,26 @@ package coherence
 import (
 	"testing"
 
+	"quarc/internal/model"
+	_ "quarc/internal/models"
 	"quarc/internal/network"
-	"quarc/internal/quarc"
-	"quarc/internal/spidergon"
-	"quarc/internal/traffic"
 )
 
-func quarcNoC(t testing.TB, n int) (*FabricNoC, *network.Fabric) {
+// newNoC builds the named registered model with n nodes and wraps it.
+func newNoC(t testing.TB, name string, n int) (*FabricNoC, *network.Fabric) {
 	t.Helper()
-	fab, ts, err := quarc.Build(quarc.Config{N: n, Depth: 4})
+	fab, nodes, err := model.Build(name, model.BuildConfig{N: n, Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	senders := make([]traffic.Sender, n)
-	for i, tr := range ts {
-		senders[i] = tr
-	}
-	noc, err := NewFabricNoC(fab, senders)
+	noc, err := NewFabricNoC(fab, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return noc, fab
 }
 
-func spiderNoC(t testing.TB, n int) (*FabricNoC, *network.Fabric) {
-	t.Helper()
-	fab, as, err := spidergon.Build(spidergon.Config{N: n, Depth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	senders := make([]traffic.Sender, n)
-	for i, a := range as {
-		senders[i] = a
-	}
-	noc, err := NewFabricNoC(fab, senders)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return noc, fab
-}
+func quarcNoC(t testing.TB, n int) (*FabricNoC, *network.Fabric) { return newNoC(t, "quarc", n) }
 
 func newSys(t testing.TB, noc *FabricNoC, cores int) *System {
 	t.Helper()
@@ -208,10 +189,8 @@ func TestBlockedCoreRejectsIssue(t *testing.T) {
 }
 
 func TestRandomWorkloadInvariants(t *testing.T) {
-	for _, build := range []func(testing.TB, int) (*FabricNoC, *network.Fabric){
-		quarcNoC, spiderNoC,
-	} {
-		noc, fab := build(t, 16)
+	for _, name := range []string{"quarc", "spidergon"} {
+		noc, fab := newNoC(t, name, 16)
 		sys := newSys(t, noc, 16)
 		stats, err := RunWorkload(sys, noc, 16, 3000, 0.05)
 		if err != nil {
@@ -232,8 +211,8 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 func TestQuarcWriteVisibilityBeatsSpidergon(t *testing.T) {
 	// The paper's core claim, at protocol level: identical coherence
 	// workload, write visibility several times faster on the Quarc.
-	run := func(build func(testing.TB, int) (*FabricNoC, *network.Fabric)) Stats {
-		noc, _ := build(t, 16)
+	run := func(name string) Stats {
+		noc, _ := newNoC(t, name, 16)
 		sys := newSys(t, noc, 16)
 		stats, err := RunWorkload(sys, noc, 16, 4000, 0.02)
 		if err != nil {
@@ -241,8 +220,8 @@ func TestQuarcWriteVisibilityBeatsSpidergon(t *testing.T) {
 		}
 		return stats
 	}
-	q := run(quarcNoC)
-	s := run(spiderNoC)
+	q := run("quarc")
+	s := run("spidergon")
 	if q.WriteUpgrades == 0 || s.WriteUpgrades == 0 {
 		t.Fatal("no writes upgraded")
 	}
@@ -262,11 +241,11 @@ func TestLineStateString(t *testing.T) {
 }
 
 func TestNewFabricNoCMismatch(t *testing.T) {
-	fab, _, err := quarc.Build(quarc.Config{N: 8, Depth: 4})
+	fab, _, err := model.Build("quarc", model.BuildConfig{N: 8, Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFabricNoC(fab, make([]traffic.Sender, 3)); err == nil {
+	if _, err := NewFabricNoC(fab, make([]model.Node, 3)); err == nil {
 		t.Fatal("sender count mismatch accepted")
 	}
 }
@@ -276,10 +255,8 @@ func TestManySeedsInvariantRobustness(t *testing.T) {
 	// depend on message timing; sweep seeds on both fabrics to shake out
 	// interleavings. Each run ends with a full drain and invariant check.
 	for seed := uint64(1); seed <= 6; seed++ {
-		for _, build := range []func(testing.TB, int) (*FabricNoC, *network.Fabric){
-			quarcNoC, spiderNoC,
-		} {
-			noc, _ := build(t, 16)
+		for _, name := range []string{"quarc", "spidergon"} {
+			noc, _ := newNoC(t, name, 16)
 			sys, err := NewSystem(Config{
 				Cores: 16, Lines: 16, FetchLen: 6, CtrlLen: 2,
 				Seed: seed, WriteFrac: 0.35,

@@ -3,26 +3,26 @@ package coherence
 import (
 	"fmt"
 
+	"quarc/internal/model"
 	"quarc/internal/network"
-	"quarc/internal/traffic"
 )
 
-// FabricNoC adapts a simulated fabric (Quarc, Spidergon or mesh) to the
-// protocol engine's NoC interface and wires message completions back into
-// the protocol.
+// FabricNoC adapts a simulated fabric (any registered model) to the protocol
+// engine's NoC interface and wires message completions back into the
+// protocol.
 type FabricNoC struct {
-	fab     *network.Fabric
-	senders []traffic.Sender
+	fab   *network.Fabric
+	nodes []model.Node
 }
 
-// NewFabricNoC wraps a fabric and its per-node adapters. Install the
-// returned value into a System and call Bind afterwards so completions flow
-// back into the protocol.
-func NewFabricNoC(fab *network.Fabric, senders []traffic.Sender) (*FabricNoC, error) {
-	if fab.N != len(senders) {
-		return nil, fmt.Errorf("coherence: %d senders for %d nodes", len(senders), fab.N)
+// NewFabricNoC wraps a fabric and its per-node adapters, as model.Build
+// returns them. Install the returned value into a System and call Bind
+// afterwards so completions flow back into the protocol.
+func NewFabricNoC(fab *network.Fabric, nodes []model.Node) (*FabricNoC, error) {
+	if fab.N != len(nodes) {
+		return nil, fmt.Errorf("coherence: %d nodes for a %d-node fabric", len(nodes), fab.N)
 	}
-	return &FabricNoC{fab: fab, senders: senders}, nil
+	return &FabricNoC{fab: fab, nodes: nodes}, nil
 }
 
 // Bind routes fabric message completions into the protocol engine. Any
@@ -35,12 +35,12 @@ func (n *FabricNoC) Bind(sys *System) {
 
 // Unicast implements NoC.
 func (n *FabricNoC) Unicast(src, dst, msgLen int, now int64) uint64 {
-	return n.senders[src].SendUnicast(dst, msgLen, now)
+	return n.nodes[src].SendUnicast(dst, msgLen, now)
 }
 
 // Broadcast implements NoC.
 func (n *FabricNoC) Broadcast(src, msgLen int, now int64) uint64 {
-	return n.senders[src].SendBroadcast(msgLen, now)
+	return n.nodes[src].SendBroadcast(msgLen, now)
 }
 
 // Now implements NoC.

@@ -218,13 +218,7 @@ type Result struct {
 // carries no topology-specific knowledge: every model (including the Quarc
 // ablation presets) is a registration.
 func build(cfg Config) (*network.Fabric, []model.Node, error) {
-	name := cfg.ModelName()
-	m, ok := model.Lookup(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: unknown model %q (registered: %s)",
-			name, strings.Join(model.Names(), ", "))
-	}
-	return m.Build(model.BuildConfig{N: cfg.N, Depth: cfg.Depth})
+	return model.Build(cfg.ModelName(), model.BuildConfig{N: cfg.N, Depth: cfg.Depth})
 }
 
 // ctxCheckPeriod is how often (in cycles) a cancellable run polls its

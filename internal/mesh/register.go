@@ -39,11 +39,7 @@ func init() {
 					return nil, nil, err
 				}
 				side := int(math.Round(math.Sqrt(float64(bc.N))))
-				fab, as, err := Build(Config{W: side, H: side, Torus: torus, Depth: bc.Depth})
-				if err != nil {
-					return nil, nil, err
-				}
-				return fab, model.Nodes(as), nil
+				return model.Nodes(Build(Config{W: side, H: side, Torus: torus, Depth: bc.Depth}))
 			},
 		})
 	}

@@ -30,14 +30,18 @@ type Node interface {
 	Backlog() int
 }
 
-// Nodes converts a model package's concrete adapter slice into the Node
-// slice a registered Build returns.
-func Nodes[T Node](adapters []T) []Node {
+// Nodes converts what a model package's own Build returns — the fabric and
+// its concrete adapter slice, or an error — into what a registered Build
+// returns, so a registration reads return model.Nodes(Build(cfg)).
+func Nodes[T Node](fab *network.Fabric, adapters []T, err error) (*network.Fabric, []Node, error) {
+	if err != nil {
+		return nil, nil, err
+	}
 	nodes := make([]Node, len(adapters))
 	for i, a := range adapters {
 		nodes[i] = a
 	}
-	return nodes
+	return fab, nodes, nil
 }
 
 // BuildConfig carries the topology-independent build parameters. Everything
@@ -125,16 +129,31 @@ func All() []Model {
 	return out
 }
 
-// CheckSize validates n against the named model's CheckN, if any. Unknown
-// names return an error listing what is registered.
-func CheckSize(name string, n int) error {
+// find is Lookup with the unknown-name error, which lists what is registered.
+func find(name string) (Model, error) {
 	m, ok := Lookup(name)
 	if !ok {
-		return fmt.Errorf("model: unknown model %q (registered: %s)",
+		return Model{}, fmt.Errorf("model: unknown model %q (registered: %s)",
 			name, strings.Join(Names(), ", "))
 	}
-	if m.CheckN != nil {
-		return m.CheckN(n)
+	return m, nil
+}
+
+// Build assembles the named model's network: the one constructor the
+// harness, the CLIs, the examples and the public facade build through.
+func Build(name string, cfg BuildConfig) (*network.Fabric, []Node, error) {
+	m, err := find(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
+	return m.Build(cfg)
+}
+
+// CheckSize validates n against the named model's CheckN, if any.
+func CheckSize(name string, n int) error {
+	m, err := find(name)
+	if err != nil || m.CheckN == nil {
+		return err
+	}
+	return m.CheckN(n)
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"quarc/internal/network"
@@ -41,6 +42,12 @@ func TestRegisterLookupNames(t *testing.T) {
 	}
 	if err := CheckSize("no-such-model", 4); err == nil {
 		t.Fatal("CheckSize accepted an unknown model")
+	}
+	if _, _, err := Build("ZZ-Stub-A", BuildConfig{N: 4}); err == nil || err.Error() != "stub build" {
+		t.Fatalf("Build did not reach the registered builder: %v", err)
+	}
+	if _, _, err := Build("no-such-model", BuildConfig{N: 4}); err == nil || !strings.Contains(err.Error(), `unknown model "no-such-model"`) {
+		t.Fatalf("Build of an unknown model: %v", err)
 	}
 }
 

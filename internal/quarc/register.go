@@ -20,11 +20,7 @@ func init() {
 			Build: func(bc model.BuildConfig) (*network.Fabric, []model.Node, error) {
 				cfg := preset
 				cfg.N, cfg.Depth = bc.N, bc.Depth
-				fab, ts, err := Build(cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				return fab, model.Nodes(ts), nil
+				return model.Nodes(Build(cfg))
 			},
 		})
 	}

@@ -342,7 +342,7 @@ func (p PanelRequest) SpecOpts() (experiments.PanelSpec, experiments.RunOpts, er
 	case len(p.Models) > MaxPanelModels:
 		return fail(fmt.Errorf("%d models exceed the limit %d", len(p.Models), MaxPanelModels))
 	}
-	models, err := parseModels(p.Models)
+	models, err := ParseModels(p.Models)
 	if err != nil {
 		return fail(err)
 	}
@@ -373,12 +373,16 @@ func (p PanelRequest) SpecOpts() (experiments.PanelSpec, experiments.RunOpts, er
 	return spec, opts, nil
 }
 
-// parseModels resolves a request's model list to canonical registry names,
-// refusing duplicates; nil for an empty list.
-func parseModels(names []string) ([]string, error) {
+// ParseModels resolves a model list — a request's "models" field, a CLI's
+// -models flag — to canonical registry names; nil for an empty list. It
+// refuses duplicates and empty names: in a list, "" is a stray comma.
+func ParseModels(names []string) ([]string, error) {
 	var models []string
 	seen := map[string]bool{}
 	for _, m := range names {
+		if m == "" {
+			return nil, fmt.Errorf("empty model name")
+		}
 		name, err := ParseModel(m)
 		if err != nil {
 			return nil, err

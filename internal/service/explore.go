@@ -66,7 +66,7 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 	if e.CostWidth < 0 {
 		return fail(fmt.Errorf("cost_width %d must be non-negative", e.CostWidth))
 	}
-	models, err := parseModels(e.Models)
+	models, err := ParseModels(e.Models)
 	if err != nil {
 		return fail(err)
 	}

@@ -53,6 +53,9 @@ var outOfDomain = []struct{ route, body string }{
 	{"/v1/runs", `{"n":16,"rate":0.01,"warmup":3100000000000000000,"measure":3100000000000000000,"drain":3100000000000000000}`},
 	{"/v1/panels", `{"n":16,"rates":[0.01],"opts":{"warmup":3100000000000000000,"measure":3100000000000000000,"drain":3100000000000000000}}`},
 	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"opts":{"warmup":3100000000000000000,"measure":3100000000000000000,"drain":3100000000000000000}}`},
+	// An empty name in a model list used to parse as the default, quarc.
+	{"/v1/panels", `{"n":16,"models":["spidergon",""],"rates":[0.01]}`},
+	{"/v1/explore", `{"models":["spidergon",""],"ns":[16],"rates":[0.01]}`},
 }
 
 // A request for something the simulator cannot run is refused at the door

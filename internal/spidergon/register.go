@@ -13,11 +13,7 @@ func init() {
 		CheckN:      topology.ValidateRingSize,
 		ExampleN:    16,
 		Build: func(bc model.BuildConfig) (*network.Fabric, []model.Node, error) {
-			fab, as, err := Build(Config{N: bc.N, Depth: bc.Depth})
-			if err != nil {
-				return nil, nil, err
-			}
-			return fab, model.Nodes(as), nil
+			return model.Nodes(Build(Config{N: bc.N, Depth: bc.Depth}))
 		},
 	})
 }

@@ -18,9 +18,9 @@
 //	fmt.Println(res.UnicastMean, res.BcastMean)
 //
 // For direct access to the fabric (custom workloads, cache-coherence style
-// traffic), build a network and drive it cycle by cycle:
+// traffic), build a registered network and drive it cycle by cycle:
 //
-//	fab, nodes, _ := quarc.NewQuarc(quarc.QuarcConfig{N: 16, Depth: 4})
+//	fab, nodes, _ := quarc.Build("quarc", 16, 4)
 //	nodes[0].SendBroadcast(16, fab.Now())
 //	for fab.Tracker.InFlight() > 0 {
 //	    fab.Step()
@@ -32,12 +32,8 @@ import (
 
 	"quarc/internal/cost"
 	"quarc/internal/experiments"
-	"quarc/internal/mesh"
 	"quarc/internal/model"
 	"quarc/internal/network"
-	qswitch "quarc/internal/quarc"
-	"quarc/internal/ring"
-	"quarc/internal/spidergon"
 	"quarc/internal/traffic"
 )
 
@@ -134,47 +130,19 @@ type (
 	Fabric        = network.Fabric
 	MessageRecord = network.MessageRecord
 	Tracker       = network.Tracker
-
-	// Transceiver is the Quarc network adapter (quadrant calculator + four
-	// injection queues + reassembly).
-	Transceiver = qswitch.Transceiver
-	// QuarcConfig configures a Quarc build (including the ablation knobs).
-	QuarcConfig = qswitch.Config
-
-	// SpidergonAdapter is the one-port baseline adapter.
-	SpidergonAdapter = spidergon.Adapter
-	// SpidergonConfig configures a Spidergon build.
-	SpidergonConfig = spidergon.Config
-
-	// MeshAdapter and MeshConfig expose the mesh/torus substrate.
-	MeshAdapter = mesh.Adapter
-	MeshConfig  = mesh.Config
 )
 
-// NewQuarc builds an n-node Quarc network and its transceivers.
-func NewQuarc(cfg QuarcConfig) (*Fabric, []*Transceiver, error) { return qswitch.Build(cfg) }
-
-// NewSpidergon builds the Spidergon baseline.
-func NewSpidergon(cfg SpidergonConfig) (*Fabric, []*SpidergonAdapter, error) {
-	return spidergon.Build(cfg)
+// Build assembles the n-node network registered under name (see
+// RegisteredModels) with depth-flit virtual-channel buffers: the fabric and
+// one ModelNode per network node. A mesh or torus of n nodes is square.
+func Build(name string, n, depth int) (*Fabric, []ModelNode, error) {
+	return model.Build(name, model.BuildConfig{N: n, Depth: depth})
 }
-
-// NewMesh builds a mesh or torus.
-func NewMesh(cfg MeshConfig) (*Fabric, []*MeshAdapter, error) { return mesh.Build(cfg) }
 
 // DefaultStepWorkers is the automatic intra-fabric worker-pool size for an
 // n-node fabric: GOMAXPROCS, clamped so each worker keeps a useful shard
 // (see Fabric.SetStepWorkers and Config.StepWorkers).
 func DefaultStepWorkers(n int) int { return network.DefaultStepWorkers(n) }
-
-// RingAdapter and RingConfig expose the bidirectional-ring lower bound.
-type (
-	RingAdapter = ring.Adapter
-	RingConfig  = ring.Config
-)
-
-// NewRing builds a bidirectional ring.
-func NewRing(cfg RingConfig) (*Fabric, []*RingAdapter, error) { return ring.Build(cfg) }
 
 // Model registry: every network model the harness can simulate is a named
 // registration. Model describes one entry (name, metadata, builder);

@@ -23,7 +23,7 @@ func TestPublicRunAPI(t *testing.T) {
 }
 
 func TestPublicFabricAPI(t *testing.T) {
-	fab, nodes, err := quarc.NewQuarc(quarc.QuarcConfig{N: 16, Depth: 4})
+	fab, nodes, err := quarc.Build("quarc", 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,13 @@ func TestPublicFabricAPI(t *testing.T) {
 }
 
 func TestPublicBaselineBuilders(t *testing.T) {
-	if _, _, err := quarc.NewSpidergon(quarc.SpidergonConfig{N: 16, Depth: 4}); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"spidergon", "mesh"} {
+		if _, nodes, err := quarc.Build(name, 16, 4); err != nil || len(nodes) != 16 {
+			t.Fatalf("%s: %d nodes, %v", name, len(nodes), err)
+		}
 	}
-	if _, _, err := quarc.NewMesh(quarc.MeshConfig{W: 4, H: 4, Depth: 4}); err != nil {
-		t.Fatal(err)
+	if _, _, err := quarc.Build("hypercube", 16, 4); err == nil {
+		t.Fatal("an unregistered model built")
 	}
 }
 
