@@ -200,26 +200,51 @@ func BenchmarkFabricStep(b *testing.B) {
 	}
 }
 
-// BenchmarkEnqueueInject measures one message's trip through a source queue:
-// a 16-flit unicast is enqueued as a descriptor, formed into flits by Feed as
-// it injects, and delivered one hop away. Once the descriptor slice has
-// grown the whole trip must not allocate (CI holds it to 0 allocs/op).
+// BenchmarkEnqueueInject measures one message's trip through the network
+// adapter on a 16-node fabric: the send, whose packets are queued as
+// descriptors, formed into flits by Feed as they inject, and stepped until
+// every delivery has landed. A sub-benchmark per send path: unicast, the
+// software broadcast (ring), the Spidergon's chain broadcast (spidergon and
+// the Quarc's chain ablation), the BRCP broadcast (quarc and its single-queue
+// ablation), and the BRCP and software multicasts. Once the descriptor
+// slices and the tracker's free lists have grown, no send path allocates
+// (CI holds every sub-benchmark to 0 allocs/op).
 func BenchmarkEnqueueInject(b *testing.B) {
-	fab, nodes, err := quarc.Build("quarc", 8, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	send := func() {
-		nodes[0].SendUnicast(1, 16, fab.Now())
-		for fab.Tracker.InFlight() > 0 {
-			fab.Step()
+	targets := []int{2, 5, 11, 14} // reused: the send path must not need a fresh slice
+	unicast := func(nd quarc.ModelNode, now int64) { nd.SendUnicast(5, 16, now) }
+	broadcast := func(nd quarc.ModelNode, now int64) { nd.SendBroadcast(16, now) }
+	multicast := func(nd quarc.ModelNode, now int64) { nd.SendMulticast(targets, 16, now) }
+	for _, c := range []struct {
+		send   func(nd quarc.ModelNode, now int64)
+		models []string
+		name   string
+	}{
+		{unicast, []string{"quarc", "spidergon", "ring"}, "unicast"},
+		{broadcast, []string{"quarc", "quarc-1queue", "quarc-chainbcast", "spidergon", "ring"}, "broadcast"},
+		{multicast, []string{"quarc", "mesh"}, "multicast"},
+	} {
+		for _, name := range c.models {
+			b.Run(c.name+"/"+name, func(b *testing.B) {
+				fab, nodes, err := quarc.Build(name, 16, 4)
+				if err != nil {
+					b.Fatal(err)
+				}
+				send := func() {
+					c.send(nodes[0], fab.Now())
+					for fab.Tracker.InFlight() > 0 {
+						fab.Step()
+					}
+				}
+				for i := 0; i < 4; i++ {
+					send()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					send()
+				}
+			})
 		}
-	}
-	send()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send()
 	}
 }
 

@@ -2,7 +2,7 @@
 // parameter lattice (models x sizes x offered rates x buffer depths x
 // multicast presets), simulates every point, and prints the
 // latency/throughput/cost Pareto front — the same engine POST /v1/explore
-// serves, without the daemon.
+// serves, without the daemon but under its caps.
 //
 // Examples:
 //
@@ -17,12 +17,14 @@ package main
 import (
 	"context"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 
 	"quarc/internal/experiments"
 	"quarc/internal/explore"
@@ -31,55 +33,58 @@ import (
 	"quarc/internal/service"
 )
 
-func main() {
-	models := flag.String("models", "quarc,spidergon", "comma-separated model names (see -list)")
-	ns := flag.String("ns", "16", "comma-separated network sizes")
-	rates := flag.String("rates", "0.005,0.01,0.02", "comma-separated offered loads (msgs/node/cycle)")
-	depths := flag.String("depths", "", "comma-separated buffer depths (empty: simulator default)")
-	mcast := flag.String("mcast", "", "comma-separated multicast presets frac:size (e.g. 0.1:4,0.2:8)")
-	msgLen := flag.Int("msglen", 16, "message length in flits")
-	beta := flag.Float64("beta", 0, "broadcast fraction of generated messages")
-	width := flag.Int("width", 32, "payload width (bits) for the silicon-cost axis")
-	replicates := flag.Int("replicates", 1, "independent replicates per point")
-	workers := flag.Int("workers", 0, "parallel point evaluations (0: GOMAXPROCS, as for sweeps; more than one steps each point's fabric serially)")
-	seed := flag.Uint64("seed", 0, "base RNG seed (0: default)")
-	fast := flag.Bool("fast", false, "reduced cycle budgets")
-	csvPath := flag.String("csv", "", "write every lattice point as CSV to this file (- for stdout)")
-	list := flag.Bool("list", false, "list registered models and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is quarcexplore with its arguments and output streams; it returns the
+// exit code. Its flags fill the request body of POST /v1/explore, and the
+// lattice and options come from the same conversion, so quarcexplore accepts
+// exactly what quarcd accepts, under the same caps.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("quarcexplore", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	req := service.ExploreRequest{Models: []string{"quarc", "spidergon"}, Ns: []int{16}, Rates: []float64{0.005, 0.01, 0.02}}
+	listVar(fs, &req.Models, "models", "comma-separated model names (see -list; default quarc,spidergon)",
+		func(s string) (string, error) { return s, nil })
+	listVar(fs, &req.Ns, "ns", "comma-separated network sizes (default 16)", strconv.Atoi)
+	listVar(fs, &req.Rates, "rates", "comma-separated offered loads, msgs/node/cycle (default 0.005,0.01,0.02)",
+		func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+	listVar(fs, &req.Depths, "depths", "comma-separated buffer depths (default: the simulator's)", strconv.Atoi)
+	listVar(fs, &req.Mcast, "mcast", "comma-separated multicast presets frac:size (e.g. 0.1:4,0.2:8)", parseMcast)
+	fs.IntVar(&req.MsgLen, "msglen", 16, "message length in flits")
+	fs.Float64Var(&req.Beta, "beta", 0, "broadcast fraction of generated messages")
+	fs.IntVar(&req.CostWidth, "width", 32, "payload width (bits) for the silicon-cost axis")
+	fs.IntVar(&req.Opts.Replicates, "replicates", 1, "independent replicates per point")
+	fs.IntVar(&req.Opts.Workers, "workers", 0, "parallel point evaluations (0: GOMAXPROCS, as for sweeps; more than one steps each point's fabric serially)")
+	fs.Uint64Var(&req.Opts.Seed, "seed", 0, "base RNG seed (0: default)")
+	var (
+		fast    = fs.Bool("fast", false, "reduced cycle budgets")
+		csvPath = fs.String("csv", "", "write every lattice point as CSV to this file (- for stdout)")
+		list    = fs.Bool("list", false, "list registered models and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "quarcexplore: "+format+"\n", a...)
+		return 2
+	}
 
 	if *list {
 		for _, m := range model.All() {
-			fmt.Printf("%-18s %s\n", m.Name, m.Description)
+			fmt.Fprintf(stdout, "%-18s %s\n", m.Name, m.Description)
 		}
-		return
+		return 0
 	}
-
-	opts := experiments.DefaultOpts()
 	if *fast {
-		opts = experiments.FastOpts()
+		f := experiments.FastOpts()
+		req.Opts.Warmup, req.Opts.Measure, req.Opts.Drain = f.Warmup, f.Measure, f.Drain
 	}
-	opts.Replicates = *replicates
-	if *seed != 0 {
-		opts.Seed = *seed
-	}
-
-	spec := explore.Spec{MsgLen: *msgLen, Beta: *beta, CostWidth: *width}
-	var err error
-	if spec.Models, err = service.ParseModels(strings.Split(strings.ReplaceAll(*models, " ", ""), ",")); err != nil {
-		die("bad -models: %v", err)
-	}
-	if spec.Ns, err = splitInts(*ns); err != nil {
-		die("bad -ns: %v", err)
-	}
-	if spec.Rates, err = splitFloats(*rates); err != nil {
-		die("bad -rates: %v", err)
-	}
-	if spec.Depths, err = splitInts(*depths); err != nil {
-		die("bad -depths: %v", err)
-	}
-	if spec.Mcast, err = parseMcast(*mcast); err != nil {
-		die("bad -mcast: %v", err)
+	spec, opts, _, err := req.SpecOpts()
+	if err != nil {
+		return fail("%v", err)
 	}
 
 	// p.Cfg arrives with explore.Run's StepWorkers pin already applied, so
@@ -88,22 +93,26 @@ func main() {
 		agg, _, err := experiments.RunReplicatedContext(ctx, p.Cfg, opts.Replicates, 1, nil)
 		return agg, false, err
 	}
-	var done atomic.Int64 // onPoint runs on the evaluation workers
+	var mu sync.Mutex // onPoint runs on the evaluation workers
+	done := 0
 	onPoint := func(i int, p explore.Point, res experiments.Result, cached bool) {
-		fmt.Fprintf(os.Stderr, "point %d done: %s n=%d rate=%g\n", done.Add(1), p.Model, p.N, p.Rate)
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		fmt.Fprintf(stderr, "point %d done: %s n=%d rate=%g\n", done, p.Model, p.N, p.Rate)
 	}
-	oc, err := explore.Run(context.Background(), spec, opts, *workers, eval, onPoint)
+	oc, err := explore.Run(context.Background(), spec, opts, opts.Workers, eval, onPoint)
 	if err != nil {
-		die("%v", err)
+		return fail("%v", err)
 	}
 
 	for _, sk := range oc.Skipped {
-		fmt.Fprintf(os.Stderr, "skipped %s n=%d: %s\n", sk.Model, sk.N, sk.Reason)
+		fmt.Fprintf(stderr, "skipped %s n=%d: %s\n", sk.Model, sk.N, sk.Reason)
 	}
-	fmt.Printf("lattice: %d points (%d duplicates collapsed, %d combinations skipped); front: %d points\n\n",
+	fmt.Fprintf(stdout, "lattice: %d points (%d duplicates collapsed, %d combinations skipped); front: %d points\n\n",
 		len(oc.Points), oc.Deduped, len(oc.Skipped), len(oc.Front))
 
-	fmt.Printf("== Pareto front: latency (min) / throughput (max) / cost (min, %d-bit slices) ==\n", effWidth(*width))
+	fmt.Fprintf(stdout, "== Pareto front: latency (min) / throughput (max) / cost (min, %d-bit slices) ==\n", spec.CostWidthBits())
 	var rows [][]string
 	for _, i := range oc.Front {
 		p := oc.Points[i]
@@ -113,22 +122,16 @@ func main() {
 			latLabel(p), fmt.Sprintf("%.4f", p.Throughput), costLabel(p), analyticLabel(p),
 		})
 	}
-	fmt.Println(plot.Table(
+	fmt.Fprintln(stdout, plot.Table(
 		[]string{"model", "n", "rate", "depth", "mcast", "latency", "throughput", "cost", "analytic err"},
 		rows))
 
 	if *csvPath != "" {
-		if err := writeCSV(*csvPath, oc); err != nil {
-			die("write csv: %v", err)
+		if err := writeCSV(*csvPath, stdout, oc); err != nil {
+			return fail("write csv: %v", err)
 		}
 	}
-}
-
-func effWidth(w int) int {
-	if w == 0 {
-		return 32
-	}
-	return w
+	return 0
 }
 
 func latLabel(p explore.PointOutcome) string {
@@ -159,10 +162,11 @@ func mcastLabel(frac float64, size int) string {
 	return fmt.Sprintf("%g:%d", frac, size)
 }
 
-// writeCSV emits every lattice point; the README documents the schema. An
-// error closing the file (a failed flush) is reported like a failed write.
-func writeCSV(path string, oc explore.Outcome) (err error) {
-	out := os.Stdout
+// writeCSV emits every lattice point to path, or to stdout for "-"; the
+// README documents the schema. An error closing the file (a failed flush) is
+// reported like a failed write.
+func writeCSV(path string, stdout io.Writer, oc explore.Outcome) (err error) {
+	out := stdout
 	if path != "-" {
 		f, cerr := os.Create(path)
 		if cerr != nil {
@@ -216,61 +220,36 @@ func writeCSV(path string, oc explore.Outcome) (err error) {
 	return w.Error()
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
+// listVar binds a comma-separated list flag to *dst, each entry parsed by
+// parse; an empty value is an empty list, and an empty entry (a stray comma)
+// is whatever parse makes of "" — an error for every list here.
+func listVar[T any](fs *flag.FlagSet, dst *[]T, name, usage string, parse func(string) (T, error)) {
+	fs.Func(name, usage, func(s string) error {
+		*dst = nil
+		if strings.TrimSpace(s) == "" {
+			return nil
 		}
-	}
-	return out
+		for _, f := range strings.Split(s, ",") {
+			v, err := parse(strings.TrimSpace(f))
+			if err != nil {
+				return err
+			}
+			*dst = append(*dst, v)
+		}
+		return nil
+	})
 }
 
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+// parseMcast parses one multicast preset, frac:size.
+func parseMcast(s string) (service.McastJSON, error) {
+	fracStr, sizeStr, ok := strings.Cut(s, ":")
+	if !ok {
+		return service.McastJSON{}, fmt.Errorf("preset %q is not frac:size", s)
 	}
-	return out, nil
-}
-
-func splitFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+	frac, err := strconv.ParseFloat(fracStr, 64)
+	if err != nil {
+		return service.McastJSON{}, err
 	}
-	return out, nil
-}
-
-func parseMcast(s string) ([]explore.McastKnob, error) {
-	var out []explore.McastKnob
-	for _, f := range splitList(s) {
-		fracStr, sizeStr, ok := strings.Cut(f, ":")
-		if !ok {
-			return nil, fmt.Errorf("preset %q is not frac:size", f)
-		}
-		frac, err := strconv.ParseFloat(fracStr, 64)
-		if err != nil {
-			return nil, err
-		}
-		size, err := strconv.Atoi(sizeStr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, explore.McastKnob{Frac: frac, Size: size})
-	}
-	return out, nil
-}
-
-func die(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "quarcexplore: "+format+"\n", args...)
-	os.Exit(2)
+	size, err := strconv.Atoi(sizeStr)
+	return service.McastJSON{Frac: frac, Size: size}, err
 }

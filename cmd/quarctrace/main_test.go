@@ -25,15 +25,19 @@ func quarctrace(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
-// TestTracesMatchGolden: the quarc and spidergon traces match their golden
-// files byte for byte; refresh them deliberately with -update.
+// TestTracesMatchGolden: whole traces match their golden files byte for
+// byte; refresh them deliberately with -update. Every line names its packet
+// and message, so the goldens pin each adapter's injection rule, the chain
+// protocol and the order packet and message ids are allocated in.
 func TestTracesMatchGolden(t *testing.T) {
 	for _, c := range []struct{ topo, scenario string }{
 		{"quarc", "unicast"}, {"quarc", "broadcast"}, {"quarc", "multicast"},
 		{"spidergon", "unicast"}, {"spidergon", "broadcast"},
+		{"quarc-chainbcast", "broadcast"}, {"quarc-1queue", "broadcast"},
+		{"ring", "broadcast"}, {"mesh", "multicast"},
 	} {
 		path := filepath.Join("testdata", c.topo+"-"+c.scenario+".golden")
-		got := quarctrace(t, "-topo", c.topo, "-scenario", c.scenario)
+		got := quarctrace(t, "-topo", c.topo, "-scenario", c.scenario, "-max", "100000")
 		if *update {
 			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 				t.Fatal(err)

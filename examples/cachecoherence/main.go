@@ -50,19 +50,14 @@ func runProtocol(topology string, writeFrac, issueProb float64) (outcome, error)
 	if err != nil {
 		return outcome{}, err
 	}
-	noc, err := coherence.NewFabricNoC(fab, nodes)
-	if err != nil {
-		return outcome{}, err
-	}
 	sys, err := coherence.NewSystem(coherence.Config{
 		Cores: cores, Lines: lines, FetchLen: fetchLen, CtrlLen: ctrlLen,
 		Seed: 42, WriteFrac: writeFrac,
-	}, noc)
+	}, fab, nodes)
 	if err != nil {
 		return outcome{}, err
 	}
-	noc.Bind(sys)
-	stats, err := coherence.RunWorkload(sys, noc, cores, cycles, issueProb)
+	stats, err := coherence.RunWorkload(sys, cycles, issueProb)
 	if err != nil {
 		return outcome{}, err
 	}

@@ -33,6 +33,8 @@ package coherence
 import (
 	"fmt"
 
+	"quarc/internal/model"
+	"quarc/internal/network"
 	"quarc/internal/rng"
 )
 
@@ -55,21 +57,6 @@ func (s LineState) String() string {
 		return "M"
 	}
 	return fmt.Sprintf("LineState(%d)", uint8(s))
-}
-
-// NoC is the fabric interface the protocol drives. Both message kinds report
-// completion through the tracker callback installed by the System.
-type NoC interface {
-	// Unicast sends a msgLen-flit message to dst; returns the message id.
-	Unicast(src, dst, msgLen int, now int64) uint64
-	// Broadcast sends a msgLen-flit message to everyone; returns the id.
-	Broadcast(src, msgLen int, now int64) uint64
-	// Now returns the current fabric cycle.
-	Now() int64
-	// Step advances one cycle.
-	Step()
-	// InFlight returns the number of incomplete messages.
-	InFlight() int
 }
 
 // Op is one memory operation issued by a core.
@@ -138,7 +125,8 @@ func (s Stats) MeanReadMissLatency() float64 {
 // System is the protocol engine.
 type System struct {
 	cfg   Config
-	noc   NoC
+	fab   *network.Fabric
+	nodes []model.Node  // core i sends through nodes[i]
 	state [][]LineState // [core][line]
 	stats Stats
 
@@ -172,8 +160,14 @@ type pendingOp struct {
 	epoch  uint64 // line epoch at issue time (fetch staleness check)
 }
 
-// NewSystem builds a coherence system over the given fabric.
-func NewSystem(cfg Config, noc NoC) (*System, error) {
+// NewSystem builds a coherence system over a network as model.Build returns
+// it — the fabric and one node per network node — and routes the fabric's
+// message completions into the protocol, replacing any tracker callback
+// already installed.
+func NewSystem(cfg Config, fab *network.Fabric, nodes []model.Node) (*System, error) {
+	if fab.N != len(nodes) {
+		return nil, fmt.Errorf("coherence: %d nodes for a %d-node fabric", len(nodes), fab.N)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -181,15 +175,18 @@ func NewSystem(cfg Config, noc NoC) (*System, error) {
 	for i := range st {
 		st[i] = make([]LineState, cfg.Lines)
 	}
-	return &System{
+	s := &System{
 		cfg:     cfg,
-		noc:     noc,
+		fab:     fab,
+		nodes:   nodes,
 		state:   st,
 		pending: make(map[uint64]pendingOp),
 		blocked: make([]bool, cfg.Cores),
 		epoch:   make([]uint64, cfg.Lines),
 		r:       rng.New(cfg.Seed, 0xC0DE),
-	}, nil
+	}
+	fab.Tracker.OnDone = func(r network.MessageRecord) { s.MessageDone(r.MsgID, r.Last) }
+	return s, nil
 }
 
 // Stats returns the accumulated protocol statistics.
@@ -225,7 +222,7 @@ func (s *System) Issue(op Op, now int64) (bool, error) {
 		// Upgrade: broadcast the invalidation; the write is visible when
 		// the last core has seen it.
 		s.stats.WriteUpgrades++
-		id := s.noc.Broadcast(op.Core, s.cfg.CtrlLen, now)
+		id := s.nodes[op.Core].SendBroadcast(s.cfg.CtrlLen, now)
 		s.pending[id] = pendingOp{kind: pendingInval, core: op.Core, line: line, issued: now}
 		s.blocked[op.Core] = true
 		return true, nil
@@ -249,23 +246,23 @@ func (s *System) Issue(op Op, now int64) (bool, error) {
 			s.state[c][line] = Shared
 			s.stats.WriteBacks++
 			if c != home {
-				id := s.noc.Unicast(c, home, s.cfg.FetchLen, now)
+				id := s.nodes[c].SendUnicast(home, s.cfg.FetchLen, now)
 				s.pending[id] = pendingOp{kind: pendingWB, core: c, line: line, issued: now}
 			}
 		}
 		s.state[op.Core][line] = Shared
 		return true, nil
 	}
-	id := s.noc.Unicast(op.Core, home, s.cfg.CtrlLen, now)
+	id := s.nodes[op.Core].SendUnicast(home, s.cfg.CtrlLen, now)
 	s.pending[id] = pendingOp{kind: pendingFetch, core: op.Core, line: line,
 		issued: now, epoch: s.epoch[line]}
 	s.blocked[op.Core] = true
 	return true, nil
 }
 
-// MessageDone must be called when a NoC message completes (wired to the
-// fabric tracker by the harness). Unknown ids are ignored: the workload may
-// share the fabric with other traffic.
+// MessageDone is called when a NoC message completes (NewSystem wires it to
+// the fabric tracker). Unknown ids are ignored: the workload may share the
+// fabric with other traffic.
 func (s *System) MessageDone(msgID uint64, completed int64) {
 	p, ok := s.pending[msgID]
 	if !ok {
@@ -284,13 +281,13 @@ func (s *System) MessageDone(msgID uint64, completed int64) {
 			s.state[c][p.line] = Shared
 			s.stats.WriteBacks++
 			if home := s.home(p.line); home != c {
-				id := s.noc.Unicast(c, home, s.cfg.FetchLen, completed)
+				id := s.nodes[c].SendUnicast(home, s.cfg.FetchLen, completed)
 				s.pending[id] = pendingOp{kind: pendingWB, core: c, line: p.line, issued: completed}
 			}
 		}
 		// The reply carries the line as of this serialisation point; an
 		// invalidation completing while it is in flight makes it stale.
-		id := s.noc.Unicast(s.home(p.line), p.core, s.cfg.FetchLen, completed)
+		id := s.nodes[s.home(p.line)].SendUnicast(p.core, s.cfg.FetchLen, completed)
 		s.pending[id] = pendingOp{kind: pendingReply, core: p.core, line: p.line,
 			issued: p.issued, epoch: s.epoch[p.line]}
 	case pendingReply:
@@ -312,7 +309,7 @@ func (s *System) MessageDone(msgID uint64, completed int64) {
 				s.stats.WriteBacks++
 				home := s.home(p.line)
 				if home != c {
-					id := s.noc.Unicast(c, home, s.cfg.FetchLen, completed)
+					id := s.nodes[c].SendUnicast(home, s.cfg.FetchLen, completed)
 					s.pending[id] = pendingOp{kind: pendingWB, core: c, line: p.line, issued: completed}
 				}
 				s.state[c][p.line] = Invalid
@@ -363,4 +360,38 @@ func (s *System) RandomOp() Op {
 		Addr:  uint32(s.r.Intn(s.cfg.Lines)),
 		Write: s.r.Bernoulli(s.cfg.WriteFrac),
 	}
+}
+
+// RunWorkload drives every core through a random read/write mix for the
+// given number of issue slots: each cycle every unblocked core issues one
+// operation with probability issueProb. It steps the fabric as it goes and
+// drains at the end, returning the protocol statistics.
+func RunWorkload(sys *System, cycles int64, issueProb float64) (Stats, error) {
+	fab := sys.fab
+	for c := int64(0); c < cycles; c++ {
+		for core := 0; core < sys.cfg.Cores; core++ {
+			if sys.Blocked(core) {
+				continue
+			}
+			op := sys.RandomOp()
+			op.Core = core
+			if !sys.r.Bernoulli(issueProb) {
+				continue
+			}
+			if _, err := sys.Issue(op, fab.Now()); err != nil {
+				return Stats{}, err
+			}
+		}
+		fab.Step()
+	}
+	for i := 0; i < 200000 && fab.Tracker.InFlight() > 0; i++ {
+		fab.Step()
+	}
+	if left := fab.Tracker.InFlight(); left > 0 {
+		return sys.Stats(), fmt.Errorf("coherence: %d messages undelivered", left)
+	}
+	if err := sys.CheckInvariants(); err != nil {
+		return sys.Stats(), err
+	}
+	return sys.Stats(), nil
 }

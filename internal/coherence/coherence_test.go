@@ -8,32 +8,34 @@ import (
 	"quarc/internal/network"
 )
 
-// newNoC builds the named registered model with n nodes and wraps it.
-func newNoC(t testing.TB, name string, n int) (*FabricNoC, *network.Fabric) {
+// build builds the named registered model with n nodes.
+func build(t testing.TB, name string, n int) (*network.Fabric, []model.Node) {
 	t.Helper()
 	fab, nodes, err := model.Build(name, model.BuildConfig{N: n, Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noc, err := NewFabricNoC(fab, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return noc, fab
+	return fab, nodes
 }
 
-func quarcNoC(t testing.TB, n int) (*FabricNoC, *network.Fabric) { return newNoC(t, "quarc", n) }
-
-func newSys(t testing.TB, noc *FabricNoC, cores int) *System {
+// newSys builds a coherence system of cores cores over the named model.
+func newSys(t testing.TB, name string, cores int) (*System, *network.Fabric) {
 	t.Helper()
+	fab, nodes := build(t, name, cores)
 	sys, err := NewSystem(Config{
 		Cores: cores, Lines: 32, FetchLen: 8, CtrlLen: 2, Seed: 5, WriteFrac: 0.2,
-	}, noc)
+	}, fab, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noc.Bind(sys)
-	return sys
+	return sys, fab
+}
+
+// drain steps fab until no message is in flight or the budget runs out.
+func drain(fab *network.Fabric, budget int) {
+	for i := 0; i < budget && fab.Tracker.InFlight() > 0; i++ {
+		fab.Step()
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -51,19 +53,16 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestReadMissFetchesLine(t *testing.T) {
-	noc, _ := quarcNoC(t, 8)
-	sys := newSys(t, noc, 8)
+	sys, fab := newSys(t, "quarc", 8)
 	// Core 0 reads line 1 (home = node 1): miss -> fetch -> Shared.
-	ok, err := sys.Issue(Op{Core: 0, Addr: 1, Write: false}, noc.Now())
+	ok, err := sys.Issue(Op{Core: 0, Addr: 1, Write: false}, fab.Now())
 	if err != nil || !ok {
 		t.Fatalf("issue failed: %v %v", ok, err)
 	}
 	if !sys.Blocked(0) {
 		t.Fatal("core not blocked on miss")
 	}
-	for i := 0; i < 10000 && noc.InFlight() > 0; i++ {
-		noc.Step()
-	}
+	drain(fab, 10000)
 	if sys.Blocked(0) {
 		t.Fatal("core still blocked after drain")
 	}
@@ -77,10 +76,9 @@ func TestReadMissFetchesLine(t *testing.T) {
 }
 
 func TestLocalHomeReadNeedsNoNetwork(t *testing.T) {
-	noc, fab := quarcNoC(t, 8)
-	sys := newSys(t, noc, 8)
+	sys, fab := newSys(t, "quarc", 8)
 	// Core 1 reads line 1 (home = node 1): local, immediate.
-	ok, err := sys.Issue(Op{Core: 1, Addr: 1}, noc.Now())
+	ok, err := sys.Issue(Op{Core: 1, Addr: 1}, fab.Now())
 	if err != nil || !ok {
 		t.Fatal("local read failed")
 	}
@@ -96,20 +94,15 @@ func TestLocalHomeReadNeedsNoNetwork(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	noc, _ := quarcNoC(t, 8)
-	sys := newSys(t, noc, 8)
+	sys, fab := newSys(t, "quarc", 8)
 	// Three cores read line 2 into S.
 	for _, core := range []int{0, 1, 3} {
-		sys.Issue(Op{Core: core, Addr: 2}, noc.Now())
-		for i := 0; i < 10000 && noc.InFlight() > 0; i++ {
-			noc.Step()
-		}
+		sys.Issue(Op{Core: core, Addr: 2}, fab.Now())
+		drain(fab, 10000)
 	}
 	// Core 5 writes line 2: everyone else must end Invalid, writer M.
-	sys.Issue(Op{Core: 5, Addr: 2, Write: true}, noc.Now())
-	for i := 0; i < 10000 && noc.InFlight() > 0; i++ {
-		noc.Step()
-	}
+	sys.Issue(Op{Core: 5, Addr: 2, Write: true}, fab.Now())
+	drain(fab, 10000)
 	if sys.State(5, 2) != Modified {
 		t.Fatalf("writer state %v, want M", sys.State(5, 2))
 	}
@@ -131,14 +124,11 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestWriteHitInModifiedIsSilent(t *testing.T) {
-	noc, fab := quarcNoC(t, 8)
-	sys := newSys(t, noc, 8)
-	sys.Issue(Op{Core: 2, Addr: 7, Write: true}, noc.Now())
-	for i := 0; i < 10000 && noc.InFlight() > 0; i++ {
-		noc.Step()
-	}
+	sys, fab := newSys(t, "quarc", 8)
+	sys.Issue(Op{Core: 2, Addr: 7, Write: true}, fab.Now())
+	drain(fab, 10000)
 	before := fab.FlitsForwarded()
-	ok, _ := sys.Issue(Op{Core: 2, Addr: 7, Write: true}, noc.Now())
+	ok, _ := sys.Issue(Op{Core: 2, Addr: 7, Write: true}, fab.Now())
 	if !ok || sys.Blocked(2) {
 		t.Fatal("M-hit write blocked")
 	}
@@ -151,18 +141,13 @@ func TestWriteHitInModifiedIsSilent(t *testing.T) {
 }
 
 func TestDirtyCopyWritesBack(t *testing.T) {
-	noc, _ := quarcNoC(t, 8)
-	sys := newSys(t, noc, 8)
+	sys, fab := newSys(t, "quarc", 8)
 	// Core 0 writes line 3 -> M at core 0.
-	sys.Issue(Op{Core: 0, Addr: 3, Write: true}, noc.Now())
-	for i := 0; i < 10000 && noc.InFlight() > 0; i++ {
-		noc.Step()
-	}
+	sys.Issue(Op{Core: 0, Addr: 3, Write: true}, fab.Now())
+	drain(fab, 10000)
 	// Core 4 writes the same line: core 0's M copy must write back.
-	sys.Issue(Op{Core: 4, Addr: 3, Write: true}, noc.Now())
-	for i := 0; i < 20000 && noc.InFlight() > 0; i++ {
-		noc.Step()
-	}
+	sys.Issue(Op{Core: 4, Addr: 3, Write: true}, fab.Now())
+	drain(fab, 20000)
 	st := sys.Stats()
 	if st.WriteBacks != 1 {
 		t.Fatalf("writebacks = %d, want 1", st.WriteBacks)
@@ -173,10 +158,9 @@ func TestDirtyCopyWritesBack(t *testing.T) {
 }
 
 func TestBlockedCoreRejectsIssue(t *testing.T) {
-	noc, _ := quarcNoC(t, 8)
-	sys := newSys(t, noc, 8)
-	sys.Issue(Op{Core: 0, Addr: 1}, noc.Now())
-	ok, err := sys.Issue(Op{Core: 0, Addr: 2}, noc.Now())
+	sys, fab := newSys(t, "quarc", 8)
+	sys.Issue(Op{Core: 0, Addr: 1}, fab.Now())
+	ok, err := sys.Issue(Op{Core: 0, Addr: 2}, fab.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +174,8 @@ func TestBlockedCoreRejectsIssue(t *testing.T) {
 
 func TestRandomWorkloadInvariants(t *testing.T) {
 	for _, name := range []string{"quarc", "spidergon"} {
-		noc, fab := newNoC(t, name, 16)
-		sys := newSys(t, noc, 16)
-		stats, err := RunWorkload(sys, noc, 16, 3000, 0.05)
+		sys, fab := newSys(t, name, 16)
+		stats, err := RunWorkload(sys, 3000, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,9 +195,8 @@ func TestQuarcWriteVisibilityBeatsSpidergon(t *testing.T) {
 	// The paper's core claim, at protocol level: identical coherence
 	// workload, write visibility several times faster on the Quarc.
 	run := func(name string) Stats {
-		noc, _ := newNoC(t, name, 16)
-		sys := newSys(t, noc, 16)
-		stats, err := RunWorkload(sys, noc, 16, 4000, 0.02)
+		sys, _ := newSys(t, name, 16)
+		stats, err := RunWorkload(sys, 4000, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,12 +222,10 @@ func TestLineStateString(t *testing.T) {
 	}
 }
 
-func TestNewFabricNoCMismatch(t *testing.T) {
-	fab, _, err := model.Build("quarc", model.BuildConfig{N: 8, Depth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFabricNoC(fab, make([]model.Node, 3)); err == nil {
+func TestNewSystemMismatch(t *testing.T) {
+	fab, _ := build(t, "quarc", 8)
+	cfg := Config{Cores: 8, Lines: 4, FetchLen: 4, CtrlLen: 2}
+	if _, err := NewSystem(cfg, fab, make([]model.Node, 3)); err == nil {
 		t.Fatal("sender count mismatch accepted")
 	}
 }
@@ -256,16 +236,15 @@ func TestManySeedsInvariantRobustness(t *testing.T) {
 	// interleavings. Each run ends with a full drain and invariant check.
 	for seed := uint64(1); seed <= 6; seed++ {
 		for _, name := range []string{"quarc", "spidergon"} {
-			noc, _ := newNoC(t, name, 16)
+			fab, nodes := build(t, name, 16)
 			sys, err := NewSystem(Config{
 				Cores: 16, Lines: 16, FetchLen: 6, CtrlLen: 2,
 				Seed: seed, WriteFrac: 0.35,
-			}, noc)
+			}, fab, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			noc.Bind(sys)
-			if _, err := RunWorkload(sys, noc, 16, 1500, 0.08); err != nil {
+			if _, err := RunWorkload(sys, 1500, 0.08); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}

@@ -43,8 +43,9 @@ type Spec struct {
 	CostWidth int
 }
 
-// costWidth returns the effective cost-axis payload width.
-func (s Spec) costWidth() int {
+// CostWidthBits returns the effective cost-axis payload width: CostWidth,
+// or the paper's 32-bit reference when it is 0.
+func (s Spec) CostWidthBits() int {
 	if s.CostWidth == 0 {
 		return 32
 	}
@@ -375,7 +376,7 @@ func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, 
 		return Outcome{}, err
 	}
 
-	width := spec.costWidth()
+	width := spec.CostWidthBits()
 	objs := make([]Objectives, len(out.Points))
 	for i := range out.Points {
 		o := &out.Points[i]

@@ -119,7 +119,7 @@ type Config struct {
 }
 
 // Build assembles the mesh fabric and its adapters.
-func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
+func Build(cfg Config) (*network.Fabric, []*network.BaseAdapter, error) {
 	m, err := topology.NewMesh(cfg.W, cfg.H, cfg.Torus)
 	if err != nil {
 		return nil, nil, err
@@ -186,14 +186,16 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 		injStart[node] = NumNetworkInputs
 	}
 	fab := network.New(routers, wires, injStart)
-	as := make([]*Adapter, n)
+	as := make([]*network.BaseAdapter, n)
 	for node := 0; node < n; node++ {
-		as[node] = network.NewOnePortAdapter(fab, routers[node], node, n, Inj)
+		as[node] = &network.BaseAdapter{Node: node, N: n, R: routers[node],
+			Queues: make([]network.PacketQueue, 1), Inject: inject}
 		fab.SetAdapter(node, as[node])
 	}
 	return fab, as, nil
 }
 
-// Adapter is the one-port mesh network interface: meshes have no hardware
-// collective support, so broadcast and multicast are unicast fan-outs.
-type Adapter = network.OnePortAdapter
+// inject is the one-port injection rule: one source queue, one injection
+// channel. Meshes have no hardware collective support, so the adapter's
+// broadcast and multicast are its software unicast fan-outs.
+func inject(int) (int, int) { return 0, Inj }

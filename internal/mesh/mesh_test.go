@@ -8,7 +8,7 @@ import (
 	"quarc/internal/topology"
 )
 
-func build(t testing.TB, w, h int, torus bool) (*network.Fabric, []*Adapter, topology.Mesh) {
+func build(t testing.TB, w, h int, torus bool) (*network.Fabric, []*network.BaseAdapter, topology.Mesh) {
 	t.Helper()
 	fab, as, err := Build(Config{W: w, H: h, Torus: torus, Depth: 4})
 	if err != nil {

@@ -201,55 +201,56 @@ func (a *Assembler) Add(f flit.Flit) bool {
 // Pending returns the number of partially received packets.
 func (a *Assembler) Pending() int { return len(a.partial) }
 
-// BaseAdapter implements the mechanics shared by every network adapter:
-// source queues whose packets each name the injection port they use,
-// one-flit-per-cycle feeding, and receive reassembly. Topology-specific
-// adapters embed it and set OnTail to handle completed deliveries
-// (statistics, chain retransmission). One queue per injection port is the
-// all-port interface; several ports behind one queue is head-of-line
-// blocking (the Quarc single-queue ablation).
+// BaseAdapter is the network interface every model uses (the paper's
+// transceiver, §2.4): source queues whose packets each name the router input
+// port they inject through, one-flit-per-cycle feeding, receive reassembly
+// that reports each completed packet to the fabric's tracker, and the send
+// side of every message class. What differs between architectures is its two
+// parameters. The injection rule picks the source queue and injection port a
+// packet enters through: one queue and one port on a one-port router, a queue
+// and port per destination quadrant on the Quarc's all-port router. And the
+// collectives are software here — a broadcast is n-1 unicasts, a multicast one
+// unicast per distinct remote target — so a model with hardware collectives
+// embeds BaseAdapter and overrides SendBroadcast and SendMulticast.
 type BaseAdapter struct {
 	Node   int
+	N      int // network size in nodes
 	R      *router.Router
+	Fab    *Fabric // set by Fabric.SetAdapter
 	Queues []PacketQueue
-	asm    Assembler
+	// Inject is the injection rule: the source queue and router input port
+	// of a packet addressed to dst.
+	Inject func(dst int) (queue, port int)
+	// OnTail, when set, runs after a completed packet has been reported to
+	// the tracker: the hook through which a switch acts on a delivery (the
+	// Spidergon's chain retransmission).
+	OnTail func(a *BaseAdapter, f flit.Flit)
 
-	// OnTail is invoked when a packet completes reassembly at this node.
-	OnTail func(f flit.Flit, now int64)
-
-	fab *Fabric // set by Fabric.SetAdapter; carries wake-on-enqueue
+	asm Assembler
 }
 
-// bind gives the adapter its wake target; Fabric.SetAdapter calls it, and
-// its presence (via the binder interface) is what marks the node as safe to
-// put to sleep.
+// bind gives the adapter its fabric; Fabric.SetAdapter calls it, and its
+// presence (via the binder interface) is what marks the node as safe to put
+// to sleep.
 func (b *BaseAdapter) bind(f *Fabric, node int) {
 	if node != b.Node {
 		panic(fmt.Sprintf("network: adapter for node %d installed at node %d", b.Node, node))
 	}
-	b.fab = f
+	b.Fab = f
 }
 
-// Wake reactivates this adapter's node in the fabric's step set. Every path
-// that enqueues source traffic must call it (the Enqueue helpers do), or a
-// sleeping router would never notice the new packet. Outside a fabric (unit
-// tests driving a bare adapter) it is a no-op.
-//
-//quarc:hotpath
-func (b *BaseAdapter) Wake() {
-	if b.fab != nil {
-		b.fab.wake(b.Node)
-	}
-}
-
-// Enqueue appends a packet of length flits headed by h to source queue qi,
-// to be injected through router input port, and wakes the node.
+// Enqueue queues a new packet of length flits headed by h: it takes the next
+// packet id, enters the source queue and injection port the injection rule
+// gives h.Dst, and wakes the node — a sleeping router would otherwise never
+// notice the packet.
 //
 //quarc:hotpath
 //quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
-func (b *BaseAdapter) Enqueue(qi, port int, h flit.Flit, length int) {
+func (b *BaseAdapter) Enqueue(h flit.Flit, length int) {
+	h.PktID = b.Fab.NextPktID()
+	qi, port := b.Inject(h.Dst)
 	b.Queues[qi].PushBack(&h, length, port)
-	b.Wake()
+	b.Fab.wake(b.Node)
 }
 
 // EnqueueFront is Enqueue at the head of the queue: switch-generated
@@ -257,9 +258,65 @@ func (b *BaseAdapter) Enqueue(qi, port int, h flit.Flit, length int) {
 //
 //quarc:hotpath
 //quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
-func (b *BaseAdapter) EnqueueFront(qi, port int, h flit.Flit, length int) {
+func (b *BaseAdapter) EnqueueFront(h flit.Flit, length int) {
+	h.PktID = b.Fab.NextPktID()
+	qi, port := b.Inject(h.Dst)
 	b.Queues[qi].PushFront(&h, length, port)
-	b.Wake()
+	b.Fab.wake(b.Node)
+}
+
+// NewMessage takes the next message id and registers it with the tracker as
+// a message of class c sent now from this node, complete after expected
+// deliveries.
+func (b *BaseAdapter) NewMessage(c MessageClass, expected int, now int64) uint64 {
+	msgID := b.Fab.NextMsgID()
+	b.Fab.Tracker.Register(msgID, c, b.Node, now, expected)
+	return msgID
+}
+
+// unicast enqueues one unicast packet of message msgID for dst.
+func (b *BaseAdapter) unicast(dst, msgLen int, msgID uint64, now int64) {
+	b.Enqueue(flit.Flit{Traffic: flit.Unicast, Src: b.Node, Dst: dst, MsgID: msgID, Gen: now}, msgLen)
+}
+
+// SendUnicast queues a unicast message of msgLen flits for dst.
+func (b *BaseAdapter) SendUnicast(dst, msgLen int, now int64) uint64 {
+	if dst == b.Node {
+		panic("network: unicast to self")
+	}
+	msgID := b.NewMessage(ClassUnicast, 1, now)
+	b.unicast(dst, msgLen, msgID, now)
+	return msgID
+}
+
+// SendBroadcast emits n-1 unicasts (software broadcast).
+func (b *BaseAdapter) SendBroadcast(msgLen int, now int64) uint64 {
+	msgID := b.NewMessage(ClassBroadcast, b.N-1, now)
+	for d := 0; d < b.N; d++ {
+		if d != b.Node {
+			b.unicast(d, msgLen, msgID, now)
+		}
+	}
+	return msgID
+}
+
+// SendMulticast emulates the collective in software: the message registers
+// as ClassMulticast with one expected delivery per distinct remote target,
+// and one independent unicast per target is queued. Duplicate targets and
+// self are ignored, as the Quarc's hardware multicast ignores them.
+func (b *BaseAdapter) SendMulticast(targets []int, msgLen int, now int64) uint64 {
+	expected := CountRemoteTargets(targets, b.Node)
+	if expected == 0 {
+		panic("network: multicast with no remote targets")
+	}
+	msgID := b.NewMessage(ClassMulticast, expected, now)
+	var seen uint64
+	for i, d := range targets {
+		if distinctRemote(targets, i, b.Node, &seen) {
+			b.unicast(d, msgLen, msgID, now)
+		}
+	}
+	return msgID
 }
 
 // Feed pushes at most one flit per source queue into the router.
@@ -282,8 +339,7 @@ func (b *BaseAdapter) Feed(now int64) {
 // every source queue with a pending flit faces a full injection lane. The
 // fabric consults it (through the feedBlocked interface) before putting a
 // backlogged node into blocked sleep — a node whose Feed could still make
-// progress must keep stepping. Adapters that override Feed's queue discipline
-// must override this to match.
+// progress must keep stepping.
 func (b *BaseAdapter) FeedBlocked() bool {
 	for qi := range b.Queues {
 		f, port := b.Queues[qi].NextFlit()
@@ -297,13 +353,17 @@ func (b *BaseAdapter) FeedBlocked() bool {
 	return true
 }
 
-// Receive reassembles delivered flits and fires OnTail on completion.
+// Receive reassembles delivered flits; a completed packet is reported to the
+// tracker, then handed to OnTail.
 //
 //quarc:hotpath
 //quarc:allow hotpath: runs once per delivered flit, not per hop; a pointer here did not move the fabric step
 func (b *BaseAdapter) Receive(f flit.Flit, now int64) {
 	if b.asm.Add(f) {
-		b.OnTail(f, now)
+		b.Fab.Tracker.Delivered(f.MsgID, b.Node, now)
+		if b.OnTail != nil {
+			b.OnTail(b, f)
+		}
 	}
 }
 

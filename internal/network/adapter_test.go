@@ -21,12 +21,13 @@ func drain(t *testing.T, fab *network.Fabric) {
 	}
 }
 
-// TestOnePortAdapter covers the per-message paths every one-port network
-// shares (mesh and ring use the adapter as is, the Spidergon embeds it): a
-// 9x9 mesh so that node ids cross the 64-bit dedup mask.
+// TestOnePortAdapter covers BaseAdapter's software collectives, the
+// per-message paths of every model without hardware collectives (mesh, torus
+// and ring use them, the Spidergon all but its broadcast), on a 9x9 mesh so
+// that node ids cross the 64-bit dedup mask.
 func TestOnePortAdapter(t *testing.T) {
 	const msgLen = 4
-	build := func(t *testing.T) (*network.Fabric, []*network.OnePortAdapter, *[]network.MessageRecord) {
+	build := func(t *testing.T) (*network.Fabric, []*network.BaseAdapter, *[]network.MessageRecord) {
 		fab, as, err := mesh.Build(mesh.Config{W: 9, H: 9, Depth: 4})
 		if err != nil {
 			t.Fatal(err)

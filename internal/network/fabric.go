@@ -3,8 +3,12 @@
 // cycle, feeds network adapters, delivers ejected flits and tracks message
 // lifecycles for the statistics layer.
 //
-// The fabric is topology-agnostic: internal/quarc, internal/spidergon and
-// internal/mesh provide router configurations, wiring tables and adapters.
+// The fabric is topology-agnostic: the model packages (internal/quarc,
+// internal/spidergon, internal/ring, internal/mesh) provide router
+// configurations and wiring tables. The network adapter is one component for
+// all of them, BaseAdapter, parameterised by each model's injection rule; a
+// model with hardware collectives (the Quarc's BRCP broadcast and multicast)
+// overrides only those two sends.
 //
 // A cycle is two node-local passes around one apply step. Pass 1 visits each
 // active node once — credit its slept cycles, arbitrate, commit — and touches
@@ -52,9 +56,8 @@ type OutputWire struct {
 	Dst  PortRef
 }
 
-// Adapter is a network adapter (the paper's transceiver for Quarc, the
-// one-port NI for Spidergon): it feeds injection lanes and consumes
-// delivered flits.
+// Adapter is what the fabric drives at each node — in every registered model
+// a BaseAdapter: it feeds injection lanes and consumes delivered flits.
 type Adapter interface {
 	// Feed may push at most one flit per injection port into its router's
 	// injection lanes. Called once per cycle after commits.
@@ -68,9 +71,9 @@ type Adapter interface {
 }
 
 // binder is implemented by adapters (BaseAdapter and anything embedding it)
-// that accept a wake callback: the fabric installs one in SetAdapter so
-// source-queue enqueues can reactivate a sleeping node. Adapters that do not
-// implement it are never put to sleep.
+// that hold their fabric: SetAdapter installs it so source-queue enqueues can
+// reactivate a sleeping node. Adapters that do not implement it are never put
+// to sleep.
 type binder interface {
 	bind(fab *Fabric, node int)
 }

@@ -218,7 +218,6 @@ func TestBaseAdapterFeedPacing(t *testing.T) {
 		VCNext: func(node, out, in, cur int, f flit.Flit) int { return 0 },
 	})
 	a := &BaseAdapter{Node: 0, R: r, Queues: make([]PacketQueue, 1)}
-	a.OnTail = func(f flit.Flit, now int64) {}
 	a.Queues[0].PushBack(hdr(1), 6, 1)
 	for cyc := int64(0); cyc < 3; cyc++ {
 		a.Feed(cyc)
@@ -238,7 +237,6 @@ func TestBaseAdapterFeedStopsWhenLaneFull(t *testing.T) {
 		VCNext: func(node, out, in, cur int, f flit.Flit) int { return 0 },
 	})
 	a := &BaseAdapter{Node: 0, R: r, Queues: make([]PacketQueue, 1)}
-	a.OnTail = func(f flit.Flit, now int64) {}
 	push(&a.Queues[0], 1, 5)
 	for cyc := int64(0); cyc < 6; cyc++ {
 		a.Feed(cyc)

@@ -17,7 +17,7 @@ import (
 
 // buildMesh returns a w x h mesh: the pool needs a full 64-node activeMask
 // word per worker, so its tests run on fabrics of 128 nodes and up.
-func buildMesh(t *testing.T, w, h int) (*network.Fabric, []*mesh.Adapter) {
+func buildMesh(t *testing.T, w, h int) (*network.Fabric, []*network.BaseAdapter) {
 	t.Helper()
 	fab, as, err := mesh.Build(mesh.Config{W: w, H: h, Depth: 4})
 	if err != nil {

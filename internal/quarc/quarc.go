@@ -41,6 +41,7 @@ import (
 	"quarc/internal/flit"
 	"quarc/internal/network"
 	"quarc/internal/router"
+	"quarc/internal/spidergon"
 	"quarc/internal/topology"
 )
 
@@ -142,21 +143,6 @@ func rimDecision(node, out int, f flit.Flit) router.Decision {
 	}
 }
 
-// VCNext is the Quarc virtual-channel discipline: dateline VCs on the two
-// rim rings, VC 0 on the acyclic cross channels.
-func VCNext(n int) router.VCFunc {
-	return func(node, out, in, cur int, f flit.Flit) int {
-		switch out {
-		case RimCWOut:
-			return topology.RimVC(n, topology.CW, node, cur)
-		case RimCCWOut:
-			return topology.RimVC(n, topology.CCW, node, cur)
-		default:
-			return 0
-		}
-	}
-}
-
 // Reach is the minimal crossbar reachability of the Quarc switch.
 func Reach() [][]int {
 	return [][]int{
@@ -209,7 +195,7 @@ func Build(cfg Config) (*network.Fabric, []*Transceiver, error) {
 			NOut:      numOutputs,
 			EjectPort: router.NoOutput, // all-port: dedicated per-input ejection
 			Route:     Route(n),
-			VCNext:    VCNext(n),
+			VCNext:    spidergon.VCNext(n), // dateline VCs on the rims, VC 0 on the acyclic cross channels
 			Reach:     Reach(),
 		})
 		wires[node] = []network.OutputWire{
@@ -223,7 +209,7 @@ func Build(cfg Config) (*network.Fabric, []*Transceiver, error) {
 	fab := network.New(routers, wires, injStart)
 	ts := make([]*Transceiver, n)
 	for node := 0; node < n; node++ {
-		ts[node] = newTransceiver(fab, routers[node], node, cfg)
+		ts[node] = newTransceiver(routers[node], node, cfg)
 		fab.SetAdapter(node, ts[node])
 	}
 	return fab, ts, nil

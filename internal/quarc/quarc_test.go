@@ -344,25 +344,28 @@ func TestSingleQueueStreamsAppendPacketFlits(t *testing.T) {
 	}
 	var want []expanded // the queue as pre-expanded packets, front first
 	pos := 0            // next flit of want[0]
+	pkts := uint64(0)   // packet ids the fabric has handed out
 	r := rng.New(11, 0)
 	for op := 0; op < 20000; op++ {
 		if len(want) == 0 || r.Intn(3) == 0 {
-			q := topology.Quadrant(r.Intn(topology.NumQuadrants))
 			h := flit.Flit{
 				Traffic: flit.Traffic(r.Intn(4)), Src: 0, Dst: 1 + r.Intn(15), Remain: r.Intn(8),
-				PktID: uint64(op) + 1, MsgID: uint64(op), Bits: uint64(r.Intn(1 << 16)), Gen: int64(op),
+				MsgID: uint64(op), Bits: uint64(r.Intn(1 << 16)), Gen: int64(op),
 			}
 			length := 2 + r.Intn(7)
-			e := expanded{flit.Packet(h, length), injPortFor(q)}
+			pkts++
+			stamped := h
+			stamped.PktID = pkts
+			e := expanded{flit.Packet(stamped, length), injPortFor(topology.QuadrantOf(16, 0, h.Dst))}
 			if r.Intn(4) == 0 {
-				tr.EnqueueFront(tr.queueFor(q), injPortFor(q), h, length)
+				tr.EnqueueFront(h, length)
 				at := 0
 				if pos > 0 {
 					at = 1
 				}
 				want = append(want[:at], append([]expanded{e}, want[at:]...)...)
 			} else {
-				tr.enqueue(h, length, q)
+				tr.Enqueue(h, length)
 				want = append(want, e)
 			}
 		} else {

@@ -2,150 +2,111 @@ package quarc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"quarc/internal/flit"
 	"quarc/internal/network"
 	"quarc/internal/router"
+	"quarc/internal/spidergon"
 	"quarc/internal/topology"
 )
 
-// Transceiver is the Quarc network adapter (paper §2.4, Fig 5). On the send
-// side it divides messages into flits, tags flit types, computes the
-// destination quadrant and stores the packet into the per-quadrant buffer
-// whose FCU feeds the matching all-port router ingress; effectively the PE
-// "makes the routing decision by queueing the address" (§3.1). On the
-// receive side it reassembles delivered flits and reports message
-// completions to the fabric tracker.
+// Transceiver is the Quarc network adapter (paper §2.4, Fig 5): the shared
+// adapter whose injection rule is the transceiver's quadrant calculator. A
+// packet enters the per-quadrant buffer whose FCU feeds the matching
+// all-port router ingress; effectively the PE "makes the routing decision by
+// queueing the address" (§3.1). Broadcast and multicast are done in hardware
+// (BRCP, §2.5), so the transceiver overrides those two sends.
 type Transceiver struct {
 	network.BaseAdapter
-	n   int
-	fab *network.Fabric
-	cfg Config
+	chain bool // broadcast by the Spidergon's unicast chains (ablation of modification iii)
 }
 
-func newTransceiver(fab *network.Fabric, r *router.Router, node int, cfg Config) *Transceiver {
-	t := &Transceiver{n: cfg.N, fab: fab, cfg: cfg}
-	t.Node = node
-	t.R = r
+func newTransceiver(r *router.Router, node int, cfg Config) *Transceiver {
+	n, single := cfg.N, cfg.SingleQueue
+	t := &Transceiver{chain: cfg.ChainBroadcast}
+	t.Node, t.N, t.R = node, n, r
 	t.Queues = make([]network.PacketQueue, topology.NumQuadrants)
-	if cfg.SingleQueue {
+	if single {
 		t.Queues = t.Queues[:1]
 	}
-	t.OnTail = func(f flit.Flit, now int64) {
-		t.onTail(f, now)
+	// One source queue per quadrant, each feeding its own all-port router
+	// ingress — or, in the single-queue ablation, one queue for all four,
+	// whose front packet blocks the others behind it whatever their
+	// injection port (head-of-line).
+	t.Inject = func(dst int) (int, int) {
+		q := topology.QuadrantOf(n, node, dst)
+		if single {
+			return 0, injPortFor(q)
+		}
+		return int(q), injPortFor(q)
+	}
+	if cfg.ChainBroadcast {
+		t.OnTail = spidergon.ForwardChain
 	}
 	return t
 }
 
-// queueFor is the source queue holding traffic for quadrant q: one per
-// quadrant, each feeding its own all-port router ingress — or, in the
-// single-queue ablation, one queue for all four, whose front packet blocks
-// the others behind it whatever their injection port (head-of-line).
-func (t *Transceiver) queueFor(q topology.Quadrant) int {
-	if t.cfg.SingleQueue {
-		return 0
-	}
-	return int(q)
-}
+// branches lists the quadrants in the order the transceiver emits a BRCP
+// collective's branch packets (and so allocates their packet ids).
+var branches = [...]topology.Quadrant{topology.QRight, topology.QCrossCCW, topology.QCrossCW, topology.QLeft}
 
-// enqueue queues a packet of length flits headed by h for quadrant q. Every
-// enqueue wakes the node: a quiescent router must re-enter the fabric's step
-// set to feed the new packet.
-func (t *Transceiver) enqueue(h flit.Flit, length int, q topology.Quadrant) {
-	t.Enqueue(t.queueFor(q), injPortFor(q), h, length)
-}
-
-// SendUnicast queues a unicast message of msgLen flits for dst.
-func (t *Transceiver) SendUnicast(dst, msgLen int, now int64) uint64 {
-	if dst == t.Node {
-		panic("quarc: unicast to self")
+// branchNode returns the node a branch stream from src into quadrant q
+// reaches at hop h. Every branch header's destination lies in its own
+// quadrant, so the injection rule sends it through that quadrant's port.
+func branchNode(n, src int, q topology.Quadrant, h int) int {
+	o := n - h // QLeft
+	switch q {
+	case topology.QRight:
+		o = h
+	case topology.QCrossCCW:
+		o = n/2 + 1 - h // the cross link, then counter-clockwise from the antipode
+	case topology.QCrossCW:
+		o = n/2 - 1 + h // the cross link, then clockwise past the antipode
 	}
-	msgID := t.fab.NextMsgID()
-	h := flit.Flit{
-		Traffic: flit.Unicast, Src: t.Node, Dst: dst,
-		PktID: t.fab.NextPktID(), MsgID: msgID, Gen: now,
-	}
-	t.fab.Tracker.Register(msgID, network.ClassUnicast, t.Node, now, 1)
-	t.enqueue(h, msgLen, topology.QuadrantOf(t.n, t.Node, dst))
-	return msgID
+	return topology.Mod(src+o, n)
 }
 
 // SendBroadcast queues a broadcast of msgLen flits per branch: four packets,
 // one per quadrant, each addressed to the last node of its base-routing
-// conformed path (paper §2.5.2 and Fig 6). With the ChainBroadcast ablation
-// it instead emits Spidergon-style consecutive-unicast chains.
+// conformed path, n/4 hops out (paper §2.5.2 and Fig 6). With the
+// ChainBroadcast ablation it sends the Spidergon's broadcast-by-unicast
+// chains instead.
 func (t *Transceiver) SendBroadcast(msgLen int, now int64) uint64 {
-	msgID := t.fab.NextMsgID()
-	t.fab.Tracker.Register(msgID, network.ClassBroadcast, t.Node, now, t.n-1)
-	if t.cfg.ChainBroadcast {
-		t.sendChains(msgID, msgLen, now)
-		return msgID
+	if t.chain {
+		return spidergon.Broadcast(&t.BaseAdapter, msgLen, now)
 	}
-	for _, b := range topology.QuarcBroadcastBranches(t.n, t.Node) {
-		h := flit.Flit{
-			Traffic: flit.Broadcast, Src: t.Node, Dst: b.Last,
-			PktID: t.fab.NextPktID(), MsgID: msgID, Gen: now,
-		}
-		t.enqueue(h, msgLen, b.Q)
+	msgID := t.NewMessage(network.ClassBroadcast, t.N-1, now)
+	for _, q := range branches {
+		t.Enqueue(flit.Flit{Traffic: flit.Broadcast, Src: t.Node, Dst: branchNode(t.N, t.Node, q, t.N/4),
+			MsgID: msgID, Gen: now}, msgLen)
 	}
 	return msgID
 }
 
-// SendMulticast queues a multicast to the given targets (self is ignored);
-// only quadrants containing targets emit a branch packet, with the
-// hop-indexed bitstring in the header (paper §2.5.3).
+// SendMulticast queues a multicast to the given targets (self and duplicates
+// are ignored): only quadrants containing targets emit a branch packet,
+// addressed to the quadrant's furthest target, with the hop-indexed
+// bitstring in the header — bit i marks the node i+1 hops down the stream
+// (paper §2.5.3).
 func (t *Transceiver) SendMulticast(targets []int, msgLen int, now int64) uint64 {
-	brs := topology.QuarcMulticastBranches(t.n, t.Node, targets)
-	if len(brs) == 0 {
+	var hops [topology.NumQuadrants]uint64
+	for _, d := range targets {
+		if d = topology.Mod(d, t.N); d != t.Node {
+			hops[topology.QuadrantOf(t.N, t.Node, d)] |= 1 << uint(topology.QuarcHops(t.N, t.Node, d)-1)
+		}
+	}
+	if hops == [topology.NumQuadrants]uint64{} {
 		panic("quarc: multicast with no remote targets")
 	}
-	expected := network.CountRemoteTargets(targets, t.Node)
-	msgID := t.fab.NextMsgID()
-	t.fab.Tracker.Register(msgID, network.ClassMulticast, t.Node, now, expected)
-	for _, b := range brs {
-		h := flit.Flit{
-			Traffic: flit.Multicast, Src: t.Node, Dst: b.Last, Bits: b.Bits,
-			PktID: t.fab.NextPktID(), MsgID: msgID, Gen: now,
+	msgID := t.NewMessage(network.ClassMulticast, network.CountRemoteTargets(targets, t.Node), now)
+	for _, q := range branches {
+		if b := hops[q]; b != 0 {
+			t.Enqueue(flit.Flit{Traffic: flit.Multicast, Src: t.Node, Dst: branchNode(t.N, t.Node, q, bits.Len64(b)),
+				Bits: b, MsgID: msgID, Gen: now}, msgLen)
 		}
-		t.enqueue(h, msgLen, b.Q)
 	}
 	return msgID
-}
-
-// sendChains emits the broadcast-by-unicast chains (ablation iii / the
-// Spidergon's only deadlock-free broadcast).
-func (t *Transceiver) sendChains(msgID uint64, msgLen int, now int64) {
-	for _, c := range topology.SpidergonBroadcastChains(t.n, t.Node) {
-		first := c.Nodes[0]
-		h := flit.Flit{
-			Traffic: flit.BcastChain, Src: t.Node, Dst: first,
-			Remain: len(c.Nodes) - 1, ChainCCW: c.Dir == topology.CCW,
-			PktID: t.fab.NextPktID(), MsgID: msgID, Gen: now,
-		}
-		t.enqueue(h, msgLen, topology.QuadrantOf(t.n, t.Node, first))
-	}
-}
-
-// onTail handles a completed packet delivery at this node.
-func (t *Transceiver) onTail(f flit.Flit, now int64) {
-	t.fab.Tracker.Delivered(f.MsgID, t.Node, now)
-	if f.Traffic == flit.BcastChain && f.Remain > 0 {
-		// Store-and-forward retransmission: rewrite the header for the next
-		// node in the chain and inject with switch priority.
-		var next int
-		if f.ChainCCW {
-			next = topology.NextCCW(t.n, t.Node)
-		} else {
-			next = topology.NextCW(t.n, t.Node)
-		}
-		h := flit.Flit{
-			Traffic: flit.BcastChain, Src: t.Node, Dst: next,
-			Remain: f.Remain - 1, ChainCCW: f.ChainCCW,
-			PktID: t.fab.NextPktID(), MsgID: f.MsgID, Gen: f.Gen,
-		}
-		q := topology.QuadrantOf(t.n, t.Node, next)
-		t.EnqueueFront(t.queueFor(q), injPortFor(q), h, f.PktLen)
-	}
 }
 
 var _ network.Adapter = (*Transceiver)(nil)

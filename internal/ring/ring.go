@@ -31,6 +31,7 @@ import (
 	"quarc/internal/model"
 	"quarc/internal/network"
 	"quarc/internal/router"
+	"quarc/internal/spidergon"
 	"quarc/internal/topology"
 )
 
@@ -84,20 +85,6 @@ func Route(n int) router.RouteFunc {
 			return router.Decision{Out: RimCCWOut}
 		}
 		panic(fmt.Sprintf("ring: no such input port %d", in))
-	}
-}
-
-// VCNext applies the dateline discipline on both rim rings.
-func VCNext(n int) router.VCFunc {
-	return func(node, out, in, cur int, f flit.Flit) int {
-		switch out {
-		case RimCWOut:
-			return topology.RimVC(n, topology.CW, node, cur)
-		case RimCCWOut:
-			return topology.RimVC(n, topology.CCW, node, cur)
-		default:
-			return 0
-		}
 	}
 }
 
@@ -157,7 +144,7 @@ type Config struct {
 }
 
 // Build assembles an n-node bidirectional ring and its adapters.
-func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
+func Build(cfg Config) (*network.Fabric, []*network.BaseAdapter, error) {
 	if err := topology.ValidateRingSize(cfg.N); err != nil {
 		return nil, nil, err
 	}
@@ -178,7 +165,7 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 			NOut:      numOutputs,
 			EjectPort: Eject,
 			Route:     Route(n),
-			VCNext:    VCNext(n),
+			VCNext:    spidergon.VCNext(n),
 			Reach:     Reach(),
 		})
 		wires[node] = []network.OutputWire{
@@ -189,17 +176,18 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 		injStart[node] = NumNetworkInputs
 	}
 	fab := network.New(routers, wires, injStart)
-	as := make([]*Adapter, n)
+	as := make([]*network.BaseAdapter, n)
 	for node := 0; node < n; node++ {
-		as[node] = network.NewOnePortAdapter(fab, routers[node], node, n, Inj)
+		as[node] = &network.BaseAdapter{Node: node, N: n, R: routers[node],
+			Queues: make([]network.PacketQueue, 1), Inject: inject}
 		fab.SetAdapter(node, as[node])
 	}
 	return fab, as, nil
 }
 
-// Adapter is the one-port ring network interface. The ring has no hardware
-// collective support, so a broadcast is n-1 independent unicasts.
-type Adapter = network.OnePortAdapter
+// inject is the one-port injection rule. The ring has no hardware collective
+// support, so a broadcast is the adapter's n-1 independent unicasts.
+func inject(int) (int, int) { return 0, Inj }
 
 func init() {
 	model.Register(model.Model{

@@ -148,10 +148,6 @@ func ExploreKey(spec explore.Spec, opts experiments.RunOpts) string {
 	if msgLen == 0 {
 		msgLen = 16
 	}
-	width := spec.CostWidth
-	if width == 0 {
-		width = 32
-	}
 	return hashKey(struct {
 		Kind                   string
 		Models                 []string
@@ -171,7 +167,7 @@ func ExploreKey(spec explore.Spec, opts experiments.RunOpts) string {
 		Kind: "explore", Models: spec.Models, Ns: spec.Ns, Rates: spec.Rates,
 		Depths: normDepths, Mcast: mcast, MsgLen: msgLen, Beta: spec.Beta,
 		Pattern: int(spec.Pattern), HotspotBias: spec.HotspotBias,
-		CostWidth: width,
+		CostWidth: spec.CostWidthBits(),
 		Warmup:    opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
 		Seed: opts.Seed, Replicates: opts.Replicates,
 	})
@@ -237,7 +233,7 @@ func EncodeExplore(spec explore.Spec, opts experiments.RunOpts, oc explore.Outco
 	out := ExploreResultJSON{
 		Models: spec.Models, Ns: spec.Ns, Rates: spec.Rates, Depths: spec.Depths,
 		MsgLen: spec.MsgLen, Beta: spec.Beta, HotspotBias: spec.HotspotBias,
-		CostWidth:     spec.CostWidth,
+		CostWidth:     spec.CostWidthBits(),
 		Replicates:    opts.Replicates,
 		LatticePoints: len(oc.Points),
 		Deduped:       oc.Deduped,
@@ -245,9 +241,6 @@ func EncodeExplore(spec explore.Spec, opts experiments.RunOpts, oc explore.Outco
 	}
 	if out.MsgLen == 0 {
 		out.MsgLen = 16
-	}
-	if out.CostWidth == 0 {
-		out.CostWidth = 32
 	}
 	if out.Replicates < 1 {
 		out.Replicates = 1

@@ -86,8 +86,11 @@ func Route(n int) router.RouteFunc {
 	}
 }
 
-// VCNext applies the dateline discipline on the rim rings and VC 0 on the
-// cross link; the ejection port allocates adaptively inside the router.
+// VCNext applies the dateline discipline on the rim rings and VC 0 on every
+// other output (the cross links; the ejection port allocates adaptively
+// inside the router). It is the one dateline rule of the ring family: the
+// Quarc and the ring number their rim outputs 0 and 1 as the Spidergon does,
+// and use it as is.
 func VCNext(n int) router.VCFunc {
 	return func(node, out, in, cur int, f flit.Flit) int {
 		switch out {
@@ -153,64 +156,68 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 	fab := network.New(routers, wires, injStart)
 	as := make([]*Adapter, n)
 	for node := 0; node < n; node++ {
-		as[node] = newAdapter(fab, routers[node], node, n)
+		as[node] = &Adapter{network.BaseAdapter{Node: node, N: n, R: routers[node],
+			Queues: make([]network.PacketQueue, 1), Inject: inject, OnTail: ForwardChain}}
 		fab.SetAdapter(node, as[node])
 	}
 	return fab, as, nil
 }
 
-// Adapter is the one-port Spidergon network interface: the shared one-port
-// adapter (single source queue, single injection channel, software
-// multicast) plus the packet-creation logic for broadcast-by-unicast chains
-// (§2.2: "The NoC switches must contain the logic to create the required
-// packets on receipt of a broadcast-by-unicast packet").
+// inject is the one-port injection rule: every packet, switch-generated chain
+// packets included, enters the single source queue and injection channel.
+func inject(int) (int, int) { return 0, Inj }
+
+// Adapter is the one-port Spidergon network interface: the shared adapter
+// with the one-port injection rule, software multicast, and broadcast by
+// unicast chains, whose retransmission is the switch's job (§2.2: "The NoC
+// switches must contain the logic to create the required packets on receipt
+// of a broadcast-by-unicast packet").
 type Adapter struct {
-	network.OnePortAdapter
+	network.BaseAdapter
 }
 
-func newAdapter(fab *network.Fabric, r *router.Router, node, n int) *Adapter {
-	a := new(Adapter)
-	a.Init(fab, r, node, n, Inj)
-	a.OnTail = a.onTail
-	return a
-}
-
-// SendBroadcast queues the two broadcast-by-unicast chains. Each receiving
-// node's switch delivers the packet locally, rewrites the header for the
-// next node and retransmits after the tail arrives (store-and-forward),
-// which is what costs the Spidergon its broadcast performance.
+// SendBroadcast queues the two broadcast-by-unicast chains.
 func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
-	msgID := a.Fab.NextMsgID()
-	a.Fab.Tracker.Register(msgID, network.ClassBroadcast, a.Node, now, a.N-1)
-	for _, c := range topology.SpidergonBroadcastChains(a.N, a.Node) {
-		h := flit.Flit{
-			Traffic: flit.BcastChain, Src: a.Node, Dst: c.Nodes[0],
-			Remain: len(c.Nodes) - 1, ChainCCW: c.Dir == topology.CCW,
-			PktID: a.Fab.NextPktID(), MsgID: msgID, Gen: now,
-		}
-		a.Enqueue(0, a.InjPort, h, msgLen)
+	return Broadcast(&a.BaseAdapter, msgLen, now)
+}
+
+// Broadcast sends a broadcast from a's node as the two broadcast-by-unicast
+// chains (§2.1): a clockwise chain over the next ceil((n-1)/2) nodes and a
+// counter-clockwise chain over the rest. Each chain packet is addressed to the
+// chain's next node and counts the nodes left after it; each receiving switch
+// delivers it locally, rewrites the header for the next node and retransmits
+// after the tail arrives (ForwardChain) — the store-and-forward that costs the
+// Spidergon its broadcast performance. The packets enter through a's own
+// injection rule, so the Quarc's chain-broadcast ablation runs this code too.
+func Broadcast(a *network.BaseAdapter, msgLen int, now int64) uint64 {
+	msgID := a.NewMessage(network.ClassBroadcast, a.N-1, now)
+	cw := a.N / 2 // ceil((n-1)/2)
+	a.Enqueue(chainPacket(a, topology.NextCW(a.N, a.Node), cw-1, false, msgID, now), msgLen)
+	if ccw := a.N - 1 - cw; ccw > 0 {
+		a.Enqueue(chainPacket(a, topology.NextCCW(a.N, a.Node), ccw-1, true, msgID, now), msgLen)
 	}
 	return msgID
 }
 
-func (a *Adapter) onTail(f flit.Flit, now int64) {
-	a.Fab.Tracker.Delivered(f.MsgID, a.Node, now)
-	if f.Traffic == flit.BcastChain && f.Remain > 0 {
-		var next int
-		if f.ChainCCW {
-			next = topology.NextCCW(a.N, a.Node)
-		} else {
-			next = topology.NextCW(a.N, a.Node)
-		}
-		h := flit.Flit{
-			Traffic: flit.BcastChain, Src: a.Node, Dst: next,
-			Remain: f.Remain - 1, ChainCCW: f.ChainCCW,
-			PktID: a.Fab.NextPktID(), MsgID: f.MsgID, Gen: f.Gen,
-		}
-		// The switch-created packet takes precedence over PE traffic on the
-		// single injection channel.
-		a.EnqueueFront(0, a.InjPort, h, f.PktLen)
+// ForwardChain is the switch's half of the chain broadcast, an adapter's
+// OnTail hook: a chain packet with nodes left is retransmitted to the next
+// node, ahead of waiting PE traffic.
+func ForwardChain(a *network.BaseAdapter, f flit.Flit) {
+	if f.Traffic != flit.BcastChain || f.Remain == 0 {
+		return
 	}
+	next := topology.NextCW(a.N, a.Node)
+	if f.ChainCCW {
+		next = topology.NextCCW(a.N, a.Node)
+	}
+	a.EnqueueFront(chainPacket(a, next, f.Remain-1, f.ChainCCW, f.MsgID, f.Gen), f.PktLen)
+}
+
+// chainPacket is the header of a chain packet from a's node to dst with
+// remain nodes left after dst.
+func chainPacket(a *network.BaseAdapter, dst, remain int, ccw bool, msgID uint64, gen int64) flit.Flit {
+	return flit.Flit{Traffic: flit.BcastChain, Src: a.Node, Dst: dst,
+		Remain: remain, ChainCCW: ccw, MsgID: msgID, Gen: gen}
 }
 
 var _ network.Adapter = (*Adapter)(nil)

@@ -1,9 +1,9 @@
-// Package trace records flit-level event traces from the fabric: injection,
-// per-hop forwarding, local delivery. Traces are the debugging substrate for
-// a flit-level simulator — the equivalent of OMNeT++'s event log in the
-// paper's toolchain — and are used by the integration tests to assert
-// path-level properties (a packet's trace must equal its deterministic
-// route) and by quarcsim's -trace flag.
+// Package trace records flit-level event traces from the fabric: per-hop
+// forwarding and local delivery. Traces are the debugging substrate for a
+// flit-level simulator — the equivalent of OMNeT++'s event log in the paper's
+// toolchain — and are used by the integration tests to assert path-level
+// properties (a packet's trace must equal its deterministic route) and
+// printed by cmd/quarctrace.
 //
 // The buffer is a fixed-capacity ring so that always-on tracing of long runs
 // keeps the most recent window without unbounded memory.
@@ -19,15 +19,12 @@ import (
 type Kind uint8
 
 const (
-	Inject  Kind = iota // flit left a source queue into the injection port
-	Forward             // flit crossed a link (router output -> downstream input)
+	Forward Kind = iota // flit crossed a link (router output -> downstream input)
 	Deliver             // flit delivered to a PE
 )
 
 func (k Kind) String() string {
 	switch k {
-	case Inject:
-		return "inject"
 	case Forward:
 		return "forward"
 	case Deliver:
@@ -122,10 +119,8 @@ func (b *Buffer) Filter(pred func(Event) bool) []Event {
 	return out
 }
 
-// PacketPath returns the node sequence a packet's header flit visited
-// (Inject node followed by each Forward hop's destination is not recorded
-// directly, so the path is reported as the sequence of routers that
-// forwarded or delivered flit 0).
+// PacketPath returns the node sequence a packet's header flit visited: the
+// routers that forwarded or delivered flit 0, in order.
 func (b *Buffer) PacketPath(pktID uint64) []int {
 	var nodes []int
 	for _, e := range b.Events() {

@@ -25,10 +25,10 @@ func TestRingRetainsMostRecent(t *testing.T) {
 
 func TestEventsBeforeWrap(t *testing.T) {
 	b := NewBuffer(8)
-	b.Record(ev(1, Inject, 0, 1, 0))
+	b.Record(ev(1, Forward, 0, 1, 0))
 	b.Record(ev(2, Deliver, 1, 1, 0))
 	got := b.Events()
-	if len(got) != 2 || got[0].Kind != Inject || got[1].Kind != Deliver {
+	if len(got) != 2 || got[0].Kind != Forward || got[1].Kind != Deliver {
 		t.Fatalf("events = %+v", got)
 	}
 }
@@ -65,10 +65,10 @@ func TestPacketPath(t *testing.T) {
 
 func TestDumpAndString(t *testing.T) {
 	b := NewBuffer(4)
-	b.Record(ev(1, Inject, 0, 1, 0))
+	b.Record(ev(1, Deliver, 0, 1, 0))
 	b.Record(Event{Cycle: 2, Kind: Forward, Node: 1, Out: 2, VC: 1, PktID: 1, Seq: 0})
 	s := b.String()
-	if !strings.Contains(s, "inject") || !strings.Contains(s, "forward") {
+	if !strings.Contains(s, "deliver") || !strings.Contains(s, "forward") {
 		t.Fatalf("dump = %q", s)
 	}
 	if !strings.Contains(s, "out=2 vc=1") {
@@ -77,7 +77,7 @@ func TestDumpAndString(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if Inject.String() != "inject" || Forward.String() != "forward" ||
+	if Forward.String() != "forward" ||
 		Deliver.String() != "deliver" || Kind(9).String() == "" {
 		t.Fatal("kind strings wrong")
 	}

@@ -78,9 +78,10 @@ func Fig11Panels() []PanelSpec { return experiments.Fig11Panels() }
 func DefaultOpts() RunOpts { return experiments.DefaultOpts() }
 func FastOpts() RunOpts    { return experiments.FastOpts() }
 
-// RunPanel sweeps one figure panel over offered load for both the Quarc and
-// the Spidergon, fanning the independent (topology, rate, replicate) points
-// across RunOpts.Workers goroutines. RunOpts.Replicates runs each point
+// RunPanel sweeps one figure panel over offered load for every model in
+// PanelSpec.Models (the paper's Quarc/Spidergon pair when it is empty),
+// fanning the independent (model, rate, replicate) points across
+// RunOpts.Workers goroutines. RunOpts.Replicates runs each point
 // several times with independent seeds and aggregates mean ± 95% CI. For a
 // fixed RunOpts.Seed the result is bit-identical to RunPanelSerial.
 func RunPanel(spec PanelSpec, opts RunOpts) (PanelResult, error) {
