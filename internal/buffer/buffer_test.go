@@ -165,72 +165,3 @@ func BenchmarkPushPop(b *testing.B) {
 		q.Pop()
 	}
 }
-
-// Property: the in-place API (PushFrom / Head / Drop) behaves like a bounded
-// slice queue at every depth, across wraparound, with the occupancy signals
-// agreeing at every step — and a head slot keeps its bytes until the next
-// push into the FIFO, even after it has been dropped.
-func TestInPlaceModelEquivalence(t *testing.T) {
-	for _, depth := range []int{1, 2, 4, 7} {
-		var q FIFO
-		q.Init(make([]flit.Flit, depth))
-		var model []flit.Flit
-		var held *flit.Flit // last slot Head returned since the latest push
-		var heldWant flit.Flit
-		s := uint64(depth)*0x9E3779B97F4A7C15 + 1
-		seq := 0
-		for op := 0; op < 4000; op++ {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			switch s % 3 {
-			case 0:
-				f := flit.Flit{Seq: seq, PktID: s, Payload: uint32(op), Gen: int64(op)}
-				seq++
-				if got, want := q.PushFrom(&f), len(model) < depth; got != want {
-					t.Fatalf("depth %d op %d: PushFrom = %v, want %v", depth, op, got, want)
-				} else if want {
-					model = append(model, f)
-					held = nil // a push may reuse any vacated slot
-				}
-			case 1:
-				h := q.Head()
-				if (h == nil) != (len(model) == 0) {
-					t.Fatalf("depth %d op %d: Head nil = %v with %d queued", depth, op, h == nil, len(model))
-				}
-				if h != nil {
-					if *h != model[0] {
-						t.Fatalf("depth %d op %d: head %+v, want %+v", depth, op, *h, model[0])
-					}
-					held, heldWant = h, *h
-				}
-			case 2:
-				if len(model) == 0 {
-					continue
-				}
-				q.Drop()
-				model = model[1:]
-			}
-			if held != nil && *held != heldWant {
-				t.Fatalf("depth %d op %d: head slot changed before the next push", depth, op)
-			}
-			if q.Len() != len(model) || q.Free() != depth-len(model) ||
-				q.Full() != (len(model) == depth) || q.Empty() != (len(model) == 0) {
-				t.Fatalf("depth %d op %d: Len/Free/Full/Empty = %d/%d/%v/%v with %d queued",
-					depth, op, q.Len(), q.Free(), q.Full(), q.Empty(), len(model))
-			}
-		}
-		if seq <= depth {
-			t.Fatalf("depth %d: %d pushes never wrapped", depth, seq)
-		}
-	}
-}
-
-func TestDropOnEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Drop on an empty FIFO did not panic")
-		}
-	}()
-	New(2).Drop()
-}

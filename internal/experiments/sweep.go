@@ -1,12 +1,13 @@
 // Parallel sweep engine: the paper's evaluation grids (Figs 9-11) are sets
 // of independent simulation points — (topology, offered rate, replicate)
 // triples — so regenerating a panel is embarrassingly parallel. The engine
-// fans the points across a bounded worker pool while keeping the output
-// bit-for-bit identical to a serial sweep: every point derives its own seed
-// from the experiment seed alone (never from scheduling order), results land
-// in a slot indexed by point position, and replicate aggregation folds them
-// in a fixed order. RunPanelSerial preserves the plain sequential path so
-// tests can assert the equivalence.
+// fans the points across a bounded worker pool, heaviest offered load first
+// so the sweep does not end on a tail of saturated points, while keeping the
+// output bit-for-bit identical to a serial sweep: every point derives its own
+// seed from the experiment seed alone (never from scheduling order), results
+// land in a slot indexed by point position, and replicate aggregation folds
+// them in a fixed order. RunPanelSerial preserves the plain sequential path
+// so tests can assert the equivalence.
 //
 //quarc:poolfile bounded sweep worker pool; order-independence proven by TestSweepMatchesSerial
 package experiments
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -165,17 +167,44 @@ func Fan(ctx context.Context, n, workers int, fn func(i int) error) error {
 
 // sweepRun executes every point through Fan, each result in its point's slot.
 // onDone, if non-nil, is called with (point index, result) as each point
-// completes — concurrently, from the worker goroutines.
+// completes — concurrently, from the worker goroutines. Of several failing
+// points the first in point order is reported, whatever order they ran in.
 func sweepRun(ctx context.Context, points []sweepPoint, workers int, onDone func(int, Result)) ([]Result, error) {
+	order := drawOrder(points, workers)
 	results := make([]Result, len(points))
-	err := Fan(ctx, len(points), workers, func(i int) (err error) {
-		results[i], err = runPointGuarded(ctx, points[i].Cfg)
-		if err == nil && onDone != nil {
+	errs := make([]error, len(points))
+	if err := Fan(ctx, len(points), workers, func(j int) error {
+		i := order[j]
+		results[i], errs[i] = runPointGuarded(ctx, points[i].Cfg)
+		if errs[i] == nil && onDone != nil {
 			onDone(i, results[i])
 		}
-		return err
-	})
-	return results, err
+		return nil
+	}); err != nil {
+		return results, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return results, err
+		}
+	}
+	return results, nil
+}
+
+// drawOrder is the order a sweep's workers draw its points in. A sweep that
+// fans out starts its longest points first — descending offered load × N, a
+// property of the input, ties in point order — so the saturating points do
+// not all land at the tail of the schedule. One worker keeps point order.
+func drawOrder(points []sweepPoint, workers int) []int {
+	order := make([]int, len(points))
+	for i := range order {
+		order[i] = i
+	}
+	if workers > 1 {
+		load := func(i int) float64 { return points[i].Cfg.Rate * float64(points[i].Cfg.N) }
+		sort.SliceStable(order, func(a, b int) bool { return load(order[a]) > load(order[b]) })
+	}
+	return order
 }
 
 // runPointGuarded isolates one design point: a panic anywhere in the

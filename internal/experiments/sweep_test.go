@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -259,5 +262,60 @@ func TestSweepRunPropagatesError(t *testing.T) {
 	}
 	if _, err := RunPanelSerial(bad, opts); err == nil {
 		t.Fatal("serial sweep swallowed the build error")
+	}
+}
+
+// TestSweepLongestFirstIsInvisible: a sweep that fans out draws its points
+// heaviest offered load first, and nothing a caller receives may show it. On
+// a Fig 10 panel, at 1, 2 and 4 workers, RunPanelContext must return exactly
+// RunPanelSerial's Results and Raw; of two failing points the lower-indexed
+// one is reported although the other runs first; and one worker reports its
+// points to OnPointDone in point order.
+func TestSweepLongestFirstIsInvisible(t *testing.T) {
+	spec := Fig10Panels()[0]
+	opts := tinyOpts()
+	ser, err := RunPanelSerial(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, _ := panelPoints(spec, opts.normalized())
+	if order := drawOrder(points, 2); order[0] == 0 || points[order[0]].Cfg.Rate <= points[0].Cfg.Rate {
+		t.Fatalf("a fanned-out sweep draws %v: heaviest point not first", order)
+	}
+	low, high := 0, len(points)-1 // the lightest quarc point and the heaviest spidergon point
+	poisoned := append([]sweepPoint(nil), points...)
+	poisoned[low].Cfg.Model, poisoned[high].Cfg.Model = "poison-low", "poison-high"
+
+	for _, workers := range []int{1, 2, 4} {
+		opts.Workers = workers
+		var mu sync.Mutex
+		var done []int
+		opts.OnPointDone = func(p PointDone) {
+			mu.Lock()
+			done = append(done, p.Index)
+			mu.Unlock()
+		}
+		par, err := RunPanelContext(context.Background(), spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par.Results, ser.Results) || !reflect.DeepEqual(par.Raw, ser.Raw) {
+			t.Fatalf("workers=%d: panel differs from the serial sweep", workers)
+		}
+		if len(done) != len(points) {
+			t.Fatalf("workers=%d: %d points reported done, want %d", workers, len(done), len(points))
+		}
+		if workers == 1 {
+			for i, idx := range done {
+				if idx != i {
+					t.Fatalf("one worker reported points in order %v", done)
+				}
+			}
+		}
+
+		_, err = sweepRun(context.Background(), poisoned, workers, nil)
+		if err == nil || !strings.Contains(err.Error(), "poison-low") {
+			t.Fatalf("workers=%d: two poisoned points reported %v, want the lower-indexed one's error", workers, err)
+		}
 	}
 }

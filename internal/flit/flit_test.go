@@ -275,7 +275,7 @@ func BenchmarkPacketAssembly(b *testing.B) {
 }
 
 // TestFlitSize pins the in-simulator flit at 80 bytes. Every hop copies a
-// Flit twice and every lane slot holds one, so the size is the datapath's
+// Flit once and every lane slot holds one, so the size is the datapath's
 // unit cost: the fields are ordered small-to-large to leave a single byte of
 // padding, and growing the struct should be a reviewed decision, not a side
 // effect of adding a field.

@@ -23,9 +23,9 @@ import (
 //
 // It also keeps the flit datapath copy-free: a parameter, a result, or an
 // assignment (`=`, `:=`, a range value) that copies a struct larger than
-// maxHotCopy bytes is a finding. A flit is copied twice per hop by design —
-// the grant and the downstream push — and every further by-value hand-off
-// is a memcpy per flit per hop that a pointer avoids.
+// maxHotCopy bytes is a finding. A flit is copied once per hop by design —
+// the downstream push — and every further by-value hand-off is a memcpy per
+// flit per hop that a pointer avoids.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "//quarc:hotpath functions must avoid fmt, closures, escaping composite literals, interface conversions, defers, unbounded appends and by-value copies of large structs",

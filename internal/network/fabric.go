@@ -132,6 +132,7 @@ type feederRef struct{ node, out int32 }
 
 // linkRec is one link effect aimed at a node: the push of *f into input lane
 // (port, vc) when f is non-nil, else one credit for output counter (port, vc).
+// f points at the slot the flit's move vacated in the sending switch.
 type linkRec struct {
 	node     int32
 	port, vc int16
@@ -149,7 +150,8 @@ type Fabric struct {
 
 	wires    [][]OutputWire  // [node][out]
 	injStart []int           // first injection port index per node
-	moves    [][]router.Move // scratch, reused
+	moves    [][]router.Move // per node: room for one move per input port, reused every cycle
+	nmoves   []int32         // per node: moves of its latest step, the live prefix of moves[node]
 	cycle    int64
 	pktSeq   uint64
 	msgSeq   uint64
@@ -199,6 +201,7 @@ func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric
 		wires:      wires,
 		injStart:   injStart,
 		moves:      make([][]router.Move, n),
+		nmoves:     make([]int32, n),
 		activeMask: make([]uint64, (n+63)/64),
 		stepList:   make([]int, 0, n),
 		idleSince:  make([]int64, n),
@@ -216,8 +219,17 @@ func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric
 		f.idleSince[node] = -1
 	}
 	f.feeder = make([][]feederRef, n)
+	inputs := 0
+	for _, r := range routers {
+		inputs += r.NumInputs()
+	}
+	// Arbitrate grants at most one move per input port, so each node's
+	// window of one slab never grows.
+	moves := make([]router.Move, inputs)
 	for node, r := range routers {
-		f.feeder[node] = make([]feederRef, r.NumInputs())
+		k := r.NumInputs()
+		f.moves[node], moves = moves[:0:k], moves[k:]
+		f.feeder[node] = make([]feederRef, k)
 		for i := range f.feeder[node] {
 			f.feeder[node][i].node = -1
 		}
@@ -478,11 +490,19 @@ func (f *Fabric) pass1(list []int, sc *stepScratch) {
 	for _, node := range list {
 		f.reconcile(node, sc)
 		r := f.Routers[node]
-		f.moves[node] = r.Arbitrate(f.moves[node][:0])
-		if r.Commit(f.moves[node]) {
+		moves := r.Arbitrate(f.moves[node])
+		f.nmoves[node] = int32(len(moves))
+		if r.Commit(moves) {
 			sc.delivering = append(sc.delivering, node)
 		}
 	}
+}
+
+// movesOf returns the moves node committed in the current cycle.
+//
+//quarc:hotpath
+func (f *Fabric) movesOf(node int) []router.Move {
+	return f.moves[node][:f.nmoves[node]]
 }
 
 // deliver is the ordered half of applying move m of node: the PE copy goes
@@ -493,18 +513,20 @@ func (f *Fabric) pass1(list []int, sc *stepScratch) {
 //quarc:hotpath
 func (f *Fabric) deliver(node int, m *router.Move) {
 	f.delivered++
+	fl := f.Routers[node].MoveFlit(m)
 	if f.Trace != nil {
 		f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Deliver,
 			Node: node, Out: -1, VC: -1,
-			PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: m.Flit.Seq})
+			PktID: fl.PktID, MsgID: fl.MsgID, Seq: fl.Seq})
 	}
-	f.Adapters[node].Receive(m.Flit, f.cycle)
+	f.Adapters[node].Receive(*fl, f.cycle)
 }
 
 // link is the commutative half of applying move m of node: the pop's credit
 // goes back to the lane's feeder, and a forwarded flit is shifted and pushed
 // downstream. Effects on the calling worker's own nodes apply at once, the
-// rest are posted to their owner.
+// rest are posted to their owner, and the pushed flit is read in the slot
+// its move vacated (router.Router.MoveFlit), valid until apply has finished.
 //
 //quarc:hotpath
 func (f *Fabric) link(node int, m *router.Move, sc *stepScratch) {
@@ -518,21 +540,22 @@ func (f *Fabric) link(node int, m *router.Move, sc *stepScratch) {
 	if w.Sink {
 		return // shared ejection port: consumed by the PE
 	}
+	fl := f.Routers[node].MoveFlit(m)
 	if m.In < f.injStart[node] {
 		// Multicast bitstrings are hop-indexed: forwarding from a network
 		// input moves the stream one hop, so the hardware shifts the
 		// bitstring (bit 0 always means "the node this flit is arriving
-		// at"). The move's copy is the flit in flight — any local delivery
-		// has already read it — so it is shifted where it lies.
-		m.Flit.Bits >>= 1
+		// at"). The vacated slot holds the flit in flight — any local
+		// delivery has already read it — so it is shifted where it lies.
+		fl.Bits >>= 1
 	}
 	sc.forwarded++
 	if f.Trace != nil {
 		f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Forward,
 			Node: node, Out: m.Out, VC: m.OutVC,
-			PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: m.Flit.Seq})
+			PktID: fl.PktID, MsgID: fl.MsgID, Seq: fl.Seq})
 	}
-	f.send(sc, linkRec{node: int32(w.Dst.Node), port: int16(w.Dst.Port), vc: int16(m.OutVC), f: &m.Flit})
+	f.send(sc, linkRec{node: int32(w.Dst.Node), port: int16(w.Dst.Port), vc: int16(m.OutVC), f: fl})
 }
 
 // send applies r if its node belongs to the calling worker, else posts it.
@@ -601,7 +624,7 @@ func (f *Fabric) sleepScan(node int, sc *stepScratch) {
 		}
 		return
 	}
-	if len(f.moves[node]) != 0 {
+	if f.nmoves[node] != 0 {
 		f.noGrant[node] = 0
 		return
 	}
@@ -662,7 +685,7 @@ func (f *Fabric) stepSerial(list []int) {
 	sc := &f.scr
 	f.pass1(list, sc)
 	for _, node := range list {
-		moves := f.moves[node]
+		moves := f.movesOf(node)
 		for i := range moves {
 			if moves[i].Deliver {
 				f.deliver(node, &moves[i])

@@ -1,14 +1,20 @@
 // Intra-cycle parallel stepping: a persistent worker pool gives each worker a
 // fixed shard of the fabric — a contiguous node range made of whole 64-node
 // activeMask words, so every router, lane, credit counter, wake bit and
-// adapter has exactly one owning worker — and runs a cycle in five barriers:
+// adapter has exactly one owning worker — and runs a cycle in six barriers:
 //
 //	pass 1 (own nodes: reconcile, arbitrate, commit)        ‖ barrier
 //	worker 0: deliver, the ordered half of apply             ‖ barrier
 //	link, the commutative half: effects on own nodes at
 //	  once, the rest posted to their owner's mailbox         ‖ barrier
-//	drain own inbox, then pass 2 (feed, sleep scan)          ‖ barrier
+//	drain own inbox                                          ‖ barrier
+//	pass 2 (feed, sleep scan)                                ‖ barrier
 //	worker 0: fold scratches, advance the clock, latch       ‖ barrier
+//
+// A mailbox record points at the slot its flit's move vacated in the sending
+// switch (the vacated-slot rule of internal/router), and the sender's Feed
+// may refill that slot in pass 2. The barrier between the drain and pass 2
+// keeps every record's flit intact until its reader has pushed it.
 //
 // Determinism contract. The passes touch only the visited node's own switch
 // and adapter. Everything order-sensitive — PE delivery, reassembly, tracker
@@ -179,7 +185,7 @@ func (p *stepPool) deliverRecorded() {
 	f := p.f
 	for w := range p.scratch {
 		for _, node := range p.scratch[w].delivering {
-			moves := f.moves[node]
+			moves := f.movesOf(node)
 			for i := range moves {
 				if moves[i].Deliver {
 					f.deliver(node, &moves[i])
@@ -236,7 +242,7 @@ func (p *stepPool) cycles(w int) {
 			sc.outbox[d] = sc.outbox[d][:0]
 		}
 		for _, node := range shard {
-			moves := f.moves[node]
+			moves := f.movesOf(node)
 			for i := range moves {
 				f.link(node, &moves[i], sc)
 			}
@@ -247,6 +253,7 @@ func (p *stepPool) cycles(w int) {
 				f.applyLink(r)
 			}
 		}
+		p.bar.wait() // every record read before any Feed may refill its slot
 		f.pass2(shard, sc)
 		p.bar.wait()
 		if w == 0 {

@@ -61,18 +61,21 @@ func TestCreditCountersMatchChannelStatus(t *testing.T) {
 			// The consumer drains in bursts of four cycles, then stalls for
 			// four: back-pressure reaches the sender at every depth.
 			am, bm := pair.Step(cyc/4%2 == 0)
-			for _, m := range bm {
+			for i := range bm {
+				m := &bm[i]
 				f, ok := recv.Lanes[m.Lane].Pop()
-				if !ok || f != m.Flit {
+				if popped := pair.B.MoveFlit(m); !ok || f != *popped {
 					t.Fatalf("depth %d cycle %d: switch popped %+v from lane %d, LocalLink lane held %+v (ok=%v)",
-						depth, cyc, m.Flit, m.Lane, f, ok)
+						depth, cyc, *popped, m.Lane, f, ok)
 				}
 				delivered++
 			}
-			for _, m := range am {
-				sig := link.Signals{SrcRdy: true, SOF: m.Flit.Kind == flit.Header, EOF: m.Flit.Kind == flit.Tail, ChToStore: m.OutVC}
-				if !recv.Clock(sig, m.Flit) {
-					t.Fatalf("depth %d cycle %d: LocalLink receiver refused %+v: %v", depth, cyc, m.Flit, recv.Err())
+			for i := range am {
+				m := &am[i]
+				sent := pair.A.MoveFlit(m)
+				sig := link.Signals{SrcRdy: true, SOF: sent.Kind == flit.Header, EOF: sent.Kind == flit.Tail, ChToStore: m.OutVC}
+				if !recv.Clock(sig, *sent) {
+					t.Fatalf("depth %d cycle %d: LocalLink receiver refused %+v: %v", depth, cyc, *sent, recv.Err())
 				}
 			}
 		}

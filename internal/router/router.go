@@ -28,16 +28,17 @@
 // applies a cycle's moves, Arbitrate sees the start-of-cycle free space: the
 // simulation is order-independent and a flit advances one hop per cycle.
 //
-// Flit ownership: a buffered flit lives in exactly one lane slot. Bids refer
-// to it there, a grant copies it once into the Move, and the downstream push
-// copies it once into the next lane slot — two copies per hop, none zeroed.
+// Flit ownership: a buffered flit lives in exactly one slot of its switch's
+// flit slab. Bids and moves name it by lane and slot, never by copy: Commit
+// vacates the slot, the network reads the moved flit there (MoveFlit) to
+// deliver it and to push it downstream, and that push is the one copy a hop
+// makes. It relies on the vacated-slot rule stated at Router.slab.
 package router
 
 import (
 	"fmt"
 	"math/bits"
 
-	"quarc/internal/buffer"
 	"quarc/internal/flit"
 )
 
@@ -79,11 +80,14 @@ type Config struct {
 	Reach [][]int
 }
 
+// lane is one virtual-channel buffer and its FCU state. The buffer is a ring
+// of depth slots starting at slot base of the switch's flit slab: size flits,
+// the oldest at base+head.
 type lane struct {
-	q      buffer.FIFO // storage is a window of the router's flit slab
-	active bool        // between header grant and tail departure
-	dec    Decision
-	outVC  int
+	head, size, depth, base int32
+	active                  bool // between header grant and tail departure
+	dec                     Decision
+	outVC                   int
 	// Cached routing verdict for the packet whose header waits at this
 	// lane's head: Route is pure, so a header blocked for many cycles needs
 	// it computed (and validated) once, not once per cycle.
@@ -97,9 +101,14 @@ type lane struct {
 	frozenCause StallCause
 }
 
+// headSlot returns the slab index of the lane's oldest flit.
+func (ln *lane) headSlot() int { return int(ln.base + ln.head) }
+
 type inputPort struct {
-	lanes []lane // window of Router.lanes
+	lanes []lane // window of the switch's one lane slab, port-major
 	rr    int    // VC arbiter pointer
+	count int    // flits buffered across the port's lanes
+	bid   bid    // this cycle's candidate, valid while the port is occupied
 }
 
 const noOwner = -1
@@ -108,7 +117,8 @@ type outputPort struct {
 	// Inline and first: the one line ReturnCredit touches from outside.
 	credit [maxVCs]int32 // per downstream lane: flits it can still take
 	depth  int32         // downstream lane depth, the ceiling of every counter; 0 = sink (the PE absorbs at link rate)
-	owner  []int         // per downstream VC: packed (in*16+lane) of the holder, or noOwner; window of one per-router slab
+	owner  [maxVCs]int32 // per downstream VC: packed (in*16+lane) of the holder, or noOwner
+	want   uint64        // this cycle: bit i set = input i bids for this output; zero between cycles
 	rr     int           // OPC master FSM round-robin pointer over inputs
 	reach  []int         // allowed input ports (nil = all)
 	sent   uint64
@@ -118,37 +128,44 @@ type outputPort struct {
 const maxVCs = 8
 
 // Move is a committed flit transfer, reported to the network for delivery
-// and link accounting.
+// and link accounting. The flit itself stays where it lay: Router.MoveFlit
+// returns it.
 type Move struct {
 	In, Lane int
 	Out      int // NoOutput for pure ejection
 	OutVC    int
+	Slot     int  // slab index of the moved flit's vacated slot
 	Deliver  bool // a copy reaches the local PE
-	Flit     flit.Flit
 }
 
 // Router is one switch instance. Push and ReturnCredit, called for
-// neighbours' moves, reach through the first three fields.
+// neighbours' moves, reach through the first five fields.
 type Router struct {
-	in       []inputPort
-	out      []outputPort
-	buffered int // flits across all input lanes (O(1) quiescence report)
+	in  []inputPort
+	out []outputPort
+	// slab holds every lane's flit slots, lane-major. The vacated-slot rule:
+	// a slot vacated by Commit keeps its bytes until the cycle's apply phase
+	// has finished, so the network reads moved flits in place (MoveFlit).
+	// A network lane cannot receive into its vacated slot in the same cycle:
+	// that push would land there only if the lane was full at the start of
+	// the cycle, when its sender held no credit. The one same-cycle writer
+	// that can is the adapter's Feed into an injection lane, and Feed runs
+	// after apply.
+	slab     []flit.Flit
+	occupied uint64 // bit i set: input port i holds at least one flit
+	buffered int    // flits across all input lanes (O(1) quiescence report)
 	cfg      Config
-	lanes    []lane   // every input lane, port-major
-	bids     []bid    // reused each cycle
-	req      []uint64 // reused each cycle: per output, bit i set = input i bids for it; all zero between cycles
 	// frozenOcc is the buffered-flit count recorded by FrozenBlocked, the
 	// per-cycle occupancy integrand replayed for blocked-slept cycles.
 	frozenOcc uint64
 	stats     Stats
 }
 
-// bid is one input port's candidate for the cycle. head points at the flit
-// in its lane slot; nil means the port presents nothing.
+// bid is one input port's candidate for the cycle: the lane the VC arbiter
+// selected and the decision governing its head flit.
 type bid struct {
 	in, lane int
 	dec      Decision
-	head     *flit.Flit
 }
 
 // New constructs a switch from its configuration.
@@ -163,8 +180,8 @@ func New(cfg Config) *Router {
 	if len(cfg.InLanes) == 0 || cfg.NOut < 1 {
 		panic("router: switch needs inputs and outputs")
 	}
-	if len(cfg.InLanes) > 64 {
-		panic("router: more than 64 input ports")
+	if len(cfg.InLanes) > 64 || cfg.NOut > 64 {
+		panic("router: more than 64 input or output ports")
 	}
 	total := 0
 	for _, nl := range cfg.InLanes {
@@ -176,31 +193,29 @@ func New(cfg Config) *Router {
 	r := &Router{cfg: cfg}
 	// One slab per kind for the whole switch: lanes and their flit slots sit
 	// contiguously, each port a window.
-	r.lanes = make([]lane, total)
-	slots := make([]flit.Flit, total*cfg.Depth)
-	for k := range r.lanes {
-		r.lanes[k].q.Init(slots[k*cfg.Depth : (k+1)*cfg.Depth : (k+1)*cfg.Depth])
-		r.lanes[k].outVC = -1
+	lanes := make([]lane, total)
+	r.slab = make([]flit.Flit, total*cfg.Depth)
+	for k := range lanes {
+		lanes[k].depth = int32(cfg.Depth)
+		lanes[k].base = int32(k * cfg.Depth)
+		lanes[k].outVC = -1
 	}
 	r.in = make([]inputPort, len(cfg.InLanes))
 	at := 0
 	for i, nl := range cfg.InLanes {
-		r.in[i].lanes = r.lanes[at : at+nl : at+nl]
+		r.in[i].lanes = lanes[at : at+nl : at+nl]
+		r.in[i].bid.in = i
 		at += nl
 	}
 	r.out = make([]outputPort, cfg.NOut)
-	owners := make([]int, cfg.NOut*cfg.VCs)
-	for v := range owners {
-		owners[v] = noOwner
-	}
 	for o := range r.out {
-		r.out[o].owner = owners[o*cfg.VCs : (o+1)*cfg.VCs : (o+1)*cfg.VCs]
+		for v := range r.out[o].owner {
+			r.out[o].owner[v] = noOwner
+		}
 		if cfg.Reach != nil {
 			r.out[o].reach = cfg.Reach[o]
 		}
 	}
-	r.bids = make([]bid, len(cfg.InLanes))
-	r.req = make([]uint64, cfg.NOut)
 	return r
 }
 
@@ -218,10 +233,13 @@ func (r *Router) Depth() int { return r.cfg.Depth }
 
 // LaneFree returns the free space of the given input lane (the adapter's
 // view of its own injection lanes).
-func (r *Router) LaneFree(in, ln int) int { return r.in[in].lanes[ln].q.Free() }
+func (r *Router) LaneFree(in, ln int) int {
+	l := &r.in[in].lanes[ln]
+	return int(l.depth - l.size)
+}
 
 // LaneLen returns the occupancy of the given input lane.
-func (r *Router) LaneLen(in, ln int) int { return r.in[in].lanes[ln].q.Len() }
+func (r *Router) LaneLen(in, ln int) int { return int(r.in[in].lanes[ln].size) }
 
 // Push copies *f into an input lane (used by the upstream link and by the
 // network adapter for injection ports). It reports false when the lane is
@@ -230,12 +248,31 @@ func (r *Router) LaneLen(in, ln int) int { return r.in[in].lanes[ln].q.Len() }
 //
 //quarc:hotpath
 func (r *Router) Push(in, ln int, f *flit.Flit) bool {
-	if !r.in[in].lanes[ln].q.PushFrom(f) {
+	p := &r.in[in]
+	l := &p.lanes[ln]
+	if l.size == l.depth {
 		return false
 	}
+	at := l.head + l.size
+	if at >= l.depth {
+		at -= l.depth
+	}
+	//quarc:allow hotpath: the push copy into the lane slot, the one copy a hop makes
+	r.slab[l.base+at] = *f
+	l.size++
+	p.count++
+	r.occupied |= 1 << uint(in)
 	r.buffered++
 	return true
 }
+
+// MoveFlit returns the flit move m (committed by this switch this cycle)
+// moved, in the slab slot Commit vacated. By the vacated-slot rule (see
+// Router.slab) it is valid until the cycle's apply phase has finished; the
+// network shifts a forwarded multicast bitstring there before the push.
+//
+//quarc:hotpath
+func (r *Router) MoveFlit(m *Move) *flit.Flit { return &r.slab[m.Slot] }
 
 // Quiescent reports whether the switch holds no flits at all. A quiescent
 // router's cycle is a no-op apart from statistics accounting: it produces no
@@ -271,17 +308,16 @@ func (r *Router) FrozenBlocked() bool {
 		p := &r.in[i]
 		for l := range p.lanes {
 			ln := &p.lanes[l]
-			head := ln.q.Head()
-			if head == nil {
+			if ln.size == 0 {
 				ln.frozen = false
 				continue
 			}
-			dec := r.laneDecision(ln, i, l, head)
+			dec := r.laneDecision(ln, i, l)
 			if dec.Out == NoOutput {
 				// Dedicated ejection always succeeds: not blocked.
 				return false
 			}
-			b := bid{in: i, lane: l, dec: dec, head: head}
+			b := bid{in: i, lane: l, dec: dec}
 			ok, _, cause := r.trySend(dec.Out, &b)
 			if ok {
 				return false
@@ -369,38 +405,34 @@ func (r *Router) reachable(o, in int) bool {
 	return false
 }
 
-// bidFor runs the VC arbiter of one input port: select the lane presented to
-// the crossbar this cycle, filling b in place. An empty port writes only
-// b.head = nil and leaves the other fields stale — every reader gates on the
-// head — which keeps the common low-load case to a single store.
+// bidFor runs the VC arbiter of occupied input port i: select the lane
+// presented to the crossbar this cycle, recorded in the port's bid.
 //
 //quarc:hotpath
-func (r *Router) bidFor(i int, b *bid) {
+func (r *Router) bidFor(i int) *bid {
 	p := &r.in[i]
 	l := p.rr
-	for range p.lanes {
-		ln := &p.lanes[l]
-		if head := ln.q.Head(); head != nil {
-			b.in, b.lane, b.head = i, l, head
-			b.dec = r.laneDecision(ln, i, l, head)
-			return
-		}
+	for p.lanes[l].size == 0 { // the port holds a flit, so some lane does
 		if l++; l == len(p.lanes) {
 			l = 0
 		}
 	}
-	b.head = nil
+	b := &p.bid
+	b.lane = l
+	b.dec = r.laneDecision(&p.lanes[l], i, l)
+	return b
 }
 
-// laneDecision returns the routing decision governing head, the flit at the
-// head of lane ln = (i, l): the FCU's latched decision for an active packet,
+// laneDecision returns the routing decision governing the head flit of
+// nonempty lane ln = (i, l): the FCU's latched decision for an active packet,
 // or the cached (validated) route of the waiting header.
 //
 //quarc:hotpath
-func (r *Router) laneDecision(ln *lane, i, l int, head *flit.Flit) Decision {
+func (r *Router) laneDecision(ln *lane, i, l int) Decision {
 	if ln.active {
 		return ln.dec
 	}
+	head := &r.slab[ln.headSlot()]
 	if head.Kind != flit.Header {
 		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 		panic(fmt.Sprintf("router %d in %d lane %d: %v flit with no active packet",
@@ -459,57 +491,51 @@ func (r *Router) ReturnCredit(o, vc int) {
 }
 
 // Arbitrate accounts one stepped cycle in the statistics and computes this
-// router's moves for it, against its own lanes and credit counters only. Each
-// returned move carries the one grant-time copy of its flit, which stays at
-// the head of its source lane; the network must call Commit exactly once
-// with the same slice.
+// router's moves for it, against its own lanes and credit counters only. It
+// appends at most one move per input port, each naming its flit's slot at the
+// head of its source lane; the network must call Commit exactly once with the
+// same slice.
 //
 //quarc:hotpath
 func (r *Router) Arbitrate(moves []Move) []Move {
 	r.stats.OccupancySum += uint64(r.buffered)
 	r.stats.Cycles++
-	// VC arbitration: one candidate lane per input port. Decisions with no
-	// forwarding component (Quarc all-port absorb; laneDecision admits them
-	// only on dedicated-ejection switches) need no OPC and always succeed, so
-	// they are granted here, in input order; the rest are bucketed by the
-	// output they request.
-	forwarding := false
-	for i := range r.in {
-		b := &r.bids[i]
-		r.bidFor(i, b)
-		if b.head == nil {
-			continue
-		}
+	// VC arbitration: one candidate lane per occupied input port, in
+	// ascending port order (an empty port presents nothing). Decisions with
+	// no forwarding component (Quarc all-port absorb; laneDecision admits
+	// them only on dedicated-ejection switches) need no OPC and always
+	// succeed, so they are granted here, in input order; the rest are
+	// bucketed by the output they request.
+	var requested uint64 // bit o set: output o has at least one bid
+	for occ := r.occupied; occ != 0; occ &= occ - 1 {
+		i := bits.TrailingZeros64(occ)
+		b := r.bidFor(i)
 		if b.dec.Out == NoOutput {
 			moves = r.grant(moves, b, NoOutput, 0, true)
 			continue
 		}
-		r.req[b.dec.Out] |= 1 << uint(i)
-		forwarding = true
-	}
-	if !forwarding {
-		return moves
+		r.out[b.dec.Out].want |= 1 << uint(i)
+		requested |= 1 << uint(b.dec.Out)
 	}
 
-	// OPC arbitration per output port, visiting only the inputs that bid for
-	// it, in round-robin order from the master FSM's pointer. The first
-	// sendable bid is granted; every other one stalls — classified for the
-	// contention statistics as lost arbitration when it was sendable, else by
-	// the blocking resource trySend names — and its VC arbiter yields to the
-	// sibling lane (the paper's times_up timeout).
-	for o := range r.out {
-		want := r.req[o]
-		if want == 0 {
-			continue
-		}
-		r.req[o] = 0
+	// OPC arbitration per requested output port, visiting only the inputs
+	// that bid for it, in round-robin order from the master FSM's pointer.
+	// The first sendable bid is granted; every other one stalls — classified
+	// for the contention statistics as lost arbitration when it was sendable,
+	// else by the blocking resource trySend names — and its VC arbiter yields
+	// to the sibling lane (the paper's times_up timeout).
+	for ; requested != 0; requested &= requested - 1 {
+		o := bits.TrailingZeros64(requested)
 		op := &r.out[o]
+		want := op.want
+		op.want = 0
 		served := false
 		ahead := want >> uint(op.rr) << uint(op.rr) // inputs at or after the pointer go first
 		for _, set := range [2]uint64{ahead, want &^ ahead} {
 			for ; set != 0; set &= set - 1 {
 				i := bits.TrailingZeros64(set)
-				b := &r.bids[i]
+				p := &r.in[i]
+				b := &p.bid
 				ok, outVC, cause := r.trySend(o, b)
 				if ok && !served {
 					moves = r.grant(moves, b, o, outVC, b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject))
@@ -524,7 +550,7 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 					cause = StallArbLost
 				}
 				r.stats.Stalls[cause]++
-				if p := &r.in[i]; len(p.lanes) > 1 {
+				if len(p.lanes) > 1 {
 					if p.rr = b.lane + 1; p.rr == len(p.lanes) {
 						p.rr = 0
 					}
@@ -535,9 +561,8 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 	return moves
 }
 
-// grant appends the move for a winning bid. This is the flit's one copy out
-// of its lane slot; every field of the appended Move is written, so a reused
-// backing array needs no clearing first.
+// grant appends the move for a winning bid. Every field of the appended Move
+// is written, so a reused backing array needs no clearing first.
 //
 //quarc:hotpath
 func (r *Router) grant(moves []Move, b *bid, out, outVC int, deliver bool) []Move {
@@ -549,8 +574,7 @@ func (r *Router) grant(moves []Move, b *bid, out, outVC int, deliver bool) []Mov
 	}
 	m := &moves[n]
 	m.In, m.Lane, m.Out, m.OutVC, m.Deliver = b.in, b.lane, out, outVC, deliver
-	//quarc:allow hotpath: the grant-time copy, one of the two a hop is allowed
-	m.Flit = *b.head
+	m.Slot = r.in[b.in].lanes[b.lane].headSlot()
 	r.stats.Grants++
 	return moves
 }
@@ -561,7 +585,7 @@ func (r *Router) grant(moves []Move, b *bid, out, outVC int, deliver bool) []Mov
 //quarc:hotpath
 func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
 	op := &r.out[o]
-	packed := b.in*16 + b.lane
+	packed := int32(b.in*16 + b.lane)
 	ln := &r.in[b.in].lanes[b.lane]
 	if ln.active {
 		// Body or tail: use the allocated VC; need one credit.
@@ -581,7 +605,7 @@ func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
 	if o == r.cfg.EjectPort {
 		// The PE-side buffers have no dateline constraint: first free VC.
 		vc = -1
-		for v := range op.owner {
+		for v := 0; v < r.cfg.VCs; v++ {
 			if op.owner[v] == noOwner {
 				vc = v
 				break
@@ -595,7 +619,7 @@ func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
 		// (the network pushes forwarded flits into lane[outVC]); injection
 		// ports have a single lane 0, matching the VC-0 start of the
 		// dateline discipline.
-		vc = r.cfg.VCNext(r.cfg.Node, o, b.in, b.lane, *b.head)
+		vc = r.cfg.VCNext(r.cfg.Node, o, b.in, b.lane, r.slab[ln.headSlot()])
 		if vc < 0 || vc >= r.cfg.VCs {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
@@ -610,10 +634,10 @@ func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
 	return true, vc, 0
 }
 
-// Commit applies previously computed moves: drops each moved flit from the
-// head of its lane, spends the credit of each forwarded one and updates
-// FCU/OPC state. The network pushes forwarded flits into the downstream input
-// lanes and delivers ejected copies (both from the moves' own copies) and
+// Commit applies previously computed moves: pops each moved flit from the
+// head of its lane (vacating, not clearing, its slot), spends the credit of
+// each forwarded one and updates FCU/OPC state. The network then reads each
+// moved flit through MoveFlit to push it downstream and deliver it, and
 // returns each pop's credit upstream. Reports whether any move delivers.
 //
 //quarc:hotpath
@@ -621,12 +645,13 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 	for mi := range moves {
 		m := &moves[mi]
 		delivers = delivers || m.Deliver
-		ln := &r.in[m.In].lanes[m.Lane]
-		head := ln.q.Head()
-		if head == nil || head.PktID != m.Flit.PktID || head.Seq != m.Flit.Seq {
+		p := &r.in[m.In]
+		ln := &p.lanes[m.Lane]
+		if ln.size == 0 || m.Slot != ln.headSlot() {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d: commit desync at in %d lane %d", r.cfg.Node, m.In, m.Lane))
 		}
+		head := &r.slab[m.Slot]
 		kind := head.Kind
 		// FCU bookkeeping: the lane remembers its packet's decision from
 		// header to tail, whether the packet is being forwarded or absorbed
@@ -645,7 +670,13 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 			ln.active = false
 			ln.outVC = -1
 		}
-		ln.q.Drop()
+		if ln.head++; ln.head == ln.depth {
+			ln.head = 0
+		}
+		ln.size--
+		if p.count--; p.count == 0 {
+			r.occupied &^= 1 << uint(m.In)
+		}
 		r.buffered--
 		// OPC bookkeeping only applies to granted outputs.
 		if m.Out != NoOutput {
@@ -658,7 +689,7 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 				}
 				op.credit[m.OutVC]--
 			}
-			packed := m.In*16 + m.Lane
+			packed := int32(m.In*16 + m.Lane)
 			if kind == flit.Header {
 				op.owner[m.OutVC] = packed
 			}
@@ -685,13 +716,22 @@ func (r *Router) LaneContents(in, lane int) (flits []flit.Flit, ok bool) {
 	if lane < 0 || lane >= len(r.in[in].lanes) {
 		return nil, false
 	}
-	return r.in[in].lanes[lane].q.Snapshot(), true
+	ln := &r.in[in].lanes[lane]
+	flits = make([]flit.Flit, ln.size)
+	for i := range flits {
+		at := ln.head + int32(i)
+		if at >= ln.depth {
+			at -= ln.depth
+		}
+		flits[i] = r.slab[ln.base+at]
+	}
+	return flits, true
 }
 
 // VCOwner reports whether output o's downstream VC vc is currently held
 // (test hook for wormhole invariants).
 func (r *Router) VCOwner(o, vc int) (in, laneIdx int, held bool) {
-	w := r.out[o].owner[vc]
+	w := int(r.out[o].owner[vc])
 	if w == noOwner {
 		return 0, 0, false
 	}

@@ -26,7 +26,8 @@ func newLinkPair(a, b *Router) *linkPair {
 // start-of-cycle state, then A's forwarded flits cross the link and B's pops
 // return their credits. With drain false B sits the cycle out (a consumer
 // that has stalled), which is how tests build back-pressure. The returned
-// moves are valid until the next Step.
+// moves, and the flits MoveFlit reads for them, are valid until the next
+// push into their switch.
 func (p *linkPair) Step(drain bool) (am, bm []Move) {
 	p.am = p.A.Arbitrate(p.am[:0])
 	p.bm = p.bm[:0]
@@ -36,7 +37,7 @@ func (p *linkPair) Step(drain bool) (am, bm []Move) {
 	p.A.Commit(p.am)
 	p.B.Commit(p.bm)
 	for i := range p.am {
-		if m := &p.am[i]; m.Out == 0 && !p.B.Push(0, m.OutVC, &m.Flit) {
+		if m := &p.am[i]; m.Out == 0 && !p.B.Push(0, m.OutVC, p.A.MoveFlit(m)) {
 			panic("linkPair: push into a full lane")
 		}
 	}
@@ -73,9 +74,9 @@ func twoNodeLine(depth int) *linkPair {
 func step(p *linkPair) []flit.Flit {
 	_, bm := p.Step(true)
 	var delivered []flit.Flit
-	for _, m := range bm {
-		if m.Deliver {
-			delivered = append(delivered, m.Flit)
+	for i := range bm {
+		if m := &bm[i]; m.Deliver {
+			delivered = append(delivered, *p.B.MoveFlit(m))
 		}
 	}
 	return delivered
@@ -203,8 +204,8 @@ func TestVCArbiterSwitchesOnBlock(t *testing.T) {
 	moved := false
 	for cyc := 0; cyc < 6; cyc++ {
 		am, _ := lp.Step(false)
-		for _, m := range am {
-			if m.Flit.PktID == 1 {
+		for i := range am {
+			if lp.A.MoveFlit(&am[i]).PktID == 1 {
 				t.Fatal("blocked packet moved")
 			}
 			moved = true
@@ -237,8 +238,8 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 	var order []uint64
 	for cyc := 0; cyc < 30 && len(order) < 12; cyc++ {
 		am, _ := lp.Step(true)
-		for _, m := range am {
-			order = append(order, m.Flit.PktID)
+		for i := range am {
+			order = append(order, a.MoveFlit(&am[i]).PktID)
 		}
 	}
 	if len(order) != 12 {
@@ -380,9 +381,9 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestCommitDesyncPanics(t *testing.T) {
 	for name, corrupt := range map[string]func(*Move){
-		"pkt":   func(m *Move) { m.Flit.PktID++ },
-		"seq":   func(m *Move) { m.Flit.Seq++ },
-		"empty": func(m *Move) { m.Lane = 1 }, // sibling lane holds nothing
+		"slot":    func(m *Move) { m.Slot++ },    // the lane's next, unwritten slot
+		"sibling": func(m *Move) { m.Slot += 4 }, // the sibling lane's head slot
+		"empty":   func(m *Move) { m.Lane = 1 },  // sibling lane holds nothing
 	} {
 		a := twoNodeLine(4).A
 		a.Push(0, 0, &pkt(1, 2, 1)[0])
@@ -413,7 +414,7 @@ func TestCreditCounterViolationsPanic(t *testing.T) {
 	if moves := a.Arbitrate(nil); len(moves) != 0 {
 		t.Fatal("arbiter granted a send without credit")
 	}
-	forged := []Move{{In: 0, Lane: 0, Out: 0, OutVC: 0, Flit: p[1]}}
+	forged := []Move{{In: 0, Lane: 0, Out: 0, OutVC: 0, Slot: a.in[0].lanes[0].headSlot()}}
 	mustPanic(t, "commit of a send without credit", func() { a.Commit(forged) })
 }
 

@@ -7,8 +7,6 @@
 // function of its inputs and seeds.
 package sim
 
-import "container/heap"
-
 // Time is simulation time in clock cycles.
 type Time = int64
 
@@ -39,7 +37,7 @@ type Event struct {
 	skipTo Time
 	k      *Kernel
 	dead   bool
-	idx    int
+	queued bool // in the calendar
 }
 
 // Cancel marks the event so that it will not fire. Cancelling an already
@@ -49,7 +47,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.dead = true
-	if e.k != nil && e.idx >= 0 {
+	if e.k != nil && e.queued {
 		e.k.live--
 	}
 }
@@ -62,41 +60,22 @@ func (e *Event) Cancel() {
 // can happen.
 func (e *Event) SkipTo(at Time) { e.skipTo = at }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the calendar order: time, then priority, then insertion
+// sequence. Sequence numbers are unique, so it is a total order and the
+// firing order does not depend on the heap's internal layout.
+func (e *Event) before(o *Event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if h[i].pri != h[j].pri {
-		return h[i].pri < h[j].pri
+	if e.pri != o.pri {
+		return e.pri < o.pri
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Kernel is the event calendar. The zero value is ready to use.
 type Kernel struct {
-	heap    eventHeap
+	heap    []*Event // binary min-heap in before order
 	now     Time
 	seq     uint64
 	live    int // scheduled, not-cancelled events
@@ -121,7 +100,7 @@ func (k *Kernel) Pending() int { return k.live }
 // always one at which something will actually run.
 func (k *Kernel) NextEventTime() (Time, bool) {
 	for len(k.heap) > 0 && k.heap[0].dead {
-		heap.Pop(&k.heap)
+		k.pop()
 	}
 	if len(k.heap) == 0 {
 		return 0, false
@@ -138,8 +117,57 @@ func (k *Kernel) Schedule(at Time, pri Priority, fn func(now Time)) *Event {
 	e := &Event{at: at, pri: pri, seq: k.seq, fn: fn, k: k}
 	k.seq++
 	k.live++
-	heap.Push(&k.heap, e)
+	k.push(e)
 	return e
+}
+
+// push adds e to the calendar, sifting it up from the last leaf.
+func (k *Kernel) push(e *Event) {
+	e.queued = true
+	h := append(k.heap, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	k.heap = h
+}
+
+// pop removes and returns the earliest event, sifting the last leaf down
+// from the root into the hole.
+func (k *Kernel) pop() *Event {
+	h := k.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	k.heap = h
+	top.queued = false
+	return top
 }
 
 // After schedules fn delay cycles from now.
@@ -160,7 +188,7 @@ func (k *Kernel) Run(until Time) Time {
 		if e.at > until {
 			break
 		}
-		heap.Pop(&k.heap)
+		k.pop()
 		if e.dead {
 			continue
 		}
@@ -181,7 +209,7 @@ func (k *Kernel) Run(until Time) Time {
 				e.seq = k.seq
 				k.seq++
 				k.live++
-				heap.Push(&k.heap, e)
+				k.push(e)
 			}
 			continue
 		}
@@ -208,6 +236,6 @@ func (k *Kernel) Ticker(start Time, period Time, pri Priority, fn func(now Time)
 	e := &Event{at: start, pri: pri, seq: k.seq, tick: fn, every: period, k: k}
 	k.seq++
 	k.live++
-	heap.Push(&k.heap, e)
+	k.push(e)
 	return e
 }

@@ -83,11 +83,16 @@ func InstallBursty(k *sim.Kernel, cfg BurstyConfig, senders []Sender) ([]*Bursty
 		}
 		sources[node] = src
 		// Each source alternates ON/OFF phases; inside an ON phase it
-		// behaves like a Bernoulli source at OnRate.
-		var phase func(now sim.Time)
-		phase = func(now sim.Time) {
+		// behaves like a Bernoulli source at OnRate. The phase process is one
+		// ticker skipping to the next phase change. A burst's arrivals are
+		// drawn when it starts and take their calendar sequence numbers
+		// there, which fixes their order against other sources' same-cycle
+		// events, so each stays an event of its own; they share one callback.
+		arrive := src.fire
+		var phases *sim.Event
+		phases = k.Ticker(src.r.Geometric(0.5), 1, sim.PriTraffic, func(now sim.Time) bool {
 			if cfg.Until > 0 && now >= cfg.Until {
-				return
+				return false
 			}
 			src.on = !src.on
 			var length int64
@@ -99,19 +104,15 @@ func InstallBursty(k *sim.Kernel, cfg BurstyConfig, senders []Sender) ([]*Bursty
 						break
 					}
 					if src.r.Bernoulli(cfg.OnRate) {
-						t := t
-						k.Schedule(t, sim.PriTraffic, func(fire sim.Time) {
-							src.fire(fire)
-						})
+						k.Schedule(t, sim.PriTraffic, arrive)
 					}
 				}
 			} else {
 				length = 1 + src.r.Geometric(1/cfg.MeanOff)
 			}
-			k.Schedule(now+length, sim.PriTraffic, phase)
-		}
-		start := src.r.Geometric(0.5)
-		k.Schedule(start, sim.PriTraffic, phase)
+			phases.SkipTo(now + length)
+			return true
+		})
 	}
 	return sources, nil
 }

@@ -189,8 +189,11 @@ func multicastTargets(pool []int, r *rng.Stream, n, self, k int) []int {
 
 // Install creates one source per node and schedules their arrival processes
 // on the kernel. Arrivals are a Bernoulli process per node: geometric gaps
-// with mean 1/rate, the discrete analogue of Poisson arrivals. It returns
-// the sources for inspection.
+// with mean 1/rate, the discrete analogue of Poisson arrivals. Each source is
+// one kernel ticker that skips to its next arrival, so generating a message
+// schedules nothing new: the ticker takes its sequence number after the
+// callback, exactly where a self-rescheduling arrival would. It returns the
+// sources for inspection.
 func Install(k *sim.Kernel, cfg Config, senders []Sender) ([]*Source, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -210,17 +213,15 @@ func Install(k *sim.Kernel, cfg Config, senders []Sender) ([]*Source, error) {
 		if cfg.Rate <= 0 {
 			continue
 		}
-		var arrive func(now sim.Time)
-		arrive = func(now sim.Time) {
+		var arrivals *sim.Event
+		arrivals = k.Ticker(src.r.Geometric(cfg.Rate), 1, sim.PriTraffic, func(now sim.Time) bool {
 			if cfg.Until > 0 && now >= cfg.Until {
-				return
+				return false
 			}
 			src.fire(now)
-			gap := src.r.Geometric(cfg.Rate) + 1
-			k.Schedule(now+gap, sim.PriTraffic, arrive)
-		}
-		first := src.r.Geometric(cfg.Rate)
-		k.Schedule(first, sim.PriTraffic, arrive)
+			arrivals.SkipTo(now + src.r.Geometric(cfg.Rate) + 1)
+			return true
+		})
 	}
 	return sources, nil
 }

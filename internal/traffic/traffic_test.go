@@ -288,3 +288,36 @@ func TestPatternStrings(t *testing.T) {
 		}
 	}
 }
+
+// countingSender counts messages and allocates nothing.
+type countingSender struct{ sent *int }
+
+func (c countingSender) SendUnicast(int, int, int64) uint64     { *c.sent++; return 0 }
+func (c countingSender) SendBroadcast(int, int64) uint64        { *c.sent++; return 0 }
+func (c countingSender) SendMulticast([]int, int, int64) uint64 { *c.sent++; return 0 }
+
+// TestArrivalsAllocateNothing: each source is one kernel ticker that skips to
+// its next arrival, so once the calendar and the multicast scratch have grown
+// to their working size, generating a message — unicast, broadcast or
+// multicast — allocates nothing.
+func TestArrivalsAllocateNothing(t *testing.T) {
+	var k sim.Kernel
+	cfg := Config{N: 16, Rate: 0.2, Beta: 0.1, McastFrac: 0.2, McastSize: 3, MsgLen: 4, Seed: 3}
+	sent := 0
+	senders := make([]Sender, cfg.N)
+	for i := range senders {
+		senders[i] = countingSender{&sent}
+	}
+	if _, err := Install(&k, cfg, senders); err != nil {
+		t.Fatal(err)
+	}
+	k.Run(1_000)
+	warm := sent
+	allocs := testing.AllocsPerRun(20, func() { k.Run(k.Now() + 100) })
+	if arrivals := sent - warm; arrivals < 20*100 {
+		t.Fatalf("only %d arrivals in 21 runs of 100 cycles", arrivals)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per 100 cycles of %d sources, want 0", allocs, cfg.N)
+	}
+}
