@@ -23,6 +23,7 @@ import (
 
 	"quarc"
 	"quarc/internal/analytic"
+	"quarc/internal/network"
 	"quarc/internal/service"
 )
 
@@ -343,6 +344,8 @@ func BenchmarkFabricStepParallel(b *testing.B) {
 // saturated 1024-node mesh design point, serial versus the automatic
 // intra-point pool. This is the "one big point" regime where sweep-level
 // parallelism has nothing to fan out and only intra-fabric sharding helps.
+// dispatches/op counts the pool's helper wake-ups per point (0 serial; a
+// handful pooled, where every live cycle once cost one).
 func BenchmarkPointN1024Saturated(b *testing.B) {
 	for _, bench := range []struct {
 		name        string
@@ -352,6 +355,7 @@ func BenchmarkPointN1024Saturated(b *testing.B) {
 		{"auto", 0},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
+			before := network.PoolDispatches()
 			for i := 0; i < b.N; i++ {
 				res, err := quarc.Run(quarc.Config{
 					Model: "mesh", N: 1024, MsgLen: 16, Rate: 0.05,
@@ -365,6 +369,7 @@ func BenchmarkPointN1024Saturated(b *testing.B) {
 					b.Fatal("N=1024 point did not saturate")
 				}
 			}
+			b.ReportMetric(float64(network.PoolDispatches()-before)/float64(b.N), "dispatches/op")
 		})
 	}
 }

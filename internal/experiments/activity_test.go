@@ -163,3 +163,36 @@ func TestActivitySchedulerSkipsIdleCycles(t *testing.T) {
 			ap.stepped, dp.stepped)
 	}
 }
+
+// TestClockLoopAllocatesNothingPerCycle: the clock loop — the calendar fired
+// from StepBatch's hook before every cycle, the idle skip between events —
+// costs no allocation per cycle, serial or pooled. With no traffic, nothing
+// else in a point scales with its length, so a window twenty times longer
+// must allocate what the short one does: one allocation per cycle would add
+// 19,000. A couple of strays are tolerated for the race detector's own.
+func TestClockLoopAllocatesNothingPerCycle(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		model      string
+		n, workers int
+		dense      bool
+	}{
+		{"serial-dense", "quarc", 16, 1, true},
+		{"pooled-dense", "mesh", 144, 2, true},
+		{"serial-idle-skip", "quarc", 16, 1, false},
+	} {
+		allocs := func(measure int64) float64 {
+			cfg := Config{Model: c.model, N: c.n, MsgLen: 8, Rate: 0, Warmup: 500, Measure: measure,
+				Drain: 3000, Seed: 3, StepWorkers: c.workers, denseStep: c.dense}
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(1_000), allocs(20_000)
+		if long > short+2 {
+			t.Errorf("%s: %.0f allocations over 20,500 cycles, %.0f over 1,500", c.name, long, short)
+		}
+	}
+}

@@ -306,29 +306,10 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.denseStep {
 		fab.SetDense(true)
 	}
-	// The fabric ticks every cycle after traffic arrivals. When the network
-	// is completely idle (no buffered flit anywhere, no source backlog), the
-	// ticker fast-forwards to the calendar's next event — the earliest
-	// instant anything can change — instead of simulating the empty cycles;
-	// AdvanceIdle reconciles the fabric clock on the next firing. The
-	// skipped cycles are exactly those a dense fabric would spend proving
-	// every router has nothing to do, so results are bit-identical.
-	var fabTick *sim.Event
-	fabTick = k.Ticker(0, 1, sim.PriFabric, func(now sim.Time) bool {
-		if lag := now - fab.Now(); lag > 0 {
-			fab.AdvanceIdle(lag)
-		}
-		fab.Step()
-		if !cfg.denseStep && fab.Idle() {
-			if next, ok := k.NextEventTime(); ok && next > now+1 {
-				fabTick.SkipTo(next)
-			}
-		}
-		return true
-	})
 
 	// Saturation sampling: total source backlog every sampleEvery cycles
-	// during the measurement window.
+	// during the measurement window. The calendar keeps firing in the drain,
+	// so the sampler stops once its next sample would fall outside.
 	var det stats.SaturationDetector
 	sampleEvery := cfg.Measure / 30
 	if sampleEvery < 1 {
@@ -340,7 +321,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			total += nd.Backlog()
 		}
 		det.Sample(float64(total))
-		return now < measureEnd
+		return now+sampleEvery <= measureEnd
 	})
 
 	// Throughput window bounds.
@@ -351,8 +332,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	// Cancellation poller: a pure observer at stats priority, registered only
 	// for cancellable contexts so a background-context run schedules exactly
 	// the events it always did.
-	cancellable := ctx.Done() != nil
-	if cancellable {
+	if ctx.Done() != nil {
 		k.Ticker(0, ctxCheckPeriod, sim.PriStats, func(now sim.Time) bool {
 			if ctx.Err() != nil {
 				k.Stop()
@@ -362,46 +342,50 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		})
 	}
 
-	k.Run(measureEnd)
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
+	// The clock loop. The fabric owns the clock: before cycle t the calendar
+	// fires up to (t, PriFabric) — the traffic of t, the statistics of t-1.
+	// A busy stretch is one StepBatch whose hook fires the calendar between
+	// cycles, so a pooled fabric wakes its helpers once per stretch; the hook
+	// ends the batch when the context poller has stopped the kernel, when the
+	// fabric falls idle and, in the drain, when the last message lands. An
+	// idle stretch of the live window (cycles up to measureEnd) is skipped in
+	// O(1) to the calendar's next event: an idle cycle only advances the
+	// clock, so the skip is exactly what a dense fabric would spend proving
+	// every router has nothing to do. The drain follows with no traffic,
+	// until every message lands or its budget is spent.
+	liveEnd, drainEnd := measureEnd+1, measureEnd+1+cfg.Drain
+	hook := func() bool {
+		t := fab.Now()
+		k.RunBefore(t, sim.PriFabric)
+		return k.Stopped() || fab.Idle() || t >= liveEnd && fab.Tracker.InFlight() == 0
 	}
-	// Defensive clock catch-up. Today this is unreachable: the throughput
-	// latch scheduled at measureEnd pins NextEventTime, so the fabric ticker
-	// always fires (and steps) at measureEnd itself, leaving fab.Now() ==
-	// measureEnd+1 exactly as dense stepping would. If that anchoring event
-	// ever moves, the skip could park the ticker past the window; this
-	// restores the dense clock before the drain loop rather than silently
-	// mis-timing it.
-	if lag := measureEnd + 1 - fab.Now(); lag > 0 {
-		fab.AdvanceIdle(lag)
-	}
-	// Drain: no more traffic; step the fabric until everything lands or the
-	// budget runs out. No kernel events can fire in the drain window, so the
-	// cycles run as StepBatch batches — the worker pool amortises dispatch
-	// over saturated spans — with the in-flight check evaluated between
-	// cycles, exactly where the per-cycle loop evaluated it.
-	var drained int64
-	drainStop := func() bool { return fab.Tracker.InFlight() == 0 }
-	for drained < cfg.Drain && fab.Tracker.InFlight() > 0 {
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
+	for {
+		t := fab.Now()
+		k.RunBefore(t, sim.PriFabric)
+		if k.Stopped() {
+			return Result{}, ctx.Err()
+		}
+		end := liveEnd
+		if t >= liveEnd {
+			// Nothing buffered and no backlog, yet messages in flight, is a
+			// conservation bug no amount of stepping would drain; Leftover
+			// reports the loss.
+			if t == drainEnd || fab.Tracker.InFlight() == 0 || fab.Idle() {
+				break
 			}
+			end = drainEnd
 		}
 		if fab.Idle() {
-			// Nothing buffered and no backlog, yet messages in flight: a
-			// conservation bug no amount of stepping would drain. Dense
-			// stepping would spin the remaining budget proving it; skip the
-			// spin — Leftover reports the loss either way.
-			break
+			next, ok := k.NextEventTime()
+			if !ok || next > liveEnd {
+				next = liveEnd
+			}
+			fab.AdvanceIdle(max(next-t, 1))
+			continue
 		}
-		chunk := cfg.Drain - drained
-		if cancellable && chunk > ctxCheckPeriod {
-			chunk = ctxCheckPeriod
-		}
-		drained += fab.StepBatch(chunk, drainStop)
+		fab.StepBatch(end-t, hook)
 	}
+	drained := fab.Now() - liveEnd
 	if fn, ok := ctx.Value(fabricObserverKey{}).(func(*network.Fabric)); ok {
 		fn(fab)
 	}

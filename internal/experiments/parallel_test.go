@@ -236,3 +236,29 @@ func TestDrainConservation(t *testing.T) {
 		t.Errorf("parallel drain result diverged from serial:\nparallel %+v\nserial   %+v", pRes, sRes)
 	}
 }
+
+// TestBusyStretchIsOneDispatch pins the clock loop's point: the calendar
+// fires inside StepBatch's hook, so a saturated stretch with live traffic
+// sources is one pool dispatch, not one per cycle (one helper wake-up each).
+// A saturated 32x32 mesh at two step workers, over 400 live cycles and a
+// one-cycle drain, may dispatch a handful of times — at cycle 0, when every
+// node starts awake, and again once the load has built up past the pool
+// grain — but not once per cycle, as it did while the fabric was a
+// per-cycle calendar event.
+func TestBusyStretchIsOneDispatch(t *testing.T) {
+	cfg := Config{Model: "mesh", N: 1024, MsgLen: 16, Rate: 0.05, Depth: 4,
+		Warmup: 100, Measure: 300, Drain: 1, Seed: 13, StepWorkers: 2}
+	before := network.PoolDispatches()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Saturated {
+		t.Fatal("the point did not saturate: the pool may not have been busy")
+	}
+	n := network.PoolDispatches() - before
+	if n == 0 || n > 8 {
+		t.Fatalf("%d pool dispatches over %d live cycles, want 1 to 8", n, cfg.Warmup+cfg.Measure)
+	}
+	t.Logf("%d pool dispatches over %d live cycles", n, cfg.Warmup+cfg.Measure)
+}

@@ -158,11 +158,10 @@ type partialPkt struct {
 }
 
 // Add consumes one delivered flit and reports whether it completed a packet
-// (i.e. it was the tail and all earlier flits had arrived).
+// (i.e. it was the tail and all earlier flits had arrived). It only reads *f.
 //
 //quarc:hotpath
-//quarc:allow hotpath: runs once per delivered flit, not per hop; a pointer here did not move the fabric step
-func (a *Assembler) Add(f flit.Flit) bool {
+func (a *Assembler) Add(f *flit.Flit) bool {
 	at := -1
 	got := 0
 	for i := range a.partial {
@@ -354,15 +353,15 @@ func (b *BaseAdapter) FeedBlocked() bool {
 }
 
 // Receive reassembles delivered flits; a completed packet is reported to the
-// tracker, then handed to OnTail.
+// tracker, then handed to OnTail by value (once per packet, so the hook may
+// keep it).
 //
 //quarc:hotpath
-//quarc:allow hotpath: runs once per delivered flit, not per hop; a pointer here did not move the fabric step
-func (b *BaseAdapter) Receive(f flit.Flit, now int64) {
+func (b *BaseAdapter) Receive(f *flit.Flit, now int64) {
 	if b.asm.Add(f) {
 		b.Fab.Tracker.Delivered(f.MsgID, b.Node, now)
 		if b.OnTail != nil {
-			b.OnTail(b, f)
+			b.OnTail(b, *f)
 		}
 	}
 }

@@ -189,7 +189,7 @@ func BenchmarkAssemblerBroadcastReceive(b *testing.B) {
 		round := uint64(i)
 		for seq := 0; seq < msgLen; seq++ {
 			for s := range pkts {
-				f := pkts[s][seq]
+				f := &pkts[s][seq]
 				// Fresh packet ids per round keep the id space realistic.
 				f.PktID = round*sources + uint64(s) + 1
 				if a.Add(f) {
@@ -222,7 +222,7 @@ func TestAssemblerSteadyStateAllocs(t *testing.T) {
 		round++
 		for seq := 0; seq < msgLen; seq++ {
 			for s := range pkts {
-				f := pkts[s][seq]
+				f := &pkts[s][seq]
 				f.PktID = round*sources + uint64(s) + 1
 				a.Add(f)
 			}

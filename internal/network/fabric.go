@@ -62,8 +62,10 @@ type Adapter interface {
 	// Feed may push at most one flit per injection port into its router's
 	// injection lanes. Called once per cycle after commits.
 	Feed(now int64)
-	// Receive consumes a flit delivered to the local PE.
-	Receive(f flit.Flit, now int64)
+	// Receive consumes a flit delivered to the local PE. *f is the slot the
+	// flit's move vacated in the switch (the vacated-slot rule of
+	// internal/router): valid for the call, to be copied, not kept.
+	Receive(f *flit.Flit, now int64)
 	// Backlog returns the flits still waiting in the adapter's source
 	// queues; the fabric consults it before putting a drained router to
 	// sleep, so it must be cheap (O(1) for BaseAdapter).
@@ -519,7 +521,7 @@ func (f *Fabric) deliver(node int, m *router.Move) {
 			Node: node, Out: -1, VC: -1,
 			PktID: fl.PktID, MsgID: fl.MsgID, Seq: fl.Seq})
 	}
-	f.Adapters[node].Receive(*fl, f.cycle)
+	f.Adapters[node].Receive(fl, f.cycle)
 }
 
 // link is the commutative half of applying move m of node: the pop's credit
@@ -705,29 +707,35 @@ func (f *Fabric) Step() {
 }
 
 // StepBatch advances the network by up to n cycles, returning how many ran.
-// stop, when non-nil, is evaluated before each cycle (between cycles, never
-// mid-cycle); a true return halts the batch. Cycles run on the worker pool
-// when one is installed and the active set is large enough, one dispatch
-// covering the run for as long as it stays that large (waking the helpers
-// costs more than a cycle). A traced fabric always steps serially: the trace
-// records the serial event order. External events (traffic enqueues) must not
-// occur between batched cycles; drive the fabric cycle by cycle with Step
-// while sources are live, and batch only event-free spans (drains).
+// hook, when non-nil, runs before each cycle — between cycles, never
+// mid-cycle — and a true return halts the batch before that cycle. It is the
+// batch's window onto the outside world: it may enqueue traffic on any
+// adapter and observe the fabric, exactly as a caller could between two Step
+// calls, and the wakes its enqueues cause are latched for the cycle it
+// precedes. The experiment layer's clock loop fires the event calendar from
+// it, so a stretch with live traffic sources is one batch.
+//
+// Cycles run on the worker pool when one is installed and the active set is
+// large enough, one dispatch covering the run for as long as it stays that
+// large (waking the helpers costs more than a cycle). The pool runs the hook
+// in worker 0's closing section, while the helpers wait at the barrier, so
+// the hook sees a settled fabric and touches it alone. A traced fabric always
+// steps serially: the trace records the serial event order.
 //
 //quarc:hotpath
-func (f *Fabric) StepBatch(n int64, stop func() bool) int64 {
+func (f *Fabric) StepBatch(n int64, hook func() bool) int64 {
 	done := int64(0)
 	latched := false
 	for done < n {
 		if !latched {
-			if stop != nil && stop() {
+			if hook != nil && hook() {
 				return done
 			}
 			f.latch()
 		}
 		latched = false
 		if f.pool != nil && f.Trace == nil && len(f.stepList) >= f.stepGrain {
-			ran, latchedNext, stopped := f.pool.run(n-done, stop)
+			ran, latchedNext, stopped := f.pool.run(n-done, hook)
 			done += ran
 			latched = latchedNext
 			if stopped {
@@ -747,9 +755,9 @@ func (f *Fabric) StepBatch(n int64, stop func() bool) int64 {
 // lazily, so the whole skip is O(1) regardless of length. It is only legal
 // while every node is asleep and drained (nodes woken by pending source
 // enqueues are fine: their flits cannot enter a router before the next
-// Step). The experiment layer pairs it with the kernel's ticker skip to jump
-// from one traffic arrival to the next without simulating the empty cycles
-// between.
+// Step). An idle cycle only advances the clock, so the experiment layer's
+// clock loop calls it to jump from one calendar event to the next without
+// simulating the empty cycles between.
 func (f *Fabric) AdvanceIdle(cycles int64) {
 	if cycles < 0 {
 		panic("network: negative idle advance")

@@ -101,8 +101,8 @@ func TestPacketQueueRejectsShortPacket(t *testing.T) {
 func TestAssemblerCompletesOnTail(t *testing.T) {
 	var a Assembler
 	p := pkt(5, 4)
-	for i, f := range p {
-		done := a.Add(f)
+	for i := range p {
+		done := a.Add(&p[i])
 		if done != (i == 3) {
 			t.Fatalf("flit %d: done = %v", i, done)
 		}
@@ -115,14 +115,14 @@ func TestAssemblerCompletesOnTail(t *testing.T) {
 func TestAssemblerInterleavedPackets(t *testing.T) {
 	var a Assembler
 	p1, p2 := pkt(1, 3), pkt(2, 3)
-	a.Add(p1[0])
-	a.Add(p2[0])
-	a.Add(p1[1])
-	a.Add(p2[1])
+	a.Add(&p1[0])
+	a.Add(&p2[0])
+	a.Add(&p1[1])
+	a.Add(&p2[1])
 	if a.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", a.Pending())
 	}
-	if !a.Add(p1[2]) || !a.Add(p2[2]) {
+	if !a.Add(&p1[2]) || !a.Add(&p2[2]) {
 		t.Fatal("tails did not complete packets")
 	}
 }
@@ -130,13 +130,13 @@ func TestAssemblerInterleavedPackets(t *testing.T) {
 func TestAssemblerPanicsOnOutOfOrder(t *testing.T) {
 	var a Assembler
 	p := pkt(1, 3)
-	a.Add(p[0])
+	a.Add(&p[0])
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-order flit accepted")
 		}
 	}()
-	a.Add(p[2]) // skip the body
+	a.Add(&p[2]) // skip the body
 }
 
 func TestTrackerLifecycle(t *testing.T) {

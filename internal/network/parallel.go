@@ -9,7 +9,14 @@
 //	  once, the rest posted to their owner's mailbox         ‖ barrier
 //	drain own inbox                                          ‖ barrier
 //	pass 2 (feed, sleep scan)                                ‖ barrier
-//	worker 0: fold scratches, advance the clock, latch       ‖ barrier
+//	worker 0: fold scratches, advance the clock, run the
+//	  batch hook, latch                                      ‖ barrier
+//
+// One dispatch runs a whole StepBatch for as long as the active set stays at
+// the pool grain. The batch hook, which may enqueue traffic on any node, runs
+// in worker 0's closing section while every helper waits at the barrier, and
+// the barrier publishes what it wrote; so a stretch with live traffic
+// sources costs one helper wake-up, not one per cycle.
 //
 // A mailbox record points at the slot its flit's move vacated in the sending
 // switch (the vacated-slot rule of internal/router), and the sender's Feed
@@ -78,7 +85,7 @@ func (b *spinBarrier) wait() {
 // stepPool runs fabric cycles with `workers` goroutines (the dispatching
 // caller counts as worker 0; workers-1 helpers park on a channel between
 // dispatches). One dispatch covers up to maxCycles cycles (1 for Step), the
-// coordinator latching and checking the stop hook between cycles.
+// coordinator running the batch hook and latching between cycles.
 type stepPool struct {
 	f       *Fabric
 	workers int
@@ -93,11 +100,19 @@ type stepPool struct {
 	// the last cycle's verdict still reads the truth.
 	maxCycles   int64
 	ran         int64
-	stop        func() bool
+	hook        func() bool
 	halt        bool
 	latchedNext bool
 	stopped     bool
 }
+
+// dispatches counts pool dispatches across every fabric in the process.
+var dispatches atomic.Uint64
+
+// PoolDispatches returns how many times any fabric's worker pool has been
+// dispatched — each one a wake-up of its parked helpers. Test hook: the
+// dispatch tests and benchmarks read it before and after a run.
+func PoolDispatches() uint64 { return dispatches.Load() }
 
 // newStepPool builds the pool single-threaded, before any helper exists.
 // Shards are runs of whole activeMask words, the last taking the partial word
@@ -153,18 +168,19 @@ func (p *stepPool) cutShards() {
 // run executes up to maxCycles cycles on the pool against the already
 // latched step list. It returns the cycles run, whether the next cycle's
 // step set was latched but left unrun (it fell below the pool grain), and
-// whether the stop hook fired. It is single-threaded up to the work-channel
-// sends below: helpers only wake there, after the dispatch state is fully
-// written.
-func (p *stepPool) run(maxCycles int64, stop func() bool) (ran int64, latchedNext, stopped bool) {
-	p.maxCycles, p.stop = maxCycles, stop
+// whether the batch hook halted the batch. It is single-threaded up to the
+// work-channel sends below: helpers only wake there, after the dispatch
+// state is fully written.
+func (p *stepPool) run(maxCycles int64, hook func() bool) (ran int64, latchedNext, stopped bool) {
+	dispatches.Add(1)
+	p.maxCycles, p.hook = maxCycles, hook
 	p.ran, p.latchedNext, p.stopped = 0, false, false
 	p.cutShards()
 	for w := 1; w < p.workers; w++ {
 		p.work <- struct{}{}
 	}
 	p.cycles(0)
-	p.stop = nil
+	p.hook = nil
 	return p.ran, p.latchedNext, p.stopped
 }
 
@@ -195,8 +211,9 @@ func (p *stepPool) deliverRecorded() {
 	}
 }
 
-// endCycle closes the cycle and decides whether the dispatch continues.
-// Worker 0 runs it alone, single-threaded between two barriers.
+// endCycle closes the cycle, runs the batch hook before the next one and
+// decides whether the dispatch continues. Worker 0 runs it alone,
+// single-threaded between two barriers, so the hook may touch any node.
 //
 //quarc:hotpath
 func (p *stepPool) endCycle() {
@@ -210,7 +227,7 @@ func (p *stepPool) endCycle() {
 	if p.ran == p.maxCycles {
 		return
 	}
-	if p.stop != nil && p.stop() {
+	if p.hook != nil && p.hook() {
 		p.stopped = true
 		return
 	}

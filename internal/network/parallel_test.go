@@ -1,17 +1,20 @@
 package network_test
 
-// Mechanism tests for StepBatch and the worker pool: the stop hook must act
+// Mechanism tests for StepBatch and the worker pool: the batch hook must act
 // between cycles exactly as a caller's own per-Step loop would, whether the
 // cycles run serially, on the pool one dispatch per cycle, or batched many
 // cycles per dispatch. The end-to-end bit-identity matrix lives in the
 // experiment layer's registry-driven suite.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"quarc/internal/flit"
 	"quarc/internal/mesh"
 	"quarc/internal/network"
+	"quarc/internal/router"
 	"quarc/internal/trace"
 )
 
@@ -129,5 +132,97 @@ func TestTracedFabricStepsSerially(t *testing.T) {
 	if !reflect.DeepEqual(serial, pooled) {
 		t.Fatalf("traced fabric with a pool recorded %d events, serial fabric %d, or in another order",
 			len(pooled), len(serial))
+	}
+}
+
+// TestStepBatchHookMayEnqueue pins the hook's contract: it may enqueue
+// traffic between cycles, and the batch then simulates exactly what a
+// Step-per-cycle loop making the same enqueues does — on the pool too, where
+// the hook runs in worker 0's closing section while the helpers wait, so one
+// dispatch covers the stretch. A 16x16 mesh takes a unicast before every one
+// of its first 120 cycles and a software broadcast before every ninth, from
+// nodes spread over every shard; every router's statistics, every tracker
+// record and every delivered flit must match the reference loop.
+func TestStepBatchHookMayEnqueue(t *testing.T) {
+	const w, h, sendUntil, budget = 16, 16, 120, 5_000
+	type outcome struct {
+		stats   []router.Stats
+		records []network.MessageRecord
+		got     [][]flit.Flit
+		now     int64
+	}
+	run := func(t *testing.T, workers int, batched bool) outcome {
+		fab, as := buildMesh(t, w, h)
+		defer fab.Close()
+		fab.SetStepWorkers(workers)
+		fab.SetStepGrain(1)
+		n := len(as)
+		recs := make([]*recordingAdapter, n)
+		for node, a := range as {
+			recs[node] = &recordingAdapter{BaseAdapter: a}
+			fab.SetAdapter(node, recs[node])
+		}
+		var out outcome
+		fab.Tracker.OnDone = func(r network.MessageRecord) { out.records = append(out.records, r) }
+		// between enqueues cycle now's traffic and reports whether the run is
+		// over; the batch and the Step loop each call it once before every
+		// cycle.
+		between := func() bool {
+			now := fab.Now()
+			if now < sendUntil {
+				src := int(now*37) % n
+				as[src].SendUnicast((src+n/2+int(now))%n, 6, now)
+				if now%9 == 4 {
+					as[(src+101)%n].SendBroadcast(4, now)
+				}
+			}
+			return now >= sendUntil && fab.Tracker.InFlight() == 0
+		}
+		if batched {
+			fab.StepBatch(budget, between)
+		} else {
+			for !between() && fab.Now() < budget {
+				fab.Step()
+			}
+		}
+		if fab.Tracker.InFlight() != 0 {
+			t.Fatalf("%d messages in flight at cycle %d", fab.Tracker.InFlight(), fab.Now())
+		}
+		fab.SyncStats()
+		for node, r := range fab.Routers {
+			out.stats = append(out.stats, r.Stats())
+			out.got = append(out.got, recs[node].got)
+		}
+		out.now = fab.Now()
+		return out
+	}
+
+	want := run(t, 1, false)
+	if len(want.records) < sendUntil {
+		t.Fatalf("reference completed %d messages, want at least %d", len(want.records), sendUntil)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			before := network.PoolDispatches()
+			got := run(t, workers, true)
+			dispatched := network.PoolDispatches() - before
+			if got.now != want.now {
+				t.Fatalf("batch ended at cycle %d, reference at %d", got.now, want.now)
+			}
+			if !reflect.DeepEqual(got.records, want.records) {
+				t.Fatalf("tracker records differ from the reference loop's (%d vs %d)", len(got.records), len(want.records))
+			}
+			for node := range want.stats {
+				if got.stats[node] != want.stats[node] {
+					t.Fatalf("router %d stats %+v, reference %+v", node, got.stats[node], want.stats[node])
+				}
+				if !reflect.DeepEqual(got.got[node], want.got[node]) {
+					t.Fatalf("node %d received %d flits, reference %d, or others", node, len(got.got[node]), len(want.got[node]))
+				}
+			}
+			if workers > 1 && dispatched*10 > uint64(got.now) {
+				t.Errorf("%d dispatches for %d cycles: the hook's enqueues should not end a dispatch", dispatched, got.now)
+			}
+		})
 	}
 }

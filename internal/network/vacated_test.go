@@ -15,8 +15,8 @@ type recordingAdapter struct {
 	got []flit.Flit
 }
 
-func (r *recordingAdapter) Receive(f flit.Flit, now int64) {
-	r.got = append(r.got, f)
+func (r *recordingAdapter) Receive(f *flit.Flit, now int64) {
+	r.got = append(r.got, *f)
 	r.BaseAdapter.Receive(f, now)
 }
 

@@ -61,7 +61,8 @@ type RouteFunc func(node, in int, f flit.Flit) Decision
 // packet arriving on input port in with current virtual channel cur (0 at
 // injection). This implements the dateline discipline of internal/topology;
 // the torus model additionally resets the VC when a packet changes
-// dimension.
+// dimension. Like RouteFunc it must be a pure function: a waiting header's
+// VC is computed once, alongside its cached route, however long it waits.
 type VCFunc func(node, out, in, cur int, f flit.Flit) int
 
 // Config describes a switch instance.
@@ -85,12 +86,16 @@ type Config struct {
 // the oldest at base+head.
 type lane struct {
 	head, size, depth, base int32
-	active                  bool // between header grant and tail departure
+	pendVC                  int32 // with pendDec below; here it fills padding
+	active                  bool  // between header grant and tail departure
 	dec                     Decision
 	outVC                   int
 	// Cached routing verdict for the packet whose header waits at this
-	// lane's head: Route is pure, so a header blocked for many cycles needs
-	// it computed (and validated) once, not once per cycle.
+	// lane's head: Route and VCNext are pure, so a header blocked for many
+	// cycles needs them computed (and validated) once, not once per cycle.
+	// pendVC is the downstream VC the header requests on pendDec.Out (unset
+	// for pure ejection and for the shared ejection port, which takes the
+	// first free VC).
 	pendDec Decision
 	pendPkt uint64
 	pendOK  bool
@@ -425,7 +430,8 @@ func (r *Router) bidFor(i int) *bid {
 
 // laneDecision returns the routing decision governing the head flit of
 // nonempty lane ln = (i, l): the FCU's latched decision for an active packet,
-// or the cached (validated) route of the waiting header.
+// or the cached (validated) route of the waiting header, whose requested
+// downstream VC it caches beside it.
 //
 //quarc:hotpath
 func (r *Router) laneDecision(ln *lane, i, l int) Decision {
@@ -454,6 +460,18 @@ func (r *Router) laneDecision(ln *lane, i, l int) Decision {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d: route sends input %d to unreachable output %d",
 				r.cfg.Node, i, dec.Out))
+		}
+		if dec.Out != NoOutput && dec.Out != r.cfg.EjectPort {
+			// The lane a flit sits in is the VC it used on its incoming link
+			// (the network pushes forwarded flits into lane[outVC]);
+			// injection ports have a single lane 0, matching the VC-0 start
+			// of the dateline discipline.
+			vc := r.cfg.VCNext(r.cfg.Node, dec.Out, i, l, *head)
+			if vc < 0 || vc >= r.cfg.VCs {
+				//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
+				panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
+			}
+			ln.pendVC = int32(vc)
 		}
 		ln.pendDec, ln.pendPkt, ln.pendOK = dec, head.PktID, true
 	}
@@ -615,15 +633,8 @@ func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
 			return false, 0, StallVCBusy
 		}
 	} else {
-		// The lane a flit sits in is the VC it used on its incoming link
-		// (the network pushes forwarded flits into lane[outVC]); injection
-		// ports have a single lane 0, matching the VC-0 start of the
-		// dateline discipline.
-		vc = r.cfg.VCNext(r.cfg.Node, o, b.in, b.lane, r.slab[ln.headSlot()])
-		if vc < 0 || vc >= r.cfg.VCs {
-			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
-			panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
-		}
+		// The waiting header's dateline VC, cached with its route.
+		vc = int(ln.pendVC)
 		if op.owner[vc] != noOwner {
 			return false, 0, StallVCBusy
 		}

@@ -448,3 +448,43 @@ func TestNoActionRoutePanics(t *testing.T) {
 	}()
 	r.Arbitrate(nil)
 }
+
+// TestVCNextOncePerWaitingHeader: VCNext is pure, so a header waiting at a
+// lane head asks it once, beside its cached route, however many cycles it
+// stays blocked — and the cached VC is the one it is granted.
+func TestVCNextOncePerWaitingHeader(t *testing.T) {
+	lp := twoNodeLine(2)
+	calls := 0
+	vcf := lp.A.cfg.VCNext
+	lp.A.cfg.VCNext = func(node, out, in, cur int, f flit.Flit) int {
+		calls++
+		return vcf(node, out, in, cur, f)
+	}
+	block(t, lp, 0)
+	calls = 0
+	p := pkt(1, 2, 1)
+	lp.A.Push(0, 0, &p[0])
+	const blocked = 6
+	for cyc := 0; cyc < blocked; cyc++ {
+		if am, _ := lp.Step(false); len(am) != 0 {
+			t.Fatal("blocked header moved")
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("VCNext called %d times for a header blocked %d cycles, want 1", calls, blocked)
+	}
+	for cyc := 0; cyc < 4; cyc++ {
+		am, _ := lp.Step(true)
+		if len(am) == 0 {
+			continue
+		}
+		if am[0].OutVC != 0 {
+			t.Fatalf("header granted VC %d, VCNext said 0", am[0].OutVC)
+		}
+		if calls != 1 {
+			t.Fatalf("VCNext called %d times by the time the header moved, want 1", calls)
+		}
+		return
+	}
+	t.Fatal("header never moved once the downstream lane drained")
+}

@@ -3,8 +3,9 @@ package sim
 import "testing"
 
 // Dedicated Kernel bookkeeping tests: the calendar's Pending/NextEventTime
-// accounting and the repeating-event (ticker) lifecycle, including the skip
-// API the activity-driven fabric ticker uses.
+// accounting, the repeating-event (ticker) lifecycle including the skip API
+// the traffic sources use, and RunBefore, through which the experiment
+// layer's clock loop fires the calendar between fabric cycles.
 
 func TestPendingExcludesCancelled(t *testing.T) {
 	var k Kernel
@@ -175,5 +176,123 @@ func TestTickerSkipToPastUntil(t *testing.T) {
 	}
 	if k.Pending() != 1 {
 		t.Fatalf("Pending = %d, want the parked ticker", k.Pending())
+	}
+}
+
+// TestRunBeforeBoundaryIsExclusive: RunBefore(t, pri) fires every event that
+// sorts strictly before (t, pri) — earlier cycles at any priority — and
+// leaves an event at exactly (t, pri) queued.
+func TestRunBeforeBoundaryIsExclusive(t *testing.T) {
+	var k Kernel
+	var got []string
+	k.Schedule(4, PriStats, func(Time) { got = append(got, "4/stats") })
+	k.Schedule(5, PriFabric, func(Time) { got = append(got, "5/fabric") })
+	k.Schedule(6, PriTraffic, func(Time) { got = append(got, "6/traffic") })
+	k.RunBefore(5, PriFabric)
+	if len(got) != 1 || got[0] != "4/stats" {
+		t.Fatalf("RunBefore(5, PriFabric) fired %v, want [4/stats]", got)
+	}
+	if at, ok := k.NextEventTime(); !ok || at != 5 || k.Pending() != 2 {
+		t.Fatalf("next event %d,%v with %d pending, want the event at 5 of 2", at, ok, k.Pending())
+	}
+	k.RunBefore(5, PriFabric) // idempotent at the same boundary
+	if len(got) != 1 {
+		t.Fatalf("a repeated RunBefore fired %v", got[1:])
+	}
+}
+
+// TestRunBeforeSameCyclePriority: at the boundary cycle a lower priority runs
+// and a higher one waits for the next call.
+func TestRunBeforeSameCyclePriority(t *testing.T) {
+	var k Kernel
+	var got []Priority
+	k.Schedule(7, PriStats, func(Time) { got = append(got, PriStats) })
+	k.Schedule(7, PriTraffic, func(Time) { got = append(got, PriTraffic) })
+	k.RunBefore(7, PriFabric)
+	if len(got) != 1 || got[0] != PriTraffic {
+		t.Fatalf("RunBefore(7, PriFabric) fired %v, want only the traffic event", got)
+	}
+	k.RunBefore(8, PriFabric)
+	if len(got) != 2 || got[1] != PriStats {
+		t.Fatalf("RunBefore(8, PriFabric) fired %v, want the stats event of 7 next", got)
+	}
+}
+
+// TestRunBeforeTickerSeqMatchesRun: a ticker re-pushed by RunBefore takes
+// the same sequence number as under Run, so driving the calendar one cycle
+// at a time keeps every same-cycle tie where Run would break it. The ticker
+// schedules a one-shot each firing, interleaving fresh sequence numbers.
+func TestRunBeforeTickerSeqMatchesRun(t *testing.T) {
+	type firing struct {
+		at  Time
+		seq uint64
+	}
+	run := func(drive func(k *Kernel)) []firing {
+		var k Kernel
+		var got []firing
+		var e *Event
+		e = k.Ticker(0, 1, PriTraffic, func(now Time) bool {
+			got = append(got, firing{now, e.seq})
+			k.Schedule(now+1, PriStats, func(Time) {})
+			e.SkipTo(now + 1 + now%3)
+			return now < 20
+		})
+		k.Schedule(9, PriTraffic, func(now Time) { got = append(got, firing{now, 1 << 62}) })
+		drive(&k)
+		return got
+	}
+	want := run(func(k *Kernel) { k.Run(30) })
+	got := run(func(k *Kernel) {
+		for c := Time(0); c <= 31; c++ {
+			k.RunBefore(c, PriFabric)
+		}
+	})
+	if len(got) != len(want) || len(want) < 8 {
+		t.Fatalf("RunBefore fired %v, Run fired %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d: RunBefore %+v, Run %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRunBeforeStopsMidCalendar: Stop from inside an event halts RunBefore
+// before the next event, Stopped reports it, a stopped kernel's RunBefore
+// fires nothing, and Run resumes it.
+func TestRunBeforeStopsMidCalendar(t *testing.T) {
+	var k Kernel
+	fired := 0
+	k.Schedule(1, PriTraffic, func(Time) { fired++ })
+	k.Schedule(2, PriTraffic, func(Time) { fired++; k.Stop() })
+	k.Schedule(3, PriTraffic, func(Time) { fired++ })
+	k.RunBefore(10, PriFabric)
+	if fired != 2 || !k.Stopped() {
+		t.Fatalf("fired %d, stopped %v; want 2 events and a stopped kernel", fired, k.Stopped())
+	}
+	k.RunBefore(10, PriFabric)
+	if fired != 2 {
+		t.Fatal("a stopped kernel's RunBefore fired an event")
+	}
+	k.Run(10)
+	if fired != 3 || k.Stopped() {
+		t.Fatalf("Run after Stop fired %d events, stopped %v; want 3, false", fired, k.Stopped())
+	}
+}
+
+// TestRunBeforeSkipsCancelledHeads: cancelled events at the head of the
+// calendar are discarded without firing or counting, and the live events
+// behind them still run.
+func TestRunBeforeSkipsCancelledHeads(t *testing.T) {
+	var k Kernel
+	fired := 0
+	a := k.Schedule(1, PriTraffic, func(Time) { t.Error("cancelled event fired") })
+	b := k.Schedule(2, PriTraffic, func(Time) { t.Error("cancelled event fired") })
+	k.Schedule(3, PriTraffic, func(Time) { fired++ })
+	a.Cancel()
+	b.Cancel()
+	k.RunBefore(4, PriFabric)
+	if fired != 1 || k.Fired() != 1 || k.Pending() != 0 {
+		t.Fatalf("fired %d (Fired %d), %d pending; want 1, 1, 0", fired, k.Fired(), k.Pending())
 	}
 }

@@ -1,10 +1,16 @@
 // Package sim is a minimal discrete-event simulation kernel.
 //
 // It plays the role OMNeT++ plays in the paper: an event calendar with
-// deterministic ordering that drives the flit-level network model. Time is an
+// deterministic ordering for the flit-level network model. Time is an
 // integer cycle count. Events scheduled for the same cycle are ordered by an
 // explicit priority and then by insertion sequence, so a simulation is a pure
 // function of its inputs and seeds.
+//
+// The calendar holds the sparse events (traffic arrivals, statistics
+// samples); the fabric's every-cycle clock is not an event. The experiment
+// layer owns that clock and, before each cycle t, fires the calendar up to
+// (t, PriFabric) with RunBefore, so the per-cycle work is one comparison
+// against the calendar's head, not a heap push and pop.
 package sim
 
 // Time is simulation time in clock cycles.
@@ -14,8 +20,8 @@ type Time = int64
 type Priority int
 
 // Standard priorities used by the network model. Traffic arrives first so a
-// message generated at cycle t can be considered by the fabric tick of the
-// same cycle; statistics run last so they observe a settled state.
+// message generated at cycle t can be considered by the fabric cycle t;
+// statistics run last so they observe the state that cycle left.
 const (
 	PriTraffic Priority = 10
 	PriFabric  Priority = 20
@@ -30,8 +36,8 @@ type Event struct {
 	fn  func(now Time)
 	// tick, when set, makes this a repeating event: after it fires, the
 	// same Event object is re-pushed every cycles later while tick returns
-	// true. Reusing the object keeps per-cycle tickers (the fabric clock)
-	// allocation-free.
+	// true. Reusing the object keeps tickers (each traffic source, the
+	// samplers) allocation-free.
 	tick   func(now Time) bool
 	every  Time
 	skipTo Time
@@ -55,9 +61,8 @@ func (e *Event) Cancel() {
 // SkipTo requests that this repeating event's next firing be at the given
 // absolute time instead of one period after the current one (it never moves
 // the firing earlier than that). Call it from inside the event's own
-// callback; the request applies to the upcoming reschedule only. The fabric
-// ticker uses it to fast-forward over stretches of cycles in which nothing
-// can happen.
+// callback; the request applies to the upcoming reschedule only. A traffic
+// source uses it to jump to its next arrival.
 func (e *Event) SkipTo(at Time) { e.skipTo = at }
 
 // before is the calendar order: time, then priority, then insertion
@@ -175,50 +180,71 @@ func (k *Kernel) After(delay Time, pri Priority, fn func(now Time)) *Event {
 	return k.Schedule(k.now+delay, pri, fn)
 }
 
-// Stop halts Run before the next event fires.
+// Stop halts Run or RunBefore before the next event fires.
 func (k *Kernel) Stop() { k.stopped = true }
+
+// Stopped reports whether Stop was called since the last Run began. A stopped
+// kernel's RunBefore fires nothing until Run resets it.
+func (k *Kernel) Stopped() bool { return k.stopped }
 
 // Run executes events in order until the calendar is empty, an event at a
 // time strictly greater than until would fire, or Stop is called. It returns
 // the final simulation time.
 func (k *Kernel) Run(until Time) Time {
 	k.stopped = false
-	for len(k.heap) > 0 && !k.stopped {
-		e := k.heap[0]
-		if e.at > until {
-			break
-		}
-		k.pop()
-		if e.dead {
-			continue
-		}
-		k.live--
-		k.now = e.at
-		k.fired++
-		if e.tick != nil {
-			// Repeating event: fire, then re-push the same object. The
-			// sequence number is taken after the callback runs, matching a
-			// callback that reschedules itself as its last action.
-			if e.tick(e.at) && !e.dead {
-				next := e.at + e.every
-				if e.skipTo > next {
-					next = e.skipTo
-				}
-				e.skipTo = 0
-				e.at = next
-				e.seq = k.seq
-				k.seq++
-				k.live++
-				k.push(e)
-			}
-			continue
-		}
-		e.fn(e.at)
+	for len(k.heap) > 0 && !k.stopped && k.heap[0].at <= until {
+		k.fire()
 	}
 	if k.now < until && !k.stopped {
 		k.now = until
 	}
 	return k.now
+}
+
+// RunBefore executes, in calendar order, every event that sorts before
+// (t, pri): all events earlier than cycle t, and those at t with a lower
+// priority. It stops early when Stop is called. A caller that owns a clock
+// of its own (the experiment layer's fabric loop) uses it to interleave the
+// calendar with its cycles without scheduling an event per cycle: calling
+// RunBefore(t, PriFabric) before stepping cycle t fires the traffic of t and
+// everything earlier, and leaves the statistics of t until the cycle is done.
+func (k *Kernel) RunBefore(t Time, pri Priority) {
+	for len(k.heap) > 0 && !k.stopped {
+		if e := k.heap[0]; e.at > t || e.at == t && e.pri >= pri {
+			return
+		}
+		k.fire()
+	}
+}
+
+// fire pops the earliest event and runs it, unless it was cancelled.
+func (k *Kernel) fire() {
+	e := k.pop()
+	if e.dead {
+		return
+	}
+	k.live--
+	k.now = e.at
+	k.fired++
+	if e.tick == nil {
+		e.fn(e.at)
+		return
+	}
+	// Repeating event: fire, then re-push the same object. The sequence
+	// number is taken after the callback runs, matching a callback that
+	// reschedules itself as its last action.
+	if e.tick(e.at) && !e.dead {
+		next := e.at + e.every
+		if e.skipTo > next {
+			next = e.skipTo
+		}
+		e.skipTo = 0
+		e.at = next
+		e.seq = k.seq
+		k.seq++
+		k.live++
+		k.push(e)
+	}
 }
 
 // Ticker repeatedly schedules fn every period cycles at the given priority,
