@@ -1,6 +1,7 @@
 package quarc_test
 
 import (
+	"runtime"
 	"testing"
 
 	"quarc"
@@ -87,4 +88,43 @@ func TestActivityCycleSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, idleWake); allocs != 0 {
 		t.Fatalf("idle/wake cycle allocated %.1f times in steady state; want 0", allocs)
 	}
+}
+
+// TestBuildFootprint pins what a built fabric costs the host: a 32x32 mesh,
+// the largest design point, in live heap bytes per node (measured across
+// the build between two collections), and a 64-node Quarc in allocations.
+// The switches of a fabric are one router.NewSet — each kind of switch state
+// one array — and a buffered flit is a 16-byte slot, so the mesh stays under
+// 3,100 bytes a node and the Quarc under 750 allocations. CI runs it by name.
+func TestBuildFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs without -race")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fab, nodes, err := quarc.Build("mesh", 1024, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(len(nodes))
+	runtime.KeepAlive(fab)
+	if perNode > 3100 {
+		t.Errorf("a built mesh-1024 holds %d heap bytes per node, want <= 3,100", perNode)
+	}
+	t.Logf("mesh-1024: %d heap bytes per node", perNode)
+
+	allocs := testing.AllocsPerRun(5, func() {
+		fab, _, err := quarc.Build("quarc", 64, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab.Close()
+	})
+	if allocs > 750 {
+		t.Errorf("building quarc-64 took %.0f allocations, want <= 750", allocs)
+	}
+	t.Logf("quarc-64: %.0f allocations", allocs)
 }

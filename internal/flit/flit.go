@@ -1,14 +1,20 @@
 // Package flit defines the flit and packet formats of the Quarc NoC
-// (paper §2.6, Fig 7) and the in-simulator representation used by the
-// fabric.
+// (paper §2.6, Fig 7) and the whole-flit view the simulator's API speaks.
 //
 // A wormhole packet is a sequence of flits: one header, zero or more body
 // flits, and one tail. On the wire a flit is 34 bits: a 32-bit payload plus
 // the 2-bit flit type added by the transceiver's write controller (§2.4).
-// Header flits carry the traffic type in their top 3 bits. The simulator
-// moves Flit structs (which carry bookkeeping such as generation timestamps)
-// but the 34-bit wire encoding is implemented and tested so that the format
-// is a faithful, executable specification.
+// Header flits carry the traffic type in their top 3 bits. The 34-bit wire
+// encoding is implemented and tested so that the format is a faithful,
+// executable specification.
+//
+// A Flit carries, besides its own word, its packet's header fields and
+// simulator bookkeeping such as generation timestamps. It is the header
+// record a packet is enqueued with and the flit a PE is delivered, but not
+// what the fabric moves: lanes, links and source queues hold 16-byte
+// router.Slots — the flit's word, index and kind plus the handle of its
+// packet's header record in the fabric's packet table — and a slot
+// materialises into exactly the Flit AppendPacket would have formed.
 package flit
 
 import "fmt"
@@ -62,9 +68,10 @@ func (t Traffic) String() string {
 	return fmt.Sprintf("Traffic(%d)", uint8(t))
 }
 
-// Flit is the unit moved by the fabric. Fields beyond the wire format
-// (MsgID, timestamps, chain bookkeeping) are simulator-side metadata the
-// hardware would keep in per-packet state or derive from the payload.
+// Flit is one flit with its packet's header fields (see the package
+// comment). Fields beyond the wire format (MsgID, timestamps, chain
+// bookkeeping) are simulator-side metadata the hardware would keep in
+// per-packet state or derive from the payload.
 type Flit struct {
 	Kind     Kind
 	Traffic  Traffic // valid on header flits
@@ -96,8 +103,9 @@ func Packet(h Flit, length int) []Flit {
 // carry reusable capacity) and returns the extended slice. Every element is
 // fully overwritten, so recycled storage never leaks state between packets.
 // It is the definition of a packet's flits: the source queues in
-// internal/network form the same flits one at a time as they inject, and
-// are tested flit for flit against this expansion.
+// internal/network form the same flits, as slots over the fabric's packet
+// table, one at a time as they inject, and are tested flit for flit against
+// this expansion.
 func AppendPacket(dst []Flit, h Flit, length int) []Flit {
 	if length < 2 {
 		panic("flit: packet length must be at least 2 (header + tail)")

@@ -274,11 +274,13 @@ func BenchmarkPacketAssembly(b *testing.B) {
 	}
 }
 
-// TestFlitSize pins the in-simulator flit at 80 bytes. Every hop copies a
-// Flit once and every lane slot holds one, so the size is the datapath's
-// unit cost: the fields are ordered small-to-large to leave a single byte of
-// padding, and growing the struct should be a reviewed decision, not a side
-// effect of adding a field.
+// TestFlitSize pins Flit at 80 bytes. A Flit is no longer the per-hop unit —
+// lanes, links and source queues move 16-byte router.Slots — but it is the
+// header record a packet is enqueued with, the type the wire codec,
+// AppendPacket and the tests speak, and what every delivered flit is
+// materialised into for the PE, the tracker and the trace. The fields are
+// ordered small-to-large to leave a single byte of padding, and growing the
+// struct should be a reviewed decision, not a side effect of adding a field.
 func TestFlitSize(t *testing.T) {
 	if got := unsafe.Sizeof(Flit{}); got != 80 {
 		t.Fatalf("unsafe.Sizeof(Flit{}) = %d, want 80", got)

@@ -128,25 +128,27 @@ func Build(cfg Config) (*network.Fabric, []*network.BaseAdapter, error) {
 		return nil, nil, fmt.Errorf("mesh: buffer depth %d", cfg.Depth)
 	}
 	n := m.N()
-	routers := make([]*router.Router, n)
 	wires := make([][]network.OutputWire, n)
 	injStart := make([]int, n)
 	inLanes := []int{link2VCs, link2VCs, link2VCs, link2VCs, 1}
-	for node := 0; node < n; node++ {
-		routers[node] = router.New(router.Config{
+	route, vcNext := Route(m), VCNext(m)
+	routers := router.NewSet(n, func(node int) router.Config {
+		return router.Config{
 			Node:      node,
 			VCs:       link2VCs,
 			Depth:     cfg.Depth,
 			InLanes:   inLanes,
 			NOut:      numPorts,
 			EjectPort: Eject,
-			Route:     Route(m),
-			VCNext:    VCNext(m),
+			Route:     route,
+			VCNext:    vcNext,
 			// XY turns make most input-output pairs legal; keep the crossbar
 			// full and rely on the routing function (U-turns never happen
 			// under XY, which the tests assert via link loads).
 			Reach: nil,
-		})
+		}
+	})
+	for node := 0; node < n; node++ {
 		x, y := m.XY(node)
 		w := make([]network.OutputWire, numPorts)
 		w[Eject] = network.OutputWire{Sink: true}

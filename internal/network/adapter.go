@@ -12,10 +12,11 @@ import (
 // model of the paper's evaluation queues messages here while the injection
 // channel is busy; the queue population is the saturation signal.
 //
-// A queued packet is one descriptor, not its flits: the paper's transceiver
-// forms flits as it injects them (§2.4), so a waiting M-flit message costs
-// 88 bytes whatever M is. The front descriptor's flit is the packet's current
-// flit, rewritten in place by Advance into, field for field, the flit
+// A queued packet is one 24-byte entry, not its flits: its header record
+// lives in the fabric's packet table, and the paper's transceiver forms
+// flits as it injects them (§2.4). The front entry's slot is the packet's
+// current flit, rewritten in place by Advance into the slot of its next flit;
+// materialised through the table, each is, field for field, the flit
 // flit.AppendPacket would have stored. Dequeueing advances a head index and
 // the backing array is compacted as it drains, so a steady-state simulation
 // injects messages without allocating. A running flit counter makes
@@ -27,37 +28,23 @@ type PacketQueue struct {
 	backlog int // flits still to inject, maintained incrementally
 }
 
-// queuedPacket describes one queued packet: the next flit it will inject
-// (its header until it starts streaming; PktLen is the packet length on every
-// flit) and the router input port it injects through.
+// queuedPacket is one queued packet: the slot of the next flit it will inject
+// (its header until it starts streaming), its length and the router input
+// port it injects through.
 type queuedPacket struct {
-	f    flit.Flit
-	port int
+	s            router.Slot
+	length, port int32
 }
 
-// set fills the descriptor with a packet of length flits headed by *h,
-// normalising the header as flit.AppendPacket does.
+// PushBack appends a packet of length flits whose header slot is h (as
+// router.Packets.Add returns it), to be injected through router input port.
 //
 //quarc:hotpath
-func (p *queuedPacket) set(h *flit.Flit, length, port int) {
-	//quarc:allow hotpath: once per packet, not per flit or hop
-	p.f = *h
-	p.f.Kind = flit.Header
-	p.f.Seq = 0
-	p.f.PktLen = length
-	p.port = port
-}
-
-// PushBack appends a packet of length flits headed by *h, to be injected
-// through router input port.
-//
-//quarc:hotpath
-func (q *PacketQueue) PushBack(h *flit.Flit, length, port int) {
+func (q *PacketQueue) PushBack(h router.Slot, length, port int) {
 	if length < 2 {
 		panic("network: packet too short")
 	}
-	q.pkts = append(q.pkts, queuedPacket{})
-	q.pkts[len(q.pkts)-1].set(h, length, port)
+	q.pkts = append(q.pkts, queuedPacket{h, int32(length), int32(port)})
 	q.backlog += length
 }
 
@@ -66,17 +53,18 @@ func (q *PacketQueue) PushBack(h *flit.Flit, length, port int) {
 // (a switch cannot recall flits already committed to the channel).
 //
 //quarc:hotpath
-func (q *PacketQueue) PushFront(h *flit.Flit, length, port int) {
+func (q *PacketQueue) PushFront(h router.Slot, length, port int) {
 	if length < 2 {
 		panic("network: packet too short")
 	}
 	q.backlog += length
-	streaming := q.head < len(q.pkts) && q.pkts[q.head].f.Seq > 0
+	p := queuedPacket{h, int32(length), int32(port)}
+	streaming := q.head < len(q.pkts) && q.pkts[q.head].s.Seq > 0
 	if !streaming && q.head > 0 {
 		// The drained prefix has a free slot just before the front packet:
 		// insert in O(1) instead of shifting the live region.
 		q.head--
-		q.pkts[q.head].set(h, length, port)
+		q.pkts[q.head] = p
 		return
 	}
 	at := q.head
@@ -85,24 +73,24 @@ func (q *PacketQueue) PushFront(h *flit.Flit, length, port int) {
 	}
 	q.pkts = append(q.pkts, queuedPacket{})
 	copy(q.pkts[at+1:], q.pkts[at:])
-	q.pkts[at].set(h, length, port)
+	q.pkts[at] = p
 }
 
-// NextFlit returns the next flit to inject and the router input port it
-// goes through, or nil when the queue is empty. The flit is materialised in
-// place in the queue: the pointer is valid until the queue is next modified.
+// NextFlit returns the slot of the next flit to inject and the router input
+// port it goes through, or nil when the queue is empty. The slot lies in the
+// queue: the pointer is valid until the queue is next modified.
 //
 //quarc:hotpath
-func (q *PacketQueue) NextFlit() (*flit.Flit, int) {
+func (q *PacketQueue) NextFlit() (*router.Slot, int) {
 	if q.head == len(q.pkts) {
 		return nil, 0
 	}
 	p := &q.pkts[q.head]
-	return &p.f, p.port
+	return &p.s, int(p.port)
 }
 
-// Advance consumes the peeked flit: the front packet's descriptor becomes its
-// next flit, or leaves the queue after its tail.
+// Advance consumes the peeked flit: the front packet's slot becomes its next
+// flit's, or the packet leaves the queue after its tail.
 //
 //quarc:hotpath
 func (q *PacketQueue) Advance() {
@@ -110,14 +98,14 @@ func (q *PacketQueue) Advance() {
 		panic("network: Advance on empty queue")
 	}
 	q.backlog--
-	f := &q.pkts[q.head].f
-	if seq := f.Seq + 1; seq < f.PktLen {
-		f.Kind = flit.Body
-		if seq == f.PktLen-1 {
-			f.Kind = flit.Tail
+	p := &q.pkts[q.head]
+	if seq := p.s.Seq + 1; seq < p.length {
+		p.s.Kind = flit.Body
+		if seq == p.length-1 {
+			p.s.Kind = flit.Tail
 		}
-		f.Seq = seq
-		f.Payload = uint32(seq)
+		p.s.Seq = seq
+		p.s.Payload = uint32(seq)
 		return
 	}
 	q.head++
@@ -238,17 +226,17 @@ func (b *BaseAdapter) bind(f *Fabric, node int) {
 	b.Fab = f
 }
 
-// Enqueue queues a new packet of length flits headed by h: it takes the next
-// packet id, enters the source queue and injection port the injection rule
-// gives h.Dst, and wakes the node — a sleeping router would otherwise never
-// notice the packet.
+// Enqueue queues a new packet of length flits headed by *h: it stamps the
+// next packet id into h.PktID, records the header in the fabric's packet
+// table, enters the source queue and injection port the injection rule gives
+// h.Dst, and wakes the node — a sleeping router would otherwise never notice
+// the packet.
 //
 //quarc:hotpath
-//quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
-func (b *BaseAdapter) Enqueue(h flit.Flit, length int) {
+func (b *BaseAdapter) Enqueue(h *flit.Flit, length int) {
 	h.PktID = b.Fab.NextPktID()
 	qi, port := b.Inject(h.Dst)
-	b.Queues[qi].PushBack(&h, length, port)
+	b.Queues[qi].PushBack(b.Fab.Packets.Add(h, length), length, port)
 	b.Fab.wake(b.Node)
 }
 
@@ -256,11 +244,10 @@ func (b *BaseAdapter) Enqueue(h flit.Flit, length int) {
 // packets (chain retransmissions) bypass waiting PE traffic.
 //
 //quarc:hotpath
-//quarc:allow hotpath: the header template is copied once per message, not per flit or per hop
-func (b *BaseAdapter) EnqueueFront(h flit.Flit, length int) {
+func (b *BaseAdapter) EnqueueFront(h *flit.Flit, length int) {
 	h.PktID = b.Fab.NextPktID()
 	qi, port := b.Inject(h.Dst)
-	b.Queues[qi].PushFront(&h, length, port)
+	b.Queues[qi].PushFront(b.Fab.Packets.Add(h, length), length, port)
 	b.Fab.wake(b.Node)
 }
 
@@ -275,7 +262,7 @@ func (b *BaseAdapter) NewMessage(c MessageClass, expected int, now int64) uint64
 
 // unicast enqueues one unicast packet of message msgID for dst.
 func (b *BaseAdapter) unicast(dst, msgLen int, msgID uint64, now int64) {
-	b.Enqueue(flit.Flit{Traffic: flit.Unicast, Src: b.Node, Dst: dst, MsgID: msgID, Gen: now}, msgLen)
+	b.Enqueue(&flit.Flit{Traffic: flit.Unicast, Src: b.Node, Dst: dst, MsgID: msgID, Gen: now}, msgLen)
 }
 
 // SendUnicast queues a unicast message of msgLen flits for dst.
@@ -324,11 +311,11 @@ func (b *BaseAdapter) SendMulticast(targets []int, msgLen int, now int64) uint64
 func (b *BaseAdapter) Feed(now int64) {
 	for qi := range b.Queues {
 		q := &b.Queues[qi]
-		f, port := q.NextFlit()
-		if f == nil {
+		s, port := q.NextFlit()
+		if s == nil {
 			continue
 		}
-		if b.R.Push(port, 0, f) {
+		if b.R.Push(port, 0, s) {
 			q.Advance()
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"quarc/internal/flit"
 	"quarc/internal/rng"
+	"quarc/internal/router"
 )
 
 // sumBacklog recomputes the flit backlog the slow way, as FlitBacklog did
@@ -12,7 +13,7 @@ import (
 func sumBacklog(q *PacketQueue) int {
 	total := 0
 	for _, p := range q.pkts[q.head:] {
-		total += p.f.PktLen - p.f.Seq
+		total += int(p.length - p.s.Seq)
 	}
 	return total
 }
@@ -28,11 +29,10 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 		switch {
 		case q.Packets() == 0 || r.Intn(3) == 0:
 			length := 2 + r.Intn(6)
-			h := flit.Flit{PktID: uint64(op) + 1}
 			if r.Intn(4) == 0 {
-				q.PushFront(&h, length, 0)
+				q.PushFront(hdr(uint64(op)+1), length, 0)
 			} else {
-				q.PushBack(&h, length, 0)
+				q.PushBack(hdr(uint64(op)+1), length, 0)
 			}
 		default:
 			if f, _ := q.NextFlit(); f != nil {
@@ -55,9 +55,10 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 	}
 }
 
-// expandedQueue is the source queue as it was before descriptors: every
-// packet stored as the flits flit.AppendPacket expands it to. It is the
-// oracle TestPacketQueueMatchesAppendPacket holds the descriptor queue to.
+// expandedQueue is the source queue as it was before descriptors and the
+// packet table: every packet stored as the flits flit.AppendPacket expands it
+// to. It is the oracle TestPacketQueueMatchesAppendPacket holds the queue's
+// slots, materialised through the packet table, to.
 type expandedQueue struct {
 	pkts  [][]flit.Flit
 	ports []int
@@ -107,15 +108,18 @@ func randomHeader(r *rng.Stream, id uint64) flit.Flit {
 	}
 }
 
-// TestPacketQueueMatchesAppendPacket is the descriptor queue's differential
+// TestPacketQueueMatchesAppendPacket is the source queue's differential
 // oracle: under random interleavings of PushBack, PushFront and Advance —
 // the queue idle, mid-packet, deep enough to compact, and drained to empty —
-// every flit it offers must equal, on every field, the flit the
-// pre-expanded queue would have offered, through the same port, with the
-// same FlitBacklog and Packets after every operation.
+// every slot it offers, materialised through the packet table, must equal on
+// every field the flit the pre-expanded queue would have offered, through
+// the same port, with the same FlitBacklog and Packets after every
+// operation. Each packet's handle is freed once its tail has left the queue,
+// so later packets reuse handles as they do in a fabric.
 func TestPacketQueueMatchesAppendPacket(t *testing.T) {
 	r := rng.New(7, 0)
 	var q PacketQueue
+	var tbl router.Packets
 	var ref expandedQueue
 	compacted, filling := false, true
 	for op := 0; op < 60000; op++ {
@@ -135,14 +139,17 @@ func TestPacketQueueMatchesAppendPacket(t *testing.T) {
 			h := randomHeader(r, uint64(op)+1)
 			length, port := 2+r.Intn(7), r.Intn(4)
 			if r.Intn(4) == 0 {
-				q.PushFront(&h, length, port)
+				q.PushFront(tbl.Add(&h, length), length, port)
 				ref.pushFront(h, length, port)
 			} else {
-				q.PushBack(&h, length, port)
+				q.PushBack(tbl.Add(&h, length), length, port)
 				ref.insert(len(ref.pkts), h, length, port)
 			}
 		} else if len(ref.pkts) > 0 {
 			headBefore := q.head
+			if s, _ := q.NextFlit(); s.Kind == flit.Tail {
+				tbl.Free(s.Pkt)
+			}
 			q.Advance()
 			ref.advance()
 			compacted = compacted || (headBefore > 32 && q.head == 0 && q.Packets() > 0)
@@ -158,9 +165,12 @@ func TestPacketQueueMatchesAppendPacket(t *testing.T) {
 			}
 			continue
 		}
-		if f == nil || *f != ref.pkts[0][ref.pos] || port != ref.ports[0] {
-			t.Fatalf("op %d: next flit %+v port %d\noracle %+v port %d", op, f, port, ref.pkts[0][ref.pos], ref.ports[0])
+		if f == nil || tbl.Flit(f) != ref.pkts[0][ref.pos] || port != ref.ports[0] {
+			t.Fatalf("op %d: next slot %+v port %d\noracle %+v port %d", op, f, port, ref.pkts[0][ref.pos], ref.ports[0])
 		}
+	}
+	if tbl.Live() != q.Packets() {
+		t.Fatalf("%d packets live in the table, %d queued", tbl.Live(), q.Packets())
 	}
 	if !compacted {
 		t.Fatal("the drive never compacted a non-empty queue")

@@ -15,12 +15,19 @@
 // only that node's switch: flow control is internal/router's sender-side
 // credit counters, so no switch reads a neighbour. Apply carries every move's
 // effects, split per move into an ordered half (deliver: the PE copy,
-// reassembly, tracker, packet ids — ascending node order) and a commutative
-// half (link: credit returned upstream, multicast bit shift, downstream push,
-// wakes — integer adds and single-writer pushes, the same state in any
-// order). Pass 2 feeds each node's adapter and decides whether it may sleep.
-// SetStepWorkers shards all but the ordered half across a worker pool with
-// byte-identical results (see parallel.go).
+// reassembly, tracker, packet ids, the packet table — ascending node order)
+// and a commutative half (link: credit returned upstream, multicast hop count,
+// downstream push, wakes — integer adds and single-writer pushes, the same
+// state in any order). Pass 2 feeds each node's adapter and decides whether
+// it may sleep. SetStepWorkers shards all but the ordered half across a
+// worker pool with byte-identical results (see parallel.go).
+//
+// Flits travel as 16-byte router.Slots. A packet's header record is kept
+// once, in the fabric's packet table (Packets), from the adapter's enqueue
+// until its tail leaves the network — delivered and not forwarded — when the
+// ordered half frees its handle. A delivered flit is materialised from its
+// slot and the table into fabric scratch, so adapters, the tracker and the
+// trace see whole flit.Flits.
 //
 // Stepping is activity-driven: the fabric keeps a set of active nodes (any
 // buffered flit or pending source-queue backlog) and each cycle visits only
@@ -62,9 +69,9 @@ type Adapter interface {
 	// Feed may push at most one flit per injection port into its router's
 	// injection lanes. Called once per cycle after commits.
 	Feed(now int64)
-	// Receive consumes a flit delivered to the local PE. *f is the slot the
-	// flit's move vacated in the switch (the vacated-slot rule of
-	// internal/router): valid for the call, to be copied, not kept.
+	// Receive consumes a flit delivered to the local PE. *f is the flit
+	// materialised in the fabric's scratch: valid for the call, to be copied,
+	// not kept.
 	Receive(f *flit.Flit, now int64)
 	// Backlog returns the flits still waiting in the adapter's source
 	// queues; the fabric consults it before putting a drained router to
@@ -132,13 +139,13 @@ func newStepScratch(lo, hi int) stepScratch {
 // feederRef names the one output wired to an input port (node -1: injection).
 type feederRef struct{ node, out int32 }
 
-// linkRec is one link effect aimed at a node: the push of *f into input lane
-// (port, vc) when f is non-nil, else one credit for output counter (port, vc).
-// f points at the slot the flit's move vacated in the sending switch.
+// linkRec is one link effect aimed at a node: the push of *s into input lane
+// (port, vc) when s is non-nil, else one credit for output counter (port, vc).
+// s points at the slot the flit's move vacated in the sending switch.
 type linkRec struct {
 	node     int32
 	port, vc int16
-	f        *flit.Flit
+	s        *router.Slot
 }
 
 // Fabric is the assembled network.
@@ -147,6 +154,9 @@ type Fabric struct {
 	Routers  []*router.Router
 	Adapters []Adapter
 	Tracker  *Tracker
+	// Packets is the packet table every switch and source queue of the
+	// fabric resolves its slots in (see the package comment).
+	Packets *router.Packets
 	// Trace, when non-nil, records flit-level forward/deliver events.
 	Trace *trace.Buffer
 
@@ -157,6 +167,7 @@ type Fabric struct {
 	cycle    int64
 	pktSeq   uint64
 	msgSeq   uint64
+	rx       flit.Flit // the delivered flit, materialised for the PE
 
 	// Activity scheduling state.
 	activeMask []uint64 // bit per node: stepped next cycle
@@ -186,20 +197,27 @@ type Fabric struct {
 	stepped   uint64 // router-steps executed (activity diagnostic)
 }
 
-// New assembles a fabric. wires[node][out] must describe every output port
+// New assembles a fabric from the switches of one router.NewSet, whose
+// packet table it adopts. wires[node][out] must describe every output port
 // of every router; injStart[node] is the index of the first injection input
 // port of node (ports below it are network inputs whose multicast bitstrings
 // shift on forward).
 func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric {
 	n := len(routers)
-	if len(wires) != n || len(injStart) != n {
+	if n == 0 || len(wires) != n || len(injStart) != n {
 		panic("network: inconsistent fabric tables")
+	}
+	for _, r := range routers {
+		if r.Packets() != routers[0].Packets() {
+			panic("network: switches of one fabric must share a packet table (build them with router.NewSet)")
+		}
 	}
 	f := &Fabric{
 		N:          n,
 		Routers:    routers,
 		Adapters:   make([]Adapter, n),
 		Tracker:    NewTracker(),
+		Packets:    routers[0].Packets(),
 		wires:      wires,
 		injStart:   injStart,
 		moves:      make([][]router.Move, n),
@@ -228,10 +246,11 @@ func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric
 	// Arbitrate grants at most one move per input port, so each node's
 	// window of one slab never grows.
 	moves := make([]router.Move, inputs)
+	feeders := make([]feederRef, inputs)
 	for node, r := range routers {
 		k := r.NumInputs()
 		f.moves[node], moves = moves[:0:k], moves[k:]
-		f.feeder[node] = make([]feederRef, k)
+		f.feeder[node], feeders = feeders[:k:k], feeders[k:]
 		for i := range f.feeder[node] {
 			f.feeder[node][i].node = -1
 		}
@@ -509,25 +528,38 @@ func (f *Fabric) movesOf(node int) []router.Move {
 
 // deliver is the ordered half of applying move m of node: the PE copy goes
 // through reassembly to the tracker, and a completed packet may allocate
-// packet ids and queue a retransmission. Single-threaded, ascending node
-// order: this is the simulation's event order.
+// packet ids and queue a retransmission. A tail that is delivered and not
+// forwarded leaves the network, and its packet leaves the table.
+// Single-threaded, ascending node order: this is the simulation's event
+// order, and with the batch hook the only writer of the packet table.
 //
 //quarc:hotpath
 func (f *Fabric) deliver(node int, m *router.Move) {
 	f.delivered++
-	fl := f.Routers[node].MoveFlit(m)
+	s := f.Routers[node].MoveFlit(m)
 	if f.Trace != nil {
-		f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Deliver,
-			Node: node, Out: -1, VC: -1,
-			PktID: fl.PktID, MsgID: fl.MsgID, Seq: fl.Seq})
+		f.record(trace.Deliver, node, -1, -1, s)
 	}
-	f.Adapters[node].Receive(fl, f.cycle)
+	//quarc:allow hotpath: the delivered flit is materialised once per delivery, into scratch the ordered half owns
+	f.rx = f.Packets.Flit(s)
+	f.Adapters[node].Receive(&f.rx, f.cycle)
+	if s.Kind == flit.Tail && (m.Out == router.NoOutput || f.wires[node][m.Out].Sink) {
+		f.Packets.Free(s.Pkt)
+	}
+}
+
+// record traces one flit event. A traced fabric steps serially, so the slot's
+// packet is still in the table.
+func (f *Fabric) record(kind trace.Kind, node, out, vc int, s *router.Slot) {
+	fl := f.Packets.Flit(s)
+	f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: kind, Node: node, Out: out, VC: vc,
+		PktID: fl.PktID, MsgID: fl.MsgID, Seq: fl.Seq})
 }
 
 // link is the commutative half of applying move m of node: the pop's credit
-// goes back to the lane's feeder, and a forwarded flit is shifted and pushed
-// downstream. Effects on the calling worker's own nodes apply at once, the
-// rest are posted to their owner, and the pushed flit is read in the slot
+// goes back to the lane's feeder, and a forwarded flit counts its hop and is
+// pushed downstream. Effects on the calling worker's own nodes apply at once,
+// the rest are posted to their owner, and the pushed flit is read in the slot
 // its move vacated (router.Router.MoveFlit), valid until apply has finished.
 //
 //quarc:hotpath
@@ -542,22 +574,21 @@ func (f *Fabric) link(node int, m *router.Move, sc *stepScratch) {
 	if w.Sink {
 		return // shared ejection port: consumed by the PE
 	}
-	fl := f.Routers[node].MoveFlit(m)
-	if m.In < f.injStart[node] {
+	s := f.Routers[node].MoveFlit(m)
+	if m.In < f.injStart[node] && s.Hop < 64 {
 		// Multicast bitstrings are hop-indexed: forwarding from a network
 		// input moves the stream one hop, so the hardware shifts the
 		// bitstring (bit 0 always means "the node this flit is arriving
 		// at"). The vacated slot holds the flit in flight — any local
-		// delivery has already read it — so it is shifted where it lies.
-		fl.Bits >>= 1
+		// delivery has already read it — so its hop is counted where it
+		// lies; past 64 hops the shifted bitstring is zero.
+		s.Hop++
 	}
 	sc.forwarded++
 	if f.Trace != nil {
-		f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Forward,
-			Node: node, Out: m.Out, VC: m.OutVC,
-			PktID: fl.PktID, MsgID: fl.MsgID, Seq: fl.Seq})
+		f.record(trace.Forward, node, m.Out, m.OutVC, s)
 	}
-	f.send(sc, linkRec{node: int32(w.Dst.Node), port: int16(w.Dst.Port), vc: int16(m.OutVC), f: fl})
+	f.send(sc, linkRec{node: int32(w.Dst.Node), port: int16(w.Dst.Port), vc: int16(m.OutVC), s: s})
 }
 
 // send applies r if its node belongs to the calling worker, else posts it.
@@ -577,7 +608,7 @@ func (f *Fabric) send(sc *stepScratch, r linkRec) {
 //quarc:hotpath
 func (f *Fabric) applyLink(r linkRec) {
 	node := int(r.node)
-	if r.f == nil {
+	if r.s == nil {
 		// A returned credit is exactly the event a blocked sleeper waits for.
 		f.Routers[node].ReturnCredit(int(r.port), int(r.vc))
 		if f.sleepKind[node] == sleepBlocked {
@@ -585,7 +616,7 @@ func (f *Fabric) applyLink(r linkRec) {
 		}
 		return
 	}
-	if !f.Routers[node].Push(int(r.port), int(r.vc), r.f) {
+	if !f.Routers[node].Push(int(r.port), int(r.vc), r.s) {
 		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 		panic(fmt.Sprintf("network: credit violation pushing into %d.%d vc %d", node, r.port, r.vc))
 	}

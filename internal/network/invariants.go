@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"quarc/internal/flit"
+	"quarc/internal/router"
 )
 
 // InvariantChecker validates wormhole-switching invariants on a live fabric
@@ -26,6 +27,9 @@ import (
 //	I5  Credit conservation: at every cycle boundary, for every wired
 //	    (node, out, vc), the sender's credit counter plus the flits buffered
 //	    in the downstream lane equals the lane depth.
+//	I6  Packet-table conservation: at every cycle boundary the table's live
+//	    packets are exactly the packets with a flit in a source queue or a
+//	    lane — its live count equals the number of distinct handles there.
 type InvariantChecker struct {
 	fab     *Fabric
 	Horizon int64 // progress window (default 4096)
@@ -49,7 +53,7 @@ func (c *InvariantChecker) Check() error {
 	if c.err != nil {
 		return c.err
 	}
-	for _, check := range []func() error{c.checkLanes, c.checkCredits, c.checkProgress} {
+	for _, check := range []func() error{c.checkLanes, c.checkCredits, c.checkPackets, c.checkProgress} {
 		if c.err = check(); c.err != nil {
 			break
 		}
@@ -80,11 +84,11 @@ func (c *InvariantChecker) checkLanes() error {
 	for node, r := range c.fab.Routers {
 		for in := 0; in < r.NumInputs(); in++ {
 			for lane := 0; ; lane++ {
-				flits, ok := r.LaneContents(in, lane)
+				slots, ok := r.LaneContents(in, lane)
 				if !ok {
 					break
 				}
-				if err := validateLaneStream(flits); err != nil {
+				if err := validateLaneStream(c.fab.Packets, slots); err != nil {
 					return fmt.Errorf("node %d in %d lane %d: %w", node, in, lane, err)
 				}
 			}
@@ -93,8 +97,51 @@ func (c *InvariantChecker) checkLanes() error {
 	return nil
 }
 
-// validateLaneStream checks I1 on one lane's buffered flits.
-func validateLaneStream(fl []flit.Flit) error {
+// sourceQueues is implemented by BaseAdapter (and whatever embeds it): the
+// packet-table walk reads the queued packets through it.
+type sourceQueues interface {
+	sourceQueues() []PacketQueue
+}
+
+func (b *BaseAdapter) sourceQueues() []PacketQueue { return b.Queues }
+
+// checkPackets checks I6: it collects the distinct packet handles held in
+// every lane and every source queue and compares their count with the
+// table's live packets.
+func (c *InvariantChecker) checkPackets() error {
+	held := map[uint32]bool{}
+	for node, r := range c.fab.Routers {
+		for in := 0; in < r.NumInputs(); in++ {
+			for lane := 0; ; lane++ {
+				slots, ok := r.LaneContents(in, lane)
+				if !ok {
+					break
+				}
+				for _, s := range slots {
+					held[s.Pkt] = true
+				}
+			}
+		}
+		if a, ok := c.fab.Adapters[node].(sourceQueues); ok {
+			for _, q := range a.sourceQueues() {
+				for _, p := range q.pkts[q.head:] {
+					held[p.s.Pkt] = true
+				}
+			}
+		}
+	}
+	if live := c.fab.Packets.Live(); live != len(held) {
+		return fmt.Errorf("packet table holds %d live packets, lanes and source queues %d", live, len(held))
+	}
+	return nil
+}
+
+// validateLaneStream checks I1 on one lane's buffered slots.
+func validateLaneStream(tbl *router.Packets, slots []router.Slot) error {
+	fl := make([]flit.Flit, len(slots))
+	for i := range slots {
+		fl[i] = tbl.Flit(&slots[i])
+	}
 	for i := 0; i < len(fl); i++ {
 		f := fl[i]
 		if i == 0 {

@@ -7,11 +7,13 @@ import (
 	"quarc/internal/router"
 )
 
-func hdr(id uint64) *flit.Flit {
-	return &flit.Flit{Src: 0, Dst: 1, PktID: id, MsgID: id}
-}
+// hdr is the header slot of test packet id. A source queue carries a
+// packet's handle through untouched, so the queue tests use the id as it.
+func hdr(id uint64) router.Slot { return router.Slot{Pkt: uint32(id), Kind: flit.Header} }
 
-func pkt(id uint64, n int) []flit.Flit { return flit.Packet(*hdr(id), n) }
+func pkt(id uint64, n int) []flit.Flit {
+	return flit.Packet(flit.Flit{Src: 0, Dst: 1, PktID: id, MsgID: id}, n)
+}
 
 // push and pushFront queue the packet pkt(id, n) expands, for injection
 // port 0.
@@ -31,7 +33,7 @@ func TestPacketQueueFIFO(t *testing.T) {
 		if f == nil {
 			break
 		}
-		ids = append(ids, f.PktID)
+		ids = append(ids, uint64(f.Pkt))
 		q.Advance()
 	}
 	want := []uint64{1, 1, 2, 2, 2}
@@ -50,8 +52,8 @@ func TestPacketQueuePushFrontIdle(t *testing.T) {
 	push(&q, 1, 2)
 	pushFront(&q, 9, 2)
 	f, _ := q.NextFlit()
-	if f.PktID != 9 {
-		t.Fatalf("front flit from pkt %d, want 9", f.PktID)
+	if f.Pkt != 9 {
+		t.Fatalf("front flit from pkt %d, want 9", f.Pkt)
 	}
 }
 
@@ -68,7 +70,7 @@ func TestPacketQueuePushFrontMidStream(t *testing.T) {
 		if f == nil {
 			break
 		}
-		ids = append(ids, f.PktID)
+		ids = append(ids, uint64(f.Pkt))
 		q.Advance()
 	}
 	want := []uint64{1, 1, 9, 9, 2, 2}
@@ -95,7 +97,7 @@ func TestPacketQueueRejectsShortPacket(t *testing.T) {
 			t.Fatal("short packet accepted")
 		}
 	}()
-	q.PushBack(&flit.Flit{}, 1, 0)
+	q.PushBack(hdr(1), 1, 0)
 }
 
 func TestAssemblerCompletesOnTail(t *testing.T) {
@@ -197,6 +199,43 @@ func TestTrackerDuplicateRegisterPanics(t *testing.T) {
 		}
 	}()
 	tr.Register(1, ClassUnicast, 0, 0, 1)
+}
+
+// TestUnicastDeliveryKeepsNoMask: a single-destination message completes on
+// its first delivery, so it can have no duplicate to catch, and the tracker
+// grows no delivered-node mask for it, wherever it lands.
+func TestUnicastDeliveryKeepsNoMask(t *testing.T) {
+	tr := NewTracker()
+	tr.Register(1, ClassUnicast, 0, 0, 1)
+	tr.Delivered(1, 1000, 5)
+	if tr.Completed() != 1 || len(tr.free) != 1 {
+		t.Fatalf("completed %d, %d free states; want 1 and 1", tr.Completed(), len(tr.free))
+	}
+	if st := tr.free[0]; len(st.maskHi) != 0 || st.mask != 0 {
+		t.Fatalf("a unicast delivered at node 1000 left mask %#x and %d high words", st.mask, len(st.maskHi))
+	}
+}
+
+// TestTrackerUnicastsAllocateNothing: once warm, a thousand unicasts
+// delivered at a high node id cost the tracker no allocation. CI runs it by
+// name.
+func TestTrackerUnicastsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs without -race")
+	}
+	tr := NewTracker()
+	id := uint64(0)
+	round := func() {
+		for i := 0; i < 1000; i++ {
+			id++
+			tr.Register(id, ClassUnicast, 3, int64(id), 1)
+			tr.Delivered(id, 1000, int64(id)+9)
+		}
+	}
+	round() // warm-up: the one tracking state and the map reach capacity
+	if avg := testing.AllocsPerRun(20, round); avg != 0 {
+		t.Fatalf("1,000 unicasts allocated %.1f times; want 0", avg)
+	}
 }
 
 func TestMessageClassString(t *testing.T) {

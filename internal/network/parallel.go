@@ -24,9 +24,10 @@
 // keeps every record's flit intact until its reader has pushed it.
 //
 // Determinism contract. The passes touch only the visited node's own switch
-// and adapter. Everything order-sensitive — PE delivery, reassembly, tracker
-// and packet-id updates — is the ordered half, which worker 0 runs alone in
-// ascending node order, exactly the serial order. The link phase is
+// and adapter. Everything order-sensitive — PE delivery, reassembly, tracker,
+// packet-id and packet-table updates — is the ordered half, which worker 0
+// runs alone in ascending node order, exactly the serial order; the passes
+// and the link phase only read the packet table. The link phase is
 // order-free: a credit return is an integer add, a lane has one feeder that
 // sends at most one flit a cycle, a wake is an idempotent bit set; applied by
 // the producer or drained from a mailbox, in any order, the state after the

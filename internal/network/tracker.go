@@ -106,22 +106,12 @@ func (t *Tracker) Delivered(msgID uint64, node int, now int64) {
 		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 		panic(fmt.Sprintf("network: delivery for unknown message %d", msgID))
 	}
-	bit := uint64(1) << uint(node&63)
-	if w := node >> 6; w == 0 {
-		if st.mask&bit != 0 {
-			t.duplicates++
-			return
-		}
-		st.mask |= bit
-	} else {
-		for len(st.maskHi) < w {
-			st.maskHi = append(st.maskHi, 0)
-		}
-		if st.maskHi[w-1]&bit != 0 {
-			t.duplicates++
-			return
-		}
-		st.maskHi[w-1] |= bit
+	// A single-destination message completes on its first delivery, so it
+	// can have no duplicate to catch: only collectives keep the mask (and
+	// only they grow maskHi, whose capacity the free list keeps).
+	if st.rec.Expected > 1 && st.mark(node) {
+		t.duplicates++
+		return
 	}
 	st.rec.Delivered++
 	st.rec.DeliSum += now
@@ -137,6 +127,26 @@ func (t *Tracker) Delivered(msgID uint64, node int, now int64) {
 		}
 		t.free = append(t.free, st)
 	}
+}
+
+// mark records a delivery at node in the delivered-node mask and reports
+// whether one was recorded there already.
+//
+//quarc:hotpath
+func (st *trackState) mark(node int) (dup bool) {
+	bit := uint64(1) << uint(node&63)
+	w := node >> 6
+	if w == 0 {
+		dup = st.mask&bit != 0
+		st.mask |= bit
+		return dup
+	}
+	for len(st.maskHi) < w {
+		st.maskHi = append(st.maskHi, 0)
+	}
+	dup = st.maskHi[w-1]&bit != 0
+	st.maskHi[w-1] |= bit
+	return dup
 }
 
 // InFlight returns the number of incomplete messages.

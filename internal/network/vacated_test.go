@@ -7,6 +7,7 @@ import (
 	"quarc/internal/flit"
 	"quarc/internal/mesh"
 	"quarc/internal/network"
+	"quarc/internal/router"
 )
 
 // recordingAdapter is a BaseAdapter that keeps every flit delivered to its PE.
@@ -69,7 +70,7 @@ func TestVacatedSlotOutlivesApply(t *testing.T) {
 			}
 
 			refilled := 0 // cycles an injection lane full at the start popped and was refilled
-			before := make([][]flit.Flit, len(feeders))
+			before := make([][]router.Slot, len(feeders))
 			for fab.Tracker.InFlight() > 0 {
 				if fab.Now() > 5_000 {
 					t.Fatalf("%d messages still in flight at cycle %d", fab.Tracker.InFlight(), fab.Now())

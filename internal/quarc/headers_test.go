@@ -19,14 +19,15 @@ type queued struct {
 }
 
 // drainQueued empties every source queue of a without stepping the fabric and
-// returns the packets they held in packet-id order — the order they were sent.
+// returns the packets they held, headers materialised through the fabric's
+// packet table, in packet-id order — the order they were sent.
 func drainQueued(a *network.BaseAdapter) []queued {
 	var out []queued
 	for qi := range a.Queues {
 		q := &a.Queues[qi]
-		for f, port := q.NextFlit(); f != nil; f, port = q.NextFlit() {
-			if f.Seq == 0 {
-				out = append(out, queued{*f, qi, port})
+		for s, port := q.NextFlit(); s != nil; s, port = q.NextFlit() {
+			if s.Seq == 0 {
+				out = append(out, queued{a.Fab.Packets.Flit(s), qi, port})
 			}
 			q.Advance()
 		}

@@ -175,7 +175,6 @@ func Build(cfg Config) (*network.Fabric, []*Transceiver, error) {
 		return nil, nil, fmt.Errorf("quarc: buffer depth %d", cfg.Depth)
 	}
 	n := cfg.N
-	routers := make([]*router.Router, n)
 	wires := make([][]network.OutputWire, n)
 	injStart := make([]int, n)
 	inLanes := make([]int, numInputs)
@@ -186,18 +185,21 @@ func Build(cfg Config) (*network.Fabric, []*Transceiver, error) {
 			inLanes[i] = 1
 		}
 	}
-	for node := 0; node < n; node++ {
-		routers[node] = router.New(router.Config{
+	route, vcNext, reach := Route(n), spidergon.VCNext(n), Reach()
+	routers := router.NewSet(n, func(node int) router.Config {
+		return router.Config{
 			Node:      node,
 			VCs:       link2VCs,
 			Depth:     cfg.Depth,
 			InLanes:   inLanes,
 			NOut:      numOutputs,
 			EjectPort: router.NoOutput, // all-port: dedicated per-input ejection
-			Route:     Route(n),
-			VCNext:    spidergon.VCNext(n), // dateline VCs on the rims, VC 0 on the acyclic cross channels
-			Reach:     Reach(),
-		})
+			Route:     route,
+			VCNext:    vcNext, // dateline VCs on the rims, VC 0 on the acyclic cross channels
+			Reach:     reach,
+		}
+	})
+	for node := 0; node < n; node++ {
 		wires[node] = []network.OutputWire{
 			RimCWOut:    {Dst: network.PortRef{Node: topology.NextCW(n, node), Port: RimCWIn}},
 			RimCCWOut:   {Dst: network.PortRef{Node: topology.NextCCW(n, node), Port: RimCCWIn}},

@@ -325,10 +325,12 @@ func TestSingleQueueAblationStillCorrect(t *testing.T) {
 // TestSingleQueueStreamsAppendPacketFlits holds the single-queue ablation —
 // one port-tagged source queue instead of four — to the flits
 // flit.AppendPacket expands: under random interleavings of PE enqueues,
-// switch-priority front enqueues and injections, the one queue must offer
-// every packet's flits field for field, through its own quadrant's port,
-// front enqueues never ahead of a packet already streaming, with an exact
-// backlog.
+// switch-priority front enqueues and injections, the one queue's slots,
+// materialised through the fabric's packet table, must be every packet's
+// flits field for field, through its own quadrant's port, front enqueues
+// never ahead of a packet already streaming, with an exact backlog. A
+// packet's handle is freed once its tail has left the queue, so later
+// packets reuse handles as they do when the fabric delivers.
 func TestSingleQueueStreamsAppendPacketFlits(t *testing.T) {
 	_, ts, err := Build(Config{N: 16, Depth: 4, SingleQueue: true})
 	if err != nil {
@@ -358,17 +360,20 @@ func TestSingleQueueStreamsAppendPacketFlits(t *testing.T) {
 			stamped.PktID = pkts
 			e := expanded{flit.Packet(stamped, length), injPortFor(topology.QuadrantOf(16, 0, h.Dst))}
 			if r.Intn(4) == 0 {
-				tr.EnqueueFront(h, length)
+				tr.EnqueueFront(&h, length)
 				at := 0
 				if pos > 0 {
 					at = 1
 				}
 				want = append(want[:at], append([]expanded{e}, want[at:]...)...)
 			} else {
-				tr.Enqueue(h, length)
+				tr.Enqueue(&h, length)
 				want = append(want, e)
 			}
 		} else {
+			if s, _ := tr.Queues[0].NextFlit(); s.Kind == flit.Tail {
+				tr.Fab.Packets.Free(s.Pkt)
+			}
 			tr.Queues[0].Advance()
 			if pos++; pos == len(want[0].flits) {
 				want, pos = want[1:], 0
@@ -388,9 +393,12 @@ func TestSingleQueueStreamsAppendPacketFlits(t *testing.T) {
 			}
 			continue
 		}
-		if f == nil || *f != want[0].flits[pos] || port != want[0].port {
+		if f == nil || tr.Fab.Packets.Flit(f) != want[0].flits[pos] || port != want[0].port {
 			t.Fatalf("op %d: next flit %+v port %d\nwant %+v port %d", op, f, port, want[0].flits[pos], want[0].port)
 		}
+	}
+	if live := tr.Fab.Packets.Live(); live != tr.Queues[0].Packets() {
+		t.Fatalf("%d packets live in the table, %d queued", live, tr.Queues[0].Packets())
 	}
 }
 

@@ -78,7 +78,7 @@ func (t *Transceiver) SendBroadcast(msgLen int, now int64) uint64 {
 	}
 	msgID := t.NewMessage(network.ClassBroadcast, t.N-1, now)
 	for _, q := range branches {
-		t.Enqueue(flit.Flit{Traffic: flit.Broadcast, Src: t.Node, Dst: branchNode(t.N, t.Node, q, t.N/4),
+		t.Enqueue(&flit.Flit{Traffic: flit.Broadcast, Src: t.Node, Dst: branchNode(t.N, t.Node, q, t.N/4),
 			MsgID: msgID, Gen: now}, msgLen)
 	}
 	return msgID
@@ -102,7 +102,7 @@ func (t *Transceiver) SendMulticast(targets []int, msgLen int, now int64) uint64
 	msgID := t.NewMessage(network.ClassMulticast, network.CountRemoteTargets(targets, t.Node), now)
 	for _, q := range branches {
 		if b := hops[q]; b != 0 {
-			t.Enqueue(flit.Flit{Traffic: flit.Multicast, Src: t.Node, Dst: branchNode(t.N, t.Node, q, bits.Len64(b)),
+			t.Enqueue(&flit.Flit{Traffic: flit.Multicast, Src: t.Node, Dst: branchNode(t.N, t.Node, q, bits.Len64(b)),
 				Bits: b, MsgID: msgID, Gen: now}, msgLen)
 		}
 	}

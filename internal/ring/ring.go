@@ -152,22 +152,24 @@ func Build(cfg Config) (*network.Fabric, []*network.BaseAdapter, error) {
 		return nil, nil, fmt.Errorf("ring: buffer depth %d", cfg.Depth)
 	}
 	n := cfg.N
-	routers := make([]*router.Router, n)
 	wires := make([][]network.OutputWire, n)
 	injStart := make([]int, n)
 	inLanes := []int{link2VCs, link2VCs, 1}
-	for node := 0; node < n; node++ {
-		routers[node] = router.New(router.Config{
+	route, vcNext, reach := Route(n), spidergon.VCNext(n), Reach()
+	routers := router.NewSet(n, func(node int) router.Config {
+		return router.Config{
 			Node:      node,
 			VCs:       link2VCs,
 			Depth:     cfg.Depth,
 			InLanes:   inLanes,
 			NOut:      numOutputs,
 			EjectPort: Eject,
-			Route:     Route(n),
-			VCNext:    spidergon.VCNext(n),
-			Reach:     Reach(),
-		})
+			Route:     route,
+			VCNext:    vcNext,
+			Reach:     reach,
+		}
+	})
+	for node := 0; node < n; node++ {
 		wires[node] = []network.OutputWire{
 			RimCWOut:  {Dst: network.PortRef{Node: topology.NextCW(n, node), Port: RimCWIn}},
 			RimCCWOut: {Dst: network.PortRef{Node: topology.NextCCW(n, node), Port: RimCCWIn}},

@@ -35,9 +35,9 @@ func TestCreditCountersMatchChannelStatus(t *testing.T) {
 		// Frames alternate between the two VCs. The next one enters the
 		// sender only once the previous has left it, so words of different
 		// frames never interleave on the wire (the write controller's rule).
-		var frames [][]flit.Flit
+		var frames [][]Slot
 		for i, n := range []int{2, 5, 3, 8, 2, 6} {
-			frames = append(frames, flit.Packet(flit.Flit{Src: 0, Dst: 1, PktID: uint64(i + 1), MsgID: uint64(i + 1)}, n))
+			frames = append(frames, pkt(pair.A, uint64(i+1), n, 1))
 		}
 		frame, word, delivered, total := 0, 0, 0, 2+5+3+8+2+6
 		for cyc := 0; delivered < total; cyc++ {
@@ -64,18 +64,18 @@ func TestCreditCountersMatchChannelStatus(t *testing.T) {
 			for i := range bm {
 				m := &bm[i]
 				f, ok := recv.Lanes[m.Lane].Pop()
-				if popped := pair.B.MoveFlit(m); !ok || f != *popped {
+				if popped := pair.B.Packets().Flit(pair.B.MoveFlit(m)); !ok || f != popped {
 					t.Fatalf("depth %d cycle %d: switch popped %+v from lane %d, LocalLink lane held %+v (ok=%v)",
-						depth, cyc, *popped, m.Lane, f, ok)
+						depth, cyc, popped, m.Lane, f, ok)
 				}
 				delivered++
 			}
 			for i := range am {
 				m := &am[i]
-				sent := pair.A.MoveFlit(m)
+				sent := pair.A.Packets().Flit(pair.A.MoveFlit(m))
 				sig := link.Signals{SrcRdy: true, SOF: sent.Kind == flit.Header, EOF: sent.Kind == flit.Tail, ChToStore: m.OutVC}
-				if !recv.Clock(sig, *sent) {
-					t.Fatalf("depth %d cycle %d: LocalLink receiver refused %+v: %v", depth, cyc, *sent, recv.Err())
+				if !recv.Clock(sig, sent) {
+					t.Fatalf("depth %d cycle %d: LocalLink receiver refused %+v: %v", depth, cyc, sent, recv.Err())
 				}
 			}
 		}

@@ -1,0 +1,74 @@
+package router
+
+import (
+	"testing"
+	"unsafe"
+
+	"quarc/internal/flit"
+)
+
+// TestSlotSize pins the buffered flit at 16 bytes: every lane slot holds one
+// and every hop copies one, so its size is the datapath's unit cost.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(Slot{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Slot{}) = %d, want 16", got)
+	}
+}
+
+// TestLaneSize bounds a lane's FCU state at 48 bytes: a 32x32 mesh holds
+// 9,216 of them, all visited by the arbiter.
+func TestLaneSize(t *testing.T) {
+	if got := unsafe.Sizeof(lane{}); got > 48 {
+		t.Fatalf("unsafe.Sizeof(lane{}) = %d, want <= 48", got)
+	}
+}
+
+// TestPackedDecisionRoundTrips: a lane stores its decisions packed, and every
+// decision a switch of up to 64 outputs can make unpacks unchanged.
+func TestPackedDecisionRoundTrips(t *testing.T) {
+	for out := NoOutput; out < 64; out++ {
+		for _, eject := range []bool{false, true} {
+			for _, clone := range []bool{false, true} {
+				d := Decision{Out: out, Eject: eject, Clone: clone}
+				if got := pack(d).unpack(); got != d {
+					t.Fatalf("%+v unpacked as %+v", d, got)
+				}
+			}
+		}
+	}
+}
+
+// TestPacketsMaterialiseAppendPacket: the slots of a packet materialise into
+// exactly the flits flit.AppendPacket forms from its header, with the
+// multicast bitstring shifted by each slot's hop count, and a freed handle is
+// the next one Add hands out.
+func TestPacketsMaterialiseAppendPacket(t *testing.T) {
+	var tbl Packets
+	h := flit.Flit{Kind: flit.Tail, Traffic: flit.BcastChain, ChainCCW: true, Payload: 77,
+		Src: 5, Dst: 1000, Seq: 3, PktLen: 9, Remain: 12, PktID: 1 << 40, MsgID: 1 << 33,
+		Bits: 0xF0F0_F0F0_F0F0_F0F1, Gen: -7}
+	want := flit.AppendPacket(nil, h, 5)
+	first := tbl.Add(&flit.Flit{}, 2)
+	slots := packetSlots(tbl.Add(&h, 5), 5)
+	if tbl.Live() != 2 {
+		t.Fatalf("%d live packets, want 2", tbl.Live())
+	}
+	for i := range slots {
+		for _, hop := range []uint8{0, 1, 63, 64} {
+			s := slots[i]
+			s.Hop = hop
+			w := want[i]
+			w.Bits >>= hop
+			if got := tbl.Flit(&s); got != w {
+				t.Fatalf("slot %d at hop %d materialised %+v\nwant %+v", i, hop, got, w)
+			}
+		}
+	}
+	tbl.Free(first.Pkt)
+	if tbl.Live() != 1 {
+		t.Fatalf("%d live packets after a free, want 1", tbl.Live())
+	}
+	if again := tbl.Add(&h, 5); again.Pkt != first.Pkt {
+		t.Fatalf("Add returned handle %d, want the freed %d", again.Pkt, first.Pkt)
+	}
+}

@@ -28,11 +28,16 @@
 // applies a cycle's moves, Arbitrate sees the start-of-cycle free space: the
 // simulation is order-independent and a flit advances one hop per cycle.
 //
-// Flit ownership: a buffered flit lives in exactly one slot of its switch's
-// flit slab. Bids and moves name it by lane and slot, never by copy: Commit
-// vacates the slot, the network reads the moved flit there (MoveFlit) to
-// deliver it and to push it downstream, and that push is the one copy a hop
-// makes. It relies on the vacated-slot rule stated at Router.slab.
+// Flit ownership: a buffered flit is a 16-byte Slot — the paper's flit word
+// plus the handle of its packet's header record in the packet table the
+// switches of one fabric share (Packets) — and it lives in exactly one slot
+// of its switch's slab. Bids and moves name it by lane and slot, never by
+// copy: Commit vacates the slot, the network reads the moved flit there
+// (MoveFlit) to deliver it and to push it downstream, and that 16-byte push
+// is the one copy a hop makes. It relies on the vacated-slot rule stated at
+// Router.slab. The header fields a packet's flits share are never copied per
+// hop: Route and VCNext see the header materialised from the table, once per
+// routed header.
 package router
 
 import (
@@ -82,35 +87,63 @@ type Config struct {
 }
 
 // lane is one virtual-channel buffer and its FCU state. The buffer is a ring
-// of depth slots starting at slot base of the switch's flit slab: size flits,
-// the oldest at base+head.
+// of depth slots starting at slot base of the switch's slab: size flits, the
+// oldest at base+head.
 type lane struct {
-	head, size, depth, base int32
-	pendVC                  int32 // with pendDec below; here it fills padding
-	active                  bool  // between header grant and tail departure
-	dec                     Decision
-	outVC                   int
+	base              int32
+	head, size, depth int32
 	// Cached routing verdict for the packet whose header waits at this
-	// lane's head: Route and VCNext are pure, so a header blocked for many
-	// cycles needs them computed (and validated) once, not once per cycle.
-	// pendVC is the downstream VC the header requests on pendDec.Out (unset
-	// for pure ejection and for the shared ejection port, which takes the
-	// first free VC).
-	pendDec Decision
-	pendPkt uint64
+	// lane's head (pendOK set, pendPkt its handle): Route and VCNext are
+	// pure, so a header blocked for many cycles needs them computed (and
+	// validated) once, not once per cycle. pendVC is the downstream VC the
+	// header requests on pendDec's output (unset for pure ejection and for
+	// the shared ejection port, which takes the first free VC).
+	pendPkt uint32
+	pendDec packedDec
+	dec     packedDec // the FCU's latched decision, between header grant and tail departure
+	pendVC  int8
+	outVC   int8 // the downstream VC the active packet holds, or -1
+	active  bool // between header grant and tail departure
 	pendOK  bool
 	// Blocked-sleep recording (FrozenBlocked): whether this lane held a
 	// flit when the switch froze, and the stall cause the dense arbiter
 	// would charge it each slept cycle.
 	frozen      bool
-	frozenCause StallCause
+	frozenCause uint8
+}
+
+// packedDec is a Decision in 16 bits: the output port plus one in the low
+// byte (0 = NoOutput; a switch has at most 64 outputs), Eject and Clone
+// above it.
+type packedDec uint16
+
+const (
+	decEject packedDec = 1 << 8
+	decClone packedDec = 1 << 9
+)
+
+//quarc:hotpath
+func pack(d Decision) packedDec {
+	p := packedDec(d.Out + 1)
+	if d.Eject {
+		p |= decEject
+	}
+	if d.Clone {
+		p |= decClone
+	}
+	return p
+}
+
+//quarc:hotpath
+func (p packedDec) unpack() Decision {
+	return Decision{Out: int(p&0xff) - 1, Eject: p&decEject != 0, Clone: p&decClone != 0}
 }
 
 // headSlot returns the slab index of the lane's oldest flit.
 func (ln *lane) headSlot() int { return int(ln.base + ln.head) }
 
 type inputPort struct {
-	lanes []lane // window of the switch's one lane slab, port-major
+	lanes []lane // window of the set's lane array; a switch's ports are consecutive
 	rr    int    // VC arbiter pointer
 	count int    // flits buffered across the port's lanes
 	bid   bid    // this cycle's candidate, valid while the port is occupied
@@ -156,9 +189,10 @@ type Router struct {
 	// the cycle, when its sender held no credit. The one same-cycle writer
 	// that can is the adapter's Feed into an injection lane, and Feed runs
 	// after apply.
-	slab     []flit.Flit
+	slab     []Slot
 	occupied uint64 // bit i set: input port i holds at least one flit
 	buffered int    // flits across all input lanes (O(1) quiescence report)
+	pkts     *Packets
 	cfg      Config
 	// frozenOcc is the buffered-flit count recorded by FrozenBlocked, the
 	// per-cycle occupancy integrand replayed for blocked-slept cycles.
@@ -173,10 +207,70 @@ type bid struct {
 	dec      Decision
 }
 
-// New constructs a switch from its configuration.
+// New constructs a switch from its configuration, with a packet table of its
+// own.
 func New(cfg Config) *Router {
+	return NewSet(1, func(int) Config { return cfg })[0]
+}
+
+// NewSet constructs the n switches of one fabric, switch node configured by
+// cfg(node). They share one packet table, and each kind of switch state — the
+// switches themselves, their lanes, the lanes' slots, the input ports and the
+// output ports — is one array for the whole set, each switch a window of it.
+func NewSet(n int, cfg func(node int) Config) []*Router {
+	rs := make([]Router, n)
+	var lanes, slots, ins, outs int
+	for node := range rs {
+		c := cfg(node)
+		validate(&c)
+		rs[node].cfg = c
+		for _, nl := range c.InLanes {
+			lanes += nl
+			slots += nl * c.Depth
+		}
+		ins += len(c.InLanes)
+		outs += c.NOut
+	}
+	pkts := new(Packets)
+	laneArr := make([]lane, lanes)
+	slab := make([]Slot, slots)
+	inArr := make([]inputPort, ins)
+	outArr := make([]outputPort, outs)
+	set := make([]*Router, n)
+	for node := range rs {
+		r := &rs[node]
+		c := &r.cfg
+		r.pkts = pkts
+		k := len(c.InLanes)
+		r.in, inArr = inArr[:k:k], inArr[k:]
+		base := 0 // the switch's slots, lane-major: each lane a ring of depth slots
+		for i, nl := range c.InLanes {
+			p := &r.in[i]
+			p.lanes, laneArr = laneArr[:nl:nl], laneArr[nl:]
+			p.bid.in = i
+			for l := range p.lanes {
+				p.lanes[l].depth, p.lanes[l].base, p.lanes[l].outVC = int32(c.Depth), int32(base), -1
+				base += c.Depth
+			}
+		}
+		r.slab, slab = slab[:base:base], slab[base:]
+		r.out, outArr = outArr[:c.NOut:c.NOut], outArr[c.NOut:]
+		for o := range r.out {
+			for v := range r.out[o].owner {
+				r.out[o].owner[v] = noOwner
+			}
+			if c.Reach != nil {
+				r.out[o].reach = c.Reach[o]
+			}
+		}
+		set[node] = r
+	}
+	return set
+}
+
+// validate panics on a configuration no switch can be built from.
+func validate(cfg *Config) {
 	if cfg.VCs < 1 || cfg.VCs > maxVCs {
-		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 		panic(fmt.Sprintf("router: unsupported VC count %d", cfg.VCs))
 	}
 	if cfg.Depth < 1 {
@@ -188,41 +282,16 @@ func New(cfg Config) *Router {
 	if len(cfg.InLanes) > 64 || cfg.NOut > 64 {
 		panic("router: more than 64 input or output ports")
 	}
-	total := 0
 	for _, nl := range cfg.InLanes {
 		if nl < 1 {
 			panic("router: input port with no lanes")
 		}
-		total += nl
 	}
-	r := &Router{cfg: cfg}
-	// One slab per kind for the whole switch: lanes and their flit slots sit
-	// contiguously, each port a window.
-	lanes := make([]lane, total)
-	r.slab = make([]flit.Flit, total*cfg.Depth)
-	for k := range lanes {
-		lanes[k].depth = int32(cfg.Depth)
-		lanes[k].base = int32(k * cfg.Depth)
-		lanes[k].outVC = -1
-	}
-	r.in = make([]inputPort, len(cfg.InLanes))
-	at := 0
-	for i, nl := range cfg.InLanes {
-		r.in[i].lanes = lanes[at : at+nl : at+nl]
-		r.in[i].bid.in = i
-		at += nl
-	}
-	r.out = make([]outputPort, cfg.NOut)
-	for o := range r.out {
-		for v := range r.out[o].owner {
-			r.out[o].owner[v] = noOwner
-		}
-		if cfg.Reach != nil {
-			r.out[o].reach = cfg.Reach[o]
-		}
-	}
-	return r
 }
+
+// Packets returns the packet table the switch resolves its slots in, shared
+// by every switch of its NewSet.
+func (r *Router) Packets() *Packets { return r.pkts }
 
 // Node returns the node identifier.
 func (r *Router) Node() int { return r.cfg.Node }
@@ -246,13 +315,13 @@ func (r *Router) LaneFree(in, ln int) int {
 // LaneLen returns the occupancy of the given input lane.
 func (r *Router) LaneLen(in, ln int) int { return int(r.in[in].lanes[ln].size) }
 
-// Push copies *f into an input lane (used by the upstream link and by the
+// Push copies *s into an input lane (used by the upstream link and by the
 // network adapter for injection ports). It reports false when the lane is
 // full; callers must respect the credit/handshake and treat false as a
 // protocol violation.
 //
 //quarc:hotpath
-func (r *Router) Push(in, ln int, f *flit.Flit) bool {
+func (r *Router) Push(in, ln int, s *Slot) bool {
 	p := &r.in[in]
 	l := &p.lanes[ln]
 	if l.size == l.depth {
@@ -262,8 +331,7 @@ func (r *Router) Push(in, ln int, f *flit.Flit) bool {
 	if at >= l.depth {
 		at -= l.depth
 	}
-	//quarc:allow hotpath: the push copy into the lane slot, the one copy a hop makes
-	r.slab[l.base+at] = *f
+	r.slab[l.base+at] = *s
 	l.size++
 	p.count++
 	r.occupied |= 1 << uint(in)
@@ -274,10 +342,10 @@ func (r *Router) Push(in, ln int, f *flit.Flit) bool {
 // MoveFlit returns the flit move m (committed by this switch this cycle)
 // moved, in the slab slot Commit vacated. By the vacated-slot rule (see
 // Router.slab) it is valid until the cycle's apply phase has finished; the
-// network shifts a forwarded multicast bitstring there before the push.
+// network counts a forwarded flit's hop there before the push.
 //
 //quarc:hotpath
-func (r *Router) MoveFlit(m *Move) *flit.Flit { return &r.slab[m.Slot] }
+func (r *Router) MoveFlit(m *Move) *Slot { return &r.slab[m.Slot] }
 
 // Quiescent reports whether the switch holds no flits at all. A quiescent
 // router's cycle is a no-op apart from statistics accounting: it produces no
@@ -328,7 +396,7 @@ func (r *Router) FrozenBlocked() bool {
 				return false
 			}
 			ln.frozen = true
-			ln.frozenCause = cause
+			ln.frozenCause = uint8(cause)
 		}
 	}
 	return true
@@ -436,7 +504,7 @@ func (r *Router) bidFor(i int) *bid {
 //quarc:hotpath
 func (r *Router) laneDecision(ln *lane, i, l int) Decision {
 	if ln.active {
-		return ln.dec
+		return ln.dec.unpack()
 	}
 	head := &r.slab[ln.headSlot()]
 	if head.Kind != flit.Header {
@@ -444,12 +512,14 @@ func (r *Router) laneDecision(ln *lane, i, l int) Decision {
 		panic(fmt.Sprintf("router %d in %d lane %d: %v flit with no active packet",
 			r.cfg.Node, i, l, head.Kind))
 	}
-	if !ln.pendOK || ln.pendPkt != head.PktID {
-		dec := r.cfg.Route(r.cfg.Node, i, *head)
+	if !ln.pendOK || ln.pendPkt != head.Pkt {
+		//quarc:allow hotpath: the header Route and VCNext read, materialised once per routed header, not per cycle or per flit
+		hf := r.pkts.Flit(head)
+		dec := r.cfg.Route(r.cfg.Node, i, hf)
 		if dec.Out == NoOutput && !dec.Eject {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d in %d: decision with no action for %+v",
-				r.cfg.Node, i, *head))
+				r.cfg.Node, i, hf))
 		}
 		if dec.Out == NoOutput && r.cfg.EjectPort != NoOutput {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
@@ -466,16 +536,17 @@ func (r *Router) laneDecision(ln *lane, i, l int) Decision {
 			// (the network pushes forwarded flits into lane[outVC]);
 			// injection ports have a single lane 0, matching the VC-0 start
 			// of the dateline discipline.
-			vc := r.cfg.VCNext(r.cfg.Node, dec.Out, i, l, *head)
+			vc := r.cfg.VCNext(r.cfg.Node, dec.Out, i, l, hf)
 			if vc < 0 || vc >= r.cfg.VCs {
 				//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 				panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
 			}
-			ln.pendVC = int32(vc)
+			ln.pendVC = int8(vc)
 		}
-		ln.pendDec, ln.pendPkt, ln.pendOK = dec, head.PktID, true
+		ln.pendDec, ln.pendPkt, ln.pendOK = pack(dec), head.Pkt, true
+		return dec
 	}
-	return ln.pendDec
+	return ln.pendDec.unpack()
 }
 
 // ConnectOutput wires output o to a downstream input port of the given lane
@@ -607,7 +678,7 @@ func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
 	ln := &r.in[b.in].lanes[b.lane]
 	if ln.active {
 		// Body or tail: use the allocated VC; need one credit.
-		vc := ln.outVC
+		vc := int(ln.outVC)
 		if op.owner[vc] != packed {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d out %d: lane %d.%d lost VC %d ownership",
@@ -668,14 +739,13 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 		// header to tail, whether the packet is being forwarded or absorbed
 		// locally.
 		if kind == flit.Header {
+			// The waiting header's cached route (computed here only for a
+			// move Arbitrate did not make) becomes the FCU's binding.
+			r.laneDecision(ln, m.In, m.Lane)
 			ln.active = true
-			if ln.pendOK && ln.pendPkt == head.PktID {
-				ln.dec = ln.pendDec
-			} else {
-				ln.dec = r.cfg.Route(r.cfg.Node, m.In, *head)
-			}
+			ln.dec = ln.pendDec
 			ln.pendOK = false
-			ln.outVC = m.OutVC
+			ln.outVC = int8(m.OutVC)
 		}
 		if kind == flit.Tail {
 			ln.active = false
@@ -716,11 +786,11 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 	return delivers
 }
 
-// LaneContents returns a copy of the flits buffered in the given input lane
+// LaneContents returns a copy of the slots buffered in the given input lane
 // (head first). ok is false when the lane index is out of range; callers can
 // iterate lanes until it turns false. Inspection hook for the invariant
 // checker.
-func (r *Router) LaneContents(in, lane int) (flits []flit.Flit, ok bool) {
+func (r *Router) LaneContents(in, lane int) (slots []Slot, ok bool) {
 	if in < 0 || in >= len(r.in) {
 		return nil, false
 	}
@@ -728,15 +798,15 @@ func (r *Router) LaneContents(in, lane int) (flits []flit.Flit, ok bool) {
 		return nil, false
 	}
 	ln := &r.in[in].lanes[lane]
-	flits = make([]flit.Flit, ln.size)
-	for i := range flits {
+	slots = make([]Slot, ln.size)
+	for i := range slots {
 		at := ln.head + int32(i)
 		if at >= ln.depth {
 			at -= ln.depth
 		}
-		flits[i] = r.slab[ln.base+at]
+		slots[i] = r.slab[ln.base+at]
 	}
-	return flits, true
+	return slots, true
 }
 
 // VCOwner reports whether output o's downstream VC vc is currently held

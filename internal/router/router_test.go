@@ -16,9 +16,12 @@ type linkPair struct {
 	am, bm []Move
 }
 
-// newLinkPair connects a's output 0 to b's input 0.
+// newLinkPair connects a's output 0 to b's input 0. The slots a forwards
+// name packets in a's packet table, so b resolves them there too, as the
+// switches of one NewSet share one table.
 func newLinkPair(a, b *Router) *linkPair {
 	a.ConnectOutput(0, b.Lanes(0), b.Depth())
+	b.pkts = a.pkts
 	return &linkPair{A: a, B: b}
 }
 
@@ -76,15 +79,34 @@ func step(p *linkPair) []flit.Flit {
 	var delivered []flit.Flit
 	for i := range bm {
 		if m := &bm[i]; m.Deliver {
-			delivered = append(delivered, *p.B.MoveFlit(m))
+			delivered = append(delivered, p.B.Packets().Flit(p.B.MoveFlit(m)))
 		}
 	}
 	return delivered
 }
 
-func pkt(id uint64, n, dst int) []flit.Flit {
-	return flit.Packet(flit.Flit{Src: 0, Dst: dst, PktID: id, MsgID: id}, n)
+// pkt adds packet id's header to r's packet table and returns the slots of
+// its n flits, laid out as flit.Packet lays out the flits.
+func pkt(r *Router, id uint64, n, dst int) []Slot {
+	h := flit.Flit{Src: 0, Dst: dst, PktID: id, MsgID: id}
+	return packetSlots(r.Packets().Add(&h, n), n)
 }
+
+// packetSlots expands a packet's header slot into its n slots.
+func packetSlots(h Slot, n int) []Slot {
+	s := make([]Slot, n)
+	for i := range s {
+		s[i] = h
+		if i > 0 {
+			s[i].Kind, s[i].Seq, s[i].Payload = flit.Body, int32(i), uint32(i)
+		}
+	}
+	s[n-1].Kind = flit.Tail
+	return s
+}
+
+// pktID reads the packet id of a slot r holds.
+func pktID(r *Router, s *Slot) uint64 { return r.Packets().Flit(s).PktID }
 
 // block fills B's lane vc through the link with a packet B never drains, so
 // A is left without credit on that VC (and with the VC released: the
@@ -92,7 +114,7 @@ func pkt(id uint64, n, dst int) []flit.Flit {
 func block(t *testing.T, p *linkPair, vc int) {
 	t.Helper()
 	depth := p.B.Depth()
-	for _, f := range pkt(9, depth, 1) {
+	for _, f := range pkt(p.A, 9, depth, 1) {
 		p.A.Push(0, vc, &f)
 	}
 	for i := 0; i < depth; i++ {
@@ -106,7 +128,7 @@ func block(t *testing.T, p *linkPair, vc int) {
 func TestSingleHopPipeline(t *testing.T) {
 	p0 := twoNodeLine(4)
 	a := p0.A
-	p := pkt(1, 4, 1)
+	p := pkt(a, 1, 4, 1)
 	for _, f := range p {
 		if !a.Push(0, 0, &f) {
 			t.Fatal("push rejected")
@@ -131,7 +153,7 @@ func TestBackPressureLimitsOccupancy(t *testing.T) {
 	// VC 0, must not send into it.
 	lp := twoNodeLine(2)
 	block(t, lp, 0)
-	for _, f := range pkt(1, 3, 1)[:2] {
+	for _, f := range pkt(lp.A, 1, 3, 1)[:2] {
 		lp.A.Push(0, 0, &f)
 	}
 	for cyc := 0; cyc < 4; cyc++ {
@@ -144,7 +166,7 @@ func TestBackPressureLimitsOccupancy(t *testing.T) {
 func TestHeaderAllocatesVCBodyFollowsTailReleases(t *testing.T) {
 	lp := twoNodeLine(4)
 	a := lp.A
-	p := pkt(1, 3, 1)
+	p := pkt(a, 1, 3, 1)
 	for _, f := range p {
 		a.Push(0, 0, &f)
 	}
@@ -168,7 +190,7 @@ func TestTwoPacketsInterleaveAcrossVCs(t *testing.T) {
 	// by alternating (VC arbiter), each on its own downstream VC.
 	lp := twoNodeLine(8)
 	a := lp.A
-	p0, p1 := pkt(1, 4, 1), pkt(2, 4, 1)
+	p0, p1 := pkt(a, 1, 4, 1), pkt(a, 2, 4, 1)
 	for _, f := range p0 {
 		a.Push(0, 0, &f)
 	}
@@ -195,17 +217,17 @@ func TestVCArbiterSwitchesOnBlock(t *testing.T) {
 	// lane 0.
 	lp := twoNodeLine(2)
 	block(t, lp, 0)
-	for _, f := range pkt(1, 3, 1)[:2] {
+	for _, f := range pkt(lp.A, 1, 3, 1)[:2] {
 		lp.A.Push(0, 0, &f)
 	}
-	for _, f := range pkt(2, 3, 1)[:2] {
+	for _, f := range pkt(lp.A, 2, 3, 1)[:2] {
 		lp.A.Push(0, 1, &f)
 	}
 	moved := false
 	for cyc := 0; cyc < 6; cyc++ {
 		am, _ := lp.Step(false)
 		for i := range am {
-			if lp.A.MoveFlit(&am[i]).PktID == 1 {
+			if pktID(lp.A, lp.A.MoveFlit(&am[i])) == 1 {
 				t.Fatal("blocked packet moved")
 			}
 			moved = true
@@ -228,10 +250,10 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 		EjectPort: NoOutput,
 		Route:     func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput, Eject: true} },
 		VCNext:    vcf})
-	for _, f := range pkt(1, 6, 9) {
+	for _, f := range pkt(a, 1, 6, 9) {
 		a.Push(0, 0, &f)
 	}
-	for _, f := range pkt(2, 6, 9) {
+	for _, f := range pkt(a, 2, 6, 9) {
 		a.Push(1, 0, &f)
 	}
 	lp := newLinkPair(a, sink)
@@ -239,7 +261,7 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 	for cyc := 0; cyc < 30 && len(order) < 12; cyc++ {
 		am, _ := lp.Step(true)
 		for i := range am {
-			order = append(order, a.MoveFlit(&am[i]).PktID)
+			order = append(order, pktID(a, a.MoveFlit(&am[i])))
 		}
 	}
 	if len(order) != 12 {
@@ -263,7 +285,7 @@ func TestReachabilityViolationPanics(t *testing.T) {
 		EjectPort: NoOutput, Route: route, VCNext: vcf,
 		Reach: [][]int{{}}, // output 0 reachable from nothing
 	})
-	r.Push(0, 0, &pkt(1, 2, 5)[0])
+	r.Push(0, 0, &pkt(r, 1, 2, 5)[0])
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unreachable route did not panic")
@@ -305,7 +327,7 @@ func TestCloneDeliversAndForwards(t *testing.T) {
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
 	b := New(Config{Node: 1, VCs: 2, Depth: 4, InLanes: []int{2}, NOut: 1,
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
-	p := pkt(1, 3, 9)
+	p := pkt(a, 1, 3, 9)
 	for _, f := range p {
 		a.Push(0, 0, &f)
 	}
@@ -334,11 +356,9 @@ func TestCloneDeliversAndForwards(t *testing.T) {
 func BenchmarkTwoNodeForwarding(b *testing.B) {
 	lp := twoNodeLine(8)
 	a, bb := lp.A, lp.B
-	p := pkt(1, 2, 1)
+	p := pkt(a, 1, 2, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p[0].PktID = uint64(i + 1)
-		p[1].PktID = uint64(i + 1)
 		a.Push(0, 0, &p[0])
 		a.Push(0, 0, &p[1])
 		for a.LaneLen(0, 0) > 0 || bb.LaneLen(0, 0) > 0 {
@@ -355,7 +375,7 @@ func BenchmarkTwoNodeForwarding(b *testing.B) {
 // tracker around it, and it must not allocate (CI guards it).
 func BenchmarkRouterHop(b *testing.B) {
 	lp := twoNodeLine(4)
-	p := pkt(1, 2, 1)
+	p := pkt(lp.A, 1, 2, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -386,7 +406,7 @@ func TestCommitDesyncPanics(t *testing.T) {
 		"empty":   func(m *Move) { m.Lane = 1 },  // sibling lane holds nothing
 	} {
 		a := twoNodeLine(4).A
-		a.Push(0, 0, &pkt(1, 2, 1)[0])
+		a.Push(0, 0, &pkt(a, 1, 2, 1)[0])
 		moves := a.Arbitrate(nil)
 		if len(moves) != 1 {
 			t.Fatalf("%s: %d moves, want 1", name, len(moves))
@@ -404,7 +424,7 @@ func TestCreditCounterViolationsPanic(t *testing.T) {
 	// header takes the link's only credit; B never drains, so the body that
 	// follows it has none.
 	a := twoNodeLine(1).A
-	p := pkt(1, 2, 1)
+	p := pkt(a, 1, 2, 1)
 	a.Push(0, 0, &p[0])
 	a.Commit(a.Arbitrate(nil))
 	if a.Credit(0, 0) != 0 {
@@ -420,7 +440,7 @@ func TestCreditCounterViolationsPanic(t *testing.T) {
 
 func TestPushReportsFullLane(t *testing.T) {
 	a := twoNodeLine(2).A
-	p := pkt(1, 3, 1)
+	p := pkt(a, 1, 3, 1)
 	if !a.Push(0, 0, &p[0]) || !a.Push(0, 0, &p[1]) {
 		t.Fatal("push into a lane with space rejected")
 	}
@@ -440,7 +460,7 @@ func TestNoActionRoutePanics(t *testing.T) {
 	vcf := func(node, out, in, cur int, f flit.Flit) int { return 0 }
 	r := New(Config{Node: 0, VCs: 2, Depth: 2, InLanes: []int{1}, NOut: 1,
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
-	r.Push(0, 0, &pkt(1, 2, 5)[0])
+	r.Push(0, 0, &pkt(r, 1, 2, 5)[0])
 	defer func() {
 		if recover() == nil {
 			t.Fatal("route with no action did not panic")
@@ -462,7 +482,7 @@ func TestVCNextOncePerWaitingHeader(t *testing.T) {
 	}
 	block(t, lp, 0)
 	calls = 0
-	p := pkt(1, 2, 1)
+	p := pkt(lp.A, 1, 2, 1)
 	lp.A.Push(0, 0, &p[0])
 	const blocked = 6
 	for cyc := 0; cyc < blocked; cyc++ {

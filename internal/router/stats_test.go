@@ -8,7 +8,7 @@ import (
 
 func TestGrantAndOccupancyCounters(t *testing.T) {
 	lp := twoNodeLine(4)
-	p := pkt(1, 4, 1)
+	p := pkt(lp.A, 1, 4, 1)
 	for _, f := range p {
 		lp.A.Push(0, 0, &f)
 	}
@@ -36,7 +36,7 @@ func TestNoCreditStallCounted(t *testing.T) {
 	if st := lp.A.Stats(); st.Stalls[StallNoCredit] != 0 {
 		t.Fatalf("blocker itself stalled: %+v", st.Stalls)
 	}
-	for _, f := range pkt(1, 3, 1)[:2] {
+	for _, f := range pkt(lp.A, 1, 3, 1)[:2] {
 		lp.A.Push(0, 0, &f)
 	}
 	lp.Step(false)
@@ -56,10 +56,10 @@ func TestArbLostStallCounted(t *testing.T) {
 		EjectPort: NoOutput,
 		Route:     func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput, Eject: true} },
 		VCNext:    vcf})
-	for _, f := range pkt(1, 4, 9) {
+	for _, f := range pkt(a, 1, 4, 9) {
 		a.Push(0, 0, &f)
 	}
-	for _, f := range pkt(2, 4, 9) {
+	for _, f := range pkt(a, 2, 4, 9) {
 		a.Push(1, 0, &f)
 	}
 	moves, _ := newLinkPair(a, sink).Step(false)
@@ -89,8 +89,8 @@ func TestVCBusyStallCounted(t *testing.T) {
 	// Only the header of packet 1: it allocates VC 0 and then its lane runs
 	// dry (upstream starvation), so the arbiter switches to lane 1, whose
 	// header finds VC 0 held by the unfinished packet.
-	a.Push(0, 0, &pkt(1, 6, 1)[0])
-	for _, f := range pkt(2, 6, 1) {
+	a.Push(0, 0, &pkt(a, 1, 6, 1)[0])
+	for _, f := range pkt(a, 2, 6, 1) {
 		a.Push(0, 1, &f)
 	}
 	lp := newLinkPair(a, b)

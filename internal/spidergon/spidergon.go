@@ -129,22 +129,24 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 		return nil, nil, fmt.Errorf("spidergon: buffer depth %d", cfg.Depth)
 	}
 	n := cfg.N
-	routers := make([]*router.Router, n)
 	wires := make([][]network.OutputWire, n)
 	injStart := make([]int, n)
 	inLanes := []int{link2VCs, link2VCs, link2VCs, 1}
-	for node := 0; node < n; node++ {
-		routers[node] = router.New(router.Config{
+	route, vcNext, reach := Route(n), VCNext(n), Reach()
+	routers := router.NewSet(n, func(node int) router.Config {
+		return router.Config{
 			Node:      node,
 			VCs:       link2VCs,
 			Depth:     cfg.Depth,
 			InLanes:   inLanes,
 			NOut:      numOutputs,
 			EjectPort: Eject,
-			Route:     Route(n),
-			VCNext:    VCNext(n),
-			Reach:     Reach(),
-		})
+			Route:     route,
+			VCNext:    vcNext,
+			Reach:     reach,
+		}
+	})
+	for node := 0; node < n; node++ {
 		wires[node] = []network.OutputWire{
 			RimCWOut:  {Dst: network.PortRef{Node: topology.NextCW(n, node), Port: RimCWIn}},
 			RimCCWOut: {Dst: network.PortRef{Node: topology.NextCCW(n, node), Port: RimCCWIn}},
@@ -192,9 +194,11 @@ func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
 func Broadcast(a *network.BaseAdapter, msgLen int, now int64) uint64 {
 	msgID := a.NewMessage(network.ClassBroadcast, a.N-1, now)
 	cw := a.N / 2 // ceil((n-1)/2)
-	a.Enqueue(chainPacket(a, topology.NextCW(a.N, a.Node), cw-1, false, msgID, now), msgLen)
+	h := chainPacket(a, topology.NextCW(a.N, a.Node), cw-1, false, msgID, now)
+	a.Enqueue(&h, msgLen)
 	if ccw := a.N - 1 - cw; ccw > 0 {
-		a.Enqueue(chainPacket(a, topology.NextCCW(a.N, a.Node), ccw-1, true, msgID, now), msgLen)
+		h = chainPacket(a, topology.NextCCW(a.N, a.Node), ccw-1, true, msgID, now)
+		a.Enqueue(&h, msgLen)
 	}
 	return msgID
 }
@@ -210,7 +214,8 @@ func ForwardChain(a *network.BaseAdapter, f flit.Flit) {
 	if f.ChainCCW {
 		next = topology.NextCCW(a.N, a.Node)
 	}
-	a.EnqueueFront(chainPacket(a, next, f.Remain-1, f.ChainCCW, f.MsgID, f.Gen), f.PktLen)
+	h := chainPacket(a, next, f.Remain-1, f.ChainCCW, f.MsgID, f.Gen)
+	a.EnqueueFront(&h, f.PktLen)
 }
 
 // chainPacket is the header of a chain packet from a's node to dst with
