@@ -137,11 +137,11 @@ func TestCacheLRU(t *testing.T) {
 func TestStoreEvictsTerminalJobs(t *testing.T) {
 	var evicted []string
 	s := NewStore(2, func(j *Job) { evicted = append(evicted, j.ID) }, nil, nil)
-	a := s.Add("run", "k1", nil, nil, 0)
+	a := s.Add("run", "k1", nil)
 	a.setState(StateDone, "")
-	b := s.Add("run", "k2", nil, nil, 0)
+	b := s.Add("run", "k2", nil)
 	_ = b // still queued (live)
-	s.Add("run", "k3", nil, nil, 0)
+	s.Add("run", "k3", nil)
 	if _, ok := s.Get(a.ID); ok {
 		t.Fatal("terminal job should have been evicted")
 	}

@@ -50,18 +50,17 @@ type Event struct {
 }
 
 // Job is one submitted request and its lifecycle. All mutable fields are
-// guarded by mu; changed is closed and replaced on every mutation so
-// streaming subscribers can wait without polling.
+// guarded by mu. What survives the terminal transition is what a later
+// GET /v1/jobs/{id} or /events read needs: the identity, the exact request
+// body, the outcome, the timestamps and the event list. The execution state
+// (x) exists only between admission and the terminal transition, and the
+// notify channel only while someone waits.
 type Job struct {
 	ID      string          `json:"id"`
 	Kind    string          `json:"kind"` // a name from the kinds table
 	Key     string          `json:"key"`  // canonical cache key
 	Request json.RawMessage `json:"-"`
 
-	work work
-	// class is assigned by Server.admit, just before the scheduler reads it;
-	// a job answered without queueing never has one.
-	class Class
 	// onTerminal and sink are the owning Store's hooks, both called with mu
 	// held: onTerminal observes the single transition into a terminal state
 	// (the server's job-outcome counters) before any waiter wakes, so whoever
@@ -72,14 +71,21 @@ type Job struct {
 	onTerminal func(*Job)
 	sink       func(*Job, Event)
 
-	mu        sync.Mutex
-	cancel    context.CancelFunc
-	cancelReq bool
-	changed   chan struct{}
-	state     State
-	cached    bool
-	degraded  bool
-	rejected  bool // the scheduler turned the job away (see reject)
+	mu sync.Mutex
+	// x is the execution state: set when the job is admitted to the
+	// scheduler, cleared by the terminal transition. A job answered from the
+	// cache or settled as a coalesced follower never has one.
+	x *exec
+	// changed is closed and cleared on every mutation; the first waiter after
+	// a mutation creates it, so a job nobody waits on never allocates one.
+	changed  chan struct{}
+	state    State
+	cached   bool
+	degraded bool
+	rejected bool // the scheduler turned the job away (see reject)
+	// journaled marks the job's journal header as written (maintained by
+	// the server's sink, guarded by mu like the rest).
+	journaled bool
 	errMsg    string
 	result    []byte
 	events    []Event
@@ -88,6 +94,13 @@ type Job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
+}
+
+// exec is what a job needs only while it can still run: its parsed work and
+// what the executor and the watchdog keep about it. work and deadlineAt are
+// fixed when it is made; the rest is guarded by the job's mu.
+type exec struct {
+	work work
 	// deadlineAt is the absolute deadline: the request's deadline_ms budget
 	// measured from submission (zero = none) — queueing time counts, the
 	// client asked for an answer within the budget, not a simulation started
@@ -95,6 +108,9 @@ type Job struct {
 	// daemon that accepted them, and failing them for it after a restart would
 	// punish the client for our crash.
 	deadlineAt time.Time
+	// cancel is the execution context's cancel function, handed over by the
+	// executor at dequeue, before the job can be running.
+	cancel context.CancelFunc
 	// progress is the watchdog's heartbeat: the last time the job entered
 	// running or completed a sweep point.
 	progress time.Time
@@ -102,24 +118,51 @@ type Job struct {
 	// the executor reports a diagnosed failure instead of a silent
 	// cancellation.
 	killMsg string
-	// journaled marks the job's journal header as written (maintained by
-	// the server's sink, guarded by mu like the rest).
-	journaled bool
 }
 
-func newJob(id, kind, key string, req json.RawMessage, w work, deadline time.Duration,
-	onTerminal func(*Job), sink func(*Job, Event)) *Job {
+// lifecycleEvents is the room a new job's event list starts with: queued and
+// the terminal state, all a job answered without simulating ever appends.
+const lifecycleEvents = 2
+
+func newJob(id, kind, key string, req json.RawMessage, onTerminal func(*Job), sink func(*Job, Event)) *Job {
 	j := &Job{
 		ID: id, Kind: kind, Key: key, Request: req,
-		work: w, onTerminal: onTerminal, sink: sink,
-		changed: make(chan struct{}),
-		state:   StateQueued, created: time.Now(),
-	}
-	if deadline > 0 {
-		j.deadlineAt = j.created.Add(deadline)
+		onTerminal: onTerminal, sink: sink,
+		state: StateQueued, created: time.Now(),
+		events: make([]Event, 0, lifecycleEvents),
 	}
 	j.appendEventLocked(Event{Type: "state", State: StateQueued})
 	return j
+}
+
+// arm gives a queued job its execution state, just before it is handed to
+// the scheduler. It reports false if the job is already terminal (cancelled
+// before it could queue) and so has nothing to run.
+func (j *Job) arm(w work, deadline time.Duration) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.terminal() {
+		return false
+	}
+	j.x = &exec{work: w}
+	if deadline > 0 {
+		j.x.deadlineAt = j.created.Add(deadline)
+	}
+	return true
+}
+
+// dequeue is the executor's claim on a job it took off the queue: it hands
+// the job its execution context's cancel function and returns the execution
+// state, which stays the executor's to read after a terminal transition
+// clears the job's own pointer. nil means the job ended while it queued.
+func (j *Job) dequeue(cancel context.CancelFunc) *exec {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.x == nil {
+		return nil
+	}
+	j.x.cancel = cancel
+	return j.x
 }
 
 // restoreJob rebuilds a job from its journal: the header plus the replayed
@@ -129,7 +172,8 @@ func newJob(id, kind, key string, req json.RawMessage, w work, deadline time.Dur
 func restoreJob(hdr journalHeader, lines [][]byte) *Job {
 	j := &Job{
 		ID: hdr.ID, Kind: hdr.Kind, Key: hdr.Key, Request: hdr.Request,
-		changed: make(chan struct{}), state: StateQueued, journaled: true,
+		state: StateQueued, journaled: true,
+		events: make([]Event, 0, len(lines)),
 	}
 	if j.created, _ = time.Parse(time.RFC3339Nano, hdr.Created); j.created.IsZero() {
 		j.created = time.Now()
@@ -161,8 +205,19 @@ func (j *Job) appendEventLocked(e Event) {
 
 // notifyLocked wakes every waiter; callers hold mu.
 func (j *Job) notifyLocked() {
-	close(j.changed)
-	j.changed = make(chan struct{})
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
+}
+
+// waitChanLocked returns the channel the next notify closes, creating it for
+// the first waiter; callers hold mu.
+func (j *Job) waitChanLocked() <-chan struct{} {
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
+	return j.changed
 }
 
 // State returns the current state.
@@ -182,19 +237,21 @@ func (j *Job) setState(s State, errMsg string) bool {
 	return j.setStateLocked(s, errMsg)
 }
 
-// setStateLocked is setState for callers holding mu. A terminal transition is
-// counted (onTerminal) before the waiters are woken.
+// setStateLocked is setState for callers holding mu. A terminal transition
+// drops the execution state and is counted (onTerminal) before the waiters
+// are woken.
 func (j *Job) setStateLocked(s State, errMsg string) bool {
 	if j.state.terminal() {
 		return false
 	}
 	j.state = s
 	switch s {
-	case StateRunning:
+	case StateRunning: // only an executor that dequeued the job, so x is set
 		j.started = time.Now()
-		j.progress = j.started
+		j.x.progress = j.started
 	case StateDone, StateFailed, StateCancelled:
 		j.finished = time.Now()
+		j.x = nil
 	}
 	j.errMsg = errMsg
 	j.appendEventLocked(Event{Type: "state", State: s, Cached: j.cached, Degraded: j.degraded, Error: errMsg})
@@ -224,12 +281,18 @@ const maxJobEvents = 4096
 // explore evaluator answered from the result cache instead of simulating
 // (execution provenance lives only in the event stream and metrics, never in
 // the canonical payload). Called concurrently from the sweep engine's worker
-// goroutines.
+// goroutines. A terminal job's events are final — the journal closed its file
+// on the terminal line and /events streams stop there — so a point reported
+// after the ending is dropped; executors end a job only once its workers have
+// returned, so no real progress is lost.
 func (j *Job) pointDone(pd experiments.PointDone, cached bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.state.terminal() {
+		return
+	}
 	j.done++
-	j.progress = time.Now()
+	j.x.progress = time.Now()
 	if pd.Total > j.total {
 		j.total = pd.Total
 	}
@@ -285,19 +348,15 @@ func (j *Job) resultPayload() (payload []byte, degraded, ok bool) {
 	return j.result, j.degraded, true
 }
 
-// deadlineTime returns the job's absolute deadline, if it has one.
-func (j *Job) deadlineTime() (time.Time, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.deadlineAt, !j.deadlineAt.IsZero()
-}
-
 // progressAt reports the watchdog heartbeat: the last progress time, the
 // point counters, and whether the job is currently running.
 func (j *Job) progressAt() (last time.Time, done, total int, running bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.progress, j.done, j.total, j.state == StateRunning
+	if j.x != nil {
+		last = j.x.progress
+	}
+	return last, j.done, j.total, j.state == StateRunning
 }
 
 // kill cancels a running job on the watchdog's behalf, recording msg as the
@@ -305,39 +364,22 @@ func (j *Job) progressAt() (last time.Time, done, total int, running bool) {
 // left alone (a queued job has made exactly the progress it should have).
 func (j *Job) kill(msg string) bool {
 	j.mu.Lock()
-	if j.state != StateRunning || j.killMsg != "" {
+	if j.state != StateRunning || j.x.killMsg != "" {
 		j.mu.Unlock()
 		return false
 	}
-	j.killMsg = msg
-	cancel := j.cancel
+	j.x.killMsg = msg
+	cancel := j.x.cancel
 	j.mu.Unlock()
-	if cancel == nil {
-		return false
-	}
 	cancel()
 	return true
 }
 
-// killReason returns the watchdog diagnosis, if the job was killed.
-func (j *Job) killReason() string {
+// killReason returns the watchdog's diagnosis of x's job, if it killed it.
+func (j *Job) killReason(x *exec) string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.killMsg
-}
-
-// setCancel hands the job its execution context's cancel function. The
-// executor calls it before marking the job running, so a running job always
-// has a live cancel hook; a cancellation that arrived first (when the hook
-// was still nil) is replayed here so the context can never outlive it.
-func (j *Job) setCancel(cancel context.CancelFunc) {
-	j.mu.Lock()
-	j.cancel = cancel
-	requested := j.cancelReq
-	j.mu.Unlock()
-	if requested {
-		cancel()
-	}
+	return x.killMsg
 }
 
 // Cancel requests cancellation: queued jobs transition immediately, running
@@ -346,17 +388,17 @@ func (j *Job) setCancel(cancel context.CancelFunc) {
 // still live.
 func (j *Job) Cancel() bool {
 	j.mu.Lock()
-	live := !j.state.terminal()
-	queued := j.state == StateQueued
-	j.cancelReq = true
-	cancel := j.cancel
-	j.mu.Unlock()
-	if !live {
+	var cancel context.CancelFunc
+	switch {
+	case j.state.terminal():
+		j.mu.Unlock()
 		return false
+	case j.state == StateQueued:
+		j.setStateLocked(StateCancelled, "")
+	default: // running: the executor set the hook at dequeue
+		cancel = j.x.cancel
 	}
-	if queued {
-		j.setState(StateCancelled, "")
-	}
+	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
@@ -384,7 +426,7 @@ func (j *Job) WaitChange(ctx context.Context, n int) {
 			j.mu.Unlock()
 			return
 		}
-		ch := j.changed
+		ch := j.waitChanLocked()
 		j.mu.Unlock()
 		select {
 		case <-ch:
@@ -402,7 +444,7 @@ func (j *Job) WaitTerminal(ctx context.Context) {
 			j.mu.Unlock()
 			return
 		}
-		ch := j.changed
+		ch := j.waitChanLocked()
 		j.mu.Unlock()
 		select {
 		case <-ch:
@@ -461,7 +503,9 @@ func (j *Job) Snapshot(withResult bool) JobJSON {
 
 // Store holds jobs by ID, bounded by evicting the oldest terminal jobs. Jobs
 // sit in one list in creation order with an id index into it, so a lookup, an
-// eviction and an insertion are each O(1) at any capacity.
+// eviction and an insertion are each O(1) at any capacity. A retained
+// terminal job is its snapshot and event list only (see Job): at the default
+// 4,096 records, a store of cached answers holds about 3 MiB.
 type Store struct {
 	mu    sync.Mutex
 	cap   int
@@ -488,11 +532,11 @@ func NewStore(capacity int, onEvict func(*Job), onTerminal func(*Job), sink func
 }
 
 // Add registers a new job under a fresh ID.
-func (s *Store) Add(kind, key string, req json.RawMessage, w work, deadline time.Duration) *Job {
+func (s *Store) Add(kind, key string, req json.RawMessage) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	j := newJob(fmt.Sprintf("j%06d", s.seq), kind, key, req, w, deadline, s.onTerminal, s.sink)
+	j := newJob(fmt.Sprintf("j%06d", s.seq), kind, key, req, s.onTerminal, s.sink)
 	s.registerLocked(j)
 	return j
 }

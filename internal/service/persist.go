@@ -122,18 +122,18 @@ func (s *Server) recoverJobs() {
 		}
 		// Progress counters restart at zero: the re-run simulates from scratch
 		// and its fresh point events count up from one again. Any deadline_ms
-		// the request carried is deliberately not rearmed (restoreJob leaves
-		// deadlineAt zero): the budget expired with the daemon that accepted
+		// the request carried is deliberately not rearmed (admit gets no
+		// deadline): the budget expired with the daemon that accepted
 		// the job, and a correct late answer beats a degraded punctual one
 		// for work the client already waited a restart for.
-		j.work, j.state, j.done, j.total = w, StateQueued, 0, 0
+		j.state, j.done, j.total = StateQueued, 0, 0
 		s.store.addRecovered(j)
 		j.mu.Lock()
 		j.appendEventLocked(Event{Type: "state", State: StateQueued})
 		j.mu.Unlock()
 		s.metrics.jobsRecovered.Add(1)
-		if s.admit(j) == nil {
-			s.log.Printf("recovery: job %s %s re-enqueued (%s)", id, hdr.Kind, j.class)
+		if s.admit(j, w, 0) == nil {
+			s.log.Printf("recovery: job %s %s re-enqueued (%s)", id, hdr.Kind, w.class())
 		}
 	}
 }

@@ -122,47 +122,106 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 	}
 }
 
+// A job echoes its request body byte for byte whether the client declared
+// its length (read into a buffer of exactly that size) or streamed it
+// chunked (read whole, then copied to its size), insignificant whitespace
+// included: the echo is the body as JSON renders it, compacted.
+func TestRequestEchoIgnoresHowTheBodyArrived(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, body := range []string{
+		`{"n":8,"msglen":4,"rate":0.002,"warmup":100,"measure":300,"drain":3000,"seed":61}`,
+		" {\n\t\"n\" : 8, \"msglen\":4 ,\"rate\": 0.002,\r\n \"warmup\":100,\"measure\":300,\"drain\":3000, \"seed\":62 }\n",
+	} {
+		var want bytes.Buffer
+		if err := json.Compact(&want, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		for _, chunked := range []bool{false, true} {
+			var r io.Reader = strings.NewReader(body)
+			if chunked {
+				r = struct{ io.Reader }{r} // hides the length: net/http streams it chunked
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/runs?wait=1", r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chunked != (req.ContentLength <= 0) {
+				t.Fatalf("chunked=%v but ContentLength=%d", chunked, req.ContentLength)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("chunked=%v: %s: %s (%v)", chunked, resp.Status, reply, err)
+			}
+			var job struct {
+				ID      string          `json:"id"`
+				Request json.RawMessage `json:"request"`
+			}
+			if err := json.Unmarshal(reply, &job); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(job.Request, want.Bytes()) {
+				t.Errorf("chunked=%v: reply echoes %s, want %s", chunked, job.Request, want.Bytes())
+			}
+			// The retained record echoes the same bytes later.
+			_, later := postJSONGet(t, ts.URL+"/v1/jobs/"+job.ID)
+			if err := json.Unmarshal(later, &job); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(job.Request, want.Bytes()) {
+				t.Errorf("chunked=%v: GET /v1/jobs/%s echoes %s, want %s", chunked, job.ID, job.Request, want.Bytes())
+			}
+		}
+	}
+}
+
 func TestCoalescerJoinRelease(t *testing.T) {
 	c := newCoalescer()
-	job := func(id string) *Job { return newJob(id, "run", "k", nil, nil, 0, nil, nil) }
+	job := func(id string) *Job { return newJob(id, "run", "k", nil, nil, nil) }
 	p, f1, f2, f3 := job("p"), job("f1"), job("f2"), job("f3")
-	if got := c.join(p); got != nil {
+	if got := c.join(p, nil, 0); got != nil {
 		t.Fatalf("first join returned primary %v, want nil", got.ID)
 	}
-	for _, f := range []*Job{f1, f2, f3} {
-		if got := c.join(f); got != p {
+	// Each follower keeps the work and deadline it is admitted with if
+	// promoted; the deadline stands in for both here.
+	for i, f := range []*Job{f1, f2, f3} {
+		if got := c.join(f, nil, time.Duration(i+1)); got != p {
 			t.Fatalf("follower %s joined %v, want the primary", f.ID, got)
 		}
 	}
 	// A follower is not the primary: its release changes nothing.
-	if fs, next := c.release(f2, true); fs != nil || next != nil || len(c.inflight["k"].followers) != 3 {
-		t.Fatalf("non-primary release: followers=%v next=%v", fs, next)
+	if fs, next := c.release(f2, true); fs != nil || next.Job != nil || len(c.inflight["k"].followers) != 3 {
+		t.Fatalf("non-primary release: followers=%v next=%v", fs, next.Job)
 	}
-	// Without a result the first live follower is promoted; terminal ones
-	// are dropped from the chain.
+	// Without a result the first live follower is promoted with its own
+	// deadline; terminal ones are dropped from the chain.
 	f1.setState(StateCancelled, "")
 	fs, next := c.release(p, false)
-	if fs != nil || next != f2 {
-		t.Fatalf("release without result: followers=%v next=%v, want promotion of f2", fs, next)
+	if fs != nil || next.Job != f2 || next.deadline != 2 {
+		t.Fatalf("release without result: followers=%v next=%v (deadline %d), want promotion of f2", fs, next.Job, next.deadline)
 	}
-	if ch := c.inflight["k"]; ch.primary != f2 || len(ch.followers) != 1 || ch.followers[0] != f3 {
+	if ch := c.inflight["k"]; ch.primary != f2 || len(ch.followers) != 1 || ch.followers[0].Job != f3 {
 		t.Fatalf("chain after promotion: %+v", ch)
 	}
 	// With a result the followers come back in join order and the key is free.
 	fs, next = c.release(f2, true)
-	if len(fs) != 1 || fs[0] != f3 || next != nil {
-		t.Fatalf("release with result: followers=%v next=%v", fs, next)
+	if len(fs) != 1 || fs[0].Job != f3 || next.Job != nil {
+		t.Fatalf("release with result: followers=%v next=%v", fs, next.Job)
 	}
 	if len(c.inflight) != 0 {
 		t.Fatal("key still in flight after its primary released with a result")
 	}
 	// No live follower left: the key is freed without a promotion.
 	q, g := job("q"), job("g")
-	c.join(q)
-	c.join(g)
+	c.join(q, nil, 0)
+	c.join(g, nil, 0)
 	g.setState(StateCancelled, "")
-	if fs, next := c.release(q, false); fs != nil || next != nil || len(c.inflight) != 0 {
-		t.Fatalf("release with only terminal followers: followers=%v next=%v inflight=%d", fs, next, len(c.inflight))
+	if fs, next := c.release(q, false); fs != nil || next.Job != nil || len(c.inflight) != 0 {
+		t.Fatalf("release with only terminal followers: followers=%v next=%v inflight=%d", fs, next.Job, len(c.inflight))
 	}
 }
 
@@ -186,26 +245,31 @@ func fullQueueServer(t *testing.T) (*Server, *httptest.Server) {
 }
 
 // chainOf registers a primary and two followers of one request, as
-// submissions racing into the enqueue window would leave them.
-func chainOf(t *testing.T, svc *Server, kindName string, req any) []*Job {
+// submissions racing into the enqueue window would leave them, and returns
+// them with the primary's parsed work.
+func chainOf(t *testing.T, svc *Server, kindName string, req any) ([]*Job, work) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var jobs []*Job
+	var primaryWork work
 	for i := 0; i < 3; i++ {
 		key, w, deadline, err := parseKind(kindName, body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j := svc.store.Add(kindName, key, body, w, deadline)
-		if primary := svc.co.join(j); (primary == nil) != (i == 0) {
+		j := svc.store.Add(kindName, key, body)
+		if primary := svc.co.join(j, w, deadline); (primary == nil) != (i == 0) {
 			t.Fatalf("job %d joined as primary=%v", i, primary == nil)
+		}
+		if i == 0 {
+			primaryWork = w
 		}
 		jobs = append(jobs, j)
 	}
-	return jobs
+	return jobs, primaryWork
 }
 
 // A full queue sheds an analyzable run degraded, and the followers that
@@ -214,8 +278,8 @@ func chainOf(t *testing.T, svc *Server, kindName string, req any) []*Job {
 func TestQueueFullSettlesRunChainDegraded(t *testing.T) {
 	svc, _ := fullQueueServer(t)
 	req := RunRequest{N: 8, MsgLen: 4, Rate: 0.002, Warmup: 100, Measure: 400_000_000, Seed: 52}
-	jobs := chainOf(t, svc, "run", req)
-	if err := svc.admit(jobs[0]); err == nil {
+	jobs, w := chainOf(t, svc, "run", req)
+	if err := svc.admit(jobs[0], w, 0); err == nil {
 		t.Fatal("admit into a full queue succeeded")
 	}
 	for _, j := range jobs {
@@ -237,8 +301,8 @@ func TestQueueFullSettlesRunChainDegraded(t *testing.T) {
 // follower it hands the key to is rejected in turn — one jobs_rejected per job.
 func TestQueueFullRejectsPanelChain(t *testing.T) {
 	svc, _ := fullQueueServer(t)
-	jobs := chainOf(t, svc, "panel", tinyPanel())
-	if err := svc.admit(jobs[0]); err == nil {
+	jobs, w := chainOf(t, svc, "panel", tinyPanel())
+	if err := svc.admit(jobs[0], w, 0); err == nil {
 		t.Fatal("admit into a full queue succeeded")
 	}
 	for _, j := range jobs {
@@ -537,7 +601,7 @@ func TestRecoversParentDataDir(t *testing.T) {
 func TestStoreAddAtCapacityAllocatesLittle(t *testing.T) {
 	perAdd := func(capacity int) float64 {
 		s := NewStore(capacity, nil, nil, nil)
-		add := func() { s.Add("run", "k", nil, nil, 0).setState(StateDone, "") }
+		add := func() { s.Add("run", "k", nil).setState(StateDone, "") }
 		for i := 0; i < capacity; i++ {
 			add()
 		}
@@ -563,13 +627,13 @@ func TestStoreEvictionOrderSkipsLiveJobs(t *testing.T) {
 	s := NewStore(3, func(j *Job) { evicted = append(evicted, j.ID) }, nil, nil)
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
-		jobs = append(jobs, s.Add("run", "k", nil, nil, 0))
+		jobs = append(jobs, s.Add("run", "k", nil))
 	}
 	jobs[1].setState(StateDone, "") // live, done, live
-	jobs = append(jobs, s.Add("run", "k", nil, nil, 0))
+	jobs = append(jobs, s.Add("run", "k", nil))
 	jobs[0].setState(StateDone, "")
 	jobs[3].setState(StateDone, "") // done, (evicted), live, done
-	jobs = append(jobs, s.Add("run", "k", nil, nil, 0), s.Add("run", "k", nil, nil, 0))
+	jobs = append(jobs, s.Add("run", "k", nil), s.Add("run", "k", nil))
 	want := []string{jobs[1].ID, jobs[0].ID, jobs[3].ID}
 	if strings.Join(evicted, ",") != strings.Join(want, ",") {
 		t.Fatalf("eviction order %v, want %v", evicted, want)

@@ -125,10 +125,10 @@ func (s *Scheduler) pickLocked() *Job {
 	return j
 }
 
-// Enqueue submits a job to its class queue; it fails with ErrQueueFull when
-// the queues are full (backpressure) and ErrSchedClosed when the scheduler
-// is draining.
-func (s *Scheduler) Enqueue(j *Job) error {
+// Enqueue submits a job to the queue of class c; it fails with ErrQueueFull
+// when the queues are full (backpressure) and ErrSchedClosed when the
+// scheduler is draining.
+func (s *Scheduler) Enqueue(j *Job, c Class) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -137,7 +137,7 @@ func (s *Scheduler) Enqueue(j *Job) error {
 	if s.queuedLocked() >= s.cap {
 		return fmt.Errorf("%w (%d pending)", ErrQueueFull, s.cap)
 	}
-	s.queues[j.class] = append(s.queues[j.class], j)
+	s.queues[c] = append(s.queues[c], j)
 	s.cond.Signal()
 	return nil
 }

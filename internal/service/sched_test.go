@@ -11,11 +11,7 @@ import (
 )
 
 // schedJob builds a bare job for scheduler unit tests (no work, no sinks).
-func schedJob(id string, class Class) *Job {
-	j := newJob(id, "run", "k-"+id, nil, nil, 0, nil, nil)
-	j.class = class
-	return j
-}
+func schedJob(id string) *Job { return newJob(id, "run", "k-"+id, nil, nil, nil) }
 
 // waitRunning polls until the scheduler reports n executing jobs.
 func waitRunning(t *testing.T, s *Scheduler, n int) {
@@ -53,26 +49,26 @@ func TestSchedulerWeightedFairOrder(t *testing.T) {
 
 	// Park the single executor so every later enqueue lands in the queues
 	// and the dequeue order is decided by pickLocked alone.
-	if err := s.Enqueue(schedJob("gate", ClassInteractive)); err != nil {
+	if err := s.Enqueue(schedJob("gate"), ClassInteractive); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1)
 
 	var jobs []*Job
 	for i := 1; i <= 8; i++ {
-		jobs = append(jobs, schedJob(fmt.Sprintf("I%d", i), ClassInteractive))
+		jobs = append(jobs, schedJob(fmt.Sprintf("I%d", i)))
 	}
-	batch := []*Job{schedJob("B1", ClassBatch), schedJob("B2", ClassBatch)}
+	batch := []*Job{schedJob("B1"), schedJob("B2")}
 	// Enqueue batch first so it is always "waiting" during interactive picks.
 	for _, j := range batch {
 		wg.Add(1)
-		if err := s.Enqueue(j); err != nil {
+		if err := s.Enqueue(j, ClassBatch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, j := range jobs {
 		wg.Add(1)
-		if err := s.Enqueue(j); err != nil {
+		if err := s.Enqueue(j, ClassInteractive); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,17 +92,17 @@ func TestSchedulerWeightedFairOrder(t *testing.T) {
 func TestSchedulerQueueFullAndClosed(t *testing.T) {
 	gate := make(chan struct{})
 	s := NewScheduler(1, 2, func(j *Job) { <-gate })
-	if err := s.Enqueue(schedJob("running", ClassInteractive)); err != nil {
+	if err := s.Enqueue(schedJob("running"), ClassInteractive); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1)
-	if err := s.Enqueue(schedJob("q1", ClassInteractive)); err != nil {
+	if err := s.Enqueue(schedJob("q1"), ClassInteractive); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Enqueue(schedJob("q2", ClassBatch)); err != nil {
+	if err := s.Enqueue(schedJob("q2"), ClassBatch); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Enqueue(schedJob("q3", ClassInteractive))
+	err := s.Enqueue(schedJob("q3"), ClassInteractive)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-cap enqueue: %v, want ErrQueueFull", err)
 	}
@@ -115,7 +111,7 @@ func TestSchedulerQueueFullAndClosed(t *testing.T) {
 	}
 	close(gate)
 	s.Close()
-	if err := s.Enqueue(schedJob("late", ClassInteractive)); !errors.Is(err, ErrSchedClosed) {
+	if err := s.Enqueue(schedJob("late"), ClassInteractive); !errors.Is(err, ErrSchedClosed) {
 		t.Fatalf("post-close enqueue: %v, want ErrSchedClosed", err)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -260,10 +261,12 @@ func (s *Server) execute(j *Job) {
 	defer s.settle(j)
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
-	j.setCancel(cancel)
-	// A cancellation that raced the dequeue leaves the job terminal; anything
-	// later cancels ctx through setCancel's handoff.
-	if j.State() != StateQueued {
+	// A cancellation that raced the dequeue leaves the job terminal and
+	// without execution state; anything later cancels ctx through the hook
+	// dequeue hands over. From here on x is the executor's own: a terminal
+	// transition clears the job's pointer, never x.
+	x := j.dequeue(cancel)
+	if x == nil {
 		return
 	}
 	// Re-check the cache at dequeue time: an identical job may have finished
@@ -275,15 +278,15 @@ func (s *Server) execute(j *Job) {
 		}
 		return
 	}
-	if deadline, ok := j.deadlineTime(); ok {
+	if !x.deadlineAt.IsZero() {
 		// The budget ran down while the job sat in the queue: answer now
 		// without simulating a single cycle.
-		if !time.Now().Before(deadline) {
-			s.degradeOrFail(j, "deadline expired while queued")
+		if !time.Now().Before(x.deadlineAt) {
+			s.degradeOrFail(j, x.work, "deadline expired while queued")
 			return
 		}
 		var cancelDl context.CancelFunc
-		ctx, cancelDl = context.WithDeadline(ctx, deadline)
+		ctx, cancelDl = context.WithDeadline(ctx, x.deadlineAt)
 		defer cancelDl()
 	}
 	if !j.setState(StateRunning, "") {
@@ -291,28 +294,28 @@ func (s *Server) execute(j *Job) {
 	}
 	s.log.Printf("job %s %s key=%.12s running", j.ID, j.Kind, j.Key)
 
-	payload, err := s.runGuarded(ctx, j)
+	payload, err := s.runGuarded(ctx, j, x.work)
 	switch {
 	case err == nil:
 		s.tier.put(j.Key, payload)
 		j.finish(payload, false, false)
 		s.log.Printf("job %s done", j.ID)
 	case errors.Is(err, context.DeadlineExceeded):
-		s.degradeOrFail(j, "deadline exceeded")
-	case errors.Is(err, context.Canceled) && j.killReason() == "":
+		s.degradeOrFail(j, x.work, "deadline exceeded")
+	case errors.Is(err, context.Canceled) && j.killReason(x) == "":
 		j.setState(StateCancelled, "")
 		s.log.Printf("job %s cancelled", j.ID)
 	case errors.Is(err, context.Canceled):
-		s.fail(j, j.killReason()) // the watchdog's diagnosis
+		s.fail(j, j.killReason(x)) // the watchdog's diagnosis
 	default:
 		s.fail(j, err.Error())
 	}
 }
 
-// runGuarded runs j's work with panic isolation: a crash anywhere in the
+// runGuarded runs j's work w with panic isolation: a crash anywhere in the
 // simulation stack fails this job with a diagnosis instead of tearing down
 // the daemon and every other job with it.
-func (s *Server) runGuarded(ctx context.Context, j *Job) (payload []byte, err error) {
+func (s *Server) runGuarded(ctx context.Context, j *Job, w work) (payload []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.panicsRecovered.Add(1)
@@ -320,7 +323,7 @@ func (s *Server) runGuarded(ctx context.Context, j *Job) (payload []byte, err er
 			err = fmt.Errorf("job panicked: %v", r)
 		}
 	}()
-	return j.work.run(ctx, s, j)
+	return w.run(ctx, s, j)
 }
 
 // fail ends j as failed with a diagnosis.
@@ -333,10 +336,10 @@ func (s *Server) fail(j *Job, msg string) {
 // deadline ran out, queued or running, or the queue turned it away — with the
 // work's instant analytic stand-in marked `degraded: true`: a useful answer
 // in microseconds instead of an error, deliberately never cached. It reports
-// whether the work has one; panels, explores and workloads outside the
+// whether the work w has one; panels, explores and workloads outside the
 // analytic models' validated domain do not.
-func (s *Server) degrade(j *Job, reason string) bool {
-	out, ok := j.work.degraded(reason)
+func (s *Server) degrade(j *Job, w work, reason string) bool {
+	out, ok := w.degraded(reason)
 	if !ok {
 		return false
 	}
@@ -350,9 +353,9 @@ func (s *Server) degrade(j *Job, reason string) bool {
 	return true
 }
 
-// degradeOrFail settles a job that ran out of deadline.
-func (s *Server) degradeOrFail(j *Job, reason string) {
-	if !s.degrade(j, reason) {
+// degradeOrFail settles a job with work w that ran out of deadline.
+func (s *Server) degradeOrFail(j *Job, w work, reason string) {
+	if !s.degrade(j, w, reason) {
 		s.fail(j, reason)
 	}
 }
@@ -382,16 +385,22 @@ func (s *Server) countOutcome(j *Job) {
 	}
 }
 
-// admit classifies a primary and hands it to the scheduler. A job the
-// scheduler turns away ends here and now — answered degraded if a full queue
-// shed it and its work has an analytic stand-in, failed and counted as a
-// backpressure rejection otherwise — and is settled like any other finished
-// primary; the scheduler's error is returned either way.
-func (s *Server) admit(j *Job) error {
-	j.class = j.work.class()
-	err := s.sched.Enqueue(j)
+// admit classifies a primary with its parsed work w, gives it its execution
+// state and hands it to the scheduler. A job that ended before it could queue
+// (a cancellation) is settled at once. A job the scheduler turns away ends
+// here and now — answered degraded if a full queue shed it and its work has
+// an analytic stand-in, failed and counted as a backpressure rejection
+// otherwise — and is settled like any other finished primary; the
+// scheduler's error is returned either way.
+func (s *Server) admit(j *Job, w work, deadline time.Duration) error {
+	c := w.class()
+	if !j.arm(w, deadline) {
+		s.settle(j)
+		return nil
+	}
+	err := s.sched.Enqueue(j, c)
 	if err != nil {
-		if !errors.Is(err, ErrQueueFull) || !s.degrade(j, "shed: queue full") {
+		if !errors.Is(err, ErrQueueFull) || !s.degrade(j, w, "shed: queue full") {
 			j.reject(err.Error())
 		}
 		s.settle(j)
@@ -412,9 +421,9 @@ func (s *Server) settle(j *Job) {
 	for _, f := range followers {
 		f.finish(payload, !degraded, degraded)
 	}
-	if next != nil {
+	if next.Job != nil {
 		s.log.Printf("job %s promoted to primary after %s ended without a result", next.ID, j.ID)
-		s.admit(next)
+		s.admit(next.Job, next.work, next.deadline)
 	}
 }
 
@@ -437,6 +446,21 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job
 // maxBodyBytes bounds request bodies.
 const maxBodyBytes = 1 << 20
 
+// readBody reads a request body of at most maxBodyBytes into a buffer of
+// exactly its size, since the job record keeps it as the request echo: a
+// body with a declared length is read straight into a buffer that long, a
+// streamed one through io.ReadAll and then copied to its length.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		raw := make([]byte, n)
+		_, err := io.ReadFull(body, raw)
+		return raw, err
+	}
+	raw, err := io.ReadAll(body)
+	return bytes.Clone(raw), err
+}
+
 // handleSubmit is the POST handler of one job kind, the front of the
 // pipeline: read the bounded body, parse it through the kind's table row,
 // register the job, then answer it from the cache, attach it to an identical
@@ -448,7 +472,7 @@ func (s *Server) handleSubmit(k kind) http.HandlerFunc {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		raw, err := readBody(w, r)
 		if err != nil {
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
@@ -463,7 +487,7 @@ func (s *Server) handleSubmit(k kind) http.HandlerFunc {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		j := s.store.Add(k.name, key, raw, wk, deadline)
+		j := s.store.Add(k.name, key, raw)
 		s.metrics.jobsAccepted.Add(1)
 		if cached, ok := s.tier.get(key); ok {
 			j.finish(cached, true, false)
@@ -473,13 +497,13 @@ func (s *Server) handleSubmit(k kind) http.HandlerFunc {
 		// Coalesce with an identical uncached job that is already queued or
 		// running: this job subscribes to that one's outcome instead of
 		// simulating the same points twice.
-		if primary := s.co.join(j); primary != nil {
+		if primary := s.co.join(j, wk, deadline); primary != nil {
 			s.metrics.jobsCoalesced.Add(1)
 			s.log.Printf("job %s %s coalesced onto in-flight %s", j.ID, k.name, primary.ID)
 			s.respondSubmitted(w, r, j)
 			return
 		}
-		switch err := s.admit(j); {
+		switch err := s.admit(j, wk, deadline); {
 		case err == nil:
 			s.respondSubmitted(w, r, j)
 		case j.State() == StateDone:
