@@ -10,12 +10,13 @@
 //
 // The cycle-accurate fabric does not drive these signals: internal/router
 // keeps one credit counter per downstream lane on the sending side, the
-// sender-side image of CH_STATUS_N. This package is the differential oracle
-// for those counters: internal/router's TestCreditCountersMatchChannelStatus
-// runs one link through a router pair and through Receiver side by side and
-// requires, every cycle, that a status line is asserted exactly when the
-// sender holds a credit for that lane, and that both hand over identical flit
-// streams — so the simulator's shortcut is sound. Only tests import it.
+// sender-side image of CH_STATUS_N. This package is test code only: the model
+// and the differential oracle for those counters.
+// TestCreditCountersMatchChannelStatus runs one link through a pair of
+// switches and through Receiver side by side and requires, every cycle, that
+// a status line is asserted exactly when the sender holds a credit for that
+// lane, and that both hand over identical flit streams — so the simulator's
+// shortcut is sound.
 package link
 
 import (

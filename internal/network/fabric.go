@@ -32,13 +32,16 @@
 // Stepping is activity-driven: the fabric keeps a set of active nodes (any
 // buffered flit or pending source-queue backlog) and each cycle visits only
 // those. Routers are woken by flits pushed into them and by adapter enqueues,
-// and go to sleep when fully drained — or, under saturation, when provably
-// blocked (buffered flits but no possible move until a downstream credit
-// returns; see sleepScan); slept cycles are credited to their statistics in
-// bulk, so the observable simulation — every flit movement, every counter —
-// is bit-identical to stepping all N routers every cycle (SetDense selects
-// that reference behaviour, and the experiment layer's equivalence suite
-// proves the identity for every registered model).
+// and go to sleep when fully drained — or, under saturation, when blocked:
+// every occupied input port of the switch is parked (internal/router) and the
+// adapter cannot inject, so nothing can move until a credit returns that
+// unparks a port, a flit arrives or a packet is enqueued (see sleepScan).
+// Slept cycles are credited to their statistics in bulk, so the observable
+// simulation — every flit movement, every counter — is bit-identical to
+// stepping all N routers every cycle (SetDense selects that reference
+// behaviour, and the experiment layer's equivalence suite proves the identity
+// for every registered model; the parking rule both share is pinned by a
+// parent-written golden of router statistics).
 package network
 
 import (
@@ -95,18 +98,6 @@ type feedBlocked interface {
 	FeedBlocked() bool
 }
 
-// Node sleep states.
-const (
-	sleepNone    uint8 = iota // awake
-	sleepIdle                 // drained: no flits, no backlog
-	sleepBlocked              // frozen: buffered flits, no possible move
-)
-
-// blockedSleepAfter is how many consecutive grantless busy cycles a node
-// must accumulate before the fabric pays for the frozen-state probe. Cheap
-// transient contention never reaches the probe.
-const blockedSleepAfter = 4
-
 // defaultStepGrain is the minimum active-set size before the worker pool is
 // worth its barriers; below it the serial path is faster.
 const defaultStepGrain = 48
@@ -122,7 +113,7 @@ type stepScratch struct {
 	forwarded    uint64      // flits moved across links this cycle
 	delivering   []int       // stepped nodes with a PE delivery among their moves, ascending
 	sleptIdle    []int       // drained nodes leaving the step set
-	sleptBlocked []int       // frozen nodes leaving the step set
+	sleptBlocked []int       // blocked nodes leaving the step set
 	outbox       [][]linkRec // per destination shard: link effects parked for its owner (pool only)
 	shardOf      []uint8     // activeMask word -> owning shard, shared by the pool's scratches
 	_            [64]byte
@@ -181,8 +172,7 @@ type Fabric struct {
 	feeder [][]feederRef // [node][in]
 
 	// Blocked-sleep state (the dependency wake graph).
-	sleepKind       []uint8       // per node: sleepNone/sleepIdle/sleepBlocked
-	noGrant         []uint8       // consecutive grantless busy cycles
+	blockedMask     []uint64      // bit per node: asleep blocked (an asleep node without it sleeps idle)
 	feedBlk         []feedBlocked // adapters' FeedBlocked hooks, nil when unsupported
 	blockedSleeping int           // nodes currently in blocked sleep
 	blockedSleeps   uint64        // cumulative blocked-sleep entries (diagnostic)
@@ -213,23 +203,22 @@ func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric
 		}
 	}
 	f := &Fabric{
-		N:          n,
-		Routers:    routers,
-		Adapters:   make([]Adapter, n),
-		Tracker:    NewTracker(),
-		Packets:    routers[0].Packets(),
-		wires:      wires,
-		injStart:   injStart,
-		moves:      make([][]router.Move, n),
-		nmoves:     make([]int32, n),
-		activeMask: make([]uint64, (n+63)/64),
-		stepList:   make([]int, 0, n),
-		idleSince:  make([]int64, n),
-		canSleep:   make([]bool, n),
-		sleepKind:  make([]uint8, n),
-		noGrant:    make([]uint8, n),
-		feedBlk:    make([]feedBlocked, n),
-		stepGrain:  defaultStepGrain,
+		N:           n,
+		Routers:     routers,
+		Adapters:    make([]Adapter, n),
+		Tracker:     NewTracker(),
+		Packets:     routers[0].Packets(),
+		wires:       wires,
+		injStart:    injStart,
+		moves:       make([][]router.Move, n),
+		nmoves:      make([]int32, n),
+		activeMask:  make([]uint64, (n+63)/64),
+		stepList:    make([]int, 0, n),
+		idleSince:   make([]int64, n),
+		canSleep:    make([]bool, n),
+		blockedMask: make([]uint64, (n+63)/64),
+		feedBlk:     make([]feedBlocked, n),
+		stepGrain:   defaultStepGrain,
 	}
 	f.scr = newStepScratch(0, n)
 	// Every node starts awake (matching a dense cycle 0); empty routers go
@@ -368,8 +357,8 @@ func (f *Fabric) FlitsForwarded() uint64 { return f.forwarded }
 // is the activity factor the scheduler exploited.
 func (f *Fabric) SteppedRouters() uint64 { return f.stepped }
 
-// BlockedSleeps returns how many times a router entered blocked sleep
-// (frozen with buffered flits). Diagnostic for the saturation regime, where
+// BlockedSleeps returns how many times a router entered blocked sleep (every
+// occupied input port parked). Diagnostic for the saturation regime, where
 // idle sleep never fires.
 func (f *Fabric) BlockedSleeps() uint64 { return f.blockedSleeps }
 
@@ -399,6 +388,13 @@ func (f *Fabric) Idle() bool {
 	return true
 }
 
+// asleepBlocked reports whether node sleeps blocked.
+//
+//quarc:hotpath
+func (f *Fabric) asleepBlocked(node int) bool {
+	return f.blockedMask[node>>6]&(1<<uint(node&63)) != 0
+}
+
 // wake puts a node back into the step set. Slept cycles are reconciled into
 // its statistics when it is next stepped.
 func (f *Fabric) wake(node int) {
@@ -407,14 +403,15 @@ func (f *Fabric) wake(node int) {
 
 // SyncStats brings the cycle counters of sleeping routers up to the current
 // cycle, as if each had been stepped every cycle — idle sleepers empty,
-// blocked sleepers replaying their frozen stall profile. It is idempotent at
-// a given cycle; RouterStats calls it implicitly, and tests comparing
-// per-router statistics against dense stepping call it first.
+// blocked sleepers at the occupancy they slept with (their parked ports'
+// stalls are settled when Router.Stats is read). It is idempotent at a given
+// cycle; RouterStats calls it implicitly, and tests comparing per-router
+// statistics against dense stepping call it first.
 func (f *Fabric) SyncStats() {
 	for node, since := range f.idleSince {
 		if since >= 0 && since < f.cycle {
 			k := uint64(f.cycle - since)
-			if f.sleepKind[node] == sleepBlocked {
+			if f.asleepBlocked(node) {
 				f.Routers[node].ReplayBlockedCycles(k)
 			} else {
 				f.Routers[node].AddIdleCycles(k)
@@ -490,13 +487,13 @@ func (f *Fabric) reconcile(node int, sc *stepScratch) {
 		return
 	}
 	k := uint64(f.cycle - f.idleSince[node])
-	if f.sleepKind[node] == sleepBlocked {
+	if f.asleepBlocked(node) {
 		f.Routers[node].ReplayBlockedCycles(k)
+		f.blockedMask[node>>6] &^= 1 << uint(node&63)
 		sc.wokenBlocked++
 	} else {
 		f.Routers[node].AddIdleCycles(k)
 	}
-	f.sleepKind[node] = sleepNone
 	f.idleSince[node] = -1
 	sc.woken++
 }
@@ -609,9 +606,8 @@ func (f *Fabric) send(sc *stepScratch, r linkRec) {
 func (f *Fabric) applyLink(r linkRec) {
 	node := int(r.node)
 	if r.s == nil {
-		// A returned credit is exactly the event a blocked sleeper waits for.
-		f.Routers[node].ReturnCredit(int(r.port), int(r.vc))
-		if f.sleepKind[node] == sleepBlocked {
+		// A credit that unparks a port is an event a blocked sleeper waits for.
+		if f.Routers[node].ReturnCredit(int(r.port), int(r.vc)) {
 			f.wake(node)
 		}
 		return
@@ -634,15 +630,23 @@ func (f *Fabric) pass2(list []int, sc *stepScratch) {
 			f.sleepScan(node, sc)
 		}
 	}
+	// A blocked sleeper woken during this cycle's apply is fed now, as it
+	// would be had it been stepped: a delivery's callback may have enqueued
+	// a packet at it. (It slept because Feed could not inject, and only an
+	// enqueue changes that while it sleeps.)
+	for w := sc.lo >> 6; w < (sc.hi+63)>>6; w++ {
+		for woke := f.activeMask[w] & f.blockedMask[w]; woke != 0; woke &= woke - 1 {
+			f.Adapters[w<<6|bits.TrailingZeros64(woke)].Feed(f.cycle)
+		}
+	}
 }
 
 // sleepScan decides whether a just-stepped node can leave the step set:
-// drained nodes sleep idle; nodes that stay grantless for blockedSleepAfter
-// cycles and then prove frozen (no head flit can move until a credit
-// returns, and the adapter cannot inject) sleep blocked. Candidates are
-// recorded in scratch; fold commits them. It reads only the node's own
-// switch and adapter, and a sleeping switch needs nothing refreshed: nobody
-// reads it.
+// drained nodes sleep idle; a node whose switch is blocked (every occupied
+// input port parked, waiting for a credit, a VC or a flit) and whose adapter
+// cannot inject sleeps blocked. Candidates are recorded in scratch; fold
+// commits them. It reads only the node's own switch and adapter, and a
+// sleeping switch needs nothing refreshed: nobody reads it.
 //
 //quarc:hotpath
 func (f *Fabric) sleepScan(node int, sc *stepScratch) {
@@ -651,32 +655,18 @@ func (f *Fabric) sleepScan(node int, sc *stepScratch) {
 	}
 	r := f.Routers[node]
 	if r.Quiescent() {
-		f.noGrant[node] = 0
 		if f.Adapters[node].Backlog() == 0 {
 			sc.sleptIdle = append(sc.sleptIdle, node)
 		}
 		return
 	}
-	if f.nmoves[node] != 0 {
-		f.noGrant[node] = 0
-		return
-	}
-	if f.noGrant[node] < blockedSleepAfter {
-		f.noGrant[node]++
+	if !r.Blocked() {
 		return
 	}
 	if f.Adapters[node].Backlog() > 0 {
-		fb := f.feedBlk[node]
-		if fb == nil || !fb.FeedBlocked() {
-			f.noGrant[node] = 0
+		if fb := f.feedBlk[node]; fb == nil || !fb.FeedBlocked() {
 			return
 		}
-	}
-	if !r.FrozenBlocked() {
-		// Some head is sendable (it keeps losing arbitration): re-arm the
-		// counter so the relatively expensive probe stays off the hot path.
-		f.noGrant[node] = 0
-		return
 	}
 	sc.sleptBlocked = append(sc.sleptBlocked, node)
 }
@@ -694,14 +684,13 @@ func (f *Fabric) fold(sc *stepScratch) {
 	for _, node := range sc.sleptIdle {
 		f.activeMask[node>>6] &^= 1 << uint(node&63)
 		f.idleSince[node] = f.cycle + 1
-		f.sleepKind[node] = sleepIdle
 		f.sleeping++
 	}
 	sc.sleptIdle = sc.sleptIdle[:0]
 	for _, node := range sc.sleptBlocked {
 		f.activeMask[node>>6] &^= 1 << uint(node&63)
 		f.idleSince[node] = f.cycle + 1
-		f.sleepKind[node] = sleepBlocked
+		f.blockedMask[node>>6] |= 1 << uint(node&63)
 		f.sleeping++
 		f.blockedSleeping++
 		f.blockedSleeps++

@@ -28,6 +28,22 @@
 // applies a cycle's moves, Arbitrate sees the start-of-cycle free space: the
 // simulation is order-independent and a flit advances one hop per cycle.
 //
+// Parking: a lane that cannot advance is not re-evaluated. When an input
+// port's bid fails for want of a credit (StallNoCredit) or of a downstream VC
+// (StallVCBusy), and every other lane of the port holding a flit would fail
+// for one of those reasons too, the port parks: it leaves Arbitrate's occupancy scan and each
+// of its lanes records the output it waits on and its stall cause. Nothing
+// the switch does can change those verdicts, so the port stays parked until
+// the one event that can: ReturnCredit on that output and VC, the Commit
+// that releases that output's VC, or a Push into one of the port's empty
+// lanes. The cycles a port sits out are settled lazily, at its next Arbitrate
+// or when Stats is read, exactly as dense evaluation would have charged them:
+// each cycle the VC arbiter selects the next parked lane in rotation, the
+// lane is charged its recorded cause and the arbiter's pointer moves past it
+// — over the lanes that were parked, not the lanes that hold flits when the
+// port is settled. A switch whose occupied ports are all parked is Blocked,
+// and the network may skip stepping it until one of those events.
+//
 // Flit ownership: a buffered flit is a 16-byte Slot — the paper's flit word
 // plus the handle of its packet's header record in the packet table the
 // switches of one fabric share (Packets) — and it lives in exactly one slot
@@ -105,11 +121,11 @@ type lane struct {
 	outVC   int8 // the downstream VC the active packet holds, or -1
 	active  bool // between header grant and tail departure
 	pendOK  bool
-	// Blocked-sleep recording (FrozenBlocked): whether this lane held a
-	// flit when the switch froze, and the stall cause the dense arbiter
-	// would charge it each slept cycle.
-	frozen      bool
-	frozenCause uint8
+	// waitCause is the StallCause the lane's head failed with when its port
+	// parked: what it waits for, and what each cycle the VC arbiter selects
+	// it while the port sits out is charged. Meaningful while the lane is in
+	// its port's parkedLanes.
+	waitCause uint8
 }
 
 // packedDec is a Decision in 16 bits: the output port plus one in the low
@@ -144,22 +160,33 @@ func (ln *lane) headSlot() int { return int(ln.base + ln.head) }
 
 type inputPort struct {
 	lanes []lane // window of the set's lane array; a switch's ports are consecutive
-	rr    int    // VC arbiter pointer
-	count int    // flits buffered across the port's lanes
-	bid   bid    // this cycle's candidate, valid while the port is occupied
+	// parkedAt is the switch cycle (Stats.Cycles) through which the port's
+	// parked cycles have been charged.
+	parkedAt uint64
+	rr       int32 // VC arbiter pointer
+	count    int32 // flits buffered across the port's lanes
+	// parkedLanes has bit l set for each lane that held a flit when the port
+	// parked: the lanes the VC arbiter rotates over while the port sits out,
+	// until settle charges those cycles.
+	parkedLanes uint8
+	bid         bid // this cycle's candidate, valid while the port is occupied
 }
 
 const noOwner = -1
 
 type outputPort struct {
-	// Inline and first: the one line ReturnCredit touches from outside.
+	// Inline and first: the counters ReturnCredit touches from outside.
 	credit [maxVCs]int32 // per downstream lane: flits it can still take
 	depth  int32         // downstream lane depth, the ceiling of every counter; 0 = sink (the PE absorbs at link rate)
+	rr     int32         // OPC master FSM round-robin pointer over inputs
 	owner  [maxVCs]int32 // per downstream VC: packed (in*16+lane) of the holder, or noOwner
 	want   uint64        // this cycle: bit i set = input i bids for this output; zero between cycles
-	rr     int           // OPC master FSM round-robin pointer over inputs
-	reach  []int         // allowed input ports (nil = all)
-	sent   uint64
+	// Bit i set: parked input port i may have a lane waiting on this output
+	// for a credit (creditWait) or for a VC to be released (vcWait). A hint,
+	// pruned when the wake scan finds the port waiting elsewhere.
+	creditWait uint64
+	vcWait     uint64
+	sent       uint64
 }
 
 // maxVCs bounds the lanes of an input port and the VCs of an output.
@@ -176,8 +203,9 @@ type Move struct {
 	Deliver  bool // a copy reaches the local PE
 }
 
-// Router is one switch instance. Push and ReturnCredit, called for
-// neighbours' moves, reach through the first five fields.
+// Router is one switch instance. Push, called for a neighbour's move, reaches
+// through the first six fields; ReturnCredit through out, and through in,
+// parked and cfg when it wakes a port.
 type Router struct {
 	in  []inputPort
 	out []outputPort
@@ -191,20 +219,24 @@ type Router struct {
 	// after apply.
 	slab     []Slot
 	occupied uint64 // bit i set: input port i holds at least one flit
+	parked   uint64 // bit i set: input port i is parked, out of arbitration
 	buffered int    // flits across all input lanes (O(1) quiescence report)
-	pkts     *Packets
-	cfg      Config
-	// frozenOcc is the buffered-flit count recorded by FrozenBlocked, the
-	// per-cycle occupancy integrand replayed for blocked-slept cycles.
-	frozenOcc uint64
-	stats     Stats
+	// unsettled has bit i set while input port i has parked cycles not yet
+	// charged to the statistics: parked, or woken since and not yet settled.
+	unsettled uint64
+	pkts      *Packets
+	cfg       Config
+	// blockedOcc is the buffered-flit count recorded by Blocked, the
+	// per-cycle occupancy integrand charged for blocked-slept cycles.
+	blockedOcc uint64
+	stats      Stats
 }
 
 // bid is one input port's candidate for the cycle: the lane the VC arbiter
 // selected and the decision governing its head flit.
 type bid struct {
-	in, lane int
-	dec      Decision
+	lane int
+	dec  Decision
 }
 
 // New constructs a switch from its configuration, with a packet table of its
@@ -247,7 +279,6 @@ func NewSet(n int, cfg func(node int) Config) []*Router {
 		for i, nl := range c.InLanes {
 			p := &r.in[i]
 			p.lanes, laneArr = laneArr[:nl:nl], laneArr[nl:]
-			p.bid.in = i
 			for l := range p.lanes {
 				p.lanes[l].depth, p.lanes[l].base, p.lanes[l].outVC = int32(c.Depth), int32(base), -1
 				base += c.Depth
@@ -258,9 +289,6 @@ func NewSet(n int, cfg func(node int) Config) []*Router {
 		for o := range r.out {
 			for v := range r.out[o].owner {
 				r.out[o].owner[v] = noOwner
-			}
-			if c.Reach != nil {
-				r.out[o].reach = c.Reach[o]
 			}
 		}
 		set[node] = r
@@ -283,8 +311,8 @@ func validate(cfg *Config) {
 		panic("router: more than 64 input or output ports")
 	}
 	for _, nl := range cfg.InLanes {
-		if nl < 1 {
-			panic("router: input port with no lanes")
+		if nl < 1 || nl > maxVCs {
+			panic(fmt.Sprintf("router: input port with %d lanes", nl))
 		}
 	}
 }
@@ -327,6 +355,10 @@ func (r *Router) Push(in, ln int, s *Slot) bool {
 	if l.size == l.depth {
 		return false
 	}
+	if l.size == 0 {
+		// A new head gives a parked port a lane it has not bid: it bids again.
+		r.parked &^= 1 << uint(in)
+	}
 	at := l.head + l.size
 	if at >= l.depth {
 		at -= l.depth
@@ -364,101 +396,27 @@ func (r *Router) AddIdleCycles(n uint64) {
 	r.stats.Cycles += n
 }
 
-// FrozenBlocked reports whether the switch is stably blocked: it holds flits,
-// but no head flit of any lane can move this cycle or any later one until
-// external state changes — every candidate move is stopped by a downstream
-// credit that only a downstream pop can free, or by a local output-VC
-// ownership that only a move of this switch itself could release. The probe
-// reads only this switch's own lanes and credit counters.
-//
-// On success it records, per nonempty lane, the stall cause the dense arbiter
-// would charge every blocked cycle, plus the occupancy integrand;
-// ReplayBlockedCycles consumes the recording when the switch wakes. A false
-// return leaves the recording undefined.
-func (r *Router) FrozenBlocked() bool {
-	r.frozenOcc = uint64(r.buffered)
-	for i := range r.in {
-		p := &r.in[i]
-		for l := range p.lanes {
-			ln := &p.lanes[l]
-			if ln.size == 0 {
-				ln.frozen = false
-				continue
-			}
-			dec := r.laneDecision(ln, i, l)
-			if dec.Out == NoOutput {
-				// Dedicated ejection always succeeds: not blocked.
-				return false
-			}
-			b := bid{in: i, lane: l, dec: dec}
-			ok, _, cause := r.trySend(dec.Out, &b)
-			if ok {
-				return false
-			}
-			ln.frozen = true
-			ln.frozenCause = uint8(cause)
-		}
+// Blocked reports whether the switch is wedged: it holds flits and every
+// occupied input port is parked, so nothing it holds can move until a credit
+// returns, one of its output VCs is released, or a flit is pushed into one of
+// its empty lanes. On true it records its occupancy, the integrand
+// ReplayBlockedCycles charges each cycle the network then skips stepping it.
+func (r *Router) Blocked() bool {
+	if r.buffered == 0 || r.occupied&^r.parked != 0 {
+		return false
 	}
+	r.blockedOcc = uint64(r.buffered)
 	return true
 }
 
 // ReplayBlockedCycles accounts k cycles the network skipped stepping this
-// switch while it slept blocked (FrozenBlocked held when it was put to
-// sleep): the occupancy integral grows by the frozen occupancy each cycle,
-// and each input port's VC arbiter replays its selection rotation over the
-// recorded nonempty lanes — charging each selected lane's recorded stall
-// cause and leaving the round-robin pointer exactly where dense stepping
-// would have. Incremental: replaying k then k' cycles equals replaying k+k'.
+// switch while it slept blocked (Blocked held when it was put to sleep): the
+// cycle count gains k and the occupancy integral k times the recorded
+// occupancy. The stalls its parked ports would have bid are charged by their
+// own settlement, like any other parked cycle.
 func (r *Router) ReplayBlockedCycles(k uint64) {
-	if k == 0 {
-		return
-	}
 	r.stats.Cycles += k
-	r.stats.OccupancySum += k * r.frozenOcc
-	for i := range r.in {
-		p := &r.in[i]
-		n := len(p.lanes)
-		var sbuf [8]int
-		s := sbuf[:0]
-		if n > len(sbuf) {
-			s = make([]int, 0, n)
-		}
-		for l := range p.lanes {
-			if p.lanes[l].frozen {
-				s = append(s, l)
-			}
-		}
-		if len(s) == 0 {
-			continue
-		}
-		// Each cycle the arbiter selects the first frozen lane at or after
-		// rr (cyclically), charges its stall, and advances rr past it — so
-		// successive selections walk s cyclically from the first member >= rr.
-		start := 0
-		for j, l := range s {
-			if l >= p.rr {
-				start = j
-				break
-			}
-		}
-		per := k / uint64(len(s))
-		rem := k % uint64(len(s))
-		for j := range s {
-			cnt := per
-			if uint64(j) < rem {
-				cnt++
-			}
-			if cnt == 0 {
-				continue
-			}
-			l := s[(start+j)%len(s)]
-			r.stats.Stalls[p.lanes[l].frozenCause] += cnt
-		}
-		if n > 1 {
-			last := s[(start+int((k-1)%uint64(len(s))))%len(s)]
-			p.rr = (last + 1) % n
-		}
-	}
+	r.stats.OccupancySum += k * r.blockedOcc
 }
 
 // Sent returns the number of flits the given output port has transmitted
@@ -466,11 +424,10 @@ func (r *Router) ReplayBlockedCycles(k uint64) {
 func (r *Router) Sent(out int) uint64 { return r.out[out].sent }
 
 func (r *Router) reachable(o, in int) bool {
-	reach := r.out[o].reach
-	if reach == nil {
+	if r.cfg.Reach == nil || r.cfg.Reach[o] == nil {
 		return true
 	}
-	for _, x := range reach {
+	for _, x := range r.cfg.Reach[o] {
 		if x == in {
 			return true
 		}
@@ -484,7 +441,7 @@ func (r *Router) reachable(o, in int) bool {
 //quarc:hotpath
 func (r *Router) bidFor(i int) *bid {
 	p := &r.in[i]
-	l := p.rr
+	l := int(p.rr)
 	for p.lanes[l].size == 0 { // the port holds a flit, so some lane does
 		if l++; l == len(p.lanes) {
 			l = 0
@@ -551,9 +508,10 @@ func (r *Router) laneDecision(ln *lane, i, l int) Decision {
 
 // ConnectOutput wires output o to a downstream input port of the given lane
 // count and depth, arming one credit counter per lane at full depth. An output
-// never connected is a sink with unlimited acceptance (shared ejection).
+// never connected is a sink with unlimited acceptance; the shared ejection
+// port is always one (a header waiting there waits only for a VC).
 func (r *Router) ConnectOutput(o, lanes, depth int) {
-	if lanes < 1 || lanes > r.cfg.VCs || depth < 1 {
+	if lanes < 1 || lanes > r.cfg.VCs || depth < 1 || o == r.cfg.EjectPort {
 		panic(fmt.Sprintf("router %d out %d: cannot connect %d lanes of depth %d", r.cfg.Node, o, lanes, depth))
 	}
 	op := &r.out[o]
@@ -568,15 +526,17 @@ func (r *Router) Credit(o, vc int) int { return int(r.out[o].credit[vc]) }
 
 // ReturnCredit hands output o the credit of one flit popped from downstream
 // lane vc. The network calls it when it applies the downstream switch's move.
+// It reports whether the credit woke a parked input port (see wake).
 //
 //quarc:hotpath
-func (r *Router) ReturnCredit(o, vc int) {
+func (r *Router) ReturnCredit(o, vc int) bool {
 	op := &r.out[o]
 	if op.credit[vc] >= op.depth {
 		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 		panic(fmt.Sprintf("router %d out %d: credit overflow on VC %d", r.cfg.Node, o, vc))
 	}
 	op.credit[vc]++
+	return op.creditWait != 0 && r.wake(o, vc, StallNoCredit, &op.creditWait)
 }
 
 // Arbitrate accounts one stepped cycle in the statistics and computes this
@@ -589,18 +549,23 @@ func (r *Router) ReturnCredit(o, vc int) {
 func (r *Router) Arbitrate(moves []Move) []Move {
 	r.stats.OccupancySum += uint64(r.buffered)
 	r.stats.Cycles++
-	// VC arbitration: one candidate lane per occupied input port, in
-	// ascending port order (an empty port presents nothing). Decisions with
-	// no forwarding component (Quarc all-port absorb; laneDecision admits
-	// them only on dedicated-ejection switches) need no OPC and always
-	// succeed, so they are granted here, in input order; the rest are
-	// bucketed by the output they request.
+	// A port woken since it parked is charged the cycles it sat out before
+	// it bids again.
+	for w := r.unsettled &^ r.parked; w != 0; w &= w - 1 {
+		r.settle(bits.TrailingZeros64(w), r.stats.Cycles-1)
+	}
+	// VC arbitration: one candidate lane per occupied input port that is not
+	// parked, in ascending port order (an empty port presents nothing).
+	// Decisions with no forwarding component (Quarc all-port absorb;
+	// laneDecision admits them only on dedicated-ejection switches) need no
+	// OPC and always succeed, so they are granted here, in input order; the
+	// rest are bucketed by the output they request.
 	var requested uint64 // bit o set: output o has at least one bid
-	for occ := r.occupied; occ != 0; occ &= occ - 1 {
+	for occ := r.occupied &^ r.parked; occ != 0; occ &= occ - 1 {
 		i := bits.TrailingZeros64(occ)
 		b := r.bidFor(i)
 		if b.dec.Out == NoOutput {
-			moves = r.grant(moves, b, NoOutput, 0, true)
+			moves = r.grant(moves, i, b, NoOutput, 0, true)
 			continue
 		}
 		r.out[b.dec.Out].want |= 1 << uint(i)
@@ -612,7 +577,8 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 	// The first sendable bid is granted; every other one stalls — classified
 	// for the contention statistics as lost arbitration when it was sendable,
 	// else by the blocking resource trySend names — and its VC arbiter yields
-	// to the sibling lane (the paper's times_up timeout).
+	// to the sibling lane (the paper's times_up timeout). A port whose bid
+	// found no credit or VC parks if no other lane of it can send either.
 	for ; requested != 0; requested &= requested - 1 {
 		o := bits.TrailingZeros64(requested)
 		op := &r.out[o]
@@ -625,12 +591,12 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 				i := bits.TrailingZeros64(set)
 				p := &r.in[i]
 				b := &p.bid
-				ok, outVC, cause := r.trySend(o, b)
+				ok, outVC, cause := r.trySend(o, i, b.lane)
 				if ok && !served {
-					moves = r.grant(moves, b, o, outVC, b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject))
+					moves = r.grant(moves, i, b, o, outVC, b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject))
 					served = true
 					// The master FSM moves on after serving a request.
-					if op.rr = i + 1; op.rr == len(r.in) {
+					if op.rr = int32(i + 1); int(op.rr) == len(r.in) {
 						op.rr = 0
 					}
 					continue
@@ -640,9 +606,12 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 				}
 				r.stats.Stalls[cause]++
 				if len(p.lanes) > 1 {
-					if p.rr = b.lane + 1; p.rr == len(p.lanes) {
+					if p.rr = int32(b.lane + 1); int(p.rr) == len(p.lanes) {
 						p.rr = 0
 					}
+				}
+				if !ok {
+					r.park(i, b.lane, cause)
 				}
 			}
 		}
@@ -650,11 +619,143 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 	return moves
 }
 
-// grant appends the move for a winning bid. Every field of the appended Move
+// park takes input port i out of arbitration if none of its lanes can send:
+// lane l has just failed for cause, and every other lane holding a flit fails
+// for want of a credit or a VC too (every lane's head forwards, and trySend
+// only reads state no move of this cycle has changed yet). Each parked lane
+// keeps its cause, and the port is put on the wait list of every output a
+// lane waits on. It stays parked, out of the occupancy scan, until the one
+// event that can free it: a credit returned on that output and VC
+// (ReturnCredit), the release of that output's VC (Commit), or a flit pushed
+// into one of its empty lanes (Push).
+//
+//quarc:hotpath
+func (r *Router) park(i, l int, cause StallCause) {
+	p := &r.in[i]
+	var lanes uint8
+	for k := range p.lanes {
+		ln := &p.lanes[k]
+		if ln.size == 0 {
+			continue
+		}
+		if k != l {
+			dec := r.laneDecision(ln, i, k)
+			if dec.Out == NoOutput {
+				return
+			}
+			ok, _, c := r.trySend(dec.Out, i, k)
+			if ok {
+				return
+			}
+			ln.waitCause = uint8(c)
+		} else {
+			ln.waitCause = uint8(cause)
+		}
+		lanes |= 1 << uint(k)
+	}
+	for m := lanes; m != 0; m &= m - 1 {
+		ln := &p.lanes[bits.TrailingZeros8(m)]
+		op := &r.out[ln.waitOut()]
+		if StallCause(ln.waitCause) == StallNoCredit {
+			op.creditWait |= 1 << uint(i)
+		} else {
+			op.vcWait |= 1 << uint(i)
+		}
+	}
+	p.parkedLanes, p.parkedAt = lanes, r.stats.Cycles
+	r.parked |= 1 << uint(i)
+	r.unsettled |= 1 << uint(i)
+}
+
+// waitOut returns the output the lane's head forwards on: the FCU's latched
+// decision for an active packet, else the waiting header's cached route.
+func (ln *lane) waitOut() int {
+	if ln.active {
+		return ln.dec.unpack().Out
+	}
+	return ln.pendDec.unpack().Out
+}
+
+// wake unparks every port in *waiting with a parked lane that waits, for
+// cause, on VC vc of output o: the VC the lane holds, the dateline VC its
+// header requests, or — for a header bound for the shared ejection port — any
+// VC of it. Ports that no longer wait on o for cause leave the list. It
+// reports whether it unparked any port.
+//
+//quarc:hotpath
+func (r *Router) wake(o, vc int, cause StallCause, waiting *uint64) (woke bool) {
+	for w := *waiting; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros64(w)
+		p := &r.in[i]
+		hit, stay := false, false
+		if r.parked&(1<<uint(i)) != 0 {
+			for m := p.parkedLanes; m != 0 && !hit; m &= m - 1 {
+				ln := &p.lanes[bits.TrailingZeros8(m)]
+				if StallCause(ln.waitCause) != cause || ln.waitOut() != o {
+					continue
+				}
+				v := ln.pendVC
+				if ln.active {
+					v = ln.outVC
+				}
+				hit = int(v) == vc || !ln.active && o == r.cfg.EjectPort
+				stay = true
+			}
+		}
+		if hit {
+			r.parked &^= 1 << uint(i)
+			woke = true
+		}
+		if hit || !stay {
+			*waiting &^= 1 << uint(i)
+		}
+	}
+	return woke
+}
+
+// settle charges input port i the cycles it sat out parked, through switch
+// cycle upto, exactly as dense stepping would have: each cycle the VC arbiter
+// selects the first parked lane at or after its pointer, charges that lane's
+// recorded stall cause and moves past it, so the selections walk the parked
+// lanes cyclically. A port no longer parked then leaves the unsettled set.
+//
+//quarc:hotpath
+func (r *Router) settle(i int, upto uint64) {
+	p := &r.in[i]
+	if k := upto - p.parkedAt; k > 0 {
+		var order [maxVCs]int // the parked lanes, from the pointer on, cyclically
+		n := 0
+		for j := range p.lanes {
+			if l := (int(p.rr) + j) % len(p.lanes); p.parkedLanes&(1<<uint(l)) != 0 {
+				order[n], n = l, n+1
+			}
+		}
+		per, rem := k/uint64(n), k%uint64(n)
+		for j, l := range order[:n] {
+			cnt := per
+			if uint64(j) < rem {
+				cnt++
+			}
+			r.stats.Stalls[p.lanes[l].waitCause] += cnt
+		}
+		if len(p.lanes) > 1 {
+			if p.rr = int32(order[(k-1)%uint64(n)] + 1); int(p.rr) == len(p.lanes) {
+				p.rr = 0
+			}
+		}
+	}
+	p.parkedAt = upto
+	if r.parked&(1<<uint(i)) == 0 {
+		p.parkedLanes = 0
+		r.unsettled &^= 1 << uint(i)
+	}
+}
+
+// grant appends the move for input port i's winning bid. Every field of the appended Move
 // is written, so a reused backing array needs no clearing first.
 //
 //quarc:hotpath
-func (r *Router) grant(moves []Move, b *bid, out, outVC int, deliver bool) []Move {
+func (r *Router) grant(moves []Move, i int, b *bid, out, outVC int, deliver bool) []Move {
 	n := len(moves)
 	if n < cap(moves) {
 		moves = moves[:n+1]
@@ -662,27 +763,26 @@ func (r *Router) grant(moves []Move, b *bid, out, outVC int, deliver bool) []Mov
 		moves = append(moves, Move{})
 	}
 	m := &moves[n]
-	m.In, m.Lane, m.Out, m.OutVC, m.Deliver = b.in, b.lane, out, outVC, deliver
-	m.Slot = r.in[b.in].lanes[b.lane].headSlot()
+	m.In, m.Lane, m.Out, m.OutVC, m.Deliver = i, b.lane, out, outVC, deliver
+	m.Slot = r.in[i].lanes[b.lane].headSlot()
 	r.stats.Grants++
 	return moves
 }
 
-// trySend checks credit and VC allocation for a bid on output o. On
-// failure it reports the blocking resource.
+// trySend checks credit and VC allocation for the head of lane (i, l) on
+// output o. On failure it reports the blocking resource.
 //
 //quarc:hotpath
-func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
+func (r *Router) trySend(o, i, l int) (bool, int, StallCause) {
 	op := &r.out[o]
-	packed := int32(b.in*16 + b.lane)
-	ln := &r.in[b.in].lanes[b.lane]
+	ln := &r.in[i].lanes[l]
 	if ln.active {
 		// Body or tail: use the allocated VC; need one credit.
 		vc := int(ln.outVC)
-		if op.owner[vc] != packed {
+		if op.owner[vc] != int32(i*16+l) {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d out %d: lane %d.%d lost VC %d ownership",
-				r.cfg.Node, o, b.in, b.lane, vc))
+				r.cfg.Node, o, i, l, vc))
 		}
 		if op.depth != 0 && op.credit[vc] < 1 {
 			return false, 0, StallNoCredit
@@ -718,9 +818,10 @@ func (r *Router) trySend(o int, b *bid) (bool, int, StallCause) {
 
 // Commit applies previously computed moves: pops each moved flit from the
 // head of its lane (vacating, not clearing, its slot), spends the credit of
-// each forwarded one and updates FCU/OPC state. The network then reads each
-// moved flit through MoveFlit to push it downstream and deliver it, and
-// returns each pop's credit upstream. Reports whether any move delivers.
+// each forwarded one and updates FCU/OPC state; a tail's release of its VC
+// wakes the ports parked waiting for it. The network then reads each moved
+// flit through MoveFlit to push it downstream and deliver it, and returns
+// each pop's credit upstream. Reports whether any move delivers.
 //
 //quarc:hotpath
 func (r *Router) Commit(moves []Move) (delivers bool) {
@@ -780,6 +881,9 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 					panic(fmt.Sprintf("router %d: tail releasing foreign VC", r.cfg.Node))
 				}
 				op.owner[m.OutVC] = noOwner
+				if op.vcWait != 0 {
+					r.wake(m.Out, m.OutVC, StallVCBusy, &op.vcWait)
+				}
 			}
 		}
 	}

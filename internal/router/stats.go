@@ -1,5 +1,7 @@
 package router
 
+import "math/bits"
+
 // Per-router microarchitectural counters. These answer the "why is it
 // slow" questions behind the paper's curves: where flits stall (no credit,
 // VC busy, lost output arbitration) and how full the input lanes run. The
@@ -53,7 +55,15 @@ func (s Stats) TotalStalls() uint64 {
 	return t
 }
 
-// Stats returns a copy of the router's counters. The occupancy integral
-// (OccupancySum/Cycles) is accumulated inside Arbitrate, which runs exactly
-// once per cycle.
-func (r *Router) Stats() Stats { return r.stats }
+// Stats returns a copy of the router's counters, first settling the cycles
+// its parked input ports have sat out so far. Arbitrate accounts a stepped
+// cycle; the network accounts the cycles it skipped stepping the switch in
+// bulk (AddIdleCycles, ReplayBlockedCycles), so after the network has brought
+// a sleeping switch up to date the counters are those of a switch stepped
+// every cycle.
+func (r *Router) Stats() Stats {
+	for w := r.unsettled; w != 0; w &= w - 1 {
+		r.settle(bits.TrailingZeros64(w), r.stats.Cycles)
+	}
+	return r.stats
+}
