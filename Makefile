@@ -25,6 +25,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzFront -fuzztime=$(FUZZTIME) ./internal/explore/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faultinject/
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...

@@ -16,7 +16,7 @@ func TestExamplesMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Skip("needs the go command to build the examples")
 	}
-	names := []string{"quickstart", "multicast", "barrier", "cachecoherence"}
+	names := []string{"quickstart", "multicast", "barrier"}
 	bin := t.TempDir()
 	args := []string{"build", "-o", bin + string(os.PathSeparator)}
 	for _, name := range names {

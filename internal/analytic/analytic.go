@@ -1,16 +1,20 @@
 // Package analytic implements analytical latency models for wormhole-routed
-// Quarc, Spidergon and mesh networks under uniform traffic.
+// networks under uniform traffic, over the routes the simulator takes.
 //
 // The paper verified its OMNeT++ simulator "extensively against analytical
 // models for the Spidergon and mesh topologies employing wormhole routing"
 // (§3.2, ref [8]). This package provides the same cross-check for this
 // repository's simulator:
 //
-//   - exact average hop counts and zero-load latency (avg hops + M) from
-//     full path enumeration;
-//   - per-channel arrival rates from routing-aware path enumeration, giving
-//     channel utilisations, an M/D/1 waiting-time approximation per channel
-//     and a mean latency prediction valid at low to moderate load;
+//   - routes walked, not re-derived: every route table is built from
+//     model.Routes, which follows each (src, dst) pair through the registered
+//     model's own injection rule, RouteFunc, VCFunc and wiring table, so the
+//     model and the simulator route alike by construction;
+//   - exact average hop counts and zero-load latency (avg hops + M) over
+//     every walked route;
+//   - per-channel arrival rates from the walked routes, giving channel
+//     utilisations, an M/D/1 waiting-time approximation per channel and a
+//     mean latency prediction valid at low to moderate load;
 //   - the channel-capacity saturation bound (the offered load at which the
 //     busiest channel reaches unit utilisation);
 //   - closed-form broadcast completion estimates: pipelined BRCP broadcast
@@ -23,18 +27,18 @@
 package analytic
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
-	"quarc/internal/topology"
+	"quarc/internal/model"
+	_ "quarc/internal/models" // the registrations whose routes are walked
 )
 
-// ErrorBand is the relative error envelope of these closed-form predictions
-// against the flit-level simulator, as pinned by this package's validation
-// suite: every covered topology agrees within 10% at low load (measured
-// +0.1%..+6.0%). Degraded serving answers quote it so clients know how far
-// an analytic estimate may sit from the simulated truth.
+// ErrorBand bounds the relative error of these closed-form predictions
+// against the flit-level simulator at the one point where it was measured:
+// N 16, M 16, lambda 0.005, where quarc, spidergon, mesh and torus agree
+// within +0.1%..+6.0% (this package's validation suite). It claims nothing
+// about other sizes, lengths or loads. Degraded serving answers quote it.
 const ErrorBand = 0.10
 
 // Prediction is the analytical summary for a topology/workload pair.
@@ -49,32 +53,24 @@ type Prediction struct {
 	SaturationRate  float64 // lambda at which the busiest channel saturates
 }
 
-// endpoints describes the adapter-side channels: how many injection queues
-// share the node's offered load, and whether ejection is a shared arbitrated
-// port (Spidergon, mesh) or dedicated per input (Quarc all-port).
+// endpoints describes the adapter-side channels, as the switch configuration
+// gives them (network.Fabric.Endpoints): how many injection ports share the
+// node's offered load, and whether ejection is a shared arbitrated port
+// (Spidergon, mesh) or dedicated per input (Quarc all-port).
 type endpoints struct {
 	injChannels int
 	sharedEject bool
 }
 
-// family is a routing function the channel-level model can enumerate.
-type family uint8
-
-const (
-	famQuarc family = iota
-	famSpidergon
-	famMesh // mesh or torus: XY routing, with or without wraparound
-)
-
 // pathFunc appends the channel ids of the route s -> d to dst.
 type pathFunc func(dst []uint16, s, d int) []uint16
 
 // routeTable is the load-independent half of the model for one network: what
-// full path enumeration yields, computed once. Traversal counts and hop
-// totals are O(channels) and always kept; the routes themselves are kept
-// flattened while they fit maxPathIDs and re-enumerated per call above it.
-// uint16 holds any channel id or path length of a network topology.NewMesh
-// accepts (at most 1024 nodes) or a ring family has (at most 64).
+// walking every route yields, computed once. Traversal counts and hop totals
+// are O(channels) and always kept; the routes themselves are kept flattened
+// while they fit maxPathIDs and walked again per call above it. Channel ids
+// and path lengths are uint16s: the built-in models have at most 1,024 nodes
+// of five outputs, and buildTable refuses a network with more ids.
 type routeTable struct {
 	n        int
 	ep       endpoints
@@ -83,7 +79,8 @@ type routeTable struct {
 	totHops  int
 
 	// Every ordered pair's route in (s, d) order, s != d: pair i owns the
-	// next hops[i] entries of ids. Both nil when the routes were not kept.
+	// next hops[i] entries of ids. Both nil when the routes were not kept;
+	// only then is paths, and the fabric it walks, kept.
 	hops, ids []uint16
 	paths     pathFunc
 }
@@ -91,40 +88,54 @@ type routeTable struct {
 // maxPathIDs caps one table's flattened routes (2 bytes an entry, 2 MiB a
 // table). Every ring-family size, meshes up to 17x17 and tori up to 18x18
 // fit; if a process asked for every network ForModel accepts, the kept routes
-// would come to 15.2 MB in all. Larger meshes keep only their counts and
-// stream routes from the enumerator on each call. A constant, not a knob: it
+// would come to 15.9 MB in all. Larger meshes keep only their counts and
+// walk their routes again on each call. A constant, not a knob: it
 // bounds memory, and no result depends on it.
 const maxPathIDs = 1 << 20
 
-// newRouteTable enumerates all n(n-1) routes of a network with numChannels
-// channel ids: once for the counts, and once more to keep the routes
-// themselves if they fit maxIDs.
+// newRouteTable walks all n(n-1) routes of a network with numChannels
+// channel ids once, counting each channel's traversals and keeping the routes
+// while they fit maxIDs.
 func newRouteTable(n, numChannels int, paths pathFunc, ep endpoints, maxIDs int) *routeTable {
 	t := &routeTable{n: n, ep: ep, count: make([]float64, numChannels), paths: paths}
-	t.eachRoute(func(p []uint16) {
-		t.totHops += len(p)
-		for _, ch := range p {
-			t.count[ch]++
+	hops, ids := make([]uint16, 0, n*(n-1)), []uint16(nil)
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			start := len(ids)
+			if hops == nil { // over the cap: ids is scratch
+				start, ids = 0, ids[:0]
+			}
+			ids = paths(ids, s, d)
+			p := ids[start:]
+			t.totHops += len(p)
+			for _, ch := range p {
+				t.count[ch]++
+			}
+			if hops != nil && len(ids) > maxIDs {
+				hops = nil // the routes do not fit: count them, keep none
+			}
+			if hops != nil {
+				hops = append(hops, uint16(len(p)))
+			}
 		}
-	})
+	}
 	for _, c := range t.count {
 		t.maxCount = max(t.maxCount, c)
 	}
-	if t.totHops <= maxIDs {
-		hops, ids := make([]uint16, 0, n*(n-1)), make([]uint16, 0, t.totHops)
-		t.eachRoute(func(p []uint16) {
-			hops = append(hops, uint16(len(p)))
-			ids = append(ids, p...)
-		})
-		t.hops, t.ids = hops, ids
+	if hops != nil {
+		// Exact-size routes, and no walker: a kept table holds no fabric.
+		t.hops, t.ids, t.paths = hops, append([]uint16(nil), ids...), nil
 	}
 	return t
 }
 
 // eachRoute calls visit with every ordered pair's channel ids, in (s, d)
-// order, s != d: slices of the kept routes, or — before they are kept and
-// above the cap — the enumerator's output in one reused scratch slice. The
-// slice is only valid during the call.
+// order, s != d: slices of the kept routes, or above the cap the walker's
+// output in one reused scratch slice. The slice is only valid during the
+// call.
 func (t *routeTable) eachRoute(visit func(path []uint16)) {
 	var scratch []uint16
 	pair, off := 0, 0
@@ -223,150 +234,105 @@ func (t *routeTable) predict(msgLen int, lambda float64) Prediction {
 	}
 }
 
-// tables memoises one routeTable per network: a table depends on the routing
-// function and the size alone, never on the load. A first call builds its
-// table under the lock — at worst a few hundred milliseconds, once per
-// process, for a 1024-node mesh; callers racing for it wait and share it.
+// tables memoises one routeTable per network: a table depends on the routes
+// and the size alone, never on the load. A first call builds its table under
+// the lock — at worst under a second, once per process, for a 1024-node
+// mesh; callers racing for it wait and share it. A model whose network does
+// not build is memoised as nil.
 var tables = struct {
 	sync.Mutex
 	m map[tableKey]*routeTable
 }{m: map[tableKey]*routeTable{}}
 
-// tableKey names a network: w is the node count of a ring family, w x h the
-// shape of a mesh, or of a torus.
+// tableKey names a network: a registered model at a size it accepts.
 type tableKey struct {
-	fam   family
-	w, h  int
-	torus bool
+	model string
+	n     int
 }
 
-// tableFor returns the memoised route table of a network whose size is valid
-// for its family, building it on first use.
-func tableFor(k tableKey) *routeTable {
+// unanswered is the one registered model ForModel does not answer, although
+// its routes walk like any other's: explore payloads for ring carry no
+// analytic fields, and the benchmark's golden digests pin those payloads, so
+// answering it waits for a declared refresh of them.
+const unanswered = "ring"
+
+// tableFor returns the memoised route table of a registered model at a size
+// it accepts, or nil when the model has no table: unknown, unanswered, the
+// size refused, or a network that does not build.
+func tableFor(name string, n int) *routeTable {
+	m, ok := model.Lookup(name)
+	if !ok || m.Name != name || name == unanswered || m.CheckN != nil && m.CheckN(n) != nil {
+		return nil
+	}
+	k := tableKey{name, n}
 	tables.Lock()
 	defer tables.Unlock()
-	t := tables.m[k]
-	if t == nil {
-		t = buildTable(k, maxPathIDs)
+	t, ok := tables.m[k]
+	if !ok {
+		t = buildTable(name, n, maxPathIDs)
 		tables.m[k] = t
 	}
 	return t
 }
 
-// buildTable enumerates the routes of network k, keeping at most maxIDs of
-// their channel ids.
-func buildTable(k tableKey, maxIDs int) *routeTable {
-	if k.fam == famMesh {
-		m := topology.Mesh{W: k.w, H: k.h, Torus: k.torus}
-		n := m.N()
-		// Channel id: direction(4) * n + from-node.
-		return newRouteTable(n, 4*n, func(dst []uint16, s, d int) []uint16 {
-			for cur := s; cur != d; {
-				dir, next := m.Step(cur, d)
-				dst = append(dst, uint16(int(dir)*n+cur))
-				cur = next
-			}
-			return dst
-		}, endpoints{injChannels: 1, sharedEject: true}, maxIDs)
-	}
-	n := k.w
-	route, ep := topology.QuarcRouteChannels, endpoints{injChannels: 4, sharedEject: false}
-	if k.fam == famSpidergon {
-		route, ep = topology.SpidergonRouteChannels, endpoints{injChannels: 1, sharedEject: true}
-	}
-	// Channel id: kind(5) * n + from-node.
-	return newRouteTable(n, 5*n, func(dst []uint16, s, d int) []uint16 {
-		for _, c := range route(n, s, d) {
-			dst = append(dst, uint16(int(c.Kind)*n+c.From))
+// buildTable walks every route of the named model's n-node network, keeping
+// at most maxIDs of their channel ids. A channel is an output port: its id
+// is node * outputs + port, the same for every node, as every registered
+// model's switches are alike. It returns nil when the network does not build
+// or its routes do not walk (a builder that errs or panics): whoever runs
+// the model meets that in its own build.
+func buildTable(name string, n, maxIDs int) (t *routeTable) {
+	defer func() {
+		if recover() != nil {
+			t = nil
 		}
-		return dst
-	}, ep, maxIDs)
-}
-
-// keyFor names a network — w nodes of a ring family, a w x h mesh or torus —
-// with the reason the size is invalid for the family, if it is.
-func keyFor(fam family, w, h int, torus bool) (tableKey, error) {
-	err := topology.ValidateRingSize(w)
-	if fam == famMesh {
-		_, err = topology.NewMesh(w, h, torus)
-	}
-	return tableKey{fam, w, h, torus}, err
-}
-
-// mustTable is tableFor for the entry points that promise a panic on a bad
-// size.
-func mustTable(k tableKey, err error) *routeTable {
+	}()
+	fab, err := model.Routes(name, n)
 	if err != nil {
-		panic(fmt.Sprintf("analytic: %v", err))
+		return nil
 	}
-	return tableFor(k)
-}
-
-// QuarcUniform predicts uniform-traffic unicast behaviour of an n-node
-// Quarc.
-func QuarcUniform(n, msgLen int, lambda float64) Prediction {
-	return mustTable(keyFor(famQuarc, n, 0, false)).predict(msgLen, lambda)
-}
-
-// SpidergonUniform predicts uniform-traffic unicast behaviour of an n-node
-// Spidergon.
-func SpidergonUniform(n, msgLen int, lambda float64) Prediction {
-	return mustTable(keyFor(famSpidergon, n, 0, false)).predict(msgLen, lambda)
-}
-
-// MeshUniform predicts uniform-traffic unicast behaviour of a w x h mesh
-// (or torus) under XY routing.
-func MeshUniform(w, h, msgLen int, lambda float64, torus bool) Prediction {
-	return mustTable(keyFor(famMesh, w, h, torus)).predict(msgLen, lambda)
-}
-
-// modelKey names the network behind a registry model; ok is false for models
-// with no analytical model and for sizes the model cannot describe.
-func modelKey(model string, n int) (k tableKey, ok bool) {
-	fam, w, h := famQuarc, n, 0
-	switch model {
-	case "quarc", "quarc-chainbcast", "quarc-1queue":
-	case "spidergon":
-		fam = famSpidergon
-	case "mesh", "torus":
-		side := int(math.Round(math.Sqrt(float64(n))))
-		if n < 4 || side*side != n {
-			return k, false
-		}
-		fam, w, h = famMesh, side, side
-	default:
-		return k, false
+	inj, shared := fab.Endpoints(0)
+	nout := fab.Routers[0].Config().NOut
+	if n*nout > 1<<16 { // a channel id must fit uint16
+		return nil
 	}
-	k, err := keyFor(fam, w, h, model == "torus")
-	return k, err == nil
+	return newRouteTable(n, n*nout, func(ids []uint16, s, d int) []uint16 {
+		fab.Walk(s, d, func(node, out, _ int) { ids = append(ids, uint16(node*nout+out)) })
+		return ids
+	}, endpoints{injChannels: inj, sharedEject: shared}, maxIDs)
 }
 
-// ForModel dispatches to the closed-form uniform-unicast model of a
-// registry model by name, validating the size instead of panicking: ok is
-// false for models with no analytical model (ring, and anything registered
-// later) and for sizes the model cannot describe. The Quarc ablation
-// presets map onto the Quarc model — they share its topology and routing,
-// so the channel-level analysis is identical; only the endpoint queueing
-// differs, a second-order effect at the low loads where the model is valid.
-// Mesh and torus sizes must be squares (the registry's builds are square).
-func ForModel(model string, n, msgLen int, lambda float64) (Prediction, bool) {
-	k, ok := modelKey(model, n)
-	if !ok || msgLen < 2 || lambda < 0 {
+// ForModel predicts uniform-traffic unicast behaviour of a registered model
+// by name, validating the size instead of panicking: ok is false for a name
+// that is not a registered model's, for ring (unanswered), for a size the
+// model refuses, a message shorter than two flits or a negative load. Every
+// other model is analysed over its own walked routes and endpoints — the
+// Quarc ablation presets included, whose injection ports and routes are the
+// Quarc's.
+func ForModel(name string, n, msgLen int, lambda float64) (Prediction, bool) {
+	if msgLen < 2 || lambda < 0 {
 		return Prediction{}, false
 	}
-	return tableFor(k).predict(msgLen, lambda), true
+	t := tableFor(name, n)
+	if t == nil {
+		return Prediction{}, false
+	}
+	return t.predict(msgLen, lambda), true
 }
 
 // SaturationRate is ForModel(model, n, msgLen, 0).SaturationRate without the
 // prediction: it reads the memoised busiest-channel count, so a warm call is
 // O(1) and even a cold one never replays routes for a latency. The admission
 // classifier and the load ladders need only this number.
-func SaturationRate(model string, n, msgLen int) (float64, bool) {
-	k, ok := modelKey(model, n)
-	if !ok || msgLen < 2 {
+func SaturationRate(name string, n, msgLen int) (float64, bool) {
+	if msgLen < 2 {
 		return 0, false
 	}
-	return tableFor(k).saturationRate(msgLen), true
+	t := tableFor(name, n)
+	if t == nil {
+		return 0, false
+	}
+	return t.saturationRate(msgLen), true
 }
 
 // QuarcBroadcastCompletion is the zero-load completion latency of a true

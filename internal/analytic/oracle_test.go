@@ -1,10 +1,11 @@
-// The bit-identity oracle of the route-table refactor. refAnalyze and the
-// three enumerators below are the package's previous implementation, moved
-// here verbatim; explore payloads carry these predictions and the
-// benchmark's golden digests pin them, so the memoised implementation must
-// reproduce every field of every Prediction to the last bit — on a cold
-// table, a warm one, one streamed above the route cap, and under a race for
-// the first call.
+// The bit-identity oracle of the route tables. refAnalyze is the
+// channel-level model as it stood before route tables, fed the walked routes
+// (model.Routes) one slice per pair; explore payloads carry these
+// predictions and the benchmark's golden digests pin them, so the memoised
+// implementation must reproduce every field of every Prediction to the last
+// bit — on a cold table, a warm one, one walked again above the route cap,
+// and under a race for the first call. What the routes themselves are is
+// pinned by testdata/predictions.golden.
 package analytic
 
 import (
@@ -14,7 +15,7 @@ import (
 	"sync"
 	"testing"
 
-	"quarc/internal/topology"
+	"quarc/internal/model"
 )
 
 // refPathFunc enumerates the channel ids used by the route s -> d.
@@ -113,56 +114,33 @@ func refAnalyze(n, msgLen int, lambda float64, numChannels int, paths refPathFun
 	}
 }
 
-// refRingChannelID packs a ring-topology channel id: kind*N + from.
-func refRingChannelID(n int, ch topology.Channel) int {
-	return int(ch.Kind)*n + ch.From
-}
-
-// refForModel is ForModel as it stood: ok mirrors the old size validation
-// (with the mesh bound the old code panicked on made explicit).
-func refForModel(model string, n, msgLen int, lambda float64) (Prediction, bool) {
-	if msgLen < 2 || lambda < 0 {
+// refForModel is ForModel by the reference: ok mirrors ForModel's
+// validation, and the routes are the walked ones (model.Routes), walked once
+// per network into routes, which the grid shares between its calls.
+func refForModel(routes map[tableKey][][]int, name string, n, msgLen int, lambda float64) (Prediction, bool) {
+	if msgLen < 2 || lambda < 0 || name == unanswered || model.CheckSize(name, n) != nil {
 		return Prediction{}, false
 	}
-	switch model {
-	case "quarc", "spidergon":
-		if topology.ValidateRingSize(n) != nil {
-			return Prediction{}, false
-		}
-		route, ep := topology.QuarcRouteChannels, endpoints{injChannels: 4, sharedEject: false}
-		if model == "spidergon" {
-			route, ep = topology.SpidergonRouteChannels, endpoints{injChannels: 1, sharedEject: true}
-		}
-		return refAnalyze(n, msgLen, lambda, 5*n, func(s, d int) []int {
-			chs := route(n, s, d)
-			ids := make([]int, len(chs))
-			for i, c := range chs {
-				ids[i] = refRingChannelID(n, c)
-			}
-			return ids
-		}, ep), true
-	case "mesh", "torus":
-		side := int(math.Round(math.Sqrt(float64(n))))
-		if n < 4 || side*side != n {
-			return Prediction{}, false
-		}
-		m, err := topology.NewMesh(side, side, model == "torus")
-		if err != nil {
-			return Prediction{}, false
-		}
-		// Channel id: direction(4) * n + from-node.
-		return refAnalyze(n, msgLen, lambda, 4*n, func(s, d int) []int {
-			var ids []int
-			cur := s
-			for cur != d {
-				dir, next := m.Step(cur, d)
-				ids = append(ids, int(dir)*n+cur)
-				cur = next
-			}
-			return ids
-		}, endpoints{injChannels: 1, sharedEject: true}), true
+	fab, err := model.Routes(name, n)
+	if err != nil {
+		return Prediction{}, false
 	}
-	return Prediction{}, false
+	inj, shared := fab.Endpoints(0)
+	nout := fab.Routers[0].Config().NOut
+	k := tableKey{name, n}
+	if routes[k] == nil {
+		paths := make([][]int, n*n)
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				if s != d {
+					fab.Walk(s, d, func(node, out, _ int) { paths[s*n+d] = append(paths[s*n+d], node*nout+out) })
+				}
+			}
+		}
+		routes[k] = paths
+	}
+	return refAnalyze(n, msgLen, lambda, n*nout, func(s, d int) []int { return routes[k][s*n+d] },
+		endpoints{injChannels: inj, sharedEject: shared}), true
 }
 
 // sameBits reports whether two predictions agree on every field to the bit.
@@ -206,16 +184,17 @@ type oracleCase struct {
 // family cannot describe stay in the grid and must come back ok=false.
 var oracleGrid = sync.OnceValue(func() []oracleCase {
 	var grid []oracleCase
+	routes := map[tableKey][][]int{}
 	for _, model := range oracleModels {
 		for _, n := range oracleNs {
 			for _, m := range oracleMs {
 				lambdas := []float64{0.01}
-				if zero, ok := refForModel(model, n, m, 0); ok {
+				if zero, ok := refForModel(routes, model, n, m, 0); ok {
 					sat := zero.SaturationRate
 					lambdas = []float64{0, sat * 0.5, sat * 0.999, sat, sat * 1.001, sat * 1.5, 1}
 				}
 				for _, lambda := range lambdas {
-					want, ok := refForModel(model, n, m, lambda)
+					want, ok := refForModel(routes, model, n, m, lambda)
 					grid = append(grid, oracleCase{model, n, m, lambda, want, ok})
 				}
 			}
@@ -273,8 +252,8 @@ func TestOracleGridStraddlesSaturation(t *testing.T) {
 
 // TestRouteTablesMatchReference is the oracle on the memoised path: the
 // first pass builds every table (cold), the second reads them (warm). The
-// 16x16 meshes are the largest whose routes are kept; the 20x20 ones stream
-// from the enumerator on every call.
+// 16x16 meshes are the largest whose routes are kept; the 20x20 ones are
+// walked again on every call, and only they keep a walker.
 func TestRouteTablesMatchReference(t *testing.T) {
 	forgetTables()
 	checkAgainstOracle(t, "cold", 0, ForModel)
@@ -284,9 +263,10 @@ func TestRouteTablesMatchReference(t *testing.T) {
 		kept bool
 	}{{256, true}, {400, false}} {
 		for _, model := range []string{"mesh", "torus"} {
-			k, _ := modelKey(model, c.n)
-			if kept := tableFor(k).ids != nil; kept != c.kept {
-				t.Errorf("%s n=%d: routes kept = %v, want %v", model, c.n, kept, c.kept)
+			tbl := tableFor(model, c.n)
+			if kept := tbl.ids != nil; kept != c.kept || (tbl.paths == nil) != c.kept {
+				t.Errorf("%s n=%d: routes kept = %v, walker kept = %v; want routes kept = %v and a walker only otherwise",
+					model, c.n, kept, tbl.paths != nil, c.kept)
 			}
 		}
 	}
@@ -294,17 +274,17 @@ func TestRouteTablesMatchReference(t *testing.T) {
 
 // TestStreamedRoutesMatchReference forces the above-cap path at every size:
 // tables built under a zero route cap keep no routes, and the one replay loop
-// must give the same bits from the enumerator as from the kept table.
+// must give the same bits from the walker as from the kept table.
 func TestStreamedRoutesMatchReference(t *testing.T) {
 	streamed := map[tableKey]*routeTable{}
 	checkAgainstOracle(t, "streamed", 0, func(model string, n, msgLen int, lambda float64) (Prediction, bool) {
-		k, ok := modelKey(model, n)
-		if !ok || msgLen < 2 || lambda < 0 {
+		if tableFor(model, n) == nil || msgLen < 2 || lambda < 0 {
 			return Prediction{}, false
 		}
+		k := tableKey{model, n}
 		tbl := streamed[k]
 		if tbl == nil {
-			tbl = buildTable(k, 0)
+			tbl = buildTable(model, n, 0)
 			streamed[k] = tbl
 		}
 		if tbl.ids != nil || tbl.hops != nil {

@@ -113,7 +113,7 @@ func FastOpts() RunOpts {
 // for M cycles, giving a (1-beta) + beta*N/2 / (N/16) = 1 + 7*beta load
 // multiplier relative to unicast-only traffic.
 func rateGrid(spec PanelSpec, points int) []float64 {
-	base := analytic.QuarcUniform(spec.N, spec.MsgLen, 0).SaturationRate
+	base, _ := analytic.SaturationRate("quarc", spec.N, spec.MsgLen)
 	derate := 1 + 7*spec.Beta
 	top := 0.6 * base / derate
 	grid := make([]float64, points)

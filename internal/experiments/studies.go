@@ -103,7 +103,7 @@ func Studies() []Study {
 		// under uniform traffic with broadcasts.
 		{Name: "mesh",
 			Points: func(opts RunOpts) (cfgs []Config) {
-				base := analytic.QuarcUniform(studyN, studyMsgLen, 0).SaturationRate
+				base, _ := analytic.SaturationRate("quarc", studyN, studyMsgLen)
 				derate := 1 + studyBeta*float64(studyN)/4
 				for _, model := range []string{"quarc", "mesh", "torus"} {
 					for _, frac := range []float64{0.15, 0.35, 0.55} {
@@ -177,7 +177,7 @@ func Studies() []Study {
 		// the same code a wire-API bursty run exercises.
 		{Name: "bursty", Stride: 2,
 			Points: func(opts RunOpts) (cfgs []Config) {
-				base := analytic.QuarcUniform(studyN, studyMsgLen, 0).SaturationRate
+				base, _ := analytic.SaturationRate("quarc", studyN, studyMsgLen)
 				meanRate := 0.25 * base / (1 + 7*studyBeta)
 				for _, model := range []string{"quarc", "spidergon"} {
 					smooth := opts.point(model, studyN, studyMsgLen, studyBeta, meanRate)
@@ -203,7 +203,7 @@ func Studies() []Study {
 		// more gracefully than the Spidergon's single arbitrated port.
 		{Name: "hotspot", Stride: 2,
 			Points: func(opts RunOpts) (cfgs []Config) {
-				base := analytic.QuarcUniform(studyN, studyMsgLen, 0).SaturationRate
+				base, _ := analytic.SaturationRate("quarc", studyN, studyMsgLen)
 				for _, model := range []string{"quarc", "spidergon"} {
 					for _, rate := range []float64{0.15 * base, 0.3 * base} {
 						uniform := opts.point(model, studyN, studyMsgLen, 0, rate)

@@ -105,7 +105,9 @@ type Spec struct {
 
 // ParseSpec parses the flag/env form of a Spec: comma-separated key=value
 // pairs, e.g. "seed=42,err=0.1,torn=0.05,slow=0.02,delay=5ms,ops=4000".
-// Keys: seed, err, torn, slow, delay, ops.
+// Keys: seed, err, torn, slow, delay, ops. Rates must be probabilities in
+// [0,1] (NaN is not one), delay and ops non-negative; a bad value is an
+// error naming its key.
 func ParseSpec(s string) (Spec, error) {
 	var sp Spec
 	if strings.TrimSpace(s) == "" {
@@ -127,9 +129,13 @@ func ParseSpec(s string) (Spec, error) {
 		case "slow":
 			sp.DelayRate, err = parseRate(v)
 		case "delay":
-			sp.Delay, err = time.ParseDuration(v)
+			if sp.Delay, err = time.ParseDuration(v); err == nil && sp.Delay < 0 {
+				err = errors.New("negative duration")
+			}
 		case "ops":
-			sp.MaxOps, err = strconv.Atoi(v)
+			if sp.MaxOps, err = strconv.Atoi(v); err == nil && sp.MaxOps < 0 {
+				err = errors.New("negative count")
+			}
 		default:
 			return sp, fmt.Errorf("faultinject: unknown key %q", k)
 		}
@@ -145,7 +151,7 @@ func parseRate(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if r < 0 || r > 1 {
+	if !(r >= 0 && r <= 1) { // NaN too
 		return 0, fmt.Errorf("rate %v outside [0,1]", r)
 	}
 	return r, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -45,6 +46,38 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted, want error", bad)
 		}
 	}
+	// Accepted once: a NaN rate (it passes a bare range test), a negative
+	// delay and a negative op budget. The error names the key.
+	for bad, key := range map[string]string{
+		"err=NaN": "err", "torn=nan": "torn", "slow=NaN": "slow",
+		"delay=-5ms": "delay", "ops=-1": "ops",
+	} {
+		_, err := ParseSpec("seed=1," + bad)
+		if err == nil || !strings.Contains(err.Error(), key+"=") {
+			t.Errorf("ParseSpec(%q) = %v, want an error naming %s", bad, err, key)
+		}
+	}
+}
+
+// FuzzParseSpec: whatever ParseSpec accepts, its String form parses back to
+// the same Spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"seed=42,err=0.1,torn=0.05,slow=0.02,delay=5ms,ops=4000",
+		"seed=0x10,err=1,torn=0", "delay=1h2m3.5s", "ops=0", "err=1e-300", "err=-0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(sp.String())
+		if err != nil || back != sp {
+			t.Fatalf("ParseSpec(%q) = %+v; its String %q parses to %+v, %v", s, sp, sp.String(), back, err)
+		}
+	})
 }
 
 // Two plans with the same spec must issue the identical verdict sequence —

@@ -31,6 +31,13 @@ func drain(t testing.TB, fab *network.Fabric, budget int) {
 	}
 }
 
+// walkedHops is the length of the route s -> d the fabric's switches take.
+func walkedHops(fab *network.Fabric, s, d int) int {
+	h := 0
+	fab.Walk(s, d, func(int, int, int) { h++ })
+	return h
+}
+
 func TestMeshUnicastZeroLoadLatency(t *testing.T) {
 	for _, torus := range []bool{false, true} {
 		fab, as, geo := build(t, 4, 4, torus)
@@ -45,7 +52,7 @@ func TestMeshUnicastZeroLoadLatency(t *testing.T) {
 				fab.Tracker.OnDone = func(r network.MessageRecord) { rec = &r }
 				as[src].SendUnicast(dst, mlen, fab.Now())
 				drain(t, fab, 1000)
-				want := int64(geo.Hops(src, dst) + mlen)
+				want := int64(walkedHops(fab, src, dst) + mlen)
 				if lat := rec.Last - rec.Gen; lat != want {
 					t.Fatalf("torus=%v %d->%d: latency %d, want %d", torus, src, dst, lat, want)
 				}

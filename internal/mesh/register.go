@@ -15,9 +15,8 @@ import (
 // header format — the mesh scales with the tracker's multi-word delivery
 // mask; the size cap is topology.NewMesh's 1,024 nodes, applied here so a
 // request the build would refuse is refused at validation. The cap stays at
-// 1,024 because the analytic model enumerates all N² routes of a mesh, and a
-// first request at 4,096 nodes would spend tens of seconds in that
-// enumeration.
+// 1,024 because the analytic model walks all N² routes of a mesh, and a
+// first request at 4,096 nodes would spend tens of seconds walking them.
 func checkSquare(n int) error {
 	side := int(math.Round(math.Sqrt(float64(n))))
 	if n < 4 || side*side != n {

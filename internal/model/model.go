@@ -157,3 +157,13 @@ func CheckSize(name string, n int) error {
 	}
 	return m.CheckN(n)
 }
+
+// Routes builds the named model's n-node network for its static routes: a
+// fabric never stepped, whose Walk follows each (src, dst) pair through the
+// model's own injection rule, RouteFunc, VCFunc and wiring table. It is where
+// the analytic model and the deadlock proof read routes from, so both see
+// exactly what the simulator routes.
+func Routes(name string, n int) (*network.Fabric, error) {
+	fab, _, err := Build(name, BuildConfig{N: n, Depth: 1})
+	return fab, err
+}

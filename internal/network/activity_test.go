@@ -134,3 +134,52 @@ func TestSleepNeedsNoCreditRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeliveryCallbackEnqueuesAtSleepingNode: a delivery callback (the
+// tracker's OnDone, fired in the cycle's ordered deliver half) that enqueues
+// a packet at another, idle-sleeping node. The reply is delivered and every
+// flit is accounted for, under dense and activity stepping alike; and the
+// one known difference between them is pinned: dense stepping feeds the
+// woken node in the callback's own cycle, activity stepping one cycle later
+// (an idle sleeper is woken for the next cycle; a blocked one would be fed in
+// the same cycle).
+func TestDeliveryCallbackEnqueuesAtSleepingNode(t *testing.T) {
+	const n, m = 16, 8
+	run := func(dense bool) (replyGen, replyDone int64) {
+		fab, ts := buildQuarc(t, n)
+		fab.SetDense(dense)
+		request := ts[0].SendUnicast(5, m, fab.Now()) // 0 -> 8 -> 7 -> 6 -> 5: node 9 stays idle
+		var reply uint64
+		fab.Tracker.OnDone = func(r network.MessageRecord) {
+			switch r.MsgID {
+			case request:
+				replyGen = fab.Now()
+				reply = ts[9].SendUnicast(12, m, replyGen)
+			case reply:
+				replyDone = r.Last
+			}
+		}
+		for i := 0; i < 1000 && (reply == 0 || fab.Tracker.InFlight() > 0); i++ {
+			fab.Step()
+		}
+		if fab.Tracker.InFlight() != 0 || fab.Tracker.Completed() != 2 || replyDone == 0 {
+			t.Fatalf("dense=%v: %d completed, %d in flight", dense, fab.Tracker.Completed(), fab.Tracker.InFlight())
+		}
+		if got := fab.FlitsDelivered(); got != 2*m {
+			t.Fatalf("dense=%v: %d flits delivered, want %d", dense, got, 2*m)
+		}
+		if live := fab.Packets.Live(); live != 0 {
+			t.Fatalf("dense=%v: %d packets left in the table", dense, live)
+		}
+		return replyGen, replyDone
+	}
+	denseGen, denseDone := run(true)
+	gen, done := run(false)
+	if gen != denseGen {
+		t.Fatalf("the callback ran at cycle %d under activity stepping, %d under dense", gen, denseGen)
+	}
+	if done != denseDone+1 {
+		t.Fatalf("reply completed at cycle %d under activity stepping, %d under dense: want exactly one cycle later",
+			done, denseDone)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"quarc/internal/network"
 	"quarc/internal/rng"
 	"quarc/internal/topology"
-	"quarc/internal/trace"
 )
 
 func build(t testing.TB, n int) (*network.Fabric, []*Transceiver) {
@@ -422,50 +421,6 @@ func TestUnicastToSelfPanics(t *testing.T) {
 		}
 	}()
 	ts[0].SendUnicast(0, 4, 0)
-}
-
-func TestTraceMatchesDeterministicRoute(t *testing.T) {
-	// The flit-level trace of a unicast header must visit exactly the nodes
-	// of the deterministic route (paper §2.5.1: the route is completely
-	// determined by the injection port).
-	n := 16
-	fab, ts := build(t, n)
-	fab.Trace = trace.NewBuffer(4096)
-	for _, dst := range []int{1, 4, 5, 8, 11, 12, 15} {
-		ts[0].SendUnicast(dst, 4, fab.Now())
-	}
-	drain(t, fab, 10000)
-	events := fab.Trace.Events()
-	if len(events) == 0 {
-		t.Fatal("no trace recorded")
-	}
-	// Group header paths per packet and compare with topology.QuarcPath.
-	byPkt := map[uint64][]int{}
-	dstOf := map[uint64]int{}
-	for _, e := range events {
-		if e.Seq != 0 {
-			continue
-		}
-		byPkt[e.PktID] = append(byPkt[e.PktID], e.Node)
-		if e.Kind == trace.Deliver {
-			dstOf[e.PktID] = e.Node
-		}
-	}
-	if len(byPkt) != 7 {
-		t.Fatalf("traced %d packets, want 7", len(byPkt))
-	}
-	for pkt, path := range byPkt {
-		dst := dstOf[pkt]
-		want := topology.QuarcPath(n, 0, dst)
-		if len(path) != len(want) {
-			t.Fatalf("pkt %d to %d: traced path %v, want %v", pkt, dst, path, want)
-		}
-		for i := range want {
-			if path[i] != want[i] {
-				t.Fatalf("pkt %d to %d: traced path %v, want %v", pkt, dst, path, want)
-			}
-		}
-	}
 }
 
 func TestLargeNetworkMulticast(t *testing.T) {

@@ -10,9 +10,9 @@
 //
 // Deadlock freedom follows from the channel dependency graph: each rim ring
 // is a cycle broken by the dateline VC split, exactly as for the rim
-// channels of the Quarc and Spidergon; RouteChannels exposes the per-route
-// channel sequences so the CDG can be checked with topology.CDG (see the
-// package test).
+// channels of the Quarc and Spidergon. The registry-wide deadlock proof in
+// internal/analytic checks it over the routes this package's Route and the
+// shared VCNext actually take.
 //
 // Port layout:
 //
@@ -95,46 +95,6 @@ func Reach() [][]int {
 		RimCCWOut: {RimCCWIn, Inj},
 		Eject:     {RimCWIn, RimCCWIn},
 	}
-}
-
-// RouteChannels returns the channel sequence of the route from src to dst
-// (excluding injection/ejection, which cannot participate in cycles); it
-// feeds the CDG acyclicity check.
-func RouteChannels(n, src, dst int) []topology.Channel {
-	if src == dst {
-		return nil
-	}
-	dir := dirTo(n, src, dst)
-	kind := topology.ChRimCW
-	if dir == topology.CCW {
-		kind = topology.ChRimCCW
-	}
-	var chs []topology.Channel
-	cur, vc := src, 0
-	for cur != dst {
-		vc = topology.RimVC(n, dir, cur, vc)
-		chs = append(chs, topology.Channel{Kind: kind, From: cur, VC: vc})
-		if dir == topology.CW {
-			cur = topology.NextCW(n, cur)
-		} else {
-			cur = topology.NextCCW(n, cur)
-		}
-	}
-	return chs
-}
-
-// CDG builds the channel dependency graph over all unicast routes of an
-// n-node ring.
-func CDG(n int) *topology.CDG {
-	g := topology.NewCDG()
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				g.AddPath(RouteChannels(n, s, d))
-			}
-		}
-	}
-	return g
 }
 
 // Config describes a ring network build.

@@ -7,35 +7,30 @@ import (
 	"quarc/internal/topology"
 )
 
-// TestCDGAcyclic checks the deadlock-freedom argument: the channel
-// dependency graph over all shortest-direction routes, with the dateline VC
-// split, has no directed cycle (Dally & Seitz).
-func TestCDGAcyclic(t *testing.T) {
-	for _, n := range []int{8, 16, 32, 64} {
-		ok, stuck := CDG(n).Acyclic()
-		if !ok {
-			t.Errorf("n=%d: CDG has a cycle through %v", n, stuck)
-		}
-	}
-}
-
-// TestRouteChannelsShortest checks that every route takes the shorter arc
-// (ties go clockwise) and never exceeds n/2 hops.
+// TestRouteChannelsShortest checks that every route the switches take is the
+// shorter arc (ties go clockwise) and never exceeds n/2 hops.
 func TestRouteChannelsShortest(t *testing.T) {
 	n := 16
+	fab, _, err := Build(Config{N: n, Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {
 				continue
 			}
-			chs := RouteChannels(n, s, d)
-			hops := len(chs)
+			hops, cw := 0, true
+			fab.Walk(s, d, func(_, out, _ int) {
+				hops++
+				cw = cw && out == RimCWOut
+			})
 			want := topology.Offset(n, s, d)
 			if want > n/2 {
 				want = n - want
 			}
-			if hops != want {
-				t.Fatalf("route %d->%d: %d hops, want %d", s, d, hops, want)
+			if hops != want || cw != (topology.Offset(n, s, d) <= n/2) {
+				t.Fatalf("route %d->%d: %d hops clockwise=%v, want %d", s, d, hops, cw, want)
 			}
 		}
 	}

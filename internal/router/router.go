@@ -330,6 +330,9 @@ func (r *Router) NumInputs() int { return len(r.in) }
 // Lanes returns the number of lanes of input port in.
 func (r *Router) Lanes(in int) int { return len(r.in[in].lanes) }
 
+// Config returns a copy of the switch's configuration.
+func (r *Router) Config() Config { return r.cfg }
+
 // Depth returns the flit capacity of every input lane.
 func (r *Router) Depth() int { return r.cfg.Depth }
 
@@ -472,38 +475,45 @@ func (r *Router) laneDecision(ln *lane, i, l int) Decision {
 	if !ln.pendOK || ln.pendPkt != head.Pkt {
 		//quarc:allow hotpath: the header Route and VCNext read, materialised once per routed header, not per cycle or per flit
 		hf := r.pkts.Flit(head)
-		dec := r.cfg.Route(r.cfg.Node, i, hf)
-		if dec.Out == NoOutput && !dec.Eject {
-			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
-			panic(fmt.Sprintf("router %d in %d: decision with no action for %+v",
-				r.cfg.Node, i, hf))
-		}
-		if dec.Out == NoOutput && r.cfg.EjectPort != NoOutput {
-			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
-			panic(fmt.Sprintf("router %d in %d: pure-local decision on a shared-eject switch",
-				r.cfg.Node, i))
-		}
-		if dec.Out != NoOutput && !r.reachable(dec.Out, i) {
-			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
-			panic(fmt.Sprintf("router %d: route sends input %d to unreachable output %d",
-				r.cfg.Node, i, dec.Out))
-		}
-		if dec.Out != NoOutput && dec.Out != r.cfg.EjectPort {
-			// The lane a flit sits in is the VC it used on its incoming link
-			// (the network pushes forwarded flits into lane[outVC]);
-			// injection ports have a single lane 0, matching the VC-0 start
-			// of the dateline discipline.
-			vc := r.cfg.VCNext(r.cfg.Node, dec.Out, i, l, hf)
-			if vc < 0 || vc >= r.cfg.VCs {
-				//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
-				panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
-			}
+		dec, vc := r.Decide(i, l, &hf)
+		if vc >= 0 {
 			ln.pendVC = int8(vc)
 		}
 		ln.pendDec, ln.pendPkt, ln.pendOK = pack(dec), head.Pkt, true
 		return dec
 	}
 	return ln.pendDec.unpack()
+}
+
+// Decide is the switch's verdict on header f arriving in lane l of input
+// port in: its RouteFunc's decision, checked against the crossbar, and the
+// virtual channel its VCFunc requests on a link the decision forwards over.
+// The lane a flit sits in is the VC it used on its incoming link (the network
+// pushes forwarded flits into lane[outVC]); injection ports have a single
+// lane 0, matching the VC-0 start of the dateline discipline. vc is -1 when
+// the decision forwards over no link: pure local delivery, or the shared
+// ejection port, which takes the first free VC. It reads only the switch's
+// configuration: the running switch decides a waiting header with it, and a
+// static walk of the network's routes (network.Fabric.Walk) follows it.
+func (r *Router) Decide(in, l int, f *flit.Flit) (dec Decision, vc int) {
+	dec = r.cfg.Route(r.cfg.Node, in, *f)
+	if dec.Out == NoOutput && !dec.Eject {
+		panic(fmt.Sprintf("router %d in %d: decision with no action for %+v", r.cfg.Node, in, *f))
+	}
+	if dec.Out == NoOutput && r.cfg.EjectPort != NoOutput {
+		panic(fmt.Sprintf("router %d in %d: pure-local decision on a shared-eject switch", r.cfg.Node, in))
+	}
+	if dec.Out != NoOutput && !r.reachable(dec.Out, in) {
+		panic(fmt.Sprintf("router %d: route sends input %d to unreachable output %d", r.cfg.Node, in, dec.Out))
+	}
+	if dec.Out == NoOutput || dec.Out == r.cfg.EjectPort {
+		return dec, -1
+	}
+	vc = r.cfg.VCNext(r.cfg.Node, dec.Out, in, l, *f)
+	if vc < 0 || vc >= r.cfg.VCs {
+		panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
+	}
+	return dec, vc
 }
 
 // ConnectOutput wires output o to a downstream input port of the given lane

@@ -6,7 +6,6 @@ import (
 
 	"quarc/internal/network"
 	"quarc/internal/rng"
-	"quarc/internal/topology"
 )
 
 func build(t testing.TB, n int) (*network.Fabric, []*Adapter) {
@@ -32,6 +31,13 @@ func drain(t testing.TB, fab *network.Fabric, budget int) {
 	}
 }
 
+// walkedHops is the length of the route s -> d the fabric's switches take.
+func walkedHops(fab *network.Fabric, s, d int) int {
+	h := 0
+	fab.Walk(s, d, func(int, int, int) { h++ })
+	return h
+}
+
 func TestUnicastZeroLoadLatency(t *testing.T) {
 	for _, n := range []int{8, 16, 32, 64} {
 		for dst := 1; dst < n; dst++ {
@@ -44,7 +50,7 @@ func TestUnicastZeroLoadLatency(t *testing.T) {
 			if rec == nil {
 				t.Fatalf("n=%d dst=%d: no completion", n, dst)
 			}
-			want := int64(topology.SpidergonHops(n, 0, dst) + m)
+			want := int64(walkedHops(fab, 0, dst) + m)
 			if lat := rec.Last - rec.Gen; lat != want {
 				t.Errorf("n=%d dst=%d: latency %d, want hops+M = %d", n, dst, lat, want)
 			}
@@ -203,7 +209,7 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	// The CCW message (node 15, free path) must still finish after the
 	// blocked CW message entered the network — i.e. its latency exceeds the
 	// zero-load value because of HOL blocking.
-	zeroLoad := int64(topology.SpidergonHops(n, 0, 15) + m)
+	zeroLoad := int64(walkedHops(fab, 0, 15) + m)
 	last := times[len(times)-1]
 	if last <= zeroLoad+2 {
 		t.Errorf("no head-of-line blocking observed: last completion %d vs zero-load %d",

@@ -93,45 +93,3 @@ func (m Mesh) Step(cur, dst int) (MeshDir, int) {
 	}
 	return MSouth, m.ID(cx, cy-1)
 }
-
-// Hops returns the XY-routed hop count between two nodes.
-func (m Mesh) Hops(src, dst int) int {
-	h := 0
-	cur := src
-	for cur != dst {
-		_, cur = m.Step(cur, dst)
-		h++
-		if h > m.N() {
-			panic("topology: mesh routing did not terminate")
-		}
-	}
-	return h
-}
-
-// Diameter returns the max XY hop count over all pairs.
-func (m Mesh) Diameter() int {
-	max := 0
-	for s := 0; s < m.N(); s++ {
-		for d := 0; d < m.N(); d++ {
-			if h := m.Hops(s, d); h > max {
-				max = h
-			}
-		}
-	}
-	return max
-}
-
-// AvgHops returns the exact mean hop count over ordered pairs.
-func (m Mesh) AvgHops() float64 {
-	sum, cnt := 0, 0
-	for s := 0; s < m.N(); s++ {
-		for d := 0; d < m.N(); d++ {
-			if s == d {
-				continue
-			}
-			sum += m.Hops(s, d)
-			cnt++
-		}
-	}
-	return float64(sum) / float64(cnt)
-}

@@ -77,50 +77,6 @@ func QuarcHops(n, src, dst int) int {
 	}
 }
 
-// QuarcPath returns the node sequence visited from src to dst, inclusive of
-// both endpoints, following the deterministic route.
-func QuarcPath(n, src, dst int) []int {
-	path := []int{src}
-	if src == dst {
-		return path
-	}
-	cur := src
-	q := QuadrantOf(n, src, dst)
-	if q == QCrossCW || q == QCrossCCW {
-		cur = Antipode(n, cur)
-		path = append(path, cur)
-	}
-	dir := CW
-	if q == QLeft || q == QCrossCCW {
-		dir = CCW
-	}
-	for cur != dst {
-		if dir == CW {
-			cur = NextCW(n, cur)
-		} else {
-			cur = NextCCW(n, cur)
-		}
-		path = append(path, cur)
-		if len(path) > n+1 {
-			panic("topology: QuarcPath did not terminate")
-		}
-	}
-	return path
-}
-
-// QuarcDiameter returns the network diameter, n/4 (paper §2.6).
-func QuarcDiameter(n int) int { return n / 4 }
-
-// QuarcAvgHops returns the exact mean shortest-path hop count over all
-// ordered src != dst pairs.
-func QuarcAvgHops(n int) float64 {
-	sum := 0
-	for o := 1; o < n; o++ {
-		sum += QuarcHops(n, 0, Mod(o, n))
-	}
-	return float64(sum) / float64(n-1)
-}
-
 // BroadcastBranch describes one of the (up to) four BRCP branch packets a
 // Quarc transceiver emits for a broadcast or multicast (paper §2.5.2):
 // inject into quadrant Q with header destination Last (the final node the

@@ -70,64 +70,9 @@ func TestQuadrantVertexSymmetry(t *testing.T) {
 	}
 }
 
-func TestQuarcDiameterIsNOver4(t *testing.T) {
-	for _, n := range ringSizes {
-		max := 0
-		for o := 1; o < n; o++ {
-			if h := QuarcHops(n, 0, o); h > max {
-				max = h
-			}
-		}
-		if max != n/4 {
-			t.Errorf("n=%d: measured diameter %d, want n/4 = %d", n, max, n/4)
-		}
-		if QuarcDiameter(n) != n/4 {
-			t.Errorf("QuarcDiameter(%d) = %d", n, QuarcDiameter(n))
-		}
-	}
-}
-
-func TestQuarcHopsMatchesPathLength(t *testing.T) {
-	for _, n := range ringSizes {
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				p := QuarcPath(n, s, d)
-				if len(p)-1 != QuarcHops(n, s, d) {
-					t.Fatalf("n=%d %d->%d: path %v vs hops %d", n, s, d, p, QuarcHops(n, s, d))
-				}
-				if p[0] != s || p[len(p)-1] != d {
-					t.Fatalf("n=%d %d->%d: bad endpoints %v", n, s, d, p)
-				}
-				// Each step is a rim neighbour, except a cross first hop.
-				for i := 0; i+1 < len(p); i++ {
-					a, b := p[i], p[i+1]
-					rim := b == NextCW(n, a) || b == NextCCW(n, a)
-					cross := i == 0 && b == Antipode(n, a)
-					if !rim && !cross {
-						t.Fatalf("n=%d %d->%d: illegal step %d->%d in %v", n, s, d, a, b, p)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestQuarcHopsZeroForSelf(t *testing.T) {
 	if QuarcHops(16, 5, 5) != 0 {
 		t.Fatal("QuarcHops(self) != 0")
-	}
-	if p := QuarcPath(16, 5, 5); len(p) != 1 || p[0] != 5 {
-		t.Fatalf("QuarcPath(self) = %v", p)
-	}
-}
-
-func TestQuarcAvgHops(t *testing.T) {
-	// Exact closed-form check for n=16: offsets 1..4 cost 1..4 (sum 10),
-	// 5..8 cost 1+8-o (4,3,2,1; sum 10), 9..11 cost 1+o-8 (2,3,4; sum 9),
-	// 12..15 cost 16-o (4,3,2,1; sum 10). Total 39 over 15 pairs.
-	want := 39.0 / 15.0
-	if got := QuarcAvgHops(16); got != want {
-		t.Fatalf("QuarcAvgHops(16) = %v, want %v", got, want)
 	}
 }
 
@@ -176,35 +121,6 @@ func TestBroadcastBranchesCoverExactlyOnce(t *testing.T) {
 				}
 				if seen[d] != 1 {
 					t.Fatalf("n=%d s=%d: node %d covered %d times", n, s, d, seen[d])
-				}
-			}
-		}
-	}
-}
-
-func TestBroadcastBranchesFollowBaseRouting(t *testing.T) {
-	// BRCP: a branch stream traverses exactly the unicast path to its Last
-	// node (paper §2.5.2).
-	for _, n := range []int{8, 16, 32, 64} {
-		for s := 0; s < n; s += 5 {
-			for _, b := range QuarcBroadcastBranches(n, s) {
-				unicast := QuarcPath(n, s, b.Last)
-				// The receivers are the path nodes after the source, except
-				// that the cross-cw branch does not absorb at the antipode.
-				var expect []int
-				for i, node := range unicast[1:] {
-					if b.Q == QCrossCW && i == 0 {
-						continue
-					}
-					expect = append(expect, node)
-				}
-				if len(expect) != len(b.Path) {
-					t.Fatalf("n=%d s=%d %v: path %v vs unicast %v", n, s, b.Q, b.Path, unicast)
-				}
-				for i := range expect {
-					if expect[i] != b.Path[i] {
-						t.Fatalf("n=%d s=%d %v: path %v vs unicast %v", n, s, b.Q, b.Path, unicast)
-					}
 				}
 			}
 		}

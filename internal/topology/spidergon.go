@@ -44,84 +44,6 @@ func SpidergonRoute(n, src, dst int) SpidergonFirst {
 	}
 }
 
-// SpidergonHops returns the across-first path length from src to dst.
-func SpidergonHops(n, src, dst int) int {
-	if src == dst {
-		return 0
-	}
-	o := Offset(n, src, dst)
-	switch SpidergonRoute(n, src, dst) {
-	case SpiCW:
-		return o
-	case SpiCCW:
-		return n - o
-	default:
-		// Cross to the antipode, then the shorter rim arc.
-		rem := o - n/2
-		if rem < 0 {
-			rem = -rem
-		}
-		return 1 + rem
-	}
-}
-
-// SpidergonPath returns the node sequence from src to dst inclusive.
-func SpidergonPath(n, src, dst int) []int {
-	path := []int{src}
-	if src == dst {
-		return path
-	}
-	cur := src
-	first := SpidergonRoute(n, src, dst)
-	if first == SpiCross {
-		cur = Antipode(n, cur)
-		path = append(path, cur)
-		if cur == dst {
-			return path
-		}
-	}
-	// Remaining rim direction: shorter arc from cur to dst.
-	dir := CW
-	if o := Offset(n, cur, dst); o > n/2 || first == SpiCCW {
-		dir = CCW
-	}
-	for cur != dst {
-		if dir == CW {
-			cur = NextCW(n, cur)
-		} else {
-			cur = NextCCW(n, cur)
-		}
-		path = append(path, cur)
-		if len(path) > n+1 {
-			panic("topology: SpidergonPath did not terminate")
-		}
-	}
-	return path
-}
-
-// SpidergonDiameter returns the across-first routed diameter: the worst
-// destination needs the cross link plus n/4 - 1 rim hops... computed exactly
-// by enumeration to avoid off-by-one disputes.
-func SpidergonDiameter(n int) int {
-	max := 0
-	for o := 1; o < n; o++ {
-		if h := SpidergonHops(n, 0, o); h > max {
-			max = h
-		}
-	}
-	return max
-}
-
-// SpidergonAvgHops returns the exact mean across-first hop count over all
-// ordered pairs.
-func SpidergonAvgHops(n int) float64 {
-	sum := 0
-	for o := 1; o < n; o++ {
-		sum += SpidergonHops(n, 0, o)
-	}
-	return float64(sum) / float64(n-1)
-}
-
 // SpidergonChain describes one of the two broadcast-by-unicast chains
 // (paper §2.1/§2.2: deadlock-free broadcast in the Spidergon is achieved by
 // consecutive unicast transmissions along the rim, N-1 hop traversals in

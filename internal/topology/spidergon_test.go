@@ -25,63 +25,6 @@ func TestSpidergonRoutePanicsOnSelf(t *testing.T) {
 	SpidergonRoute(16, 2, 2)
 }
 
-func TestSpidergonHopsMatchPaths(t *testing.T) {
-	for _, n := range ringSizes {
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				p := SpidergonPath(n, s, d)
-				if len(p)-1 != SpidergonHops(n, s, d) {
-					t.Fatalf("n=%d %d->%d: path %v vs hops %d", n, s, d, p, SpidergonHops(n, s, d))
-				}
-				if p[0] != s || p[len(p)-1] != d {
-					t.Fatalf("n=%d %d->%d: endpoints wrong: %v", n, s, d, p)
-				}
-				for i := 0; i+1 < len(p); i++ {
-					a, b := p[i], p[i+1]
-					rim := b == NextCW(n, a) || b == NextCCW(n, a)
-					cross := i == 0 && b == Antipode(n, a)
-					if !rim && !cross {
-						t.Fatalf("n=%d %d->%d: illegal step %d->%d", n, s, d, a, b)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSpidergonDiameter(t *testing.T) {
-	// Across-first: worst case is an offset just past n/4 or just before
-	// 3n/4: cross plus (n/4 - 1) rim hops = n/4 on even quarters.
-	for _, n := range ringSizes {
-		want := 0
-		for o := 1; o < n; o++ {
-			h := SpidergonHops(n, 0, o)
-			if h > want {
-				want = h
-			}
-		}
-		if d := SpidergonDiameter(n); d != want {
-			t.Errorf("SpidergonDiameter(%d) = %d, want %d", n, d, want)
-		}
-	}
-	if SpidergonDiameter(16) != 4 {
-		t.Errorf("SpidergonDiameter(16) = %d, want 4", SpidergonDiameter(16))
-	}
-}
-
-func TestSpidergonVsQuarcHops(t *testing.T) {
-	// The Quarc routes are never longer than the Spidergon routes (the
-	// doubled cross link can only help), and both have diameter n/4.
-	for _, n := range ringSizes {
-		for o := 1; o < n; o++ {
-			q, s := QuarcHops(n, 0, o), SpidergonHops(n, 0, o)
-			if q > s {
-				t.Fatalf("n=%d o=%d: quarc %d > spidergon %d", n, o, q, s)
-			}
-		}
-	}
-}
-
 func TestSpidergonBroadcastChains(t *testing.T) {
 	for _, n := range ringSizes {
 		for s := 0; s < n; s += 3 {
@@ -148,89 +91,5 @@ func TestRimVCDateline(t *testing.T) {
 	// CCW: the link leaving node 0.
 	if RimVC(n, CCW, 0, 0) != 1 || RimVC(n, CCW, 5, 0) != 0 {
 		t.Fatal("CCW dateline wrong")
-	}
-}
-
-func TestVCMonotoneAlongRoutes(t *testing.T) {
-	// A packet's VC never decreases and switches at most once.
-	for _, n := range []int{8, 16, 32, 64} {
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if s == d {
-					continue
-				}
-				for _, chs := range [][]Channel{
-					QuarcRouteChannels(n, s, d),
-					SpidergonRouteChannels(n, s, d),
-				} {
-					prev := 0
-					switches := 0
-					for _, ch := range chs {
-						if ch.VC < prev {
-							t.Fatalf("n=%d %d->%d: VC decreased along %v", n, s, d, chs)
-						}
-						if ch.VC > prev {
-							switches++
-						}
-						prev = ch.VC
-					}
-					if switches > 1 {
-						t.Fatalf("n=%d %d->%d: VC switched %d times", n, s, d, switches)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestQuarcCDGAcyclic(t *testing.T) {
-	for _, n := range []int{8, 16, 32, 64} {
-		ok, stuck := QuarcCDG(n).Acyclic()
-		if !ok {
-			t.Errorf("n=%d: Quarc channel dependency graph has a cycle through %v", n, stuck)
-		}
-	}
-}
-
-func TestSpidergonCDGAcyclic(t *testing.T) {
-	for _, n := range []int{8, 16, 32, 64} {
-		ok, stuck := SpidergonCDG(n).Acyclic()
-		if !ok {
-			t.Errorf("n=%d: Spidergon channel dependency graph has a cycle through %v", n, stuck)
-		}
-	}
-}
-
-func TestCDGWithoutDatelineHasCycle(t *testing.T) {
-	// Sanity check of the checker itself: a single-VC unidirectional ring
-	// must be reported cyclic.
-	g := NewCDG()
-	n := 8
-	for s := 0; s < n; s++ {
-		var chs []Channel
-		cur := s
-		for i := 0; i < n/2; i++ { // routes long enough to chain all links
-			chs = append(chs, Channel{ChRimCW, cur, 0})
-			cur = NextCW(n, cur)
-		}
-		g.AddPath(chs)
-	}
-	if ok, _ := g.Acyclic(); ok {
-		t.Fatal("single-VC ring CDG reported acyclic; checker is broken")
-	}
-}
-
-func TestSpidergonAvgHopsSanity(t *testing.T) {
-	// Average distance grows with n and sits between 1 and the diameter.
-	prev := 0.0
-	for _, n := range ringSizes {
-		avg := SpidergonAvgHops(n)
-		if avg <= 1 || avg > float64(SpidergonDiameter(n)) {
-			t.Errorf("n=%d: implausible avg hops %v", n, avg)
-		}
-		if avg < prev {
-			t.Errorf("avg hops not monotone in n at n=%d", n)
-		}
-		prev = avg
 	}
 }

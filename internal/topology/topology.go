@@ -1,13 +1,15 @@
-// Package topology implements the graph-level mathematics of the Quarc,
-// Spidergon, mesh and torus topologies: quadrant calculation, deterministic
-// shortest-path routing, hop counts, diameters and average distances.
+// Package topology implements the graph-level arithmetic of the Quarc,
+// Spidergon, mesh and torus topologies: quadrant calculation, the first-hop
+// and next-hop decisions of their deterministic routing, the dateline VC
+// rule, and the BRCP broadcast and multicast branch sets.
 //
-// Everything here is pure arithmetic over node identifiers, shared by the
+// Everything here is pure arithmetic over node identifiers, used by the
 // cycle-level switch models (internal/quarc, internal/spidergon,
-// internal/mesh), the analytical models (internal/analytic) and the
-// experiment harness. Keeping it separate lets the routing discipline be
-// tested exhaustively against the paper's stated properties (diameter N/4,
-// edge symmetry, the Fig 6 broadcast example) without running the simulator.
+// internal/ring, internal/mesh), whose RouteFuncs are the only routes: the
+// routes themselves, their hop counts and diameters are read off those
+// switches by walking them (model.Routes). The package tests check the
+// paper's stated properties (diameter N/4, edge symmetry, the Fig 6
+// broadcast example) on the walked routes, without running the simulator.
 package topology
 
 import "fmt"

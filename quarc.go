@@ -17,8 +17,8 @@
 //	})
 //	fmt.Println(res.UnicastMean, res.BcastMean)
 //
-// For direct access to the fabric (custom workloads, cache-coherence style
-// traffic), build a registered network and drive it cycle by cycle:
+// For direct access to the fabric (custom workloads), build a registered
+// network and drive it cycle by cycle:
 //
 //	fab, nodes, _ := quarc.Build("quarc", 16, 4)
 //	nodes[0].SendBroadcast(16, fab.Now())
