@@ -3,92 +3,19 @@ package analytic
 import (
 	"testing"
 
+	"quarc/internal/cdg"
 	"quarc/internal/model"
 )
 
-// channel is a vertex of a channel dependency graph: the virtual channel vc
-// of the link leaving node through output port out.
-type channel struct{ node, out, vc int }
-
-// cdg is a channel dependency graph: an edge u->v means a packet can hold u
-// while requesting v.
-type cdg map[channel]map[channel]bool
-
-// addRoute records the dependencies of a route given as its channels.
-func (g cdg) addRoute(chs []channel) {
-	for i, u := range chs {
-		if g[u] == nil {
-			g[u] = map[channel]bool{}
-		}
-		if i+1 < len(chs) {
-			g[u][chs[i+1]] = true
-		}
-	}
-}
-
-// cycle returns a directed cycle of the graph, or nil when it is acyclic
-// (depth-first search). An acyclic CDG is sufficient for deadlock freedom of
-// deterministic wormhole routing (Dally & Seitz).
-func (g cdg) cycle() []channel {
-	const (
-		unseen = iota
-		open
-		done
-	)
-	state := map[channel]int{}
-	var stack []channel
-	var visit func(u channel) []channel
-	visit = func(u channel) []channel {
-		state[u] = open
-		stack = append(stack, u)
-		for v := range g[u] {
-			switch state[v] {
-			case open:
-				for i := len(stack) - 1; i >= 0; i-- {
-					if stack[i] == v {
-						return append([]channel(nil), stack[i:]...)
-					}
-				}
-			case unseen:
-				if c := visit(v); c != nil {
-					return c
-				}
-			}
-		}
-		stack = stack[:len(stack)-1]
-		state[u] = done
-		return nil
-	}
-	for u := range g {
-		if state[u] == unseen {
-			if c := visit(u); c != nil {
-				return c
-			}
-		}
-	}
-	return nil
-}
-
-// walkedCDG builds the dependency graph over every unicast route of the
-// named model's n-node network, as the simulator routes it; vc maps the VC
-// each hop's VCFunc chose (the identity, or a dateline-free rule).
-func walkedCDG(t *testing.T, name string, n int, vc func(int) int) cdg {
-	fab, err := model.Routes(name, n)
+// walkedCycle returns a cycle of the channel dependency graph over every
+// unicast route of the named model's n-node network, or nil; vc maps the VC
+// each hop's VCFunc chose.
+func walkedCycle(t *testing.T, name string, n int, vc func(int) int) []cdg.Channel {
+	g, err := cdg.Walked(name, n, vc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := cdg{}
-	var chs []channel
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				chs = chs[:0]
-				fab.Walk(s, d, func(node, out, v int) { chs = append(chs, channel{node, out, vc(v)}) })
-				g.addRoute(chs)
-			}
-		}
-	}
-	return g
+	return g.Cycle()
 }
 
 // TestEveryModelDeadlockFree is the deadlock proof of every registered model
@@ -102,10 +29,10 @@ func walkedCDG(t *testing.T, name string, n int, vc func(int) int) cdg {
 func TestEveryModelDeadlockFree(t *testing.T) {
 	for _, name := range model.Names() {
 		for _, n := range routeSizes(name) {
-			if c := walkedCDG(t, name, n, func(vc int) int { return vc }).cycle(); c != nil {
+			if c := walkedCycle(t, name, n, func(vc int) int { return vc }); c != nil {
 				t.Errorf("%s n=%d: channel dependency cycle %v", name, n, c)
 			}
-			c := walkedCDG(t, name, n, func(int) int { return 0 }).cycle()
+			c := walkedCycle(t, name, n, func(int) int { return 0 })
 			// The shorter way round a torus dimension of 2 or 3 nodes is one
 			// hop, so no route holds two links of one ring there.
 			wantCycle := name != "mesh" && !(name == "torus" && n <= 9)

@@ -3,9 +3,25 @@ package ring
 import (
 	"testing"
 
+	"quarc/internal/cdg"
 	"quarc/internal/model"
 	"quarc/internal/topology"
 )
+
+// TestCDGAcyclic checks the deadlock-freedom argument: the channel
+// dependency graph over the routes the switches take, with the dateline VC
+// split, has no directed cycle (Dally & Seitz).
+func TestCDGAcyclic(t *testing.T) {
+	for _, n := range []int{8, 16, 32, 64} {
+		g, err := cdg.Walked("ring", n, func(vc int) int { return vc })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := g.Cycle(); c != nil {
+			t.Errorf("n=%d: CDG has a cycle through %v", n, c)
+		}
+	}
+}
 
 // TestRouteChannelsShortest checks that every route the switches take is the
 // shorter arc (ties go clockwise) and never exceeds n/2 hops.

@@ -3,6 +3,7 @@ package topology_test
 import (
 	"testing"
 
+	"quarc/internal/cdg"
 	"quarc/internal/model"
 	_ "quarc/internal/models"
 	"quarc/internal/topology"
@@ -213,6 +214,63 @@ func TestVCMonotoneAlongRoutes(t *testing.T) {
 						t.Fatalf("%s n=%d %d->%d: VC switched %d times", name, n, s, d, switches)
 					}
 				}
+			}
+		}
+	}
+}
+
+// walkedCycle returns a cycle of the channel dependency graph over the named
+// model's walked n-node routes, or nil; vc maps each hop's VC.
+func walkedCycle(t *testing.T, name string, n int, vc func(int) int) []cdg.Channel {
+	t.Helper()
+	g, err := cdg.Walked(name, n, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Cycle()
+}
+
+func sameVC(vc int) int { return vc }
+
+func TestQuarcCDGAcyclic(t *testing.T) {
+	for _, n := range []int{8, 16, 32, 64} {
+		if c := walkedCycle(t, "quarc", n, sameVC); c != nil {
+			t.Errorf("n=%d: Quarc channel dependency graph has a cycle through %v", n, c)
+		}
+	}
+}
+
+func TestSpidergonCDGAcyclic(t *testing.T) {
+	for _, n := range []int{8, 16, 32, 64} {
+		if c := walkedCycle(t, "spidergon", n, sameVC); c != nil {
+			t.Errorf("n=%d: Spidergon channel dependency graph has a cycle through %v", n, c)
+		}
+	}
+}
+
+func TestCDGWithoutDatelineHasCycle(t *testing.T) {
+	// Sanity check of the checker itself: a single-VC unidirectional ring
+	// must be reported cyclic.
+	g := cdg.Graph{}
+	n := 8
+	for s := 0; s < n; s++ {
+		var chs []cdg.Channel
+		cur := s
+		for i := 0; i < n/2; i++ { // routes long enough to chain all links
+			chs = append(chs, cdg.Channel{Node: cur, Out: 0, VC: 0})
+			cur = topology.NextCW(n, cur)
+		}
+		g.AddRoute(chs)
+	}
+	if g.Cycle() == nil {
+		t.Fatal("single-VC ring CDG reported acyclic; checker is broken")
+	}
+	// The walked routes need the dateline: with every hop on VC 0 the rims
+	// close a cycle.
+	for _, name := range []string{"quarc", "spidergon"} {
+		for _, n := range []int{8, 16, 32, 64} {
+			if walkedCycle(t, name, n, func(int) int { return 0 }) == nil {
+				t.Errorf("%s n=%d: dateline-free routes reported acyclic", name, n)
 			}
 		}
 	}
