@@ -89,9 +89,6 @@ type Flit struct {
 	Gen    int64  // cycle the message was generated (for latency stats)
 }
 
-// IsLast reports whether this flit terminates its packet.
-func (f Flit) IsLast() bool { return f.Kind == Tail }
-
 // Packet assembles the flits of a packet. A packet always has a header and a
 // tail (paper §2.6: "Each packet must have the header and tail flits"), so
 // the minimum length is 2. The returned slice aliases no shared state.

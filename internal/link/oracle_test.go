@@ -24,10 +24,8 @@ func newSwitchPair(depth int) *switchPair {
 		return router.Decision{Out: 0}
 	}
 	vcNext := func(node, out, in, cur int, f flit.Flit) int { return cur }
-	rs := router.NewSet(2, func(node int) router.Config {
-		return router.Config{Node: node, VCs: NumVC, Depth: depth, InLanes: []int{NumVC},
-			NOut: 1, EjectPort: router.NoOutput, Route: route, VCNext: vcNext}
-	})
+	rs := router.NewSet(2, router.Config{VCs: NumVC, Depth: depth, InLanes: []int{NumVC},
+		NOut: 1, EjectPort: router.NoOutput, Route: route, VCNext: vcNext})
 	rs[0].ConnectOutput(0, NumVC, depth)
 	return &switchPair{A: rs[0], B: rs[1]}
 }

@@ -15,8 +15,6 @@
 package mesh
 
 import (
-	"fmt"
-
 	"quarc/internal/flit"
 	"quarc/internal/network"
 	"quarc/internal/router"
@@ -124,77 +122,45 @@ func Build(cfg Config) (*network.Fabric, []*network.BaseAdapter, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Depth < 1 {
-		return nil, nil, fmt.Errorf("mesh: buffer depth %d", cfg.Depth)
-	}
 	n := m.N()
-	wires := make([][]network.OutputWire, n)
-	injStart := make([]int, n)
-	inLanes := []int{link2VCs, link2VCs, link2VCs, link2VCs, 1}
-	route, vcNext := Route(m), VCNext(m)
-	routers := router.NewSet(n, func(node int) router.Config {
-		return router.Config{
-			Node:      node,
-			VCs:       link2VCs,
-			Depth:     cfg.Depth,
-			InLanes:   inLanes,
-			NOut:      numPorts,
-			EjectPort: Eject,
-			Route:     route,
-			VCNext:    vcNext,
-			// XY turns make most input-output pairs legal; keep the crossbar
-			// full and rely on the routing function (U-turns never happen
-			// under XY, which the tests assert via link loads).
-			Reach: nil,
-		}
-	})
-	for node := 0; node < n; node++ {
+	sw := router.Config{
+		VCs:       link2VCs,
+		Depth:     cfg.Depth,
+		InLanes:   []int{link2VCs, link2VCs, link2VCs, link2VCs, 1},
+		NOut:      numPorts,
+		EjectPort: Eject,
+		Route:     Route(m),
+		VCNext:    VCNext(m),
+		// XY turns make most input-output pairs legal; keep the crossbar
+		// full and rely on the routing function (U-turns never happen
+		// under XY, which the tests assert via link loads).
+		Reach: nil,
+	}
+	wires := func(node int) []network.OutputWire {
 		x, y := m.XY(node)
 		w := make([]network.OutputWire, numPorts)
-		w[Eject] = network.OutputWire{Sink: true}
-		// A border output on a plain mesh is wired back to the local sink
-		// slot but must never be used; mark it as a sink so misrouting
-		// panics in the tracker rather than corrupting a neighbour.
-		set := func(out int, ok bool, nx, ny int) {
-			if !ok {
-				w[out] = network.OutputWire{Sink: true}
-				return
+		w[Eject].Sink = true
+		// Each output leads to the neighbour's input facing back (East and
+		// West, North and South: port^1). A border output on a plain mesh
+		// must never be used; marked as a sink, a misroute through it panics
+		// in the tracker rather than corrupting a neighbour.
+		for out, d := range [...][2]int{East: {1, 0}, West: {-1, 0}, North: {0, 1}, South: {0, -1}} {
+			nx, ny := x+d[0], y+d[1]
+			if cfg.Torus {
+				nx, ny = topology.Mod(nx, m.W), topology.Mod(ny, m.H)
 			}
-			var port int
-			switch out {
-			case East:
-				port = West // arriving at the east neighbour from its west side
-			case West:
-				port = East
-			case North:
-				port = South
-			case South:
-				port = North
+			if nx < 0 || nx >= m.W || ny < 0 || ny >= m.H {
+				w[out].Sink = true
+				continue
 			}
-			w[out] = network.OutputWire{Dst: network.PortRef{Node: m.ID(nx, ny), Port: port}}
+			w[out].Dst = network.PortRef{Node: m.ID(nx, ny), Port: out ^ 1}
 		}
-		if cfg.Torus {
-			set(East, true, topology.Mod(x+1, m.W), y)
-			set(West, true, topology.Mod(x-1, m.W), y)
-			set(North, true, x, topology.Mod(y+1, m.H))
-			set(South, true, x, topology.Mod(y-1, m.H))
-		} else {
-			set(East, x+1 < m.W, x+1, y)
-			set(West, x-1 >= 0, x-1, y)
-			set(North, y+1 < m.H, x, y+1)
-			set(South, y-1 >= 0, x, y-1)
-		}
-		wires[node] = w
-		injStart[node] = NumNetworkInputs
+		return w
 	}
-	fab := network.New(routers, wires, injStart)
-	as := make([]*network.BaseAdapter, n)
-	for node := 0; node < n; node++ {
-		as[node] = &network.BaseAdapter{Node: node, N: n, R: routers[node],
+	return network.Build(n, sw, NumNetworkInputs, wires, func(node int, r *router.Router) *network.BaseAdapter {
+		return &network.BaseAdapter{Node: node, N: n, R: r,
 			Queues: make([]network.PacketQueue, 1), Inject: inject}
-		fab.SetAdapter(node, as[node])
-	}
-	return fab, as, nil
+	})
 }
 
 // inject is the one-port injection rule: one source queue, one injection

@@ -216,15 +216,8 @@ type BaseAdapter struct {
 	asm Assembler
 }
 
-// bind gives the adapter its fabric; Fabric.SetAdapter calls it, and its
-// presence (via the binder interface) is what marks the node as safe to put
-// to sleep.
-func (b *BaseAdapter) bind(f *Fabric, node int) {
-	if node != b.Node {
-		panic(fmt.Sprintf("network: adapter for node %d installed at node %d", b.Node, node))
-	}
-	b.Fab = f
-}
+// base makes a BaseAdapter, and any type embedding one, an Adapter.
+func (b *BaseAdapter) base() *BaseAdapter { return b }
 
 // Enqueue queues a new packet of length flits headed by *h: it stamps the
 // next packet id into h.PktID, records the header in the fabric's packet
@@ -323,9 +316,8 @@ func (b *BaseAdapter) Feed(now int64) {
 
 // FeedBlocked reports whether Feed cannot inject a single flit right now:
 // every source queue with a pending flit faces a full injection lane. The
-// fabric consults it (through the feedBlocked interface) before putting a
-// backlogged node into blocked sleep — a node whose Feed could still make
-// progress must keep stepping.
+// fabric consults it before putting a backlogged node into blocked sleep — a
+// node whose Feed could still make progress must keep stepping.
 func (b *BaseAdapter) FeedBlocked() bool {
 	for qi := range b.Queues {
 		f, port := b.Queues[qi].NextFlit()

@@ -3,12 +3,13 @@
 // cycle, feeds network adapters, delivers ejected flits and tracks message
 // lifecycles for the statistics layer.
 //
-// The fabric is topology-agnostic: the model packages (internal/quarc,
-// internal/spidergon, internal/ring, internal/mesh) provide router
-// configurations and wiring tables. The network adapter is one component for
-// all of them, BaseAdapter, parameterised by each model's injection rule; a
-// model with hardware collectives (the Quarc's BRCP broadcast and multicast)
-// overrides only those two sends.
+// The fabric is topology-agnostic: a model package (internal/quarc,
+// internal/spidergon, internal/ring, internal/mesh) is one switch
+// configuration, one wiring function and one adapter constructor, which Build
+// assembles. The network adapter is one component for all of them,
+// BaseAdapter, parameterised by each model's injection rule; a model with
+// hardware collectives (the Quarc's BRCP broadcast and multicast) overrides
+// only those two sends.
 //
 // A cycle is two node-local passes around one apply step. Pass 1 visits each
 // active node once — credit its slept cycles, arbitrate, commit — and touches
@@ -66,36 +67,17 @@ type OutputWire struct {
 	Dst  PortRef
 }
 
-// Adapter is what the fabric drives at each node — in every registered model
-// a BaseAdapter: it feeds injection lanes and consumes delivered flits.
+// Adapter is what the fabric drives at each node: a BaseAdapter, or a type
+// embedding one to override its sends or its Receive. The fabric feeds,
+// polls and walks from the node's BaseAdapter directly, and delivers through
+// Receive.
 type Adapter interface {
-	// Feed may push at most one flit per injection port into its router's
-	// injection lanes. Called once per cycle after commits.
-	Feed(now int64)
 	// Receive consumes a flit delivered to the local PE. *f is the flit
 	// materialised in the fabric's scratch: valid for the call, to be copied,
 	// not kept.
 	Receive(f *flit.Flit, now int64)
-	// Backlog returns the flits still waiting in the adapter's source
-	// queues; the fabric consults it before putting a drained router to
-	// sleep, so it must be cheap (O(1) for BaseAdapter).
-	Backlog() int
-}
-
-// binder is implemented by adapters (BaseAdapter and anything embedding it)
-// that hold their fabric: SetAdapter installs it so source-queue enqueues can
-// reactivate a sleeping node. Adapters that do not implement it are never put
-// to sleep.
-type binder interface {
-	bind(fab *Fabric, node int)
-}
-
-// feedBlocked is implemented by adapters that can report whether Feed is
-// unable to inject a single flit (every backlogged source queue faces a full
-// injection lane). Required for blocked sleep: a node with backlog may only
-// sleep while its adapter provably cannot make progress either.
-type feedBlocked interface {
-	FeedBlocked() bool
+	// base returns the node's BaseAdapter.
+	base() *BaseAdapter
 }
 
 // defaultStepGrain is the minimum active-set size before the worker pool is
@@ -144,6 +126,7 @@ type Fabric struct {
 	N        int
 	Routers  []*router.Router
 	Adapters []Adapter
+	bases    []*BaseAdapter // each node's BaseAdapter, resolved by SetAdapter
 	Tracker  *Tracker
 	// Packets is the packet table every switch and source queue of the
 	// fabric resolves its slots in (see the package comment).
@@ -152,7 +135,7 @@ type Fabric struct {
 	Trace *trace.Buffer
 
 	wires    [][]OutputWire  // [node][out]
-	injStart []int           // first injection port index per node
+	injStart int             // first injection port index
 	moves    [][]router.Move // per node: room for one move per input port, reused every cycle
 	nmoves   []int32         // per node: moves of its latest step, the live prefix of moves[node]
 	cycle    int64
@@ -164,7 +147,7 @@ type Fabric struct {
 	activeMask []uint64 // bit per node: stepped next cycle
 	stepList   []int    // scratch: nodes stepped this cycle, ascending
 	idleSince  []int64  // first un-stepped cycle while asleep; -1 when awake
-	canSleep   []bool   // adapter supports wake-on-enqueue
+	sleepMask  []uint64 // bit per node: asleep (either kind)
 	sleeping   int      // nodes currently asleep (either kind)
 	dense      bool     // reference mode: step every router every cycle
 
@@ -172,10 +155,9 @@ type Fabric struct {
 	feeder [][]feederRef // [node][in]
 
 	// Blocked-sleep state (the dependency wake graph).
-	blockedMask     []uint64      // bit per node: asleep blocked (an asleep node without it sleeps idle)
-	feedBlk         []feedBlocked // adapters' FeedBlocked hooks, nil when unsupported
-	blockedSleeping int           // nodes currently in blocked sleep
-	blockedSleeps   uint64        // cumulative blocked-sleep entries (diagnostic)
+	blockedMask     []uint64 // bit per node: asleep blocked (an asleep node without it sleeps idle)
+	blockedSleeping int      // nodes currently in blocked sleep
+	blockedSleeps   uint64   // cumulative blocked-sleep entries (diagnostic)
 
 	// Intra-cycle parallelism.
 	scr       stepScratch // serial-path scratch
@@ -187,37 +169,46 @@ type Fabric struct {
 	stepped   uint64 // router-steps executed (activity diagnostic)
 }
 
-// New assembles a fabric from the switches of one router.NewSet, whose
-// packet table it adopts. wires[node][out] must describe every output port
-// of every router; injStart[node] is the index of the first injection input
-// port of node (ports below it are network inputs whose multicast bitstrings
-// shift on forward).
-func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric {
+// Build assembles an n-node fabric: the n switches of router.NewSet(n, sw),
+// each output port wired as wires(node) says (one OutputWire per output), the
+// input ports from injStart up injection ports (those below are network
+// inputs, whose multicast bitstrings shift on forward), and at each node the
+// adapter adapter(node, its switch) returns. It is how every model builds its
+// network.
+func Build[A Adapter](n int, sw router.Config, injStart int, wires func(node int) []OutputWire,
+	adapter func(node int, r *router.Router) A) (*Fabric, []A, error) {
+	if sw.Depth < 1 {
+		return nil, nil, fmt.Errorf("network: buffer depth %d", sw.Depth)
+	}
+	f := newFabric(router.NewSet(n, sw), injStart, wires)
+	as := make([]A, n)
+	for node := range as {
+		as[node] = adapter(node, f.Routers[node])
+		f.SetAdapter(node, as[node])
+	}
+	return f, as, nil
+}
+
+// newFabric assembles a fabric from the switches of one router.NewSet, whose
+// packet table it adopts, wired by wires (see Build); it installs no adapters.
+func newFabric(routers []*router.Router, injStart int, wires func(node int) []OutputWire) *Fabric {
 	n := len(routers)
-	if n == 0 || len(wires) != n || len(injStart) != n {
-		panic("network: inconsistent fabric tables")
-	}
-	for _, r := range routers {
-		if r.Packets() != routers[0].Packets() {
-			panic("network: switches of one fabric must share a packet table (build them with router.NewSet)")
-		}
-	}
 	f := &Fabric{
 		N:           n,
 		Routers:     routers,
 		Adapters:    make([]Adapter, n),
+		bases:       make([]*BaseAdapter, n),
 		Tracker:     NewTracker(),
 		Packets:     routers[0].Packets(),
-		wires:       wires,
+		wires:       make([][]OutputWire, n),
 		injStart:    injStart,
 		moves:       make([][]router.Move, n),
 		nmoves:      make([]int32, n),
 		activeMask:  make([]uint64, (n+63)/64),
 		stepList:    make([]int, 0, n),
 		idleSince:   make([]int64, n),
-		canSleep:    make([]bool, n),
+		sleepMask:   make([]uint64, (n+63)/64),
 		blockedMask: make([]uint64, (n+63)/64),
-		feedBlk:     make([]feedBlocked, n),
 		stepGrain:   defaultStepGrain,
 	}
 	f.scr = newStepScratch(0, n)
@@ -244,8 +235,9 @@ func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric
 			f.feeder[node][i].node = -1
 		}
 	}
-	for node, ws := range wires {
-		for o, w := range ws {
+	for node := range routers {
+		f.wires[node] = wires(node)
+		for o, w := range f.wires[node] {
 			if w.Sink {
 				continue // never connected: the PE absorbs at link rate
 			}
@@ -267,20 +259,16 @@ func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric
 	return f
 }
 
-// SetAdapter installs the network adapter of a node. All nodes must have one
-// before stepping.
+// SetAdapter installs the network adapter of a node and gives its
+// BaseAdapter the fabric, through which its enqueues wake the node. All nodes
+// must have one before stepping.
 func (f *Fabric) SetAdapter(node int, a Adapter) {
-	f.Adapters[node] = a
-	if b, ok := a.(binder); ok {
-		b.bind(f, node)
-		f.canSleep[node] = true
-		f.feedBlk[node], _ = a.(feedBlocked)
-	} else {
-		// An adapter without wake plumbing cannot reactivate its node on
-		// enqueue, so the node must stay in the step set forever.
-		f.canSleep[node] = false
-		f.feedBlk[node] = nil
+	b := a.base()
+	if b.Node != node {
+		panic(fmt.Sprintf("network: adapter for node %d installed at node %d", b.Node, node))
 	}
+	b.Fab = f
+	f.Adapters[node], f.bases[node] = a, b
 }
 
 // SetDense switches the fabric to the dense reference behaviour: every
@@ -487,6 +475,7 @@ func (f *Fabric) reconcile(node int, sc *stepScratch) {
 		return
 	}
 	k := uint64(f.cycle - f.idleSince[node])
+	f.sleepMask[node>>6] &^= 1 << uint(node&63)
 	if f.asleepBlocked(node) {
 		f.Routers[node].ReplayBlockedCycles(k)
 		f.blockedMask[node>>6] &^= 1 << uint(node&63)
@@ -572,7 +561,7 @@ func (f *Fabric) link(node int, m *router.Move, sc *stepScratch) {
 		return // shared ejection port: consumed by the PE
 	}
 	s := f.Routers[node].MoveFlit(m)
-	if m.In < f.injStart[node] && s.Hop < 64 {
+	if m.In < f.injStart && s.Hop < 64 {
 		// Multicast bitstrings are hop-indexed: forwarding from a network
 		// input moves the stream one hop, so the hardware shifts the
 		// bitstring (bit 0 always means "the node this flit is arriving
@@ -625,18 +614,18 @@ func (f *Fabric) applyLink(r linkRec) {
 //quarc:hotpath
 func (f *Fabric) pass2(list []int, sc *stepScratch) {
 	for _, node := range list {
-		f.Adapters[node].Feed(f.cycle)
+		f.bases[node].Feed(f.cycle)
 		if !f.dense {
 			f.sleepScan(node, sc)
 		}
 	}
-	// A blocked sleeper woken during this cycle's apply is fed now, as it
-	// would be had it been stepped: a delivery's callback may have enqueued
-	// a packet at it. (It slept because Feed could not inject, and only an
-	// enqueue changes that while it sleeps.)
+	// A sleeper woken during this cycle's apply is fed now, as it would be
+	// had it been stepped: a delivery's callback may have enqueued a packet
+	// at it. (It slept drained or unable to inject, and only an enqueue
+	// changes that while it sleeps.)
 	for w := sc.lo >> 6; w < (sc.hi+63)>>6; w++ {
-		for woke := f.activeMask[w] & f.blockedMask[w]; woke != 0; woke &= woke - 1 {
-			f.Adapters[w<<6|bits.TrailingZeros64(woke)].Feed(f.cycle)
+		for woke := f.activeMask[w] & f.sleepMask[w]; woke != 0; woke &= woke - 1 {
+			f.bases[w<<6|bits.TrailingZeros64(woke)].Feed(f.cycle)
 		}
 	}
 }
@@ -650,12 +639,9 @@ func (f *Fabric) pass2(list []int, sc *stepScratch) {
 //
 //quarc:hotpath
 func (f *Fabric) sleepScan(node int, sc *stepScratch) {
-	if !f.canSleep[node] {
-		return
-	}
-	r := f.Routers[node]
+	r, a := f.Routers[node], f.bases[node]
 	if r.Quiescent() {
-		if f.Adapters[node].Backlog() == 0 {
+		if a.Backlog() == 0 {
 			sc.sleptIdle = append(sc.sleptIdle, node)
 		}
 		return
@@ -663,10 +649,8 @@ func (f *Fabric) sleepScan(node int, sc *stepScratch) {
 	if !r.Blocked() {
 		return
 	}
-	if f.Adapters[node].Backlog() > 0 {
-		if fb := f.feedBlk[node]; fb == nil || !fb.FeedBlocked() {
-			return
-		}
+	if a.Backlog() > 0 && !a.FeedBlocked() {
+		return
 	}
 	sc.sleptBlocked = append(sc.sleptBlocked, node)
 }
@@ -683,12 +667,14 @@ func (f *Fabric) fold(sc *stepScratch) {
 	sc.woken, sc.wokenBlocked, sc.forwarded = 0, 0, 0
 	for _, node := range sc.sleptIdle {
 		f.activeMask[node>>6] &^= 1 << uint(node&63)
+		f.sleepMask[node>>6] |= 1 << uint(node&63)
 		f.idleSince[node] = f.cycle + 1
 		f.sleeping++
 	}
 	sc.sleptIdle = sc.sleptIdle[:0]
 	for _, node := range sc.sleptBlocked {
 		f.activeMask[node>>6] &^= 1 << uint(node&63)
+		f.sleepMask[node>>6] |= 1 << uint(node&63)
 		f.idleSince[node] = f.cycle + 1
 		f.blockedMask[node>>6] |= 1 << uint(node&63)
 		f.sleeping++

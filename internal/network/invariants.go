@@ -97,14 +97,6 @@ func (c *InvariantChecker) checkLanes() error {
 	return nil
 }
 
-// sourceQueues is implemented by BaseAdapter (and whatever embeds it): the
-// packet-table walk reads the queued packets through it.
-type sourceQueues interface {
-	sourceQueues() []PacketQueue
-}
-
-func (b *BaseAdapter) sourceQueues() []PacketQueue { return b.Queues }
-
 // checkPackets checks I6: it collects the distinct packet handles held in
 // every lane and every source queue and compares their count with the
 // table's live packets.
@@ -122,11 +114,9 @@ func (c *InvariantChecker) checkPackets() error {
 				}
 			}
 		}
-		if a, ok := c.fab.Adapters[node].(sourceQueues); ok {
-			for _, q := range a.sourceQueues() {
-				for _, p := range q.pkts[q.head:] {
-					held[p.s.Pkt] = true
-				}
+		for _, q := range c.fab.bases[node].Queues {
+			for _, p := range q.pkts[q.head:] {
+				held[p.s.Pkt] = true
 			}
 		}
 	}

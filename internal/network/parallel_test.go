@@ -226,3 +226,63 @@ func TestStepBatchHookMayEnqueue(t *testing.T) {
 		})
 	}
 }
+
+// TestDeliveryCallbackEnqueuesAtSleepingNodePooled is the delivery-callback
+// case on the worker pool: on a 16x16 mesh stepped by two and three workers
+// at grain 1, a request inside the first shard completes, and its callback —
+// run by worker 0 in the ordered half — enqueues a reply at an idle sleeper
+// another worker owns. The owner feeds the woken node in that cycle's pass 2,
+// so the reply's cycles and every router's statistics equal dense stepping's.
+func TestDeliveryCallbackEnqueuesAtSleepingNodePooled(t *testing.T) {
+	const w, h, m = 16, 16, 8
+	const src, dst = 0, 3*w + 5 // rows 0-3: the first shard's nodes
+	const from, to = 200, 250   // the last shard's at two and three workers
+	type outcome struct {
+		gen, done int64
+		stats     []router.Stats
+	}
+	run := func(t *testing.T, workers int, dense bool) outcome {
+		fab, as := buildMesh(t, w, h)
+		defer fab.Close()
+		fab.SetDense(dense)
+		fab.SetStepWorkers(workers)
+		fab.SetStepGrain(1)
+		var out outcome
+		request := as[src].SendUnicast(dst, m, 0)
+		var reply uint64
+		fab.Tracker.OnDone = func(r network.MessageRecord) {
+			switch r.MsgID {
+			case request:
+				out.gen = fab.Now()
+				reply = as[from].SendUnicast(to, m, out.gen)
+			case reply:
+				out.done = r.Last
+			}
+		}
+		for i := 0; i < 1000 && (reply == 0 || fab.Tracker.InFlight() > 0); i++ {
+			fab.Step()
+		}
+		if out.done == 0 || fab.Tracker.InFlight() != 0 {
+			t.Fatalf("workers=%d dense=%v: reply not delivered, %d in flight", workers, dense, fab.Tracker.InFlight())
+		}
+		fab.SyncStats()
+		for _, r := range fab.Routers {
+			out.stats = append(out.stats, r.Stats())
+		}
+		return out
+	}
+	want := run(t, 1, true)
+	for _, workers := range []int{2, 3} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			got := run(t, workers, false)
+			if got.gen != want.gen || got.done != want.done {
+				t.Fatalf("reply sent at cycle %d and completed at %d, dense %d and %d", got.gen, got.done, want.gen, want.done)
+			}
+			for node := range want.stats {
+				if got.stats[node] != want.stats[node] {
+					t.Fatalf("router %d stats %+v, dense %+v", node, got.stats[node], want.stats[node])
+				}
+			}
+		})
+	}
+}

@@ -11,22 +11,16 @@ import (
 // bareFabric assembles n one-input switches around wires (all-sink when nil):
 // enough fabric to size pools and check wiring, with no adapters.
 func bareFabric(n int, wires [][]OutputWire) *Fabric {
-	routers := router.NewSet(n, func(node int) router.Config {
-		return router.Config{Node: node, VCs: 2, Depth: 2,
-			InLanes: []int{2}, NOut: 1, EjectPort: 0,
-			Route:  func(int, int, flit.Flit) router.Decision { return router.Decision{Out: 0, Eject: true} },
-			VCNext: func(int, int, int, int, flit.Flit) int { return 0 }}
-	})
-	injStart := make([]int, n)
-	if wires == nil {
-		wires = make([][]OutputWire, n)
-	}
-	for node := range routers {
-		if wires[node] == nil {
-			wires[node] = []OutputWire{{Sink: true}}
+	routers := router.NewSet(n, router.Config{VCs: 2, Depth: 2,
+		InLanes: []int{2}, NOut: 1, EjectPort: 0,
+		Route:  func(int, int, flit.Flit) router.Decision { return router.Decision{Out: 0, Eject: true} },
+		VCNext: func(int, int, int, int, flit.Flit) int { return 0 }})
+	return newFabric(routers, 0, func(node int) []OutputWire {
+		if wires == nil || wires[node] == nil {
+			return []OutputWire{{Sink: true}}
 		}
-	}
-	return New(routers, wires, injStart)
+		return wires[node]
+	})
 }
 
 // TestStepWorkersClamp pins the pool-sizing rule: shards are whole 64-node

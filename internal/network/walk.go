@@ -7,19 +7,6 @@ import (
 	"quarc/internal/router"
 )
 
-// injector is implemented by BaseAdapter and whatever embeds it: the
-// injection rule a walk starts from.
-type injector interface {
-	injectPort(dst int) int
-}
-
-// injectPort is the router input port the injection rule gives a packet
-// addressed to dst.
-func (b *BaseAdapter) injectPort(dst int) int {
-	_, port := b.Inject(dst)
-	return port
-}
-
 // Walk follows the unicast route from src to dst as the running fabric takes
 // it, without stepping: src's injection rule picks the injection port, then at
 // each switch Router.Decide — the switch's own RouteFunc and VCFunc, checked
@@ -29,12 +16,9 @@ func (b *BaseAdapter) injectPort(dst int) int {
 // the switch it leaves, the output port and the virtual channel. Walk only
 // reads the fabric, so walks may run concurrently, but not alongside a step.
 func (f *Fabric) Walk(src, dst int, visit func(node, out, vc int)) {
-	a, ok := f.Adapters[src].(injector)
-	if !ok {
-		panic(fmt.Sprintf("network: node %d has no injection rule to walk from", src))
-	}
 	h := flit.Flit{Kind: flit.Header, Traffic: flit.Unicast, Src: src, Dst: dst}
-	node, in, lane := src, a.injectPort(dst), 0
+	_, in := f.bases[src].Inject(dst)
+	node, lane := src, 0
 	// A deterministic route that holds one link VC twice never ejects; no
 	// switch has more than 64 outputs of 8 VCs.
 	for hops := 0; ; hops++ {
@@ -60,5 +44,5 @@ func (f *Fabric) Walk(src, dst int, visit func(node, out, vc int)) {
 // input.
 func (f *Fabric) Endpoints(node int) (inj int, sharedEject bool) {
 	r := f.Routers[node]
-	return r.NumInputs() - f.injStart[node], r.Config().EjectPort != router.NoOutput
+	return r.NumInputs() - f.injStart, r.Config().EjectPort != router.NoOutput
 }

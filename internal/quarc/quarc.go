@@ -55,7 +55,6 @@ const (
 	InjLeft
 	InjCrossCW
 	InjCrossCCW
-	numInputs
 )
 
 // Output port indices.
@@ -171,50 +170,28 @@ func Build(cfg Config) (*network.Fabric, []*Transceiver, error) {
 	if err := topology.ValidateRingSize(cfg.N); err != nil {
 		return nil, nil, err
 	}
-	if cfg.Depth < 1 {
-		return nil, nil, fmt.Errorf("quarc: buffer depth %d", cfg.Depth)
-	}
 	n := cfg.N
-	wires := make([][]network.OutputWire, n)
-	injStart := make([]int, n)
-	inLanes := make([]int, numInputs)
-	for i := range inLanes {
-		if i < NumNetworkInputs {
-			inLanes[i] = link2VCs
-		} else {
-			inLanes[i] = 1
-		}
+	sw := router.Config{
+		VCs:       link2VCs,
+		Depth:     cfg.Depth,
+		InLanes:   []int{link2VCs, link2VCs, link2VCs, link2VCs, 1, 1, 1, 1},
+		NOut:      numOutputs,
+		EjectPort: router.NoOutput, // all-port: dedicated per-input ejection
+		Route:     Route(n),
+		VCNext:    spidergon.VCNext(n), // dateline VCs on the rims, VC 0 on the acyclic cross channels
+		Reach:     Reach(),
 	}
-	route, vcNext, reach := Route(n), spidergon.VCNext(n), Reach()
-	routers := router.NewSet(n, func(node int) router.Config {
-		return router.Config{
-			Node:      node,
-			VCs:       link2VCs,
-			Depth:     cfg.Depth,
-			InLanes:   inLanes,
-			NOut:      numOutputs,
-			EjectPort: router.NoOutput, // all-port: dedicated per-input ejection
-			Route:     route,
-			VCNext:    vcNext, // dateline VCs on the rims, VC 0 on the acyclic cross channels
-			Reach:     reach,
-		}
-	})
-	for node := 0; node < n; node++ {
-		wires[node] = []network.OutputWire{
+	wires := func(node int) []network.OutputWire {
+		return []network.OutputWire{
 			RimCWOut:    {Dst: network.PortRef{Node: topology.NextCW(n, node), Port: RimCWIn}},
 			RimCCWOut:   {Dst: network.PortRef{Node: topology.NextCCW(n, node), Port: RimCCWIn}},
 			CrossCWOut:  {Dst: network.PortRef{Node: topology.Antipode(n, node), Port: CrossCWIn}},
 			CrossCCWOut: {Dst: network.PortRef{Node: topology.Antipode(n, node), Port: CrossCCWIn}},
 		}
-		injStart[node] = NumNetworkInputs
 	}
-	fab := network.New(routers, wires, injStart)
-	ts := make([]*Transceiver, n)
-	for node := 0; node < n; node++ {
-		ts[node] = newTransceiver(routers[node], node, cfg)
-		fab.SetAdapter(node, ts[node])
-	}
-	return fab, ts, nil
+	return network.Build(n, sw, NumNetworkInputs, wires, func(node int, r *router.Router) *Transceiver {
+		return newTransceiver(r, node, cfg)
+	})
 }
 
 // link2VCs is the number of virtual channels per physical link (paper

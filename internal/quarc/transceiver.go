@@ -109,8 +109,6 @@ func (t *Transceiver) SendMulticast(targets []int, msgLen int, now int64) uint64
 	return msgID
 }
 
-var _ network.Adapter = (*Transceiver)(nil)
-
 func init() {
 	// Compile-time-ish sanity: port tables must agree.
 	if len(Reach()) != numOutputs {

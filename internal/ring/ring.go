@@ -40,7 +40,6 @@ const (
 	RimCWIn = iota
 	RimCCWIn
 	Inj
-	numInputs
 )
 
 // Output port indices.
@@ -108,43 +107,28 @@ func Build(cfg Config) (*network.Fabric, []*network.BaseAdapter, error) {
 	if err := topology.ValidateRingSize(cfg.N); err != nil {
 		return nil, nil, err
 	}
-	if cfg.Depth < 1 {
-		return nil, nil, fmt.Errorf("ring: buffer depth %d", cfg.Depth)
-	}
 	n := cfg.N
-	wires := make([][]network.OutputWire, n)
-	injStart := make([]int, n)
-	inLanes := []int{link2VCs, link2VCs, 1}
-	route, vcNext, reach := Route(n), spidergon.VCNext(n), Reach()
-	routers := router.NewSet(n, func(node int) router.Config {
-		return router.Config{
-			Node:      node,
-			VCs:       link2VCs,
-			Depth:     cfg.Depth,
-			InLanes:   inLanes,
-			NOut:      numOutputs,
-			EjectPort: Eject,
-			Route:     route,
-			VCNext:    vcNext,
-			Reach:     reach,
-		}
-	})
-	for node := 0; node < n; node++ {
-		wires[node] = []network.OutputWire{
+	sw := router.Config{
+		VCs:       link2VCs,
+		Depth:     cfg.Depth,
+		InLanes:   []int{link2VCs, link2VCs, 1},
+		NOut:      numOutputs,
+		EjectPort: Eject,
+		Route:     Route(n),
+		VCNext:    spidergon.VCNext(n),
+		Reach:     Reach(),
+	}
+	wires := func(node int) []network.OutputWire {
+		return []network.OutputWire{
 			RimCWOut:  {Dst: network.PortRef{Node: topology.NextCW(n, node), Port: RimCWIn}},
 			RimCCWOut: {Dst: network.PortRef{Node: topology.NextCCW(n, node), Port: RimCCWIn}},
 			Eject:     {Sink: true},
 		}
-		injStart[node] = NumNetworkInputs
 	}
-	fab := network.New(routers, wires, injStart)
-	as := make([]*network.BaseAdapter, n)
-	for node := 0; node < n; node++ {
-		as[node] = &network.BaseAdapter{Node: node, N: n, R: routers[node],
+	return network.Build(n, sw, NumNetworkInputs, wires, func(node int, r *router.Router) *network.BaseAdapter {
+		return &network.BaseAdapter{Node: node, N: n, R: r,
 			Queues: make([]network.PacketQueue, 1), Inject: inject}
-		fab.SetAdapter(node, as[node])
-	}
-	return fab, as, nil
+	})
 }
 
 // inject is the one-port injection rule. The ring has no hardware collective

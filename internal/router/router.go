@@ -242,50 +242,47 @@ type bid struct {
 // New constructs a switch from its configuration, with a packet table of its
 // own.
 func New(cfg Config) *Router {
-	return NewSet(1, func(int) Config { return cfg })[0]
+	r := NewSet(1, cfg)[0]
+	r.cfg.Node = cfg.Node
+	return r
 }
 
-// NewSet constructs the n switches of one fabric, switch node configured by
-// cfg(node). They share one packet table, and each kind of switch state — the
-// switches themselves, their lanes, the lanes' slots, the input ports and the
-// output ports — is one array for the whole set, each switch a window of it.
-func NewSet(n int, cfg func(node int) Config) []*Router {
-	rs := make([]Router, n)
-	var lanes, slots, ins, outs int
-	for node := range rs {
-		c := cfg(node)
-		validate(&c)
-		rs[node].cfg = c
-		for _, nl := range c.InLanes {
-			lanes += nl
-			slots += nl * c.Depth
-		}
-		ins += len(c.InLanes)
-		outs += c.NOut
+// NewSet constructs the n switches of one fabric, each configured by cfg with
+// its Node set to its index. They share one packet table, and each kind of
+// switch state — the switches themselves, their lanes, the lanes' slots, the
+// input ports and the output ports — is one array for the whole set, each
+// switch a window of it.
+func NewSet(n int, cfg Config) []*Router {
+	validate(&cfg)
+	var lanes int
+	for _, nl := range cfg.InLanes {
+		lanes += nl
 	}
+	k, slots := len(cfg.InLanes), lanes*cfg.Depth
+	rs := make([]Router, n)
 	pkts := new(Packets)
-	laneArr := make([]lane, lanes)
-	slab := make([]Slot, slots)
-	inArr := make([]inputPort, ins)
-	outArr := make([]outputPort, outs)
+	laneArr := make([]lane, n*lanes)
+	slab := make([]Slot, n*slots)
+	inArr := make([]inputPort, n*k)
+	outArr := make([]outputPort, n*cfg.NOut)
 	set := make([]*Router, n)
 	for node := range rs {
 		r := &rs[node]
-		c := &r.cfg
+		r.cfg = cfg
+		r.cfg.Node = node
 		r.pkts = pkts
-		k := len(c.InLanes)
 		r.in, inArr = inArr[:k:k], inArr[k:]
 		base := 0 // the switch's slots, lane-major: each lane a ring of depth slots
-		for i, nl := range c.InLanes {
+		for i, nl := range cfg.InLanes {
 			p := &r.in[i]
 			p.lanes, laneArr = laneArr[:nl:nl], laneArr[nl:]
 			for l := range p.lanes {
-				p.lanes[l].depth, p.lanes[l].base, p.lanes[l].outVC = int32(c.Depth), int32(base), -1
-				base += c.Depth
+				p.lanes[l].depth, p.lanes[l].base, p.lanes[l].outVC = int32(cfg.Depth), int32(base), -1
+				base += cfg.Depth
 			}
 		}
-		r.slab, slab = slab[:base:base], slab[base:]
-		r.out, outArr = outArr[:c.NOut:c.NOut], outArr[c.NOut:]
+		r.slab, slab = slab[:slots:slots], slab[slots:]
+		r.out, outArr = outArr[:cfg.NOut:cfg.NOut], outArr[cfg.NOut:]
 		for o := range r.out {
 			for v := range r.out[o].owner {
 				r.out[o].owner[v] = noOwner

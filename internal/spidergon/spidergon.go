@@ -37,7 +37,6 @@ const (
 	RimCCWIn
 	CrossIn
 	Inj
-	numInputs
 )
 
 // Output port indices.
@@ -125,44 +124,29 @@ func Build(cfg Config) (*network.Fabric, []*Adapter, error) {
 	if err := topology.ValidateRingSize(cfg.N); err != nil {
 		return nil, nil, err
 	}
-	if cfg.Depth < 1 {
-		return nil, nil, fmt.Errorf("spidergon: buffer depth %d", cfg.Depth)
-	}
 	n := cfg.N
-	wires := make([][]network.OutputWire, n)
-	injStart := make([]int, n)
-	inLanes := []int{link2VCs, link2VCs, link2VCs, 1}
-	route, vcNext, reach := Route(n), VCNext(n), Reach()
-	routers := router.NewSet(n, func(node int) router.Config {
-		return router.Config{
-			Node:      node,
-			VCs:       link2VCs,
-			Depth:     cfg.Depth,
-			InLanes:   inLanes,
-			NOut:      numOutputs,
-			EjectPort: Eject,
-			Route:     route,
-			VCNext:    vcNext,
-			Reach:     reach,
-		}
-	})
-	for node := 0; node < n; node++ {
-		wires[node] = []network.OutputWire{
+	sw := router.Config{
+		VCs:       link2VCs,
+		Depth:     cfg.Depth,
+		InLanes:   []int{link2VCs, link2VCs, link2VCs, 1},
+		NOut:      numOutputs,
+		EjectPort: Eject,
+		Route:     Route(n),
+		VCNext:    VCNext(n),
+		Reach:     Reach(),
+	}
+	wires := func(node int) []network.OutputWire {
+		return []network.OutputWire{
 			RimCWOut:  {Dst: network.PortRef{Node: topology.NextCW(n, node), Port: RimCWIn}},
 			RimCCWOut: {Dst: network.PortRef{Node: topology.NextCCW(n, node), Port: RimCCWIn}},
 			CrossOut:  {Dst: network.PortRef{Node: topology.Antipode(n, node), Port: CrossIn}},
 			Eject:     {Sink: true},
 		}
-		injStart[node] = NumNetworkInputs
 	}
-	fab := network.New(routers, wires, injStart)
-	as := make([]*Adapter, n)
-	for node := 0; node < n; node++ {
-		as[node] = &Adapter{network.BaseAdapter{Node: node, N: n, R: routers[node],
+	return network.Build(n, sw, NumNetworkInputs, wires, func(node int, r *router.Router) *Adapter {
+		return &Adapter{network.BaseAdapter{Node: node, N: n, R: r,
 			Queues: make([]network.PacketQueue, 1), Inject: inject, OnTail: ForwardChain}}
-		fab.SetAdapter(node, as[node])
-	}
-	return fab, as, nil
+	})
 }
 
 // inject is the one-port injection rule: every packet, switch-generated chain
@@ -224,5 +208,3 @@ func chainPacket(a *network.BaseAdapter, dst, remain int, ccw bool, msgID uint64
 	return flit.Flit{Traffic: flit.BcastChain, Src: a.Node, Dst: dst,
 		Remain: remain, ChainCCW: ccw, MsgID: msgID, Gen: gen}
 }
-
-var _ network.Adapter = (*Adapter)(nil)
