@@ -20,6 +20,7 @@ import (
 	// harness itself resolves models purely by name.
 	_ "quarc/internal/models"
 	"quarc/internal/network"
+	"quarc/internal/router"
 	"quarc/internal/sim"
 	"quarc/internal/stats"
 	"quarc/internal/traffic"
@@ -122,6 +123,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Depth < 1:
 		return fmt.Errorf("experiments: buffer depth %d (need >= 1)", c.Depth)
+	case c.Depth > router.MaxDepth:
+		return fmt.Errorf("experiments: buffer depth %d exceeds a switch's %d", c.Depth, router.MaxDepth)
 	case c.Warmup < 0 || c.Measure < 0 || c.Drain < 0:
 		return fmt.Errorf("experiments: cycle budgets must be non-negative")
 	case c.StepWorkers < 0:

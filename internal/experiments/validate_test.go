@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"quarc/internal/router"
 )
 
 // The engine-side twin of service.TestOutOfDomainRequestsRejected: RunContext
@@ -25,6 +27,7 @@ func TestRunContextRefusesOutOfDomain(t *testing.T) {
 		"rate 5":         func(c *Config) { c.Rate = 5 },
 		"msglen 1":       func(c *Config) { c.MsgLen = 1 },
 		"depth -3":       func(c *Config) { c.Depth = -3 },
+		"depth 32768":    func(c *Config) { c.Depth = router.MaxDepth + 1 },
 		"n 0":            func(c *Config) { c.N = 0 },
 		"warmup -5":      func(c *Config) { c.Warmup = -5 },
 		"step workers":   func(c *Config) { c.StepWorkers = -1 },

@@ -42,12 +42,12 @@ func (p *switchPair) Step(drain bool) (am, bm []router.Move) {
 	p.A.Commit(p.am)
 	p.B.Commit(p.bm)
 	for i := range p.am {
-		if m := &p.am[i]; !p.B.Push(0, m.OutVC, p.A.MoveFlit(m)) {
+		if m := &p.am[i]; !p.B.Push(0, int(m.OutVC), p.A.MoveFlit(m)) {
 			panic("switchPair: push into a full lane")
 		}
 	}
 	for i := range p.bm {
-		p.A.ReturnCredit(0, p.bm[i].Lane)
+		p.A.ReturnCredit(0, int(p.bm[i].Lane))
 	}
 	return p.am, p.bm
 }
@@ -121,7 +121,7 @@ func TestCreditCountersMatchChannelStatus(t *testing.T) {
 			for i := range am {
 				m := &am[i]
 				sent := pair.A.Packets().Flit(pair.A.MoveFlit(m))
-				sig := Signals{SrcRdy: true, SOF: sent.Kind == flit.Header, EOF: sent.Kind == flit.Tail, ChToStore: m.OutVC}
+				sig := Signals{SrcRdy: true, SOF: sent.Kind == flit.Header, EOF: sent.Kind == flit.Tail, ChToStore: int(m.OutVC)}
 				if !recv.Clock(sig, sent) {
 					t.Fatalf("depth %d cycle %d: LocalLink receiver refused %+v: %v", depth, cyc, sent, recv.Err())
 				}

@@ -338,7 +338,7 @@ func (b *BaseAdapter) FeedBlocked() bool {
 //quarc:hotpath
 func (b *BaseAdapter) Receive(f *flit.Flit, now int64) {
 	if b.asm.Add(f) {
-		b.Fab.Tracker.Delivered(f.MsgID, b.Node, now)
+		b.Fab.Tracker.Delivered(f, b.Node, now)
 		if b.OnTail != nil {
 			b.OnTail(b, *f)
 		}

@@ -30,6 +30,13 @@
 // slot and the table into fabric scratch, so adapters, the tracker and the
 // trace see whole flit.Flits.
 //
+// The message tracker keeps for each message class only what its completion
+// needs. A unicast in flight is one bit in a sliding window over message ids:
+// its one delivery completes it, and its record is built from the delivered
+// tail flit, whose header fields name its source and generation cycle. A
+// broadcast or multicast keeps a record and a delivered-node mask until its
+// last destination is served.
+//
 // Stepping is activity-driven: the fabric keeps a set of active nodes (any
 // buffered flit or pending source-queue backlog) and each cycle visits only
 // those. Routers are woken by flits pushed into them and by adapter enqueues,
@@ -177,8 +184,8 @@ type Fabric struct {
 // network.
 func Build[A Adapter](n int, sw router.Config, injStart int, wires func(node int) []OutputWire,
 	adapter func(node int, r *router.Router) A) (*Fabric, []A, error) {
-	if sw.Depth < 1 {
-		return nil, nil, fmt.Errorf("network: buffer depth %d", sw.Depth)
+	if sw.Depth < 1 || sw.Depth > router.MaxDepth {
+		return nil, nil, fmt.Errorf("network: buffer depth %d outside [1,%d]", sw.Depth, router.MaxDepth)
 	}
 	f := newFabric(router.NewSet(n, sw), injStart, wires)
 	as := make([]A, n)
@@ -561,7 +568,7 @@ func (f *Fabric) link(node int, m *router.Move, sc *stepScratch) {
 		return // shared ejection port: consumed by the PE
 	}
 	s := f.Routers[node].MoveFlit(m)
-	if m.In < f.injStart && s.Hop < 64 {
+	if int(m.In) < f.injStart && s.Hop < 64 {
 		// Multicast bitstrings are hop-indexed: forwarding from a network
 		// input moves the stream one hop, so the hardware shifts the
 		// bitstring (bit 0 always means "the node this flit is arriving
@@ -572,7 +579,7 @@ func (f *Fabric) link(node int, m *router.Move, sc *stepScratch) {
 	}
 	sc.forwarded++
 	if f.Trace != nil {
-		f.record(trace.Forward, node, m.Out, m.OutVC, s)
+		f.record(trace.Forward, node, int(m.Out), int(m.OutVC), s)
 	}
 	f.send(sc, linkRec{node: int32(w.Dst.Node), port: int16(w.Dst.Port), vc: int16(m.OutVC), s: s})
 }

@@ -1,6 +1,10 @@
 package network
 
-import "fmt"
+import (
+	"fmt"
+
+	"quarc/internal/flit"
+)
 
 // MessageClass is the statistics class of a message.
 type MessageClass int
@@ -39,9 +43,22 @@ type MessageRecord struct {
 // Tracker follows in-flight messages: adapters register a message when its
 // packets are enqueued and report each destination's tail arrival; the
 // tracker finalises the record when all destinations have been served.
+//
+// What it keeps depends on the message class. A unicast is one bit in a
+// sliding window over message ids, set from Register to delivery: its one
+// delivery completes it, and the tail flit carries everything else its
+// record holds (the message id, source and generation cycle of the paper's
+// header, §2.6). A broadcast or multicast keeps a full record and a
+// delivered-node mask in a map, recycled through a free list, so partial
+// deliveries accumulate and a duplicate delivery is caught. A unicast the
+// window cannot hold (an id below the window's first word, or too far past
+// it) is tracked like a collective; the fabric issues ids in order, so its
+// unicasts never are.
 type Tracker struct {
-	inflight map[uint64]*trackState
-	OnDone   func(MessageRecord)
+	OnDone func(MessageRecord)
+
+	unicasts idWindow
+	inflight map[uint64]*trackState // collectives, and unicasts the window cannot hold
 
 	// free recycles completed trackStates so steady-state registration does
 	// not allocate; the list grows to the peak in-flight population.
@@ -72,9 +89,12 @@ func (t *Tracker) Register(msgID uint64, class MessageClass, src int, gen int64,
 	if expected <= 0 {
 		panic("network: message with no destinations")
 	}
-	if _, dup := t.inflight[msgID]; dup {
+	if _, dup := t.inflight[msgID]; dup || t.unicasts.has(msgID) {
 		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 		panic(fmt.Sprintf("network: duplicate message id %d", msgID))
+	}
+	if class == ClassUnicast && expected == 1 && t.unicasts.add(msgID) {
+		return
 	}
 	var st *trackState
 	if n := len(t.free); n > 0 {
@@ -94,13 +114,24 @@ func (t *Tracker) Register(msgID uint64, class MessageClass, src int, gen int64,
 	t.inflight[msgID] = st
 }
 
-// Delivered reports the tail of msgID arriving at node. Unknown ids panic
-// (they indicate a routing bug); duplicate deliveries to the same node are
-// counted and reported via Duplicates (the Quarc broadcast must never
-// produce one).
+// Delivered reports the arrival at node of tail, the tail flit of a packet of
+// message tail.MsgID. Unknown ids panic (they indicate a routing bug);
+// duplicate deliveries to the same node are counted and reported via
+// Duplicates (the Quarc broadcast must never produce one).
 //
 //quarc:hotpath
-func (t *Tracker) Delivered(msgID uint64, node int, now int64) {
+func (t *Tracker) Delivered(tail *flit.Flit, node int, now int64) {
+	msgID := tail.MsgID
+	if t.unicasts.remove(msgID) {
+		t.completed++
+		if t.OnDone != nil {
+			t.OnDone(MessageRecord{
+				MsgID: msgID, Class: ClassUnicast, Src: tail.Src, Gen: tail.Gen,
+				First: now, Last: now, Expected: 1, Delivered: 1, DeliSum: now,
+			})
+		}
+		return
+	}
 	st, ok := t.inflight[msgID]
 	if !ok {
 		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
@@ -150,7 +181,7 @@ func (st *trackState) mark(node int) (dup bool) {
 }
 
 // InFlight returns the number of incomplete messages.
-func (t *Tracker) InFlight() int { return len(t.inflight) }
+func (t *Tracker) InFlight() int { return len(t.inflight) + t.unicasts.n }
 
 // Completed returns the number of finished messages.
 func (t *Tracker) Completed() uint64 { return t.completed }
@@ -158,3 +189,91 @@ func (t *Tracker) Completed() uint64 { return t.completed }
 // Duplicates returns how many redundant deliveries were observed. A correct
 // Quarc/Spidergon configuration produces zero.
 func (t *Tracker) Duplicates() uint64 { return t.duplicates }
+
+// maxWindowWords bounds the span of the unicast window: 2^16 words, 4 Mi
+// message ids in 512 KiB.
+const maxWindowWords = 1 << 16
+
+// idWindow is a set of message ids kept as a bitmap over the ids from the
+// oldest member to the newest. Message ids are issued in order
+// (Fabric.NextMsgID), so the bitmap spans the messages in flight; its drained
+// prefix is compacted away as PacketQueue compacts its own, and the backing
+// array is reused, so a steady-state simulation adds and removes without
+// allocating.
+type idWindow struct {
+	words []uint64 // words[i] bit b: id 64*(lo+i)+b is a member
+	lo    uint64   // id>>6 of the ids words[0] covers
+	head  int      // words[:head] are zero; words[head] is not while n > 0
+	n     int      // members
+}
+
+// has reports whether id is a member.
+//
+//quarc:hotpath
+func (w *idWindow) has(id uint64) bool {
+	i, ok := w.index(id)
+	return ok && w.words[i]&(1<<(id&63)) != 0
+}
+
+// index returns the word of the window covering id, if one does.
+//
+//quarc:hotpath
+func (w *idWindow) index(id uint64) (int, bool) {
+	word := id >> 6
+	if word < w.lo || word-w.lo >= uint64(len(w.words)) {
+		return 0, false
+	}
+	return int(word - w.lo), true
+}
+
+// add makes id, not a member, a member. It reports false, leaving the
+// window as it was, when id lies before the window's first word or would
+// stretch it past maxWindowWords.
+//
+//quarc:hotpath
+func (w *idWindow) add(id uint64) bool {
+	word := id >> 6
+	if len(w.words) == 0 {
+		w.lo = word
+	}
+	if word < w.lo || word-w.lo >= uint64(w.head)+maxWindowWords {
+		return false
+	}
+	i := int(word - w.lo)
+	for len(w.words) <= i {
+		w.words = append(w.words, 0)
+	}
+	w.words[i] |= 1 << (id & 63)
+	w.head = min(w.head, i)
+	w.n++
+	return true
+}
+
+// remove takes id out of the window and reports whether it was a member.
+//
+//quarc:hotpath
+func (w *idWindow) remove(id uint64) bool {
+	i, ok := w.index(id)
+	bit := uint64(1) << (id & 63)
+	if !ok || w.words[i]&bit == 0 {
+		return false
+	}
+	w.words[i] &^= bit
+	w.n--
+	switch {
+	case w.n == 0:
+		w.words, w.head = w.words[:0], 0
+	case i == w.head && w.words[i] == 0:
+		for w.words[w.head] == 0 {
+			w.head++
+		}
+		if w.head > 32 && w.head*2 >= len(w.words) {
+			// Compact the drained prefix so the bitmap stays proportional
+			// to the span of the ids in flight.
+			w.words = w.words[:copy(w.words, w.words[w.head:])]
+			w.lo += uint64(w.head)
+			w.head = 0
+		}
+	}
+	return true
+}

@@ -23,6 +23,14 @@ func TestLaneSize(t *testing.T) {
 	}
 }
 
+// TestMoveSize bounds a committed move at 16 bytes: every switch keeps room
+// for one per input port, reused every cycle.
+func TestMoveSize(t *testing.T) {
+	if got := unsafe.Sizeof(Move{}); got > 16 {
+		t.Fatalf("unsafe.Sizeof(Move{}) = %d, want <= 16", got)
+	}
+}
+
 // TestPackedDecisionRoundTrips: a lane stores its decisions packed, and every
 // decision a switch of up to 64 outputs can make unpacks unchanged.
 func TestPackedDecisionRoundTrips(t *testing.T) {
@@ -30,7 +38,8 @@ func TestPackedDecisionRoundTrips(t *testing.T) {
 		for _, eject := range []bool{false, true} {
 			for _, clone := range []bool{false, true} {
 				d := Decision{Out: out, Eject: eject, Clone: clone}
-				if got := pack(d).unpack(); got != d {
+				p := pack(d)
+				if got := (Decision{Out: p.out(), Eject: p.eject(), Clone: p.clone()}); got != d {
 					t.Fatalf("%+v unpacked as %+v", d, got)
 				}
 			}

@@ -150,10 +150,13 @@ func pack(d Decision) packedDec {
 	return p
 }
 
-//quarc:hotpath
-func (p packedDec) unpack() Decision {
-	return Decision{Out: int(p&0xff) - 1, Eject: p&decEject != 0, Clone: p&decClone != 0}
-}
+// out, eject and clone read the packed Decision's fields; out is NoOutput
+// for pure local delivery.
+func (p packedDec) out() int { return int(p&0xff) - 1 }
+
+func (p packedDec) eject() bool { return p&decEject != 0 }
+
+func (p packedDec) clone() bool { return p&decClone != 0 }
 
 // headSlot returns the slab index of the lane's oldest flit.
 func (ln *lane) headSlot() int { return int(ln.base + ln.head) }
@@ -176,10 +179,10 @@ const noOwner = -1
 
 type outputPort struct {
 	// Inline and first: the counters ReturnCredit touches from outside.
-	credit [maxVCs]int32 // per downstream lane: flits it can still take
-	depth  int32         // downstream lane depth, the ceiling of every counter; 0 = sink (the PE absorbs at link rate)
-	rr     int32         // OPC master FSM round-robin pointer over inputs
-	owner  [maxVCs]int32 // per downstream VC: packed (in*16+lane) of the holder, or noOwner
+	credit [maxVCs]int16 // per downstream lane: flits it can still take (at most MaxDepth)
+	depth  int16         // downstream lane depth, the ceiling of every counter; 0 = sink (the PE absorbs at link rate)
+	rr     int16         // OPC master FSM round-robin pointer over inputs
+	owner  [maxVCs]int16 // per downstream VC: packed (in*16+lane) of the holder, or noOwner
 	want   uint64        // this cycle: bit i set = input i bids for this output; zero between cycles
 	// Bit i set: parked input port i may have a lane waiting on this output
 	// for a credit (creditWait) or for a VC to be released (vcWait). A hint,
@@ -192,14 +195,19 @@ type outputPort struct {
 // maxVCs bounds the lanes of an input port and the VCs of an output.
 const maxVCs = 8
 
+// MaxDepth is the deepest lane buffer a switch can have: an output's credit
+// counters, which count a downstream lane's free slots, are 16 bits.
+const MaxDepth = 1<<15 - 1
+
 // Move is a committed flit transfer, reported to the network for delivery
 // and link accounting. The flit itself stays where it lay: Router.MoveFlit
-// returns it.
+// returns it. The fields are narrow because a switch has at most 64 ports,
+// maxVCs lanes a port and MaxDepth slots a lane.
 type Move struct {
-	In, Lane int
-	Out      int // NoOutput for pure ejection
-	OutVC    int
-	Slot     int  // slab index of the moved flit's vacated slot
+	Slot     int32 // slab index of the moved flit's vacated slot
+	In, Lane int8
+	Out      int8 // NoOutput for pure ejection
+	OutVC    int8
 	Deliver  bool // a copy reaches the local PE
 }
 
@@ -235,8 +243,8 @@ type Router struct {
 // bid is one input port's candidate for the cycle: the lane the VC arbiter
 // selected and the decision governing its head flit.
 type bid struct {
-	lane int
-	dec  Decision
+	dec  packedDec
+	lane int8
 }
 
 // New constructs a switch from its configuration, with a packet table of its
@@ -298,8 +306,8 @@ func validate(cfg *Config) {
 	if cfg.VCs < 1 || cfg.VCs > maxVCs {
 		panic(fmt.Sprintf("router: unsupported VC count %d", cfg.VCs))
 	}
-	if cfg.Depth < 1 {
-		panic("router: non-positive buffer depth")
+	if cfg.Depth < 1 || cfg.Depth > MaxDepth {
+		panic(fmt.Sprintf("router: buffer depth %d outside [1,%d]", cfg.Depth, MaxDepth))
 	}
 	if len(cfg.InLanes) == 0 || cfg.NOut < 1 {
 		panic("router: switch needs inputs and outputs")
@@ -448,7 +456,7 @@ func (r *Router) bidFor(i int) *bid {
 		}
 	}
 	b := &p.bid
-	b.lane = l
+	b.lane = int8(l)
 	b.dec = r.laneDecision(&p.lanes[l], i, l)
 	return b
 }
@@ -459,9 +467,9 @@ func (r *Router) bidFor(i int) *bid {
 // downstream VC it caches beside it.
 //
 //quarc:hotpath
-func (r *Router) laneDecision(ln *lane, i, l int) Decision {
+func (r *Router) laneDecision(ln *lane, i, l int) packedDec {
 	if ln.active {
-		return ln.dec.unpack()
+		return ln.dec
 	}
 	head := &r.slab[ln.headSlot()]
 	if head.Kind != flit.Header {
@@ -477,9 +485,8 @@ func (r *Router) laneDecision(ln *lane, i, l int) Decision {
 			ln.pendVC = int8(vc)
 		}
 		ln.pendDec, ln.pendPkt, ln.pendOK = pack(dec), head.Pkt, true
-		return dec
 	}
-	return ln.pendDec.unpack()
+	return ln.pendDec
 }
 
 // Decide is the switch's verdict on header f arriving in lane l of input
@@ -518,11 +525,11 @@ func (r *Router) Decide(in, l int, f *flit.Flit) (dec Decision, vc int) {
 // never connected is a sink with unlimited acceptance; the shared ejection
 // port is always one (a header waiting there waits only for a VC).
 func (r *Router) ConnectOutput(o, lanes, depth int) {
-	if lanes < 1 || lanes > r.cfg.VCs || depth < 1 || o == r.cfg.EjectPort {
+	if lanes < 1 || lanes > r.cfg.VCs || depth < 1 || depth > MaxDepth || o == r.cfg.EjectPort {
 		panic(fmt.Sprintf("router %d out %d: cannot connect %d lanes of depth %d", r.cfg.Node, o, lanes, depth))
 	}
 	op := &r.out[o]
-	op.depth = int32(depth)
+	op.depth = int16(depth)
 	for vc := 0; vc < lanes; vc++ {
 		op.credit[vc] = op.depth
 	}
@@ -571,12 +578,13 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 	for occ := r.occupied &^ r.parked; occ != 0; occ &= occ - 1 {
 		i := bits.TrailingZeros64(occ)
 		b := r.bidFor(i)
-		if b.dec.Out == NoOutput {
+		o := b.dec.out()
+		if o == NoOutput {
 			moves = r.grant(moves, i, b, NoOutput, 0, true)
 			continue
 		}
-		r.out[b.dec.Out].want |= 1 << uint(i)
-		requested |= 1 << uint(b.dec.Out)
+		r.out[o].want |= 1 << uint(i)
+		requested |= 1 << uint(o)
 	}
 
 	// OPC arbitration per requested output port, visiting only the inputs
@@ -598,12 +606,12 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 				i := bits.TrailingZeros64(set)
 				p := &r.in[i]
 				b := &p.bid
-				ok, outVC, cause := r.trySend(o, i, b.lane)
+				ok, outVC, cause := r.trySend(o, i, int(b.lane))
 				if ok && !served {
-					moves = r.grant(moves, i, b, o, outVC, b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject))
+					moves = r.grant(moves, i, b, o, outVC, b.dec.clone() || (o == r.cfg.EjectPort && b.dec.eject()))
 					served = true
 					// The master FSM moves on after serving a request.
-					if op.rr = int32(i + 1); int(op.rr) == len(r.in) {
+					if op.rr = int16(i + 1); int(op.rr) == len(r.in) {
 						op.rr = 0
 					}
 					continue
@@ -613,12 +621,12 @@ func (r *Router) Arbitrate(moves []Move) []Move {
 				}
 				r.stats.Stalls[cause]++
 				if len(p.lanes) > 1 {
-					if p.rr = int32(b.lane + 1); int(p.rr) == len(p.lanes) {
+					if p.rr = int32(b.lane) + 1; int(p.rr) == len(p.lanes) {
 						p.rr = 0
 					}
 				}
 				if !ok {
-					r.park(i, b.lane, cause)
+					r.park(i, int(b.lane), cause)
 				}
 			}
 		}
@@ -646,11 +654,11 @@ func (r *Router) park(i, l int, cause StallCause) {
 			continue
 		}
 		if k != l {
-			dec := r.laneDecision(ln, i, k)
-			if dec.Out == NoOutput {
+			o := r.laneDecision(ln, i, k).out()
+			if o == NoOutput {
 				return
 			}
-			ok, _, c := r.trySend(dec.Out, i, k)
+			ok, _, c := r.trySend(o, i, k)
 			if ok {
 				return
 			}
@@ -678,9 +686,9 @@ func (r *Router) park(i, l int, cause StallCause) {
 // decision for an active packet, else the waiting header's cached route.
 func (ln *lane) waitOut() int {
 	if ln.active {
-		return ln.dec.unpack().Out
+		return ln.dec.out()
 	}
-	return ln.pendDec.unpack().Out
+	return ln.pendDec.out()
 }
 
 // wake unparks every port in *waiting with a parked lane that waits, for
@@ -770,8 +778,8 @@ func (r *Router) grant(moves []Move, i int, b *bid, out, outVC int, deliver bool
 		moves = append(moves, Move{})
 	}
 	m := &moves[n]
-	m.In, m.Lane, m.Out, m.OutVC, m.Deliver = i, b.lane, out, outVC, deliver
-	m.Slot = r.in[i].lanes[b.lane].headSlot()
+	m.In, m.Lane, m.Out, m.OutVC, m.Deliver = int8(i), b.lane, int8(out), int8(outVC), deliver
+	m.Slot = int32(r.in[i].lanes[b.lane].headSlot())
 	r.stats.Grants++
 	return moves
 }
@@ -786,7 +794,7 @@ func (r *Router) trySend(o, i, l int) (bool, int, StallCause) {
 	if ln.active {
 		// Body or tail: use the allocated VC; need one credit.
 		vc := int(ln.outVC)
-		if op.owner[vc] != int32(i*16+l) {
+		if op.owner[vc] != int16(i*16+l) {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d out %d: lane %d.%d lost VC %d ownership",
 				r.cfg.Node, o, i, l, vc))
@@ -837,7 +845,7 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 		delivers = delivers || m.Deliver
 		p := &r.in[m.In]
 		ln := &p.lanes[m.Lane]
-		if ln.size == 0 || m.Slot != ln.headSlot() {
+		if ln.size == 0 || int(m.Slot) != ln.headSlot() {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d: commit desync at in %d lane %d", r.cfg.Node, m.In, m.Lane))
 		}
@@ -849,7 +857,7 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 		if kind == flit.Header {
 			// The waiting header's cached route (computed here only for a
 			// move Arbitrate did not make) becomes the FCU's binding.
-			r.laneDecision(ln, m.In, m.Lane)
+			r.laneDecision(ln, int(m.In), int(m.Lane))
 			ln.active = true
 			ln.dec = ln.pendDec
 			ln.pendOK = false
@@ -878,7 +886,7 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 				}
 				op.credit[m.OutVC]--
 			}
-			packed := int32(m.In*16 + m.Lane)
+			packed := int16(m.In)*16 + int16(m.Lane)
 			if kind == flit.Header {
 				op.owner[m.OutVC] = packed
 			}
@@ -889,7 +897,7 @@ func (r *Router) Commit(moves []Move) (delivers bool) {
 				}
 				op.owner[m.OutVC] = noOwner
 				if op.vcWait != 0 {
-					r.wake(m.Out, m.OutVC, StallVCBusy, &op.vcWait)
+					r.wake(int(m.Out), int(m.OutVC), StallVCBusy, &op.vcWait)
 				}
 			}
 		}

@@ -41,13 +41,13 @@ func (p *linkPair) Step(drain bool) (am, bm []Move) {
 	p.A.Commit(p.am)
 	p.B.Commit(p.bm)
 	for i := range p.am {
-		if m := &p.am[i]; m.Out == 0 && !p.B.Push(0, m.OutVC, p.A.MoveFlit(m)) {
+		if m := &p.am[i]; m.Out == 0 && !p.B.Push(0, int(m.OutVC), p.A.MoveFlit(m)) {
 			panic("linkPair: push into a full lane")
 		}
 	}
 	for i := range p.bm {
 		if m := &p.bm[i]; m.In == 0 {
-			p.A.ReturnCredit(0, m.Lane)
+			p.A.ReturnCredit(0, int(m.Lane))
 		}
 	}
 	return p.am, p.bm
@@ -435,7 +435,7 @@ func TestCreditCounterViolationsPanic(t *testing.T) {
 	if moves := a.Arbitrate(nil); len(moves) != 0 {
 		t.Fatal("arbiter granted a send without credit")
 	}
-	forged := []Move{{In: 0, Lane: 0, Out: 0, OutVC: 0, Slot: a.in[0].lanes[0].headSlot()}}
+	forged := []Move{{In: 0, Lane: 0, Out: 0, OutVC: 0, Slot: int32(a.in[0].lanes[0].headSlot())}}
 	mustPanic(t, "commit of a send without credit", func() { a.Commit(forged) })
 }
 

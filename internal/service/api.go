@@ -27,8 +27,13 @@ import (
 // tens of thousands of cycles) while keeping one request from monopolising
 // the process.
 const (
-	MaxNodes      = 4096
-	MaxMsgLen     = 4096
+	MaxNodes  = 4096
+	MaxMsgLen = 4096
+	// MaxDepth bounds the flits of one lane buffer. A fabric's slots are
+	// allocated at once, N x lanes x depth of them, so an unbounded depth
+	// asks for more memory than any host has, and a failed allocation that
+	// size is fatal to the process, not a recoverable panic.
+	MaxDepth      = 256
 	MaxReplicates = 256
 	MaxWorkers    = 256
 	MaxRatePoints = 256
@@ -193,6 +198,8 @@ func (r RunRequest) Config() (experiments.Config, error) {
 		return experiments.Config{}, fmt.Errorf("n %d exceeds the limit %d", cfg.N, MaxNodes)
 	case cfg.MsgLen > MaxMsgLen:
 		return experiments.Config{}, fmt.Errorf("msglen %d exceeds the limit %d", cfg.MsgLen, MaxMsgLen)
+	case cfg.Depth > MaxDepth:
+		return experiments.Config{}, fmt.Errorf("depth %d exceeds the limit %d", cfg.Depth, MaxDepth)
 	case cyclesOver(cfg.Warmup, cfg.Measure, cfg.Drain):
 		return experiments.Config{}, fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles)
 	case r.Replicates < 0 || r.Replicates > MaxReplicates:
@@ -283,6 +290,8 @@ func (o SweepOpts) RunOpts() (experiments.RunOpts, error) {
 	switch {
 	case cyclesOver(opts.Warmup, opts.Measure, opts.Drain):
 		return experiments.RunOpts{}, fmt.Errorf("warmup+measure+drain exceeds the limit %d", MaxTotalCycles)
+	case opts.Depth > MaxDepth:
+		return experiments.RunOpts{}, fmt.Errorf("depth %d exceeds the limit %d", opts.Depth, MaxDepth)
 	case opts.Points < 0 || opts.Points > MaxRatePoints:
 		return experiments.RunOpts{}, fmt.Errorf("points %d outside [0,%d]", opts.Points, MaxRatePoints)
 	case opts.Replicates > MaxReplicates:

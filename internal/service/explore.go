@@ -75,6 +75,11 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 			return fail(fmt.Errorf("n %d exceeds the limit %d", n, MaxNodes))
 		}
 	}
+	for _, d := range e.Depths {
+		if d > MaxDepth {
+			return fail(fmt.Errorf("depth %d exceeds the limit %d", d, MaxDepth))
+		}
+	}
 
 	spec := explore.Spec{
 		Models: models,

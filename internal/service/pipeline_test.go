@@ -56,6 +56,10 @@ var outOfDomain = []struct{ route, body string }{
 	// An empty name in a model list used to parse as the default, quarc.
 	{"/v1/panels", `{"n":16,"models":["spidergon",""],"rates":[0.01]}`},
 	{"/v1/explore", `{"models":["spidergon",""],"ns":[16],"rates":[0.01]}`},
+	// A lane depth past MaxDepth: N x lanes x depth slots are one allocation
+	// (TestDepthAboveCapRefused sends one just past the cap to each route).
+	{"/v1/runs", `{"topo":"mesh","n":1024,"rate":0.01,"depth":1000000}`},
+	{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"opts":{"depth":257}}`},
 }
 
 // A request for something the simulator cannot run is refused at the door

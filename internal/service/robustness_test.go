@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -232,6 +234,54 @@ func TestPanicFailsJobNotDaemon(t *testing.T) {
 	}
 	if n := svc.Snapshot().JobsFailed; n != 2 {
 		t.Fatalf("jobs failed = %d, want 2", n)
+	}
+}
+
+// A lane depth just above MaxDepth is refused with 400 on every submit
+// route, before any fabric is built: the fabric's slots are one allocation,
+// and one that size is a fatal out-of-memory error, not a panic the executor
+// could recover. The depth at the cap itself passes every conversion.
+func TestDepthAboveCapRefused(t *testing.T) {
+	bodies := func(depth int) map[string]string {
+		return map[string]string{
+			"/v1/runs":    fmt.Sprintf(`{"topo":"mesh","n":1024,"rate":0.01,"depth":%d}`, depth),
+			"/v1/panels":  fmt.Sprintf(`{"n":16,"rates":[0.01],"opts":{"depth":%d}}`, depth),
+			"/v1/explore": fmt.Sprintf(`{"models":["quarc"],"ns":[16],"rates":[0.01],"depths":[4,%d]}`, depth),
+		}
+	}
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	for route, body := range bodies(MaxDepth + 1) {
+		resp, err := http.Post(ts.URL+route+"?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("exceeds the limit")) {
+			t.Errorf("%s %s: %d %s, want 400 naming the limit", route, body, resp.StatusCode, data)
+		}
+	}
+	if snap := svc.Snapshot(); snap.JobsAccepted != 0 || snap.PanicsRecovered != 0 {
+		t.Fatalf("refused depths left traces: accepted=%d panics=%d", snap.JobsAccepted, snap.PanicsRecovered)
+	}
+
+	at := bodies(MaxDepth)
+	var run RunRequest
+	var panel PanelRequest
+	var exp ExploreRequest
+	for route, v := range map[string]any{"/v1/runs": &run, "/v1/panels": &panel, "/v1/explore": &exp} {
+		if err := json.Unmarshal([]byte(at[route]), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := run.Config(); err != nil {
+		t.Errorf("run at depth %d refused: %v", MaxDepth, err)
+	}
+	if _, _, err := panel.SpecOpts(); err != nil {
+		t.Errorf("panel at depth %d refused: %v", MaxDepth, err)
+	}
+	if _, _, _, err := exp.SpecOpts(); err != nil {
+		t.Errorf("explore at depth %d refused: %v", MaxDepth, err)
 	}
 }
 
