@@ -32,7 +32,8 @@ func main() {
 	targets := []int{2, 5, 8, 11, 14}
 	fmt.Printf("node %d multicasts an 8-flit message to %v\n\n", src, targets)
 
-	// Show the branch decomposition the transceiver computes.
+	// Show the reference branch decomposition (topology.QuarcMulticastBranches),
+	// the one the transceiver's send path is tested against.
 	fmt.Println("branch decomposition (paper §2.5.3):")
 	for _, b := range topology.QuarcMulticastBranches(n, src, targets) {
 		fmt.Printf("  quadrant %-9s header dst %-2d bitstring %012b\n", b.Q, b.Last, b.Bits)

@@ -61,9 +61,10 @@ type Config struct {
 	McastSize int
 
 	// StepWorkers sizes the intra-point worker pool that shards each fabric
-	// cycle across goroutines: 0 auto-sizes (GOMAXPROCS clamped to N/16, so
-	// small fabrics stay serial), 1 forces serial stepping, higher values
-	// pin the count. Results are byte-identical at any value, so — exactly
+	// cycle across goroutines: 0 auto-sizes (GOMAXPROCS clamped to N/64, as
+	// a shard is whole 64-node words, so fabrics under 128 nodes step
+	// serially), 1 forces serial stepping, higher values pin the count
+	// (clamped the same way). Results are byte-identical at any value, so — exactly
 	// like the sweep engine's Workers knob — the field is excluded from the
 	// wire payload and the canonical cache keys (service.RunKey hashes an
 	// explicit struct that has no such field).

@@ -278,7 +278,7 @@ func BenchmarkPacketAssembly(b *testing.B) {
 // lanes, links and source queues move 16-byte router.Slots — but it is the
 // header record a packet is enqueued with, the type the wire codec,
 // AppendPacket and the tests speak, and what every delivered flit is
-// materialised into for the PE, the tracker and the trace. The fields are
+// materialised into for the PE and the tracker. The fields are
 // ordered small-to-large to leave a single byte of padding, and growing the
 // struct should be a reviewed decision, not a side effect of adding a field.
 func TestFlitSize(t *testing.T) {

@@ -17,13 +17,13 @@ type switchPair struct {
 }
 
 func newSwitchPair(depth int) *switchPair {
-	route := func(node, in int, f flit.Flit) router.Decision {
+	route := func(node, in int, h router.Header, hop int) router.Decision {
 		if node == 1 {
 			return router.Decision{Out: router.NoOutput, Eject: true}
 		}
 		return router.Decision{Out: 0}
 	}
-	vcNext := func(node, out, in, cur int, f flit.Flit) int { return cur }
+	vcNext := func(node, out, in, cur int) int { return cur }
 	rs := router.NewSet(2, router.Config{VCs: NumVC, Depth: depth, InLanes: []int{NumVC},
 		NOut: 1, EjectPort: router.NoOutput, Route: route, VCNext: vcNext})
 	rs[0].ConnectOutput(0, NumVC, depth)

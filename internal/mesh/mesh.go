@@ -15,20 +15,21 @@
 package mesh
 
 import (
-	"quarc/internal/flit"
 	"quarc/internal/network"
 	"quarc/internal/router"
 	"quarc/internal/topology"
 )
 
-// Port indices. Inputs are "from direction"; outputs are "toward direction".
+// Port indices, numbered as topology.MeshDir, so an XY routing step names
+// its output port. Inputs are "from direction"; outputs are "toward
+// direction".
 const (
-	East = iota
-	West
-	North
-	South
-	Inj          // input 4
-	Eject    = 4 // output 4
+	East     = int(topology.MEast)
+	West     = int(topology.MWest)
+	North    = int(topology.MNorth)
+	South    = int(topology.MSouth)
+	Inj      = 4                    // input 4
+	Eject    = int(topology.MLocal) // output 4
 	numPorts = 5
 )
 
@@ -37,30 +38,14 @@ const NumNetworkInputs = 4
 
 const link2VCs = 2
 
-func outFor(d topology.MeshDir) int {
-	switch d {
-	case topology.MEast:
-		return East
-	case topology.MWest:
-		return West
-	case topology.MNorth:
-		return North
-	case topology.MSouth:
-		return South
-	default:
-		return Eject
-	}
-}
-
 // Route computes XY routing decisions using the geometry in
 // internal/topology.
 func Route(m topology.Mesh) router.RouteFunc {
-	return func(node, in int, f flit.Flit) router.Decision {
-		if f.Dst == node {
+	return func(node, in int, h router.Header, _ int) router.Decision {
+		if int(h.Dst) == node {
 			return router.Decision{Out: Eject, Eject: true}
 		}
-		d, _ := m.Step(node, f.Dst)
-		return router.Decision{Out: outFor(d)}
+		return router.Decision{Out: int(m.Step(node, int(h.Dst)))}
 	}
 }
 
@@ -68,7 +53,7 @@ func Route(m topology.Mesh) router.RouteFunc {
 // torus applies a per-dimension dateline, resetting to VC 0 when the packet
 // turns from the X ring into the Y ring.
 func VCNext(m topology.Mesh) router.VCFunc {
-	return func(node, out, in, cur int, f flit.Flit) int {
+	return func(node, out, in, cur int) int {
 		if !m.Torus {
 			return 0
 		}

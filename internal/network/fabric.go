@@ -27,8 +27,9 @@
 // once, in the fabric's packet table (Packets), from the adapter's enqueue
 // until its tail leaves the network — delivered and not forwarded — when the
 // ordered half frees its handle. A delivered flit is materialised from its
-// slot and the table into fabric scratch, so adapters, the tracker and the
-// trace see whole flit.Flits.
+// slot and the table into fabric scratch, so adapters and the tracker see
+// whole flit.Flits; routing, the walk and the trace read the table's header
+// record and the slot instead.
 //
 // The message tracker keeps for each message class only what its completion
 // needs. A unicast in flight is one bit in a sliding window over message ids:
@@ -544,9 +545,9 @@ func (f *Fabric) deliver(node int, m *router.Move) {
 // record traces one flit event. A traced fabric steps serially, so the slot's
 // packet is still in the table.
 func (f *Fabric) record(kind trace.Kind, node, out, vc int, s *router.Slot) {
-	fl := f.Packets.Flit(s)
+	h := f.Packets.Header(s)
 	f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: kind, Node: node, Out: out, VC: vc,
-		PktID: fl.PktID, MsgID: fl.MsgID, Seq: fl.Seq})
+		PktID: h.PktID, MsgID: h.MsgID, Seq: int(s.Seq)})
 }
 
 // link is the commutative half of applying move m of node: the pop's credit

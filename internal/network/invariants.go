@@ -128,29 +128,22 @@ func (c *InvariantChecker) checkPackets() error {
 
 // validateLaneStream checks I1 on one lane's buffered slots.
 func validateLaneStream(tbl *router.Packets, slots []router.Slot) error {
-	fl := make([]flit.Flit, len(slots))
-	for i := range slots {
-		fl[i] = tbl.Flit(&slots[i])
-	}
-	for i := 0; i < len(fl); i++ {
-		f := fl[i]
-		if i == 0 {
-			// The head may be mid-packet (header already gone) or a header.
-			continue
-		}
-		prev := fl[i-1]
-		if f.PktID == prev.PktID {
-			if f.Seq != prev.Seq+1 {
-				return fmt.Errorf("flit seq %d after %d in pkt %d", f.Seq, prev.Seq, f.PktID)
+	// The head may be mid-packet (header already gone) or a header.
+	for i := 1; i < len(slots); i++ {
+		s, prev := &slots[i], &slots[i-1]
+		id, prevID := tbl.Header(s).PktID, tbl.Header(prev).PktID
+		if id == prevID {
+			if s.Seq != prev.Seq+1 {
+				return fmt.Errorf("flit seq %d after %d in pkt %d", s.Seq, prev.Seq, id)
 			}
 			continue
 		}
 		// Packet boundary: previous must be a tail, next must be a header.
 		if prev.Kind != flit.Tail {
-			return fmt.Errorf("pkt %d interrupted by pkt %d before its tail", prev.PktID, f.PktID)
+			return fmt.Errorf("pkt %d interrupted by pkt %d before its tail", prevID, id)
 		}
-		if f.Kind != flit.Header {
-			return fmt.Errorf("pkt %d starts mid-lane with %v", f.PktID, f.Kind)
+		if s.Kind != flit.Header {
+			return fmt.Errorf("pkt %d starts mid-lane with %v", id, s.Kind)
 		}
 	}
 	return nil

@@ -439,10 +439,10 @@ func TestBaseAdapterFeedPacing(t *testing.T) {
 	r := router.New(router.Config{
 		Node: 0, VCs: 2, Depth: 8, InLanes: []int{2, 1}, NOut: 1,
 		EjectPort: router.NoOutput,
-		Route: func(node, in int, f flit.Flit) router.Decision {
+		Route: func(node, in int, h router.Header, hop int) router.Decision {
 			return router.Decision{Out: 0}
 		},
-		VCNext: func(node, out, in, cur int, f flit.Flit) int { return 0 },
+		VCNext: func(node, out, in, cur int) int { return 0 },
 	})
 	a := &BaseAdapter{Node: 0, R: r, Queues: make([]PacketQueue, 1)}
 	a.Queues[0].PushBack(hdr(1), 6, 1)
@@ -458,10 +458,10 @@ func TestBaseAdapterFeedStopsWhenLaneFull(t *testing.T) {
 	r := router.New(router.Config{
 		Node: 0, VCs: 2, Depth: 2, InLanes: []int{1}, NOut: 1,
 		EjectPort: router.NoOutput,
-		Route: func(node, in int, f flit.Flit) router.Decision {
+		Route: func(node, in int, h router.Header, hop int) router.Decision {
 			return router.Decision{Out: 0}
 		},
-		VCNext: func(node, out, in, cur int, f flit.Flit) int { return 0 },
+		VCNext: func(node, out, in, cur int) int { return 0 },
 	})
 	a := &BaseAdapter{Node: 0, R: r, Queues: make([]PacketQueue, 1)}
 	push(&a.Queues[0], 1, 5)

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"quarc/internal/flit"
 	"quarc/internal/router"
 )
 
@@ -13,8 +12,8 @@ import (
 func bareFabric(n int, wires [][]OutputWire) *Fabric {
 	routers := router.NewSet(n, router.Config{VCs: 2, Depth: 2,
 		InLanes: []int{2}, NOut: 1, EjectPort: 0,
-		Route:  func(int, int, flit.Flit) router.Decision { return router.Decision{Out: 0, Eject: true} },
-		VCNext: func(int, int, int, int, flit.Flit) int { return 0 }})
+		Route:  func(int, int, router.Header, int) router.Decision { return router.Decision{Out: 0, Eject: true} },
+		VCNext: func(int, int, int, int) int { return 0 }})
 	return newFabric(routers, 0, func(node int) []OutputWire {
 		if wires == nil || wires[node] == nil {
 			return []OutputWire{{Sink: true}}

@@ -13,10 +13,13 @@ import (
 // as the switch checks them — picks the output and VC, and the wiring table
 // names the next switch and the input lane (the VC) the header arrives in,
 // until the route ejects. visit sees each link the packet holds, in order:
-// the switch it leaves, the output port and the virtual channel. Walk only
-// reads the fabric, so walks may run concurrently, but not alongside a step.
+// the switch it leaves, the output port and the virtual channel. The packet's
+// header record is the one a unicast from src to dst has in the packet table;
+// its bitstring is empty, so the hop count it routes with is immaterial. Walk
+// only reads the fabric, so walks may run concurrently, but not alongside a
+// step.
 func (f *Fabric) Walk(src, dst int, visit func(node, out, vc int)) {
-	h := flit.Flit{Kind: flit.Header, Traffic: flit.Unicast, Src: src, Dst: dst}
+	h := router.Header{Traffic: flit.Unicast, Src: int32(src), Dst: int32(dst)}
 	_, in := f.bases[src].Inject(dst)
 	node, lane := src, 0
 	// A deterministic route that holds one link VC twice never ejects; no
@@ -25,7 +28,7 @@ func (f *Fabric) Walk(src, dst int, visit func(node, out, vc int)) {
 		if hops > 512*f.N {
 			panic(fmt.Sprintf("network: route %d -> %d does not terminate", src, dst))
 		}
-		dec, vc := f.Routers[node].Decide(in, lane, &h)
+		dec, vc := f.Routers[node].Decide(in, lane, &h, 0)
 		if vc < 0 {
 			return
 		}

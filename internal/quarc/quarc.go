@@ -88,24 +88,24 @@ func injPortFor(q topology.Quadrant) int {
 // for the local port or forwarded in the same direction on the rim; the
 // injected port fully determines the route.
 func Route(n int) router.RouteFunc {
-	return func(node, in int, f flit.Flit) router.Decision {
+	return func(node, in int, h router.Header, hop int) router.Decision {
 		switch in {
 		case RimCWIn, RimCCWIn:
 			out := RimCWOut
 			if in == RimCCWIn {
 				out = RimCCWOut
 			}
-			return rimDecision(node, out, f)
+			return rimDecision(node, out, h, hop)
 		case CrossCWIn:
 			// Minimal crossbar: no eject path. Unicast never terminates
 			// here (offsets strictly beyond n/2) and broadcast streams skip
 			// the antipode on this branch.
-			if f.Dst == node {
+			if int(h.Dst) == node {
 				panic(fmt.Sprintf("quarc: packet to %d arrived on the cross-cw input", node))
 			}
 			return router.Decision{Out: RimCWOut}
 		case CrossCCWIn:
-			return rimDecision(node, RimCCWOut, f)
+			return rimDecision(node, RimCCWOut, h, hop)
 		case InjRight:
 			return router.Decision{Out: RimCWOut}
 		case InjLeft:
@@ -121,19 +121,19 @@ func Route(n int) router.RouteFunc {
 
 // rimDecision implements the absorb-and-forward ingress multiplexer for
 // ports with an eject path.
-func rimDecision(node, out int, f flit.Flit) router.Decision {
-	if f.Dst == node {
+func rimDecision(node, out int, h router.Header, hop int) router.Decision {
+	if int(h.Dst) == node {
 		// Last node of the stream: absorb, do not forward.
 		return router.Decision{Out: router.NoOutput, Eject: true}
 	}
-	switch f.Traffic {
+	switch h.Traffic {
 	case flit.Broadcast:
 		// True broadcast: the ingress multiplexer clones the flit (§2.5.2).
 		return router.Decision{Out: out, Eject: true, Clone: true}
 	case flit.Multicast:
 		// Bit 0 of the hop-aligned bitstring says whether this node is a
 		// target (§2.5.3).
-		if f.Bits&1 != 0 {
+		if h.Bits>>hop&1 != 0 {
 			return router.Decision{Out: out, Eject: true, Clone: true}
 		}
 		return router.Decision{Out: out}

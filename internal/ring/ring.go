@@ -27,7 +27,6 @@ package ring
 import (
 	"fmt"
 
-	"quarc/internal/flit"
 	"quarc/internal/model"
 	"quarc/internal/network"
 	"quarc/internal/router"
@@ -68,8 +67,8 @@ func dirTo(n, src, dst int) topology.Direction {
 // Route is shortest-direction deterministic routing: the injection decision
 // fixes the rim ring, and the packet stays on it until it ejects.
 func Route(n int) router.RouteFunc {
-	return func(node, in int, f flit.Flit) router.Decision {
-		if f.Dst == node {
+	return func(node, in int, h router.Header, _ int) router.Decision {
+		if int(h.Dst) == node {
 			return router.Decision{Out: Eject, Eject: true}
 		}
 		switch in {
@@ -78,7 +77,7 @@ func Route(n int) router.RouteFunc {
 		case RimCCWIn:
 			return router.Decision{Out: RimCCWOut}
 		case Inj:
-			if dirTo(n, node, f.Dst) == topology.CW {
+			if dirTo(n, node, int(h.Dst)) == topology.CW {
 				return router.Decision{Out: RimCWOut}
 			}
 			return router.Decision{Out: RimCCWOut}

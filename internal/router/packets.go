@@ -28,19 +28,21 @@ type Slot struct {
 // steady-state simulation allocates nothing. Add and Free run only in the
 // fabric's single-threaded sections; the node-local passes only read.
 type Packets struct {
-	hdr  []header
+	hdr  []Header
 	free []uint32
 }
 
-// header is a packet's header record: the per-packet fields of flit.Flit,
-// node ids and counts narrowed to 32 bits, and no per-flit field.
-type header struct {
-	pktID, msgID, bits uint64
-	gen                int64
-	src, dst           int32
-	pktLen, remain     int32
-	traffic            flit.Traffic
-	chainCCW           bool
+// Header is a packet's header record: the per-packet fields of flit.Flit,
+// node ids and counts narrowed to 32 bits (the table's footprint is the
+// fabric's), and no per-flit field. It is what routing reads: a RouteFunc
+// gets the record and its header slot's hop count.
+type Header struct {
+	PktID, MsgID, Bits uint64
+	Gen                int64
+	Src, Dst           int32
+	PktLen, Remain     int32
+	Traffic            flit.Traffic
+	ChainCCW           bool
 }
 
 // Add records *h as the header of a new packet of length flits and returns
@@ -56,12 +58,12 @@ func (t *Packets) Add(h *flit.Flit, length int) Slot {
 		t.free = t.free[:n-1]
 	} else {
 		pkt = uint32(len(t.hdr))
-		t.hdr = append(t.hdr, header{})
+		t.hdr = append(t.hdr, Header{})
 	}
-	t.hdr[pkt] = header{
-		pktID: h.PktID, msgID: h.MsgID, bits: h.Bits, gen: h.Gen,
-		src: int32(h.Src), dst: int32(h.Dst), pktLen: int32(length), remain: int32(h.Remain),
-		traffic: h.Traffic, chainCCW: h.ChainCCW,
+	t.hdr[pkt] = Header{
+		PktID: h.PktID, MsgID: h.MsgID, Bits: h.Bits, Gen: h.Gen,
+		Src: int32(h.Src), Dst: int32(h.Dst), PktLen: int32(length), Remain: int32(h.Remain),
+		Traffic: h.Traffic, ChainCCW: h.ChainCCW,
 	}
 	return Slot{Pkt: pkt, Kind: flit.Header, Payload: h.Payload}
 }
@@ -74,19 +76,26 @@ func (t *Packets) Free(pkt uint32) { t.free = append(t.free, pkt) }
 // Live returns the number of packets in the table.
 func (t *Packets) Live() int { return len(t.hdr) - len(t.free) }
 
-// Flit materialises slot s: its packet's header record with the multicast
-// bitstring shifted by the slot's hops, and the slot's kind, index and data
-// word. For every flit of a packet it equals, field for field, the flit
-// flit.AppendPacket forms from the header Add was given, as that flit reads
-// after s.Hop forwards.
+// Header returns the header record of slot s's packet, which stays valid
+// while the packet is in the table. Its Bits are the bitstring as injected:
+// the flit reads them shifted right by s.Hop.
 //
 //quarc:hotpath
-//quarc:allow hotpath: a flit is materialised for Route/VCNext once per routed header and for the PE once per delivery, never per hop
+func (t *Packets) Header(s *Slot) *Header { return &t.hdr[s.Pkt] }
+
+// Flit materialises slot s for the PE: its packet's header record with the
+// multicast bitstring shifted by the slot's hops, and the slot's kind, index
+// and data word. For every flit of a packet it equals, field for field, the
+// flit flit.AppendPacket forms from the header Add was given, as that flit
+// reads after s.Hop forwards.
+//
+//quarc:hotpath
+//quarc:allow hotpath: a flit is materialised for the PE once per delivery, never per hop or per routed header
 func (t *Packets) Flit(s *Slot) flit.Flit {
 	h := &t.hdr[s.Pkt]
 	return flit.Flit{
-		Kind: s.Kind, Traffic: h.traffic, ChainCCW: h.chainCCW, Payload: s.Payload,
-		Src: int(h.src), Dst: int(h.dst), Seq: int(s.Seq), PktLen: int(h.pktLen), Remain: int(h.remain),
-		PktID: h.pktID, MsgID: h.msgID, Bits: h.bits >> s.Hop, Gen: h.gen,
+		Kind: s.Kind, Traffic: h.Traffic, ChainCCW: h.ChainCCW, Payload: s.Payload,
+		Src: int(h.Src), Dst: int(h.Dst), Seq: int(s.Seq), PktLen: int(h.PktLen), Remain: int(h.Remain),
+		PktID: h.PktID, MsgID: h.MsgID, Bits: h.Bits >> s.Hop, Gen: h.Gen,
 	}
 }

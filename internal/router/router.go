@@ -52,8 +52,9 @@
 // (MoveFlit) to deliver it and to push it downstream, and that 16-byte push
 // is the one copy a hop makes. It relies on the vacated-slot rule stated at
 // Router.slab. The header fields a packet's flits share are never copied per
-// hop: Route and VCNext see the header materialised from the table, once per
-// routed header.
+// hop: Route reads the packet's record in the table (Header), with the
+// header slot's hop count, once per routed header, and VCNext reads no packet
+// field at all.
 package router
 
 import (
@@ -73,10 +74,13 @@ type Decision struct {
 // NoOutput marks a decision with no forwarding component.
 const NoOutput = -1
 
-// RouteFunc computes the decision for a header flit f arriving at input
-// port in of the given node. It must be a pure function (deterministic
-// routing, §2.5.1).
-type RouteFunc func(node, in int, f flit.Flit) Decision
+// RouteFunc computes the decision for the header of packet h arriving at
+// input port in of the given node; hop is the header slot's hop count
+// (Slot.Hop), so the header flit's multicast bitstring is h.Bits>>hop. It
+// must be a pure function (deterministic routing, §2.5.1). The 56-byte record
+// comes by value: a pointer handed to a func value escapes, so Fabric.Walk's
+// record could not stay on its stack.
+type RouteFunc func(node, in int, h Header, hop int) Decision
 
 // VCFunc returns the virtual channel to request on output port out for a
 // packet arriving on input port in with current virtual channel cur (0 at
@@ -84,7 +88,7 @@ type RouteFunc func(node, in int, f flit.Flit) Decision
 // the torus model additionally resets the VC when a packet changes
 // dimension. Like RouteFunc it must be a pure function: a waiting header's
 // VC is computed once, alongside its cached route, however long it waits.
-type VCFunc func(node, out, in, cur int, f flit.Flit) int
+type VCFunc func(node, out, in, cur int) int
 
 // Config describes a switch instance.
 type Config struct {
@@ -478,9 +482,7 @@ func (r *Router) laneDecision(ln *lane, i, l int) packedDec {
 			r.cfg.Node, i, l, head.Kind))
 	}
 	if !ln.pendOK || ln.pendPkt != head.Pkt {
-		//quarc:allow hotpath: the header Route and VCNext read, materialised once per routed header, not per cycle or per flit
-		hf := r.pkts.Flit(head)
-		dec, vc := r.Decide(i, l, &hf)
+		dec, vc := r.Decide(i, l, r.pkts.Header(head), int(head.Hop))
 		if vc >= 0 {
 			ln.pendVC = int8(vc)
 		}
@@ -489,9 +491,10 @@ func (r *Router) laneDecision(ln *lane, i, l int) packedDec {
 	return ln.pendDec
 }
 
-// Decide is the switch's verdict on header f arriving in lane l of input
-// port in: its RouteFunc's decision, checked against the crossbar, and the
-// virtual channel its VCFunc requests on a link the decision forwards over.
+// Decide is the switch's verdict on a header arriving in lane l of input
+// port in, h its packet's record and hop its slot's hop count: its
+// RouteFunc's decision, checked against the crossbar, and the virtual
+// channel its VCFunc requests on a link the decision forwards over.
 // The lane a flit sits in is the VC it used on its incoming link (the network
 // pushes forwarded flits into lane[outVC]); injection ports have a single
 // lane 0, matching the VC-0 start of the dateline discipline. vc is -1 when
@@ -499,10 +502,10 @@ func (r *Router) laneDecision(ln *lane, i, l int) packedDec {
 // ejection port, which takes the first free VC. It reads only the switch's
 // configuration: the running switch decides a waiting header with it, and a
 // static walk of the network's routes (network.Fabric.Walk) follows it.
-func (r *Router) Decide(in, l int, f *flit.Flit) (dec Decision, vc int) {
-	dec = r.cfg.Route(r.cfg.Node, in, *f)
+func (r *Router) Decide(in, l int, h *Header, hop int) (dec Decision, vc int) {
+	dec = r.cfg.Route(r.cfg.Node, in, *h, hop)
 	if dec.Out == NoOutput && !dec.Eject {
-		panic(fmt.Sprintf("router %d in %d: decision with no action for %+v", r.cfg.Node, in, *f))
+		panic(fmt.Sprintf("router %d in %d: decision with no action for %+v", r.cfg.Node, in, *h))
 	}
 	if dec.Out == NoOutput && r.cfg.EjectPort != NoOutput {
 		panic(fmt.Sprintf("router %d in %d: pure-local decision on a shared-eject switch", r.cfg.Node, in))
@@ -513,7 +516,7 @@ func (r *Router) Decide(in, l int, f *flit.Flit) (dec Decision, vc int) {
 	if dec.Out == NoOutput || dec.Out == r.cfg.EjectPort {
 		return dec, -1
 	}
-	vc = r.cfg.VCNext(r.cfg.Node, dec.Out, in, l, *f)
+	vc = r.cfg.VCNext(r.cfg.Node, dec.Out, in, l)
 	if vc < 0 || vc >= r.cfg.VCs {
 		panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
 	}

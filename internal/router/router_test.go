@@ -57,13 +57,13 @@ func (p *linkPair) Step(drain bool) (am, bm []Move) {
 // fed by the test, A output 0 leads to B input 0, B output 0 is unused, and
 // the route function ejects at B (node 1) via dedicated ejection.
 func twoNodeLine(depth int) *linkPair {
-	route := func(node, in int, f flit.Flit) Decision {
+	route := func(node, in int, h Header, hop int) Decision {
 		if node == 1 {
 			return Decision{Out: NoOutput, Eject: true}
 		}
 		return Decision{Out: 0}
 	}
-	vc := func(node, out, in, cur int, f flit.Flit) int { return cur }
+	vc := func(node, out, in, cur int) int { return cur }
 	mk := func(id int) *Router {
 		return New(Config{
 			Node: id, VCs: 2, Depth: depth,
@@ -241,15 +241,15 @@ func TestVCArbiterSwitchesOnBlock(t *testing.T) {
 
 func TestOutputArbitrationIsFair(t *testing.T) {
 	// Two inputs compete for one output; round-robin must alternate grants.
-	route := func(node, in int, f flit.Flit) Decision { return Decision{Out: 0} }
-	vcf := func(node, out, in, cur int, f flit.Flit) int {
+	route := func(node, in int, h Header, hop int) Decision { return Decision{Out: 0} }
+	vcf := func(node, out, in, cur int) int {
 		return in % 2 // input 0 -> VC 0, input 1 -> VC 1, so both can hold VCs
 	}
 	a := New(Config{Node: 0, VCs: 2, Depth: 8, InLanes: []int{1, 1}, NOut: 1,
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
 	sink := New(Config{Node: 1, VCs: 2, Depth: 64, InLanes: []int{2}, NOut: 1,
 		EjectPort: NoOutput,
-		Route:     func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput, Eject: true} },
+		Route:     func(node, in int, h Header, hop int) Decision { return Decision{Out: NoOutput, Eject: true} },
 		VCNext:    vcf})
 	for _, f := range pkt(a, 1, 6, 9) {
 		a.Push(0, 0, &f)
@@ -280,8 +280,8 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 }
 
 func TestReachabilityViolationPanics(t *testing.T) {
-	route := func(node, in int, f flit.Flit) Decision { return Decision{Out: 0} }
-	vcf := func(node, out, in, cur int, f flit.Flit) int { return 0 }
+	route := func(node, in int, h Header, hop int) Decision { return Decision{Out: 0} }
+	vcf := func(node, out, in, cur int) int { return 0 }
 	r := New(Config{Node: 0, VCs: 2, Depth: 2, InLanes: []int{1}, NOut: 1,
 		EjectPort: NoOutput, Route: route, VCNext: vcf,
 		Reach: [][]int{{}}, // output 0 reachable from nothing
@@ -317,13 +317,13 @@ func TestConfigValidationPanics(t *testing.T) {
 
 func TestCloneDeliversAndForwards(t *testing.T) {
 	// A clone decision delivers a copy and forwards the flit in one cycle.
-	route := func(node, in int, f flit.Flit) Decision {
+	route := func(node, in int, h Header, hop int) Decision {
 		if node == 0 {
 			return Decision{Out: 0, Eject: true, Clone: true}
 		}
 		return Decision{Out: NoOutput, Eject: true}
 	}
-	vcf := func(node, out, in, cur int, f flit.Flit) int { return 0 }
+	vcf := func(node, out, in, cur int) int { return 0 }
 	a := New(Config{Node: 0, VCs: 2, Depth: 4, InLanes: []int{2}, NOut: 1,
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
 	b := New(Config{Node: 1, VCs: 2, Depth: 4, InLanes: []int{2}, NOut: 1,
@@ -457,8 +457,8 @@ func TestPushReportsFullLane(t *testing.T) {
 }
 
 func TestNoActionRoutePanics(t *testing.T) {
-	route := func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput} }
-	vcf := func(node, out, in, cur int, f flit.Flit) int { return 0 }
+	route := func(node, in int, h Header, hop int) Decision { return Decision{Out: NoOutput} }
+	vcf := func(node, out, in, cur int) int { return 0 }
 	r := New(Config{Node: 0, VCs: 2, Depth: 2, InLanes: []int{1}, NOut: 1,
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
 	r.Push(0, 0, &pkt(r, 1, 2, 5)[0])
@@ -477,9 +477,9 @@ func TestVCNextOncePerWaitingHeader(t *testing.T) {
 	lp := twoNodeLine(2)
 	calls := 0
 	vcf := lp.A.cfg.VCNext
-	lp.A.cfg.VCNext = func(node, out, in, cur int, f flit.Flit) int {
+	lp.A.cfg.VCNext = func(node, out, in, cur int) int {
 		calls++
-		return vcf(node, out, in, cur, f)
+		return vcf(node, out, in, cur)
 	}
 	block(t, lp, 0)
 	calls = 0

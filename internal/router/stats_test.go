@@ -2,8 +2,6 @@ package router
 
 import (
 	"testing"
-
-	"quarc/internal/flit"
 )
 
 func TestGrantAndOccupancyCounters(t *testing.T) {
@@ -48,13 +46,13 @@ func TestNoCreditStallCounted(t *testing.T) {
 
 func TestArbLostStallCounted(t *testing.T) {
 	// Two inputs race for one output; the loser must record arb-lost.
-	route := func(node, in int, f flit.Flit) Decision { return Decision{Out: 0} }
-	vcf := func(node, out, in, cur int, f flit.Flit) int { return in % 2 }
+	route := func(node, in int, h Header, hop int) Decision { return Decision{Out: 0} }
+	vcf := func(node, out, in, cur int) int { return in % 2 }
 	a := New(Config{Node: 0, VCs: 2, Depth: 8, InLanes: []int{1, 1}, NOut: 1,
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
 	sink := New(Config{Node: 1, VCs: 2, Depth: 64, InLanes: []int{2}, NOut: 1,
 		EjectPort: NoOutput,
-		Route:     func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput, Eject: true} },
+		Route:     func(node, in int, h Header, hop int) Decision { return Decision{Out: NoOutput, Eject: true} },
 		VCNext:    vcf})
 	for _, f := range pkt(a, 1, 4, 9) {
 		a.Push(0, 0, &f)
@@ -74,13 +72,13 @@ func TestArbLostStallCounted(t *testing.T) {
 func TestVCBusyStallCounted(t *testing.T) {
 	// Packet A holds downstream VC 0; packet B in the other lane also needs
 	// VC 0 (same VCNext) and must stall with vc-busy.
-	route := func(node, in int, f flit.Flit) Decision {
+	route := func(node, in int, h Header, hop int) Decision {
 		if node == 1 {
 			return Decision{Out: NoOutput, Eject: true}
 		}
 		return Decision{Out: 0}
 	}
-	vcf := func(node, out, in, cur int, f flit.Flit) int { return 0 } // everyone wants VC 0
+	vcf := func(node, out, in, cur int) int { return 0 } // everyone wants VC 0
 	mk := func(id int) *Router {
 		return New(Config{Node: id, VCs: 2, Depth: 8, InLanes: []int{2}, NOut: 1,
 			EjectPort: NoOutput, Route: route, VCNext: vcf})

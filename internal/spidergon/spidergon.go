@@ -57,8 +57,8 @@ const link2VCs = 2
 // link is used only as the first hop; rim arrivals either eject or continue
 // in their direction; cross arrivals choose the shorter remaining rim arc.
 func Route(n int) router.RouteFunc {
-	return func(node, in int, f flit.Flit) router.Decision {
-		if f.Dst == node {
+	return func(node, in int, h router.Header, _ int) router.Decision {
+		if int(h.Dst) == node {
 			return router.Decision{Out: Eject, Eject: true}
 		}
 		switch in {
@@ -67,12 +67,12 @@ func Route(n int) router.RouteFunc {
 		case RimCCWIn:
 			return router.Decision{Out: RimCCWOut}
 		case CrossIn:
-			if topology.Offset(n, node, f.Dst) <= n/2 {
+			if topology.Offset(n, node, int(h.Dst)) <= n/2 {
 				return router.Decision{Out: RimCWOut}
 			}
 			return router.Decision{Out: RimCCWOut}
 		case Inj:
-			switch topology.SpidergonRoute(n, node, f.Dst) {
+			switch topology.SpidergonRoute(n, node, int(h.Dst)) {
 			case topology.SpiCW:
 				return router.Decision{Out: RimCWOut}
 			case topology.SpiCCW:
@@ -91,7 +91,7 @@ func Route(n int) router.RouteFunc {
 // Quarc and the ring number their rim outputs 0 and 1 as the Spidergon does,
 // and use it as is.
 func VCNext(n int) router.VCFunc {
-	return func(node, out, in, cur int, f flit.Flit) int {
+	return func(node, out, in, cur int) int {
 		switch out {
 		case RimCWOut:
 			return topology.RimVC(n, topology.CW, node, cur)

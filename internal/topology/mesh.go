@@ -58,38 +58,35 @@ func (d MeshDir) String() string {
 	return fmt.Sprintf("MeshDir(%d)", int(d))
 }
 
-// Step returns the next direction under XY routing from cur toward dst, and
-// the neighbouring node in that direction. Returns MLocal when cur == dst.
-// On a torus it takes the shorter way around each dimension, preferring the
-// positive direction on ties (deterministic).
-func (m Mesh) Step(cur, dst int) (MeshDir, int) {
-	if cur == dst {
-		return MLocal, cur
-	}
+// Step returns the next direction under XY routing from cur toward dst;
+// MLocal when cur == dst. On a torus it takes the shorter way around each
+// dimension, preferring the positive direction on ties (deterministic).
+func (m Mesh) Step(cur, dst int) MeshDir {
 	cx, cy := m.XY(cur)
 	dx, dy := m.XY(dst)
-	if cx != dx {
-		if m.Torus {
-			fwd := Mod(dx-cx, m.W)
-			if fwd <= m.W-fwd {
-				return MEast, m.ID(Mod(cx+1, m.W), cy)
-			}
-			return MWest, m.ID(Mod(cx-1, m.W), cy)
-		}
-		if dx > cx {
-			return MEast, m.ID(cx+1, cy)
-		}
-		return MWest, m.ID(cx-1, cy)
+	switch {
+	case cx != dx && m.positive(cx, dx, m.W):
+		return MEast
+	case cx != dx:
+		return MWest
+	case cy != dy && m.positive(cy, dy, m.H):
+		return MNorth
+	case cy != dy:
+		return MSouth
 	}
-	if m.Torus {
-		fwd := Mod(dy-cy, m.H)
-		if fwd <= m.H-fwd {
-			return MNorth, m.ID(cx, Mod(cy+1, m.H))
-		}
-		return MSouth, m.ID(cx, Mod(cy-1, m.H))
+	return MLocal
+}
+
+// positive reports whether XY routing moves from coordinate c toward d in
+// the positive direction of a dimension of the given size: toward the larger
+// coordinate on a mesh, the shorter way around (positive on a tie) on a torus.
+func (m Mesh) positive(c, d, size int) bool {
+	if !m.Torus {
+		return d > c
 	}
-	if dy > cy {
-		return MNorth, m.ID(cx, cy+1)
+	fwd := d - c // both coordinates are in [0, size)
+	if fwd < 0 {
+		fwd += size
 	}
-	return MSouth, m.ID(cx, cy-1)
+	return fwd <= size-fwd
 }

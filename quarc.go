@@ -141,8 +141,9 @@ func Build(name string, n, depth int) (*Fabric, []ModelNode, error) {
 }
 
 // DefaultStepWorkers is the automatic intra-fabric worker-pool size for an
-// n-node fabric: GOMAXPROCS, clamped so each worker keeps a useful shard
-// (see Fabric.SetStepWorkers and Config.StepWorkers).
+// n-node fabric: GOMAXPROCS, clamped to n/64 so each worker's shard holds at
+// least one whole 64-node word; fabrics under 128 nodes step serially (see
+// Fabric.SetStepWorkers and Config.StepWorkers).
 func DefaultStepWorkers(n int) int { return network.DefaultStepWorkers(n) }
 
 // Model registry: every network model the harness can simulate is a named
