@@ -189,8 +189,8 @@ func TestInFlightDuplicateCoalesces(t *testing.T) {
 	if err := json.Unmarshal(d2, &b); err != nil {
 		t.Fatal(err)
 	}
-	// Generous deadline: the saturated slowRun fixture takes ~3s natively
-	// but >20s under the race detector.
+	// Generous deadline: the saturated slowRun fixture takes a few hundred
+	// milliseconds natively but many times that under the race detector.
 	fa := waitState(t, ts, a.ID, StateDone, 90*time.Second)
 	fb := waitState(t, ts, b.ID, StateDone, 90*time.Second)
 	if !fb.Cached {
@@ -657,16 +657,18 @@ func TestRunEventsCarryRegistryModelName(t *testing.T) {
 // or a cancelled downstream handler gets.
 func TestWaitExpiryAnswersAccepted(t *testing.T) {
 	svc, _ := newTestServer(t, Config{Workers: 1})
-	body, err := json.Marshal(slowRun())
+	req := slowRun()
+	req.Measure = 400_000_000 // cannot finish inside the wait, however fast the simulator
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	req := httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)).WithContext(ctx)
-	req.Header.Set("Content-Type", "application/json")
+	hreq := httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)).WithContext(ctx)
+	hreq.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
-	svc.Handler().ServeHTTP(rec, req) // blocks until the wait context expires
+	svc.Handler().ServeHTTP(rec, hreq) // blocks until the wait context expires
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("expired wait answered %d: %s", rec.Code, rec.Body.String())
 	}
