@@ -94,9 +94,9 @@ func TestActivityCycleSteadyStateAllocs(t *testing.T) {
 // the largest design point, in live heap bytes per node (measured across
 // the build between two collections), and a 64-node Quarc in allocations.
 // The switches of a fabric are one router.NewSet — each kind of switch state
-// one array — a buffered flit is a 16-byte slot, and a port's bid, moves and
-// credit and owner counters are packed, so the mesh stays under 2,300 bytes a
-// node (2,236 measured) and the Quarc under 750 allocations. CI runs it by
+// one array — a buffered flit is a 12-byte slot, and a port's bid, moves and
+// credit and owner counters are packed, so the mesh stays under 2,150 bytes a
+// node (2,092 measured) and the Quarc under 750 allocations. CI runs it by
 // name.
 func TestBuildFootprint(t *testing.T) {
 	if raceEnabled {
@@ -113,8 +113,8 @@ func TestBuildFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(len(nodes))
 	runtime.KeepAlive(fab)
-	if perNode > 2300 {
-		t.Errorf("a built mesh-1024 holds %d heap bytes per node, want <= 2,300", perNode)
+	if perNode > 2150 {
+		t.Errorf("a built mesh-1024 holds %d heap bytes per node, want <= 2,150", perNode)
 	}
 	t.Logf("mesh-1024: %d heap bytes per node", perNode)
 

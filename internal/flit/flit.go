@@ -1,5 +1,5 @@
 // Package flit defines the flit and packet formats of the Quarc NoC
-// (paper §2.6, Fig 7) and the whole-flit view the simulator's API speaks.
+// (paper §2.6, Fig 7) and the whole-flit view the wire codec speaks.
 //
 // A wormhole packet is a sequence of flits: one header, zero or more body
 // flits, and one tail. On the wire a flit is 34 bits: a 32-bit payload plus
@@ -9,12 +9,13 @@
 // executable specification.
 //
 // A Flit carries, besides its own word, its packet's header fields and
-// simulator bookkeeping such as generation timestamps. It is the header
-// record a packet is enqueued with and the flit a PE is delivered, but not
-// what the fabric moves: lanes, links and source queues hold 16-byte
-// router.Slots — the flit's word, index and kind plus the handle of its
-// packet's header record in the fabric's packet table — and a slot
-// materialises into exactly the Flit AppendPacket would have formed.
+// simulator bookkeeping such as generation timestamps: it is the unit the
+// wire codec and the link-level models speak. The simulated fabric does not
+// use it. A packet is enqueued as a router.Header, kept once in the fabric's
+// packet table, and lanes, links and source queues hold 12-byte
+// router.Slots — the flit's kind, index and hop count plus the handle of
+// that record — that together form exactly the flits AppendPacket lays out;
+// the PE is delivered the record and the slot.
 package flit
 
 import "fmt"

@@ -274,11 +274,10 @@ func BenchmarkPacketAssembly(b *testing.B) {
 	}
 }
 
-// TestFlitSize pins Flit at 80 bytes. A Flit is no longer the per-hop unit —
-// lanes, links and source queues move 16-byte router.Slots — but it is the
-// header record a packet is enqueued with, the type the wire codec,
-// AppendPacket and the tests speak, and what every delivered flit is
-// materialised into for the PE and the tracker. The fields are
+// TestFlitSize pins Flit at 80 bytes. The simulated fabric no longer uses
+// it — packets are router.Header records and 12-byte router.Slots from
+// enqueue to delivery — but it is the type the wire codec, AppendPacket, the
+// link-level models and the tests speak. The fields are
 // ordered small-to-large to leave a single byte of padding, and growing the
 // struct should be a reviewed decision, not a side effect of adding a field.
 func TestFlitSize(t *testing.T) {

@@ -55,15 +55,24 @@ func (p *switchPair) Step(drain bool) (am, bm []router.Move) {
 // frameSlots adds packet id's header to r's packet table and returns the
 // slots of its n flits, laid out as flit.Packet lays out the flits.
 func frameSlots(r *router.Router, id uint64, n int) []router.Slot {
-	h := flit.Flit{Src: 0, Dst: 1, PktID: id, MsgID: id}
+	h := router.Header{Src: 0, Dst: 1, PktID: id, MsgID: id}
 	s := make([]router.Slot, n)
 	s[0] = r.Packets().Add(&h, n)
 	for i := 1; i < n; i++ {
 		s[i] = s[0]
-		s[i].Kind, s[i].Seq, s[i].Payload = flit.Body, int32(i), uint32(i)
+		s[i].Kind, s[i].Seq = flit.Body, int32(i)
 	}
 	s[n-1].Kind = flit.Tail
 	return s
+}
+
+// wireFlit is the flit slot s of r's packet table puts on the link: the
+// slot's kind and index, its index as the data word, and its packet's header
+// fields.
+func wireFlit(r *router.Router, s *router.Slot) flit.Flit {
+	h := r.Packets().Header(s)
+	return flit.Flit{Kind: s.Kind, Seq: int(s.Seq), Payload: uint32(s.Seq), Src: int(h.Src), Dst: int(h.Dst),
+		PktLen: int(h.PktLen), PktID: h.PktID, MsgID: h.MsgID}
 }
 
 // TestCreditCountersMatchChannelStatus is the differential oracle for the
@@ -112,7 +121,7 @@ func TestCreditCountersMatchChannelStatus(t *testing.T) {
 			for i := range bm {
 				m := &bm[i]
 				f, ok := recv.Lanes[m.Lane].Pop()
-				if popped := pair.B.Packets().Flit(pair.B.MoveFlit(m)); !ok || f != popped {
+				if popped := wireFlit(pair.B, pair.B.MoveFlit(m)); !ok || f != popped {
 					t.Fatalf("depth %d cycle %d: switch popped %+v from lane %d, LocalLink lane held %+v (ok=%v)",
 						depth, cyc, popped, m.Lane, f, ok)
 				}
@@ -120,7 +129,7 @@ func TestCreditCountersMatchChannelStatus(t *testing.T) {
 			}
 			for i := range am {
 				m := &am[i]
-				sent := pair.A.Packets().Flit(pair.A.MoveFlit(m))
+				sent := wireFlit(pair.A, pair.A.MoveFlit(m))
 				sig := Signals{SrcRdy: true, SOF: sent.Kind == flit.Header, EOF: sent.Kind == flit.Tail, ChToStore: int(m.OutVC)}
 				if !recv.Clock(sig, sent) {
 					t.Fatalf("depth %d cycle %d: LocalLink receiver refused %+v: %v", depth, cyc, sent, recv.Err())

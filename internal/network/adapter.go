@@ -12,16 +12,16 @@ import (
 // model of the paper's evaluation queues messages here while the injection
 // channel is busy; the queue population is the saturation signal.
 //
-// A queued packet is one 24-byte entry, not its flits: its header record
+// A queued packet is one 20-byte entry, not its flits: its header record
 // lives in the fabric's packet table, and the paper's transceiver forms
 // flits as it injects them (§2.4). The front entry's slot is the packet's
-// current flit, rewritten in place by Advance into the slot of its next flit;
-// materialised through the table, each is, field for field, the flit
-// flit.AppendPacket would have stored. Dequeueing advances a head index and
-// the backing array is compacted as it drains, so a steady-state simulation
-// injects messages without allocating. A running flit counter makes
-// FlitBacklog O(1): the saturation sampler polls it for every node, and the
-// activity scheduler for every stepped node every cycle.
+// current flit, rewritten in place by Advance into the slot of its next flit,
+// in the order and with the kinds flit.AppendPacket lays a packet out in.
+// Dequeueing advances a head index and the backing array is compacted as it
+// drains, so a steady-state simulation injects messages without allocating.
+// A running flit counter makes FlitBacklog O(1): the saturation sampler
+// polls it for every node, and the activity scheduler for every stepped node
+// every cycle.
 type PacketQueue struct {
 	pkts    []queuedPacket
 	head    int // index of the front packet in pkts
@@ -105,7 +105,6 @@ func (q *PacketQueue) Advance() {
 			p.s.Kind = flit.Tail
 		}
 		p.s.Seq = seq
-		p.s.Payload = uint32(seq)
 		return
 	}
 	q.head++
@@ -145,28 +144,29 @@ type partialPkt struct {
 	got int
 }
 
-// Add consumes one delivered flit and reports whether it completed a packet
-// (i.e. it was the tail and all earlier flits had arrived). It only reads *f.
+// Add consumes flit s of the packet whose header record is *h and reports
+// whether it completed the packet (i.e. it was the tail and all earlier
+// flits had arrived). It only reads *h.
 //
 //quarc:hotpath
-func (a *Assembler) Add(f *flit.Flit) bool {
+func (a *Assembler) Add(h *router.Header, s router.Slot) bool {
 	at := -1
 	got := 0
 	for i := range a.partial {
-		if a.partial[i].pkt == f.PktID {
+		if a.partial[i].pkt == h.PktID {
 			at, got = i, a.partial[i].got
 			break
 		}
 	}
-	if f.Seq != got {
+	if int(s.Seq) != got {
 		//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 		panic(fmt.Sprintf("network: out-of-order delivery: pkt %d flit %d after %d flits",
-			f.PktID, f.Seq, got))
+			h.PktID, s.Seq, got))
 	}
-	if f.Kind == flit.Tail {
-		if got+1 != f.PktLen && f.PktLen != 0 {
+	if s.Kind == flit.Tail {
+		if int32(got+1) != h.PktLen {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
-			panic(fmt.Sprintf("network: tail of pkt %d after %d flits", f.PktID, got+1))
+			panic(fmt.Sprintf("network: tail of pkt %d after %d of its %d flits", h.PktID, got+1, h.PktLen))
 		}
 		if at >= 0 {
 			// Order is irrelevant (lookup is by packet id): swap-remove so
@@ -180,7 +180,7 @@ func (a *Assembler) Add(f *flit.Flit) bool {
 	if at >= 0 {
 		a.partial[at].got = got + 1
 	} else {
-		a.partial = append(a.partial, partialPkt{pkt: f.PktID, got: 1})
+		a.partial = append(a.partial, partialPkt{pkt: h.PktID, got: 1})
 	}
 	return false
 }
@@ -209,9 +209,9 @@ type BaseAdapter struct {
 	// of a packet addressed to dst.
 	Inject func(dst int) (queue, port int)
 	// OnTail, when set, runs after a completed packet has been reported to
-	// the tracker: the hook through which a switch acts on a delivery (the
-	// Spidergon's chain retransmission).
-	OnTail func(a *BaseAdapter, f flit.Flit)
+	// the tracker, with the packet's header record: the hook through which a
+	// switch acts on a delivery (the Spidergon's chain retransmission).
+	OnTail func(a *BaseAdapter, h router.Header)
 
 	asm Assembler
 }
@@ -226,9 +226,9 @@ func (b *BaseAdapter) base() *BaseAdapter { return b }
 // the packet.
 //
 //quarc:hotpath
-func (b *BaseAdapter) Enqueue(h *flit.Flit, length int) {
+func (b *BaseAdapter) Enqueue(h *router.Header, length int) {
 	h.PktID = b.Fab.NextPktID()
-	qi, port := b.Inject(h.Dst)
+	qi, port := b.Inject(int(h.Dst))
 	b.Queues[qi].PushBack(b.Fab.Packets.Add(h, length), length, port)
 	b.Fab.wake(b.Node)
 }
@@ -237,9 +237,9 @@ func (b *BaseAdapter) Enqueue(h *flit.Flit, length int) {
 // packets (chain retransmissions) bypass waiting PE traffic.
 //
 //quarc:hotpath
-func (b *BaseAdapter) EnqueueFront(h *flit.Flit, length int) {
+func (b *BaseAdapter) EnqueueFront(h *router.Header, length int) {
 	h.PktID = b.Fab.NextPktID()
-	qi, port := b.Inject(h.Dst)
+	qi, port := b.Inject(int(h.Dst))
 	b.Queues[qi].PushFront(b.Fab.Packets.Add(h, length), length, port)
 	b.Fab.wake(b.Node)
 }
@@ -255,7 +255,7 @@ func (b *BaseAdapter) NewMessage(c MessageClass, expected int, now int64) uint64
 
 // unicast enqueues one unicast packet of message msgID for dst.
 func (b *BaseAdapter) unicast(dst, msgLen int, msgID uint64, now int64) {
-	b.Enqueue(&flit.Flit{Traffic: flit.Unicast, Src: b.Node, Dst: dst, MsgID: msgID, Gen: now}, msgLen)
+	b.Enqueue(&router.Header{Traffic: flit.Unicast, Src: int32(b.Node), Dst: int32(dst), MsgID: msgID, Gen: now}, msgLen)
 }
 
 // SendUnicast queues a unicast message of msgLen flits for dst.
@@ -332,15 +332,18 @@ func (b *BaseAdapter) FeedBlocked() bool {
 }
 
 // Receive reassembles delivered flits; a completed packet is reported to the
-// tracker, then handed to OnTail by value (once per packet, so the hook may
-// keep it).
+// tracker, then its header record is handed to OnTail by value (once per
+// packet, so the hook may keep it).
 //
 //quarc:hotpath
-func (b *BaseAdapter) Receive(f *flit.Flit, now int64) {
-	if b.asm.Add(f) {
-		b.Fab.Tracker.Delivered(f, b.Node, now)
+func (b *BaseAdapter) Receive(h *router.Header, s router.Slot, now int64) {
+	if b.asm.Add(h, s) {
+		// The tracker's OnDone may enqueue, which may move the table h
+		// points into: read the record out first.
+		tail := *h
+		b.Fab.Tracker.Delivered(&tail, b.Node, now)
 		if b.OnTail != nil {
-			b.OnTail(b, *f)
+			b.OnTail(b, tail)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"testing"
+	"unsafe"
 
 	"quarc/internal/flit"
 	"quarc/internal/rng"
@@ -55,10 +56,19 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 	}
 }
 
+// TestQueuedPacketSize pins a queued packet at 20 bytes, its slot and two
+// counts: a saturated source queue holds one per waiting packet, whatever the
+// packet's length.
+func TestQueuedPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(queuedPacket{}); got != 20 {
+		t.Fatalf("unsafe.Sizeof(queuedPacket{}) = %d, want 20", got)
+	}
+}
+
 // expandedQueue is the source queue as it was before descriptors and the
 // packet table: every packet stored as the flits flit.AppendPacket expands it
 // to. It is the oracle TestPacketQueueMatchesAppendPacket holds the queue's
-// slots, materialised through the packet table, to.
+// slots, materialised with their header records, to.
 type expandedQueue struct {
 	pkts  [][]flit.Flit
 	ports []int
@@ -96,22 +106,33 @@ func (e *expandedQueue) backlog() int {
 	return total
 }
 
-// randomHeader draws a header template with every field set, including the
-// ones the queue must normalise (Kind, Seq, PktLen) and the header payload
-// it must keep.
-func randomHeader(r *rng.Stream, id uint64) flit.Flit {
-	return flit.Flit{
-		Kind: flit.Kind(r.Intn(3)), Traffic: flit.Traffic(r.Intn(4)), ChainCCW: r.Intn(2) == 0,
-		Payload: uint32(r.Intn(1 << 30)), Src: r.Intn(64), Dst: r.Intn(64),
-		Seq: r.Intn(9), PktLen: r.Intn(9), Remain: r.Intn(32),
+// randomHeader draws a header record with every field set, including the
+// length the packet table must replace with the queued length.
+func randomHeader(r *rng.Stream, id uint64) router.Header {
+	return router.Header{
+		Traffic: flit.Traffic(r.Intn(4)), ChainCCW: r.Intn(2) == 0,
+		Src: int32(r.Intn(64)), Dst: int32(r.Intn(64)), PktLen: int32(r.Intn(9)), Remain: int32(r.Intn(32)),
 		PktID: id, MsgID: id / 3, Bits: uint64(r.Intn(1 << 30)), Gen: int64(r.Intn(1 << 20)),
+	}
+}
+
+// materialise forms the whole flit that slot s of the packet whose header
+// record is *h stands for: the record with the multicast bitstring shifted by
+// the slot's hops, the slot's kind and index, and the index as the data word,
+// as flit.AppendPacket lays a packet out. It is the tests' bridge to that
+// oracle; the simulator itself never forms a flit.Flit.
+func materialise(h *router.Header, s router.Slot) flit.Flit {
+	return flit.Flit{
+		Kind: s.Kind, Traffic: h.Traffic, ChainCCW: h.ChainCCW, Payload: uint32(s.Seq),
+		Src: int(h.Src), Dst: int(h.Dst), Seq: int(s.Seq), PktLen: int(h.PktLen), Remain: int(h.Remain),
+		PktID: h.PktID, MsgID: h.MsgID, Bits: h.Bits >> s.Hop, Gen: h.Gen,
 	}
 }
 
 // TestPacketQueueMatchesAppendPacket is the source queue's differential
 // oracle: under random interleavings of PushBack, PushFront and Advance —
 // the queue idle, mid-packet, deep enough to compact, and drained to empty —
-// every slot it offers, materialised through the packet table, must equal on
+// every slot it offers, materialised with its header record, must equal on
 // every field the flit the pre-expanded queue would have offered, through
 // the same port, with the same FlitBacklog and Packets after every
 // operation. Each packet's handle is freed once its tail has left the queue,
@@ -140,10 +161,10 @@ func TestPacketQueueMatchesAppendPacket(t *testing.T) {
 			length, port := 2+r.Intn(7), r.Intn(4)
 			if r.Intn(4) == 0 {
 				q.PushFront(tbl.Add(&h, length), length, port)
-				ref.pushFront(h, length, port)
+				ref.pushFront(materialise(&h, router.Slot{}), length, port)
 			} else {
 				q.PushBack(tbl.Add(&h, length), length, port)
-				ref.insert(len(ref.pkts), h, length, port)
+				ref.insert(len(ref.pkts), materialise(&h, router.Slot{}), length, port)
 			}
 		} else if len(ref.pkts) > 0 {
 			headBefore := q.head
@@ -165,7 +186,7 @@ func TestPacketQueueMatchesAppendPacket(t *testing.T) {
 			}
 			continue
 		}
-		if f == nil || tbl.Flit(f) != ref.pkts[0][ref.pos] || port != ref.ports[0] {
+		if f == nil || materialise(tbl.Header(f), *f) != ref.pkts[0][ref.pos] || port != ref.ports[0] {
 			t.Fatalf("op %d: next slot %+v port %d\noracle %+v port %d", op, f, port, ref.pkts[0][ref.pos], ref.ports[0])
 		}
 	}
@@ -188,9 +209,10 @@ func BenchmarkAssemblerBroadcastReceive(b *testing.B) {
 	var a Assembler
 	// Pre-build one packet per source; streams interleave round-robin, the
 	// worst case for lookup.
-	pkts := make([][]flit.Flit, sources)
+	hdrs := make([]*router.Header, sources)
+	pkts := make([][]router.Slot, sources)
 	for s := range pkts {
-		pkts[s] = flit.Packet(flit.Flit{Src: s, PktID: uint64(s) + 1}, msgLen)
+		hdrs[s], pkts[s] = pkt(uint64(s)+1, msgLen)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -199,10 +221,9 @@ func BenchmarkAssemblerBroadcastReceive(b *testing.B) {
 		round := uint64(i)
 		for seq := 0; seq < msgLen; seq++ {
 			for s := range pkts {
-				f := &pkts[s][seq]
 				// Fresh packet ids per round keep the id space realistic.
-				f.PktID = round*sources + uint64(s) + 1
-				if a.Add(f) {
+				hdrs[s].PktID = round*sources + uint64(s) + 1
+				if a.Add(hdrs[s], pkts[s][seq]) {
 					completed++
 				}
 			}
@@ -223,18 +244,18 @@ func TestAssemblerSteadyStateAllocs(t *testing.T) {
 	const sources = 8
 	const msgLen = 16
 	var a Assembler
-	pkts := make([][]flit.Flit, sources)
+	hdrs := make([]*router.Header, sources)
+	pkts := make([][]router.Slot, sources)
 	for s := range pkts {
-		pkts[s] = flit.Packet(flit.Flit{Src: s, PktID: uint64(s) + 1}, msgLen)
+		hdrs[s], pkts[s] = pkt(uint64(s)+1, msgLen)
 	}
 	round := uint64(0)
 	deliverRound := func() {
 		round++
 		for seq := 0; seq < msgLen; seq++ {
 			for s := range pkts {
-				f := &pkts[s][seq]
-				f.PktID = round*sources + uint64(s) + 1
-				a.Add(f)
+				hdrs[s].PktID = round*sources + uint64(s) + 1
+				a.Add(hdrs[s], pkts[s][seq])
 			}
 		}
 	}

@@ -15,7 +15,7 @@
 // active node once — credit its slept cycles, arbitrate, commit — and touches
 // only that node's switch: flow control is internal/router's sender-side
 // credit counters, so no switch reads a neighbour. Apply carries every move's
-// effects, split per move into an ordered half (deliver: the PE copy,
+// effects, split per move into an ordered half (deliver: the PE delivery,
 // reassembly, tracker, packet ids, the packet table — ascending node order)
 // and a commutative half (link: credit returned upstream, multicast hop count,
 // downstream push, wakes — integer adds and single-writer pushes, the same
@@ -23,20 +23,19 @@
 // it may sleep. SetStepWorkers shards all but the ordered half across a
 // worker pool with byte-identical results (see parallel.go).
 //
-// Flits travel as 16-byte router.Slots. A packet's header record is kept
-// once, in the fabric's packet table (Packets), from the adapter's enqueue
-// until its tail leaves the network — delivered and not forwarded — when the
-// ordered half frees its handle. A delivered flit is materialised from its
-// slot and the table into fabric scratch, so adapters and the tracker see
-// whole flit.Flits; routing, the walk and the trace read the table's header
-// record and the slot instead.
+// Flits travel as 12-byte router.Slots. A packet's header record
+// (router.Header) is kept once, in the fabric's packet table (Packets), from
+// the adapter's enqueue until its tail leaves the network — delivered and not
+// forwarded — when the ordered half frees its handle. It is the only packet
+// representation: the adapter enqueues one, routing, the walk and the trace
+// read it with the slot, and the PE is delivered it with each slot.
 //
 // The message tracker keeps for each message class only what its completion
 // needs. A unicast in flight is one bit in a sliding window over message ids:
-// its one delivery completes it, and its record is built from the delivered
-// tail flit, whose header fields name its source and generation cycle. A
-// broadcast or multicast keeps a record and a delivered-node mask until its
-// last destination is served.
+// its one delivery completes it, and its record is built from the header
+// record its tail is delivered with, which names its source and generation
+// cycle. A broadcast or multicast keeps a record and a delivered-node mask
+// until its last destination is served.
 //
 // Stepping is activity-driven: the fabric keeps a set of active nodes (any
 // buffered flit or pending source-queue backlog) and each cycle visits only
@@ -80,10 +79,12 @@ type OutputWire struct {
 // polls and walks from the node's BaseAdapter directly, and delivers through
 // Receive.
 type Adapter interface {
-	// Receive consumes a flit delivered to the local PE. *f is the flit
-	// materialised in the fabric's scratch: valid for the call, to be copied,
-	// not kept.
-	Receive(f *flit.Flit, now int64)
+	// Receive consumes flit s delivered to the local PE; *h is its packet's
+	// header record in the packet table, whose multicast bitstring the flit
+	// reads as h.Bits>>s.Hop. h is valid only until an adapter enqueues: an
+	// enqueue may move the table, so a Receive that enqueues (or calls what
+	// may, as the tracker's OnDone) copies what it needs of *h first.
+	Receive(h *router.Header, s router.Slot, now int64)
 	// base returns the node's BaseAdapter.
 	base() *BaseAdapter
 }
@@ -149,7 +150,6 @@ type Fabric struct {
 	cycle    int64
 	pktSeq   uint64
 	msgSeq   uint64
-	rx       flit.Flit // the delivered flit, materialised for the PE
 
 	// Activity scheduling state.
 	activeMask []uint64 // bit per node: stepped next cycle
@@ -279,10 +279,10 @@ func (f *Fabric) SetAdapter(node int, a Adapter) {
 	f.Adapters[node], f.bases[node] = a, b
 }
 
-// SetDense switches the fabric to the dense reference behaviour: every
-// router stepped every cycle, no sleeping. It exists so the activity-driven
-// scheduler can be proved bit-identical against it; call it before the first
-// Step.
+// SetDense switches the fabric to the dense reference behaviour: no node
+// ever sleeps, so the step set, full from cycle 0, steps every router every
+// cycle. It exists so the activity-driven scheduler can be proved
+// bit-identical against it; call it before the first Step.
 func (f *Fabric) SetDense(dense bool) {
 	if f.cycle != 0 {
 		panic("network: SetDense after stepping began")
@@ -456,18 +456,12 @@ func (f *Fabric) LinkLoad() [][]uint64 {
 //quarc:hotpath
 func (f *Fabric) latch() {
 	list := f.stepList[:0]
-	if f.dense {
-		for node := 0; node < f.N; node++ {
-			list = append(list, node)
-		}
-	} else {
-		for wi, word := range f.activeMask {
-			base := wi << 6
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				list = append(list, base+b)
-			}
+	for wi, word := range f.activeMask {
+		base := wi << 6
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			list = append(list, base+b)
 		}
 	}
 	f.stepList = list
@@ -520,10 +514,11 @@ func (f *Fabric) movesOf(node int) []router.Move {
 	return f.moves[node][:f.nmoves[node]]
 }
 
-// deliver is the ordered half of applying move m of node: the PE copy goes
-// through reassembly to the tracker, and a completed packet may allocate
-// packet ids and queue a retransmission. A tail that is delivered and not
-// forwarded leaves the network, and its packet leaves the table.
+// deliver is the ordered half of applying move m of node: the flit and its
+// packet's header record go through reassembly to the tracker, and a
+// completed packet may allocate packet ids and queue a retransmission. A
+// tail that is delivered and not forwarded leaves the network, and its
+// packet leaves the table.
 // Single-threaded, ascending node order: this is the simulation's event
 // order, and with the batch hook the only writer of the packet table.
 //
@@ -534,9 +529,7 @@ func (f *Fabric) deliver(node int, m *router.Move) {
 	if f.Trace != nil {
 		f.record(trace.Deliver, node, -1, -1, s)
 	}
-	//quarc:allow hotpath: the delivered flit is materialised once per delivery, into scratch the ordered half owns
-	f.rx = f.Packets.Flit(s)
-	f.Adapters[node].Receive(&f.rx, f.cycle)
+	f.Adapters[node].Receive(f.Packets.Header(s), *s, f.cycle)
 	if s.Kind == flit.Tail && (m.Out == router.NoOutput || f.wires[node][m.Out].Sink) {
 		f.Packets.Free(s.Pkt)
 	}

@@ -15,6 +15,7 @@ import (
 	"quarc/internal/network"
 	"quarc/internal/quarc"
 	"quarc/internal/rng"
+	"quarc/internal/router"
 	"quarc/internal/spidergon"
 	"quarc/internal/traffic"
 )
@@ -117,7 +118,7 @@ func TestLaneStreamValidatorCatchesCorruption(t *testing.T) {
 	chk := network.NewInvariantChecker(fab)
 	// Push a header then a body with a skipped sequence number into a
 	// network input lane, bypassing the link layer.
-	h := fab.Packets.Add(&flit.Flit{Traffic: flit.Unicast, Src: 1, Dst: 3, PktID: 9}, 4)
+	h := fab.Packets.Add(&router.Header{Traffic: flit.Unicast, Src: 1, Dst: 3, PktID: 9}, 4)
 	b := h
 	b.Kind = flit.Body
 	b.Seq = 2 // skipped 1
@@ -140,7 +141,7 @@ func TestCreditConservationCatchesStrayFlit(t *testing.T) {
 	if err := chk.Check(); err != nil {
 		t.Fatalf("fresh fabric: %v", err)
 	}
-	h := fab.Packets.Add(&flit.Flit{Traffic: flit.Unicast, Src: 1, Dst: 3, PktID: 9}, 4)
+	h := fab.Packets.Add(&router.Header{Traffic: flit.Unicast, Src: 1, Dst: 3, PktID: 9}, 4)
 	fab.Routers[2].Push(0, 0, &h)
 	if err := chk.Check(); err == nil || !strings.Contains(err.Error(), "credit") {
 		t.Fatalf("stray flit not reported as a credit violation: %v", err)

@@ -14,8 +14,15 @@ import (
 // packet's handle through untouched, so the queue tests use the id as it.
 func hdr(id uint64) router.Slot { return router.Slot{Pkt: uint32(id), Kind: flit.Header} }
 
-func pkt(id uint64, n int) []flit.Flit {
-	return flit.Packet(flit.Flit{Src: 0, Dst: 1, PktID: id, MsgID: id}, n)
+// pkt is test packet id of n flits as the PE receives it: its header record
+// and its slots, laid out as flit.Packet lays out the flits.
+func pkt(id uint64, n int) (*router.Header, []router.Slot) {
+	s := make([]router.Slot, n)
+	for i := range s {
+		s[i] = router.Slot{Pkt: uint32(id), Seq: int32(i), Kind: flit.Body}
+	}
+	s[0].Kind, s[n-1].Kind = flit.Header, flit.Tail
+	return &router.Header{Src: 0, Dst: 1, PktID: id, MsgID: id, PktLen: int32(n)}, s
 }
 
 // push and pushFront queue the packet pkt(id, n) expands, for injection
@@ -105,9 +112,9 @@ func TestPacketQueueRejectsShortPacket(t *testing.T) {
 
 func TestAssemblerCompletesOnTail(t *testing.T) {
 	var a Assembler
-	p := pkt(5, 4)
+	h, p := pkt(5, 4)
 	for i := range p {
-		done := a.Add(&p[i])
+		done := a.Add(h, p[i])
 		if done != (i == 3) {
 			t.Fatalf("flit %d: done = %v", i, done)
 		}
@@ -119,34 +126,53 @@ func TestAssemblerCompletesOnTail(t *testing.T) {
 
 func TestAssemblerInterleavedPackets(t *testing.T) {
 	var a Assembler
-	p1, p2 := pkt(1, 3), pkt(2, 3)
-	a.Add(&p1[0])
-	a.Add(&p2[0])
-	a.Add(&p1[1])
-	a.Add(&p2[1])
+	h1, p1 := pkt(1, 3)
+	h2, p2 := pkt(2, 3)
+	a.Add(h1, p1[0])
+	a.Add(h2, p2[0])
+	a.Add(h1, p1[1])
+	a.Add(h2, p2[1])
 	if a.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", a.Pending())
 	}
-	if !a.Add(&p1[2]) || !a.Add(&p2[2]) {
+	if !a.Add(h1, p1[2]) || !a.Add(h2, p2[2]) {
 		t.Fatal("tails did not complete packets")
 	}
 }
 
 func TestAssemblerPanicsOnOutOfOrder(t *testing.T) {
 	var a Assembler
-	p := pkt(1, 3)
-	a.Add(&p[0])
+	h, p := pkt(1, 3)
+	a.Add(h, p[0])
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-order flit accepted")
 		}
 	}()
-	a.Add(&p[2]) // skip the body
+	a.Add(h, p[2]) // skip the body
 }
 
-// tail is the tail flit of a packet of message id, sent by src at cycle gen.
-func tail(id uint64, src int, gen int64) *flit.Flit {
-	return &flit.Flit{Kind: flit.Tail, MsgID: id, Src: src, Gen: gen}
+// TestAssemblerPanicsOnEarlyTail: a tail arriving in order but before its
+// packet's length is reached is a truncated packet, not a completed one.
+func TestAssemblerPanicsOnEarlyTail(t *testing.T) {
+	var a Assembler
+	h, p := pkt(1, 4)
+	a.Add(h, p[0])
+	a.Add(h, p[1])
+	early := p[2]
+	early.Kind = flit.Tail
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a tail at flit 2 of a 4-flit packet completed it")
+		}
+	}()
+	a.Add(h, early)
+}
+
+// tail is the header record a tail of message id, sent by src at cycle gen,
+// is delivered with.
+func tail(id uint64, src int, gen int64) *router.Header {
+	return &router.Header{MsgID: id, Src: int32(src), Gen: gen}
 }
 
 func TestTrackerLifecycle(t *testing.T) {
@@ -341,7 +367,7 @@ func TestTrackerOutOfOrderFootprint(t *testing.T) {
 	})
 	want := refRecords(ids, delivery)
 	got := make([]MessageRecord, 0, len(want))
-	tails := make([]flit.Flit, len(delivery))
+	tails := make([]router.Header, len(delivery))
 	for i, id := range delivery {
 		src, gen := trackerCase(id)
 		tails[i] = *tail(id, src, gen)

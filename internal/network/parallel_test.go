@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"quarc/internal/flit"
 	"quarc/internal/mesh"
 	"quarc/internal/network"
 	"quarc/internal/router"
@@ -148,7 +147,7 @@ func TestStepBatchHookMayEnqueue(t *testing.T) {
 	type outcome struct {
 		stats   []router.Stats
 		records []network.MessageRecord
-		got     [][]flit.Flit
+		got     [][]delivery
 		now     int64
 	}
 	run := func(t *testing.T, workers int, batched bool) outcome {

@@ -3,7 +3,7 @@ package network
 import (
 	"fmt"
 
-	"quarc/internal/flit"
+	"quarc/internal/router"
 )
 
 // MessageClass is the statistics class of a message.
@@ -46,9 +46,9 @@ type MessageRecord struct {
 //
 // What it keeps depends on the message class. A unicast is one bit in a
 // sliding window over message ids, set from Register to delivery: its one
-// delivery completes it, and the tail flit carries everything else its
-// record holds (the message id, source and generation cycle of the paper's
-// header, §2.6). A broadcast or multicast keeps a full record and a
+// delivery completes it, and its packet's header record holds everything
+// else its record needs (the message id, source and generation cycle of the
+// paper's header, §2.6). A broadcast or multicast keeps a full record and a
 // delivered-node mask in a map, recycled through a free list, so partial
 // deliveries accumulate and a duplicate delivery is caught. A unicast the
 // window cannot hold (an id below the window's first word, or too far past
@@ -114,19 +114,19 @@ func (t *Tracker) Register(msgID uint64, class MessageClass, src int, gen int64,
 	t.inflight[msgID] = st
 }
 
-// Delivered reports the arrival at node of tail, the tail flit of a packet of
-// message tail.MsgID. Unknown ids panic (they indicate a routing bug);
-// duplicate deliveries to the same node are counted and reported via
-// Duplicates (the Quarc broadcast must never produce one).
+// Delivered reports the arrival at node of the tail of a packet whose header
+// record is *h, of message h.MsgID. Unknown ids panic (they indicate a
+// routing bug); duplicate deliveries to the same node are counted and
+// reported via Duplicates (the Quarc broadcast must never produce one).
 //
 //quarc:hotpath
-func (t *Tracker) Delivered(tail *flit.Flit, node int, now int64) {
-	msgID := tail.MsgID
+func (t *Tracker) Delivered(h *router.Header, node int, now int64) {
+	msgID := h.MsgID
 	if t.unicasts.remove(msgID) {
 		t.completed++
 		if t.OnDone != nil {
 			t.OnDone(MessageRecord{
-				MsgID: msgID, Class: ClassUnicast, Src: tail.Src, Gen: tail.Gen,
+				MsgID: msgID, Class: ClassUnicast, Src: int(h.Src), Gen: h.Gen,
 				First: now, Last: now, Expected: 1, Delivered: 1, DeliSum: now,
 			})
 		}

@@ -10,15 +10,33 @@ import (
 	"quarc/internal/router"
 )
 
+// delivery is one flit delivered to a PE: its packet's header record, as it
+// read at the delivery, and its slot.
+type delivery struct {
+	h router.Header
+	s router.Slot
+}
+
 // recordingAdapter is a BaseAdapter that keeps every flit delivered to its PE.
 type recordingAdapter struct {
 	*network.BaseAdapter
-	got []flit.Flit
+	got []delivery
 }
 
-func (r *recordingAdapter) Receive(f *flit.Flit, now int64) {
-	r.got = append(r.got, *f)
-	r.BaseAdapter.Receive(f, now)
+func (r *recordingAdapter) Receive(h *router.Header, s router.Slot, now int64) {
+	r.got = append(r.got, delivery{*h, s})
+	r.BaseAdapter.Receive(h, s, now)
+}
+
+// kindAt is the kind of flit seq of an n-flit packet.
+func kindAt(seq, n int) flit.Kind {
+	switch seq {
+	case 0:
+		return flit.Header
+	case n - 1:
+		return flit.Tail
+	}
+	return flit.Body
 }
 
 // TestVacatedSlotOutlivesApply pins the vacated-slot rule on the worker pool.
@@ -33,8 +51,9 @@ func (r *recordingAdapter) Receive(f *flit.Flit, now int64) {
 // injects into its south neighbour through the output that also carries
 // transit traffic from two rows up, so its injection lane fills while the
 // transit packet holds the link, then forwards its head across the boundary
-// and is refilled by Feed in the same cycle. Every delivered flit must equal,
-// field for field, the flit its packet was sent with.
+// and is refilled by Feed in the same cycle. Every delivered flit must come
+// with, field for field, the header record its packet was sent with, and
+// with its kind at its index.
 func TestVacatedSlotOutlivesApply(t *testing.T) {
 	const w, h, depth, msgLen, msgs = 16, 16, 4, 8, 6
 	for _, workers := range []int{1, 2, 3} {
@@ -51,7 +70,7 @@ func TestVacatedSlotOutlivesApply(t *testing.T) {
 
 			// Rows 4 and 8 start a shard at three workers ([0,64), [64,128),
 			// [128,256)); row 8 also does at two.
-			want := map[uint64][]flit.Flit{}
+			want := map[uint64]router.Header{}
 			var pktID uint64
 			var feeders []int
 			for _, row := range []int{4, 8} {
@@ -61,8 +80,8 @@ func TestVacatedSlotOutlivesApply(t *testing.T) {
 						for k := 0; k < msgs; k++ {
 							msg := as[src].SendUnicast(dst, msgLen, 0)
 							pktID++ // one packet per unicast message, ids in send order
-							want[pktID] = flit.Packet(flit.Flit{Traffic: flit.Unicast,
-								Src: src, Dst: dst, MsgID: msg, PktID: pktID}, msgLen)
+							want[pktID] = router.Header{Traffic: flit.Unicast,
+								Src: int32(src), Dst: int32(dst), MsgID: msg, PktID: pktID, PktLen: msgLen}
 						}
 					}
 					feeders = append(feeders, dst-w)
@@ -92,10 +111,10 @@ func TestVacatedSlotOutlivesApply(t *testing.T) {
 
 			delivered := 0
 			for node, r := range recs {
-				for _, f := range r.got {
-					p := want[f.PktID]
-					if f.Seq < 0 || f.Seq >= len(p) || f != p[f.Seq] {
-						t.Fatalf("node %d received %+v, which no packet sent", node, f)
+				for _, d := range r.got {
+					w, ok := want[d.h.PktID]
+					if seq := int(d.s.Seq); !ok || d.h != w || seq < 0 || seq >= msgLen || d.s.Kind != kindAt(seq, msgLen) {
+						t.Fatalf("node %d received %+v with %+v, which no packet sent", node, d.s, d.h)
 					}
 					delivered++
 				}

@@ -7,6 +7,7 @@ import (
 	"quarc/internal/flit"
 	"quarc/internal/network"
 	"quarc/internal/rng"
+	"quarc/internal/router"
 	"quarc/internal/spidergon"
 	"quarc/internal/topology"
 )
@@ -14,12 +15,12 @@ import (
 // queued is one packet waiting in an adapter: its header, the source queue
 // holding it and the injection port it will enter through.
 type queued struct {
-	h           flit.Flit
+	h           router.Header
 	queue, port int
 }
 
 // drainQueued empties every source queue of a without stepping the fabric and
-// returns the packets they held, headers materialised through the fabric's
+// returns the packets they held, with their header records in the fabric's
 // packet table, in packet-id order — the order they were sent.
 func drainQueued(a *network.BaseAdapter) []queued {
 	var out []queued
@@ -27,7 +28,7 @@ func drainQueued(a *network.BaseAdapter) []queued {
 		q := &a.Queues[qi]
 		for s, port := q.NextFlit(); s != nil; s, port = q.NextFlit() {
 			if s.Seq == 0 {
-				out = append(out, queued{a.Fab.Packets.Flit(s), qi, port})
+				out = append(out, queued{*a.Fab.Packets.Header(s), qi, port})
 			}
 			q.Advance()
 		}
@@ -53,16 +54,17 @@ func TestSendPathHeadersMatchTopology(t *testing.T) {
 		_, qcs, _ := Build(Config{N: n, Depth: 4, ChainBroadcast: true})
 		_, ss, _ := spidergon.Build(spidergon.Config{N: n, Depth: 4})
 		// check compares what a send queued with the headers want describes.
-		check := func(what string, src int, msgID uint64, got []queued, want []flit.Flit, queue, port func(dst int) int) {
+		check := func(what string, src int, msgID uint64, got []queued, want []router.Header, queue, port func(dst int) int) {
 			t.Helper()
 			if len(got) != len(want) {
 				t.Fatalf("n=%d src=%d %s: queued %d packets, want %d", n, src, what, len(got), len(want))
 			}
 			for i, w := range want {
-				w.Src, w.MsgID, w.PktID, w.Kind, w.PktLen = src, msgID, got[i].h.PktID, flit.Header, 4
-				if got[i].h != w || got[i].queue != queue(w.Dst) || got[i].port != port(w.Dst) {
+				w.Src, w.MsgID, w.PktID, w.PktLen = int32(src), msgID, got[i].h.PktID, 4
+				dst := int(w.Dst)
+				if got[i].h != w || got[i].queue != queue(dst) || got[i].port != port(dst) {
 					t.Fatalf("n=%d src=%d %s: packet %d queued %+v in queue %d port %d\nwant %+v in queue %d port %d",
-						n, src, what, i, got[i].h, got[i].queue, got[i].port, w, queue(w.Dst), port(w.Dst))
+						n, src, what, i, got[i].h, got[i].queue, got[i].port, w, queue(dst), port(dst))
 				}
 			}
 		}
@@ -74,9 +76,9 @@ func TestSendPathHeadersMatchTopology(t *testing.T) {
 		}
 		zero := func(int) int { return 0 }
 		for src := 0; src < n; src++ {
-			var bcast []flit.Flit
+			var bcast []router.Header
 			for _, b := range topology.QuarcBroadcastBranches(n, src) {
-				bcast = append(bcast, flit.Flit{Traffic: flit.Broadcast, Dst: b.Last})
+				bcast = append(bcast, router.Header{Traffic: flit.Broadcast, Dst: int32(b.Last)})
 			}
 			id := qs[src].SendBroadcast(4, 0)
 			check("broadcast", src, id, drainQueued(&qs[src].BaseAdapter), bcast, quadrant(src), quadPort(src))
@@ -88,17 +90,17 @@ func TestSendPathHeadersMatchTopology(t *testing.T) {
 				targets[i] = r.Intn(n)
 			}
 			targets[0] = topology.Mod(src+1+r.Intn(n-1), n)
-			var mcast []flit.Flit
+			var mcast []router.Header
 			for _, b := range topology.QuarcMulticastBranches(n, src, targets) {
-				mcast = append(mcast, flit.Flit{Traffic: flit.Multicast, Dst: b.Last, Bits: b.Bits})
+				mcast = append(mcast, router.Header{Traffic: flit.Multicast, Dst: int32(b.Last), Bits: b.Bits})
 			}
 			id = qs[src].SendMulticast(targets, 4, 0)
 			check("multicast", src, id, drainQueued(&qs[src].BaseAdapter), mcast, quadrant(src), quadPort(src))
 
-			var chains []flit.Flit
+			var chains []router.Header
 			for _, c := range topology.SpidergonBroadcastChains(n, src) {
-				chains = append(chains, flit.Flit{Traffic: flit.BcastChain, Dst: c.Nodes[0],
-					Remain: len(c.Nodes) - 1, ChainCCW: c.Dir == topology.CCW})
+				chains = append(chains, router.Header{Traffic: flit.BcastChain, Dst: int32(c.Nodes[0]),
+					Remain: int32(len(c.Nodes) - 1), ChainCCW: c.Dir == topology.CCW})
 			}
 			id = qcs[src].SendBroadcast(4, 0)
 			check("chain broadcast", src, id, drainQueued(&qcs[src].BaseAdapter), chains, quadrant(src), quadPort(src))

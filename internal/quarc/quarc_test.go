@@ -7,6 +7,7 @@ import (
 	"quarc/internal/flit"
 	"quarc/internal/network"
 	"quarc/internal/rng"
+	"quarc/internal/router"
 	"quarc/internal/topology"
 )
 
@@ -321,11 +322,24 @@ func TestSingleQueueAblationStillCorrect(t *testing.T) {
 	}
 }
 
+// materialise forms the whole flit that slot s of the packet whose header
+// record is *h stands for: the record with the multicast bitstring shifted by
+// the slot's hops, the slot's kind and index, and the index as the data word,
+// as flit.AppendPacket lays a packet out. It is the tests' bridge to that
+// oracle; the simulator itself never forms a flit.Flit.
+func materialise(h *router.Header, s router.Slot) flit.Flit {
+	return flit.Flit{
+		Kind: s.Kind, Traffic: h.Traffic, ChainCCW: h.ChainCCW, Payload: uint32(s.Seq),
+		Src: int(h.Src), Dst: int(h.Dst), Seq: int(s.Seq), PktLen: int(h.PktLen), Remain: int(h.Remain),
+		PktID: h.PktID, MsgID: h.MsgID, Bits: h.Bits >> s.Hop, Gen: h.Gen,
+	}
+}
+
 // TestSingleQueueStreamsAppendPacketFlits holds the single-queue ablation —
 // one port-tagged source queue instead of four — to the flits
 // flit.AppendPacket expands: under random interleavings of PE enqueues,
 // switch-priority front enqueues and injections, the one queue's slots,
-// materialised through the fabric's packet table, must be every packet's
+// materialised with their header records, must be every packet's
 // flits field for field, through its own quadrant's port, front enqueues
 // never ahead of a packet already streaming, with an exact backlog. A
 // packet's handle is freed once its tail has left the queue, so later
@@ -349,15 +363,16 @@ func TestSingleQueueStreamsAppendPacketFlits(t *testing.T) {
 	r := rng.New(11, 0)
 	for op := 0; op < 20000; op++ {
 		if len(want) == 0 || r.Intn(3) == 0 {
-			h := flit.Flit{
-				Traffic: flit.Traffic(r.Intn(4)), Src: 0, Dst: 1 + r.Intn(15), Remain: r.Intn(8),
+			h := router.Header{
+				Traffic: flit.Traffic(r.Intn(4)), Src: 0, Dst: int32(1 + r.Intn(15)), Remain: int32(r.Intn(8)),
 				MsgID: uint64(op), Bits: uint64(r.Intn(1 << 16)), Gen: int64(op),
 			}
 			length := 2 + r.Intn(7)
 			pkts++
 			stamped := h
 			stamped.PktID = pkts
-			e := expanded{flit.Packet(stamped, length), injPortFor(topology.QuadrantOf(16, 0, h.Dst))}
+			e := expanded{flit.Packet(materialise(&stamped, router.Slot{}), length),
+				injPortFor(topology.QuadrantOf(16, 0, int(h.Dst)))}
 			if r.Intn(4) == 0 {
 				tr.EnqueueFront(&h, length)
 				at := 0
@@ -392,7 +407,7 @@ func TestSingleQueueStreamsAppendPacketFlits(t *testing.T) {
 			}
 			continue
 		}
-		if f == nil || tr.Fab.Packets.Flit(f) != want[0].flits[pos] || port != want[0].port {
+		if f == nil || materialise(tr.Fab.Packets.Header(f), *f) != want[0].flits[pos] || port != want[0].port {
 			t.Fatalf("op %d: next flit %+v port %d\nwant %+v port %d", op, f, port, want[0].flits[pos], want[0].port)
 		}
 	}

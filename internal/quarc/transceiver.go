@@ -78,8 +78,8 @@ func (t *Transceiver) SendBroadcast(msgLen int, now int64) uint64 {
 	}
 	msgID := t.NewMessage(network.ClassBroadcast, t.N-1, now)
 	for _, q := range branches {
-		t.Enqueue(&flit.Flit{Traffic: flit.Broadcast, Src: t.Node, Dst: branchNode(t.N, t.Node, q, t.N/4),
-			MsgID: msgID, Gen: now}, msgLen)
+		t.Enqueue(&router.Header{Traffic: flit.Broadcast, Src: int32(t.Node),
+			Dst: int32(branchNode(t.N, t.Node, q, t.N/4)), MsgID: msgID, Gen: now}, msgLen)
 	}
 	return msgID
 }
@@ -102,8 +102,8 @@ func (t *Transceiver) SendMulticast(targets []int, msgLen int, now int64) uint64
 	msgID := t.NewMessage(network.ClassMulticast, network.CountRemoteTargets(targets, t.Node), now)
 	for _, q := range branches {
 		if b := hops[q]; b != 0 {
-			t.Enqueue(&flit.Flit{Traffic: flit.Multicast, Src: t.Node, Dst: branchNode(t.N, t.Node, q, bits.Len64(b)),
-				Bits: b, MsgID: msgID, Gen: now}, msgLen)
+			t.Enqueue(&router.Header{Traffic: flit.Multicast, Src: int32(t.Node),
+				Dst: int32(branchNode(t.N, t.Node, q, bits.Len64(b))), Bits: b, MsgID: msgID, Gen: now}, msgLen)
 		}
 	}
 	return msgID

@@ -4,16 +4,15 @@ import "quarc/internal/flit"
 
 // Slot is one buffered flit: what a lane slot holds, a link carries and a
 // source queue offers. The paper's flit is a 34-bit word (§2.6, Fig 7): a
-// 2-bit type and a 32-bit data word, the header's word carrying the route and
-// the length. A slot is that word plus the handle of its packet's header
+// 2-bit type and a 32-bit data word, only the header's carrying the route
+// and the length. A slot keeps the type, the handle of its packet's header
 // record in the fabric's packet table, its index within the packet and a hop
-// count: 16 bytes, where the flit.Flit it materialises into (Packets.Flit)
-// is 80.
+// count: 12 bytes. A body or tail flit's data word is its index, so the
+// slot keeps no other.
 type Slot struct {
-	Pkt     uint32    // packet-table handle of the packet's header record
-	Seq     int32     // flit index within the packet; 0 is the header
-	Payload uint32    // the data word
-	Kind    flit.Kind // header, body or tail
+	Pkt  uint32    // packet-table handle of the packet's header record
+	Seq  int32     // flit index within the packet; 0 is the header
+	Kind flit.Kind // header, body or tail
 	// Hop counts the times the flit was forwarded out of a network input
 	// port, saturating at 64. The header's multicast bitstring is
 	// hop-indexed, so the flit reads it shifted right by Hop: bit 0 always
@@ -32,26 +31,32 @@ type Packets struct {
 	free []uint32
 }
 
-// Header is a packet's header record: the per-packet fields of flit.Flit,
-// node ids and counts narrowed to 32 bits (the table's footprint is the
-// fabric's), and no per-flit field. It is what routing reads: a RouteFunc
-// gets the record and its header slot's hop count.
+// Header is a packet's header record: what the paper's header flit carries
+// (traffic type, destination, length, multicast bitstring) and the simulator's
+// per-packet bookkeeping (ids, source, generation cycle, chain state), node
+// ids and counts narrowed to 32 bits (the table's footprint is the
+// fabric's). It is the one packet representation from enqueue to delivery:
+// an adapter enqueues one, routing reads it with its header slot's hop
+// count, and the PE receives it with each delivered slot.
 type Header struct {
-	PktID, MsgID, Bits uint64
-	Gen                int64
-	Src, Dst           int32
-	PktLen, Remain     int32
-	Traffic            flit.Traffic
-	ChainCCW           bool
+	PktID, MsgID uint64
+	// Bits is the multicast bitstring as injected: bit i marks the node
+	// i+1 hops down the stream. A flit reads it shifted right by its
+	// slot's Hop.
+	Bits     uint64
+	Gen      int64 // cycle the message was generated (for latency stats)
+	Src, Dst int32 // Dst of a broadcast or multicast branch is its last node (§2.5.2)
+	PktLen   int32 // flits in the packet
+	Remain   int32 // BcastChain: nodes still to serve after Dst
+	Traffic  flit.Traffic
+	ChainCCW bool // BcastChain: the chain travels counter-clockwise
 }
 
-// Add records *h as the header of a new packet of length flits and returns
-// the packet's header slot. The record is normalised as flit.AppendPacket
-// normalises a header: the per-flit fields (Kind, Seq, Payload) are the
-// slot's, PktLen is length. The header's data word is the slot's Payload.
+// Add records *h, with PktLen set to length, as the header of a new packet
+// of length flits and returns the packet's header slot.
 //
 //quarc:hotpath
-func (t *Packets) Add(h *flit.Flit, length int) Slot {
+func (t *Packets) Add(h *Header, length int) Slot {
 	var pkt uint32
 	if n := len(t.free); n > 0 {
 		pkt = t.free[n-1]
@@ -60,12 +65,9 @@ func (t *Packets) Add(h *flit.Flit, length int) Slot {
 		pkt = uint32(len(t.hdr))
 		t.hdr = append(t.hdr, Header{})
 	}
-	t.hdr[pkt] = Header{
-		PktID: h.PktID, MsgID: h.MsgID, Bits: h.Bits, Gen: h.Gen,
-		Src: int32(h.Src), Dst: int32(h.Dst), PktLen: int32(length), Remain: int32(h.Remain),
-		Traffic: h.Traffic, ChainCCW: h.ChainCCW,
-	}
-	return Slot{Pkt: pkt, Kind: flit.Header, Payload: h.Payload}
+	t.hdr[pkt] = *h
+	t.hdr[pkt].PktLen = int32(length)
+	return Slot{Pkt: pkt, Kind: flit.Header}
 }
 
 // Free releases the handle of a packet no slot names any more.
@@ -76,26 +78,9 @@ func (t *Packets) Free(pkt uint32) { t.free = append(t.free, pkt) }
 // Live returns the number of packets in the table.
 func (t *Packets) Live() int { return len(t.hdr) - len(t.free) }
 
-// Header returns the header record of slot s's packet, which stays valid
-// while the packet is in the table. Its Bits are the bitstring as injected:
-// the flit reads them shifted right by s.Hop.
+// Header returns the header record of slot s's packet. It stays valid until
+// the next Add, which may move the table; its Bits are the bitstring as
+// injected, which the flit reads shifted right by s.Hop.
 //
 //quarc:hotpath
 func (t *Packets) Header(s *Slot) *Header { return &t.hdr[s.Pkt] }
-
-// Flit materialises slot s for the PE: its packet's header record with the
-// multicast bitstring shifted by the slot's hops, and the slot's kind, index
-// and data word. For every flit of a packet it equals, field for field, the
-// flit flit.AppendPacket forms from the header Add was given, as that flit
-// reads after s.Hop forwards.
-//
-//quarc:hotpath
-//quarc:allow hotpath: a flit is materialised for the PE once per delivery, never per hop or per routed header
-func (t *Packets) Flit(s *Slot) flit.Flit {
-	h := &t.hdr[s.Pkt]
-	return flit.Flit{
-		Kind: s.Kind, Traffic: h.Traffic, ChainCCW: h.ChainCCW, Payload: s.Payload,
-		Src: int(h.Src), Dst: int(h.Dst), Seq: int(s.Seq), PktLen: int(h.PktLen), Remain: int(h.Remain),
-		PktID: h.PktID, MsgID: h.MsgID, Bits: h.Bits >> s.Hop, Gen: h.Gen,
-	}
-}

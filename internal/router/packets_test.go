@@ -7,11 +7,11 @@ import (
 	"quarc/internal/flit"
 )
 
-// TestSlotSize pins the buffered flit at 16 bytes: every lane slot holds one
+// TestSlotSize pins the buffered flit at 12 bytes: every lane slot holds one
 // and every hop copies one, so its size is the datapath's unit cost.
 func TestSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(Slot{}); got != 16 {
-		t.Fatalf("unsafe.Sizeof(Slot{}) = %d, want 16", got)
+	if got := unsafe.Sizeof(Slot{}); got != 12 {
+		t.Fatalf("unsafe.Sizeof(Slot{}) = %d, want 12", got)
 	}
 }
 
@@ -47,20 +47,38 @@ func TestPackedDecisionRoundTrips(t *testing.T) {
 	}
 }
 
-// TestPacketsMaterialiseAppendPacket: the slots of a packet materialise into
-// exactly the flits flit.AppendPacket forms from its header, with the
-// multicast bitstring shifted by each slot's hop count, and a freed handle is
+// materialise forms the whole flit that slot s of the packet whose header
+// record is *h stands for: the record with the multicast bitstring shifted by
+// the slot's hops, the slot's kind and index, and the index as the data word,
+// as flit.AppendPacket lays a packet out. It is the tests' bridge to that
+// oracle; the simulator itself never forms a flit.Flit.
+func materialise(h *Header, s Slot) flit.Flit {
+	return flit.Flit{
+		Kind: s.Kind, Traffic: h.Traffic, ChainCCW: h.ChainCCW, Payload: uint32(s.Seq),
+		Src: int(h.Src), Dst: int(h.Dst), Seq: int(s.Seq), PktLen: int(h.PktLen), Remain: int(h.Remain),
+		PktID: h.PktID, MsgID: h.MsgID, Bits: h.Bits >> s.Hop, Gen: h.Gen,
+	}
+}
+
+// TestPacketsMaterialiseAppendPacket: the table keeps a packet's header
+// record as given, its length from Add, and the packet's slots with that
+// record form exactly the flits flit.AppendPacket forms from its header, with
+// the multicast bitstring shifted by each slot's hop count; a freed handle is
 // the next one Add hands out.
 func TestPacketsMaterialiseAppendPacket(t *testing.T) {
 	var tbl Packets
-	h := flit.Flit{Kind: flit.Tail, Traffic: flit.BcastChain, ChainCCW: true, Payload: 77,
-		Src: 5, Dst: 1000, Seq: 3, PktLen: 9, Remain: 12, PktID: 1 << 40, MsgID: 1 << 33,
-		Bits: 0xF0F0_F0F0_F0F0_F0F1, Gen: -7}
-	want := flit.AppendPacket(nil, h, 5)
-	first := tbl.Add(&flit.Flit{}, 2)
+	h := Header{Traffic: flit.BcastChain, ChainCCW: true, Src: 5, Dst: 1000, PktLen: 9, Remain: 12,
+		PktID: 1 << 40, MsgID: 1 << 33, Bits: 0xF0F0_F0F0_F0F0_F0F1, Gen: -7}
+	want := flit.AppendPacket(nil, flit.Flit{Traffic: flit.BcastChain, ChainCCW: true, Src: 5, Dst: 1000,
+		Remain: 12, PktID: 1 << 40, MsgID: 1 << 33, Bits: 0xF0F0_F0F0_F0F0_F0F1, Gen: -7}, 5)
+	first := tbl.Add(&Header{}, 2)
 	slots := packetSlots(tbl.Add(&h, 5), 5)
 	if tbl.Live() != 2 {
 		t.Fatalf("%d live packets, want 2", tbl.Live())
+	}
+	stored := *tbl.Header(&slots[0])
+	if h.PktLen = 5; stored != h {
+		t.Fatalf("the table holds %+v\nwant %+v", stored, h)
 	}
 	for i := range slots {
 		for _, hop := range []uint8{0, 1, 63, 64} {
@@ -68,7 +86,7 @@ func TestPacketsMaterialiseAppendPacket(t *testing.T) {
 			s.Hop = hop
 			w := want[i]
 			w.Bits >>= hop
-			if got := tbl.Flit(&s); got != w {
+			if got := materialise(tbl.Header(&s), s); got != w {
 				t.Fatalf("slot %d at hop %d materialised %+v\nwant %+v", i, hop, got, w)
 			}
 		}

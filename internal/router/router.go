@@ -44,17 +44,18 @@
 // port is settled. A switch whose occupied ports are all parked is Blocked,
 // and the network may skip stepping it until one of those events.
 //
-// Flit ownership: a buffered flit is a 16-byte Slot — the paper's flit word
-// plus the handle of its packet's header record in the packet table the
-// switches of one fabric share (Packets) — and it lives in exactly one slot
-// of its switch's slab. Bids and moves name it by lane and slot, never by
-// copy: Commit vacates the slot, the network reads the moved flit there
-// (MoveFlit) to deliver it and to push it downstream, and that 16-byte push
-// is the one copy a hop makes. It relies on the vacated-slot rule stated at
-// Router.slab. The header fields a packet's flits share are never copied per
-// hop: Route reads the packet's record in the table (Header), with the
-// header slot's hop count, once per routed header, and VCNext reads no packet
-// field at all.
+// Flit ownership: a buffered flit is a 12-byte Slot — the paper's 2-bit flit
+// type, the flit's index and hop count, and the handle of its packet's header
+// record in the packet table the switches of one fabric share (Packets) — and
+// it lives in exactly one slot of its switch's slab. Bids and moves name it
+// by lane and slot, never by copy: Commit vacates the slot, the network reads
+// the moved flit there (MoveFlit) to deliver it and to push it downstream,
+// and that 12-byte push is the one copy a hop makes. It relies on the
+// vacated-slot rule stated at Router.slab. The header fields a packet's flits
+// share are never copied per hop: Route reads the packet's record in the
+// table (Header), with the header slot's hop count, once per routed header,
+// VCNext reads no packet field at all, and the PE is delivered the record
+// and the slot.
 package router
 
 import (

@@ -80,7 +80,8 @@ func step(p *linkPair) []flit.Flit {
 	var delivered []flit.Flit
 	for i := range bm {
 		if m := &bm[i]; m.Deliver {
-			delivered = append(delivered, p.B.Packets().Flit(p.B.MoveFlit(m)))
+			s := p.B.MoveFlit(m)
+			delivered = append(delivered, materialise(p.B.Packets().Header(s), *s))
 		}
 	}
 	return delivered
@@ -89,7 +90,7 @@ func step(p *linkPair) []flit.Flit {
 // pkt adds packet id's header to r's packet table and returns the slots of
 // its n flits, laid out as flit.Packet lays out the flits.
 func pkt(r *Router, id uint64, n, dst int) []Slot {
-	h := flit.Flit{Src: 0, Dst: dst, PktID: id, MsgID: id}
+	h := Header{Src: 0, Dst: int32(dst), PktID: id, MsgID: id}
 	return packetSlots(r.Packets().Add(&h, n), n)
 }
 
@@ -99,7 +100,7 @@ func packetSlots(h Slot, n int) []Slot {
 	for i := range s {
 		s[i] = h
 		if i > 0 {
-			s[i].Kind, s[i].Seq, s[i].Payload = flit.Body, int32(i), uint32(i)
+			s[i].Kind, s[i].Seq = flit.Body, int32(i)
 		}
 	}
 	s[n-1].Kind = flit.Tail
@@ -107,7 +108,7 @@ func packetSlots(h Slot, n int) []Slot {
 }
 
 // pktID reads the packet id of a slot r holds.
-func pktID(r *Router, s *Slot) uint64 { return r.Packets().Flit(s).PktID }
+func pktID(r *Router, s *Slot) uint64 { return r.Packets().Header(s).PktID }
 
 // block fills B's lane vc through the link with a packet B never drains, so
 // A is left without credit on that VC (and with the VC released: the

@@ -189,22 +189,23 @@ func Broadcast(a *network.BaseAdapter, msgLen int, now int64) uint64 {
 
 // ForwardChain is the switch's half of the chain broadcast, an adapter's
 // OnTail hook: a chain packet with nodes left is retransmitted to the next
-// node, ahead of waiting PE traffic.
-func ForwardChain(a *network.BaseAdapter, f flit.Flit) {
-	if f.Traffic != flit.BcastChain || f.Remain == 0 {
+// node, ahead of waiting PE traffic, under the delivered header rewritten for
+// that node.
+func ForwardChain(a *network.BaseAdapter, h router.Header) {
+	if h.Traffic != flit.BcastChain || h.Remain == 0 {
 		return
 	}
 	next := topology.NextCW(a.N, a.Node)
-	if f.ChainCCW {
+	if h.ChainCCW {
 		next = topology.NextCCW(a.N, a.Node)
 	}
-	h := chainPacket(a, next, f.Remain-1, f.ChainCCW, f.MsgID, f.Gen)
-	a.EnqueueFront(&h, f.PktLen)
+	h.Src, h.Dst, h.Remain = int32(a.Node), int32(next), h.Remain-1
+	a.EnqueueFront(&h, int(h.PktLen))
 }
 
 // chainPacket is the header of a chain packet from a's node to dst with
 // remain nodes left after dst.
-func chainPacket(a *network.BaseAdapter, dst, remain int, ccw bool, msgID uint64, gen int64) flit.Flit {
-	return flit.Flit{Traffic: flit.BcastChain, Src: a.Node, Dst: dst,
-		Remain: remain, ChainCCW: ccw, MsgID: msgID, Gen: gen}
+func chainPacket(a *network.BaseAdapter, dst, remain int, ccw bool, msgID uint64, gen int64) router.Header {
+	return router.Header{Traffic: flit.BcastChain, Src: int32(a.Node), Dst: int32(dst),
+		Remain: int32(remain), ChainCCW: ccw, MsgID: msgID, Gen: gen}
 }
