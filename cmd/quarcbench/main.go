@@ -80,13 +80,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replicates = fs.Int("replicates", 1,
 			"independent replicates per sweep point (mean ± 95% CI aggregation)")
 		workers = fs.Int("workers", 0,
-			"sweep goroutines (0 = GOMAXPROCS); never changes the results")
+			"sweep goroutines (0 = GOMAXPROCS, 1 = points in order on one goroutine); never changes the results")
 		stepWorkers = fs.Int("step-workers", 0,
 			"intra-fabric stepping goroutines per design point (0 = automatic, "+
 				"1 = serial); never changes the results")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
-		serial     = fs.Bool("serial", false, "run panel sweeps on a single goroutine")
 		jsonOut    = fs.Bool("json", false,
 			"emit "+panelList+" panels as NDJSON in the quarcd wire schema instead of tables")
 		pattern = fs.String("pattern", "uniform",
@@ -166,17 +165,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warn("note: -replicates applies to the %s panel sweeps; %q runs unreplicated", panelList, *which)
 	}
 
-	runPanel := experiments.RunPanel
-	if *serial {
-		runPanel = experiments.RunPanelSerial
-	}
 	runPanels := func(name string, panels []experiments.PanelSpec) error {
 		for pi, spec := range panels {
 			spec.Pattern, spec.HotspotBias = pat, *hotspotBias
 			spec.Models = panelModels
 			spec.McastFrac, spec.McastSize = *mcastFrac, *mcastSize
 			start := time.Now()
-			pr, err := runPanel(spec, opts)
+			pr, err := experiments.RunPanel(spec, opts)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,6 @@
 // Package buffer implements a parameterised flit FIFO (paper §2.3.1: "The
 // buffers in the design are parametrized in width and depth", two lanes per
-// input port): the receive lanes of internal/link's LocalLink model.
+// input port). The end-to-end benchmark's per-layer ladder times it.
 //
 // The FIFO exposes the same observable signals the hardware buffer drives:
 // Full (used to build the CH_STATUS_N channel-status signal sent back to the

@@ -14,10 +14,11 @@ import (
 // idle cycles must be invisible — every registered model, under every
 // workload shape, at both ends of the load axis, must produce the same
 // Result, the same tracker counters and the same per-router statistics as
-// the dense reference that steps all N routers every cycle. New models
-// inherit the proof with no edits here.
+// a network that steps all N routers every cycle. The reference is the spec
+// fabric (spec_test.go), which shares no switch code with the simulator. New
+// models inherit the proof with no edits here.
 
-// fabricProbe is everything observable about a finished fabric.
+// fabricProbe is everything observable about a finished run.
 type fabricProbe struct {
 	cycle      int64
 	delivered  uint64
@@ -27,12 +28,18 @@ type fabricProbe struct {
 	inflight   int
 	stepped    uint64
 	routers    []router.Stats
+	links      [][]uint64
+	deliveries []delivery
 }
 
-func probeRun(t *testing.T, cfg Config) (Result, fabricProbe) {
+func probeRun(t testing.TB, cfg Config) (Result, fabricProbe) {
 	t.Helper()
 	var p fabricProbe
-	ctx := withFabricObserver(context.Background(), func(fab *network.Fabric) {
+	ctx := withClock(context.Background(), func(fab *network.Fabric) clock {
+		logDeliveries(fab, &p.deliveries)
+		return fab
+	})
+	ctx = withFabricObserver(ctx, func(fab *network.Fabric) {
 		fab.SyncStats()
 		p.cycle = fab.Now()
 		p.delivered = fab.FlitsDelivered()
@@ -44,6 +51,7 @@ func probeRun(t *testing.T, cfg Config) (Result, fabricProbe) {
 		for _, r := range fab.Routers {
 			p.routers = append(p.routers, r.Stats())
 		}
+		p.links = fab.LinkLoad()
 	})
 	res, err := RunContext(ctx, cfg)
 	if err != nil {
@@ -89,53 +97,14 @@ func TestActivityDrivenBitIdenticalToDense(t *testing.T) {
 				for wlName, cfg := range activityWorkloads(rate) {
 					cfg.Model = name
 					cfg.N = m.ExampleN
-					dense := cfg
-					dense.denseStep = true
-
-					aRes, aProbe := probeRun(t, cfg)
-					dRes, dProbe := probeRun(t, dense)
-
-					// The stepping mode is the only intended difference;
-					// erase it before comparing the full Result.
-					dRes.Cfg.denseStep = false
-					if aRes != dRes {
-						t.Errorf("%s/%s: Result diverged:\nactivity %+v\ndense    %+v",
-							rateName, wlName, aRes, dRes)
-					}
-
-					ap, dp := aProbe, dProbe
-					if ap.cycle != dp.cycle || ap.delivered != dp.delivered ||
-						ap.forwarded != dp.forwarded {
-						t.Errorf("%s/%s: fabric counters diverged: activity {cyc %d del %d fwd %d} dense {cyc %d del %d fwd %d}",
-							rateName, wlName, ap.cycle, ap.delivered, ap.forwarded,
-							dp.cycle, dp.delivered, dp.forwarded)
-					}
-					if ap.completed != dp.completed || ap.duplicates != dp.duplicates ||
-						ap.inflight != dp.inflight {
-						t.Errorf("%s/%s: tracker counters diverged: activity {done %d dup %d inflight %d} dense {done %d dup %d inflight %d}",
-							rateName, wlName, ap.completed, ap.duplicates, ap.inflight,
-							dp.completed, dp.duplicates, dp.inflight)
-					}
-					if len(ap.routers) != len(dp.routers) {
-						t.Fatalf("%s/%s: router count mismatch", rateName, wlName)
-					}
-					for node := range ap.routers {
-						if ap.routers[node] != dp.routers[node] {
-							t.Errorf("%s/%s: router %d stats diverged:\nactivity %+v\ndense    %+v",
-								rateName, wlName, node, ap.routers[node], dp.routers[node])
-						}
-					}
-
+					aRes, ap := probeRun(t, cfg)
+					sRes, sp := probeSpec(t, cfg)
+					expectMatchesSpec(t, rateName+"/"+wlName, aRes, ap, sRes, sp)
 					// Guard against a vacuous pass: at low load the scheduler
-					// must actually have skipped work, and in dense mode the
-					// step count must be exactly N per cycle.
-					if dp.stepped != uint64(cfg.N)*uint64(dp.cycle) {
-						t.Errorf("%s/%s: dense stepped %d router-steps over %d cycles, want %d",
-							rateName, wlName, dp.stepped, dp.cycle, uint64(cfg.N)*uint64(dp.cycle))
-					}
-					if rateName == "lowload" && ap.stepped*2 > dp.stepped {
+					// must actually have skipped work.
+					if rateName == "lowload" && ap.stepped*2 > sp.stepped {
 						t.Errorf("%s/%s: activity stepping did not engage: %d of %d router-steps",
-							rateName, wlName, ap.stepped, dp.stepped)
+							rateName, wlName, ap.stepped, sp.stepped)
 					}
 					if t.Failed() {
 						return
@@ -148,44 +117,52 @@ func TestActivityDrivenBitIdenticalToDense(t *testing.T) {
 
 // TestActivitySchedulerSkipsIdleCycles pins the layer-2 mechanism directly:
 // at a rate where arrivals are dozens of cycles apart on a small network,
-// the activity run must execute a small fraction of the dense run's
-// router-steps — bounded here, so a regression that silently falls back to
-// dense stepping fails loudly rather than just slowing down.
+// the activity run must execute a small fraction of the N router-steps a
+// cycle that stepping every router would — bounded here, so a regression
+// that silently steps every router fails loudly rather than just slowing
+// down.
 func TestActivitySchedulerSkipsIdleCycles(t *testing.T) {
 	cfg := Config{Model: "quarc", N: 16, MsgLen: 4, Rate: 0.0005,
 		Depth: 4, Warmup: 500, Measure: 4000, Drain: 8000, Seed: 3}
 	_, ap := probeRun(t, cfg)
-	dense := cfg
-	dense.denseStep = true
-	_, dp := probeRun(t, dense)
-	if ap.stepped*4 > dp.stepped {
-		t.Fatalf("activity executed %d router-steps vs dense %d; want < 25%%",
-			ap.stepped, dp.stepped)
+	every := uint64(cfg.N) * uint64(ap.cycle)
+	if ap.stepped*4 > every {
+		t.Fatalf("activity executed %d router-steps of %d; want < 25%%", ap.stepped, every)
 	}
 }
+
+// busyClock is a fabric whose clock loop never takes the idle skip: every
+// cycle of the window goes through StepBatch.
+type busyClock struct{ *network.Fabric }
+
+func (busyClock) Idle() bool { return false }
 
 // TestClockLoopAllocatesNothingPerCycle: the clock loop — the calendar fired
 // from StepBatch's hook before every cycle, the idle skip between events —
 // costs no allocation per cycle, serial or pooled. With no traffic, nothing
 // else in a point scales with its length, so a window twenty times longer
 // must allocate what the short one does: one allocation per cycle would add
-// 19,000. A couple of strays are tolerated for the race detector's own.
+// 19,000. The stepped cases never take the idle skip, so StepBatch runs every
+// cycle of the window (the pooled fabric dispatches its pool while its nodes
+// are awake, at cycle 0). A couple of strays are tolerated for the race
+// detector's own.
 func TestClockLoopAllocatesNothingPerCycle(t *testing.T) {
+	busy := withClock(context.Background(), func(fab *network.Fabric) clock { return busyClock{fab} })
 	for _, c := range []struct {
 		name       string
 		model      string
 		n, workers int
-		dense      bool
+		ctx        context.Context
 	}{
-		{"serial-dense", "quarc", 16, 1, true},
-		{"pooled-dense", "mesh", 144, 2, true},
-		{"serial-idle-skip", "quarc", 16, 1, false},
+		{"serial-stepped", "quarc", 16, 1, busy},
+		{"pooled-stepped", "mesh", 144, 2, busy},
+		{"serial-idle-skip", "quarc", 16, 1, context.Background()},
 	} {
 		allocs := func(measure int64) float64 {
 			cfg := Config{Model: c.model, N: c.n, MsgLen: 8, Rate: 0, Warmup: 500, Measure: measure,
-				Drain: 3000, Seed: 3, StepWorkers: c.workers, denseStep: c.dense}
+				Drain: 3000, Seed: 3, StepWorkers: c.workers, stepGrain: 1}
 			return testing.AllocsPerRun(3, func() {
-				if _, err := Run(cfg); err != nil {
+				if _, err := RunContext(c.ctx, cfg); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -114,7 +114,7 @@ func TestOnPointDoneCoversSweep(t *testing.T) {
 	}
 
 	parallel, seenPar := runWith(RunPanel)
-	serial, seenSer := runWith(RunPanelSerial)
+	serial, seenSer := runWith(runPanelSerial)
 	for name, seen := range map[string]map[int]int{"parallel": seenPar, "serial": seenSer} {
 		if len(seen) != want {
 			t.Fatalf("%s: %d distinct point callbacks, want %d", name, len(seen), want)

@@ -70,12 +70,6 @@ type Config struct {
 	// explicit struct that has no such field).
 	StepWorkers int `json:"-"`
 
-	// denseStep forces the reference dense behaviour: every router stepped
-	// every cycle and no idle-cycle skipping. The activity-equivalence suite
-	// sets it to prove the activity-driven scheduler bit-identical; it is
-	// unexported on purpose — not part of the wire schema or cache keys.
-	denseStep bool
-
 	// stepGrain overrides the fabric's pool-engagement threshold (minimum
 	// active nodes before parallel stepping pays). Test hook: the
 	// worker-invariance suite sets it to 1 so registry-sized fabrics
@@ -92,6 +86,25 @@ type fabricObserverKey struct{}
 
 func withFabricObserver(ctx context.Context, fn func(*network.Fabric)) context.Context {
 	return context.WithValue(ctx, fabricObserverKey{}, fn)
+}
+
+// clock is what RunContext's clock loop drives: the built fabric itself, or
+// a stand-in for its switches that a test installs with withClock (the
+// reference model the equivalence suites compare the fabric with).
+type clock interface {
+	Now() int64
+	Idle() bool
+	AdvanceIdle(cycles int64)
+	StepBatch(n int64, hook func() bool) int64
+	FlitsDelivered() uint64
+}
+
+// clockKey carries a func(*network.Fabric) clock in a context: RunContext
+// hands it the built fabric, before any traffic, and drives what it returns.
+type clockKey struct{}
+
+func withClock(ctx context.Context, fn func(*network.Fabric) clock) context.Context {
+	return context.WithValue(ctx, clockKey{}, fn)
 }
 
 // ModelName returns the canonical registry name of the model this
@@ -261,6 +274,10 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.stepGrain > 0 {
 		fab.SetStepGrain(cfg.stepGrain)
 	}
+	var clk clock = fab
+	if fn, ok := ctx.Value(clockKey{}).(func(*network.Fabric) clock); ok {
+		clk = fn(fab)
+	}
 	// The execution knobs are spent: clear them so the Cfg embedded in the
 	// Result (and anything derived from it) is a pure function of the
 	// workload, identical no matter how the point was stepped.
@@ -307,10 +324,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	if cfg.denseStep {
-		fab.SetDense(true)
-	}
-
 	// Saturation sampling: total source backlog every sampleEvery cycles
 	// during the measurement window. The calendar keeps firing in the drain,
 	// so the sampler stops once its next sample would fall outside.
@@ -330,8 +343,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 
 	// Throughput window bounds.
 	var deliveredAtWarmup, deliveredAtEnd uint64
-	k.Schedule(cfg.Warmup, sim.PriStats, func(sim.Time) { deliveredAtWarmup = fab.FlitsDelivered() })
-	k.Schedule(measureEnd, sim.PriStats, func(sim.Time) { deliveredAtEnd = fab.FlitsDelivered() })
+	k.Schedule(cfg.Warmup, sim.PriStats, func(sim.Time) { deliveredAtWarmup = clk.FlitsDelivered() })
+	k.Schedule(measureEnd, sim.PriStats, func(sim.Time) { deliveredAtEnd = clk.FlitsDelivered() })
 
 	// Cancellation poller: a pure observer at stats priority, registered only
 	// for cancellable contexts so a background-context run schedules exactly
@@ -354,17 +367,17 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	// fabric falls idle and, in the drain, when the last message lands. An
 	// idle stretch of the live window (cycles up to measureEnd) is skipped in
 	// O(1) to the calendar's next event: an idle cycle only advances the
-	// clock, so the skip is exactly what a dense fabric would spend proving
-	// every router has nothing to do. The drain follows with no traffic,
+	// clock, so the skip is exactly what stepping every router would spend
+	// proving none has anything to do. The drain follows with no traffic,
 	// until every message lands or its budget is spent.
 	liveEnd, drainEnd := measureEnd+1, measureEnd+1+cfg.Drain
 	hook := func() bool {
-		t := fab.Now()
+		t := clk.Now()
 		k.RunBefore(t, sim.PriFabric)
-		return k.Stopped() || fab.Idle() || t >= liveEnd && fab.Tracker.InFlight() == 0
+		return k.Stopped() || clk.Idle() || t >= liveEnd && fab.Tracker.InFlight() == 0
 	}
 	for {
-		t := fab.Now()
+		t := clk.Now()
 		k.RunBefore(t, sim.PriFabric)
 		if k.Stopped() {
 			return Result{}, ctx.Err()
@@ -374,22 +387,22 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			// Nothing buffered and no backlog, yet messages in flight, is a
 			// conservation bug no amount of stepping would drain; Leftover
 			// reports the loss.
-			if t == drainEnd || fab.Tracker.InFlight() == 0 || fab.Idle() {
+			if t == drainEnd || fab.Tracker.InFlight() == 0 || clk.Idle() {
 				break
 			}
 			end = drainEnd
 		}
-		if fab.Idle() {
+		if clk.Idle() {
 			next, ok := k.NextEventTime()
 			if !ok || next > liveEnd {
 				next = liveEnd
 			}
-			fab.AdvanceIdle(max(next-t, 1))
+			clk.AdvanceIdle(max(next-t, 1))
 			continue
 		}
-		fab.StepBatch(end-t, hook)
+		clk.StepBatch(end-t, hook)
 	}
-	drained := fab.Now() - liveEnd
+	drained := clk.Now() - liveEnd
 	if fn, ok := ctx.Value(fabricObserverKey{}).(func(*network.Fabric)); ok {
 		fn(fab)
 	}

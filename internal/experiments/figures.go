@@ -163,8 +163,7 @@ func Fig11Panels() []PanelSpec {
 // traffic, one collective-completion) latency curve per swept model, keyed
 // by canonical model name. Results holds the replicate-aggregated
 // measurement per swept rate; Raw keeps the individual replicate results
-// ([rate index][replicate]). RunPanel and RunPanelSerial in sweep.go produce
-// it.
+// ([rate index][replicate]). RunPanel in sweep.go produces it.
 type PanelResult struct {
 	Spec       PanelSpec
 	Models     []string // canonical model names, in sweep (and curve) order

@@ -30,7 +30,7 @@ func TestPanelNWayParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ser, err := RunPanelSerial(threeModelSpec(), opts)
+		ser, err := runPanelSerial(threeModelSpec(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,10 +64,13 @@ func pooledN(m model.Model) int {
 }
 
 // expectSameRun fails the test unless a pooled run matches its serial
-// reference in everything observable: the full Result, the fabric and tracker
-// counters, and every router's statistics.
+// reference in everything observable: every delivery, the full Result, the
+// fabric and tracker counters, and every router's statistics.
 func expectSameRun(t *testing.T, what string, pRes Result, pp fabricProbe, sRes Result, sp fabricProbe) {
 	t.Helper()
+	if d := firstDifference("parallel", pp.deliveries, "serial", sp.deliveries); d != "" {
+		t.Errorf("%s: %s", what, d)
+	}
 	if pRes != sRes {
 		t.Errorf("%s changed the Result:\nparallel %+v\nserial   %+v", what, pRes, sRes)
 	}
@@ -135,9 +138,10 @@ func TestStepWorkerInvariance(t *testing.T) {
 // links that join the first shard to the last in both directions. Unicast,
 // software-broadcast and multicast traffic, at low load (few nodes awake, the
 // pool forced by stepGrain 1) and saturated (every boundary link busy every
-// cycle, blocked sleepers woken by credits from another shard), stepped
-// activity-driven and dense, must match the serial run bit for bit. Only the
-// square models can: the ring family stops at 64 nodes, one mask word.
+// cycle, blocked sleepers woken by credits from another shard), must match
+// the serial run bit for bit. Only the square models can: the ring family
+// stops at 64 nodes, one mask word. TestFabricMatchesSpec holds pooled
+// fabrics to the spec fabric.
 func TestCrossShardLinksBitIdentical(t *testing.T) {
 	base := Config{N: 256, MsgLen: 6, Depth: 4, Warmup: 40, Measure: 160, Drain: 500, Seed: 31}
 	bcast, mcast := base, base
@@ -150,23 +154,21 @@ func TestCrossShardLinksBitIdentical(t *testing.T) {
 			t.Parallel()
 			for wlName, cfg := range workloads {
 				for rateName, rate := range map[string]float64{"lowload": 0.001, "saturated": 0.12} {
-					for _, dense := range []bool{false, true} {
-						cfg.Model, cfg.Rate, cfg.denseStep, cfg.stepGrain = name, rate, dense, 1
-						serial := cfg
-						serial.StepWorkers = 1
-						sRes, sProbe := probeRun(t, serial)
-						if sProbe.forwarded == 0 {
-							t.Fatalf("%s/%s: reference run moved no flit", wlName, rateName)
-						}
-						for _, w := range []int{2, 3, 4} {
-							par := cfg
-							par.StepWorkers = w
-							pRes, pProbe := probeRun(t, par)
-							expectSameRun(t, fmt.Sprintf("%s/%s/dense=%v: %d workers", wlName, rateName, dense, w),
-								pRes, pProbe, sRes, sProbe)
-							if t.Failed() {
-								return
-							}
+					cfg.Model, cfg.Rate, cfg.stepGrain = name, rate, 1
+					serial := cfg
+					serial.StepWorkers = 1
+					sRes, sProbe := probeRun(t, serial)
+					if sProbe.forwarded == 0 {
+						t.Fatalf("%s/%s: reference run moved no flit", wlName, rateName)
+					}
+					for _, w := range []int{2, 3, 4} {
+						par := cfg
+						par.StepWorkers = w
+						pRes, pProbe := probeRun(t, par)
+						expectSameRun(t, fmt.Sprintf("%s/%s: %d workers", wlName, rateName, w),
+							pRes, pProbe, sRes, sProbe)
+						if t.Failed() {
+							return
 						}
 					}
 				}
@@ -178,7 +180,7 @@ func TestCrossShardLinksBitIdentical(t *testing.T) {
 // TestBlockedSleepEngagesWhenSaturated guards the dependency wake graph
 // against a silent fallback: at a saturated load, routers that are wedged
 // behind exhausted credits must actually take the blocked-sleep path (the
-// bit-identity of the replay is proven by the dense-equivalence and
+// bit-identity of the replay is proven by the spec-equivalence and
 // worker-invariance suites; this pins that the mechanism fires at all).
 func TestBlockedSleepEngagesWhenSaturated(t *testing.T) {
 	cfg := Config{Model: "quarc", N: 16, MsgLen: 8, Rate: 0.15, Depth: 4,
@@ -198,8 +200,9 @@ func TestBlockedSleepEngagesWhenSaturated(t *testing.T) {
 
 // TestDrainConservation pins the drain loop's early exits (the stop hook
 // firing on an empty tracker, the idle-fabric break) against flit loss: the
-// dense reference, the serial activity path and the parallel path must drain
-// the network completely and deliver exactly the same flits.
+// serial activity path and the parallel path must drain the network
+// completely and deliver exactly the flits the spec fabric does, whose drain
+// steps every cycle and never takes an idle exit.
 func TestDrainConservation(t *testing.T) {
 	// A load high enough to queue real backlog but below saturation, so the
 	// drain budget suffices and "fully drained" is the correct expectation;
@@ -207,30 +210,27 @@ func TestDrainConservation(t *testing.T) {
 	base := Config{Model: "torus", N: 256, MsgLen: 8, Rate: 0.02, Beta: 0.01,
 		Depth: 4, Warmup: 150, Measure: 600, Drain: 5000, Seed: 7}
 
-	dense := base
-	dense.denseStep = true
 	serial := base
 	serial.StepWorkers = 1
 	par := base
 	par.StepWorkers = 4
 	par.stepGrain = 1
 
-	dRes, dP := probeRun(t, dense)
+	specRes, specP := probeSpec(t, base)
 	sRes, sP := probeRun(t, serial)
 	pRes, pP := probeRun(t, par)
 
-	for mode, p := range map[string]fabricProbe{"dense": dP, "serial": sP, "parallel": pP} {
+	for mode, p := range map[string]fabricProbe{"spec": specP, "serial": sP, "parallel": pP} {
 		if p.inflight != 0 {
 			t.Errorf("%s: %d messages still in flight after drain", mode, p.inflight)
 		}
 	}
-	if sP.delivered != dP.delivered || pP.delivered != dP.delivered {
-		t.Errorf("drained flit counts diverged: dense %d serial %d parallel %d",
-			dP.delivered, sP.delivered, pP.delivered)
+	if sP.delivered != specP.delivered || pP.delivered != specP.delivered {
+		t.Errorf("drained flit counts diverged: spec %d serial %d parallel %d",
+			specP.delivered, sP.delivered, pP.delivered)
 	}
-	dRes.Cfg.denseStep = false
-	if sRes != dRes {
-		t.Errorf("serial drain result diverged from dense:\nserial %+v\ndense  %+v", sRes, dRes)
+	if sRes != specRes {
+		t.Errorf("serial drain result diverged from the spec's:\nserial %+v\nspec   %+v", sRes, specRes)
 	}
 	if pRes != sRes {
 		t.Errorf("parallel drain result diverged from serial:\nparallel %+v\nserial   %+v", pRes, sRes)

@@ -6,8 +6,8 @@
 // output bit-for-bit identical to a serial sweep: every point derives its own
 // seed from the experiment seed alone (never from scheduling order), results
 // land in a slot indexed by point position, and replicate aggregation folds
-// them in a fixed order. RunPanelSerial preserves the plain sequential path
-// so tests can assert the equivalence.
+// them in a fixed order. One worker is the plain sequential sweep: it draws
+// the points in point order on one goroutine.
 //
 //quarc:poolfile bounded sweep worker pool; order-independence proven by TestSweepMatchesSerial
 package experiments
@@ -211,8 +211,7 @@ func drawOrder(points []sweepPoint, workers int) []int {
 // simulator fails that point with an error instead of unwinding through the
 // sweep's worker goroutine and killing the whole process, so one poisoned
 // configuration costs its own job, never its neighbours (or, under quarcd,
-// the daemon). RunPanelSerial stays unguarded on purpose — it is the
-// debugging reference, where a raw panic with its full stack is the feature.
+// the daemon).
 func runPointGuarded(ctx context.Context, cfg Config) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -388,7 +387,7 @@ func assemblePanel(spec PanelSpec, opts RunOpts, rates []float64, results []Resu
 // RunPanel sweeps one panel for every model in PanelSpec.Models (the legacy
 // quarc/spidergon pair when empty), fanning the independent (model, rate,
 // replicate) points across RunOpts.Workers goroutines. For a fixed
-// RunOpts.Seed the result is bit-identical to RunPanelSerial.
+// RunOpts.Seed the result is bit-identical at any worker count.
 func RunPanel(spec PanelSpec, opts RunOpts) (PanelResult, error) {
 	return RunPanelContext(context.Background(), spec, opts)
 }
@@ -416,31 +415,6 @@ func PanelPointCount(spec PanelSpec, opts RunOpts) int {
 	opts = opts.normalized()
 	points, _ := panelPoints(spec, opts)
 	return len(points)
-}
-
-// RunPanelSerial is RunPanel without the worker pool: the same points in the
-// same order on the calling goroutine. It exists so tests (and debugging
-// sessions) can compare the parallel engine against a plainly sequential
-// execution. RunOpts.OnPointDone fires here too, in point order.
-func RunPanelSerial(spec PanelSpec, opts RunOpts) (PanelResult, error) {
-	opts = opts.normalized()
-	if err := spec.Validate(opts); err != nil {
-		return PanelResult{Spec: spec}, err
-	}
-	points, rates := panelPoints(spec, opts)
-	notify := pointNotifier(opts.OnPointDone, points)
-	results := make([]Result, len(points))
-	for i, p := range points {
-		res, err := Run(p.Cfg)
-		if err != nil {
-			return PanelResult{Spec: spec, RatesSwept: rates}, err
-		}
-		results[i] = res
-		if notify != nil {
-			notify(i, res)
-		}
-	}
-	return assemblePanel(spec, opts, rates, results), nil
 }
 
 // RunReplicated executes one configuration replicates times with independent

@@ -16,6 +16,13 @@ func sweepSpec() PanelSpec {
 		Rates: []float64{0.004, 0.01, 0.016}}
 }
 
+// runPanelSerial is RunPanel on one worker, which draws the points in point
+// order on one goroutine: the sequential sweep the fanned-out one must equal.
+func runPanelSerial(spec PanelSpec, opts RunOpts) (PanelResult, error) {
+	opts.Workers = 1
+	return RunPanel(spec, opts)
+}
+
 // TestRunPanelParallelMatchesSerial is the engine's core guarantee: for a
 // fixed seed the worker-pool sweep must be bit-identical to the sequential
 // one — same aggregates, same raw replicates, same series.
@@ -28,7 +35,7 @@ func TestRunPanelParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ser, err := RunPanelSerial(sweepSpec(), opts)
+		ser, err := runPanelSerial(sweepSpec(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +267,7 @@ func TestSweepRunPropagatesError(t *testing.T) {
 	if _, err := RunPanel(bad, opts); err == nil {
 		t.Fatal("parallel sweep swallowed the build error")
 	}
-	if _, err := RunPanelSerial(bad, opts); err == nil {
+	if _, err := runPanelSerial(bad, opts); err == nil {
 		t.Fatal("serial sweep swallowed the build error")
 	}
 }
@@ -268,13 +275,13 @@ func TestSweepRunPropagatesError(t *testing.T) {
 // TestSweepLongestFirstIsInvisible: a sweep that fans out draws its points
 // heaviest offered load first, and nothing a caller receives may show it. On
 // a Fig 10 panel, at 1, 2 and 4 workers, RunPanelContext must return exactly
-// RunPanelSerial's Results and Raw; of two failing points the lower-indexed
+// the one-worker sweep's Results and Raw; of two failing points the lower-indexed
 // one is reported although the other runs first; and one worker reports its
 // points to OnPointDone in point order.
 func TestSweepLongestFirstIsInvisible(t *testing.T) {
 	spec := Fig10Panels()[0]
 	opts := tinyOpts()
-	ser, err := RunPanelSerial(spec, opts)
+	ser, err := runPanelSerial(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,8 @@ func TestPanelSpecValidate(t *testing.T) {
 		if _, err := RunPanel(spec, opts); err == nil || err.Error() != want.Error() {
 			t.Errorf("%s: RunPanel error %v, want %q", name, err, want)
 		}
-		if _, err := RunPanelSerial(spec, opts); err == nil || err.Error() != want.Error() {
-			t.Errorf("%s: RunPanelSerial error %v, want %q", name, err, want)
+		if _, err := runPanelSerial(spec, opts); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: one-worker RunPanel error %v, want %q", name, err, want)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func TestFabricSleepsWhenDrained(t *testing.T) {
 	if fab.Tracker.Completed() != 1 {
 		t.Fatalf("completed %d messages, want 1", fab.Tracker.Completed())
 	}
-	// Activity accounting must reconstruct dense per-router cycle counts.
+	// Activity accounting must reconstruct every-cycle per-router cycle counts.
 	if st := fab.RouterStats(); st.Cycles != uint64(n)*uint64(fab.Now()) {
 		t.Fatalf("router cycle integral %d, want %d (N=%d x %d cycles)",
 			st.Cycles, uint64(n)*uint64(fab.Now()), n, fab.Now())
@@ -89,27 +89,6 @@ func TestAdvanceIdleRefusesBusyFabric(t *testing.T) {
 	fab.AdvanceIdle(10)
 }
 
-func TestSetDenseKeepsEveryNodeActive(t *testing.T) {
-	const n = 8
-	fab, _ := buildQuarc(t, n)
-	fab.SetDense(true)
-	for i := 0; i < 5; i++ {
-		fab.Step()
-	}
-	if fab.ActiveNodes() != n {
-		t.Fatalf("dense fabric slept nodes: %d active, want %d", fab.ActiveNodes(), n)
-	}
-	if got := fab.SteppedRouters(); got != uint64(n*5) {
-		t.Fatalf("dense stepped %d router-steps, want %d", got, n*5)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetDense after stepping did not panic")
-		}
-	}()
-	fab.SetDense(false)
-}
-
 // TestSleepNeedsNoCreditRefresh pins what sender-side counters buy the
 // scheduler: credits move only when a flit or a pop crosses a link, so a
 // router that drains and sleeps leaves every upstream counter exact with no
@@ -132,50 +111,5 @@ func TestSleepNeedsNoCreditRefresh(t *testing.T) {
 	// == depth on every link) now says every counter is back at full depth.
 	if err := chk.Check(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDeliveryCallbackEnqueuesAtSleepingNode: a delivery callback (the
-// tracker's OnDone, fired in the cycle's ordered deliver half) that enqueues
-// a packet at another, idle-sleeping node. The reply is delivered and every
-// flit is accounted for, and activity stepping matches dense stepping: the
-// woken sleeper is fed in the callback's own cycle, as a stepped node is.
-func TestDeliveryCallbackEnqueuesAtSleepingNode(t *testing.T) {
-	const n, m = 16, 8
-	run := func(dense bool) (replyGen, replyDone int64) {
-		fab, ts := buildQuarc(t, n)
-		fab.SetDense(dense)
-		request := ts[0].SendUnicast(5, m, fab.Now()) // 0 -> 8 -> 7 -> 6 -> 5: node 9 stays idle
-		var reply uint64
-		fab.Tracker.OnDone = func(r network.MessageRecord) {
-			switch r.MsgID {
-			case request:
-				replyGen = fab.Now()
-				reply = ts[9].SendUnicast(12, m, replyGen)
-			case reply:
-				replyDone = r.Last
-			}
-		}
-		for i := 0; i < 1000 && (reply == 0 || fab.Tracker.InFlight() > 0); i++ {
-			fab.Step()
-		}
-		if fab.Tracker.InFlight() != 0 || fab.Tracker.Completed() != 2 || replyDone == 0 {
-			t.Fatalf("dense=%v: %d completed, %d in flight", dense, fab.Tracker.Completed(), fab.Tracker.InFlight())
-		}
-		if got := fab.FlitsDelivered(); got != 2*m {
-			t.Fatalf("dense=%v: %d flits delivered, want %d", dense, got, 2*m)
-		}
-		if live := fab.Packets.Live(); live != 0 {
-			t.Fatalf("dense=%v: %d packets left in the table", dense, live)
-		}
-		return replyGen, replyDone
-	}
-	denseGen, denseDone := run(true)
-	gen, done := run(false)
-	if gen != denseGen {
-		t.Fatalf("the callback ran at cycle %d under activity stepping, %d under dense", gen, denseGen)
-	}
-	if done != denseDone {
-		t.Fatalf("reply completed at cycle %d under activity stepping, %d under dense", done, denseDone)
 	}
 }

@@ -46,10 +46,11 @@
 // unparks a port, a flit arrives or a packet is enqueued (see sleepScan).
 // Slept cycles are credited to their statistics in bulk, so the observable
 // simulation — every flit movement, every counter — is bit-identical to
-// stepping all N routers every cycle (SetDense selects that reference
-// behaviour, and the experiment layer's equivalence suite proves the identity
-// for every registered model; the parking rule both share is pinned by a
-// parent-written golden of router statistics).
+// stepping all N routers every cycle. The experiment layer's equivalence
+// suites check that identity for every registered model against a test-only
+// reference network that shares no switch code with this one: every router
+// stepped every cycle, lanes as plain slices, flow control read from the
+// downstream lanes' free space.
 package network
 
 import (
@@ -157,7 +158,6 @@ type Fabric struct {
 	idleSince  []int64  // first un-stepped cycle while asleep; -1 when awake
 	sleepMask  []uint64 // bit per node: asleep (either kind)
 	sleeping   int      // nodes currently asleep (either kind)
-	dense      bool     // reference mode: step every router every cycle
 
 	// The wiring inverted: where a pop's credit goes, and whom it may wake.
 	feeder [][]feederRef // [node][in]
@@ -220,8 +220,8 @@ func newFabric(routers []*router.Router, injStart int, wires func(node int) []Ou
 		stepGrain:   defaultStepGrain,
 	}
 	f.scr = newStepScratch(0, n)
-	// Every node starts awake (matching a dense cycle 0); empty routers go
-	// quiescent after their first step.
+	// Every node starts awake, as if every router were stepped from cycle 0;
+	// empty routers go quiescent after their first step.
 	for node := 0; node < n; node++ {
 		f.activeMask[node>>6] |= 1 << uint(node&63)
 		f.idleSince[node] = -1
@@ -279,16 +279,9 @@ func (f *Fabric) SetAdapter(node int, a Adapter) {
 	f.Adapters[node], f.bases[node] = a, b
 }
 
-// SetDense switches the fabric to the dense reference behaviour: no node
-// ever sleeps, so the step set, full from cycle 0, steps every router every
-// cycle. It exists so the activity-driven scheduler can be proved
-// bit-identical against it; call it before the first Step.
-func (f *Fabric) SetDense(dense bool) {
-	if f.cycle != 0 {
-		panic("network: SetDense after stepping began")
-	}
-	f.dense = dense
-}
+// Wire returns where output out of node leads: the wiring the fabric was
+// built with.
+func (f *Fabric) Wire(node, out int) OutputWire { return f.wires[node][out] }
 
 // DefaultStepWorkers returns the worker count used when a configuration does
 // not pin one: GOMAXPROCS, clamped like any other count.
@@ -349,8 +342,8 @@ func (f *Fabric) FlitsDelivered() uint64 { return f.delivered }
 func (f *Fabric) FlitsForwarded() uint64 { return f.forwarded }
 
 // SteppedRouters returns the cumulative number of router-steps executed.
-// Dense stepping performs N per cycle; the ratio of this counter to N*Now()
-// is the activity factor the scheduler exploited.
+// Stepping every router every cycle would perform N per cycle; the ratio of
+// this counter to N*Now() is the activity factor the scheduler exploited.
 func (f *Fabric) SteppedRouters() uint64 { return f.stepped }
 
 // BlockedSleeps returns how many times a router entered blocked sleep (every
@@ -402,7 +395,7 @@ func (f *Fabric) wake(node int) {
 // blocked sleepers at the occupancy they slept with (their parked ports'
 // stalls are settled when Router.Stats is read). It is idempotent at a given
 // cycle; RouterStats calls it implicitly, and tests comparing per-router
-// statistics against dense stepping call it first.
+// statistics with a reference call it first.
 func (f *Fabric) SyncStats() {
 	for node, since := range f.idleSince {
 		if since >= 0 && since < f.cycle {
@@ -450,7 +443,7 @@ func (f *Fabric) LinkLoad() [][]uint64 {
 
 // latch freezes the step set for the next cycle: wakes during a cycle
 // (commit pushes, adapter enqueues) take effect the following cycle, exactly
-// when a dense step would first observe the new flit. Single-threaded,
+// when a router stepped every cycle would first observe the new flit. Single-threaded,
 // between cycles.
 //
 //quarc:hotpath
@@ -616,9 +609,7 @@ func (f *Fabric) applyLink(r linkRec) {
 func (f *Fabric) pass2(list []int, sc *stepScratch) {
 	for _, node := range list {
 		f.bases[node].Feed(f.cycle)
-		if !f.dense {
-			f.sleepScan(node, sc)
-		}
+		f.sleepScan(node, sc)
 	}
 	// A sleeper woken during this cycle's apply is fed now, as it would be
 	// had it been stepped: a delivery's callback may have enqueued a packet

@@ -53,26 +53,32 @@ func TestStepBatchStopMatchesPerStepLoop(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		setup func(f *network.Fabric)
+		// dispatches, when set, is the pool dispatches the run must take.
+		dispatches uint64
 	}{
-		{"serial", func(f *network.Fabric) {}},
+		{"serial", func(f *network.Fabric) {}, 0},
 		{"pool", func(f *network.Fabric) {
 			f.SetStepWorkers(2)
 			f.SetStepGrain(1)
-		}},
+		}, 0},
 		{"pool-batched", func(f *network.Fabric) {
-			// Dense mode keeps every node in the step set: the one dispatch
-			// covers the whole run, and the stop hook must still fire
-			// between its cycles.
-			f.SetDense(true)
+			// At grain 1 the packet's nodes keep the pool engaged: the one
+			// dispatch covers the whole run, and the stop hook must still
+			// fire between its cycles.
 			f.SetStepWorkers(2)
-		}},
+			f.SetStepGrain(1)
+		}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fab, as := buildMesh(t, w, h)
 			tc.setup(fab)
 			defer fab.Close()
 			as[0].SendUnicast(dst, 12, 0)
+			before := network.PoolDispatches()
 			got := fab.StepBatch(1_000, func() bool { return fab.Tracker.InFlight() == 0 })
+			if d := network.PoolDispatches() - before; tc.dispatches != 0 && d != tc.dispatches {
+				t.Fatalf("%d pool dispatches, want %d", d, tc.dispatches)
+			}
 			if got != want {
 				t.Fatalf("StepBatch ran %d cycles, per-Step loop ran %d", got, want)
 			}
@@ -221,66 +227,6 @@ func TestStepBatchHookMayEnqueue(t *testing.T) {
 			}
 			if workers > 1 && dispatched*10 > uint64(got.now) {
 				t.Errorf("%d dispatches for %d cycles: the hook's enqueues should not end a dispatch", dispatched, got.now)
-			}
-		})
-	}
-}
-
-// TestDeliveryCallbackEnqueuesAtSleepingNodePooled is the delivery-callback
-// case on the worker pool: on a 16x16 mesh stepped by two and three workers
-// at grain 1, a request inside the first shard completes, and its callback —
-// run by worker 0 in the ordered half — enqueues a reply at an idle sleeper
-// another worker owns. The owner feeds the woken node in that cycle's pass 2,
-// so the reply's cycles and every router's statistics equal dense stepping's.
-func TestDeliveryCallbackEnqueuesAtSleepingNodePooled(t *testing.T) {
-	const w, h, m = 16, 16, 8
-	const src, dst = 0, 3*w + 5 // rows 0-3: the first shard's nodes
-	const from, to = 200, 250   // the last shard's at two and three workers
-	type outcome struct {
-		gen, done int64
-		stats     []router.Stats
-	}
-	run := func(t *testing.T, workers int, dense bool) outcome {
-		fab, as := buildMesh(t, w, h)
-		defer fab.Close()
-		fab.SetDense(dense)
-		fab.SetStepWorkers(workers)
-		fab.SetStepGrain(1)
-		var out outcome
-		request := as[src].SendUnicast(dst, m, 0)
-		var reply uint64
-		fab.Tracker.OnDone = func(r network.MessageRecord) {
-			switch r.MsgID {
-			case request:
-				out.gen = fab.Now()
-				reply = as[from].SendUnicast(to, m, out.gen)
-			case reply:
-				out.done = r.Last
-			}
-		}
-		for i := 0; i < 1000 && (reply == 0 || fab.Tracker.InFlight() > 0); i++ {
-			fab.Step()
-		}
-		if out.done == 0 || fab.Tracker.InFlight() != 0 {
-			t.Fatalf("workers=%d dense=%v: reply not delivered, %d in flight", workers, dense, fab.Tracker.InFlight())
-		}
-		fab.SyncStats()
-		for _, r := range fab.Routers {
-			out.stats = append(out.stats, r.Stats())
-		}
-		return out
-	}
-	want := run(t, 1, true)
-	for _, workers := range []int{2, 3} {
-		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			got := run(t, workers, false)
-			if got.gen != want.gen || got.done != want.done {
-				t.Fatalf("reply sent at cycle %d and completed at %d, dense %d and %d", got.gen, got.done, want.gen, want.done)
-			}
-			for node := range want.stats {
-				if got.stats[node] != want.stats[node] {
-					t.Fatalf("router %d stats %+v, dense %+v", node, got.stats[node], want.stats[node])
-				}
 			}
 		})
 	}

@@ -28,6 +28,24 @@
 // applies a cycle's moves, Arbitrate sees the start-of-cycle free space: the
 // simulation is order-independent and a flit advances one hop per cycle.
 //
+// The cycle's rules, each of which a test-only reference network in the
+// experiment layer encodes independently of this package:
+//
+//   - Grants of decisions with no output (pure ejection) come first, in input
+//     order; then each output grants at most one input, in output order.
+//   - An output's OPC pointer moves to i+1 only when it grants input i; it
+//     serves the first sendable bid at or after the pointer.
+//   - A port's VC arbiter presents its first nonempty lane at or after its
+//     pointer, and moves past a lane only when that lane stalls.
+//   - A stalled header is charged StallVCBusy when its VC is held, else
+//     StallNoCredit; a bid that could have sent but lost the output is
+//     charged StallArbLost.
+//   - A VC freed by a tail can be granted from the next cycle.
+//   - The shared ejection port gives a header its lowest free VC.
+//   - A pop's credit is usable from the next cycle: a switch sees its
+//     downstream lanes' start-of-cycle free space.
+//   - The hop count rises only on a flit forwarded from a network input.
+//
 // Parking: a lane that cannot advance is not re-evaluated. When an input
 // port's bid fails for want of a credit (StallNoCredit) or of a downstream VC
 // (StallVCBusy), and every other lane of the port holding a flit would fail
@@ -37,7 +55,7 @@
 // the one event that can: ReturnCredit on that output and VC, the Commit
 // that releases that output's VC, or a Push into one of the port's empty
 // lanes. The cycles a port sits out are settled lazily, at its next Arbitrate
-// or when Stats is read, exactly as dense evaluation would have charged them:
+// or when Stats is read, exactly as evaluating it every cycle would have charged them:
 // each cycle the VC arbiter selects the next parked lane in rotation, the
 // lane is charged its recorded cause and the arbiter's pointer moves past it
 // — over the lanes that were parked, not the lanes that hold flits when the
@@ -404,7 +422,7 @@ func (r *Router) Quiescent() bool { return r.buffered == 0 }
 // AddIdleCycles accounts n cycles the network skipped stepping this router
 // in bulk: the occupancy integral gains nothing (a skipped router holds no
 // flits) and the cycle count gains n, so MeanOccupancy and every per-cycle
-// rate stay bit-identical to dense stepping.
+// rate stay bit-identical to stepping the router every cycle.
 func (r *Router) AddIdleCycles(n uint64) {
 	r.stats.Cycles += n
 }
@@ -733,7 +751,7 @@ func (r *Router) wake(o, vc int, cause StallCause, waiting *uint64) (woke bool) 
 }
 
 // settle charges input port i the cycles it sat out parked, through switch
-// cycle upto, exactly as dense stepping would have: each cycle the VC arbiter
+// cycle upto, exactly as stepping every cycle would have: each cycle the VC arbiter
 // selects the first parked lane at or after its pointer, charges that lane's
 // recorded stall cause and moves past it, so the selections walk the parked
 // lanes cyclically. A port no longer parked then leaves the unsettled set.

@@ -9,9 +9,7 @@ import (
 // linkPair is the smallest network a switch can be exercised in: A's output 0
 // wired to B's input 0, with the credit of every flit B pops from that port
 // returned to A — what internal/network does for a whole wiring table. The
-// datapath and statistics tests and BenchmarkRouterHop drive this harness
-// (internal/link's signal-level oracle drives its own, through the exported
-// API).
+// datapath and statistics tests and BenchmarkRouterHop drive this harness.
 type linkPair struct {
 	A, B   *Router
 	am, bm []Move

@@ -89,7 +89,8 @@ func TestPanelEndpointMatchesDirectSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := experiments.RunPanelSerial(spec, opts)
+	opts.Workers = 1 // the sequential sweep: points in order on one goroutine
+	direct, err := experiments.RunPanel(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestPanelEndpointMatchesDirectSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(job.Result, want) {
-		t.Fatalf("API result differs from direct RunPanelSerial:\napi:    %s\ndirect: %s",
+		t.Fatalf("API result differs from a direct one-worker RunPanel:\napi:    %s\ndirect: %s",
 			job.Result, want)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -77,7 +78,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 
 // OpenFS scans dir (creating it if needed) and builds the store over whatever
 // valid entries it holds, performing all I/O through fs. The scan is
-// corruption tolerant: half-written *.json.tmp leftovers of a crashed Put are
+// corruption tolerant: the <key>.json.tmp leftovers of a crashed Put are
 // deleted, files that do not look like result entries are ignored, and
 // anything over the byte budget is evicted oldest-access-first before OpenFS
 // returns.
@@ -110,7 +111,7 @@ func OpenFS(dir string, maxBytes int64, fs faultinject.FS) (*Store, error) {
 		if !de.Type().IsRegular() {
 			continue
 		}
-		if filepath.Ext(name) == ".tmp" {
+		if key, ok := strings.CutSuffix(name, tmpSuffix); ok && keyPattern.MatchString(key) {
 			// A Put that crashed before its rename: the entry never became
 			// visible, so the remnant is garbage by definition.
 			fs.Remove(filepath.Join(dir, name))

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -221,4 +223,93 @@ func TestStoreOverwriteAdjustsBytes(t *testing.T) {
 	if !ok || !bytes.Equal(got, big) {
 		t.Fatalf("overwrite lost: %q %v", got, ok)
 	}
+}
+
+// TestStoreOpenRemovesOnlyItsOwnRemnants: the startup scan deletes what a
+// crashed Put leaves, <key>.json.tmp, and nothing else; other .tmp files in
+// the directory are foreign and survive byte-identical.
+func TestStoreOpenRemovesOnlyItsOwnRemnants(t *testing.T) {
+	dir := t.TempDir()
+	foreign := map[string][]byte{"notes.tmp": []byte("keep me"), "xyz.json.tmp": []byte(`{"x":1}`)}
+	for name, b := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remnant := filepath.Join(dir, testKey(1)+tmpSuffix)
+	if err := os.WriteFile(remnant, []byte(`{"torn":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range foreign {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: read %q, %v; want %q kept", name, got, err, want)
+		}
+	}
+	if _, err := os.Stat(remnant); !os.IsNotExist(err) {
+		t.Errorf("the crashed Put's remnant survived the scan: %v", err)
+	}
+}
+
+// FuzzStoreOpen runs the startup scan over arbitrary directory contents:
+// names is a newline-separated list of file names (those no directory can
+// hold are skipped) and contents their payloads, separated by 0xff bytes and
+// reused cyclically. OpenFS must succeed; exactly the store's own remnants
+// (<key>.json.tmp) must be gone and every other file byte-identical; Len must
+// count the <key>.json entries; and Get must never return bytes that are not
+// valid JSON, returning a valid entry's exactly.
+func FuzzStoreOpen(f *testing.F) {
+	k1, k2 := testKey(1), testKey(2)
+	f.Add(k1+".json\n"+k2+".json.tmp\nnotes.tmp\nxyz.json.tmp", []byte("{\"a\":1}\xff{\"torn\":\xffkeep\xff{}"))
+	f.Add(k1+".json\n"+k2+".json\n"+k1+".JSON\n"+k2[:63]+".json.tmp", []byte("not json\xff[1,2]"))
+	f.Add(".tmp\n.json.tmp\n"+k1+".json.tmp.tmp\n"+k1+"x.json.tmp", []byte(""))
+	f.Fuzz(func(t *testing.T, names string, contents []byte) {
+		dir := t.TempDir()
+		payloads := bytes.Split(contents, []byte{0xff})
+		files := map[string][]byte{}
+		for i, name := range strings.Split(names, "\n") {
+			if name == "" || name == "." || name == ".." || len(name) > 200 || strings.ContainsAny(name, "/\x00") {
+				continue
+			}
+			b := payloads[i%len(payloads)]
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Skipf("unwritable name %q: %v", name, err)
+			}
+			files[name] = b
+		}
+		s, err := Open(dir, 1<<30)
+		if err != nil {
+			t.Fatalf("OpenFS: %v", err)
+		}
+		entries := map[string][]byte{}
+		for name, want := range files {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if key, ok := strings.CutSuffix(name, tmpSuffix); ok && keyPattern.MatchString(key) {
+				if !os.IsNotExist(err) {
+					t.Errorf("%s: the store's remnant survived the scan", name)
+				}
+				continue
+			}
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: read %q, %v; want %q kept", name, got, err, want)
+			}
+			if key, ok := keyOf(name); ok {
+				entries[key] = want
+			}
+		}
+		if s.Len() != len(entries) {
+			t.Errorf("Len %d, want the %d <key>.json files", s.Len(), len(entries))
+		}
+		for key, want := range entries {
+			got, ok := s.Get(key)
+			if ok && !json.Valid(got) {
+				t.Errorf("%s: Get returned invalid JSON %q", key, got)
+			}
+			if json.Valid(want) && (!ok || !bytes.Equal(got, want)) {
+				t.Errorf("%s: Get returned %q, %v; want %q", key, got, ok, want)
+			}
+		}
+	})
 }

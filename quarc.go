@@ -83,7 +83,8 @@ func FastOpts() RunOpts    { return experiments.FastOpts() }
 // fanning the independent (model, rate, replicate) points across
 // RunOpts.Workers goroutines. RunOpts.Replicates runs each point
 // several times with independent seeds and aggregates mean ± 95% CI. For a
-// fixed RunOpts.Seed the result is bit-identical to RunPanelSerial.
+// fixed RunOpts.Seed the result is bit-identical at any worker count;
+// Workers 1 sweeps the points in order on one goroutine.
 func RunPanel(spec PanelSpec, opts RunOpts) (PanelResult, error) {
 	return experiments.RunPanel(spec, opts)
 }
@@ -92,12 +93,6 @@ func RunPanel(spec PanelSpec, opts RunOpts) (PanelResult, error) {
 // also carry an OnPointDone callback to stream per-point progress.
 func RunPanelContext(ctx context.Context, spec PanelSpec, opts RunOpts) (PanelResult, error) {
 	return experiments.RunPanelContext(ctx, spec, opts)
-}
-
-// RunPanelSerial is RunPanel on a single goroutine — the reference execution
-// the parallel engine is tested against.
-func RunPanelSerial(spec PanelSpec, opts RunOpts) (PanelResult, error) {
-	return experiments.RunPanelSerial(spec, opts)
 }
 
 // PanelPointCount returns the number of design points RunPanel will execute
