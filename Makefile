@@ -21,7 +21,6 @@ race:
 # Run every fuzz target briefly (go test -fuzz takes one target at a time).
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeDecodeWire -fuzztime=$(FUZZTIME) ./internal/flit/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodePacket -fuzztime=$(FUZZTIME) ./internal/flit/
 	$(GO) test -run=^$$ -fuzz=FuzzFront -fuzztime=$(FUZZTIME) ./internal/explore/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/service/
 	$(GO) test -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store/

@@ -1,16 +1,20 @@
 package quarc_test
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // TestExamplesMatchGolden builds the deterministic examples and checks that
 // each prints exactly its examples/testdata golden, so an example the library
 // has drifted away from fails here instead of shipping. (examples/sweep
-// prints wall-clock times and is left out.)
+// prints wall-clock times and is left out.) An example still running shortly
+// before the test's deadline (a deadlocked fabric spins forever) is killed,
+// and the test fails naming it rather than leaving it running.
 func TestExamplesMatchGolden(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -25,8 +29,19 @@ func TestExamplesMatchGolden(t *testing.T) {
 	if out, err := exec.Command(goTool, args...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	ctx := context.Background()
+	if deadline, ok := t.Deadline(); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline.Add(-10*time.Second))
+		defer cancel()
+	}
 	for _, name := range names {
-		got, err := exec.Command(filepath.Join(bin, name)).Output()
+		cmd := exec.CommandContext(ctx, filepath.Join(bin, name))
+		cmd.WaitDelay = time.Second
+		got, err := cmd.Output()
+		if ctx.Err() != nil {
+			t.Fatalf("examples/%s still running near the test deadline: killed (%v)", name, err)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

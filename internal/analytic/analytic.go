@@ -334,24 +334,3 @@ func SaturationRate(name string, n, msgLen int) (float64, bool) {
 	}
 	return t.saturationRate(msgLen), true
 }
-
-// QuarcBroadcastCompletion is the zero-load completion latency of a true
-// BRCP broadcast: the deepest branch has diameter n/4 hops and the tail
-// follows msgLen-1 flits behind the header.
-func QuarcBroadcastCompletion(n, msgLen int) float64 {
-	return float64(n/4 + msgLen)
-}
-
-// SpidergonBroadcastCompletion is the zero-load completion latency of the
-// broadcast-by-unicast chain: ceil((n-1)/2) sequential store-and-forward
-// stages, each taking one hop plus msgLen flit cycles plus perHopOverhead
-// cycles of ejection/re-injection handling.
-func SpidergonBroadcastCompletion(n, msgLen int, perHopOverhead float64) float64 {
-	stages := float64((n) / 2) // ceil((n-1)/2)
-	return stages * (float64(msgLen) + 1 + perHopOverhead)
-}
-
-// BroadcastAdvantage is the predicted Quarc-vs-Spidergon broadcast speedup.
-func BroadcastAdvantage(n, msgLen int) float64 {
-	return SpidergonBroadcastCompletion(n, msgLen, 1) / QuarcBroadcastCompletion(n, msgLen)
-}

@@ -140,32 +140,6 @@ func TestSpidergonCrossUtilisationHigherThanQuarcCross(t *testing.T) {
 	}
 }
 
-func TestBroadcastAdvantageGrowsWithN(t *testing.T) {
-	prev := 0.0
-	for _, n := range []int{8, 16, 32, 64} {
-		adv := BroadcastAdvantage(n, 16)
-		if adv <= prev {
-			t.Fatalf("advantage not growing: n=%d adv=%v prev=%v", n, adv, prev)
-		}
-		prev = adv
-	}
-	// Paper: "almost an order of magnitude improvement" for the evaluated
-	// configurations.
-	if adv := BroadcastAdvantage(64, 16); adv < 5 {
-		t.Errorf("n=64 broadcast advantage %v, expected >= 5x", adv)
-	}
-}
-
-func TestBroadcastCompletionFormulas(t *testing.T) {
-	if QuarcBroadcastCompletion(16, 16) != 20 {
-		t.Fatalf("quarc completion = %v", QuarcBroadcastCompletion(16, 16))
-	}
-	s := SpidergonBroadcastCompletion(16, 16, 1)
-	if s < 100 || s > 200 {
-		t.Fatalf("spidergon completion = %v, expected ~(n/2)(m+2)", s)
-	}
-}
-
 // TestBadInputsPanic: ForModel refuses what it cannot describe, and a route
 // table refuses a message shorter than two flits.
 func TestBadInputsPanic(t *testing.T) {

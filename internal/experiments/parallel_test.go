@@ -138,7 +138,7 @@ func TestStepWorkerInvariance(t *testing.T) {
 // links that join the first shard to the last in both directions. Unicast,
 // software-broadcast and multicast traffic, at low load (few nodes awake, the
 // pool forced by stepGrain 1) and saturated (every boundary link busy every
-// cycle, blocked sleepers woken by credits from another shard), must match
+// cycle, sleepers holding flits woken by credits from another shard), must match
 // the serial run bit for bit. Only the square models can: the ring family
 // stops at 64 nodes, one mask word. TestFabricMatchesSpec holds pooled
 // fabrics to the spec fabric.
@@ -179,9 +179,9 @@ func TestCrossShardLinksBitIdentical(t *testing.T) {
 
 // TestBlockedSleepEngagesWhenSaturated guards the dependency wake graph
 // against a silent fallback: at a saturated load, routers that are wedged
-// behind exhausted credits must actually take the blocked-sleep path (the
-// bit-identity of the replay is proven by the spec-equivalence and
-// worker-invariance suites; this pins that the mechanism fires at all).
+// behind exhausted credits must actually go to sleep holding flits (the
+// bit-identity of the slept cycles is proven by the spec-equivalence and
+// worker-invariance suites; TestSleepScheduleMatchesParent pins how often).
 func TestBlockedSleepEngagesWhenSaturated(t *testing.T) {
 	cfg := Config{Model: "quarc", N: 16, MsgLen: 8, Rate: 0.15, Depth: 4,
 		Pattern: traffic.Hotspot, HotspotBias: 0.4,
@@ -194,7 +194,7 @@ func TestBlockedSleepEngagesWhenSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if blocked == 0 {
-		t.Fatal("saturated hotspot run never blocked-slept a router")
+		t.Fatal("saturated hotspot run never slept a router holding flits")
 	}
 }
 

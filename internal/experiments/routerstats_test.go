@@ -17,7 +17,7 @@ import (
 	"quarc/internal/traffic"
 )
 
-var updateRouterStats = flag.Bool("update", false, "rewrite testdata/router-stats.golden from this build's output")
+var updateRouterStats = flag.Bool("update", false, "rewrite testdata/router-stats.golden and testdata/sleep-schedule.golden from this build's output")
 
 // routerStatsGolden pins every switch's counters and every link's load on a
 // matrix of saturated points to a file an earlier build of the stepping code

@@ -631,7 +631,7 @@ func TestDeliveryCallbackEnqueuesAtSleepingNode(t *testing.T) {
 // TestDeliveryCallbackEnqueuesAtSleepingNodePooled is the delivery-callback
 // case on the worker pool: on a 16x16 mesh stepped by two and three workers
 // at grain 1, a request inside the first shard completes, and its callback —
-// run by worker 0 in the ordered half — enqueues a reply at an idle sleeper
+// run by worker 0 in the ordered half — enqueues a reply at a drained sleeper
 // another worker owns. The owner feeds the woken node in that cycle's pass 2,
 // so the reply's cycles and every router's statistics equal the spec
 // fabric's.

@@ -197,66 +197,6 @@ func TestWireBodyPayloadProperty(t *testing.T) {
 	}
 }
 
-func TestEncodePacketMulticastBitstring(t *testing.T) {
-	h := Flit{Src: 0, Dst: 15, Traffic: Multicast, Bits: 0xABCD_EF01_2345_6789, PktID: 1}
-	p := Packet(h, 8)
-	words, err := EncodePacket(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(words) != 8 {
-		t.Fatalf("encoded %d words, want 8", len(words))
-	}
-	q, err := DecodePacket(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q[0].Bits != h.Bits {
-		t.Fatalf("bitstring lost: %#x, want %#x", q[0].Bits, h.Bits)
-	}
-	if q[0].Traffic != Multicast || q[0].Src != 0 || q[0].Dst != 15 {
-		t.Fatalf("header fields lost: %+v", q[0])
-	}
-}
-
-func TestEncodePacketUnicastRoundTrip(t *testing.T) {
-	h := Flit{Src: 5, Dst: 10, Traffic: Unicast, PktID: 9}
-	p := Packet(h, 4)
-	words, err := EncodePacket(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := DecodePacket(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(q); err != nil {
-		t.Fatalf("decoded packet invalid: %v", err)
-	}
-	for i := range q {
-		if q[i].Kind != p[i].Kind {
-			t.Fatalf("flit %d kind %v, want %v", i, q[i].Kind, p[i].Kind)
-		}
-	}
-}
-
-func TestDecodePacketErrors(t *testing.T) {
-	if _, err := DecodePacket([]uint64{1}); err == nil {
-		t.Fatal("accepted one-word packet")
-	}
-	// Body flit first.
-	bw, _ := EncodeWire(Flit{Kind: Body, Payload: 1})
-	if _, err := DecodePacket([]uint64{bw, bw}); err == nil {
-		t.Fatal("accepted packet starting with body flit")
-	}
-	// Header with wrong length field.
-	hw, _ := EncodeWire(Flit{Kind: Header, PktLen: 5, Traffic: Unicast})
-	tw, _ := EncodeWire(Flit{Kind: Tail})
-	if _, err := DecodePacket([]uint64{hw, tw}); err == nil {
-		t.Fatal("accepted packet with wrong PktLen")
-	}
-}
-
 func BenchmarkEncodeWire(b *testing.B) {
 	f := Flit{Kind: Header, Traffic: Broadcast, Src: 1, Dst: 2, PktLen: 16}
 	for i := 0; i < b.N; i++ {

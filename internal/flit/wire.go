@@ -17,9 +17,9 @@ import "fmt"
 //	bits [30:29] reserved
 //	bits [33:31] traffic type (unicast/multicast/broadcast/bcast-chain)
 //
-// Multicast packets carry their bitstring in the payloads of the first one
-// or two body flits ("multi flit headers", §2.6): flit 1 carries bits 0..31,
-// flit 2 (present when N > 32) carries bits 32..63.
+// A multicast's bitstring is not part of the header word: the paper carries
+// it in the first body flits ("multi flit headers", §2.6), and the simulator
+// carries it in the packet's header record (router.Header.Bits).
 const (
 	WireBits = 34
 	WireMask = (uint64(1) << WireBits) - 1
@@ -101,82 +101,4 @@ func DecodeWire(w uint64) (Flit, error) {
 		f.Payload = uint32(w >> 2)
 	}
 	return f, nil
-}
-
-// EncodePacket encodes a whole packet to wire words, embedding the multicast
-// bitstring into the first body flits as described above.
-func EncodePacket(p []Flit) ([]uint64, error) {
-	if err := Validate(p); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, len(p))
-	for i, f := range p {
-		if p[0].Traffic == Multicast {
-			switch i {
-			case 1:
-				f.Payload = uint32(p[0].Bits)
-			case 2:
-				f.Payload = uint32(p[0].Bits >> 32)
-			}
-		}
-		w, err := EncodeWire(f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-// DecodePacket reverses EncodePacket, reassembling the multicast bitstring.
-// Packets shorter than 3 flits can carry at most 32 bitstring bits.
-//
-// Beyond per-word validity it enforces the packet structure of §2.6 — a
-// header first, a tail last, bodies in between, and a header length field
-// matching the word count — so a successful decode always yields a packet
-// that Validate accepts and EncodePacket turns back into the same words.
-func DecodePacket(words []uint64) ([]Flit, error) {
-	if len(words) < 2 {
-		return nil, fmt.Errorf("flit: packet of %d words, need at least 2", len(words))
-	}
-	p := make([]Flit, len(words))
-	for i, w := range words {
-		f, err := DecodeWire(w)
-		if err != nil {
-			return nil, err
-		}
-		f.Seq = i
-		p[i] = f
-	}
-	h := &p[0]
-	if h.Kind != Header {
-		return nil, fmt.Errorf("flit: first word is %v, want header", p[0].Kind)
-	}
-	if h.PktLen != len(words) {
-		return nil, fmt.Errorf("flit: header PktLen %d != %d words", h.PktLen, len(words))
-	}
-	for i := 1; i < len(p); i++ {
-		switch {
-		case i == len(p)-1:
-			if p[i].Kind != Tail {
-				return nil, fmt.Errorf("flit: last word is %v, want tail", p[i].Kind)
-			}
-		default:
-			if p[i].Kind != Body {
-				return nil, fmt.Errorf("flit: word %d is %v, want body", i, p[i].Kind)
-			}
-		}
-	}
-	if h.Traffic == Multicast {
-		h.Bits = uint64(p[1].Payload)
-		if len(p) > 2 {
-			h.Bits |= uint64(p[2].Payload) << 32
-		}
-	}
-	for i := 1; i < len(p); i++ {
-		p[i].Src, p[i].Dst = h.Src, h.Dst
-		p[i].Traffic = h.Traffic
-		p[i].PktLen = h.PktLen
-	}
-	return p, nil
 }

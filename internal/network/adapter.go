@@ -315,9 +315,10 @@ func (b *BaseAdapter) Feed(now int64) {
 }
 
 // FeedBlocked reports whether Feed cannot inject a single flit right now:
-// every source queue with a pending flit faces a full injection lane. The
-// fabric consults it before putting a backlogged node into blocked sleep — a
-// node whose Feed could still make progress must keep stepping.
+// every source queue with a pending flit faces a full injection lane, which
+// an adapter with no pending flit trivially satisfies. The fabric consults it
+// before putting a node to sleep: a node whose Feed could still make progress
+// must keep stepping.
 func (b *BaseAdapter) FeedBlocked() bool {
 	for qi := range b.Queues {
 		f, port := b.Queues[qi].NextFlit()

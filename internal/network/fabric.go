@@ -37,13 +37,13 @@
 // cycle. A broadcast or multicast keeps a record and a delivered-node mask
 // until its last destination is served.
 //
-// Stepping is activity-driven: the fabric keeps a set of active nodes (any
-// buffered flit or pending source-queue backlog) and each cycle visits only
-// those. Routers are woken by flits pushed into them and by adapter enqueues,
-// and go to sleep when fully drained — or, under saturation, when blocked:
-// every occupied input port of the switch is parked (internal/router) and the
-// adapter cannot inject, so nothing can move until a credit returns that
-// unparks a port, a flit arrives or a packet is enqueued (see sleepScan).
+// Stepping is activity-driven: the fabric keeps a set of active nodes and
+// each cycle visits only those. A node goes to sleep when its switch is
+// wedged — every occupied input port parked (internal/router), which a drained
+// switch trivially is — and its adapter cannot inject, so nothing can move
+// until a flit arrives, a credit returns that unparks a port or a packet is
+// enqueued; each of those wakes it (see sleepScan). Under low load the
+// sleepers are drained, under saturation many hold flits.
 // Slept cycles are credited to their statistics in bulk, so the observable
 // simulation — every flit movement, every counter — is bit-identical to
 // stepping all N routers every cycle. The experiment layer's equivalence
@@ -99,24 +99,22 @@ const defaultStepGrain = 48
 // and its outgoing mailboxes; the serial path is one scratch owning every
 // node. The pad keeps workers' scratches off shared cache lines.
 type stepScratch struct {
-	lo, hi       int         // owned node range [lo, hi): whole activeMask words
-	woken        int         // nodes reconciled out of sleep this cycle
-	wokenBlocked int         // subset that slept blocked
-	forwarded    uint64      // flits moved across links this cycle
-	delivering   []int       // stepped nodes with a PE delivery among their moves, ascending
-	sleptIdle    []int       // drained nodes leaving the step set
-	sleptBlocked []int       // blocked nodes leaving the step set
-	outbox       [][]linkRec // per destination shard: link effects parked for its owner (pool only)
-	shardOf      []uint8     // activeMask word -> owning shard, shared by the pool's scratches
-	_            [64]byte
+	lo, hi      int         // owned node range [lo, hi): whole activeMask words
+	woken       int         // nodes reconciled out of sleep this cycle
+	wokenLoaded int         // subset that slept holding flits
+	forwarded   uint64      // flits moved across links this cycle
+	delivering  []int       // stepped nodes with a PE delivery among their moves, ascending
+	slept       []int       // nodes leaving the step set
+	outbox      [][]linkRec // per destination shard: link effects parked for its owner (pool only)
+	shardOf     []uint8     // activeMask word -> owning shard, shared by the pool's scratches
+	_           [64]byte
 }
 
 // newStepScratch returns the scratch of the worker owning nodes [lo, hi).
 func newStepScratch(lo, hi int) stepScratch {
 	return stepScratch{lo: lo, hi: hi,
-		delivering:   make([]int, 0, hi-lo),
-		sleptIdle:    make([]int, 0, hi-lo),
-		sleptBlocked: make([]int, 0, hi-lo)}
+		delivering: make([]int, 0, hi-lo),
+		slept:      make([]int, 0, hi-lo)}
 }
 
 // feederRef names the one output wired to an input port (node -1: injection).
@@ -156,16 +154,15 @@ type Fabric struct {
 	activeMask []uint64 // bit per node: stepped next cycle
 	stepList   []int    // scratch: nodes stepped this cycle, ascending
 	idleSince  []int64  // first un-stepped cycle while asleep; -1 when awake
-	sleepMask  []uint64 // bit per node: asleep (either kind)
-	sleeping   int      // nodes currently asleep (either kind)
+	sleepMask  []uint64 // bit per node: asleep
+	sleeping   int      // nodes currently asleep
+	// loadedSleeping counts the sleepers holding flits, which keep the
+	// fabric from being idle.
+	loadedSleeping int
+	sleeps         uint64 // cumulative sleeps entered holding flits (diagnostic)
 
 	// The wiring inverted: where a pop's credit goes, and whom it may wake.
 	feeder [][]feederRef // [node][in]
-
-	// Blocked-sleep state (the dependency wake graph).
-	blockedMask     []uint64 // bit per node: asleep blocked (an asleep node without it sleeps idle)
-	blockedSleeping int      // nodes currently in blocked sleep
-	blockedSleeps   uint64   // cumulative blocked-sleep entries (diagnostic)
 
 	// Intra-cycle parallelism.
 	scr       stepScratch // serial-path scratch
@@ -202,22 +199,21 @@ func Build[A Adapter](n int, sw router.Config, injStart int, wires func(node int
 func newFabric(routers []*router.Router, injStart int, wires func(node int) []OutputWire) *Fabric {
 	n := len(routers)
 	f := &Fabric{
-		N:           n,
-		Routers:     routers,
-		Adapters:    make([]Adapter, n),
-		bases:       make([]*BaseAdapter, n),
-		Tracker:     NewTracker(),
-		Packets:     routers[0].Packets(),
-		wires:       make([][]OutputWire, n),
-		injStart:    injStart,
-		moves:       make([][]router.Move, n),
-		nmoves:      make([]int32, n),
-		activeMask:  make([]uint64, (n+63)/64),
-		stepList:    make([]int, 0, n),
-		idleSince:   make([]int64, n),
-		sleepMask:   make([]uint64, (n+63)/64),
-		blockedMask: make([]uint64, (n+63)/64),
-		stepGrain:   defaultStepGrain,
+		N:          n,
+		Routers:    routers,
+		Adapters:   make([]Adapter, n),
+		bases:      make([]*BaseAdapter, n),
+		Tracker:    NewTracker(),
+		Packets:    routers[0].Packets(),
+		wires:      make([][]OutputWire, n),
+		injStart:   injStart,
+		moves:      make([][]router.Move, n),
+		nmoves:     make([]int32, n),
+		activeMask: make([]uint64, (n+63)/64),
+		stepList:   make([]int, 0, n),
+		idleSince:  make([]int64, n),
+		sleepMask:  make([]uint64, (n+63)/64),
+		stepGrain:  defaultStepGrain,
 	}
 	f.scr = newStepScratch(0, n)
 	// Every node starts awake, as if every router were stepped from cycle 0;
@@ -337,8 +333,9 @@ func (f *Fabric) NextMsgID() uint64 { f.msgSeq++; return f.msgSeq }
 // FlitsDelivered returns the total flits handed to PEs.
 func (f *Fabric) FlitsDelivered() uint64 { return f.delivered }
 
-// FlitsForwarded returns the total flits that crossed links (including
-// injection links).
+// FlitsForwarded returns the total flits that crossed links between switches:
+// the moves pushed over a wired output. An adapter's feed into its injection
+// lane and a delivery to the PE are not counted.
 func (f *Fabric) FlitsForwarded() uint64 { return f.forwarded }
 
 // SteppedRouters returns the cumulative number of router-steps executed.
@@ -346,10 +343,10 @@ func (f *Fabric) FlitsForwarded() uint64 { return f.forwarded }
 // this counter to N*Now() is the activity factor the scheduler exploited.
 func (f *Fabric) SteppedRouters() uint64 { return f.stepped }
 
-// BlockedSleeps returns how many times a router entered blocked sleep (every
-// occupied input port parked). Diagnostic for the saturation regime, where
-// idle sleep never fires.
-func (f *Fabric) BlockedSleeps() uint64 { return f.blockedSleeps }
+// BlockedSleeps returns how many sleeps were entered holding flits: the switch
+// wedged with every occupied input port parked. Diagnostic for the saturation
+// regime, where a node seldom drains.
+func (f *Fabric) BlockedSleeps() uint64 { return f.sleeps }
 
 // ActiveNodes returns how many nodes are in the step set for the next cycle.
 func (f *Fabric) ActiveNodes() int {
@@ -363,10 +360,10 @@ func (f *Fabric) ActiveNodes() int {
 // Idle reports whether the step set is empty: no router holds a flit and no
 // source queue has backlog, so nothing can happen until new traffic is
 // enqueued. The fabric clock may fast-forward over idle stretches with
-// AdvanceIdle. Blocked-sleeping routers hold flits, so they keep the fabric
-// non-idle even though they are out of the step set.
+// AdvanceIdle. Sleepers holding flits keep the fabric non-idle even though
+// they are out of the step set.
 func (f *Fabric) Idle() bool {
-	if f.blockedSleeping != 0 {
+	if f.loadedSleeping != 0 {
 		return false
 	}
 	for _, w := range f.activeMask {
@@ -377,13 +374,6 @@ func (f *Fabric) Idle() bool {
 	return true
 }
 
-// asleepBlocked reports whether node sleeps blocked.
-//
-//quarc:hotpath
-func (f *Fabric) asleepBlocked(node int) bool {
-	return f.blockedMask[node>>6]&(1<<uint(node&63)) != 0
-}
-
 // wake puts a node back into the step set. Slept cycles are reconciled into
 // its statistics when it is next stepped.
 func (f *Fabric) wake(node int) {
@@ -391,20 +381,14 @@ func (f *Fabric) wake(node int) {
 }
 
 // SyncStats brings the cycle counters of sleeping routers up to the current
-// cycle, as if each had been stepped every cycle — idle sleepers empty,
-// blocked sleepers at the occupancy they slept with (their parked ports'
-// stalls are settled when Router.Stats is read). It is idempotent at a given
-// cycle; RouterStats calls it implicitly, and tests comparing per-router
-// statistics with a reference call it first.
+// cycle, as if each had been stepped every cycle at the occupancy it slept
+// with (its parked ports' stalls are settled when Router.Stats is read). It
+// is idempotent at a given cycle; RouterStats calls it implicitly, and tests
+// comparing per-router statistics with a reference call it first.
 func (f *Fabric) SyncStats() {
 	for node, since := range f.idleSince {
 		if since >= 0 && since < f.cycle {
-			k := uint64(f.cycle - since)
-			if f.asleepBlocked(node) {
-				f.Routers[node].ReplayBlockedCycles(k)
-			} else {
-				f.Routers[node].AddIdleCycles(k)
-			}
+			f.Routers[node].Slept(uint64(f.cycle - since))
 			f.idleSince[node] = f.cycle
 		}
 	}
@@ -469,14 +453,9 @@ func (f *Fabric) reconcile(node int, sc *stepScratch) {
 	if f.idleSince[node] < 0 {
 		return
 	}
-	k := uint64(f.cycle - f.idleSince[node])
 	f.sleepMask[node>>6] &^= 1 << uint(node&63)
-	if f.asleepBlocked(node) {
-		f.Routers[node].ReplayBlockedCycles(k)
-		f.blockedMask[node>>6] &^= 1 << uint(node&63)
-		sc.wokenBlocked++
-	} else {
-		f.Routers[node].AddIdleCycles(k)
+	if f.Routers[node].Slept(uint64(f.cycle - f.idleSince[node])) {
+		sc.wokenLoaded++
 	}
 	f.idleSince[node] = -1
 	sc.woken++
@@ -589,7 +568,7 @@ func (f *Fabric) send(sc *stepScratch, r linkRec) {
 func (f *Fabric) applyLink(r linkRec) {
 	node := int(r.node)
 	if r.s == nil {
-		// A credit that unparks a port is an event a blocked sleeper waits for.
+		// A credit that unparks a port is an event a sleeper waits for.
 		if f.Routers[node].ReturnCredit(int(r.port), int(r.vc)) {
 			f.wake(node)
 		}
@@ -613,8 +592,8 @@ func (f *Fabric) pass2(list []int, sc *stepScratch) {
 	}
 	// A sleeper woken during this cycle's apply is fed now, as it would be
 	// had it been stepped: a delivery's callback may have enqueued a packet
-	// at it. (It slept drained or unable to inject, and only an enqueue
-	// changes that while it sleeps.)
+	// at it. (It slept unable to inject, and only an enqueue changes that
+	// while it sleeps.)
 	for w := sc.lo >> 6; w < (sc.hi+63)>>6; w++ {
 		for woke := f.activeMask[w] & f.sleepMask[w]; woke != 0; woke &= woke - 1 {
 			f.bases[w<<6|bits.TrailingZeros64(woke)].Feed(f.cycle)
@@ -622,29 +601,18 @@ func (f *Fabric) pass2(list []int, sc *stepScratch) {
 	}
 }
 
-// sleepScan decides whether a just-stepped node can leave the step set:
-// drained nodes sleep idle; a node whose switch is blocked (every occupied
-// input port parked, waiting for a credit, a VC or a flit) and whose adapter
-// cannot inject sleeps blocked. Candidates are recorded in scratch; fold
-// commits them. It reads only the node's own switch and adapter, and a
-// sleeping switch needs nothing refreshed: nobody reads it.
+// sleepScan decides whether a just-stepped node can leave the step set: its
+// switch is wedged (every occupied input port parked, waiting for a credit, a
+// VC or a flit; a drained switch trivially) and its adapter cannot inject.
+// Candidates are recorded in scratch; fold commits them. It reads only the
+// node's own switch and adapter, and a sleeping switch needs nothing
+// refreshed: nobody reads it.
 //
 //quarc:hotpath
 func (f *Fabric) sleepScan(node int, sc *stepScratch) {
-	r, a := f.Routers[node], f.bases[node]
-	if r.Quiescent() {
-		if a.Backlog() == 0 {
-			sc.sleptIdle = append(sc.sleptIdle, node)
-		}
-		return
+	if f.Routers[node].Wedged() && f.bases[node].FeedBlocked() {
+		sc.slept = append(sc.slept, node)
 	}
-	if !r.Blocked() {
-		return
-	}
-	if a.Backlog() > 0 && !a.FeedBlocked() {
-		return
-	}
-	sc.sleptBlocked = append(sc.sleptBlocked, node)
 }
 
 // fold closes the cycle for one scratch: its counters join the fabric totals
@@ -654,26 +622,20 @@ func (f *Fabric) sleepScan(node int, sc *stepScratch) {
 //quarc:hotpath
 func (f *Fabric) fold(sc *stepScratch) {
 	f.sleeping -= sc.woken
-	f.blockedSleeping -= sc.wokenBlocked
+	f.loadedSleeping -= sc.wokenLoaded
 	f.forwarded += sc.forwarded
-	sc.woken, sc.wokenBlocked, sc.forwarded = 0, 0, 0
-	for _, node := range sc.sleptIdle {
+	sc.woken, sc.wokenLoaded, sc.forwarded = 0, 0, 0
+	for _, node := range sc.slept {
 		f.activeMask[node>>6] &^= 1 << uint(node&63)
 		f.sleepMask[node>>6] |= 1 << uint(node&63)
 		f.idleSince[node] = f.cycle + 1
 		f.sleeping++
+		if !f.Routers[node].Quiescent() {
+			f.loadedSleeping++
+			f.sleeps++
+		}
 	}
-	sc.sleptIdle = sc.sleptIdle[:0]
-	for _, node := range sc.sleptBlocked {
-		f.activeMask[node>>6] &^= 1 << uint(node&63)
-		f.sleepMask[node>>6] |= 1 << uint(node&63)
-		f.idleSince[node] = f.cycle + 1
-		f.blockedMask[node>>6] |= 1 << uint(node&63)
-		f.sleeping++
-		f.blockedSleeping++
-		f.blockedSleeps++
-	}
-	sc.sleptBlocked = sc.sleptBlocked[:0]
+	sc.slept = sc.slept[:0]
 }
 
 // stepSerial runs one latched cycle on the calling goroutine: the pool's
@@ -767,8 +729,8 @@ func (f *Fabric) AdvanceIdle(cycles int64) {
 		panic(fmt.Sprintf("network: AdvanceIdle with %d of %d routers awake",
 			f.N-f.sleeping, f.N))
 	}
-	if f.blockedSleeping != 0 {
-		panic(fmt.Sprintf("network: AdvanceIdle with %d routers blocked", f.blockedSleeping))
+	if f.loadedSleeping != 0 {
+		panic(fmt.Sprintf("network: AdvanceIdle with %d sleeping routers holding flits", f.loadedSleeping))
 	}
 	f.cycle += cycles
 }

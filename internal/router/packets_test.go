@@ -15,11 +15,11 @@ func TestSlotSize(t *testing.T) {
 	}
 }
 
-// TestLaneSize bounds a lane's FCU and parking state at 32 bytes: a 32x32
+// TestLaneSize bounds a lane's FCU and parking state at 28 bytes: a 32x32
 // mesh holds 9,216 of them, all visited by the arbiter.
 func TestLaneSize(t *testing.T) {
-	if got := unsafe.Sizeof(lane{}); got > 32 {
-		t.Fatalf("unsafe.Sizeof(lane{}) = %d, want <= 32", got)
+	if got := unsafe.Sizeof(lane{}); got > 28 {
+		t.Fatalf("unsafe.Sizeof(lane{}) = %d, want <= 28", got)
 	}
 }
 

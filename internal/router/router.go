@@ -59,8 +59,9 @@
 // each cycle the VC arbiter selects the next parked lane in rotation, the
 // lane is charged its recorded cause and the arbiter's pointer moves past it
 // — over the lanes that were parked, not the lanes that hold flits when the
-// port is settled. A switch whose occupied ports are all parked is Blocked,
-// and the network may skip stepping it until one of those events.
+// port is settled. A switch whose occupied ports are all parked is wedged (a
+// drained switch trivially so), and the network may skip stepping it until
+// one of those events.
 //
 // Flit ownership: a buffered flit is a 12-byte Slot — the paper's 2-bit flit
 // type, the flit's index and hop count, and the handle of its packet's header
@@ -131,13 +132,13 @@ type Config struct {
 type lane struct {
 	base              int32
 	head, size, depth int32
-	// Cached routing verdict for the packet whose header waits at this
-	// lane's head (pendOK set, pendPkt its handle): Route and VCNext are
-	// pure, so a header blocked for many cycles needs them computed (and
-	// validated) once, not once per cycle. pendVC is the downstream VC the
-	// header requests on pendDec's output (unset for pure ejection and for
-	// the shared ejection port, which takes the first free VC).
-	pendPkt uint32
+	// Cached routing verdict for the header waiting at this lane's head
+	// (pendOK set; Commit clears it when the header leaves, so a verdict
+	// never meets another packet): Route and VCNext are pure, so a header
+	// blocked for many cycles needs them computed (and validated) once, not
+	// once per cycle. pendVC is the downstream VC the header requests on
+	// pendDec's output (unset for pure ejection and for the shared ejection
+	// port, which takes the first free VC).
 	pendDec packedDec
 	dec     packedDec // the FCU's latched decision, between header grant and tail departure
 	pendVC  int8
@@ -257,10 +258,10 @@ type Router struct {
 	unsettled uint64
 	pkts      *Packets
 	cfg       Config
-	// blockedOcc is the buffered-flit count recorded by Blocked, the
-	// per-cycle occupancy integrand charged for blocked-slept cycles.
-	blockedOcc uint64
-	stats      Stats
+	// sleptOcc is the buffered-flit count recorded by Wedged, the per-cycle
+	// occupancy integrand charged for slept cycles.
+	sleptOcc uint64
+	stats    Stats
 }
 
 // bid is one input port's candidate for the cycle: the lane the VC arbiter
@@ -419,35 +420,31 @@ func (r *Router) MoveFlit(m *Move) *Slot { return &r.slab[m.Slot] }
 // router.
 func (r *Router) Quiescent() bool { return r.buffered == 0 }
 
-// AddIdleCycles accounts n cycles the network skipped stepping this router
-// in bulk: the occupancy integral gains nothing (a skipped router holds no
-// flits) and the cycle count gains n, so MeanOccupancy and every per-cycle
-// rate stay bit-identical to stepping the router every cycle.
-func (r *Router) AddIdleCycles(n uint64) {
-	r.stats.Cycles += n
-}
-
-// Blocked reports whether the switch is wedged: it holds flits and every
-// occupied input port is parked, so nothing it holds can move until a credit
-// returns, one of its output VCs is released, or a flit is pushed into one of
-// its empty lanes. On true it records its occupancy, the integrand
-// ReplayBlockedCycles charges each cycle the network then skips stepping it.
-func (r *Router) Blocked() bool {
-	if r.buffered == 0 || r.occupied&^r.parked != 0 {
+// Wedged reports whether nothing the switch holds can move until an event
+// reaches it from outside: every occupied input port is parked, so it waits
+// for a credit, the release of one of its output VCs or a flit pushed into
+// one of its empty lanes. A drained switch is trivially wedged. It records the
+// occupancy, the integrand Slept charges each cycle the network then skips
+// stepping the switch.
+func (r *Router) Wedged() bool {
+	if r.occupied&^r.parked != 0 {
 		return false
 	}
-	r.blockedOcc = uint64(r.buffered)
+	r.sleptOcc = uint64(r.buffered)
 	return true
 }
 
-// ReplayBlockedCycles accounts k cycles the network skipped stepping this
-// switch while it slept blocked (Blocked held when it was put to sleep): the
-// cycle count gains k and the occupancy integral k times the recorded
-// occupancy. The stalls its parked ports would have bid are charged by their
-// own settlement, like any other parked cycle.
-func (r *Router) ReplayBlockedCycles(k uint64) {
+// Slept accounts k cycles the network skipped stepping this switch while it
+// slept (Wedged held when it was put to sleep): the cycle count gains k and
+// the occupancy integral k times the recorded occupancy, so MeanOccupancy and
+// every per-cycle rate stay bit-identical to stepping it every cycle. The
+// stalls its parked ports would have bid are charged by their own settlement,
+// like any other parked cycle. It reports whether the switch slept holding
+// flits.
+func (r *Router) Slept(k uint64) (loaded bool) {
 	r.stats.Cycles += k
-	r.stats.OccupancySum += k * r.blockedOcc
+	r.stats.OccupancySum += k * r.sleptOcc
+	return r.sleptOcc != 0
 }
 
 // Sent returns the number of flits the given output port has transmitted
@@ -500,12 +497,12 @@ func (r *Router) laneDecision(ln *lane, i, l int) packedDec {
 		panic(fmt.Sprintf("router %d in %d lane %d: %v flit with no active packet",
 			r.cfg.Node, i, l, head.Kind))
 	}
-	if !ln.pendOK || ln.pendPkt != head.Pkt {
+	if !ln.pendOK {
 		dec, vc := r.Decide(i, l, r.pkts.Header(head), int(head.Hop))
 		if vc >= 0 {
 			ln.pendVC = int8(vc)
 		}
-		ln.pendDec, ln.pendPkt, ln.pendOK = pack(dec), head.Pkt, true
+		ln.pendDec, ln.pendOK = pack(dec), true
 	}
 	return ln.pendDec
 }

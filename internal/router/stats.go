@@ -58,7 +58,7 @@ func (s Stats) TotalStalls() uint64 {
 // Stats returns a copy of the router's counters, first settling the cycles
 // its parked input ports have sat out so far. Arbitrate accounts a stepped
 // cycle; the network accounts the cycles it skipped stepping the switch in
-// bulk (AddIdleCycles, ReplayBlockedCycles), so after the network has brought
+// bulk (Slept), so after the network has brought
 // a sleeping switch up to date the counters are those of a switch stepped
 // every cycle.
 func (r *Router) Stats() Stats {

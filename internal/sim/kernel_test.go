@@ -2,50 +2,10 @@ package sim
 
 import "testing"
 
-// Dedicated Kernel bookkeeping tests: the calendar's Pending/NextEventTime
+// Dedicated Kernel bookkeeping tests: the calendar's NextEventTime
 // accounting, the repeating-event (ticker) lifecycle including the skip API
 // the traffic sources use, and RunBefore, through which the experiment
 // layer's clock loop fires the calendar between fabric cycles.
-
-func TestPendingExcludesCancelled(t *testing.T) {
-	var k Kernel
-	a := k.Schedule(5, PriFabric, func(Time) {})
-	b := k.Schedule(7, PriFabric, func(Time) {})
-	if k.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", k.Pending())
-	}
-	a.Cancel()
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d after cancel, want 1", k.Pending())
-	}
-	a.Cancel() // double cancel must not double-decrement
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d after double cancel, want 1", k.Pending())
-	}
-	k.Run(10)
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after run, want 0", k.Pending())
-	}
-	b.Cancel() // cancelling an already fired event is a no-op
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after post-fire cancel, want 0", k.Pending())
-	}
-}
-
-func TestCancelBeforeFire(t *testing.T) {
-	var k Kernel
-	fired := 0
-	e := k.Schedule(3, PriFabric, func(Time) { fired++ })
-	k.Schedule(3, PriFabric, func(Time) { fired++ })
-	e.Cancel()
-	k.Run(10)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (cancelled event must not run)", fired)
-	}
-	if k.Fired() != 1 {
-		t.Fatalf("Fired() = %d, want 1", k.Fired())
-	}
-}
 
 // Same-cycle ordering: priority first, then insertion sequence — including a
 // ticker re-pushed at the cycle it fired from (its sequence is taken after
@@ -77,26 +37,8 @@ func TestTickerSelfStop(t *testing.T) {
 	if ticks != 3 {
 		t.Fatalf("ticks = %d, want 3", ticks)
 	}
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after ticker stop, want 0", k.Pending())
-	}
-}
-
-func TestTickerCancel(t *testing.T) {
-	var k Kernel
-	ticks := 0
-	e := k.Ticker(0, 1, PriFabric, func(Time) bool { ticks++; return true })
-	k.Run(2)
-	if ticks != 3 {
-		t.Fatalf("ticks = %d, want 3", ticks)
-	}
-	e.Cancel()
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after ticker cancel, want 0", k.Pending())
-	}
-	k.Run(10)
-	if ticks != 3 {
-		t.Fatal("cancelled ticker kept firing")
+	if at, ok := k.NextEventTime(); ok {
+		t.Fatalf("a stopped ticker left an event at %d", at)
 	}
 }
 
@@ -105,15 +47,14 @@ func TestNextEventTime(t *testing.T) {
 	if _, ok := k.NextEventTime(); ok {
 		t.Fatal("empty calendar reported a next event")
 	}
-	a := k.Schedule(9, PriFabric, func(Time) {})
 	k.Schedule(12, PriFabric, func(Time) {})
+	k.Schedule(9, PriFabric, func(Time) {})
 	if at, ok := k.NextEventTime(); !ok || at != 9 {
 		t.Fatalf("NextEventTime = %d,%v, want 9,true", at, ok)
 	}
-	// A cancelled head must be skipped, not reported.
-	a.Cancel()
+	k.Run(10)
 	if at, ok := k.NextEventTime(); !ok || at != 12 {
-		t.Fatalf("NextEventTime = %d,%v after cancel, want 12,true", at, ok)
+		t.Fatalf("NextEventTime = %d,%v after the first event, want 12,true", at, ok)
 	}
 	k.Run(20)
 	if _, ok := k.NextEventTime(); ok {
@@ -174,8 +115,8 @@ func TestTickerSkipToPastUntil(t *testing.T) {
 	if ticks != 1 {
 		t.Fatalf("ticks = %d, want 1", ticks)
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d, want the parked ticker", k.Pending())
+	if at, ok := k.NextEventTime(); !ok || at != 500 {
+		t.Fatalf("NextEventTime = %d,%v, want the ticker parked at 500", at, ok)
 	}
 }
 
@@ -192,8 +133,8 @@ func TestRunBeforeBoundaryIsExclusive(t *testing.T) {
 	if len(got) != 1 || got[0] != "4/stats" {
 		t.Fatalf("RunBefore(5, PriFabric) fired %v, want [4/stats]", got)
 	}
-	if at, ok := k.NextEventTime(); !ok || at != 5 || k.Pending() != 2 {
-		t.Fatalf("next event %d,%v with %d pending, want the event at 5 of 2", at, ok, k.Pending())
+	if at, ok := k.NextEventTime(); !ok || at != 5 || len(k.heap) != 2 {
+		t.Fatalf("next event %d,%v with %d queued, want the event at 5 of 2", at, ok, len(k.heap))
 	}
 	k.RunBefore(5, PriFabric) // idempotent at the same boundary
 	if len(got) != 1 {
@@ -277,22 +218,5 @@ func TestRunBeforeStopsMidCalendar(t *testing.T) {
 	k.Run(10)
 	if fired != 3 || k.Stopped() {
 		t.Fatalf("Run after Stop fired %d events, stopped %v; want 3, false", fired, k.Stopped())
-	}
-}
-
-// TestRunBeforeSkipsCancelledHeads: cancelled events at the head of the
-// calendar are discarded without firing or counting, and the live events
-// behind them still run.
-func TestRunBeforeSkipsCancelledHeads(t *testing.T) {
-	var k Kernel
-	fired := 0
-	a := k.Schedule(1, PriTraffic, func(Time) { t.Error("cancelled event fired") })
-	b := k.Schedule(2, PriTraffic, func(Time) { t.Error("cancelled event fired") })
-	k.Schedule(3, PriTraffic, func(Time) { fired++ })
-	a.Cancel()
-	b.Cancel()
-	k.RunBefore(4, PriFabric)
-	if fired != 1 || k.Fired() != 1 || k.Pending() != 0 {
-		t.Fatalf("fired %d (Fired %d), %d pending; want 1, 1, 0", fired, k.Fired(), k.Pending())
 	}
 }

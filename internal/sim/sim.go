@@ -41,21 +41,6 @@ type Event struct {
 	tick   func(now Time) bool
 	every  Time
 	skipTo Time
-	k      *Kernel
-	dead   bool
-	queued bool // in the calendar
-}
-
-// Cancel marks the event so that it will not fire. Cancelling an already
-// fired or cancelled event is a no-op.
-func (e *Event) Cancel() {
-	if e == nil || e.dead {
-		return
-	}
-	e.dead = true
-	if e.k != nil && e.queued {
-		e.k.live--
-	}
 }
 
 // SkipTo requests that this repeating event's next firing be at the given
@@ -83,30 +68,15 @@ type Kernel struct {
 	heap    []*Event // binary min-heap in before order
 	now     Time
 	seq     uint64
-	live    int // scheduled, not-cancelled events
 	stopped bool
-	fired   uint64
 }
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Fired returns the number of events executed so far.
-func (k *Kernel) Fired() uint64 { return k.fired }
-
-// Pending returns the number of events still scheduled to fire. Cancelled
-// events are excluded, whether or not their heap slots have been discarded
-// yet.
-func (k *Kernel) Pending() int { return k.live }
-
-// NextEventTime returns the time of the earliest event still scheduled to
-// fire, and false when the calendar is empty. Dead (cancelled) entries at the
-// head of the calendar are discarded on the way, so the reported time is
-// always one at which something will actually run.
+// NextEventTime returns the time of the earliest scheduled event, and false
+// when the calendar is empty.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	for len(k.heap) > 0 && k.heap[0].dead {
-		k.pop()
-	}
 	if len(k.heap) == 0 {
 		return 0, false
 	}
@@ -119,16 +89,14 @@ func (k *Kernel) Schedule(at Time, pri Priority, fn func(now Time)) *Event {
 	if at < k.now {
 		panic("sim: scheduling event in the past")
 	}
-	e := &Event{at: at, pri: pri, seq: k.seq, fn: fn, k: k}
+	e := &Event{at: at, pri: pri, seq: k.seq, fn: fn}
 	k.seq++
-	k.live++
 	k.push(e)
 	return e
 }
 
 // push adds e to the calendar, sifting it up from the last leaf.
 func (k *Kernel) push(e *Event) {
-	e.queued = true
 	h := append(k.heap, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -171,7 +139,6 @@ func (k *Kernel) pop() *Event {
 		h[i] = last
 	}
 	k.heap = h
-	top.queued = false
 	return top
 }
 
@@ -217,15 +184,10 @@ func (k *Kernel) RunBefore(t Time, pri Priority) {
 	}
 }
 
-// fire pops the earliest event and runs it, unless it was cancelled.
+// fire pops the earliest event and runs it.
 func (k *Kernel) fire() {
 	e := k.pop()
-	if e.dead {
-		return
-	}
-	k.live--
 	k.now = e.at
-	k.fired++
 	if e.tick == nil {
 		e.fn(e.at)
 		return
@@ -233,7 +195,7 @@ func (k *Kernel) fire() {
 	// Repeating event: fire, then re-push the same object. The sequence
 	// number is taken after the callback runs, matching a callback that
 	// reschedules itself as its last action.
-	if e.tick(e.at) && !e.dead {
+	if e.tick(e.at) {
 		next := e.at + e.every
 		if e.skipTo > next {
 			next = e.skipTo
@@ -242,7 +204,6 @@ func (k *Kernel) fire() {
 		e.at = next
 		e.seq = k.seq
 		k.seq++
-		k.live++
 		k.push(e)
 	}
 }
@@ -250,8 +211,7 @@ func (k *Kernel) fire() {
 // Ticker repeatedly schedules fn every period cycles at the given priority,
 // starting at start. fn returning false stops the ticker. One Event object
 // is reused for every firing, so a per-cycle ticker costs no allocation
-// after setup. The returned Event supports Cancel and, from inside fn,
-// SkipTo.
+// after setup. fn may call SkipTo on the returned Event.
 func (k *Kernel) Ticker(start Time, period Time, pri Priority, fn func(now Time) bool) *Event {
 	if period <= 0 {
 		panic("sim: non-positive ticker period")
@@ -259,9 +219,8 @@ func (k *Kernel) Ticker(start Time, period Time, pri Priority, fn func(now Time)
 	if start < k.now {
 		panic("sim: scheduling event in the past")
 	}
-	e := &Event{at: start, pri: pri, seq: k.seq, tick: fn, every: period, k: k}
+	e := &Event{at: start, pri: pri, seq: k.seq, tick: fn, every: period}
 	k.seq++
-	k.live++
 	k.push(e)
 	return e
 }

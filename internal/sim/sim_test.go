@@ -57,18 +57,6 @@ func TestSamePrioritySeqOrder(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var k Kernel
-	fired := false
-	e := k.Schedule(1, PriFabric, func(Time) { fired = true })
-	e.Cancel()
-	k.Run(10)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	e.Cancel() // double cancel is a no-op
-}
-
 func TestRunUntilBoundary(t *testing.T) {
 	var k Kernel
 	fired := 0

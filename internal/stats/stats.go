@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -208,12 +207,6 @@ func (d *SaturationDetector) Saturated() bool {
 	mid := mean(d.samples[third : 2*third])
 	last := mean(d.samples[2*third:])
 	return last > 1.25*mid+1 && mid > 1.25*first+1 && last > 10
-}
-
-// Summary is a compact human-readable digest of an accumulator.
-func Summary(name string, a *Accumulator) string {
-	return fmt.Sprintf("%s: n=%d mean=%.2f ±%.2f (min %.0f, max %.0f)",
-		name, a.Count(), a.Mean(), a.CI95(), a.Min(), a.Max())
 }
 
 // Percentile computes the p-th percentile (0-100) of a slice by sorting a

@@ -165,13 +165,3 @@ func TestPercentile(t *testing.T) {
 		t.Fatal("Percentile mutated its input")
 	}
 }
-
-func TestSummaryFormat(t *testing.T) {
-	var a Accumulator
-	a.Add(10)
-	a.Add(20)
-	s := Summary("lat", &a)
-	if s == "" || len(s) < 10 {
-		t.Fatalf("summary = %q", s)
-	}
-}

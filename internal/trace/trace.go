@@ -9,11 +9,7 @@
 // keeps the most recent window without unbounded memory.
 package trace
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
+import "fmt"
 
 // Kind classifies an event.
 type Kind uint8
@@ -106,45 +102,4 @@ func (b *Buffer) Events() []Event {
 	out = append(out, b.ring[b.next:]...)
 	out = append(out, b.ring[:b.next]...)
 	return out
-}
-
-// Filter returns retained events matching pred, oldest-first.
-func (b *Buffer) Filter(pred func(Event) bool) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if pred(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// PacketPath returns the node sequence a packet's header flit visited: the
-// routers that forwarded or delivered flit 0, in order.
-func (b *Buffer) PacketPath(pktID uint64) []int {
-	var nodes []int
-	for _, e := range b.Events() {
-		if e.PktID != pktID || e.Seq != 0 {
-			continue
-		}
-		nodes = append(nodes, e.Node)
-	}
-	return nodes
-}
-
-// Dump writes retained events to w, one per line.
-func (b *Buffer) Dump(w io.Writer) error {
-	for _, e := range b.Events() {
-		if _, err := io.WriteString(w, e.String()+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// String renders the retained events.
-func (b *Buffer) String() string {
-	var sb strings.Builder
-	_ = b.Dump(&sb)
-	return sb.String()
 }

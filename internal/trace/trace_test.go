@@ -33,46 +33,13 @@ func TestEventsBeforeWrap(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	b := NewBuffer(16)
-	for i := 0; i < 10; i++ {
-		b.Record(ev(int64(i), Forward, i%3, uint64(i%2), 0))
+func TestEventString(t *testing.T) {
+	if s := ev(1, Deliver, 0, 1, 0).String(); !strings.Contains(s, "deliver") {
+		t.Fatalf("deliver line = %q", s)
 	}
-	odd := b.Filter(func(e Event) bool { return e.PktID == 1 })
-	if len(odd) != 5 {
-		t.Fatalf("filtered %d events, want 5", len(odd))
-	}
-}
-
-func TestPacketPath(t *testing.T) {
-	b := NewBuffer(16)
-	b.Record(ev(1, Forward, 0, 7, 0))
-	b.Record(ev(1, Forward, 3, 8, 0)) // other packet
-	b.Record(ev(2, Forward, 1, 7, 0))
-	b.Record(ev(2, Forward, 1, 7, 1)) // body flit: not part of the header path
-	b.Record(ev(3, Deliver, 2, 7, 0))
-	path := b.PacketPath(7)
-	want := []int{0, 1, 2}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-}
-
-func TestDumpAndString(t *testing.T) {
-	b := NewBuffer(4)
-	b.Record(ev(1, Deliver, 0, 1, 0))
-	b.Record(Event{Cycle: 2, Kind: Forward, Node: 1, Out: 2, VC: 1, PktID: 1, Seq: 0})
-	s := b.String()
-	if !strings.Contains(s, "deliver") || !strings.Contains(s, "forward") {
-		t.Fatalf("dump = %q", s)
-	}
-	if !strings.Contains(s, "out=2 vc=1") {
-		t.Fatalf("forward line lacks port/vc: %q", s)
+	s := Event{Cycle: 2, Kind: Forward, Node: 1, Out: 2, VC: 1, PktID: 1, Seq: 0}.String()
+	if !strings.Contains(s, "forward") || !strings.Contains(s, "out=2 vc=1") {
+		t.Fatalf("forward line lacks kind or port/vc: %q", s)
 	}
 }
 
