@@ -16,10 +16,7 @@
 //     utilisations, an M/D/1 waiting-time approximation per channel and a
 //     mean latency prediction valid at low to moderate load;
 //   - the channel-capacity saturation bound (the offered load at which the
-//     busiest channel reaches unit utilisation);
-//   - closed-form broadcast completion estimates: pipelined BRCP broadcast
-//     for the Quarc (diameter + M) versus the store-and-forward unicast
-//     chain of the Spidergon (about (N/2)(M + c)).
+//     busiest channel reaches unit utilisation).
 //
 // The integration tests in this package run the flit-level simulator at low
 // load and require agreement with these models, reproducing the paper's

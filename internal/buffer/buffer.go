@@ -2,11 +2,9 @@
 // buffers in the design are parametrized in width and depth", two lanes per
 // input port). The end-to-end benchmark's per-layer ladder times it.
 //
-// The FIFO exposes the same observable signals the hardware buffer drives:
-// Full (used to build the CH_STATUS_N channel-status signal sent back to the
-// upstream node) and Empty (which activates the VC arbiter). It is a plain
-// ring buffer storing flits by value. The switch datapath does not use it:
-// internal/router keeps its lanes as rings over one flit slab per switch.
+// It is a plain ring buffer storing flits by value. The switch datapath does
+// not use it: internal/router keeps its lanes as rings over one slot slab per
+// switch.
 package buffer
 
 import (
@@ -31,20 +29,8 @@ func New(depth int) *FIFO {
 	return &FIFO{buf: make([]flit.Flit, depth)}
 }
 
-// Cap returns the capacity in flits.
-func (q *FIFO) Cap() int { return len(q.buf) }
-
 // Len returns the number of buffered flits.
 func (q *FIFO) Len() int { return q.size }
-
-// Free returns the remaining capacity.
-func (q *FIFO) Free() int { return len(q.buf) - q.size }
-
-// Empty mirrors the hardware empty signal.
-func (q *FIFO) Empty() bool { return q.size == 0 }
-
-// Full mirrors the hardware full signal.
-func (q *FIFO) Full() bool { return q.size == len(q.buf) }
 
 // Push appends f. It reports false (and stores nothing) when full; the
 // hardware equivalent is a write-enable gated by the full signal.
@@ -61,15 +47,6 @@ func (q *FIFO) Push(f flit.Flit) bool {
 	return true
 }
 
-// Peek returns a copy of the head flit without removing it. ok is false when
-// empty.
-func (q *FIFO) Peek() (f flit.Flit, ok bool) {
-	if q.size == 0 {
-		return flit.Flit{}, false
-	}
-	return q.buf[q.head], true
-}
-
 // Pop removes and returns the head flit. ok is false when empty.
 func (q *FIFO) Pop() (f flit.Flit, ok bool) {
 	if q.size == 0 {
@@ -81,12 +58,4 @@ func (q *FIFO) Pop() (f flit.Flit, ok bool) {
 	}
 	q.size--
 	return f, true
-}
-
-// Reset discards all contents (reset_fsm_w in the paper's write controller).
-func (q *FIFO) Reset() {
-	for i := range q.buf {
-		q.buf[i] = flit.Flit{}
-	}
-	q.head, q.size = 0, 0
 }

@@ -40,44 +40,6 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestFullAndEmptySignals(t *testing.T) {
-	q := New(2)
-	if !q.Empty() || q.Full() {
-		t.Fatal("fresh FIFO signals wrong")
-	}
-	q.Push(mk(0))
-	if q.Empty() || q.Full() {
-		t.Fatal("half-full FIFO signals wrong")
-	}
-	q.Push(mk(1))
-	if !q.Full() || q.Empty() {
-		t.Fatal("full FIFO signals wrong")
-	}
-	if q.Push(mk(2)) {
-		t.Fatal("push into full FIFO accepted")
-	}
-	if q.Len() != 2 || q.Free() != 0 || q.Cap() != 2 {
-		t.Fatalf("Len/Free/Cap = %d/%d/%d", q.Len(), q.Free(), q.Cap())
-	}
-}
-
-func TestPeekDoesNotConsume(t *testing.T) {
-	q := New(2)
-	q.Push(mk(7))
-	for i := 0; i < 3; i++ {
-		f, ok := q.Peek()
-		if !ok || f.Seq != 7 {
-			t.Fatalf("peek %d = (%v,%v)", i, f.Seq, ok)
-		}
-	}
-	if q.Len() != 1 {
-		t.Fatal("peek consumed the flit")
-	}
-	if _, ok := New(1).Peek(); ok {
-		t.Fatal("peek on empty FIFO reported ok")
-	}
-}
-
 func TestWrapAround(t *testing.T) {
 	q := New(3)
 	seq := 0
@@ -94,22 +56,6 @@ func TestWrapAround(t *testing.T) {
 		if f.Seq != want {
 			t.Fatalf("round %d: popped %d, want %d", round, f.Seq, want)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	q := New(4)
-	q.Push(mk(1))
-	q.Push(mk(2))
-	q.Reset()
-	if !q.Empty() || q.Len() != 0 {
-		t.Fatal("Reset did not empty the FIFO")
-	}
-	if !q.Push(mk(3)) {
-		t.Fatal("push after Reset failed")
-	}
-	if f, _ := q.Pop(); f.Seq != 3 {
-		t.Fatal("wrong flit after Reset")
 	}
 }
 

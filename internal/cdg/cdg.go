@@ -29,7 +29,8 @@ func (g Graph) AddRoute(chs []Channel) {
 
 // Walked builds the graph over every unicast route of the named model's
 // n-node network, as model.Routes walks it; vc maps the VC each hop's VCFunc
-// chose (the identity, or a dateline-free rule for a negative control).
+// chose (the identity, or a dateline-free rule for a negative control). It
+// stays product code because three packages' deadlock tests share it.
 func Walked(name string, n int, vc func(int) int) (Graph, error) {
 	fab, err := model.Routes(name, n)
 	if err != nil {

@@ -124,7 +124,7 @@ func (c Config) Bursty() bool { return c.BurstMeanOn != 0 || c.BurstMeanOff != 0
 
 // Validate is the one rule for "is this design point simulable": the model is
 // registered and accepts N, depth and budgets are sane, and the traffic source
-// RunContext would install — the very value sources builds — accepts its own
+// RunContext would install — the very value source builds — accepts its own
 // parameters. Every layer that refuses a bad point (the wire requests,
 // PanelSpec.Validate, explore's lattice skips, RunContext itself) refuses it
 // through this rule, with this message. The configuration is judged as it
@@ -144,38 +144,23 @@ func (c Config) Validate() error {
 	case c.StepWorkers < 0:
 		return fmt.Errorf("experiments: negative step workers %d", c.StepWorkers)
 	}
-	bern, burst, bursty := c.sources()
-	if !bursty {
-		return bern.Validate()
-	}
-	if c.Pattern != traffic.Uniform {
+	if c.Bursty() && c.Pattern != traffic.Uniform {
 		return fmt.Errorf("experiments: bursty traffic supports the uniform pattern only")
 	}
-	return burst.Validate()
+	return c.source().Validate()
 }
 
-// sources builds the traffic-source configuration of a run: the Bernoulli
-// source, or the bursty MMBP source when the burst knobs are set (bursty says
-// which). Validate and RunContext both take it from here, so the value that
-// was checked is the value that gets installed.
-func (c Config) sources() (bern traffic.Config, burst traffic.BurstyConfig, bursty bool) {
-	if c.Bursty() {
-		return bern, traffic.BurstyConfig{
-			// The ON-state rate that yields mean offered load Rate under the
-			// configured duty cycle.
-			N: c.N, OnRate: c.Rate * (c.BurstMeanOn + c.BurstMeanOff) / c.BurstMeanOn,
-			MeanOn: c.BurstMeanOn, MeanOff: c.BurstMeanOff,
-			Beta: c.Beta, MsgLen: c.MsgLen,
-			McastFrac: c.McastFrac, McastSize: c.McastSize,
-			Seed: c.Seed, Until: c.Warmup + c.Measure,
-		}, true
-	}
+// source builds the traffic-source configuration of a run. Validate and
+// RunContext both take it from here, so the value that was checked is the
+// value that gets installed.
+func (c Config) source() traffic.Config {
 	return traffic.Config{
 		N: c.N, Rate: c.Rate, Beta: c.Beta, MsgLen: c.MsgLen,
 		Pattern: c.Pattern, HotspotBias: c.HotspotBias,
 		McastFrac: c.McastFrac, McastSize: c.McastSize,
+		MeanOn: c.BurstMeanOn, MeanOff: c.BurstMeanOff,
 		Seed: c.Seed, Until: c.Warmup + c.Measure,
-	}, burst, false
+	}
 }
 
 // WithDefaults returns the configuration with unset fields replaced by their
@@ -315,12 +300,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	for i, nd := range nodes {
 		senders[i] = nd
 	}
-	if bern, burst, bursty := cfg.sources(); bursty {
-		_, err = traffic.InstallBursty(&k, burst, senders)
-	} else {
-		_, err = traffic.Install(&k, bern, senders)
-	}
-	if err != nil {
+	if _, err := traffic.Install(&k, cfg.source(), senders); err != nil {
 		return Result{}, err
 	}
 

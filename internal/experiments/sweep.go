@@ -100,32 +100,28 @@ func (o RunOpts) normalized() RunOpts {
 	return o
 }
 
-// pointStepWorkers resolves the intra-point fabric parallelism sweeps give
-// their points. An explicit RunOpts.StepWorkers passes through; otherwise a
-// sweep that fans points across multiple workers pins points serial (outer
-// parallelism already fills the machine, and inner pools would oversubscribe
-// it), while a single-worker sweep defers to the fabric's auto sizing. Called
-// after normalized(), so Workers is resolved. Applied identically by the
-// parallel and serial panel paths, keeping their results comparable.
-func (o RunOpts) pointStepWorkers() int {
-	if o.StepWorkers != 0 {
-		return o.StepWorkers
-	}
-	if o.Workers > 1 {
+// FannedStepWorkers is the one rule for the intra-point fabric parallelism of
+// points fanned across workers (sweeps, replicates, explore lattices): an
+// explicit stepWorkers passes through; otherwise a point that fans across
+// more than one worker steps serially (outer parallelism already fills the
+// machine, and inner pools would oversubscribe it), while a single worker's
+// point keeps 0, the fabric's auto sizing. Results do not depend on it.
+func FannedStepWorkers(stepWorkers, workers int) int {
+	if stepWorkers == 0 && workers > 1 {
 		return 1
 	}
-	return 0
+	return stepWorkers
 }
 
 // point is the design point these options give one (model, size, workload,
 // load) combination: the sweep's cycle budgets, buffer depth and base seed,
-// stepped with the intra-point parallelism pointStepWorkers picks (which
+// stepped with the intra-point parallelism FannedStepWorkers picks (which
 // reads Workers, so sweeps call this after normalized()).
 func (o RunOpts) point(model string, n, msgLen int, beta, rate float64) Config {
 	return Config{
 		Model: model, N: n, MsgLen: msgLen, Beta: beta, Rate: rate,
 		Warmup: o.Warmup, Measure: o.Measure, Drain: o.Drain,
-		Depth: o.Depth, Seed: o.Seed, StepWorkers: o.pointStepWorkers(),
+		Depth: o.Depth, Seed: o.Seed, StepWorkers: FannedStepWorkers(o.StepWorkers, o.Workers),
 	}
 }
 
@@ -442,12 +438,7 @@ func RunReplicatedContext(ctx context.Context, cfg Config, replicates, workers i
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.StepWorkers == 0 && workers > 1 {
-		// Replicates fan out across workers: pin the per-replicate fabrics
-		// serial (same rule as pointStepWorkers) instead of letting each
-		// auto-size a pool on an already busy machine.
-		cfg.StepWorkers = 1
-	}
+	cfg.StepWorkers = FannedStepWorkers(cfg.StepWorkers, workers)
 	points := make([]sweepPoint, replicates)
 	for rep := range points {
 		c := cfg

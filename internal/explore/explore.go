@@ -335,9 +335,10 @@ func evalOrder(points []Point) ([]int, []prediction) {
 // RunOpts.Workers does for sweeps; the Outcome does not depend on it. When
 // the points do fan out (more than one worker), a point that leaves its
 // intra-fabric parallelism to the simulator (Cfg.StepWorkers 0) reaches eval
-// pinned to serial stepping — the sweep engine's rule: the outer pool already
-// fills the machine. The pin is execution-only: it is outside the run key,
-// and the Outcome and onPoint carry the point as expanded. A cancelled ctx
+// pinned to serial stepping — experiments.FannedStepWorkers, the sweep
+// engine's rule: the outer pool already fills the machine. The pin is
+// execution-only: it is outside the run key, and the Outcome and onPoint
+// carry the point as expanded. A cancelled ctx
 // stops scheduling new points and returns ctx.Err(), and of several failing
 // points the first in evaluation order is reported; the deterministic Outcome
 // is only returned on full completion, so cached payloads are always pure
@@ -359,9 +360,7 @@ func Run(ctx context.Context, spec Spec, opts experiments.RunOpts, workers int, 
 		i := order[oi]
 		p := exp.Points[i]
 		pinned := p
-		if workers > 1 && pinned.Cfg.StepWorkers == 0 {
-			pinned.Cfg.StepWorkers = 1
-		}
+		pinned.Cfg.StepWorkers = experiments.FannedStepWorkers(p.Cfg.StepWorkers, workers)
 		res, cached, err := eval(ctx, pinned)
 		if err != nil {
 			return err

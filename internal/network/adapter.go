@@ -185,9 +185,6 @@ func (a *Assembler) Add(h *router.Header, s router.Slot) bool {
 	return false
 }
 
-// Pending returns the number of partially received packets.
-func (a *Assembler) Pending() int { return len(a.partial) }
-
 // BaseAdapter is the network interface every model uses (the paper's
 // transceiver, §2.4): source queues whose packets each name the router input
 // port they inject through, one-flit-per-cycle feeding, receive reassembly

@@ -1,13 +1,36 @@
-package experiments
+package network_test
 
 import (
 	"testing"
 
 	"quarc/internal/model"
+	_ "quarc/internal/models"
 	"quarc/internal/network"
 	"quarc/internal/sim"
 	"quarc/internal/traffic"
 )
+
+// buildModel builds a registered model and hands back its nodes as senders.
+func buildModel(t *testing.T, name string, n, depth int) (*network.Fabric, []traffic.Sender) {
+	t.Helper()
+	fab, nodes, err := model.Build(name, model.BuildConfig{N: n, Depth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	senders := make([]traffic.Sender, len(nodes))
+	for i, nd := range nodes {
+		senders[i] = nd
+	}
+	return fab, senders
+}
+
+func totalSent(sources []*traffic.Source) int64 {
+	var total int64
+	for _, s := range sources {
+		total += s.Sent()
+	}
+	return total
+}
 
 // TestMessageConservationAcrossModels drives every registered model with
 // live traffic and checks conservation at the tracker: every injected
@@ -26,37 +49,27 @@ func TestMessageConservationAcrossModels(t *testing.T) {
 		m, _ := model.Lookup(name)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{Model: name, N: m.ExampleN, MsgLen: 4, Beta: 0.1, Rate: 0.008,
-				McastFrac: 0.15, McastSize: 3,
-				Depth: 4, Warmup: 200, Measure: 1500, Drain: 20000, Seed: 11}
-			fab, nodes, err := build(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			const horizon, drain = 200 + 1500, 20000
+			fab, senders := buildModel(t, name, m.ExampleN, 4)
 			var mcasts int
 			fab.Tracker.OnDone = func(r network.MessageRecord) {
 				if r.Class == network.ClassMulticast {
 					mcasts++
 				}
 			}
-			horizon := cfg.Warmup + cfg.Measure
 
 			var k sim.Kernel
-			senders := make([]traffic.Sender, len(nodes))
-			for i, nd := range nodes {
-				senders[i] = nd
-			}
 			sources, err := traffic.Install(&k, traffic.Config{
-				N: cfg.N, Rate: cfg.Rate, Beta: cfg.Beta, MsgLen: cfg.MsgLen,
-				McastFrac: cfg.McastFrac, McastSize: cfg.McastSize,
-				Seed: cfg.Seed, Until: horizon,
+				N: m.ExampleN, Rate: 0.008, Beta: 0.1, MsgLen: 4,
+				McastFrac: 0.15, McastSize: 3,
+				Seed: 11, Until: horizon,
 			}, senders)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			check := func(now int64) {
-				sent := traffic.TotalSent(sources)
+				sent := totalSent(sources)
 				acct := int64(fab.Tracker.Completed()) + int64(fab.Tracker.InFlight())
 				if acct != sent {
 					t.Fatalf("cycle %d: %d messages sent but %d accounted for "+
@@ -76,19 +89,19 @@ func TestMessageConservationAcrossModels(t *testing.T) {
 			})
 			k.Run(horizon)
 
-			for i := int64(0); i < cfg.Drain && fab.Tracker.InFlight() > 0; i++ {
+			for i := int64(0); i < drain && fab.Tracker.InFlight() > 0; i++ {
 				if err := chk.StepChecked(); err != nil {
 					t.Fatalf("drain: %v", err)
 				}
 			}
-			check(horizon + cfg.Drain)
+			check(horizon + drain)
 			if left := fab.Tracker.InFlight(); left != 0 {
 				t.Errorf("%d messages still in flight after the drain budget", left)
 			}
 			if dup := fab.Tracker.Duplicates(); dup != 0 {
 				t.Errorf("%d duplicate deliveries", dup)
 			}
-			if sent := traffic.TotalSent(sources); sent == 0 {
+			if sent := totalSent(sources); sent == 0 {
 				t.Error("workload generated no messages; the property is vacuous")
 			}
 			if mcasts == 0 {
@@ -110,54 +123,42 @@ func TestMessageConservationAcrossModels(t *testing.T) {
 func TestPacketTableDrains(t *testing.T) {
 	workloads := []struct {
 		name string
-		cfg  Config
+		cfg  traffic.Config
 	}{
-		{"uniform", Config{Rate: 0.02}},
-		{"hotspot", Config{Rate: 0.01, Pattern: traffic.Hotspot, HotspotBias: 0.5}},
-		{"bursty", Config{Rate: 0.01, BurstMeanOn: 40, BurstMeanOff: 120}},
-		{"broadcast", Config{Rate: 0.006, Beta: 0.3}},
-		{"multicast", Config{Rate: 0.008, McastFrac: 0.3, McastSize: 4}},
+		{"uniform", traffic.Config{Rate: 0.02}},
+		{"hotspot", traffic.Config{Rate: 0.01, Pattern: traffic.Hotspot, HotspotBias: 0.5}},
+		{"bursty", traffic.Config{Rate: 0.01, MeanOn: 40, MeanOff: 120}},
+		{"broadcast", traffic.Config{Rate: 0.006, Beta: 0.3}},
+		{"multicast", traffic.Config{Rate: 0.008, McastFrac: 0.3, McastSize: 4}},
 	}
 	type run struct {
-		name    string
-		cfg     Config
-		workers int
+		name, model string
+		cfg         traffic.Config
+		workers     int
 	}
 	var runs []run
 	for _, name := range model.Names() {
 		m, _ := model.Lookup(name)
 		for _, w := range workloads {
 			c := w.cfg
-			c.Model, c.N = name, m.ExampleN
-			runs = append(runs, run{name + "/" + w.name, c, 1})
+			c.N = m.ExampleN
+			runs = append(runs, run{name + "/" + w.name, name, c, 1})
 		}
 	}
-	runs = append(runs, run{"mesh-256-pooled/uniform", Config{Model: "mesh", N: 256, Rate: 0.02}, 2})
+	runs = append(runs, run{"mesh-256-pooled/uniform", "mesh", traffic.Config{N: 256, Rate: 0.02}, 2})
 	for _, r := range runs {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
+			const measure, drain = 800, 20000
 			cfg := r.cfg
-			cfg.MsgLen, cfg.Depth, cfg.Warmup, cfg.Measure, cfg.Drain, cfg.Seed = 6, 4, 0, 800, 20000, 5
-			cfg = cfg.WithDefaults()
-			fab, nodes, err := build(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg.MsgLen, cfg.Seed, cfg.Until = 6, 5, measure
+			fab, senders := buildModel(t, r.model, cfg.N, 4)
 			fab.SetStepWorkers(r.workers)
 			defer fab.Close()
 			fab.SetStepGrain(1)
 			var k sim.Kernel
-			senders := make([]traffic.Sender, len(nodes))
-			for i, nd := range nodes {
-				senders[i] = nd
-			}
-			if bern, burst, bursty := cfg.sources(); bursty {
-				_, err = traffic.InstallBursty(&k, burst, senders)
-			} else {
-				_, err = traffic.Install(&k, bern, senders)
-			}
-			if err != nil {
+			if _, err := traffic.Install(&k, cfg, senders); err != nil {
 				t.Fatal(err)
 			}
 			chk := network.NewInvariantChecker(fab)
@@ -172,8 +173,8 @@ func TestPacketTableDrains(t *testing.T) {
 				}
 				return true
 			})
-			k.Run(cfg.Measure)
-			for i := int64(0); i < cfg.Drain && !fab.Idle(); i++ {
+			k.Run(measure)
+			for i := int64(0); i < drain && !fab.Idle(); i++ {
 				fab.Step()
 			}
 			if err := chk.Check(); err != nil {

@@ -8,9 +8,9 @@ import (
 )
 
 // InvariantChecker validates wormhole-switching invariants on a live fabric
-// after every cycle. It is used by stress tests (and available behind
-// quarcsim-style debugging) to turn subtle routing bugs into immediate,
-// attributable failures instead of corrupted statistics:
+// after every cycle. It is test code, exported to network's external tests
+// (the stress and conservation suites), and turns subtle routing bugs into
+// immediate, attributable failures instead of corrupted statistics:
 //
 //	I1  In-order per lane: flits buffered in any input lane belong to at
 //	    most two packets (the tail of one followed by the head of the

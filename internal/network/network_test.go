@@ -119,8 +119,8 @@ func TestAssemblerCompletesOnTail(t *testing.T) {
 			t.Fatalf("flit %d: done = %v", i, done)
 		}
 	}
-	if a.Pending() != 0 {
-		t.Fatalf("pending = %d after completion", a.Pending())
+	if len(a.partial) != 0 {
+		t.Fatalf("pending = %d after completion", len(a.partial))
 	}
 }
 
@@ -132,8 +132,8 @@ func TestAssemblerInterleavedPackets(t *testing.T) {
 	a.Add(h2, p2[0])
 	a.Add(h1, p1[1])
 	a.Add(h2, p2[1])
-	if a.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", a.Pending())
+	if len(a.partial) != 2 {
+		t.Fatalf("pending = %d, want 2", len(a.partial))
 	}
 	if !a.Add(h1, p1[2]) || !a.Add(h2, p2[2]) {
 		t.Fatal("tails did not complete packets")

@@ -133,16 +133,3 @@ func (r *Stream) Geometric(p float64) int64 {
 	}
 	return int64(g)
 }
-
-// Perm returns a pseudo-random permutation of [0, n) using Fisher-Yates.
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

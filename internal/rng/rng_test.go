@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -142,25 +141,6 @@ func TestGeometricEdge(t *testing.T) {
 		}
 	}()
 	r.Geometric(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23, 0)
-	check := func(n uint8) bool {
-		m := int(n%32) + 1
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSplitMix64KnownValues(t *testing.T) {

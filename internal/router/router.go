@@ -946,13 +946,3 @@ func (r *Router) LaneContents(in, lane int) (slots []Slot, ok bool) {
 	}
 	return slots, true
 }
-
-// VCOwner reports whether output o's downstream VC vc is currently held
-// (test hook for wormhole invariants).
-func (r *Router) VCOwner(o, vc int) (in, laneIdx int, held bool) {
-	w := int(r.out[o].owner[vc])
-	if w == noOwner {
-		return 0, 0, false
-	}
-	return w / 16, w % 16, true
-}

@@ -172,15 +172,15 @@ func TestHeaderAllocatesVCBodyFollowsTailReleases(t *testing.T) {
 	}
 	// Cycle 1: header moves, VC 0 owned by input 0 lane 0.
 	step(lp)
-	if _, _, held := a.VCOwner(0, 0); !held {
+	if a.out[0].owner[0] == noOwner {
 		t.Fatal("header did not allocate the downstream VC")
 	}
 	step(lp) // body
-	if _, _, held := a.VCOwner(0, 0); !held {
+	if a.out[0].owner[0] == noOwner {
 		t.Fatal("VC released before tail")
 	}
 	step(lp) // tail
-	if _, _, held := a.VCOwner(0, 0); held {
+	if a.out[0].owner[0] != noOwner {
 		t.Fatal("tail did not release the VC")
 	}
 }

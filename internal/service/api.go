@@ -515,7 +515,7 @@ func EncodeRun(agg experiments.Result, reps []experiments.Result) RunResult {
 // mean-latency prediction in the normal RunResult shape, flagged degraded
 // with the stated reason and internal/analytic's validated error band. ok is
 // false when the workload sits outside the analytic models' validated domain
-// (non-uniform patterns, bursty sources, multicast) or the model is not
+// (non-uniform patterns, bursty sources, multicast, depth 1) or the model is not
 // covered — such requests fail instead of answering with an unquantified
 // guess. Offered loads past the saturation bound report Saturated with the
 // saturation rate as throughput (the M/D/1 mean diverges there).

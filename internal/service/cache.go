@@ -40,11 +40,6 @@ func NewCache(maxBytes int64) *Cache {
 // Get returns the payload stored under key, marking it most recently used.
 func (c *Cache) Get(key string) ([]byte, bool) { return c.get(key, true) }
 
-// Probe is Get for internal re-checks (e.g. at job dequeue): a hit still
-// counts — it saved a simulation — but an absence is not recorded as a miss,
-// so the hit rate keeps measuring client-visible lookups only.
-func (c *Cache) Probe(key string) ([]byte, bool) { return c.get(key, false) }
-
 func (c *Cache) get(key string, countMiss bool) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

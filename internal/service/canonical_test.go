@@ -126,7 +126,7 @@ func TestCacheLRU(t *testing.T) {
 	if v, _ := c.Get("c"); string(v) != "3b" {
 		t.Fatalf("update lost: %q", v)
 	}
-	if _, ok := c.Probe("a"); ok {
+	if _, ok := c.get("a", false); ok {
 		t.Fatal("a should have been evicted to fit c's growth")
 	}
 	if c.Bytes() != 2 || c.Len() != 1 {

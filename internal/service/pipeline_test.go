@@ -497,7 +497,7 @@ func TestResultTier(t *testing.T) {
 	if fs.ops != before {
 		t.Fatalf("open breaker let %d operations through to the disk", fs.ops-before)
 	}
-	if _, ok := tier.mem.Probe(strings.Repeat("cd", 32)); !ok {
+	if _, ok := tier.mem.get(strings.Repeat("cd", 32), false); !ok {
 		t.Fatal("put under an open breaker skipped the memory tier")
 	}
 }

@@ -120,6 +120,34 @@ func TestDeadlineExpiredUnanalyzableRunFails(t *testing.T) {
 	}
 }
 
+// The analytic models take no buffer depth and a depth-1 unicast completes up
+// to M-1 cycles after their zero-load form, so an expired depth-1 run fails
+// with the deadline diagnosis while the same run at depth 2 still degrades.
+func TestDeadlineExpiredDepthOneRunFails(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	req := slowRun()
+	req.Measure = 400_000_000
+	req.Depth = 1
+	req.DeadlineMs = 50
+	_, data := postJSON(t, ts.URL+"/v1/runs", req)
+	var job JobJSON
+	if err := json.Unmarshal(data, &job); err != nil {
+		t.Fatal(err)
+	}
+	failed := waitState(t, ts, job.ID, StateFailed, 30*time.Second)
+	if !strings.Contains(failed.Error, "deadline") {
+		t.Fatalf("depth-1 failure %q does not name the deadline", failed.Error)
+	}
+	if n := svc.Snapshot().DegradedAnswers; n != 0 {
+		t.Fatalf("depth-1 run produced %d degraded answers, want 0", n)
+	}
+
+	req.Depth = 2
+	if job := submitWait(t, ts, "/v1/runs", req); job.State != StateDone || !job.Degraded {
+		t.Fatalf("depth 2: state=%s degraded=%v (%s), want done degraded", job.State, job.Degraded, job.Error)
+	}
+}
+
 // Disk-store faults must never surface as 5xx: the breaker opens after the
 // configured consecutive failures, the server degrades to memory-cache-only,
 // and once the fault episode ends a half-open probe closes the breaker and

@@ -213,13 +213,15 @@ func runCost(cfg experiments.Config, replicates int) float64 {
 
 // analyzableWorkload reports whether a configuration sits inside the domain
 // the closed-form models in internal/analytic are validated for: uniform
-// Bernoulli traffic with no hotspot bias, bursty source or multicast. Both
-// the admission cost estimator and the degraded-answer path key off it — a
-// workload the analytic model has never been checked against must not be
-// served as an "estimate with a 10% band".
+// Bernoulli traffic with no hotspot bias, bursty source or multicast, at a
+// buffer depth above 1 (the models take no depth, and a depth-1 unicast
+// completes up to M-1 cycles after their zero-load form). Both the admission
+// cost estimator and the degraded-answer path key off it — a workload the
+// analytic model has never been checked against must not be served as an
+// "estimate with a 10% band", and its cost counts it as fully active.
 func analyzableWorkload(cfg experiments.Config) bool {
 	return cfg.Pattern == traffic.Uniform && cfg.HotspotBias == 0 &&
-		cfg.BurstMeanOn == 0 && cfg.McastFrac == 0
+		cfg.BurstMeanOn == 0 && cfg.McastFrac == 0 && cfg.Depth != 1
 }
 
 // classifyRun assigns a run job its scheduling class from the analytic cost

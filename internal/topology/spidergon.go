@@ -54,7 +54,9 @@ type SpidergonChain struct {
 }
 
 // SpidergonBroadcastChains splits the n-1 receivers into a clockwise chain
-// of ceil((n-1)/2) nodes and a counter-clockwise chain with the rest.
+// of ceil((n-1)/2) nodes and a counter-clockwise chain with the rest. It
+// stays product code as the independent oracle quarc's header tests check
+// the Spidergon adapter's chains against.
 func SpidergonBroadcastChains(n, src int) []SpidergonChain {
 	cwLen := (n - 1 + 1) / 2 // ceil((n-1)/2)
 	var cw, ccw []int

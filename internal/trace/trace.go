@@ -80,7 +80,8 @@ func (b *Buffer) Record(e Event) {
 	}
 }
 
-// Total returns how many events were ever recorded.
+// Total returns how many events were ever recorded. With Len it lets the
+// tracing tests tell a complete trace from a wrapped ring.
 func (b *Buffer) Total() uint64 { return b.total }
 
 // Len returns how many events are currently retained.

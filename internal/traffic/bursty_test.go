@@ -7,30 +7,18 @@ import (
 	"quarc/internal/sim"
 )
 
-func runBursty(t *testing.T, cfg BurstyConfig, cycles int64) ([]*recorder, []*BurstySource) {
-	t.Helper()
-	var k sim.Kernel
-	recs := make([]*recorder, cfg.N)
-	senders := make([]Sender, cfg.N)
-	for i := range recs {
-		recs[i] = &recorder{}
-		senders[i] = recs[i]
-	}
-	sources, err := InstallBursty(&k, cfg, senders)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Run(cycles)
-	return recs, sources
-}
+// The ON/OFF configs below give Rate as the long-run mean; the ON-state rate
+// is Rate*(MeanOn+MeanOff)/MeanOn.
 
 func TestBurstyValidate(t *testing.T) {
-	bad := []BurstyConfig{
-		{N: 1, OnRate: 0.5, MeanOn: 10, MeanOff: 10, MsgLen: 4},
-		{N: 8, OnRate: 0, MeanOn: 10, MeanOff: 10, MsgLen: 4},
-		{N: 8, OnRate: 0.5, MeanOn: 0.5, MeanOff: 10, MsgLen: 4},
-		{N: 8, OnRate: 0.5, MeanOn: 10, MeanOff: 10, MsgLen: 1},
-		{N: 8, OnRate: 0.5, MeanOn: 10, MeanOff: 10, MsgLen: 4, Beta: 2},
+	bad := []Config{
+		{N: 1, Rate: 0.25, MeanOn: 10, MeanOff: 10, MsgLen: 4},
+		{N: 8, Rate: 0, MeanOn: 10, MeanOff: 10, MsgLen: 4},
+		{N: 8, Rate: 0.6, MeanOn: 10, MeanOff: 10, MsgLen: 4}, // ON-state rate 1.2
+		{N: 8, Rate: 0.25, MeanOn: 0.5, MeanOff: 10, MsgLen: 4},
+		{N: 8, Rate: 0.25, MeanOff: 10, MsgLen: 4},
+		{N: 8, Rate: 0.25, MeanOn: 10, MeanOff: 10, MsgLen: 1},
+		{N: 8, Rate: 0.25, MeanOn: 10, MeanOff: 10, MsgLen: 4, Beta: 2},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -40,20 +28,15 @@ func TestBurstyValidate(t *testing.T) {
 }
 
 func TestBurstyMeanRate(t *testing.T) {
-	cfg := BurstyConfig{N: 4, OnRate: 0.4, MeanOn: 20, MeanOff: 60, MsgLen: 4, Seed: 9}
-	want := cfg.MeanRate() // 0.4 * 20/80 = 0.1
-	if math.Abs(want-0.1) > 1e-12 {
-		t.Fatalf("MeanRate = %v, want 0.1", want)
+	cfg := Config{N: 4, Rate: 0.1, MeanOn: 20, MeanOff: 60, MsgLen: 4, Seed: 9}
+	if on := cfg.onRate(); math.Abs(on-0.4) > 1e-12 {
+		t.Fatalf("ON-state rate = %v, want 0.4", on)
 	}
 	const cycles = 200000
-	_, sources := runBursty(t, cfg, cycles)
-	var total int64
-	for _, s := range sources {
-		total += s.Sent()
-	}
-	got := float64(total) / float64(cfg.N) / cycles
-	if math.Abs(got-want) > 0.015 {
-		t.Errorf("empirical rate %v, want about %v", got, want)
+	_, sources := run(t, cfg, cycles)
+	got := float64(totalSent(sources)) / float64(cfg.N) / cycles
+	if math.Abs(got-cfg.Rate) > 0.015 {
+		t.Errorf("empirical rate %v, want about %v", got, cfg.Rate)
 	}
 }
 
@@ -63,8 +46,8 @@ func TestBurstyIsActuallyBursty(t *testing.T) {
 	// must be clearly over-dispersed.
 	const cycles = 100000
 	const window = 50
-	cfg := BurstyConfig{N: 2, OnRate: 0.5, MeanOn: 30, MeanOff: 120, MsgLen: 4, Seed: 3}
-	recs, _ := runBursty(t, cfg, cycles)
+	cfg := Config{N: 2, Rate: 0.1, MeanOn: 30, MeanOff: 120, MsgLen: 4, Seed: 3}
+	recs, _ := run(t, cfg, cycles)
 	disp := func(times []int64) float64 {
 		counts := make([]float64, cycles/window+1)
 		for _, at := range times {
@@ -85,7 +68,7 @@ func TestBurstyIsActuallyBursty(t *testing.T) {
 	}
 	burstyDisp := disp(recs[0].times)
 
-	uniCfg := Config{N: 2, Rate: cfg.MeanRate(), MsgLen: 4, Seed: 3}
+	uniCfg := Config{N: 2, Rate: cfg.Rate, MsgLen: 4, Seed: 3}
 	var k sim.Kernel
 	urec := []*recorder{{}, {}}
 	_, err := Install(&k, uniCfg, []Sender{urec[0], urec[1]})
@@ -101,8 +84,8 @@ func TestBurstyIsActuallyBursty(t *testing.T) {
 }
 
 func TestBurstyRespectsUntil(t *testing.T) {
-	cfg := BurstyConfig{N: 2, OnRate: 0.5, MeanOn: 10, MeanOff: 10, MsgLen: 4, Seed: 1, Until: 200}
-	recs, _ := runBursty(t, cfg, 10000)
+	cfg := Config{N: 2, Rate: 0.25, MeanOn: 10, MeanOff: 10, MsgLen: 4, Seed: 1, Until: 200}
+	recs, _ := run(t, cfg, 10000)
 	for _, r := range recs {
 		for _, at := range r.times {
 			if at >= 200 {
@@ -113,8 +96,8 @@ func TestBurstyRespectsUntil(t *testing.T) {
 }
 
 func TestBurstyBroadcastMix(t *testing.T) {
-	cfg := BurstyConfig{N: 4, OnRate: 0.5, MeanOn: 50, MeanOff: 50, Beta: 0.3, MsgLen: 4, Seed: 8}
-	recs, sources := runBursty(t, cfg, 50000)
+	cfg := Config{N: 4, Rate: 0.25, MeanOn: 50, MeanOff: 50, Beta: 0.3, MsgLen: 4, Seed: 8}
+	recs, sources := run(t, cfg, 50000)
 	var bcasts, total int64
 	for i, r := range recs {
 		bcasts += int64(r.broadcasts)
@@ -127,9 +110,9 @@ func TestBurstyBroadcastMix(t *testing.T) {
 }
 
 func TestBurstyDeterminism(t *testing.T) {
-	cfg := BurstyConfig{N: 4, OnRate: 0.5, MeanOn: 20, MeanOff: 20, MsgLen: 4, Seed: 12}
-	a, _ := runBursty(t, cfg, 5000)
-	b, _ := runBursty(t, cfg, 5000)
+	cfg := Config{N: 4, Rate: 0.25, MeanOn: 20, MeanOff: 20, MsgLen: 4, Seed: 12}
+	a, _ := run(t, cfg, 5000)
+	b, _ := run(t, cfg, 5000)
 	for i := range a {
 		if len(a[i].times) != len(b[i].times) {
 			t.Fatal("bursty traffic not deterministic")

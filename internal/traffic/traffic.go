@@ -5,7 +5,8 @@
 // length and the rate of broadcast traffic").
 //
 // Additional spatial patterns (hotspot, antipodal, nearest-neighbour,
-// bit-reverse) support the stress and ablation experiments.
+// bit-reverse) and an ON/OFF bursty arrival process support the stress and
+// ablation experiments.
 package traffic
 
 import (
@@ -59,46 +60,56 @@ type Config struct {
 	Beta        float64 // fraction of messages that are broadcasts (β)
 	MsgLen      int     // flits per message (M)
 	Pattern     Pattern
-	HotspotNode int
-	HotspotBias float64 // probability a unicast targets the hotspot
+	HotspotBias float64 // probability a unicast targets the hotspot, node 0
 	// McastFrac is the fraction of the non-broadcast messages sent as
 	// McastSize-target multicasts (distinct uniform targets, never self).
 	// The multicast draw happens after the broadcast draw, so a zero
 	// McastFrac leaves the random streams of existing workloads untouched.
 	McastFrac float64
 	McastSize int // targets per multicast; 2..N-1, required with McastFrac
-	Seed      uint64
-	Until     int64 // stop generating at this cycle (0 = forever)
+	// MeanOn/MeanOff, when either is non-zero, make each node a two-state
+	// Markov-modulated Bernoulli process, the burstiness the paper names as
+	// the Spidergon's worst case (§1): geometric bursts and silences of these
+	// mean lengths in cycles, silent when OFF and Bernoulli at the ON-state
+	// rate when ON. Rate stays the long-run mean offered load.
+	MeanOn, MeanOff float64
+	Seed            uint64
+	Until           int64 // stop generating at this cycle (0 = forever)
 }
 
-// Validate checks the workload parameters.
+func (c Config) bursty() bool { return c.MeanOn != 0 || c.MeanOff != 0 }
+
+// onRate is the ON-state rate that yields mean offered load Rate under the
+// ON/OFF duty cycle.
+func (c Config) onRate() float64 { return c.Rate * (c.MeanOn + c.MeanOff) / c.MeanOn }
+
+// Validate checks the workload parameters. An ON/OFF source is judged by its
+// burst and gap means and its ON-state rate, not by Rate or HotspotBias. The
+// multicast knobs are both set or both zero, with a size that names a genuine
+// multi-target collective smaller than a broadcast.
 func (c Config) Validate() error {
+	bursty := c.bursty()
 	switch {
 	case c.N < 2:
 		return fmt.Errorf("traffic: %d nodes", c.N)
-	case c.Rate < 0 || c.Rate > 1:
+	case bursty && (c.MeanOn < 1 || c.MeanOff < 1):
+		return fmt.Errorf("traffic: burst/gap means must both be >= 1 cycle")
+	case bursty && (c.onRate() <= 0 || c.onRate() > 1):
+		return fmt.Errorf("traffic: bursty on-rate %v outside (0,1] msg/node/cycle", c.onRate())
+	case !bursty && (c.Rate < 0 || c.Rate > 1):
 		return fmt.Errorf("traffic: rate %v outside [0,1]", c.Rate)
 	case c.Beta < 0 || c.Beta > 1:
 		return fmt.Errorf("traffic: beta %v outside [0,1]", c.Beta)
 	case c.MsgLen < 2:
 		return fmt.Errorf("traffic: message length %d (need >= 2 flits)", c.MsgLen)
-	case c.HotspotBias < 0 || c.HotspotBias > 1:
+	case !bursty && (c.HotspotBias < 0 || c.HotspotBias > 1):
 		return fmt.Errorf("traffic: hotspot bias %v outside [0,1]", c.HotspotBias)
-	}
-	return validateMulticast(c.McastFrac, c.McastSize, c.N)
-}
-
-// validateMulticast checks the multicast knobs shared by the Bernoulli and
-// bursty sources: both set or both zero, and a size that names a genuine
-// multi-target collective smaller than a broadcast.
-func validateMulticast(frac float64, size, n int) error {
-	switch {
-	case frac < 0 || frac > 1:
-		return fmt.Errorf("traffic: multicast fraction %v outside [0,1]", frac)
-	case frac == 0 && size != 0:
-		return fmt.Errorf("traffic: multicast size %d without a multicast fraction", size)
-	case frac > 0 && (size < 2 || size > n-1):
-		return fmt.Errorf("traffic: multicast size %d outside [2,%d]", size, n-1)
+	case c.McastFrac < 0 || c.McastFrac > 1:
+		return fmt.Errorf("traffic: multicast fraction %v outside [0,1]", c.McastFrac)
+	case c.McastFrac == 0 && c.McastSize != 0:
+		return fmt.Errorf("traffic: multicast size %d without a multicast fraction", c.McastSize)
+	case c.McastFrac > 0 && (c.McastSize < 2 || c.McastSize > c.N-1):
+		return fmt.Errorf("traffic: multicast size %d outside [2,%d]", c.McastSize, c.N-1)
 	}
 	return nil
 }
@@ -121,8 +132,8 @@ func (s *Source) destination() int {
 	n := s.cfg.N
 	switch s.cfg.Pattern {
 	case Hotspot:
-		if s.node != s.cfg.HotspotNode && s.r.Bernoulli(s.cfg.HotspotBias) {
-			return s.cfg.HotspotNode
+		if s.node != 0 && s.r.Bernoulli(s.cfg.HotspotBias) {
+			return 0
 		}
 	case Antipodal:
 		return (s.node + n/2) % n
@@ -188,12 +199,13 @@ func multicastTargets(pool []int, r *rng.Stream, n, self, k int) []int {
 }
 
 // Install creates one source per node and schedules their arrival processes
-// on the kernel. Arrivals are a Bernoulli process per node: geometric gaps
-// with mean 1/rate, the discrete analogue of Poisson arrivals. Each source is
-// one kernel ticker that skips to its next arrival, so generating a message
-// schedules nothing new: the ticker takes its sequence number after the
-// callback, exactly where a self-rescheduling arrival would. It returns the
-// sources for inspection.
+// on the kernel. A Bernoulli source has geometric gaps with mean 1/rate, the
+// discrete analogue of Poisson arrivals; it is one kernel ticker that skips
+// to its next arrival, so generating a message schedules nothing new: the
+// ticker takes its sequence number after the callback, exactly where a
+// self-rescheduling arrival would. An ON/OFF source is one ticker that skips
+// to its next phase change (see installOnOff). It returns the sources for
+// inspection.
 func Install(k *sim.Kernel, cfg Config, senders []Sender) ([]*Source, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -203,13 +215,14 @@ func Install(k *sim.Kernel, cfg Config, senders []Sender) ([]*Source, error) {
 	}
 	sources := make([]*Source, cfg.N)
 	for node := 0; node < cfg.N; node++ {
-		src := &Source{
-			node:   node,
-			cfg:    cfg,
-			r:      rng.New(cfg.Seed, uint64(node)+1),
-			sender: senders[node],
-		}
+		src := &Source{node: node, cfg: cfg, sender: senders[node]}
 		sources[node] = src
+		if cfg.bursty() {
+			src.r = rng.New(cfg.Seed, 0xB0B0+uint64(node))
+			src.installOnOff(k)
+			continue
+		}
+		src.r = rng.New(cfg.Seed, uint64(node)+1)
 		if cfg.Rate <= 0 {
 			continue
 		}
@@ -226,11 +239,37 @@ func Install(k *sim.Kernel, cfg Config, senders []Sender) ([]*Source, error) {
 	return sources, nil
 }
 
-// TotalSent sums the messages generated by all sources.
-func TotalSent(sources []*Source) int64 {
-	var total int64
-	for _, s := range sources {
-		total += s.Sent()
-	}
-	return total
+// installOnOff schedules the source's ON/OFF phases: one ticker skipping to
+// the next phase change, whose first change comes after a Geometric(0.5)
+// wait. Inside an ON phase the source is Bernoulli at the ON-state rate. A
+// burst's arrivals are drawn when it starts and take their calendar sequence
+// numbers there, which fixes their order against other sources' same-cycle
+// events, so each stays an event of its own; they share one callback.
+func (s *Source) installOnOff(k *sim.Kernel) {
+	cfg, onRate := s.cfg, s.cfg.onRate()
+	arrive := s.fire
+	on := false
+	var phases *sim.Event
+	phases = k.Ticker(s.r.Geometric(0.5), 1, sim.PriTraffic, func(now sim.Time) bool {
+		if cfg.Until > 0 && now >= cfg.Until {
+			return false
+		}
+		on = !on
+		var length int64
+		if on {
+			length = 1 + s.r.Geometric(1/cfg.MeanOn)
+			for t := now; t < now+length; t++ {
+				if cfg.Until > 0 && t >= cfg.Until {
+					break
+				}
+				if s.r.Bernoulli(onRate) {
+					k.Schedule(t, sim.PriTraffic, arrive)
+				}
+			}
+		} else {
+			length = 1 + s.r.Geometric(1/cfg.MeanOff)
+		}
+		phases.SkipTo(now + length)
+		return true
+	})
 }

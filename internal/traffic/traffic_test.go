@@ -50,6 +50,14 @@ func run(t *testing.T, cfg Config, cycles int64) ([]*recorder, []*Source) {
 	return recs, sources
 }
 
+func totalSent(sources []*Source) int64 {
+	var total int64
+	for _, s := range sources {
+		total += s.Sent()
+	}
+	return total
+}
+
 func TestValidate(t *testing.T) {
 	bad := []Config{
 		{N: 1, Rate: 0.1, MsgLen: 4},
@@ -85,7 +93,7 @@ func TestArrivalRate(t *testing.T) {
 func TestBroadcastFraction(t *testing.T) {
 	cfg := Config{N: 4, Rate: 0.2, Beta: 0.1, MsgLen: 4, Seed: 2}
 	recs, sources := run(t, cfg, 100000)
-	total := TotalSent(sources)
+	total := totalSent(sources)
 	var bcasts int
 	for _, r := range recs {
 		bcasts += r.broadcasts
@@ -143,16 +151,15 @@ func TestNearestNeighborPattern(t *testing.T) {
 }
 
 func TestHotspotPattern(t *testing.T) {
-	cfg := Config{N: 8, Rate: 0.2, MsgLen: 4, Pattern: Hotspot,
-		HotspotNode: 3, HotspotBias: 0.5, Seed: 6}
+	cfg := Config{N: 8, Rate: 0.2, MsgLen: 4, Pattern: Hotspot, HotspotBias: 0.5, Seed: 6}
 	recs, _ := run(t, cfg, 50000)
 	hot, total := 0, 0
 	for node, r := range recs {
-		if node == 3 {
+		if node == 0 {
 			continue
 		}
 		for _, d := range r.unicasts {
-			if d == 3 {
+			if d == 0 {
 				hot++
 			}
 			total++
@@ -209,7 +216,7 @@ func TestMulticastFractionAndTargets(t *testing.T) {
 	cfg := Config{N: 8, Rate: 0.2, Beta: 0.1, MsgLen: 4,
 		McastFrac: 0.25, McastSize: 3, Seed: 11}
 	recs, sources := run(t, cfg, 100000)
-	total := TotalSent(sources)
+	total := totalSent(sources)
 	var mcasts int
 	for node, r := range recs {
 		mcasts += len(r.multicasts)
@@ -252,7 +259,7 @@ func TestUntilStopsGeneration(t *testing.T) {
 func TestZeroRateGeneratesNothing(t *testing.T) {
 	cfg := Config{N: 2, Rate: 0, MsgLen: 4, Seed: 9}
 	_, sources := run(t, cfg, 1000)
-	if TotalSent(sources) != 0 {
+	if totalSent(sources) != 0 {
 		t.Fatal("zero rate generated messages")
 	}
 }
