@@ -1,6 +1,7 @@
 package quarc_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +14,8 @@ var (
 	// or not (-benchmem, -benchtime and -fuzztime do not match).
 	testFlag = regexp.MustCompile(`-(run|bench|fuzz)[= ]('[^']*'|\S+)`)
 	testName = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
+	fuzzFlag = regexp.MustCompile(`-fuzz=(Fuzz\w*)`)
+	fuzzFunc = regexp.MustCompile(`(?m)^func (Fuzz\w*)\(`)
 )
 
 // TestCIRunPatternsNameRealTests reads every go test command in the CI
@@ -65,6 +68,69 @@ func TestCIRunPatternsNameRealTests(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no test names found; the check is vacuous")
+	}
+}
+
+// TestEveryFuzzTargetRunsInCI checks that every func Fuzz... in a _test.go
+// file of the module has a line of the Makefile's fuzz-short target, which CI
+// runs, that fuzzes it in its own package directory. go test -fuzz takes one
+// target at a time, so a target without its line would never be fuzzed.
+func TestEveryFuzzTargetRunsInCI(t *testing.T) {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, ok := strings.Cut(string(data), "\nfuzz-short:\n")
+	if !ok {
+		t.Fatal("Makefile has no fuzz-short target")
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(recipe, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		name := fuzzFlag.FindStringSubmatch(line)
+		if name == nil {
+			continue
+		}
+		for _, tok := range strings.Fields(line) {
+			if strings.HasPrefix(tok, "./") {
+				listed[filepath.Clean(tok)+" "+name[1]] = true
+			}
+		}
+	}
+
+	found := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			found++
+			if key := filepath.Dir(path) + " " + m[1]; !listed[key] {
+				t.Errorf("%s: %s has no fuzz-short line fuzzing it in ./%s", path, m[1], filepath.Dir(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("no fuzz targets found; the check is vacuous")
 	}
 }
 

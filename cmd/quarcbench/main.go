@@ -30,6 +30,7 @@ import (
 	"quarc/internal/experiments"
 	"quarc/internal/prof"
 	"quarc/internal/service"
+	"quarc/internal/traffic"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -134,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	textOnly := !all && selected[0].panels == nil
 
-	pat, err := service.ParsePattern(*pattern)
+	pat, err := traffic.ParsePattern(*pattern)
 	if err != nil {
 		return fail(2, "%v", err)
 	}

@@ -53,6 +53,7 @@ func TestRequestsOutsideTheDomainExit2(t *testing.T) {
 		msg  string
 	}{
 		{[]string{"-rate", "5"}, "rate 5 outside [0,1]"},
+		{[]string{"-rate", "NaN", "-warmup", "100", "-cycles", "200", "-drain", "200"}, "traffic: rate NaN outside [0,1]"},
 		{[]string{"-topo", "nosuch"}, `unknown model "nosuch"`},
 		{[]string{"-n", "7"}, "7 nodes"},
 		{[]string{"-replicates", "300"}, "replicates 300 outside [0,256]"},

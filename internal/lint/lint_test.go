@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,11 +9,12 @@ import (
 // analyzers see the package they expect.
 func fixture(t *testing.T, dir, importPath string) *Package {
 	t.Helper()
-	pkg, err := LoadFixture("../..", filepath.Join("testdata", "src", dir), importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
+	pkgs, err := Load("../..", "./internal/lint/testdata/src/"+dir)
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("loading fixture %s: %d packages, %v", dir, len(pkgs), err)
 	}
-	return pkg
+	pkgs[0].PkgPath = importPath
+	return pkgs[0]
 }
 
 // checkFixture runs one analyzer over a fixture and fails on any mismatch
@@ -24,6 +24,21 @@ func checkFixture(t *testing.T, dir, importPath string, a *Analyzer) {
 	pkg := fixture(t, dir, importPath)
 	for _, e := range CheckFixture(pkg, []*Analyzer{a}) {
 		t.Error(e)
+	}
+}
+
+// The harness reports both ways a fixture can disagree with its analyzer:
+// a want no diagnostic matches and a diagnostic no want expects. The same
+// fixture with both corrected reports nothing.
+func TestCheckFixtureReports(t *testing.T) {
+	errs := CheckFixture(fixture(t, "harness", "quarc/fixture/harness"), []*Analyzer{HotPath})
+	if len(errs) != 2 ||
+		!strings.HasPrefix(errs[0], "unexpected diagnostic: ") || !strings.Contains(errs[0], "fmt.Println in hot path") ||
+		!strings.HasSuffix(errs[1], `fixture.go:10: no diagnostic matching "defer in hot path"`) {
+		t.Errorf("got %q, want the unexpected fmt.Println and the unmatched defer want", errs)
+	}
+	if errs := CheckFixture(fixture(t, "harnessok", "quarc/fixture/harness"), []*Analyzer{HotPath}); len(errs) != 0 {
+		t.Errorf("corrected fixture: %q", errs)
 	}
 }
 

@@ -107,61 +107,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadFixture type-checks a single fixture directory (every .go file in it,
-// one package) while posing as importPath, so path-scoped analyzers treat
-// the fixture as the package it stands in for. modDir anchors the go
-// command invocation that resolves the fixture's imports.
-func LoadFixture(modDir, fixtureDir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(fixtureDir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			files = append(files, filepath.Join(fixtureDir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", fixtureDir)
-	}
-	sort.Strings(files)
-
-	// Resolve the fixture's imports by asking go list for their compiled
-	// export data (the fixture itself is outside any build, under testdata).
-	fset := token.NewFileSet()
-	var parsed []*ast.File
-	importSet := map[string]bool{}
-	for _, fn := range files {
-		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		parsed = append(parsed, f)
-		for _, spec := range f.Imports {
-			importSet[importString(spec)] = true
-		}
-	}
-	exports := map[string]string{}
-	if len(importSet) > 0 {
-		var paths []string
-		for p := range importSet {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		deps, err := goList(modDir, []string{"-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard,Incomplete"}, paths)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range deps {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	return checkParsed(fset, exportImporter(fset, exports), importPath, parsed)
-}
-
 func importString(spec *ast.ImportSpec) string {
 	s := spec.Path.Value
 	return s[1 : len(s)-1]
@@ -178,6 +123,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
+// check parses the named files and type-checks them as package pkgPath.
 func check(fset *token.FileSet, imp types.Importer, pkgPath string, filenames []string) (*Package, error) {
 	var parsed []*ast.File
 	for _, fn := range filenames {
@@ -187,10 +133,6 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath string, filenames []
 		}
 		parsed = append(parsed, f)
 	}
-	return checkParsed(fset, imp, pkgPath, parsed)
-}
-
-func checkParsed(fset *token.FileSet, imp types.Importer, pkgPath string, parsed []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

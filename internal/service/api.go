@@ -78,52 +78,6 @@ func Models() []ModelJSON {
 	return out
 }
 
-// patternTable is the source of truth for wire-format pattern names. It is a
-// slice, not a map: PatternName walks it in declaration order, so the name a
-// pattern reports is deterministic (quarcvet's determinism analyzer caught
-// the previous map-iteration version, which could flip between aliases).
-var patternTable = []struct {
-	name string
-	p    traffic.Pattern
-}{
-	{"uniform", traffic.Uniform},
-	{"hotspot", traffic.Hotspot},
-	{"antipodal", traffic.Antipodal},
-	{"neighbor", traffic.NearestNeighbor},
-	{"bitreverse", traffic.BitReverse},
-}
-
-var patternNames = func() map[string]traffic.Pattern {
-	m := make(map[string]traffic.Pattern, len(patternTable))
-	for _, e := range patternTable {
-		m[e.name] = e.p
-	}
-	return m
-}()
-
-// ParsePattern resolves a wire-format traffic-pattern name ("" means
-// uniform).
-func ParsePattern(name string) (traffic.Pattern, error) {
-	if name == "" {
-		return traffic.Uniform, nil
-	}
-	if p, ok := patternNames[strings.ToLower(name)]; ok {
-		return p, nil
-	}
-	return 0, fmt.Errorf("unknown pattern %q", name)
-}
-
-// PatternName is the wire name of a pattern, resolved through patternTable
-// in declaration order so the answer never depends on map iteration.
-func PatternName(p traffic.Pattern) string {
-	for _, e := range patternTable {
-		if e.p == p {
-			return e.name
-		}
-	}
-	return fmt.Sprintf("pattern(%d)", int(p))
-}
-
 // RunRequest is the body of POST /v1/runs: one simulation configuration,
 // optionally replicated. Zero fields take the simulator's defaults.
 //
@@ -178,7 +132,7 @@ func (r RunRequest) Config() (experiments.Config, error) {
 	if err != nil {
 		return experiments.Config{}, err
 	}
-	pat, err := ParsePattern(r.Pattern)
+	pat, err := traffic.ParsePattern(r.Pattern)
 	if err != nil {
 		return experiments.Config{}, err
 	}
@@ -337,7 +291,7 @@ func (p PanelRequest) SpecOpts() (experiments.PanelSpec, experiments.RunOpts, er
 	fail := func(err error) (experiments.PanelSpec, experiments.RunOpts, error) {
 		return experiments.PanelSpec{}, experiments.RunOpts{}, err
 	}
-	pat, err := ParsePattern(p.Pattern)
+	pat, err := traffic.ParsePattern(p.Pattern)
 	if err != nil {
 		return fail(err)
 	}
@@ -449,7 +403,7 @@ func EncodeResult(r experiments.Result) ResultJSON {
 		MsgLen:        r.Cfg.MsgLen,
 		Beta:          r.Cfg.Beta,
 		Rate:          r.Cfg.Rate,
-		Pattern:       PatternName(r.Cfg.Pattern),
+		Pattern:       r.Cfg.Pattern.String(),
 		BurstMeanOn:   r.Cfg.BurstMeanOn,
 		BurstMeanOff:  r.Cfg.BurstMeanOff,
 		McastFrac:     r.Cfg.McastFrac,
@@ -529,7 +483,7 @@ func EncodeDegradedRun(cfg experiments.Config, reason string) (RunResult, bool) 
 	}
 	res := ResultJSON{
 		Topo: cfg.ModelName(), N: cfg.N, MsgLen: cfg.MsgLen, Beta: cfg.Beta,
-		Rate: cfg.Rate, Pattern: PatternName(cfg.Pattern), Seed: cfg.Seed,
+		Rate: cfg.Rate, Pattern: cfg.Pattern.String(), Seed: cfg.Seed,
 	}
 	if pred.MaxChannelUtil >= 1 || math.IsInf(pred.MeanLatency, 0) || math.IsNaN(pred.MeanLatency) {
 		res.Saturated = true
@@ -583,7 +537,7 @@ func EncodePanel(pr experiments.PanelResult) PanelResultJSON {
 		Replicates: pr.Replicates,
 	}
 	if pr.Spec.Pattern != traffic.Uniform || pr.Spec.HotspotBias != 0 {
-		out.Pattern = PatternName(pr.Spec.Pattern)
+		out.Pattern = pr.Spec.Pattern.String()
 		out.HotspotBias = pr.Spec.HotspotBias
 	}
 	encode := func(name string) []ResultJSON {

@@ -190,16 +190,4 @@ func TestParseRoundTrips(t *testing.T) {
 	if _, err := ParseModel("bogus"); err == nil {
 		t.Fatal("bogus model accepted")
 	}
-	for name, p := range patternNames {
-		got, err := ParsePattern(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != p || PatternName(got) != name {
-			t.Fatalf("pattern %q round-trips to %q", name, PatternName(got))
-		}
-	}
-	if _, err := ParsePattern("bogus"); err == nil {
-		t.Fatal("bogus pattern accepted")
-	}
 }

@@ -56,7 +56,7 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 	fail := func(err error) (explore.Spec, experiments.RunOpts, explore.Expansion, error) {
 		return explore.Spec{}, experiments.RunOpts{}, explore.Expansion{}, err
 	}
-	pat, err := ParsePattern(e.Pattern)
+	pat, err := traffic.ParsePattern(e.Pattern)
 	if err != nil {
 		return fail(err)
 	}
@@ -251,7 +251,7 @@ func EncodeExplore(spec explore.Spec, opts experiments.RunOpts, oc explore.Outco
 		out.Replicates = 1
 	}
 	if spec.Pattern != traffic.Uniform {
-		out.Pattern = PatternName(spec.Pattern)
+		out.Pattern = spec.Pattern.String()
 	}
 	for _, k := range spec.Mcast {
 		out.Mcast = append(out.Mcast, McastJSON{Frac: k.Frac, Size: k.Size})

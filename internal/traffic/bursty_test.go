@@ -19,6 +19,13 @@ func TestBurstyValidate(t *testing.T) {
 		{N: 8, Rate: 0.25, MeanOff: 10, MsgLen: 4},
 		{N: 8, Rate: 0.25, MeanOn: 10, MeanOff: 10, MsgLen: 1},
 		{N: 8, Rate: 0.25, MeanOn: 10, MeanOff: 10, MsgLen: 4, Beta: 2},
+		// NaN means, a NaN on-rate, and the NaN on-rates of an infinite
+		// burst mean or an infinite gap at rate 0.
+		{N: 8, Rate: 0.25, MeanOn: math.NaN(), MeanOff: 10, MsgLen: 4},
+		{N: 8, Rate: 0.25, MeanOn: 10, MeanOff: math.NaN(), MsgLen: 4},
+		{N: 8, Rate: math.NaN(), MeanOn: 10, MeanOff: 10, MsgLen: 4},
+		{N: 8, Rate: 0.25, MeanOn: math.Inf(1), MeanOff: 10, MsgLen: 4},
+		{N: 8, Rate: 0, MeanOn: 10, MeanOff: math.Inf(1), MsgLen: 4},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

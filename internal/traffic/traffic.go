@@ -11,6 +11,7 @@ package traffic
 
 import (
 	"fmt"
+	"strings"
 
 	"quarc/internal/rng"
 	"quarc/internal/sim"
@@ -37,6 +38,7 @@ const (
 	BitReverse
 )
 
+// String is the pattern's wire name, the one ParsePattern reads.
 func (p Pattern) String() string {
 	switch p {
 	case Uniform:
@@ -51,6 +53,21 @@ func (p Pattern) String() string {
 		return "bitreverse"
 	}
 	return fmt.Sprintf("Pattern(%d)", int(p))
+}
+
+// ParsePattern resolves a pattern's wire name, the String of one of
+// Uniform..BitReverse in any case; "" means Uniform.
+func ParsePattern(name string) (Pattern, error) {
+	if name == "" {
+		return Uniform, nil
+	}
+	lower := strings.ToLower(name)
+	for p := Uniform; p <= BitReverse; p++ {
+		if lower == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown pattern %q", name)
 }
 
 // Config parameterises a workload.
@@ -86,30 +103,33 @@ func (c Config) onRate() float64 { return c.Rate * (c.MeanOn + c.MeanOff) / c.Me
 // Validate checks the workload parameters. An ON/OFF source is judged by its
 // burst and gap means and its ON-state rate, not by Rate or HotspotBias. The
 // multicast knobs are both set or both zero, with a size that names a genuine
-// multi-target collective smaller than a broadcast.
+// multi-target collective smaller than a broadcast. Every range test is
+// written !(lo <= x && x <= hi), so a NaN fails it.
 func (c Config) Validate() error {
 	bursty := c.bursty()
 	switch {
 	case c.N < 2:
 		return fmt.Errorf("traffic: %d nodes", c.N)
-	case bursty && (c.MeanOn < 1 || c.MeanOff < 1):
+	case bursty && !(c.MeanOn >= 1 && c.MeanOff >= 1):
 		return fmt.Errorf("traffic: burst/gap means must both be >= 1 cycle")
-	case bursty && (c.onRate() <= 0 || c.onRate() > 1):
+	case bursty && !(0 < c.onRate() && c.onRate() <= 1):
 		return fmt.Errorf("traffic: bursty on-rate %v outside (0,1] msg/node/cycle", c.onRate())
-	case !bursty && (c.Rate < 0 || c.Rate > 1):
+	case !bursty && !(0 <= c.Rate && c.Rate <= 1):
 		return fmt.Errorf("traffic: rate %v outside [0,1]", c.Rate)
-	case c.Beta < 0 || c.Beta > 1:
+	case !(0 <= c.Beta && c.Beta <= 1):
 		return fmt.Errorf("traffic: beta %v outside [0,1]", c.Beta)
 	case c.MsgLen < 2:
 		return fmt.Errorf("traffic: message length %d (need >= 2 flits)", c.MsgLen)
-	case !bursty && (c.HotspotBias < 0 || c.HotspotBias > 1):
+	case !bursty && !(0 <= c.HotspotBias && c.HotspotBias <= 1):
 		return fmt.Errorf("traffic: hotspot bias %v outside [0,1]", c.HotspotBias)
-	case c.McastFrac < 0 || c.McastFrac > 1:
+	case !(0 <= c.McastFrac && c.McastFrac <= 1):
 		return fmt.Errorf("traffic: multicast fraction %v outside [0,1]", c.McastFrac)
 	case c.McastFrac == 0 && c.McastSize != 0:
 		return fmt.Errorf("traffic: multicast size %d without a multicast fraction", c.McastSize)
 	case c.McastFrac > 0 && (c.McastSize < 2 || c.McastSize > c.N-1):
 		return fmt.Errorf("traffic: multicast size %d outside [2,%d]", c.McastSize, c.N-1)
+	case !(Uniform <= c.Pattern && c.Pattern <= BitReverse):
+		return fmt.Errorf("traffic: unknown pattern %v", c.Pattern)
 	}
 	return nil
 }

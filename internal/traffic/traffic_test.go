@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"quarc/internal/sim"
@@ -66,6 +67,14 @@ func TestValidate(t *testing.T) {
 		{N: 8, Rate: 0.1, Beta: 2, MsgLen: 4},
 		{N: 8, Rate: 0.1, MsgLen: 1},
 		{N: 8, Rate: 0.1, MsgLen: 4, HotspotBias: -1},
+		// Each range test refuses NaN, and a pattern must be one of
+		// Uniform..BitReverse.
+		{N: 8, Rate: math.NaN(), MsgLen: 4},
+		{N: 8, Rate: 0.1, Beta: math.NaN(), MsgLen: 4},
+		{N: 8, Rate: 0.1, MsgLen: 4, HotspotBias: math.NaN()},
+		{N: 8, Rate: 0.1, MsgLen: 4, McastFrac: math.NaN(), McastSize: 2},
+		{N: 8, Rate: 0.1, MsgLen: 4, Pattern: Pattern(7)},
+		{N: 8, Rate: 0.1, MsgLen: 4, Pattern: Pattern(-1)},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -288,11 +297,28 @@ func TestInstallSenderCountMismatch(t *testing.T) {
 	}
 }
 
+// The wire names are each pattern's String, parsed in any case; "" is
+// uniform and any other name is refused.
 func TestPatternStrings(t *testing.T) {
-	for _, p := range []Pattern{Uniform, Hotspot, Antipodal, NearestNeighbor, BitReverse, Pattern(9)} {
-		if p.String() == "" {
-			t.Fatalf("empty string for pattern %d", int(p))
+	names := []string{"uniform", "hotspot", "antipodal", "neighbor", "bitreverse"}
+	for p := Uniform; p <= BitReverse; p++ {
+		if p.String() != names[p] {
+			t.Fatalf("pattern %d is named %q, want %q", int(p), p.String(), names[p])
 		}
+		for _, name := range []string{p.String(), strings.ToUpper(p.String())} {
+			if got, err := ParsePattern(name); err != nil || got != p {
+				t.Fatalf("ParsePattern(%q) = %v, %v; want %v", name, got, err, p)
+			}
+		}
+	}
+	if got, err := ParsePattern(""); err != nil || got != Uniform {
+		t.Fatalf("ParsePattern(\"\") = %v, %v; want uniform", got, err)
+	}
+	if _, err := ParsePattern("Bogus"); err == nil || err.Error() != `unknown pattern "Bogus"` {
+		t.Fatalf("ParsePattern(\"Bogus\") error %v", err)
+	}
+	if s := Pattern(9).String(); s != "Pattern(9)" {
+		t.Fatalf("Pattern(9) prints %q", s)
 	}
 }
 
