@@ -53,6 +53,8 @@ func TestRequestsOutsideTheDomainExit2(t *testing.T) {
 	}{
 		{[]string{"-ns", "8192"}, "n 8192 exceeds the limit 4096"},
 		{[]string{"-msglen", "5000"}, "msglen 5000 exceeds the limit 4096"},
+		{[]string{"-width", "4611686018427387904"}, "cost_width 4611686018427387904 exceeds the limit 4096"},
+		{[]string{"-width", "9223372036854775807"}, "cost_width 9223372036854775807 exceeds the limit 4096"},
 		{[]string{"-models", "quarc", "-rates", rates(2049)}, "lattice expands to 2049 points, exceeding the limit 2048"},
 		{[]string{"-models", "quarc", "-rates", rates(300), "-replicates", "256"}, "exceeds the job limit"},
 		{[]string{"-models", "quarc,,mesh"}, "empty model name"},

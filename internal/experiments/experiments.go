@@ -189,31 +189,33 @@ func (c Config) WithDefaults() Config {
 
 // Result summarises one run. The latency quantiles (P50/P95/P99 per traffic
 // class) are histogram upper bounds at one-cycle resolution, computed with
-// stats.Histogram.Quantile over the measured latencies.
+// stats.Histogram.Quantile over the measured latencies. The JSON tags are the
+// measurements' wire names: service.ResultJSON embeds Result after its
+// configuration echo, so these tags and their order are the payload's.
 type Result struct {
-	Cfg           Config
-	UnicastMean   float64 // mean tail latency, cycles
-	UnicastCI     float64
-	UnicastP50    float64 // median unicast latency
-	UnicastP95    float64 // 95th percentile unicast latency
-	UnicastP99    float64
-	UnicastCount  int64
-	BcastMean     float64 // mean completion (last destination) latency
-	BcastCI       float64
-	BcastP50      float64
-	BcastP95      float64
-	BcastP99      float64
-	BcastDelivery float64 // mean per-destination delivery latency
-	BcastCount    int64
+	Cfg           Config  `json:"-"`
+	UnicastMean   float64 `json:"unicast_mean"` // mean tail latency, cycles
+	UnicastCI     float64 `json:"unicast_ci95"`
+	UnicastP50    float64 `json:"unicast_p50"` // median unicast latency
+	UnicastP95    float64 `json:"unicast_p95"` // 95th percentile unicast latency
+	UnicastP99    float64 `json:"unicast_p99"`
+	UnicastCount  int64   `json:"unicast_count"`
+	BcastMean     float64 `json:"bcast_mean"` // mean completion (last destination) latency
+	BcastCI       float64 `json:"bcast_ci95"`
+	BcastP50      float64 `json:"bcast_p50"`
+	BcastP95      float64 `json:"bcast_p95"`
+	BcastP99      float64 `json:"bcast_p99"`
+	BcastDelivery float64 `json:"bcast_delivery"` // mean per-destination delivery latency
+	BcastCount    int64   `json:"bcast_count"`
 	// McastCount is the subset of BcastCount that were multicasts (the
 	// collective accumulators fold broadcast and multicast completions
 	// together; this exposes the split).
-	McastCount int64
-	Throughput float64 // delivered flits/node/cycle in the window
-	Saturated  bool
-	Leftover   int // messages still in flight after the drain budget
-	Duplicates uint64
-	Cycles     int64 // fabric cycles actually stepped (warmup+measure+drain used)
+	McastCount int64   `json:"mcast_count,omitempty"`
+	Throughput float64 `json:"throughput"` // delivered flits/node/cycle in the window
+	Saturated  bool    `json:"saturated"`
+	Leftover   int     `json:"leftover"` // messages still in flight after the drain budget
+	Duplicates uint64  `json:"duplicates"`
+	Cycles     int64   `json:"cycles"` // fabric cycles actually stepped (warmup+measure+drain used)
 }
 
 // build assembles the requested network by registry lookup. The harness

@@ -82,11 +82,11 @@ type Point struct {
 // reason — an invalid size for the model, or a multicast knob the size
 // cannot honour. Skips are part of the deterministic outcome, not errors: a
 // cross-product lattice legitimately pairs square-only meshes with ring
-// sizes.
+// sizes. The JSON tags are its wire names in an explore payload.
 type Skip struct {
-	Model  string
-	N      int
-	Reason string
+	Model  string `json:"model"`
+	N      int    `json:"n"`
+	Reason string `json:"reason"`
 }
 
 // Expansion is the deterministic result of expanding a Spec: the valid

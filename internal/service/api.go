@@ -1,10 +1,11 @@
 // Package service turns the simulator into a long-running
 // simulation-as-a-service daemon: a stdlib-only JSON HTTP API that accepts
-// single-run and figure-panel jobs, executes them on a bounded scheduler over
-// the parallel sweep engine, caches results content-addressed by a canonical
-// request hash, streams per-point progress as NDJSON, and exposes operational
-// metrics. cmd/quarcd wraps it in a process; cmd/quarcload drives it under
-// load.
+// single-run, figure-panel and design-space exploration jobs, executes them
+// on a bounded scheduler (panels over the parallel sweep engine, explores
+// point by point through the per-point result cache), caches results
+// content-addressed by a canonical request hash, streams per-point progress
+// as NDJSON, and exposes operational metrics as one table of series.
+// cmd/quarcd wraps it in a process; cmd/quarcload drives it under load.
 //
 // This file defines the wire schema. The same encoding types are used by the
 // CLIs' -json output, so a result printed by quarcsim and a result returned
@@ -29,6 +30,9 @@ import (
 const (
 	MaxNodes  = 4096
 	MaxMsgLen = 4096
+	// MaxCostWidth bounds explore's cost-axis width (bits): a width near
+	// the int range overflows the cost model and flips the Pareto front.
+	MaxCostWidth = 4096
 	// MaxDepth bounds the flits of one lane buffer. A fabric's slots are
 	// allocated at once, N x lanes x depth of them, so an unbounded depth
 	// asks for more memory than any host has, and a failed allocation that
@@ -359,76 +363,36 @@ func ParseModels(names []string) ([]string, error) {
 	return models, nil
 }
 
-// ResultJSON is the wire form of one simulation result. Field values are
-// pure functions of the configuration and seed, so identical requests
-// marshal to identical bytes — the property the result cache relies on.
+// ResultJSON is the wire form of one simulation result: the configuration
+// echo, then the measurements under experiments.Result's own wire names
+// (encoding/json flattens the embedded struct in declaration order). Field
+// values are pure functions of the configuration and seed, so identical
+// requests marshal to identical bytes — the property the result cache relies
+// on.
 type ResultJSON struct {
-	Topo          string  `json:"topo"`
-	N             int     `json:"n"`
-	MsgLen        int     `json:"msglen"`
-	Beta          float64 `json:"beta"`
-	Rate          float64 `json:"rate"`
-	Pattern       string  `json:"pattern"`
-	BurstMeanOn   float64 `json:"burst_mean_on,omitempty"`
-	BurstMeanOff  float64 `json:"burst_mean_off,omitempty"`
-	McastFrac     float64 `json:"mcast_frac,omitempty"`
-	McastSize     int     `json:"mcast_size,omitempty"`
-	Seed          uint64  `json:"seed"`
-	UnicastMean   float64 `json:"unicast_mean"`
-	UnicastCI     float64 `json:"unicast_ci95"`
-	UnicastP50    float64 `json:"unicast_p50"`
-	UnicastP95    float64 `json:"unicast_p95"`
-	UnicastP99    float64 `json:"unicast_p99"`
-	UnicastCount  int64   `json:"unicast_count"`
-	BcastMean     float64 `json:"bcast_mean"`
-	BcastCI       float64 `json:"bcast_ci95"`
-	BcastP50      float64 `json:"bcast_p50"`
-	BcastP95      float64 `json:"bcast_p95"`
-	BcastP99      float64 `json:"bcast_p99"`
-	BcastDelivery float64 `json:"bcast_delivery"`
-	BcastCount    int64   `json:"bcast_count"`
-	McastCount    int64   `json:"mcast_count,omitempty"`
-	Throughput    float64 `json:"throughput"`
-	Saturated     bool    `json:"saturated"`
-	Leftover      int     `json:"leftover"`
-	Duplicates    uint64  `json:"duplicates"`
-	Cycles        int64   `json:"cycles"`
+	Topo         string  `json:"topo"`
+	N            int     `json:"n"`
+	MsgLen       int     `json:"msglen"`
+	Beta         float64 `json:"beta"`
+	Rate         float64 `json:"rate"`
+	Pattern      string  `json:"pattern"`
+	BurstMeanOn  float64 `json:"burst_mean_on,omitempty"`
+	BurstMeanOff float64 `json:"burst_mean_off,omitempty"`
+	McastFrac    float64 `json:"mcast_frac,omitempty"`
+	McastSize    int     `json:"mcast_size,omitempty"`
+	Seed         uint64  `json:"seed"`
+	experiments.Result
 }
 
-// EncodeResult converts a measured result to its wire form.
+// EncodeResult converts a measured result to its wire form. The embedded
+// Result keeps no Cfg — the echo fields carry it — so a ResultJSON equals
+// its own decoded bytes.
 func EncodeResult(r experiments.Result) ResultJSON {
-	return ResultJSON{
-		Topo:          r.Cfg.ModelName(),
-		N:             r.Cfg.N,
-		MsgLen:        r.Cfg.MsgLen,
-		Beta:          r.Cfg.Beta,
-		Rate:          r.Cfg.Rate,
-		Pattern:       r.Cfg.Pattern.String(),
-		BurstMeanOn:   r.Cfg.BurstMeanOn,
-		BurstMeanOff:  r.Cfg.BurstMeanOff,
-		McastFrac:     r.Cfg.McastFrac,
-		McastSize:     r.Cfg.McastSize,
-		Seed:          r.Cfg.Seed,
-		UnicastMean:   r.UnicastMean,
-		UnicastCI:     r.UnicastCI,
-		UnicastP50:    r.UnicastP50,
-		UnicastP95:    r.UnicastP95,
-		UnicastP99:    r.UnicastP99,
-		UnicastCount:  r.UnicastCount,
-		BcastMean:     r.BcastMean,
-		BcastCI:       r.BcastCI,
-		BcastP50:      r.BcastP50,
-		BcastP95:      r.BcastP95,
-		BcastP99:      r.BcastP99,
-		BcastDelivery: r.BcastDelivery,
-		BcastCount:    r.BcastCount,
-		McastCount:    r.McastCount,
-		Throughput:    r.Throughput,
-		Saturated:     r.Saturated,
-		Leftover:      r.Leftover,
-		Duplicates:    r.Duplicates,
-		Cycles:        r.Cycles,
-	}
+	c := r.Cfg
+	r.Cfg = experiments.Config{}
+	return ResultJSON{Topo: c.ModelName(), N: c.N, MsgLen: c.MsgLen, Beta: c.Beta, Rate: c.Rate,
+		Pattern: c.Pattern.String(), BurstMeanOn: c.BurstMeanOn, BurstMeanOff: c.BurstMeanOff,
+		McastFrac: c.McastFrac, McastSize: c.McastSize, Seed: c.Seed, Result: r}
 }
 
 // RunResult is the payload of a completed run job (and of quarcsim -json):
@@ -481,10 +445,7 @@ func EncodeDegradedRun(cfg experiments.Config, reason string) (RunResult, bool) 
 	if !ok {
 		return RunResult{}, false
 	}
-	res := ResultJSON{
-		Topo: cfg.ModelName(), N: cfg.N, MsgLen: cfg.MsgLen, Beta: cfg.Beta,
-		Rate: cfg.Rate, Pattern: cfg.Pattern.String(), Seed: cfg.Seed,
-	}
+	res := EncodeResult(experiments.Result{Cfg: cfg})
 	if pred.MaxChannelUtil >= 1 || math.IsInf(pred.MeanLatency, 0) || math.IsNaN(pred.MeanLatency) {
 		res.Saturated = true
 		res.Throughput = pred.SaturationRate

@@ -31,15 +31,15 @@ func TestRestartServesByteIdenticalResultFromDisk(t *testing.T) {
 	if first.State != StateDone || first.Cached {
 		t.Fatalf("first run: state=%s cached=%v (%s)", first.State, first.Cached, first.Error)
 	}
-	if svc1.Snapshot().PointsSimulated == 0 {
+	if counters(t, svc1)["quarcd_points_simulated_total"] == 0 {
 		t.Fatal("first run recorded no simulated points")
 	}
 	ts1.Close()
 	svc1.Close()
 
 	svc2, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
-	if n := svc2.Snapshot().JobsRecovered; n != 1 {
-		t.Fatalf("recovered %d jobs, want 1", n)
+	if n := counters(t, svc2)["quarcd_jobs_recovered_total"]; n != 1 {
+		t.Fatalf("recovered %v jobs, want 1", n)
 	}
 
 	// The finished job record survived the restart, result included.
@@ -84,15 +84,15 @@ func TestRestartServesByteIdenticalResultFromDisk(t *testing.T) {
 	if !bytes.Equal(second.Result, first.Result) {
 		t.Fatal("post-restart result not byte-identical")
 	}
-	snap := svc2.Snapshot()
-	if snap.PointsSimulated != 0 {
-		t.Fatalf("restart re-simulated %d points, want 0", snap.PointsSimulated)
+	m := counters(t, svc2)
+	if m["quarcd_points_simulated_total"] != 0 {
+		t.Fatalf("restart re-simulated %v points, want 0", m["quarcd_points_simulated_total"])
 	}
-	if snap.StoreHits == 0 {
+	if m["quarcd_store_hits_total"] == 0 {
 		t.Fatal("disk store recorded no read-through hits")
 	}
-	if snap.StoreEntries == 0 || snap.StoreBytes == 0 {
-		t.Fatalf("disk store empty after restart: %+v", snap)
+	if m["quarcd_store_entries"] == 0 || m["quarcd_store_bytes"] == 0 {
+		t.Fatalf("disk store empty after restart: %v", m)
 	}
 }
 
@@ -158,11 +158,11 @@ func TestCrashedJobReEnqueuedAtBoot(t *testing.T) {
 	if len(done.Result) == 0 {
 		t.Fatal("re-enqueued job finished without a result")
 	}
-	snap := svc.Snapshot()
-	if snap.JobsRecovered != 1 {
-		t.Fatalf("recovered %d jobs, want 1", snap.JobsRecovered)
+	m := counters(t, svc)
+	if m["quarcd_jobs_recovered_total"] != 1 {
+		t.Fatalf("recovered %v jobs, want 1", m["quarcd_jobs_recovered_total"])
 	}
-	if snap.PointsSimulated == 0 {
+	if m["quarcd_points_simulated_total"] == 0 {
 		t.Fatal("re-enqueued job simulated nothing")
 	}
 	// New submissions never collide with the recovered ID.
@@ -272,8 +272,8 @@ func TestQueueFullShedsRunsDegradedAndPanels503(t *testing.T) {
 	if !rr.Degraded || rr.ErrorBand != analytic.ErrorBand || rr.DegradedReason == "" {
 		t.Fatalf("shed payload degraded=%v band=%v reason=%q", rr.Degraded, rr.ErrorBand, rr.DegradedReason)
 	}
-	if n := svc.Snapshot().DegradedAnswers; n != 1 {
-		t.Fatalf("degraded answers = %d, want 1", n)
+	if n := counters(t, svc)["quarcd_degraded_answers_total"]; n != 1 {
+		t.Fatalf("degraded answers = %v, want 1", n)
 	}
 
 	// A panel has no analytic fallback: the full queue still answers 503
@@ -288,7 +288,7 @@ func TestQueueFullShedsRunsDegradedAndPanels503(t *testing.T) {
 	if !bytes.Contains(body, []byte("queue full")) {
 		t.Fatalf("503 body %s does not name the cause", body)
 	}
-	if n := svc.Snapshot().JobsRejected; n != 1 {
-		t.Fatalf("jobs rejected = %d, want 1", n)
+	if n := counters(t, svc)["quarcd_jobs_rejected_total"]; n != 1 {
+		t.Fatalf("jobs rejected = %v, want 1", n)
 	}
 }

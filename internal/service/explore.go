@@ -66,6 +66,9 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 	if e.CostWidth < 0 {
 		return fail(fmt.Errorf("cost_width %d must be non-negative", e.CostWidth))
 	}
+	if e.CostWidth > MaxCostWidth {
+		return fail(fmt.Errorf("cost_width %d exceeds the limit %d", e.CostWidth, MaxCostWidth))
+	}
 	models, err := ParseModels(e.Models)
 	if err != nil {
 		return fail(err)
@@ -178,13 +181,6 @@ func ExploreKey(spec explore.Spec, opts experiments.RunOpts) string {
 	})
 }
 
-// SkipJSON is one skipped lattice combination.
-type SkipJSON struct {
-	Model  string `json:"model"`
-	N      int    `json:"n"`
-	Reason string `json:"reason"`
-}
-
 // ExplorePointJSON is one evaluated lattice point of an explore payload.
 // Latency is the objective latency (0 when the point measured nothing —
 // consult the embedded result's counts); cost_slices is present only for
@@ -228,7 +224,7 @@ type ExploreResultJSON struct {
 	Replicates    int                `json:"replicates"`
 	LatticePoints int                `json:"lattice_points"`
 	Deduped       int                `json:"deduped,omitempty"`
-	Skipped       []SkipJSON         `json:"skipped,omitempty"`
+	Skipped       []explore.Skip     `json:"skipped,omitempty"`
 	Points        []ExplorePointJSON `json:"points"`
 	Front         []int              `json:"front"`
 }
@@ -242,6 +238,7 @@ func EncodeExplore(spec explore.Spec, opts experiments.RunOpts, oc explore.Outco
 		Replicates:    opts.Replicates,
 		LatticePoints: len(oc.Points),
 		Deduped:       oc.Deduped,
+		Skipped:       oc.Skipped,
 		Front:         oc.Front,
 	}
 	if out.MsgLen == 0 {
@@ -255,9 +252,6 @@ func EncodeExplore(spec explore.Spec, opts experiments.RunOpts, oc explore.Outco
 	}
 	for _, k := range spec.Mcast {
 		out.Mcast = append(out.Mcast, McastJSON{Frac: k.Frac, Size: k.Size})
-	}
-	for _, sk := range oc.Skipped {
-		out.Skipped = append(out.Skipped, SkipJSON{Model: sk.Model, N: sk.N, Reason: sk.Reason})
 	}
 	out.Points = make([]ExplorePointJSON, len(oc.Points))
 	for i, p := range oc.Points {
@@ -298,20 +292,10 @@ func decodeRunResult(b []byte, cfg experiments.Config) (experiments.Result, bool
 	if err := json.Unmarshal(b, &rr); err != nil {
 		return experiments.Result{}, false
 	}
-	j := rr.Result
 	// As a simulated Result does, echo the workload without the execution
 	// knob explore.Run may have pinned on the way in.
 	cfg.StepWorkers = 0
-	return experiments.Result{
-		Cfg:         cfg,
-		UnicastMean: j.UnicastMean, UnicastCI: j.UnicastCI,
-		UnicastP50: j.UnicastP50, UnicastP95: j.UnicastP95, UnicastP99: j.UnicastP99,
-		UnicastCount: j.UnicastCount,
-		BcastMean:    j.BcastMean, BcastCI: j.BcastCI,
-		BcastP50: j.BcastP50, BcastP95: j.BcastP95, BcastP99: j.BcastP99,
-		BcastDelivery: j.BcastDelivery, BcastCount: j.BcastCount,
-		McastCount: j.McastCount,
-		Throughput: j.Throughput, Saturated: j.Saturated,
-		Leftover: j.Leftover, Duplicates: j.Duplicates, Cycles: j.Cycles,
-	}, true
+	r := rr.Result.Result
+	r.Cfg = cfg
+	return r, true
 }

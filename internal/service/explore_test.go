@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -86,12 +88,12 @@ func TestExploreEndpoint(t *testing.T) {
 	if bytes.Contains(job.Result, []byte(`"cached"`)) {
 		t.Error("explore payload contains a cached flag; payloads must be pure functions of the request")
 	}
-	snap := svc.Snapshot()
-	if snap.ExplorePointsExpanded != 4 {
-		t.Errorf("ExplorePointsExpanded %d, want 4", snap.ExplorePointsExpanded)
+	m := counters(t, svc)
+	if m["quarcd_explore_points_expanded_total"] != 4 {
+		t.Errorf("explore points expanded %v, want 4", m["quarcd_explore_points_expanded_total"])
 	}
-	if snap.PointsSimulated != 8 { // 4 points x 2 replicates
-		t.Errorf("PointsSimulated %d, want 8", snap.PointsSimulated)
+	if m["quarcd_points_simulated_total"] != 8 { // 4 points x 2 replicates
+		t.Errorf("points simulated %v, want 8", m["quarcd_points_simulated_total"])
 	}
 }
 
@@ -102,7 +104,7 @@ func TestExploreRepeatServedFromCacheWithZeroSimulation(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 2})
 	first := submitWait(t, ts, "/v1/explore", tinyExplore())
 	decodeExplore(t, first)
-	before := svc.Snapshot()
+	before := counters(t, svc)
 
 	second := submitWait(t, ts, "/v1/explore", tinyExplore())
 	decodeExplore(t, second)
@@ -112,12 +114,12 @@ func TestExploreRepeatServedFromCacheWithZeroSimulation(t *testing.T) {
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Error("cached explore payload differs from the original bytes")
 	}
-	after := svc.Snapshot()
-	if after.PointsSimulated != before.PointsSimulated {
-		t.Errorf("re-POST simulated %d points, want 0", after.PointsSimulated-before.PointsSimulated)
+	after := counters(t, svc)
+	if after["quarcd_points_simulated_total"] != before["quarcd_points_simulated_total"] {
+		t.Errorf("re-POST simulated %v points, want 0", after["quarcd_points_simulated_total"]-before["quarcd_points_simulated_total"])
 	}
-	if after.CachedResponses != before.CachedResponses+1 {
-		t.Errorf("CachedResponses went %d -> %d, want +1", before.CachedResponses, after.CachedResponses)
+	if after["quarcd_cached_responses_total"] != before["quarcd_cached_responses_total"]+1 {
+		t.Errorf("cached responses went %v -> %v, want +1", before["quarcd_cached_responses_total"], after["quarcd_cached_responses_total"])
 	}
 }
 
@@ -156,7 +158,7 @@ func pointEvents(t *testing.T, ts *httptest.Server, id string) (points, cached i
 func TestExploreOverlapHitsPerPointCache(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 2})
 	submitWait(t, ts, "/v1/explore", tinyExplore())
-	before := svc.Snapshot()
+	before := counters(t, svc)
 
 	overlap := tinyExplore()
 	overlap.Rates = []float64{0.004, 0.006} // 0.004 x 2 models already cached
@@ -165,12 +167,12 @@ func TestExploreOverlapHitsPerPointCache(t *testing.T) {
 	if len(out.Points) != 4 {
 		t.Fatalf("overlap lattice has %d points, want 4", len(out.Points))
 	}
-	after := svc.Snapshot()
-	if got := after.ExplorePointsCacheHit - before.ExplorePointsCacheHit; got != 2 {
-		t.Errorf("per-point cache hits %d, want 2", got)
+	after := counters(t, svc)
+	if got := after["quarcd_explore_points_cache_hit_total"] - before["quarcd_explore_points_cache_hit_total"]; got != 2 {
+		t.Errorf("per-point cache hits %v, want 2", got)
 	}
-	if got := after.PointsSimulated - before.PointsSimulated; got != 4 { // 2 new points x 2 replicates
-		t.Errorf("overlap simulated %d replicates, want 4", got)
+	if got := after["quarcd_points_simulated_total"] - before["quarcd_points_simulated_total"]; got != 4 { // 2 new points x 2 replicates
+		t.Errorf("overlap simulated %v replicates, want 4", got)
 	}
 
 	// The cached points are flagged in the NDJSON progress stream.
@@ -208,7 +210,7 @@ func TestExploreWorkerCountChangesNothingObservable(t *testing.T) {
 	for _, workers := range []int{1, 0, 3} {
 		svc, ts := newTestServer(t, Config{Workers: 2})
 		for shift := 0; shift < 2; shift++ {
-			before := svc.Snapshot()
+			before := counters(t, svc)
 			job := submitWait(t, ts, "/v1/explore", lattice(workers, shift))
 			if out := decodeExplore(t, job); out.LatticePoints != 64 {
 				t.Fatalf("lattice has %d points, want 64", out.LatticePoints)
@@ -218,18 +220,18 @@ func TestExploreWorkerCountChangesNothingObservable(t *testing.T) {
 			} else if !bytes.Equal(job.Result, want[shift]) {
 				t.Errorf("workers %d, shift %d: payload differs from the one-worker payload", workers, shift)
 			}
-			after := svc.Snapshot()
-			wantSim, wantHits := uint64(64), uint64(0)
+			after := counters(t, svc)
+			wantSim, wantHits := 64, 0
 			if shift == 1 {
 				wantSim, wantHits = 16, 48 // three of four rates are shared
 			}
-			if got := after.PointsSimulated - before.PointsSimulated; got != wantSim {
-				t.Errorf("workers %d, shift %d: %d points simulated, want %d", workers, shift, got, wantSim)
+			if got := after["quarcd_points_simulated_total"] - before["quarcd_points_simulated_total"]; got != float64(wantSim) {
+				t.Errorf("workers %d, shift %d: %v points simulated, want %d", workers, shift, got, wantSim)
 			}
-			if got := after.ExplorePointsCacheHit - before.ExplorePointsCacheHit; got != wantHits {
-				t.Errorf("workers %d, shift %d: %d per-point cache hits, want %d", workers, shift, got, wantHits)
+			if got := after["quarcd_explore_points_cache_hit_total"] - before["quarcd_explore_points_cache_hit_total"]; got != float64(wantHits) {
+				t.Errorf("workers %d, shift %d: %v per-point cache hits, want %d", workers, shift, got, wantHits)
 			}
-			if points, cached := pointEvents(t, ts, job.ID); points != 64 || uint64(cached) != wantHits {
+			if points, cached := pointEvents(t, ts, job.ID); points != 64 || cached != wantHits {
 				t.Errorf("workers %d, shift %d: %d point events (%d cached), want 64 (%d)", workers, shift, points, cached, wantHits)
 			}
 		}
@@ -242,7 +244,7 @@ func TestExploreWorkerCountChangesNothingObservable(t *testing.T) {
 func TestExploreSharesCacheWithRuns(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 2})
 	submitWait(t, ts, "/v1/explore", tinyExplore())
-	before := svc.Snapshot()
+	before := counters(t, svc)
 
 	run := RunRequest{Topo: "spidergon", N: 8, MsgLen: 4, Rate: 0.004,
 		Warmup: 100, Measure: 400, Drain: 4000, Seed: 7, Replicates: 2}
@@ -253,8 +255,8 @@ func TestExploreSharesCacheWithRuns(t *testing.T) {
 	if !job.Cached {
 		t.Error("run identical to an explored point was not served from cache")
 	}
-	after := svc.Snapshot()
-	if after.PointsSimulated != before.PointsSimulated {
+	after := counters(t, svc)
+	if after["quarcd_points_simulated_total"] != before["quarcd_points_simulated_total"] {
 		t.Error("run re-simulated a point the explore already computed")
 	}
 	var rr RunResult
@@ -286,6 +288,10 @@ func TestExploreValidation(t *testing.T) {
 		{"bad mcast", ExploreRequest{Models: []string{"quarc"}, Ns: []int{8}, Rates: []float64{0.01},
 			Mcast: []McastJSON{{Frac: 0.2, Size: 1}}}, "at least 2"},
 		{"unknown field", map[string]any{"models": []string{"quarc"}, "lattice": true}, "unknown field"},
+		{"cost width overflows the cost axis", ExploreRequest{Models: []string{"quarc"}, Ns: []int{8}, Rates: []float64{0.01},
+			CostWidth: 1 << 62}, "cost_width 4611686018427387904 exceeds the limit 4096"},
+		{"cost width at the int limit", ExploreRequest{Models: []string{"quarc"}, Ns: []int{8}, Rates: []float64{0.01},
+			CostWidth: math.MaxInt}, "cost_width 9223372036854775807 exceeds the limit 4096"},
 	}
 	for _, c := range cases {
 		body := c.body
@@ -455,5 +461,61 @@ func TestExploreServesThePaperStudies(t *testing.T) {
 				t.Errorf("%s: %s depth %d served\n%+v\nthe study measures\n%+v", c.study, p.Model, p.Depth, p.Result, w)
 			}
 		}
+	}
+}
+
+// Every measurement of a result survives the cache round trip an explore
+// point takes — encoded as a run payload, decoded back — and the decoded
+// result carries the caller's configuration without its step workers. Each
+// field gets a distinct non-zero value, so a field the payload drops or
+// swaps fails here.
+func TestDecodeRunResultRoundTripsEveryField(t *testing.T) {
+	cfg := experiments.Config{Model: "spidergon", N: 16, MsgLen: 8, Rate: 0.01, Seed: 3,
+		BurstMeanOn: 40, BurstMeanOff: 120, McastFrac: 0.1, McastSize: 3}.WithDefaults()
+	var r experiments.Result
+	v := reflect.ValueOf(&r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch {
+		case name == "Cfg":
+			f.Set(reflect.ValueOf(cfg))
+		case f.Kind() == reflect.Float64:
+			f.SetFloat(float64(i) + 0.25)
+		case f.Kind() == reflect.Int || f.Kind() == reflect.Int64:
+			f.SetInt(int64(i))
+		case f.Kind() == reflect.Uint64:
+			f.SetUint(uint64(i))
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("field %s has kind %s: give it a value here", name, f.Kind())
+		}
+	}
+	b, err := json.Marshal(EncodeRun(r, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct{ Result map[string]any }
+	if err := json.Unmarshal(b, &wire); err != nil {
+		t.Fatal(err)
+	}
+	snake := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+	for k := range wire.Result {
+		if !snake.MatchString(k) {
+			t.Errorf("payload key %q is not a wire name", k)
+		}
+	}
+	// The config echo's 11 keys (none omitted here), then every measurement.
+	if want := 11 + v.NumField() - 1; len(wire.Result) != want {
+		t.Errorf("payload has %d result keys, want %d: %s", len(wire.Result), want, b)
+	}
+	caller := cfg
+	caller.StepWorkers = 3
+	got, ok := decodeRunResult(b, caller)
+	if !ok {
+		t.Fatalf("payload does not decode: %s", b)
+	}
+	if !reflect.DeepEqual(got, r) {
+		t.Errorf("round trip lost a measurement:\n got %+v\nwant %+v\npayload %s", got, r, b)
 	}
 }

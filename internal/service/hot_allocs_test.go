@@ -89,8 +89,8 @@ func TestJobRecordFootprint(t *testing.T) {
 				t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.String())
 			}
 		}
-		if got := svc.Snapshot().CachedResponses; got != hot {
-			t.Fatalf("%d cached answers, want %d", got, hot)
+		if got := counters(t, svc)["quarcd_cached_responses_total"]; got != hot {
+			t.Fatalf("%v cached answers, want %d", got, hot)
 		}
 		var m runtime.MemStats
 		runtime.GC()

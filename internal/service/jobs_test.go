@@ -184,13 +184,14 @@ func TestJobWakeupsAndTeardownRace(t *testing.T) {
 			live++
 		}
 	}
-	snap := svc.Snapshot()
-	if ended := snap.JobsDone + snap.JobsFailed + snap.JobsCancelled; live != 0 || ended != uint64(len(jobs)) {
-		t.Fatalf("%d jobs live, %d counted as ended, want 0 and %d", live, ended, len(jobs))
+	m := counters(t, svc)
+	if ended := m["quarcd_jobs_done_total"] + m["quarcd_jobs_failed_total"] + m["quarcd_jobs_cancelled_total"]; live != 0 || ended != float64(len(jobs)) {
+		t.Fatalf("%d jobs live, %v counted as ended, want 0 and %d", live, ended, len(jobs))
 	}
-	if snap.DegradedAnswers > uint64(degrades.Load()) {
-		t.Fatalf("%d degraded answers counted, only %d stand-ins built", snap.DegradedAnswers, degrades.Load())
+	degraded := int64(m["quarcd_degraded_answers_total"])
+	if degraded > degrades.Load() {
+		t.Fatalf("%d degraded answers counted, only %d stand-ins built", degraded, degrades.Load())
 	}
 	t.Logf("expired jobs: %d of %d answered degraded, the rest cancelled first (%d after their executor took the work)",
-		snap.DegradedAnswers, perScenario, degrades.Load()-int64(snap.DegradedAnswers))
+		degraded, perScenario, degrades.Load()-degraded)
 }

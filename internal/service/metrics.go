@@ -42,100 +42,92 @@ type Metrics struct {
 // NewMetrics starts the uptime clock.
 func NewMetrics() *Metrics { return &Metrics{start: time.Now()} }
 
-// MetricsSnapshot is a consistent-enough copy of the counters for tests and
-// the /metrics endpoint.
-type MetricsSnapshot struct {
-	UptimeSeconds         float64
-	JobsAccepted          uint64
-	JobsDone              uint64
-	JobsFailed            uint64
-	JobsCancelled         uint64
-	JobsRejected          uint64
-	JobsCoalesced         uint64
-	JobsRecovered         uint64
-	CachedResponses       uint64
-	PointsSimulated       uint64
-	CyclesSimulated       uint64
-	ExplorePointsExpanded uint64
-	ExplorePointsDeduped  uint64
-	ExplorePointsCacheHit uint64
-	CacheHits             uint64
-	CacheMisses           uint64
-	CacheEntries          int
-	CacheBytes            int64
-	StoreHits             uint64
-	StoreEntries          int
-	StoreBytes            int64
-	StoreEvictions        uint64
-	QueueDepth            int
-	QueueInteractive      int
-	QueueBatch            int
-	JobsRunning           int
-	DegradedAnswers       uint64
-	WatchdogCancels       uint64
-	PanicsRecovered       uint64
-	StoreFaults           uint64
-	BreakerState          BreakerState
-	BreakerOpens          uint64
+// series is one /metrics series: its exposition name, HELP text and sample.
+// A counter's sample is read by count and printed with %d, a gauge's by
+// gauge and printed with %g.
+type series struct {
+	name, help string
+	count      func() uint64
+	gauge      func() float64
 }
 
-// CyclesPerSecond is the lifetime average simulation throughput.
-func (m MetricsSnapshot) CyclesPerSecond() float64 {
-	if m.UptimeSeconds <= 0 {
+func counter(name, help string, read func() uint64) series {
+	return series{name: name, help: help, count: read}
+}
+
+func gauge(name, help string, read func() float64) series {
+	return series{name: name, help: help, gauge: read}
+}
+
+// num reads an integer statistic as a gauge sample.
+func num[T ~int | ~int64](read func() T) func() float64 {
+	return func() float64 { return float64(read()) }
+}
+
+// ratio is a/b, or 0 before there is any b.
+func ratio(a, b float64) float64 {
+	if b <= 0 {
 		return 0
 	}
-	return float64(m.CyclesSimulated) / m.UptimeSeconds
+	return a / b
 }
 
-// HitRate is the cache hit fraction in [0,1] (0 before any lookup).
-func (m MetricsSnapshot) HitRate() float64 {
-	total := m.CacheHits + m.CacheMisses
-	if total == 0 {
-		return 0
+// write renders the series in the Prometheus text exposition format.
+func (m series) write(w io.Writer) {
+	if m.count != nil {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.count())
+		return
 	}
-	return float64(m.CacheHits) / float64(total)
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", m.name, m.help, m.name, m.name, m.gauge())
 }
 
-// writeProm renders the snapshot in the Prometheus text exposition format.
-func (m MetricsSnapshot) writeProm(w io.Writer) {
-	g := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+// exposition is every /metrics series of s in the order GET /metrics serves
+// them: a series is added here, and nowhere else. The disk-store series read
+// 0 when the daemon keeps no data dir.
+func (s *Server) exposition() []series {
+	m, mem := s.metrics, s.tier.mem
+	uptime := func() float64 { return time.Since(m.start).Seconds() }
+	queued := func(c Class) func() float64 { return func() float64 { return float64(s.sched.DepthClass(c)) } }
+	diskLen, diskBytes, diskEvictions := func() int { return 0 }, func() int64 { return 0 }, func() uint64 { return 0 }
+	if d := s.tier.disk; d != nil {
+		diskLen, diskBytes = d.Len, d.Bytes
+		diskEvictions = func() uint64 { _, _, evictions := d.Stats(); return evictions }
 	}
-	c := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	return []series{
+		gauge("quarcd_uptime_seconds", "Seconds since the daemon started.", uptime),
+		gauge("quarcd_queue_depth", "Jobs queued and not yet executing.", num(s.sched.Depth)),
+		gauge("quarcd_queue_depth_interactive", "Interactive-class jobs queued and not yet executing.", queued(ClassInteractive)),
+		gauge("quarcd_queue_depth_batch", "Batch-class jobs queued and not yet executing.", queued(ClassBatch)),
+		gauge("quarcd_jobs_running", "Jobs currently executing.", num(s.sched.Running)),
+		counter("quarcd_jobs_accepted_total", "Jobs submitted; each eventually counts done, failed or cancelled.", m.jobsAccepted.Load),
+		counter("quarcd_jobs_done_total", "Jobs finished successfully.", m.jobsDone.Load),
+		counter("quarcd_jobs_failed_total", "Jobs finished with an error.", m.jobsFailed.Load),
+		counter("quarcd_jobs_cancelled_total", "Jobs cancelled before completion.", m.jobsCancelled.Load),
+		counter("quarcd_jobs_rejected_total", "Submissions rejected by queue backpressure.", m.jobsRejected.Load),
+		counter("quarcd_jobs_coalesced_total", "Submissions attached to an identical in-flight job instead of simulating.", m.jobsCoalesced.Load),
+		counter("quarcd_cached_responses_total", "Jobs answered from the result cache without simulating.", m.cachedResponse.Load),
+		counter("quarcd_cache_hits_total", "Result-cache lookup hits.", func() uint64 { hits, _ := mem.Stats(); return hits }),
+		counter("quarcd_cache_misses_total", "Result-cache lookup misses.", func() uint64 { _, misses := mem.Stats(); return misses }),
+		gauge("quarcd_cache_entries", "Entries resident in the result cache.", num(mem.Len)),
+		gauge("quarcd_cache_bytes", "Payload bytes resident in the in-memory result cache.", num(mem.Bytes)),
+		gauge("quarcd_cache_hit_rate", "Lifetime cache hit fraction.", func() float64 { hits, misses := mem.Stats(); return ratio(float64(hits), float64(hits+misses)) }),
+		counter("quarcd_store_hits_total", "Memory-cache misses answered from the disk result store.", m.storeHits.Load),
+		gauge("quarcd_store_entries", "Entries resident in the disk result store.", num(diskLen)),
+		gauge("quarcd_store_bytes", "Payload bytes resident in the disk result store.", num(diskBytes)),
+		counter("quarcd_store_evictions_total", "Disk-store entries evicted to fit the byte budget.", diskEvictions),
+		counter("quarcd_jobs_recovered_total", "Job records rebuilt from journals at boot.", m.jobsRecovered.Load),
+		counter("quarcd_points_simulated_total", "Sweep design points simulated.", m.pointsSim.Load),
+		counter("quarcd_cycles_simulated_total", "Fabric cycles simulated.", m.cyclesSim.Load),
+		counter("quarcd_explore_points_expanded_total", "Lattice points expanded by explore jobs.", m.explorePointsExpanded.Load),
+		counter("quarcd_explore_points_deduped_total", "Duplicate lattice points collapsed at explore expansion.", m.explorePointsDeduped.Load),
+		counter("quarcd_explore_points_cache_hit_total", "Explore lattice points answered from the per-point result cache.", m.explorePointsCacheHit.Load),
+		counter("quarcd_degraded_answers_total",
+			"Jobs answered with a degraded analytic estimate under deadline pressure or load shedding.", m.degradedAnswers.Load),
+		counter("quarcd_watchdog_cancels_total", "Running jobs the watchdog cancelled for making no point progress.", m.watchdogCancels.Load),
+		counter("quarcd_panics_recovered_total", "Job panics converted into single-job failures instead of daemon crashes.", m.panicsRecovered.Load),
+		counter("quarcd_store_faults_total", "Disk result-store I/O failures observed by the serving path.", m.storeFaults.Load),
+		gauge("quarcd_store_breaker_state", "Disk-store circuit breaker state: 0 closed, 1 open, 2 half-open.", num(s.tier.breaker.State)),
+		counter("quarcd_store_breaker_opens_total", "Disk-store circuit breaker open transitions.", s.tier.breaker.Opens),
+		gauge("quarcd_cycles_per_second", "Lifetime average simulated cycles per wall-clock second.", func() float64 { return ratio(float64(m.cyclesSim.Load()), uptime()) }),
 	}
-	g("quarcd_uptime_seconds", "Seconds since the daemon started.", m.UptimeSeconds)
-	g("quarcd_queue_depth", "Jobs queued and not yet executing.", float64(m.QueueDepth))
-	g("quarcd_queue_depth_interactive", "Interactive-class jobs queued and not yet executing.", float64(m.QueueInteractive))
-	g("quarcd_queue_depth_batch", "Batch-class jobs queued and not yet executing.", float64(m.QueueBatch))
-	g("quarcd_jobs_running", "Jobs currently executing.", float64(m.JobsRunning))
-	c("quarcd_jobs_accepted_total", "Jobs submitted; each eventually counts done, failed or cancelled.", m.JobsAccepted)
-	c("quarcd_jobs_done_total", "Jobs finished successfully.", m.JobsDone)
-	c("quarcd_jobs_failed_total", "Jobs finished with an error.", m.JobsFailed)
-	c("quarcd_jobs_cancelled_total", "Jobs cancelled before completion.", m.JobsCancelled)
-	c("quarcd_jobs_rejected_total", "Submissions rejected by queue backpressure.", m.JobsRejected)
-	c("quarcd_jobs_coalesced_total", "Submissions attached to an identical in-flight job instead of simulating.", m.JobsCoalesced)
-	c("quarcd_cached_responses_total", "Jobs answered from the result cache without simulating.", m.CachedResponses)
-	c("quarcd_cache_hits_total", "Result-cache lookup hits.", m.CacheHits)
-	c("quarcd_cache_misses_total", "Result-cache lookup misses.", m.CacheMisses)
-	g("quarcd_cache_entries", "Entries resident in the result cache.", float64(m.CacheEntries))
-	g("quarcd_cache_bytes", "Payload bytes resident in the in-memory result cache.", float64(m.CacheBytes))
-	g("quarcd_cache_hit_rate", "Lifetime cache hit fraction.", m.HitRate())
-	c("quarcd_store_hits_total", "Memory-cache misses answered from the disk result store.", m.StoreHits)
-	g("quarcd_store_entries", "Entries resident in the disk result store.", float64(m.StoreEntries))
-	g("quarcd_store_bytes", "Payload bytes resident in the disk result store.", float64(m.StoreBytes))
-	c("quarcd_store_evictions_total", "Disk-store entries evicted to fit the byte budget.", m.StoreEvictions)
-	c("quarcd_jobs_recovered_total", "Job records rebuilt from journals at boot.", m.JobsRecovered)
-	c("quarcd_points_simulated_total", "Sweep design points simulated.", m.PointsSimulated)
-	c("quarcd_cycles_simulated_total", "Fabric cycles simulated.", m.CyclesSimulated)
-	c("quarcd_explore_points_expanded_total", "Lattice points expanded by explore jobs.", m.ExplorePointsExpanded)
-	c("quarcd_explore_points_deduped_total", "Duplicate lattice points collapsed at explore expansion.", m.ExplorePointsDeduped)
-	c("quarcd_explore_points_cache_hit_total", "Explore lattice points answered from the per-point result cache.", m.ExplorePointsCacheHit)
-	c("quarcd_degraded_answers_total", "Jobs answered with a degraded analytic estimate under deadline pressure or load shedding.", m.DegradedAnswers)
-	c("quarcd_watchdog_cancels_total", "Running jobs the watchdog cancelled for making no point progress.", m.WatchdogCancels)
-	c("quarcd_panics_recovered_total", "Job panics converted into single-job failures instead of daemon crashes.", m.PanicsRecovered)
-	c("quarcd_store_faults_total", "Disk result-store I/O failures observed by the serving path.", m.StoreFaults)
-	g("quarcd_store_breaker_state", "Disk-store circuit breaker state: 0 closed, 1 open, 2 half-open.", float64(m.BreakerState))
-	c("quarcd_store_breaker_opens_total", "Disk-store circuit breaker open transitions.", m.BreakerOpens)
-	g("quarcd_cycles_per_second", "Lifetime average simulated cycles per wall-clock second.", m.CyclesPerSecond())
 }

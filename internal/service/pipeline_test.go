@@ -83,9 +83,9 @@ func TestOutOfDomainRequestsRejected(t *testing.T) {
 			t.Errorf("%s %s: 400 without a message: %s", c.route, c.body, data)
 		}
 	}
-	snap := svc.Snapshot()
-	if snap.JobsAccepted != 0 || snap.PanicsRecovered != 0 {
-		t.Fatalf("bad requests left traces: accepted=%d panics=%d", snap.JobsAccepted, snap.PanicsRecovered)
+	m := counters(t, svc)
+	if m["quarcd_jobs_accepted_total"] != 0 || m["quarcd_panics_recovered_total"] != 0 {
+		t.Fatalf("bad requests left traces: accepted=%v panics=%v", m["quarcd_jobs_accepted_total"], m["quarcd_panics_recovered_total"])
 	}
 	if jobs := svc.store.List(); len(jobs) != 0 {
 		t.Fatalf("bad requests registered %d jobs", len(jobs))
@@ -121,8 +121,8 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 			}
 		}
 	}
-	if n := svc.Snapshot().JobsAccepted; n != 0 {
-		t.Fatalf("oversized bodies registered %d jobs", n)
+	if n := counters(t, svc)["quarcd_jobs_accepted_total"]; n != 0 {
+		t.Fatalf("oversized bodies registered %v jobs", n)
 	}
 }
 
@@ -292,9 +292,10 @@ func TestQueueFullSettlesRunChainDegraded(t *testing.T) {
 			t.Fatalf("job %s: state=%s degraded=%v, want done degraded with a payload", j.ID, snap.State, snap.Degraded)
 		}
 	}
-	snap := svc.Snapshot()
-	if snap.DegradedAnswers != 3 || snap.JobsRejected != 0 || snap.CachedResponses != 0 {
-		t.Fatalf("degraded=%d rejected=%d cached=%d, want 3/0/0", snap.DegradedAnswers, snap.JobsRejected, snap.CachedResponses)
+	m := counters(t, svc)
+	if m["quarcd_degraded_answers_total"] != 3 || m["quarcd_jobs_rejected_total"] != 0 || m["quarcd_cached_responses_total"] != 0 {
+		t.Fatalf("degraded=%v rejected=%v cached=%v, want 3/0/0",
+			m["quarcd_degraded_answers_total"], m["quarcd_jobs_rejected_total"], m["quarcd_cached_responses_total"])
 	}
 	if _, ok := svc.co.inflight[jobs[0].Key]; ok {
 		t.Fatal("shed chain still in flight")
@@ -314,9 +315,9 @@ func TestQueueFullRejectsPanelChain(t *testing.T) {
 			t.Fatalf("job %s: state=%s error=%q, want failed on the full queue", j.ID, snap.State, snap.Error)
 		}
 	}
-	snap := svc.Snapshot()
-	if snap.JobsRejected != 3 || snap.DegradedAnswers != 0 {
-		t.Fatalf("rejected=%d degraded=%d, want 3/0", snap.JobsRejected, snap.DegradedAnswers)
+	m := counters(t, svc)
+	if m["quarcd_jobs_rejected_total"] != 3 || m["quarcd_degraded_answers_total"] != 0 {
+		t.Fatalf("rejected=%v degraded=%v, want 3/0", m["quarcd_jobs_rejected_total"], m["quarcd_degraded_answers_total"])
 	}
 	if _, ok := svc.co.inflight[jobs[0].Key]; ok {
 		t.Fatal("rejected chain still in flight")
@@ -324,10 +325,11 @@ func TestQueueFullRejectsPanelChain(t *testing.T) {
 }
 
 // outcomeCounts are the counters a job's terminal transition moves.
-type outcomeCounts struct{ done, failed, cancelled, rejected, cached, degraded uint64 }
+type outcomeCounts struct{ done, failed, cancelled, rejected, cached, degraded float64 }
 
-func countsOf(m MetricsSnapshot) outcomeCounts {
-	return outcomeCounts{m.JobsDone, m.JobsFailed, m.JobsCancelled, m.JobsRejected, m.CachedResponses, m.DegradedAnswers}
+func countsOf(m map[string]float64) outcomeCounts {
+	return outcomeCounts{m["quarcd_jobs_done_total"], m["quarcd_jobs_failed_total"], m["quarcd_jobs_cancelled_total"],
+		m["quarcd_jobs_rejected_total"], m["quarcd_cached_responses_total"], m["quarcd_degraded_answers_total"]}
 }
 
 // newestJob posts body to path without waiting and returns the job the server
@@ -398,10 +400,10 @@ func TestTerminalTransitionCountedBeforeWake(t *testing.T) {
 			if c.warm {
 				submitWait(t, ts, "/v1/runs", quickRun())
 			}
-			before := countsOf(svc.Snapshot())
+			before := countsOf(counters(t, svc))
 			j := c.start(t, svc, ts)
 			j.WaitTerminal(context.Background())
-			after := countsOf(svc.Snapshot())
+			after := countsOf(counters(t, svc))
 			got := outcomeCounts{
 				after.done - before.done, after.failed - before.failed,
 				after.cancelled - before.cancelled, after.rejected - before.rejected,
@@ -528,9 +530,9 @@ func TestRecoveryDropsUnparseableJournal(t *testing.T) {
 		if _, ok := svc.store.Get("j000007"); ok {
 			t.Errorf("unparseable journal was recovered as a job: %s", hdr)
 		}
-		snap := svc.Snapshot()
-		if snap.JobsRecovered != 0 || snap.PointsSimulated != 0 {
-			t.Errorf("recovered=%d points=%d, want 0/0", snap.JobsRecovered, snap.PointsSimulated)
+		m := counters(t, svc)
+		if m["quarcd_jobs_recovered_total"] != 0 || m["quarcd_points_simulated_total"] != 0 {
+			t.Errorf("recovered=%v points=%v, want 0/0", m["quarcd_jobs_recovered_total"], m["quarcd_points_simulated_total"])
 		}
 		if _, err := os.Stat(filepath.Join(dir, "journal", "j000007.ndjson")); !os.IsNotExist(err) {
 			t.Errorf("dropped journal still on disk (%v)", err)
@@ -567,8 +569,8 @@ func TestRecoversParentDataDir(t *testing.T) {
 		}
 	}
 	svc, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
-	if n := svc.Snapshot().JobsRecovered; n != 3 {
-		t.Fatalf("recovered %d jobs, want 3", n)
+	if n := counters(t, svc)["quarcd_jobs_recovered_total"]; n != 3 {
+		t.Fatalf("recovered %v jobs, want 3", n)
 	}
 	for id, want := range map[string]State{"j000001": StateDone, "j000002": StateCancelled, "j000004": StateDone} {
 		job := waitState(t, ts, id, want, 30*time.Second)
@@ -593,10 +595,10 @@ func TestRecoversParentDataDir(t *testing.T) {
 			t.Errorf("%s events differ from the parent build's:\n got %s\nwant %s", id, events, wantEvents)
 		}
 	}
-	snap := svc.Snapshot()
-	if snap.StoreHits != 0 || snap.PointsSimulated != 4 {
-		t.Fatalf("store_hits=%d points=%d, want 0 (the boot re-attach is uncounted) and 4 (the re-run panel)",
-			snap.StoreHits, snap.PointsSimulated)
+	m := counters(t, svc)
+	if m["quarcd_store_hits_total"] != 0 || m["quarcd_points_simulated_total"] != 4 {
+		t.Fatalf("store_hits=%v points=%v, want 0 (the boot re-attach is uncounted) and 4 (the re-run panel)",
+			m["quarcd_store_hits_total"], m["quarcd_points_simulated_total"])
 	}
 }
 

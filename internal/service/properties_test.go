@@ -1,8 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
+	"net/http"
 	"reflect"
 	"regexp"
 	"strings"
@@ -210,17 +210,25 @@ func TestWireFieldsDecideKeyFate(t *testing.T) {
 	}
 }
 
-// The /metrics exposition follows the Prometheus naming rules scrapers rely
-// on: every name is quarcd_[a-z][a-z0-9_]*, declared once, a counter exactly
-// when it ends in _total, with one sample after its declaration. 34 is the
-// count when this test was written; a metric may be added, not lost.
+// The /metrics exposition a fresh server's handler serves follows the
+// Prometheus naming rules scrapers rely on: every name is
+// quarcd_[a-z][a-z0-9_]*, declared once, a counter exactly when it ends in
+// _total, with one sample after its declaration. 34 is the count when this
+// test was written; a metric may be added, not lost.
 func TestMetricsExposition(t *testing.T) {
-	var buf bytes.Buffer
-	MetricsSnapshot{}.writeProm(&buf)
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	code, body := serve(t, svc, http.MethodGet, "/metrics", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", code)
+	}
 	valid := regexp.MustCompile(`^quarcd_[a-z][a-z0-9_]*$`)
 	types := map[string]string{}
 	samples := 0
-	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
 		f := strings.Fields(line)
 		switch {
 		case strings.HasPrefix(line, "# HELP "):

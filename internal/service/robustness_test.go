@@ -56,8 +56,8 @@ func TestDeadlineExpiredRunAnswersDegraded(t *testing.T) {
 	if rr.Result.Topo != "quarc" || rr.Result.N != req.N {
 		t.Fatalf("degraded payload misdescribes the request: %+v", rr.Result)
 	}
-	if n := svc.Snapshot().DegradedAnswers; n != 1 {
-		t.Fatalf("degraded answers = %d, want 1", n)
+	if n := counters(t, svc)["quarcd_degraded_answers_total"]; n != 1 {
+		t.Fatalf("degraded answers = %v, want 1", n)
 	}
 
 	// The degraded answer must not have poisoned either cache tier: the
@@ -67,8 +67,8 @@ func TestDeadlineExpiredRunAnswersDegraded(t *testing.T) {
 	if !again.Degraded || again.Cached {
 		t.Fatalf("resubmission degraded=%v cached=%v, want degraded uncached", again.Degraded, again.Cached)
 	}
-	if n := svc.Snapshot().DegradedAnswers; n != 2 {
-		t.Fatalf("degraded answers after resubmit = %d, want 2", n)
+	if n := counters(t, svc)["quarcd_degraded_answers_total"]; n != 2 {
+		t.Fatalf("degraded answers after resubmit = %v, want 2", n)
 	}
 
 	// A negative deadline is a validation error, not a job.
@@ -115,8 +115,8 @@ func TestDeadlineExpiredUnanalyzableRunFails(t *testing.T) {
 	if !strings.Contains(failed.Error, "deadline") {
 		t.Fatalf("failure %q does not name the deadline", failed.Error)
 	}
-	if n := svc.Snapshot().DegradedAnswers; n != 0 {
-		t.Fatalf("unanalyzable run produced %d degraded answers, want 0", n)
+	if n := counters(t, svc)["quarcd_degraded_answers_total"]; n != 0 {
+		t.Fatalf("unanalyzable run produced %v degraded answers, want 0", n)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestDeadlineExpiredDepthOneRunFails(t *testing.T) {
 	if !strings.Contains(failed.Error, "deadline") {
 		t.Fatalf("depth-1 failure %q does not name the deadline", failed.Error)
 	}
-	if n := svc.Snapshot().DegradedAnswers; n != 0 {
-		t.Fatalf("depth-1 run produced %d degraded answers, want 0", n)
+	if n := counters(t, svc)["quarcd_degraded_answers_total"]; n != 0 {
+		t.Fatalf("depth-1 run produced %v degraded answers, want 0", n)
 	}
 
 	req.Depth = 2
@@ -169,11 +169,11 @@ func TestStoreFaultsOpenBreakerThenRecover(t *testing.T) {
 				seed, job.State, job.Degraded, job.Error)
 		}
 	}
-	snap := svc.Snapshot()
-	if snap.StoreFaults < 2 {
-		t.Fatalf("store faults = %d, want >= 2 (plan injected %d)", snap.StoreFaults, plan.Stats().Injected())
+	m := counters(t, svc)
+	if m["quarcd_store_faults_total"] < 2 {
+		t.Fatalf("store faults = %v, want >= 2 (plan injected %d)", m["quarcd_store_faults_total"], plan.Stats().Injected())
 	}
-	if snap.BreakerOpens == 0 {
+	if m["quarcd_store_breaker_opens_total"] == 0 {
 		t.Fatal("breaker never opened under a 100% store fault rate")
 	}
 	// Memory cache still serves the whole answer path.
@@ -193,13 +193,13 @@ func TestStoreFaultsOpenBreakerThenRecover(t *testing.T) {
 		if job := submitWait(t, ts, "/v1/runs", req); job.State != StateDone {
 			t.Fatalf("post-chaos run: %s (%s)", job.State, job.Error)
 		}
-		s := svc.Snapshot()
-		if s.BreakerState == BreakerClosed && s.StoreEntries > 0 {
+		m := counters(t, svc)
+		if m["quarcd_store_breaker_state"] == float64(BreakerClosed) && m["quarcd_store_entries"] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never recovered: state=%v entries=%d faults=%d",
-				s.BreakerState, s.StoreEntries, s.StoreFaults)
+			t.Fatalf("breaker never recovered: state=%v entries=%v faults=%v",
+				m["quarcd_store_breaker_state"], m["quarcd_store_entries"], m["quarcd_store_faults_total"])
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -220,8 +220,8 @@ func TestWatchdogCancelsStalledJob(t *testing.T) {
 	if !strings.Contains(failed.Error, "watchdog") || !strings.Contains(failed.Error, "no point progress") {
 		t.Fatalf("failure %q is not a watchdog diagnosis", failed.Error)
 	}
-	if n := svc.Snapshot().WatchdogCancels; n != 1 {
-		t.Fatalf("watchdog cancels = %d, want 1", n)
+	if n := counters(t, svc)["quarcd_watchdog_cancels_total"]; n != 1 {
+		t.Fatalf("watchdog cancels = %v, want 1", n)
 	}
 	// The executor is free again: normal work proceeds.
 	if ok := submitWait(t, ts, "/v1/runs", quickRun()); ok.State != StateDone {
@@ -260,8 +260,8 @@ func TestPanicFailsJobNotDaemon(t *testing.T) {
 	if ok := submitWait(t, ts, "/v1/runs", quickRun()); ok.State != StateDone {
 		t.Fatalf("post-panic run: %s (%s)", ok.State, ok.Error)
 	}
-	if n := svc.Snapshot().JobsFailed; n != 2 {
-		t.Fatalf("jobs failed = %d, want 2", n)
+	if n := counters(t, svc)["quarcd_jobs_failed_total"]; n != 2 {
+		t.Fatalf("jobs failed = %v, want 2", n)
 	}
 }
 
@@ -289,8 +289,8 @@ func TestDepthAboveCapRefused(t *testing.T) {
 			t.Errorf("%s %s: %d %s, want 400 naming the limit", route, body, resp.StatusCode, data)
 		}
 	}
-	if snap := svc.Snapshot(); snap.JobsAccepted != 0 || snap.PanicsRecovered != 0 {
-		t.Fatalf("refused depths left traces: accepted=%d panics=%d", snap.JobsAccepted, snap.PanicsRecovered)
+	if m := counters(t, svc); m["quarcd_jobs_accepted_total"] != 0 || m["quarcd_panics_recovered_total"] != 0 {
+		t.Fatalf("refused depths left traces: accepted=%v panics=%v", m["quarcd_jobs_accepted_total"], m["quarcd_panics_recovered_total"])
 	}
 
 	at := bodies(MaxDepth)
@@ -337,7 +337,7 @@ func TestChaosRestartServesByteIdenticalResults(t *testing.T) {
 	if plan.Stats().Injected() == 0 {
 		t.Fatal("chaos plan injected nothing: the restart proves nothing")
 	}
-	if svc1.Snapshot().JobsFailed != 0 {
+	if counters(t, svc1)["quarcd_jobs_failed_total"] != 0 {
 		t.Fatal("store faults failed jobs; they must only cost durability")
 	}
 	ts1.Close()

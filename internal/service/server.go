@@ -172,48 +172,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP surface of the server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Snapshot returns the current operational counters.
-func (s *Server) Snapshot() MetricsSnapshot {
-	hits, misses := s.tier.mem.Stats()
-	m := MetricsSnapshot{
-		UptimeSeconds:         time.Since(s.metrics.start).Seconds(),
-		JobsAccepted:          s.metrics.jobsAccepted.Load(),
-		JobsDone:              s.metrics.jobsDone.Load(),
-		JobsFailed:            s.metrics.jobsFailed.Load(),
-		JobsCancelled:         s.metrics.jobsCancelled.Load(),
-		JobsRejected:          s.metrics.jobsRejected.Load(),
-		JobsCoalesced:         s.metrics.jobsCoalesced.Load(),
-		JobsRecovered:         s.metrics.jobsRecovered.Load(),
-		CachedResponses:       s.metrics.cachedResponse.Load(),
-		PointsSimulated:       s.metrics.pointsSim.Load(),
-		CyclesSimulated:       s.metrics.cyclesSim.Load(),
-		ExplorePointsExpanded: s.metrics.explorePointsExpanded.Load(),
-		ExplorePointsDeduped:  s.metrics.explorePointsDeduped.Load(),
-		ExplorePointsCacheHit: s.metrics.explorePointsCacheHit.Load(),
-		CacheHits:             hits,
-		CacheMisses:           misses,
-		CacheEntries:          s.tier.mem.Len(),
-		CacheBytes:            s.tier.mem.Bytes(),
-		StoreHits:             s.metrics.storeHits.Load(),
-		QueueDepth:            s.sched.Depth(),
-		QueueInteractive:      s.sched.DepthClass(ClassInteractive),
-		QueueBatch:            s.sched.DepthClass(ClassBatch),
-		JobsRunning:           s.sched.Running(),
-		DegradedAnswers:       s.metrics.degradedAnswers.Load(),
-		WatchdogCancels:       s.metrics.watchdogCancels.Load(),
-		PanicsRecovered:       s.metrics.panicsRecovered.Load(),
-		StoreFaults:           s.metrics.storeFaults.Load(),
-		BreakerState:          s.tier.breaker.State(),
-		BreakerOpens:          s.tier.breaker.Opens(),
-	}
-	if d := s.tier.disk; d != nil {
-		_, _, m.StoreEvictions = d.Stats()
-		m.StoreEntries = d.Len()
-		m.StoreBytes = d.Bytes()
-	}
-	return m
-}
-
 // Drain gracefully shuts the service down: intake stops and the executors
 // finish every queued and running job. When ctx expires first, the remaining
 // jobs are cancelled and the drain completes with ctx's error. Either way
@@ -624,7 +582,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.Snapshot().writeProm(w)
+	for _, m := range s.exposition() {
+		m.write(w)
+	}
 }
 
 // handleHealth serves GET /healthz.

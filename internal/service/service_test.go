@@ -112,9 +112,9 @@ func TestPanelCacheHitSimulatesNothing(t *testing.T) {
 	if first.State != StateDone || first.Cached {
 		t.Fatalf("first request: state=%s cached=%v", first.State, first.Cached)
 	}
-	before := svc.Snapshot()
-	if before.PointsSimulated == 0 || before.CacheMisses == 0 {
-		t.Fatalf("first request recorded no work: %+v", before)
+	before := counters(t, svc)
+	if before["quarcd_points_simulated_total"] == 0 || before["quarcd_cache_misses_total"] == 0 {
+		t.Fatalf("first request recorded no work: %v", before)
 	}
 
 	second := submitWait(t, ts, "/v1/panels", tinyPanel())
@@ -124,13 +124,13 @@ func TestPanelCacheHitSimulatesNothing(t *testing.T) {
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Fatal("cached result not byte-identical to the computed one")
 	}
-	after := svc.Snapshot()
-	if after.PointsSimulated != before.PointsSimulated {
-		t.Fatalf("cache hit simulated %d new points",
-			after.PointsSimulated-before.PointsSimulated)
+	after := counters(t, svc)
+	if after["quarcd_points_simulated_total"] != before["quarcd_points_simulated_total"] {
+		t.Fatalf("cache hit simulated %v new points",
+			after["quarcd_points_simulated_total"]-before["quarcd_points_simulated_total"])
 	}
-	if after.CacheHits != before.CacheHits+1 {
-		t.Fatalf("cache hits %d -> %d, want +1", before.CacheHits, after.CacheHits)
+	if after["quarcd_cache_hits_total"] != before["quarcd_cache_hits_total"]+1 {
+		t.Fatalf("cache hits %v -> %v, want +1", before["quarcd_cache_hits_total"], after["quarcd_cache_hits_total"])
 	}
 }
 
@@ -156,8 +156,8 @@ func TestQueuedDuplicateServedFromCache(t *testing.T) {
 	if !bytes.Equal(fa.Result, fb.Result) {
 		t.Fatal("duplicate results differ")
 	}
-	if snap := svc.Snapshot(); snap.PointsSimulated != 1 {
-		t.Fatalf("simulated %d points for two identical jobs, want 1", snap.PointsSimulated)
+	if n := counters(t, svc)["quarcd_points_simulated_total"]; n != 1 {
+		t.Fatalf("simulated %v points for two identical jobs, want 1", n)
 	}
 }
 
@@ -200,12 +200,12 @@ func TestInFlightDuplicateCoalesces(t *testing.T) {
 	if !bytes.Equal(fa.Result, fb.Result) {
 		t.Fatal("coalesced results differ")
 	}
-	snap := svc.Snapshot()
-	if snap.JobsCoalesced != 1 {
-		t.Fatalf("jobs coalesced = %d, want 1", snap.JobsCoalesced)
+	m := counters(t, svc)
+	if m["quarcd_jobs_coalesced_total"] != 1 {
+		t.Fatalf("jobs coalesced = %v, want 1", m["quarcd_jobs_coalesced_total"])
 	}
-	if snap.PointsSimulated != 1 {
-		t.Fatalf("two identical in-flight jobs simulated %d points, want 1", snap.PointsSimulated)
+	if m["quarcd_points_simulated_total"] != 1 {
+		t.Fatalf("two identical in-flight jobs simulated %v points, want 1", m["quarcd_points_simulated_total"])
 	}
 }
 
