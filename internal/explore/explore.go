@@ -23,9 +23,9 @@ type McastKnob struct {
 }
 
 // Spec is a design-space exploration request: the cross product of the axis
-// slices, sharing the scalar workload knobs. Empty Depths means the single
-// simulator-default depth; empty Mcast means the single multicast-free
-// workload.
+// slices, sharing the scalar workload knobs. Zero values are defaults, which
+// Normalised fills in: empty Depths means the run options' depth, empty Mcast
+// the single multicast-free workload.
 type Spec struct {
 	Models []string
 	Ns     []int
@@ -52,18 +52,41 @@ func (s Spec) CostWidthBits() int {
 	return s.CostWidth
 }
 
+// Normalised returns the spec's normal form under opts, every default filled
+// in as Expand runs it: the simulator's message length, the depth axis
+// ([opts.Depth] when empty, a zero entry the simulator's default depth), the
+// multicast axis ([{}] when empty) and the cost width. The service keys and
+// echoes this form. It is idempotent and leaves s's slices alone.
+func (s Spec) Normalised(opts experiments.RunOpts) Spec {
+	s.MsgLen = experiments.Config{MsgLen: s.MsgLen}.WithDefaults().MsgLen
+	depths := s.Depths
+	if len(depths) == 0 {
+		depths = []int{opts.Depth}
+	}
+	s.Depths = make([]int, len(depths))
+	for i, d := range depths {
+		s.Depths[i] = experiments.Config{Depth: d}.WithDefaults().Depth
+	}
+	if len(s.Mcast) == 0 {
+		s.Mcast = []McastKnob{{}}
+	}
+	s.CostWidth = s.CostWidthBits()
+	return s
+}
+
 // RawPoints is the axis cross product before validation, dedup and
 // skipping — the number a size cap should be checked against, computable
-// without expanding anything.
+// without expanding anything; an empty depth or multicast axis counts once.
+// It saturates at math.MaxInt: four axes of 2^16 values would wrap to 0.
 func (s Spec) RawPoints() int {
-	depths, mcast := len(s.Depths), len(s.Mcast)
-	if depths == 0 {
-		depths = 1
+	n := 1
+	for _, axis := range []int{len(s.Models), len(s.Ns), len(s.Rates), max(len(s.Depths), 1), max(len(s.Mcast), 1)} {
+		if axis > 0 && n > math.MaxInt/axis {
+			return math.MaxInt
+		}
+		n *= axis
 	}
-	if mcast == 0 {
-		mcast = 1
-	}
-	return len(s.Models) * len(s.Ns) * len(s.Rates) * depths * mcast
+	return n
 }
 
 // Point is one lattice point: the axis coordinates plus the normalised
@@ -98,12 +121,14 @@ type Expansion struct {
 	Deduped int
 }
 
-// Expand validates the axes and expands the lattice. Axis values that make
-// the whole request nonsensical (unknown model, non-positive N or rate,
-// negative depth, malformed multicast knob) are errors; combinations that
-// are invalid only for a particular model or size are skipped with a
-// recorded reason. opts supplies the per-point cycle budgets and seed.
+// Expand validates the axes and expands the lattice of s.Normalised(opts).
+// Axis values that make the whole request nonsensical (unknown model,
+// non-positive N or rate, negative depth, malformed multicast knob) are
+// errors; combinations that are invalid only for a particular model or size
+// are skipped with a recorded reason. opts supplies the per-point cycle
+// budgets and seed.
 func (s Spec) Expand(opts experiments.RunOpts) (Expansion, error) {
+	s = s.Normalised(opts)
 	if len(s.Models) == 0 || len(s.Ns) == 0 || len(s.Rates) == 0 {
 		return Expansion{}, fmt.Errorf("explore: empty lattice (0 points): models, ns and rates must each have at least one value")
 	}
@@ -138,14 +163,6 @@ func (s Spec) Expand(opts experiments.RunOpts) (Expansion, error) {
 			return Expansion{}, fmt.Errorf("explore: mcast size %d must be at least 2", k.Size)
 		}
 	}
-	depths := s.Depths
-	if len(depths) == 0 {
-		depths = []int{opts.Depth}
-	}
-	mcast := s.Mcast
-	if len(mcast) == 0 {
-		mcast = []McastKnob{{}}
-	}
 
 	var exp Expansion
 	seen := make(map[experiments.Config]bool)
@@ -160,8 +177,8 @@ func (s Spec) Expand(opts experiments.RunOpts) (Expansion, error) {
 	for _, m := range s.Models {
 		for _, n := range s.Ns {
 			for _, rate := range s.Rates {
-				for _, depth := range depths {
-					for _, k := range mcast {
+				for _, depth := range s.Depths {
+					for _, k := range s.Mcast {
 						cfg := experiments.Config{
 							Model: m, N: n, MsgLen: s.MsgLen, Beta: s.Beta,
 							Rate: rate, Pattern: s.Pattern, HotspotBias: s.HotspotBias,

@@ -112,6 +112,46 @@ func TestExpandSkipsDedupsAndOrders(t *testing.T) {
 	}
 }
 
+// The normal form is what Expand runs: every default filled in, each axis
+// value the depth or knob its points carry. It is idempotent, leaves its
+// receiver alone, and expands to the lattice the raw spec expands to.
+func TestNormalisedIsWhatExpandRuns(t *testing.T) {
+	opts := testOpts()
+	opts.Depth = 8
+	raw := Spec{Models: []string{"quarc"}, Ns: []int{16}, Rates: []float64{0.01}, Depths: []int{0, 2}}
+	norm := raw.Normalised(opts)
+	want := Spec{Models: raw.Models, Ns: raw.Ns, Rates: raw.Rates, Depths: []int{4, 2},
+		Mcast: []McastKnob{{}}, MsgLen: 16, CostWidth: 32}
+	if !reflect.DeepEqual(norm, want) {
+		t.Fatalf("normal form %+v, want %+v", norm, want)
+	}
+	if raw.Depths[0] != 0 || raw.MsgLen != 0 || raw.Mcast != nil {
+		t.Errorf("Normalised modified its receiver: %+v", raw)
+	}
+	if again := norm.Normalised(opts); !reflect.DeepEqual(again, norm) {
+		t.Errorf("normalising twice gives %+v, want %+v", again, norm)
+	}
+	if got := (Spec{}).Normalised(opts).Depths; !reflect.DeepEqual(got, []int{8}) {
+		t.Errorf("an empty depth axis normalises to %v, want [opts.Depth] = [8]", got)
+	}
+	fromRaw, err := raw.Expand(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromNorm, err := norm.Expand(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromRaw, fromNorm) {
+		t.Fatal("the raw spec and its normal form expand differently")
+	}
+	for i, p := range fromRaw.Points {
+		if p.Depth != norm.Depths[i] {
+			t.Errorf("point %d runs depth %d, its normal axis says %d", i, p.Depth, norm.Depths[i])
+		}
+	}
+}
+
 func TestEvalOrderPrefersPredictedFastPoints(t *testing.T) {
 	opts := testOpts()
 	spec := Spec{

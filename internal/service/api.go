@@ -320,9 +320,7 @@ func (p PanelRequest) SpecOpts() (experiments.PanelSpec, experiments.RunOpts, er
 		McastFrac: p.McastFrac, McastSize: p.McastSize,
 		Rates: append([]float64(nil), p.Rates...),
 	}
-	if spec.MsgLen == 0 {
-		spec.MsgLen = 16
-	}
+	spec.MsgLen = experiments.Config{MsgLen: spec.MsgLen}.WithDefaults().MsgLen
 	opts, err := p.Opts.RunOpts()
 	if err != nil {
 		return fail(err)

@@ -3,7 +3,9 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -291,4 +293,86 @@ func TestQueueFullShedsRunsDegradedAndPanels503(t *testing.T) {
 	if n := counters(t, svc)["quarcd_jobs_rejected_total"]; n != 1 {
 		t.Fatalf("jobs rejected = %v, want 1", n)
 	}
+}
+
+// submitNoWait posts req to the run route and returns the accepted job's id.
+func submitNoWait(t *testing.T, ts *httptest.Server, req RunRequest) string {
+	t.Helper()
+	resp, data := postJSON(t, ts.URL+"/v1/runs", req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s: %s", resp.Status, data)
+	}
+	var job JobJSON
+	if err := json.Unmarshal(data, &job); err != nil {
+		t.Fatal(err)
+	}
+	return job.ID
+}
+
+// drainBusy starts run on the one executor of a durable server, queues
+// queued behind it, and drains the server under ctx. It returns the two job
+// ids, the data directory and the drain's error.
+func drainBusy(t *testing.T, ctx context.Context, run, queued RunRequest) ([2]string, string, error) {
+	t.Helper()
+	dir := t.TempDir()
+	svc, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	var ids [2]string
+	ids[0] = submitNoWait(t, ts, run)
+	waitState(t, ts, ids[0], StateRunning, 10*time.Second)
+	ids[1] = submitNoWait(t, ts, queued)
+	waitState(t, ts, ids[1], StateQueued, time.Second)
+	return ids, dir, svc.Drain(ctx)
+}
+
+// restartAfterDrain boots a server over a drained data directory and checks
+// that both jobs' journals were closed on their terminal line: each record
+// comes back in state want, and nothing is re-enqueued or re-simulated.
+func restartAfterDrain(t *testing.T, dir string, ids [2]string, want State) []JobJSON {
+	t.Helper()
+	svc, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	var jobs []JobJSON
+	for _, id := range ids {
+		jobs = append(jobs, waitState(t, ts, id, want, time.Second))
+		events := collectEvents(t, ts, id)
+		if last := events[len(events)-1]; last.Type != "state" || last.State != want {
+			t.Fatalf("job %s's journal ends with %+v, want state %s", id, last, want)
+		}
+	}
+	m := counters(t, svc)
+	if m["quarcd_jobs_recovered_total"] != 2 || m["quarcd_points_simulated_total"] != 0 {
+		t.Fatalf("restart recovered %v jobs and simulated %v points, want 2 and 0",
+			m["quarcd_jobs_recovered_total"], m["quarcd_points_simulated_total"])
+	}
+	return jobs
+}
+
+// Drain is quarcd's SIGTERM path. Within its budget the running and the
+// queued job both finish, and their journals close on the done line.
+func TestDrainFinishesQueuedAndRunningJobs(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	ids, dir, err := drainBusy(t, ctx, slowRun(), quickRun())
+	if err != nil {
+		t.Fatalf("drain within its budget: %v", err)
+	}
+	for _, j := range restartAfterDrain(t, dir, ids, StateDone) {
+		if len(j.Result) == 0 {
+			t.Fatalf("job %s finished without a result", j.ID)
+		}
+	}
+}
+
+// Past its budget, Drain cancels the running and the queued job, still
+// closes their journals, and returns the context's error.
+func TestDrainPastItsBudgetCancelsTheRest(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	long := RunRequest{N: 8, MsgLen: 4, Rate: 0.002, Warmup: 100, Measure: 400_000_000, Seed: 3}
+	queued := long
+	queued.Seed = 4
+	ids, dir, err := drainBusy(t, ctx, long, queued)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain with an expired context returned %v, want %v", err, context.DeadlineExceeded)
+	}
+	restartAfterDrain(t, dir, ids, StateCancelled)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"quarc/internal/experiments"
 	"quarc/internal/explore"
@@ -27,9 +28,11 @@ type McastJSON struct {
 // knobs. The response is the latency/throughput/cost Pareto front over
 // every expanded point, with dominated-point provenance.
 type ExploreRequest struct {
-	Models []string    `json:"models"`
-	Ns     []int       `json:"ns"`
-	Rates  []float64   `json:"rates"`
+	Models []string  `json:"models"`
+	Ns     []int     `json:"ns"`
+	Rates  []float64 `json:"rates"`
+	// Depths is the buffer-depth axis: omitted means [opts.depth], and a 0
+	// entry the simulator's default depth (explore.Spec.Normalised).
 	Depths []int       `json:"depths,omitempty"`
 	Mcast  []McastJSON `json:"mcast,omitempty"`
 
@@ -48,10 +51,11 @@ type ExploreRequest struct {
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 
-// SpecOpts normalises the request into the exploration engine's spec and run
-// options — names parsed, caps enforced — and pre-expands the lattice (the
-// expansion is deterministic; execution repeats it), which is where points
-// are judged. Every returned error is a client error.
+// SpecOpts converts the request into the exploration engine's spec, in its
+// normal form (explore.Spec.Normalised), and run options — names parsed,
+// caps enforced — and pre-expands the lattice (the expansion is
+// deterministic; execution repeats it), which is where points are judged.
+// Every returned error is a client error.
 func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.Expansion, error) {
 	fail := func(err error) (explore.Spec, experiments.RunOpts, explore.Expansion, error) {
 		return explore.Spec{}, experiments.RunOpts{}, explore.Expansion{}, err
@@ -104,6 +108,7 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 	if err != nil {
 		return fail(err)
 	}
+	spec = spec.Normalised(opts)
 
 	raw := spec.RawPoints()
 	if raw > MaxLatticePoints {
@@ -122,40 +127,15 @@ func (e ExploreRequest) SpecOpts() (explore.Spec, experiments.RunOpts, explore.E
 	return spec, opts, exp, nil
 }
 
-// ExploreKey returns the canonical cache key of an exploration. The spec is
-// normalised the same way execution normalises it — canonical model names,
-// the effective depth axis (the run-options depth for an empty axis, the
-// simulator default 4 for a zero entry), the default message length, cost
-// width and multicast axis — so requests spelling out the defaults share a
-// key with requests omitting them. Workers and progress callbacks are
-// excluded: they never change a payload bit.
+// ExploreKey returns the canonical cache key of an exploration: a hash of
+// the spec's normal form under opts (explore.Spec.Normalised, the form Expand
+// runs) and the run options that change a result. So requests spelling out a
+// default share a key with requests omitting it, and two requests share a
+// key only if they run the same lattice. The payload echo reads the same
+// form (EncodeExplore). Workers and progress callbacks are excluded: they
+// never change a payload bit.
 func ExploreKey(spec explore.Spec, opts experiments.RunOpts) string {
-	if opts.Replicates < 1 {
-		opts.Replicates = 1
-	}
-	depth := opts.Depth
-	if depth == 0 {
-		depth = 4
-	}
-	depths := spec.Depths
-	if len(depths) == 0 {
-		depths = []int{depth}
-	}
-	normDepths := make([]int, len(depths))
-	for i, d := range depths {
-		if d == 0 {
-			d = depth
-		}
-		normDepths[i] = d
-	}
-	mcast := spec.Mcast
-	if len(mcast) == 0 {
-		mcast = []explore.McastKnob{{}}
-	}
-	msgLen := spec.MsgLen
-	if msgLen == 0 {
-		msgLen = 16
-	}
+	spec = spec.Normalised(opts)
 	return hashKey(struct {
 		Kind                   string
 		Models                 []string
@@ -173,11 +153,11 @@ func ExploreKey(spec explore.Spec, opts experiments.RunOpts) string {
 		Replicates             int
 	}{
 		Kind: "explore", Models: spec.Models, Ns: spec.Ns, Rates: spec.Rates,
-		Depths: normDepths, Mcast: mcast, MsgLen: msgLen, Beta: spec.Beta,
+		Depths: spec.Depths, Mcast: spec.Mcast, MsgLen: spec.MsgLen, Beta: spec.Beta,
 		Pattern: int(spec.Pattern), HotspotBias: spec.HotspotBias,
-		CostWidth: spec.CostWidthBits(),
+		CostWidth: spec.CostWidth,
 		Warmup:    opts.Warmup, Measure: opts.Measure, Drain: opts.Drain,
-		Seed: opts.Seed, Replicates: opts.Replicates,
+		Seed: opts.Seed, Replicates: max(opts.Replicates, 1),
 	})
 }
 
@@ -207,9 +187,11 @@ type ExplorePointJSON struct {
 	Result          ResultJSON `json:"result"`
 }
 
-// ExploreResultJSON is the payload of a completed explore job: the
-// normalised request echo, every lattice point in deterministic lattice
-// order, and the Pareto front as sorted point indices.
+// ExploreResultJSON is the payload of a completed explore job: the request
+// echo, every lattice point in deterministic lattice order, and the Pareto
+// front as sorted point indices. The echo is the normal form the cache key
+// hashes, so one key has one payload; depths and mcast are omitted exactly
+// when their axis is the default one ([4] and [{0 0}]).
 type ExploreResultJSON struct {
 	Models        []string           `json:"models"`
 	Ns            []int              `json:"ns"`
@@ -229,29 +211,31 @@ type ExploreResultJSON struct {
 	Front         []int              `json:"front"`
 }
 
-// EncodeExplore converts a completed exploration to its wire form.
+// EncodeExplore converts a completed exploration to its wire form, echoing
+// the spec's normal form under opts.
 func EncodeExplore(spec explore.Spec, opts experiments.RunOpts, oc explore.Outcome) ExploreResultJSON {
+	spec = spec.Normalised(opts)
 	out := ExploreResultJSON{
-		Models: spec.Models, Ns: spec.Ns, Rates: spec.Rates, Depths: spec.Depths,
+		Models: spec.Models, Ns: spec.Ns, Rates: spec.Rates,
 		MsgLen: spec.MsgLen, Beta: spec.Beta, HotspotBias: spec.HotspotBias,
-		CostWidth:     spec.CostWidthBits(),
-		Replicates:    opts.Replicates,
+		CostWidth:     spec.CostWidth,
+		Replicates:    max(opts.Replicates, 1),
 		LatticePoints: len(oc.Points),
 		Deduped:       oc.Deduped,
 		Skipped:       oc.Skipped,
 		Front:         oc.Front,
 	}
-	if out.MsgLen == 0 {
-		out.MsgLen = 16
-	}
-	if out.Replicates < 1 {
-		out.Replicates = 1
-	}
 	if spec.Pattern != traffic.Uniform {
 		out.Pattern = spec.Pattern.String()
 	}
-	for _, k := range spec.Mcast {
-		out.Mcast = append(out.Mcast, McastJSON{Frac: k.Frac, Size: k.Size})
+	def := explore.Spec{}.Normalised(experiments.RunOpts{})
+	if !slices.Equal(spec.Depths, def.Depths) {
+		out.Depths = spec.Depths
+	}
+	if !slices.Equal(spec.Mcast, def.Mcast) {
+		for _, k := range spec.Mcast {
+			out.Mcast = append(out.Mcast, McastJSON{Frac: k.Frac, Size: k.Size})
+		}
 	}
 	out.Points = make([]ExplorePointJSON, len(oc.Points))
 	for i, p := range oc.Points {

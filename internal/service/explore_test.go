@@ -292,6 +292,12 @@ func TestExploreValidation(t *testing.T) {
 			CostWidth: 1 << 62}, "cost_width 4611686018427387904 exceeds the limit 4096"},
 		{"cost width at the int limit", ExploreRequest{Models: []string{"quarc"}, Ns: []int{8}, Rates: []float64{0.01},
 			CostWidth: math.MaxInt}, "cost_width 9223372036854775807 exceeds the limit 4096"},
+		// 2^16 values on each of four axes: the lattice size wrapped to 0, and
+		// the handler expanded 2^64 points.
+		{"lattice size past the int range", map[string]any{"models": []string{"quarc"},
+			"ns": repeat(8, 1<<16), "rates": repeat(0.01, 1<<16), "depths": repeat(4, 1<<16),
+			"mcast": repeat(map[string]any{}, 1<<16)},
+			"lattice expands to 9223372036854775807 points, exceeding the limit 2048"},
 	}
 	for _, c := range cases {
 		body := c.body
@@ -310,6 +316,15 @@ func TestExploreValidation(t *testing.T) {
 			t.Errorf("%s: error %s does not mention %q", c.name, data, c.want)
 		}
 	}
+}
+
+// repeat returns n copies of v.
+func repeat[T any](v T, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 func TestExploreCancellation(t *testing.T) {

@@ -116,7 +116,7 @@ func (s *Server) exposition() []series {
 		gauge("quarcd_store_bytes", "Payload bytes resident in the disk result store.", num(diskBytes)),
 		counter("quarcd_store_evictions_total", "Disk-store entries evicted to fit the byte budget.", diskEvictions),
 		counter("quarcd_jobs_recovered_total", "Job records rebuilt from journals at boot.", m.jobsRecovered.Load),
-		counter("quarcd_points_simulated_total", "Sweep design points simulated.", m.pointsSim.Load),
+		counter("quarcd_points_simulated_total", "Simulations completed: one per replicate of a design point, whatever job ran it.", m.pointsSim.Load),
 		counter("quarcd_cycles_simulated_total", "Fabric cycles simulated.", m.cyclesSim.Load),
 		counter("quarcd_explore_points_expanded_total", "Lattice points expanded by explore jobs.", m.explorePointsExpanded.Load),
 		counter("quarcd_explore_points_deduped_total", "Duplicate lattice points collapsed at explore expansion.", m.explorePointsDeduped.Load),

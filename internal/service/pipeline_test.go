@@ -92,6 +92,38 @@ func TestOutOfDomainRequestsRejected(t *testing.T) {
 	}
 }
 
+// Each wire cap answers 400 with its own message. The bodies are legal in
+// every other field, so the message names the cap that refused them.
+func TestWireCapsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	rates := strings.TrimSuffix(strings.Repeat("0.001,", MaxRatePoints+1), ",")
+	models := strings.TrimSuffix(strings.Repeat(`"quarc",`, MaxPanelModels+1), ",")
+	cases := []struct{ route, body, want string }{
+		{"/v1/runs", `{"n":16,"rate":0.01,"msglen":4097}`, "msglen 4097 exceeds the limit 4096"},
+		{"/v1/runs", `{"n":16,"rate":0.01,"workers":257}`, "workers 257 outside [0,256]"},
+		{"/v1/runs", `{"n":16,"rate":0.01,"step_workers":257}`, "step_workers 257 outside [0,256]"},
+		{"/v1/panels", `{"n":16,"opts":{"points":257}}`, "points 257 outside [0,256]"},
+		{"/v1/panels", `{"n":4100}`, "n 4100 exceeds the limit 4096"},
+		{"/v1/panels", `{"n":16,"msglen":4097}`, "msglen 4097 exceeds the limit 4096"},
+		{"/v1/panels", `{"n":16,"rates":[` + rates + `]}`, "257 rates exceed the limit 256"},
+		{"/v1/panels", `{"n":16,"models":[` + models + `]}`, "17 models exceed the limit 16"},
+		{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"pattern":"zipf"}`, `unknown pattern "zipf"`},
+		{"/v1/explore", `{"models":["quarc"],"ns":[16],"rates":[0.01],"cost_width":-1}`, "cost_width -1 must be non-negative"},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+c.route, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || e.Error != c.want {
+			t.Errorf("%s %.60s: %d %q, want 400 %q", c.route, c.body, resp.StatusCode, e.Error, c.want)
+		}
+	}
+}
+
 // A body over maxBodyBytes is 413 on every submit route, whether the client
 // declared its length or streamed it chunked.
 func TestOversizedBodyAnswers413(t *testing.T) {
